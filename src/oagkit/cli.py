@@ -119,8 +119,11 @@ def _fail(cfg: Config, command: str, err: OagError, fmt: str, out) -> None:
 
 def _read_input(args) -> str:
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return fh.read().strip()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                return fh.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise OagError(f"cannot read {args.file}: {exc}") from None
     if getattr(args, "text", None) is None:
         raise OagError("missing input: pass a positional string or --file")
     return args.text
@@ -182,7 +185,7 @@ def _cmd_reconstruct(g, cfg, args):
     text = _read_input(args)
     try:
         obj = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise OagError(f"input is not valid JSON: {exc}") from None
     if isinstance(obj, dict) and obj.get("command") == "code":
         # accept the code command's own output envelope as-is

@@ -147,7 +147,7 @@ def _value_bound(g: GroupSpec, v: CodeValue):
     raise CodeError("expected a main-sort or quotient-sort value")
 
 
-def _beta_of_residues(g: GroupSpec, fq: FiniteQuotientElement) -> Element:
+def beta_of_residues(g: GroupSpec, fq: FiniteQuotientElement) -> Element:
     """The canonical representative of a finite-quotient element."""
     if not 0 <= fq.level <= g.n:
         raise CodeError(f"finite-quotient level {fq.level} out of range")
@@ -329,7 +329,7 @@ def _set_pieces_from_code(g: GroupSpec, c: Code) -> tuple:
             if not isinstance(v, FinQuotVal):
                 raise CodeError("congruence slot must hold a finite-quotient value")
             fq = v.value
-            beta = _beta_of_residues(g, fq)
+            beta = beta_of_residues(g, fq)
             congr.append(CongrLiteral(sign, z, fq.level, fq.modulus, beta))
         piece = NiceSet(upper, lower, tuple(congr))
         try:
@@ -443,7 +443,7 @@ def _descriptor_structure(g: GroupSpec, p: TypeDescriptor) -> None:
         if not 2 <= fq.modulus <= p.residue_bound:
             raise CodeError(
                 f"residue modulus {fq.modulus} outside 2..{p.residue_bound}")
-        _beta_of_residues(g, fq)
+        beta_of_residues(g, fq)
         seen_keys.append((fq.level, fq.modulus))
     if seen_keys != sorted(set(seen_keys)):
         raise CodeError("residues must be sorted by (level, modulus)")
@@ -461,7 +461,7 @@ def descriptor_fragment(g: GroupSpec, p: TypeDescriptor,
     elif tag == CUT_AT_SEGMENT:
         parts.append(reconstruct(g, p.cut[1], var))
     for fq in p.residues:
-        lit = CongrLiteral(1, 1, fq.level, fq.modulus, _beta_of_residues(g, fq))
+        lit = CongrLiteral(1, 1, fq.level, fq.modulus, beta_of_residues(g, fq))
         parts.append(lit.denote(g, var))
     for q in p.cosets:
         parts.append(fm.RelEq(q.level, tv, fm.t_const(_pad_quot(g, q.level,
@@ -474,7 +474,9 @@ def descriptor_fragment(g: GroupSpec, p: TypeDescriptor,
 
 
 def descriptor_issue(g: GroupSpec, p: TypeDescriptor) -> Optional[str]:
-    """The first coherence violation, or None for a coherent descriptor."""
+    """The first coherence violation, or None for a coherent descriptor.
+    A structurally malformed descriptor raises CodeError instead."""
+    _descriptor_structure(g, p)
     if p.cut[0] == CUT_REALIZED and (p.cosets or p.residues):
         return "realized cut must not carry stored congruence data"
     by_level: dict = {}
@@ -488,7 +490,7 @@ def descriptor_issue(g: GroupSpec, p: TypeDescriptor) -> Optional[str]:
                 if big.modulus % small.modulus != 0:
                     continue
                 reduced = project_fin(g, level, small.modulus,
-                                      _beta_of_residues(g, big))
+                                      beta_of_residues(g, big))
                 if reduced != small:
                     return (f"residues mod {small.modulus} and {big.modulus} "
                             f"at level {level} disagree")
@@ -513,7 +515,6 @@ def code_type(g: GroupSpec, p: TypeDescriptor) -> Code:
     per decided coset, both runs sorted by level (and modulus).  A
     realized cut dominates: its element is the entire code.
     """
-    _descriptor_structure(g, p)
     issue = descriptor_issue(g, p)
     if issue is not None:
         raise CodeError(issue)
@@ -618,12 +619,23 @@ def _header_to_obj(h):
     raise CodeError(f"unserializable header entry {h!r}")
 
 
+# Lists nest at most this deep in the header of any code: a set header
+# holds its pieces, a piece its congruence descriptors, and each of those
+# is a (sign, multiplier) list.
+_HEADER_DEPTH = 5
+
+
 def _header_from_obj(o):
-    if isinstance(o, list):
-        return tuple(_header_from_obj(x) for x in o)
-    if isinstance(o, (str, int)) and not isinstance(o, bool):
-        return o
-    raise CodeError(f"bad header entry {o!r}")
+    def walk(o, depth):
+        if isinstance(o, list):
+            if depth == _HEADER_DEPTH:
+                raise CodeError("code header nests deeper than any code")
+            return tuple(walk(x, depth + 1) for x in o)
+        if isinstance(o, (str, int)) and not isinstance(o, bool):
+            return o
+        raise CodeError(f"bad header entry {o!r}")
+
+    return walk(o, 0)
 
 
 def _value_to_obj(v) -> dict:

@@ -35,6 +35,13 @@ atom := (< t t) | (<= t t) | (= t t) | (congr m t t)
       | (insub k t)
 """
 
+# Parentheses may nest at most this deep; a deeper input is a ParseError.
+# Parsing, lowering and elimination recurse per level (a nested iff costs
+# about eight interpreter frames a level), and at this depth qe, code,
+# nice and typegen still answer on Z*Z*Z within the default recursion
+# limit, with a hundred frames of caller on the stack.
+MAX_DEPTH = 100
+
 LT = "<"
 LE = "<="
 EQ = "="
@@ -257,22 +264,30 @@ def _err(msg: str, tok: _Tok | None = None) -> ParseError:
 
 
 def _read_sexp(toks: list[_Tok], pos: int):
-    if pos >= len(toks):
-        raise ParseError("unexpected end of input")
-    t = toks[pos]
-    if t.text == "(":
-        items = []
+    """The s-expression starting at toks[pos] and the position after it.
+    A list is an (open paren, items) pair, an atom its token."""
+    stack: list = []  # the lists still open, innermost last
+    while True:
+        if pos >= len(toks):
+            if stack:
+                raise _err("unclosed parenthesis", stack[-1][0])
+            raise ParseError("unexpected end of input")
+        t = toks[pos]
         pos += 1
-        while True:
-            if pos >= len(toks):
-                raise _err("unclosed parenthesis", t)
-            if toks[pos].text == ")":
-                return (t, items), pos + 1
-            node, pos = _read_sexp(toks, pos)
-            items.append(node)
-    if t.text == ")":
-        raise _err("unexpected ')'", t)
-    return t, pos + 1
+        if t.text == "(":
+            if len(stack) == MAX_DEPTH:
+                raise _err(f"parentheses nest deeper than {MAX_DEPTH}", t)
+            stack.append((t, []))
+            continue
+        if t.text == ")":
+            if not stack:
+                raise _err("unexpected ')'", t)
+            node = stack.pop()
+        else:
+            node = t
+        if not stack:
+            return node, pos
+        stack[-1][1].append(node)
 
 
 # --- parser -----------------------------------------------------------------
@@ -563,10 +578,6 @@ def _fresh_name(base: str, used: frozenset) -> str:
     return f"{base}_{k}"
 
 
-def rename_var(g: GroupSpec, f: Formula, old: str, new: str) -> Formula:
-    return substitute(g, f, old, t_var(g, new))
-
-
 def substitute(g: GroupSpec, f: Formula, name: str, repl: Term) -> Formula:
     """Capture-avoiding substitution of a term for a free variable."""
     if isinstance(f, BoolConst):
@@ -593,10 +604,6 @@ def substitute(g: GroupSpec, f: Formula, name: str, repl: Term) -> Formula:
             return type(f)(fresh, substitute(g, body, name, repl))
         return type(f)(f.var, substitute(g, f.body, name, repl))
     raise FormulaError(f"unknown formula node {f!r}")
-
-
-def is_sentence(f: Formula) -> bool:
-    return not free_vars(f)
 
 
 def is_quantifier_free(f: Formula) -> bool:

@@ -227,12 +227,6 @@ def quotient_spec(g: GroupSpec, k: int) -> GroupSpec:
     return GroupSpec(g.kinds[:k])
 
 
-def subgroup_spec(g: GroupSpec, k: int) -> GroupSpec:
-    """The level-k subgroup, itself a lexicographic product."""
-    check_level(g, k)
-    return GroupSpec(g.kinds[k:])
-
-
 def compare_quot(g: GroupSpec, a: QuotientElement, b: QuotientElement) -> int:
     if a.level != b.level:
         raise GroupError("quotient levels differ in compare_quot")
@@ -264,47 +258,17 @@ def is_n_regular_block(g: GroupSpec, j: int, m: int, n: int) -> bool:
     return all(g.kinds[i - 1] == "Q" for i in range(j, m))
 
 
-def _block_n_divisible(g: GroupSpec, j: int, m: int) -> bool:
-    # a block is divisible iff every coordinate is dense
-    return all(g.kinds[i - 1] == "Q" for i in range(j, m + 1))
-
-
-def _regular_blocks(g: GroupSpec) -> list[tuple[int, int]]:
-    """Greedy partition of 1..n into maximal regular blocks, top-down."""
-    blocks = []
-    j = 1
-    while j <= g.n:
-        m = j
-        while m < g.n and g.kinds[m - 1] == "Q":
-            m += 1
-        blocks.append((j, m))
-        j = m + 1
-    return blocks
-
-
 def compute_rj(g: GroupSpec, n: int) -> tuple[ConvexSubgroup, ...]:
     """The jump subgroups of the n-regular rank tower, listed by ascending
     level (so from the whole group downward).
 
     The tower partitions the coordinates into maximal n-regular blocks;
-    each block boundary is a jump.  The result does not depend on n >= 2
-    for this family, which is asserted against the closed form: the jump
-    levels are exactly the discrete positions below n, plus level n itself
-    when the group is nontrivial.
+    each block boundary is a jump.  For this family the result does not
+    depend on n >= 2: a block ends at each discrete coordinate and at the
+    last one, so the jumps are exactly the definable levels of rj_levels.
     """
     _check_regularity_modulus(n)
-    if g.n == 0:
-        return ()
-    blocks = _regular_blocks(g)
-    for idx, (j, m) in enumerate(blocks):
-        assert is_n_regular_block(g, j, m, n)
-        if idx < len(blocks) - 1:
-            # quotients strictly above the bottom block must not be divisible
-            assert not _block_n_divisible(g, j, m)
-    levels = [m for (_, m) in blocks]
-    closed_form = sorted({k for k in range(1, g.n) if g.kinds[k - 1] == "Z"} | {g.n})
-    assert levels == closed_form, "jump levels disagree with the closed form"
-    return tuple(ConvexSubgroup(k) for k in levels)
+    return tuple(ConvexSubgroup(k) for k in rj_levels(g))
 
 
 def rj_levels(g: GroupSpec) -> tuple[int, ...]:

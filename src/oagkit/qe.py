@@ -26,7 +26,8 @@ from .errors import FormulaError
 from .groups import Element, GroupSpec, element
 from .scalars import (
     SAnd, SBool, SCongr, SEq, SExists, SForall, SFormula, SLt, SNot, SOr,
-    SVar, budget_scope, kind_of, lin_add, lin_const, lin_neg, lin_var,
+    SVar, atom_roots, atoms, budget_scope, kind_of, lin_add, lin_const,
+    lin_neg, lin_var,
     mk_and, mk_congr, mk_eq, mk_exists, mk_le, mk_lt, mk_not, mk_or,
     s_eval, s_free_vars, s_is_qf, s_subst,
 )
@@ -81,11 +82,12 @@ def nnf(g: GroupSpec, f: SFormula, positive: bool = True,
     return out
 
 
-def _map_literals(f: SFormula, fn, skip: Optional[SVar] = None,
-                  _memo: Optional[dict] = None) -> SFormula:
-    """Rebuild an NNF formula, transforming each literal (atom or
-    negated congruence) through fn.  Subtrees without the skip variable
-    are shared untouched; shared subtrees are rewritten once."""
+def _map_atoms(f: SFormula, fn, skip: Optional[SVar] = None,
+               _memo: Optional[dict] = None) -> SFormula:
+    """Rebuild an NNF formula, transforming each atom through fn; a
+    negated congruence becomes the negation of fn applied to its
+    congruence.  Subtrees without the skip variable are shared
+    untouched; shared subtrees are rewritten once."""
     if skip is not None and skip not in f.fv:
         return f
     if _memo is None:
@@ -96,34 +98,19 @@ def _map_literals(f: SFormula, fn, skip: Optional[SVar] = None,
     if isinstance(f, SBool):
         out = f
     elif isinstance(f, (SLt, SEq, SCongr)):
-        out = fn(f, True)
+        out = fn(f)
     elif isinstance(f, SNot):
         assert isinstance(f.body, SCongr)
-        out = fn(f.body, False)
+        out = mk_not(fn(f.body))
     elif isinstance(f, SAnd):
-        out = mk_and(_map_literals(it, fn, skip, _memo) for it in f.items)
+        out = mk_and(_map_atoms(it, fn, skip, _memo) for it in f.items)
     elif isinstance(f, SOr):
-        out = mk_or(_map_literals(it, fn, skip, _memo) for it in f.items)
+        out = mk_or(_map_atoms(it, fn, skip, _memo) for it in f.items)
     else:
         raise FormulaError(
-            f"unexpected node in literal map: {type(f).__name__}")
+            f"unexpected node in atom map: {type(f).__name__}")
     _memo[f] = out
     return out
-
-
-def _literals(f: SFormula, out: list, _seen: Optional[set] = None) -> None:
-    if _seen is None:
-        _seen = set()
-    if f in _seen:
-        return
-    _seen.add(f)
-    if isinstance(f, (SLt, SEq, SCongr)):
-        out.append((f, True))
-    elif isinstance(f, SNot):
-        out.append((f.body, False))
-    elif isinstance(f, (SAnd, SOr)):
-        for it in f.items:
-            _literals(it, out, _seen)
 
 
 # --- Cooper elimination on a discrete coordinate ----------------------------
@@ -132,45 +119,38 @@ def _literals(f: SFormula, out: list, _seen: Optional[set] = None) -> None:
 def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
     # equations on v become conjunctions of bounds so that only strict
     # inequalities and congruence literals mention v
-    def split_eq(lit, pos):
+    def split_eq(lit):
         if isinstance(lit, SEq) and lit.expr.coeff(v) != 0:
-            assert pos
             return mk_and([mk_le(g, lit.expr), mk_le(g, lin_neg(lit.expr))])
-        return lit if pos else mk_not(lit)
+        return lit
 
-    f = _map_literals(f, split_eq, skip=v)
+    f = _map_atoms(f, split_eq, skip=v)
 
-    lits: list = []
-    _literals(f, lits)
     delta = 1
-    for lit, _ in lits:
+    for lit in atoms(f):
         a = lit.expr.coeff(v)
         if a:
             delta = math.lcm(delta, abs(a))
 
     # substitute y = delta * v: every coefficient of y becomes +-1
-    def rescale(lit, pos):
+    def rescale(lit):
         a = lit.expr.coeff(v)
         if a == 0:
-            return lit if pos else mk_not(lit)
+            return lit
         lam = delta // abs(a)
         coeffs = tuple((w, lam * c) if w != v else (w, 1 if a > 0 else -1)
                        for w, c in lit.expr.coeffs)
         expr = sc.LinExpr(coeffs, lam * lit.expr.const)
         if isinstance(lit, SLt):
-            out = SLt(expr)
-        else:
-            out = mk_congr(g, lam * lit.modulus, expr)
-        return out if pos else mk_not(out)
+            return SLt(expr)
+        return mk_congr(g, lam * lit.modulus, expr)
 
-    f = _map_literals(f, rescale, skip=v)
+    f = _map_atoms(f, rescale, skip=v)
     f = mk_and([f, mk_congr(g, delta, lin_var(v))])
 
-    lits = []
-    _literals(f, lits)
     lowers, uppers = [], []
     period = 1
-    for lit, _ in lits:
+    for lit in atoms(f):
         a = lit.expr.coeff(v)
         if isinstance(lit, SCongr):
             if a:
@@ -187,17 +167,15 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
 
     use_lowers = len(lowers) <= len(uppers)
 
-    def at_infinity(lit, pos):
+    def at_infinity(lit):
         a = lit.expr.coeff(v)
-        if a == 0:
-            return lit if pos else mk_not(lit)
-        if isinstance(lit, SLt):
+        if isinstance(lit, SLt) and a != 0:
             # at -inf every upper bound holds and every lower fails;
             # dually at +inf
             return SBool((a == 1) == use_lowers)
-        return lit if pos else mk_not(lit)
+        return lit
 
-    row = _map_literals(f, at_infinity, skip=v)
+    row = _map_atoms(f, at_infinity, skip=v)
     bounds = lowers if use_lowers else uppers
     pieces = []
     for j in range(1, period + 1):
@@ -213,10 +191,8 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
 
 
 def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
-    lits: list = []
-    _literals(f, lits)
     roots = {}
-    for lit, _ in lits:
+    for lit in atoms(f):
         a = lit.expr.coeff(v)
         if a == 0:
             continue
@@ -231,11 +207,10 @@ def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
     def subst_at(a, rest, eps):
         # the test point is -rest/a, optionally nudged right by an
         # infinitesimal
-        def per_lit(lit, pos):
+        def per_lit(lit):
             c2 = lit.expr.coeff(v)
             if c2 == 0:
-                return lit if pos else mk_not(lit)
-            assert pos
+                return lit
             rest2 = sc.LinExpr(tuple((w, c) for w, c in lit.expr.coeffs
                                      if w != v), lit.expr.const)
             numer = lin_add(sc.lin_scale(a, rest2), sc.lin_scale(-c2, rest))
@@ -249,18 +224,17 @@ def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
                 return mk_or([mk_lt(g, numer), mk_eq(g, numer)])
             return mk_lt(g, numer)
 
-        return _map_literals(f, per_lit, skip=v)
+        return _map_atoms(f, per_lit, skip=v)
 
-    def at_minus_inf(lit, pos):
+    def at_minus_inf(lit):
         c2 = lit.expr.coeff(v)
         if c2 == 0:
-            return lit if pos else mk_not(lit)
-        assert pos
+            return lit
         if isinstance(lit, SEq):
             return SBool(False)
         return SBool(c2 > 0)
 
-    pieces = [_map_literals(f, at_minus_inf, skip=v)]
+    pieces = [_map_atoms(f, at_minus_inf, skip=v)]
     for a, rest in roots.values():
         pieces.append(subst_at(a, rest, eps=False))
         pieces.append(subst_at(a, rest, eps=True))
@@ -268,10 +242,6 @@ def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
 
 
 # --- the driver -------------------------------------------------------------
-
-
-def _eliminate_var(g: GroupSpec, v: SVar, body: SFormula) -> SFormula:
-    return _miniscope(g, v, nnf(g, body))
 
 
 def _eliminate_block(g: GroupSpec, block: list, body: SFormula) -> SFormula:
@@ -473,38 +443,13 @@ def entails(g: GroupSpec, a: fm.Formula, b: fm.Formula,
 # --- witness extraction -----------------------------------------------------
 
 
-def _one_var_atoms(f: SFormula, v: SVar) -> list:
-    # negations here may wrap arbitrary subformulas, not just literals
-    out: list = []
-    seen: set = set()
-
-    def walk(node):
-        if node in seen:
-            return
-        seen.add(node)
-        if isinstance(node, (SLt, SEq, SCongr)):
-            if node.expr.coeff(v) != 0:
-                out.append(node)
-        elif isinstance(node, SNot):
-            walk(node.body)
-        elif isinstance(node, (SAnd, SOr)):
-            for it in node.items:
-                walk(it)
-
-    walk(f)
-    return out
-
-
 def _candidates_z(f: SFormula, v: SVar) -> list:
     period = 1
-    bases = {0}
-    for atom in _one_var_atoms(f, v):
-        if isinstance(atom, SCongr):
+    for atom in atoms(f):
+        if isinstance(atom, SCongr) and atom.expr.coeff(v) != 0:
             period = math.lcm(period, atom.modulus)
-            continue
-        a = atom.expr.coeff(v)
-        c = atom.expr.const
-        root = Fraction(-c, a)
+    bases = {0}
+    for root in atom_roots(f, v):
         bases.add(math.floor(root))
         bases.add(math.ceil(root))
     out = set()
@@ -515,13 +460,9 @@ def _candidates_z(f: SFormula, v: SVar) -> list:
 
 
 def _candidates_q(f: SFormula, v: SVar) -> list:
-    roots = set()
-    for atom in _one_var_atoms(f, v):
-        a = atom.expr.coeff(v)
-        roots.add(Fraction(-atom.expr.const, a))
-    if not roots:
+    rs = atom_roots(f, v)
+    if not rs:
         return [Fraction(0)]
-    rs = sorted(roots)
     cands = set(rs)
     cands.add(rs[0] - 1)
     cands.add(rs[-1] + 1)

@@ -18,8 +18,8 @@ All expression and formula nodes are hash-consed: structurally equal
 terms are the same object, equality and hashing are identity, and each
 node caches its free-variable set.  Elimination output is therefore a
 DAG with heavy sharing, and the traversals here (substitution,
-evaluation, size) memoize on node identity so they run in DAG size, not
-tree size.
+evaluation, atom collection) memoize on node identity so they run in
+DAG size, not tree size.
 """
 
 from __future__ import annotations
@@ -536,6 +536,41 @@ def s_subst(g: GroupSpec, f: SFormula, v: SVar, repl: LinExpr,
     return out
 
 
+def atoms(f: SFormula) -> list:
+    """The distinct atoms of a quantifier-free formula in preorder,
+    including those under any negation; each DAG node is visited once."""
+    out: list = []
+    seen: set = set()
+
+    def walk(node):
+        if node in seen:
+            return
+        seen.add(node)
+        if isinstance(node, (SLt, SEq, SCongr)):
+            out.append(node)
+        elif isinstance(node, SNot):
+            walk(node.body)
+        elif isinstance(node, (SAnd, SOr)):
+            for it in node.items:
+                walk(it)
+
+    walk(f)
+    return out
+
+
+def atom_roots(f: SFormula, v: SVar) -> list:
+    """Sorted distinct values of v at which an order atom of f that
+    mentions v changes truth value."""
+    roots = set()
+    for atom in atoms(f):
+        if isinstance(atom, SCongr):
+            continue
+        a = atom.expr.coeff(v)
+        if a:
+            roots.add(Fraction(-atom.expr.const, a))
+    return sorted(roots)
+
+
 def s_is_qf(f: SFormula) -> bool:
     if isinstance(f, (SBool, SLt, SEq, SCongr)):
         return True
@@ -616,22 +651,4 @@ def print_scalar(f: SFormula) -> str:
     if isinstance(f, (SExists, SForall)):
         op = "exists" if isinstance(f, SExists) else "forall"
         return f"({op} ({f.var}) {print_scalar(f.body)})"
-    raise FormulaError(f"unknown scalar node {f!r}")
-
-
-def s_size(f: SFormula, _seen: Optional[set] = None) -> int:
-    """Number of distinct nodes in the formula DAG."""
-    if _seen is None:
-        _seen = set()
-    if f in _seen:
-        return 0
-    _seen.add(f)
-    if isinstance(f, (SBool, SLt, SEq, SCongr)):
-        return 1
-    if isinstance(f, SNot):
-        return 1 + s_size(f.body, _seen)
-    if isinstance(f, (SAnd, SOr)):
-        return 1 + sum(s_size(it, _seen) for it in f.items)
-    if isinstance(f, (SExists, SForall)):
-        return 1 + s_size(f.body, _seen)
     raise FormulaError(f"unknown scalar node {f!r}")

@@ -40,13 +40,11 @@ from .qe import (
 from .scalars import (
     FALSE,
     LinExpr,
-    SAnd,
     SCongr,
-    SEq,
     SLt,
-    SNot,
-    SOr,
     SVar,
+    atom_roots,
+    atoms,
     mk_and,
     mk_exists,
     mk_not,
@@ -205,9 +203,6 @@ class CongrLiteral:
         return CongrLiteral(self.sign, z, self.level, m, element(g, vals), 0)
 
 
-CongruenceRestriction = tuple
-
-
 def _lit_key(lit: CongrLiteral):
     return (lit.level, lit.modulus, lit.z, 0 if lit.sign > 0 else 1,
             tuple(Fraction(x) for x in lit.beta), lit.offset)
@@ -229,10 +224,6 @@ class NiceSet:
     upper: DivSegment
     lower: DivSegment
     congr: tuple
-
-    @property
-    def mid(self) -> tuple:
-        return (self.upper, self.lower)
 
     def check(self, g: GroupSpec) -> None:
         if self.upper.direction != END:
@@ -259,7 +250,9 @@ class NiceSet:
         return fm.And(tuple(parts))
 
 
-def _the_var(g: GroupSpec, phi: fm.Formula, var: Optional[str]) -> str:
+def the_var(g: GroupSpec, phi: fm.Formula, var: Optional[str]) -> str:
+    """The distinguished variable: var when phi has no other free
+    variable, else phi's only free variable."""
     fv = fm.free_vars(phi)
     if var is not None:
         if not fv <= {var}:
@@ -272,7 +265,8 @@ def _the_var(g: GroupSpec, phi: fm.Formula, var: Optional[str]) -> str:
     return next(iter(fv))
 
 
-def _fresh_names(phi: fm.Formula, avoid, count: int) -> list:
+def fresh_names(phi: fm.Formula, avoid, count: int) -> list:
+    """count variable names that occur neither in phi nor in avoid."""
     taken = set(fm.all_names(phi)) | set(avoid)
     out = []
     for i in itertools.count():
@@ -288,8 +282,8 @@ def _fresh_names(phi: fm.Formula, avoid, count: int) -> list:
 def is_end_segment(g: GroupSpec, phi: fm.Formula,
                    var: Optional[str] = None) -> bool:
     """Whether the defined set is closed upward."""
-    v = _the_var(g, phi, var)
-    (y,) = _fresh_names(phi, [v], 1)
+    v = the_var(g, phi, var)
+    (y,) = fresh_names(phi, [v], 1)
     phi_y = fm.substitute(g, phi, v, fm.t_var(g, y))
     body = fm.Implies(
         fm.And((phi, fm.Cmp(fm.LT, fm.t_var(g, v), fm.t_var(g, y)))), phi_y)
@@ -297,7 +291,7 @@ def is_end_segment(g: GroupSpec, phi: fm.Formula,
 
 
 def _has_minimum(g: GroupSpec, phi: fm.Formula, v: str) -> bool:
-    (y,) = _fresh_names(phi, [v], 1)
+    (y,) = fresh_names(phi, [v], 1)
     phi_y = fm.substitute(g, phi, v, fm.t_var(g, y))
     least = fm.Forall(
         y, fm.Implies(phi_y, fm.Cmp(fm.LE, fm.t_var(g, v), fm.t_var(g, y))))
@@ -311,13 +305,13 @@ def end_hull(g: GroupSpec, phi: fm.Formula,
     The input set must be nonempty and have no minimum; the hull keeps
     every point that fails to bound the set strictly from below.
     """
-    v = _the_var(g, phi, var)
+    v = the_var(g, phi, var)
     if not satisfiable(g, phi):
         raise SegmentError("end hull of an empty set is undefined")
     if _has_minimum(g, phi, v):
         raise SegmentError("set has a minimum; use the minimum directly "
                            "instead of an end hull")
-    (y,) = _fresh_names(phi, [v], 1)
+    (y,) = fresh_names(phi, [v], 1)
     phi_y = fm.substitute(g, phi, v, fm.t_var(g, y))
     below = fm.Cmp(fm.LE, fm.t_var(g, y), fm.t_var(g, v))
     hull = fm.Not(fm.Forall(y, fm.Implies(below, fm.Not(phi_y))))
@@ -332,10 +326,10 @@ def end_hull(g: GroupSpec, phi: fm.Formula,
 def stabilizer(g: GroupSpec, phi: fm.Formula,
                var: Optional[str] = None) -> ConvexSubgroup:
     """The largest tail subgroup whose translates preserve the set."""
-    v = _the_var(g, phi, var)
+    v = the_var(g, phi, var)
     if not is_end_segment(g, phi, v):
         raise SegmentError("stabilizer is defined for end segments only")
-    (d,) = _fresh_names(phi, [v], 1)
+    (d,) = fresh_names(phi, [v], 1)
     td, tv = fm.t_var(g, d), fm.t_var(g, v)
     shifted = fm.substitute(g, phi, v, fm.t_add(g, tv, td))
     for k in range(g.n + 1):
@@ -347,29 +341,10 @@ def stabilizer(g: GroupSpec, phi: fm.Formula,
     raise AssertionError("the zero subgroup must stabilize any set")
 
 
-def _pad(g: GroupSpec, vals) -> Element:
+def pad(g: GroupSpec, vals) -> Element:
+    """The element of g with the given leading coordinates, zeros after."""
     vals = list(vals)
     return element(g, vals + [0] * (g.n - len(vals)))
-
-
-def _scalar_atoms(f) -> list:
-    out: list = []
-    seen: set = set()
-
-    def walk(node):
-        if node in seen:
-            return
-        seen.add(node)
-        if isinstance(node, (SLt, SEq, SCongr)):
-            out.append(node)
-        elif isinstance(node, SNot):
-            walk(node.body)
-        elif isinstance(node, (SAnd, SOr)):
-            for it in node.items:
-                walk(it)
-
-    walk(f)
-    return out
 
 
 def _pinned_scalar(g: GroupSpec, phi: fm.Formula, v: str, prefix, k: int,
@@ -386,18 +361,6 @@ def _pinned_scalar(g: GroupSpec, phi: fm.Formula, v: str, prefix, k: int,
     return s_subst_all(g, qf, env)
 
 
-def _coordinate_roots(psi, v: str, k: int) -> list:
-    xk = SVar(v, k)
-    roots = set()
-    for atom in _scalar_atoms(psi):
-        if isinstance(atom, SCongr):
-            continue
-        a = atom.expr.coeff(xk)
-        if a:
-            roots.add(Fraction(-atom.expr.const, a))
-    return sorted(roots)
-
-
 def to_div_segment(g: GroupSpec, phi: fm.Formula,
                    var: Optional[str] = None) -> DivSegment:
     """The canonical divisibility form of a definable end segment.
@@ -407,7 +370,7 @@ def to_div_segment(g: GroupSpec, phi: fm.Formula,
     where the set is principal.  Empty and full sets come back as the
     sentinel segments.
     """
-    v = _the_var(g, phi, var)
+    v = the_var(g, phi, var)
     if not is_end_segment(g, phi, v):
         raise SegmentError("divisibility form is defined for end "
                            "segments only")
@@ -417,7 +380,7 @@ def to_div_segment(g: GroupSpec, phi: fm.Formula,
         return full_end_segment()
     k = stabilizer(g, phi, v).level
     assert k >= 1, "a proper nonempty end segment has a proper stabilizer"
-    (y,) = _fresh_names(phi, [v], 1)
+    (y,) = fresh_names(phi, [v], 1)
     tv, ty = fm.t_var(g, v), fm.t_var(g, y)
     phi_y = fm.substitute(g, phi, v, ty)
 
@@ -426,7 +389,7 @@ def to_div_segment(g: GroupSpec, phi: fm.Formula,
     if decide(g, has_min):
         w = witness(g, has_min)
         assert w is not None
-        return DivSegment(END, 1, k, _pad(g, w[:k]), GE)
+        return DivSegment(END, 1, k, pad(g, w[:k]), GE)
 
     # No minimum modulo the stabilizer: the cut coordinate must be dense.
     assert g.kinds[k - 1] == "Q"
@@ -441,30 +404,26 @@ def to_div_segment(g: GroupSpec, phi: fm.Formula,
         prefix = tuple(w[:k - 1])
     psi = _pinned_scalar(g, phi, v, prefix, k)
     xk = SVar(v, k)
-    for c in _coordinate_roots(psi, v, k):
+    for c in atom_roots(psi, xk):
         above = SLt(LinExpr(((xk, -1),), c))
         differ = mk_or([mk_and([psi, mk_not(above)]),
                         mk_and([mk_not(psi), above])])
         if eliminate_scalar(g, mk_exists(xk, differ)) is FALSE:
-            return DivSegment(END, 1, k, _pad(g, prefix + (c,)), GT)
+            return DivSegment(END, 1, k, pad(g, prefix + (c,)), GT)
     raise AssertionError("open cut value must be a root of some atom")
 
 
 def is_initial_segment(g: GroupSpec, phi: fm.Formula,
                        var: Optional[str] = None) -> bool:
-    """Whether the defined set is closed downward."""
-    v = _the_var(g, phi, var)
-    (y,) = _fresh_names(phi, [v], 1)
-    phi_y = fm.substitute(g, phi, v, fm.t_var(g, y))
-    body = fm.Implies(
-        fm.And((phi, fm.Cmp(fm.LT, fm.t_var(g, y), fm.t_var(g, v)))), phi_y)
-    return decide(g, fm.Forall(v, fm.Forall(y, body)))
+    """Whether the defined set is closed downward, that is, whether its
+    complement is closed upward."""
+    return is_end_segment(g, fm.Not(phi), var)
 
 
 def to_div_segment_initial(g: GroupSpec, phi: fm.Formula,
                            var: Optional[str] = None) -> DivSegment:
     """Divisibility form of an initial segment, via its complement."""
-    v = _the_var(g, phi, var)
+    v = the_var(g, phi, var)
     if not is_initial_segment(g, phi, v):
         raise SegmentError("expected a downward closed set")
     return dual_div_segment(to_div_segment(g, fm.Not(phi), v))
@@ -494,14 +453,14 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     actually changes.  All thresholds and cut points are found
     semantically, so equivalent inputs produce identical output.
     """
-    v = _the_var(g, phi, var)
+    v = the_var(g, phi, var)
     if not satisfiable(g, phi):
         return ()
     if g.n == 0:
         return (NiceSet(full_end_segment(), full_initial_segment(), ()),)
 
     tv = fm.t_var(g, v)
-    y, zname = _fresh_names(phi, [v], 2)
+    y, zname = fresh_names(phi, [v], 2)
     ty, tz = fm.t_var(g, y), fm.t_var(g, zname)
     phi_of: dict = {}
 
@@ -536,12 +495,12 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         return fm.substitute(g, phi, v, t)
 
     def pin_formula(name, j: int, pin) -> fm.Formula:
-        return fm.RelEq(j - 1, fm.t_var(g, name), fm.t_const(_pad(g, pin)))
+        return fm.RelEq(j - 1, fm.t_var(g, name), fm.t_const(pad(g, pin)))
 
     def class_formula(name, j: int, m: int, rep) -> fm.Formula:
         if m == 1:
             return fm.BoolConst(True)
-        return fm.RelCongr(j, m, fm.t_var(g, name), fm.t_const(_pad(g, rep)))
+        return fm.RelCongr(j, m, fm.t_var(g, name), fm.t_const(pad(g, rep)))
 
     def fiber_equal(j: int, pin, v1, v2) -> bool:
         # Fibers over two concrete coordinate-j values agree exactly when
@@ -549,7 +508,7 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         vals = [0] * g.n
         vals[j - 1] = v2 - v1
         delta = element(g, vals)
-        anchor = fm.RelEq(j, tv, fm.t_const(_pad(g, pin + (v1,))))
+        anchor = fm.RelEq(j, tv, fm.t_const(pad(g, pin + (v1,))))
         return dec(fm.Forall(
             v, fm.Implies(anchor, fm.Iff(phi, shifted(v, delta)))))
 
@@ -561,7 +520,7 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         if hit is not None:
             return hit
         if j > g.n:
-            member = dec(fm.substitute(g, phi, v, fm.t_const(_pad(g, pin))))
+            member = dec(fm.substitute(g, phi, v, fm.t_const(pad(g, pin))))
             out = [_RawPiece(None, None, ())] if member else []
         else:
             region = fm.And((pin_formula(v, j, pin), phi))
@@ -595,7 +554,7 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         qf = eliminate_scalar(g, fm.lower(
             g, fm.And((pin_formula(v, j, pin), phi))))
         cap = 1
-        for atom in _scalar_atoms(qf):
+        for atom in atoms(qf):
             if isinstance(atom, SCongr):
                 cap = lcm(cap, atom.modulus)
         for m in range(1, cap + 1):
@@ -662,7 +621,7 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         for r in range(m_d):
             cls_lit = []
             if m_d > 1:
-                cls_lit = [CongrLiteral(1, 1, j, m_d, _pad(g, pin + (r,)), 0)]
+                cls_lit = [CongrLiteral(1, 1, j, m_d, pad(g, pin + (r,)), 0)]
             if class_constant(j, pin, m_d, r):
                 fps = rec(j + 1, pin + (r,))
                 check_ray_lits(fps, m_d)
@@ -676,18 +635,18 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
             fps = rec(j + 1, pin + (a_hat,))
             check_ray_lits(fps, m_d)
             for fp in fps:
-                out.append(_RawPiece((j, _pad(g, pin + (a_hat,)), GE),
+                out.append(_RawPiece((j, pad(g, pin + (a_hat,)), GE),
                                      None, tuple(cls_lit) + fp.lits))
             fps = rec(j + 1, pin + (b_hat,))
             check_ray_lits(fps, m_d)
             for fp in fps:
-                out.append(_RawPiece(None, (j, _pad(g, pin + (b_hat,)), GE),
+                out.append(_RawPiece(None, (j, pad(g, pin + (b_hat,)), GE),
                                      tuple(cls_lit) + fp.lits))
             a = b_hat + m_d
             while a < a_hat:
                 for fp in rec(j + 1, pin + (a,)):
-                    up = fp.upper or (j, _pad(g, pin + (a,)), GE)
-                    low = fp.lower or (j, _pad(g, pin + (a,)), GE)
+                    up = fp.upper or (j, pad(g, pin + (a,)), GE)
+                    low = fp.lower or (j, pad(g, pin + (a,)), GE)
                     out.append(_RawPiece(up, low, fp.lits))
                 a += m_d
         return out
@@ -696,7 +655,7 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         # Deeper coordinates stay free here: zeroing them could collapse
         # atoms to constants and hide genuine coordinate-j cut points.
         psi = _pinned_scalar(g, phi, v, pin, j, zero_tail=False)
-        roots = _coordinate_roots(psi, v, j)
+        roots = atom_roots(psi, SVar(v, j))
 
         def interval_rep(lo, hi):
             if lo is None and hi is None:
@@ -725,13 +684,13 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
             for fp in fps:
                 assert fp.upper is None and fp.lower is None, \
                     "interval fibers carry no bounds"
-                up = None if lo is None else (j, _pad(g, pin + (lo,)), GT)
-                low = None if hi is None else (j, _pad(g, pin + (hi,)), GT)
+                up = None if lo is None else (j, pad(g, pin + (lo,)), GT)
+                low = None if hi is None else (j, pad(g, pin + (hi,)), GT)
                 out.append(_RawPiece(up, low, fp.lits))
         for c in survivors:
             for fp in rec(j + 1, pin + (c,)):
-                up = fp.upper or (j, _pad(g, pin + (c,)), GE)
-                low = fp.lower or (j, _pad(g, pin + (c,)), GE)
+                up = fp.upper or (j, pad(g, pin + (c,)), GE)
+                low = fp.lower or (j, pad(g, pin + (c,)), GE)
                 out.append(_RawPiece(up, low, fp.lits))
         return out
 

@@ -19,13 +19,13 @@ from typing import Optional
 
 from . import formulas as fm
 from .codes import (CUT_AT_SEGMENT, CUT_MINUS_INF, CUT_REALIZED,
-                    DEFAULT_RESIDUE_BOUND, TypeDescriptor, _beta_of_residues,
-                    _descriptor_structure, code_segment, descriptor_fragment,
-                    descriptor_issue, enumerate_finite_quotient)
+                    DEFAULT_RESIDUE_BOUND, TypeDescriptor, beta_of_residues,
+                    code_segment, descriptor_fragment, descriptor_issue,
+                    enumerate_finite_quotient)
 from .errors import SegmentError, TypeGenError
 from .groups import GroupSpec, QuotientElement, project, project_fin
 from .qe import decide, entails, satisfiable, witness
-from .segments import (CongrLiteral, _fresh_names, _pad, _the_var, end_hull,
+from .segments import (CongrLiteral, end_hull, fresh_names, pad, the_var,
                        to_div_segment)
 
 
@@ -49,8 +49,8 @@ def _residue_compatible(g: GroupSpec, a, b) -> bool:
     if d == 1:
         return True
     k = min(a.level, b.level)
-    return project_fin(g, k, d, _beta_of_residues(g, a)) == \
-        project_fin(g, k, d, _beta_of_residues(g, b))
+    return project_fin(g, k, d, beta_of_residues(g, a)) == \
+        project_fin(g, k, d, beta_of_residues(g, b))
 
 
 def generic_type(g: GroupSpec, phi: fm.Formula,
@@ -79,14 +79,14 @@ def generic_type_trace(g: GroupSpec, phi: fm.Formula,
     if var is None and not fm.free_vars(phi):
         var = "x"
     try:
-        v = _the_var(g, phi, var)
+        v = the_var(g, phi, var)
     except SegmentError as e:
         raise TypeGenError(str(e)) from e
     if not satisfiable(g, phi):
         raise TypeGenError("cannot build a type on an unsatisfiable formula")
 
     tv = fm.t_var(g, v)
-    y = _fresh_names(phi, [v], 1)[0]
+    y = fresh_names(phi, [v], 1)[0]
     ty = fm.t_var(g, y)
 
     def at(f, name):
@@ -136,14 +136,14 @@ def generic_type_trace(g: GroupSpec, phi: fm.Formula,
                 else:
                     eta = project(g, k, w)
                     cosets.append(eta)
-                    atom = fm.RelEq(k, tv, fm.t_const(_pad(g, eta.coords)))
+                    atom = fm.RelEq(k, tv, fm.t_const(pad(g, eta.coords)))
                     frag = fm.And((frag, atom))
                     action = "coset-forced"
             elif m >= 2 and nontrivial_fin:
                 fixed = None
                 for q in cosets:
                     if q.level >= k:
-                        fixed = project_fin(g, k, m, _pad(g, q.coords))
+                        fixed = project_fin(g, k, m, pad(g, q.coords))
                         break
                 if fixed is not None:
                     candidates = [fixed]
@@ -153,7 +153,7 @@ def generic_type_trace(g: GroupSpec, phi: fm.Formula,
                                          for r in residues)]
                 chosen = None
                 for fq in candidates:
-                    lit = CongrLiteral(1, 1, k, m, _beta_of_residues(g, fq))
+                    lit = CongrLiteral(1, 1, k, m, beta_of_residues(g, fq))
                     atom = lit.denote(g, v)
                     if co_initial(fm.And((frag, atom))):
                         chosen = fq
@@ -172,7 +172,6 @@ def generic_type_trace(g: GroupSpec, phi: fm.Formula,
                                              key=lambda f: (f.level,
                                                             f.modulus))),
                        residue_bound=bound)
-    _descriptor_structure(g, p)
     issue = descriptor_issue(g, p)
     if issue is not None:
         raise TypeGenError(f"constructed descriptor is incoherent: {issue}")
@@ -191,10 +190,9 @@ def check_descriptor(g: GroupSpec, p: TypeDescriptor, phi: fm.Formula,
     if var is None and not fm.free_vars(phi):
         var = "x"
     try:
-        v = _the_var(g, phi, var)
+        v = the_var(g, phi, var)
     except SegmentError as e:
         raise TypeGenError(str(e)) from e
-    _descriptor_structure(g, p)
     if descriptor_issue(g, p) is not None:
         return False
     frag = fm.And((descriptor_fragment(g, p, v), phi))

@@ -2,10 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oagkit
 from oagkit import cli
+from oagkit.formulas import MAX_DEPTH
 
 
 def run_json(argv):
@@ -190,3 +196,95 @@ class TestErrors:
         rc, obj = run_json(["reconstruct", "{not json"])
         assert rc == 1
         assert "JSON" in obj["error"]["message"]
+
+    def test_missing_file_rejected(self, tmp_path):
+        rc, obj = run_json(["decide", "--file", str(tmp_path / "absent")])
+        assert rc == 1
+        assert obj["error"]["type"] == "OagError"
+        assert "cannot read" in obj["error"]["message"]
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"(< x (c 1)) ; caf\xe9")
+        rc, obj = run_json(["parse", "--file", str(path)])
+        assert rc == 1
+        assert obj["error"]["type"] == "OagError"
+
+
+def nested_nots(depth):
+    # (< x (c 0 0 0)) is two levels deep
+    k = depth - 2
+    return "(not " * k + "(< x (c 0 0 0))" + ")" * k
+
+
+def nested_exists(depth):
+    # every binder adds two levels: the exists form and its conjunction
+    s = "(< (c 0 0 0) x)"
+    for i in range((depth - 2) // 2):
+        s = f"(exists (y{i}) (and (= y{i} y{i}) {s}))"
+    return s
+
+
+def nested_lists(depth):
+    return "[" * depth + "]" * depth
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize("command,text", [
+        ("qe", nested_nots(2000)),
+        ("code", nested_exists(2000)),
+    ], ids=["qe-not", "code-exists"])
+    def test_deep_formula_is_a_parse_error(self, command, text):
+        rc, obj = run_json([command, "--group", "Z*Z*Z", text])
+        assert rc == 1
+        assert obj["error"]["type"] == "ParseError"
+        assert f"deeper than {MAX_DEPTH}" in obj["error"]["message"]
+
+    @pytest.mark.parametrize("command,text", [
+        ("qe", nested_exists(MAX_DEPTH)),
+        ("code", nested_nots(MAX_DEPTH)),
+        ("nice", nested_nots(MAX_DEPTH)),
+        ("typegen", nested_nots(MAX_DEPTH)),
+    ], ids=["qe-exists", "code-not", "nice-not", "typegen-not"])
+    def test_commands_answer_at_the_limit(self, command, text):
+        argv = [command, "--group", "Z*Z*Z", text]
+        if command == "typegen":
+            argv += ["--modbound", "2"]
+        rc, obj = run_json(argv)
+        assert rc == 0, obj.get("error")
+
+    def test_reconstruct_deep_header_is_a_code_error(self):
+        text = ('{"version": "code-v1", "header": ' + nested_lists(500)
+                + ', "values": []}')
+        rc, obj = run_json(["reconstruct", text])
+        assert rc == 1
+        assert obj["error"]["type"] == "CodeError"
+
+    @pytest.mark.parametrize("depth", [2000, 100000])
+    def test_reconstruct_deep_json_is_invalid_json(self, depth):
+        rc, obj = run_json(["reconstruct", nested_lists(depth)])
+        assert rc == 1
+        assert "not valid JSON" in obj["error"]["message"]
+
+
+def test_module_entry_point_types_input_errors(tmp_path):
+    """The same failures through `python -m oagkit`: exit 1 and a JSON
+    error line, no traceback."""
+    env = dict(os.environ)
+    src = str(Path(oagkit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    deep_formula = tmp_path / "formula.txt"
+    deep_formula.write_text(nested_nots(2000))
+    deep_json = tmp_path / "code.json"
+    deep_json.write_text(nested_lists(100000))
+    cases = [(["decide", "--file", str(tmp_path / "absent")], "OagError"),
+             (["qe", "--file", str(deep_formula)], "ParseError"),
+             (["reconstruct", "--file", str(deep_json)], "OagError")]
+    for argv, kind in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oagkit"] + argv + ["--format", "json"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["error"]["type"] == kind

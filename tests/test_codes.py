@@ -482,6 +482,15 @@ class TestSerialization:
             with pytest.raises(CodeError):
                 code_from_obj(breakage)
 
+    def test_header_deeper_than_any_code_rejected(self):
+        good = code_to_obj(code_set(Z, fm.parse(Z, "(congr 2 x (c 1))")))
+        assert code_from_obj(good).header[1][0][2] == ((1, 1),)
+        deep: list = []
+        for _ in range(2000):
+            deep = [deep]
+        with pytest.raises(CodeError):
+            code_from_obj({**good, "header": deep})
+
     def test_number_strings(self):
         from oagkit.codes import _num_from_str, _num_to_str
         assert _num_to_str(Fraction(4, 3)) == "4/3"

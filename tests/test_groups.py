@@ -1,5 +1,6 @@
 """Group model: order axioms, quotient maps, jumps, rank and index."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -233,6 +234,27 @@ def test_rank_modulus_independence():
         base = compute_rj(g, 2)
         for n in (3, 4, 5, 6):
             assert compute_rj(g, n) == base
+
+
+def test_rank_jumps_are_greedy_regular_block_ends():
+    # partition the coordinates into maximal n-regular blocks, top-down;
+    # every block above the bottom one must not be divisible, and the
+    # block ends must be the jump levels
+    for rank in range(5):
+        for kinds in itertools.product("ZQ", repeat=rank):
+            g = GroupSpec(kinds)
+            for n in range(2, 7):
+                ends = []
+                j = 1
+                while j <= g.n:
+                    m = j
+                    while m < g.n and is_n_regular_block(g, j, m + 1, n):
+                        m += 1
+                    ends.append(m)
+                    if m < g.n:
+                        assert not all(k == "Q" for k in kinds[j - 1:m])
+                    j = m + 1
+                assert [s.level for s in compute_rj(g, n)] == ends
 
 
 def test_rj_levels_excludes_non_definable():

@@ -136,6 +136,23 @@ class TestTraversal:
         assert not sc.s_eval(ZQ, f, {X2: Fraction(1, 2)})
         assert sc.s_eval(ZQ, f, {X2: 4})
 
+    def test_atoms_preorder_once_and_under_negation(self):
+        a = sc.SLt(le({X1: 1}, -2))
+        b = sc.SEq(le({Y1: 1}))
+        c = sc.SCongr(3, le({X1: 1}, 1))
+        shared = sc.SOr((b, c))
+        # the shared disjunction is reached twice, once under a negation
+        # of a compound formula
+        f = sc.SAnd((sc.SNot(shared), a, shared, sc.SNot(a)))
+        assert sc.atoms(f) == [b, c, a]
+        assert sc.atoms(sc.TRUE) == []
+
+    def test_atom_roots_skip_congruences_and_other_vars(self):
+        f = sc.SAnd((sc.SLt(le({X1: 2}, -3)), sc.SCongr(3, le({X1: 1}, 1)),
+                     sc.SNot(sc.SEq(le({X1: 1, Y1: -1}, 1))),
+                     sc.SLt(le({Y1: 1}, 5))))
+        assert sc.atom_roots(f, X1) == [Fraction(-1), Fraction(3, 2)]
+
 
 class TestBudget:
     def test_budget_trips(self):
