@@ -17,6 +17,9 @@ run decide --group Q "(forall (x) (exists (y) (= x (* 2 y))))"
 # Quantifier elimination over a free variable
 run qe --group Z*Z "(exists (y) (and (<= y x) (= x (* 2 y))))"
 
+# On a dense coordinate the answer carries rational constants
+run qe --group Z*Q "(exists (y) (and (= x (* 2 y)) (< (* 3 y) (c 0 1))))"
+
 # Equivalence is insensitive to where a window starts
 run equiv --group Z*Z \
     "(<= (c 1 1) (* 2 z))" \

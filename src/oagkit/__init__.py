@@ -13,6 +13,7 @@ from .errors import (
     GroupError,
     OagError,
     OracleError,
+    OutputTooLarge,
     ParseError,
     SegmentError,
     TypeGenError,
@@ -69,7 +70,8 @@ from .typegen import check_descriptor, generic_type, generic_type_trace
 
 __all__ = [
     "BudgetExceeded", "CodeError", "FormulaError", "GroupError", "OagError",
-    "OracleError", "ParseError", "SegmentError", "TypeGenError",
+    "OracleError", "OutputTooLarge", "ParseError", "SegmentError",
+    "TypeGenError",
     "ConvexSubgroup", "Element", "FiniteQuotientElement", "GroupSpec",
     "QuotientElement", "compare", "compute_chi", "compute_rj", "conv_jump",
     "element", "is_n_regular_block", "parse_group", "project", "project_fin",

@@ -32,6 +32,10 @@ class BudgetExceeded(OagError):
     """Quantifier elimination exceeded the configured node budget."""
 
 
+class OutputTooLarge(OagError):
+    """A result's printed form would exceed scalars.PRINT_LIMIT characters."""
+
+
 class SegmentError(OagError):
     """Normalization request violated a precondition (not an end segment, ...)."""
 

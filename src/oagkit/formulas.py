@@ -631,10 +631,14 @@ def scalarize(g: GroupSpec, env: Mapping[str, Element]) -> dict:
 
 
 def _coord_exprs(g: GroupSpec, t: Term) -> list[sc.LinExpr]:
+    # each coordinate times the denominator of its constant (1 on discrete
+    # ones): a positive factor keeps a dense atom's truth value
     out = []
     for j in range(1, g.n + 1):
-        coeffs = tuple((sc.SVar(v, j), c) for v, c in t.coeffs)
-        out.append(sc.LinExpr(coeffs, Fraction(t.const[j - 1])))
+        q = t.const[j - 1]
+        coeffs = tuple((sc.SVar(v, j), q.denominator * c)
+                       for v, c in t.coeffs)
+        out.append(sc.LinExpr(coeffs, q.numerator))
     return out
 
 
@@ -704,8 +708,7 @@ def _lower(g: GroupSpec, f: Formula) -> sc.SFormula:
         return sc.SBool(f.value)
     if isinstance(f, (Cmp, RelCmp, RelEq, Congr, RelCongr)):
         k = getattr(f, "level", g.n)
-        diffs = [sc.lin_sub(a, b) for a, b in
-                 zip(_coord_exprs(g, f.left), _coord_exprs(g, f.right))]
+        diffs = _coord_exprs(g, t_sub(g, f.left, f.right))
         if isinstance(f, (Congr, RelCongr)):
             return _congr_exprs(g, f.modulus, diffs, k)
         rel = EQ if isinstance(f, RelEq) else f.rel

@@ -414,8 +414,7 @@ def s_grid_eval(g: GroupSpec, f: sc.SFormula, env: Mapping,
         out = np.bool_(f.value)
     elif isinstance(f, (sc.SLt, sc.SEq, sc.SCongr)):
         e = f.expr
-        assert e.const.denominator == 1
-        acc = np.int64(int(e.const))
+        acc = np.int64(e.const)
         for v, c in e.coeffs:
             acc = acc + np.int64(c) * env[v]
         if isinstance(f, sc.SLt):

@@ -200,8 +200,11 @@ def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
             "dense coordinates carry no congruences"
         rest = sc.LinExpr(tuple((w, c) for w, c in lit.expr.coeffs
                                 if w != v), lit.expr.const)
-        key = (tuple((w, Fraction(c, a)) for w, c in rest.coeffs),
-               rest.const / a)
+        # the root -rest/a, as (a, rest) divided by its content and sign
+        k = math.gcd(a, rest.const, *(c for _, c in rest.coeffs))
+        k = k if a > 0 else -k
+        key = (a // k, tuple((w, c // k) for w, c in rest.coeffs),
+               rest.const // k)
         roots.setdefault(key, (a, rest))
 
     def subst_at(a, rest, eps):
@@ -314,17 +317,15 @@ def _var_range(v: SVar, f: SFormula, memo: dict):
     if isinstance(f, SBool):
         out = _VOID if not f.value else _UNBOUNDED
     elif isinstance(f, (SLt, SEq)):
-        a = f.expr.coeff(v)
+        a, c = f.expr.coeff(v), f.expr.const
         if a != 0 and all(w == v for w, _ in f.expr.coeffs):
-            q = Fraction(-f.expr.const, a)
+            # a*v + c = 0, a*v + c < 0 with a > 0, and with a < 0
             if isinstance(f, SEq):
-                out = (int(q), int(q)) if q.denominator == 1 else _VOID
+                out = (-c // a, -c // a) if c % a == 0 else _VOID
             elif a > 0:
-                out = (None, int(q) - 1 if q.denominator == 1
-                       else math.floor(q))
+                out = (None, -(c // a) - 1)
             else:
-                out = (int(q) + 1 if q.denominator == 1
-                       else math.ceil(q), None)
+                out = (c // -a + 1, None)
     elif isinstance(f, SAnd):
         lo = hi = None
         for it in f.items:
@@ -513,7 +514,7 @@ def witness(g: GroupSpec, f: fm.Formula,
                 raise AssertionError(
                     "candidate window missed a witness coordinate")
             picked[v] = chosen
-            current = s_subst(g, current, v, lin_const(chosen))
+            current = s_subst_all(g, current, {v: chosen})
         check = eliminate_scalar(g, current)
         assert isinstance(check, SBool)
         if g.n == 0:
@@ -523,7 +524,8 @@ def witness(g: GroupSpec, f: fm.Formula,
 
 
 def s_subst_all(g: GroupSpec, f: SFormula, env: dict) -> SFormula:
+    """Substitute integer or rational values for variables."""
     out = f
     for v, q in env.items():
-        out = s_subst(g, out, v, lin_const(q))
+        out = s_subst(g, out, v, lin_const(q.numerator), q.denominator)
     return out

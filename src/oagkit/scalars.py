@@ -8,9 +8,12 @@ behaves like the integers with congruences, a dense one like the
 rationals without them.
 
 Atoms are kept in a canonical homogeneous form (expr < 0, expr = 0,
-expr ~ 0 mod m) and the smart constructors normalize aggressively:
-ground atoms evaluate away, contents are divided out, discrete strict
-bounds are tightened to integers.  The constructors also charge an
+expr ~ 0 mod m) over the integers, and the smart constructors normalize
+aggressively: ground atoms evaluate away, contents are divided out,
+discrete strict bounds are tightened to integers, and a dense atom,
+whose truth value survives multiplication by a positive integer, is
+kept as its coprime integer multiple.  `Fraction` is for values only:
+coordinates, roots and evaluation.  The constructors also charge an
 optional node budget so quantifier elimination can fail fast instead of
 blowing up.
 
@@ -19,7 +22,8 @@ terms are the same object, equality and hashing are identity, and each
 node caches its free-variable set.  Elimination output is therefore a
 DAG with heavy sharing, and the traversals here (substitution,
 evaluation, atom collection) memoize on node identity so they run in
-DAG size, not tree size.
+DAG size, not tree size.  The intern tables are process-global
+`WeakValueDictionary`s without a lock, so interning is single-threaded.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import BudgetExceeded, FormulaError
+from .errors import BudgetExceeded, FormulaError, OutputTooLarge
 from .groups import GroupSpec
 
 
@@ -50,16 +54,15 @@ def _var_key(item):
 
 
 class LinExpr:
-    """Integer-coefficient linear expression plus a rational constant.
+    """Integer-coefficient linear expression plus an integer constant.
     Interned: equal coefficient tuples and constants yield the same
-    object."""
+    object.  The constant is stored as given: callers pass an int."""
 
     __slots__ = ("coeffs", "const", "vars_set", "__weakref__")
     _table: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
     def __new__(cls, coeffs, const):
         coeffs = tuple(coeffs)
-        const = Fraction(const)
         key = (coeffs, const)
         obj = cls._table.get(key)
         if obj is None:
@@ -124,22 +127,20 @@ def lin_neg(a: LinExpr) -> LinExpr:
     return LinExpr(tuple((v, -c) for v, c in a.coeffs), -a.const)
 
 
-def lin_sub(a: LinExpr, b: LinExpr) -> LinExpr:
-    return lin_add(a, lin_neg(b))
-
-
 def lin_scale(k, a: LinExpr) -> LinExpr:
     if k == 0:
         return lin_const(0)
-    return LinExpr(tuple((v, k * c) for v, c in a.coeffs),
-                   Fraction(k) * a.const)
+    return LinExpr(tuple((v, k * c) for v, c in a.coeffs), k * a.const)
 
 
-def lin_subst(e: LinExpr, v: SVar, repl: LinExpr) -> LinExpr:
+def lin_subst(e: LinExpr, v: SVar, repl: LinExpr, den: int = 1) -> LinExpr:
+    """den * e with v replaced by repl/den (den > 0); e itself when v
+    does not occur."""
     c = e.coeff(v)
     if c == 0:
         return e
-    rest = LinExpr(tuple((w, k) for w, k in e.coeffs if w != v), e.const)
+    rest = LinExpr(tuple((w, den * k) for w, k in e.coeffs if w != v),
+                   den * e.const)
     return lin_add(rest, lin_scale(c, repl))
 
 
@@ -362,15 +363,13 @@ def mk_lt(g: GroupSpec, e: LinExpr) -> SFormula:
     if e.is_ground():
         return SBool(e.const < 0)
     d = _content(e)
-    if atom_kind(g, e) == "Z":
-        # integer variables: divide out the content and tighten, using
-        # sum(a/d * v) < -c/d  iff  sum(a/d * v) <= ceil(-c/d) - 1
-        assert e.const.denominator == 1
-        t = math.ceil(Fraction(-int(e.const), d)) - 1
-        coeffs = tuple((v, c // d) for v, c in e.coeffs)
-        return SLt(LinExpr(coeffs, -(t + 1)))
+    if atom_kind(g, e) != "Z":
+        # dense: divide by a common factor of every integer in the atom
+        d = math.gcd(d, e.const)
+    # integer variables: divide out the content and tighten, using
+    # sum(a/d * v) < -c/d  iff  sum(a/d * v) + floor(c/d) < 0
     coeffs = tuple((v, c // d) for v, c in e.coeffs)
-    return SLt(LinExpr(coeffs, e.const / d))
+    return SLt(LinExpr(coeffs, e.const // d))
 
 
 def mk_le(g: GroupSpec, e: LinExpr) -> SFormula:
@@ -386,13 +385,14 @@ def mk_eq(g: GroupSpec, e: LinExpr) -> SFormula:
     _charge()
     if e.is_ground():
         return SBool(e.const == 0)
+    kind = atom_kind(g, e)
     d = _content(e)
-    if atom_kind(g, e) == "Z":
-        assert e.const.denominator == 1
-        if int(e.const) % d != 0:
+    if e.const % d:
+        if kind == "Z":
             return FALSE
+        d = math.gcd(d, e.const)
     coeffs = tuple((v, c // d) for v, c in e.coeffs)
-    const = e.const / d
+    const = e.const // d
     if coeffs[0][1] < 0:
         coeffs = tuple((v, -c) for v, c in coeffs)
         const = -const
@@ -404,29 +404,19 @@ def mk_congr(g: GroupSpec, m: int, e: LinExpr) -> SFormula:
     if m < 1:
         raise FormulaError(f"congruence modulus {m} must be >= 1")
     if e.is_ground():
-        if e.const.denominator != 1:
-            return FALSE
-        return SBool(int(e.const) % m == 0)
+        return SBool(e.const % m == 0)
     if atom_kind(g, e) == "Q":
         # dense coordinates are divisible: every congruence is trivial
         return TRUE
-    assert e.const.denominator == 1
+    d = math.gcd(_content(e), m)
+    if e.const % d:
+        return FALSE
+    m //= d
     if m == 1:
         return TRUE
-    d = math.gcd(_content(e), m)
-    c = int(e.const)
-    if d > 1:
-        if c % d != 0:
-            return FALSE
-        e = LinExpr(tuple((v, k // d) for v, k in e.coeffs), c // d)
-        m = m // d
-        if m == 1:
-            return TRUE
-        c = int(e.const)
-    coeffs = tuple((v, k % m) for v, k in e.coeffs)
-    reduced = lin(coeffs, c % m)
+    reduced = lin(((v, k // d % m) for v, k in e.coeffs), e.const // d % m)
     if reduced.is_ground():
-        return SBool(int(reduced.const) % m == 0)
+        return SBool(reduced.const == 0)
     return SCongr(m, reduced)
 
 
@@ -501,10 +491,12 @@ def s_free_vars(f: SFormula) -> frozenset:
 
 
 def s_subst(g: GroupSpec, f: SFormula, v: SVar, repl: LinExpr,
-            _memo: Optional[dict] = None) -> SFormula:
-    """Substitute a linear expression for a variable, renormalizing
-    atoms.  Subtrees not mentioning the variable are shared, not
-    copied."""
+            den: int = 1, _memo: Optional[dict] = None) -> SFormula:
+    """Substitute repl/den (den > 0) for a variable, renormalizing atoms;
+    an atom mentioning the variable is multiplied by den first, which
+    keeps its truth value because den > 1 only replaces a dense variable,
+    and dense atoms carry no congruences.  Subtrees not mentioning the
+    variable are shared, not copied."""
     if v not in f.fv:
         return f
     if _memo is None:
@@ -513,21 +505,21 @@ def s_subst(g: GroupSpec, f: SFormula, v: SVar, repl: LinExpr,
     if hit is not None:
         return hit
     if isinstance(f, SLt):
-        out = mk_lt(g, lin_subst(f.expr, v, repl))
+        out = mk_lt(g, lin_subst(f.expr, v, repl, den))
     elif isinstance(f, SEq):
-        out = mk_eq(g, lin_subst(f.expr, v, repl))
+        out = mk_eq(g, lin_subst(f.expr, v, repl, den))
     elif isinstance(f, SCongr):
-        out = mk_congr(g, f.modulus, lin_subst(f.expr, v, repl))
+        out = mk_congr(g, f.modulus, lin_subst(f.expr, v, repl, den))
     elif isinstance(f, SNot):
-        out = mk_not(s_subst(g, f.body, v, repl, _memo))
+        out = mk_not(s_subst(g, f.body, v, repl, den, _memo))
     elif isinstance(f, SAnd):
-        out = mk_and(s_subst(g, it, v, repl, _memo) for it in f.items)
+        out = mk_and(s_subst(g, it, v, repl, den, _memo) for it in f.items)
     elif isinstance(f, SOr):
-        out = mk_or(s_subst(g, it, v, repl, _memo) for it in f.items)
+        out = mk_or(s_subst(g, it, v, repl, den, _memo) for it in f.items)
     elif isinstance(f, (SExists, SForall)):
         if f.var == v or f.var in repl.vars_set:
             raise FormulaError("substitution under a capturing quantifier")
-        body = s_subst(g, f.body, v, repl, _memo)
+        body = s_subst(g, f.body, v, repl, den, _memo)
         ctor = mk_exists if isinstance(f, SExists) else mk_forall
         out = ctor(f.var, body)
     else:
@@ -622,33 +614,65 @@ def s_eval(g: GroupSpec, f: SFormula, env: Mapping[SVar, object]) -> bool:
     return ev(f)
 
 
-def _print_expr_sides(e: LinExpr) -> tuple:
+PRINT_LIMIT = 1 << 24
+"""Most characters print_scalar returns: elimination output is a DAG
+whose printed tree can be exponentially larger."""
+
+
+def _atom_text(f) -> str:
+    # order atoms print divided by their coefficient content, which
+    # leaves the constant a fraction on dense coordinates
+    d = 1 if isinstance(f, SCongr) else _content(f.expr)
     parts = []
-    for v, c in e.coeffs:
+    for v, c in f.expr.coeffs:
+        c //= d
         parts.append(str(v) if c == 1 else f"(* {c} {v})")
     lhs = parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
-    return lhs, -e.const
+    if isinstance(f, SCongr):
+        return f"(congr {f.modulus} {lhs} (c {-f.expr.const % f.modulus}))"
+    op = "<" if isinstance(f, SLt) else "="
+    return f"({op} {lhs} (c {Fraction(-f.expr.const, d)}))"
+
+
+def _shape(f) -> tuple:
+    """(head, parts, tail): f prints as head, then its parts separated by
+    spaces, then tail."""
+    if isinstance(f, SBool):
+        return "true" if f.value else "false", (), ""
+    if isinstance(f, (SLt, SEq, SCongr)):
+        return _atom_text(f), (), ""
+    if isinstance(f, SNot):
+        return "(not ", (f.body,), ")"
+    if isinstance(f, (SAnd, SOr)):
+        return "(and " if isinstance(f, SAnd) else "(or ", f.items, ")"
+    if isinstance(f, (SExists, SForall)):
+        op = "exists" if isinstance(f, SExists) else "forall"
+        return f"({op} ({f.var}) ", (f.body,), ")"
+    raise FormulaError(f"unknown scalar node {f!r}")
 
 
 def print_scalar(f: SFormula) -> str:
     """Readable s-expression form, scalar variables printed base.coord
-    and the constant moved to the right-hand side."""
-    if isinstance(f, SBool):
-        return "true" if f.value else "false"
-    if isinstance(f, (SLt, SEq)):
-        lhs, rhs = _print_expr_sides(f.expr)
-        op = "<" if isinstance(f, SLt) else "="
-        return f"({op} {lhs} (c {rhs}))"
-    if isinstance(f, SCongr):
-        lhs, rhs = _print_expr_sides(f.expr)
-        r = int(rhs) % f.modulus
-        return f"(congr {f.modulus} {lhs} (c {r}))"
-    if isinstance(f, SNot):
-        return f"(not {print_scalar(f.body)})"
-    if isinstance(f, (SAnd, SOr)):
-        op = "and" if isinstance(f, SAnd) else "or"
-        return f"({op} " + " ".join(print_scalar(x) for x in f.items) + ")"
-    if isinstance(f, (SExists, SForall)):
-        op = "exists" if isinstance(f, SExists) else "forall"
-        return f"({op} ({f.var}) {print_scalar(f.body)})"
-    raise FormulaError(f"unknown scalar node {f!r}")
+    and the constant moved to the right-hand side.  The printed length
+    is computed first, once per DAG node, and a text longer than
+    PRINT_LIMIT raises OutputTooLarge before any of it is built."""
+    memo: dict = {}
+
+    def size(node) -> int:
+        hit = memo.get(node)
+        if hit is None:
+            head, parts, tail = _shape(node)
+            n = len(head) + len(tail) + max(len(parts) - 1, 0) + \
+                sum(map(size, parts))
+            hit = memo[node] = (head, parts, tail, n)
+        return hit[3]
+
+    def text(node) -> str:
+        head, parts, tail, _ = memo[node]
+        return head + " ".join(map(text, parts)) + tail
+
+    n = size(f)
+    if n > PRINT_LIMIT:
+        raise OutputTooLarge(f"printed formula would have {n} characters, "
+                             f"more than the limit of {PRINT_LIMIT}")
+    return text(f)

@@ -405,7 +405,7 @@ def to_div_segment(g: GroupSpec, phi: fm.Formula,
     psi = _pinned_scalar(g, phi, v, prefix, k)
     xk = SVar(v, k)
     for c in atom_roots(psi, xk):
-        above = SLt(LinExpr(((xk, -1),), c))
+        above = SLt(LinExpr(((xk, -c.denominator),), c.numerator))
         differ = mk_or([mk_and([psi, mk_not(above)]),
                         mk_and([mk_not(psi), above])])
         if eliminate_scalar(g, mk_exists(xk, differ)) is FALSE:

@@ -1,5 +1,6 @@
 """Tests for the batch command-line surface."""
 
+import hashlib
 import io
 import json
 import os
@@ -229,6 +230,31 @@ def nested_lists(depth):
     return "[" * depth + "]" * depth
 
 
+def iff_chain(k):
+    # the printed answer about doubles with each level
+    s = "(< (c 0) x)"
+    for i in range(1, k + 1):
+        s = f"(iff (< (c {i}) x) {s})"
+    return s
+
+
+class TestLargeOutput:
+    def test_answer_too_large_to_print_is_typed(self):
+        rc, obj = run_json(["qe", "--group", "Z", iff_chain(18)])
+        assert rc == 1
+        assert obj["error"]["type"] == "OutputTooLarge"
+
+    def test_large_answer_prints_as_before(self):
+        # the digest of the 380869-character answer, recorded before the
+        # printed length was checked
+        rc, obj = run_json(["qe", "--group", "Z", iff_chain(12)])
+        assert rc == 0
+        text = obj["scalar"]
+        assert len(text) == 380869
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "215c462ef4b43c844d23f592958bfcce57867b0f27e9443592881bfd72825d0c"
+
+
 class TestDeepInput:
     @pytest.mark.parametrize("command,text", [
         ("qe", nested_nots(2000)),
@@ -268,8 +294,8 @@ class TestDeepInput:
 
 
 def test_module_entry_point_types_input_errors(tmp_path):
-    """The same failures through `python -m oagkit`: exit 1 and a JSON
-    error line, no traceback."""
+    """The same failures, and an answer too large to print, through
+    `python -m oagkit`: exit 1 and a JSON error line, no traceback."""
     env = dict(os.environ)
     src = str(Path(oagkit.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -280,7 +306,8 @@ def test_module_entry_point_types_input_errors(tmp_path):
     deep_json.write_text(nested_lists(100000))
     cases = [(["decide", "--file", str(tmp_path / "absent")], "OagError"),
              (["qe", "--file", str(deep_formula)], "ParseError"),
-             (["reconstruct", "--file", str(deep_json)], "OagError")]
+             (["reconstruct", "--file", str(deep_json)], "OagError"),
+             (["qe", "--group", "Z", iff_chain(18)], "OutputTooLarge")]
     for argv, kind in cases:
         proc = subprocess.run(
             [sys.executable, "-m", "oagkit"] + argv + ["--format", "json"],
@@ -288,3 +315,4 @@ def test_module_entry_point_types_input_errors(tmp_path):
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["error"]["type"] == kind
+

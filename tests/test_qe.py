@@ -1,6 +1,7 @@
 """Elimination engine tests: spec examples, mixed-sort cases, a scaled
 differential against the oracle, and witness extraction."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -277,3 +278,58 @@ class TestScalarPrinter:
         out = qe.eliminate(Z1, fm.parse(Z1, "(exists (y) (= x (* 2 y)))"))
         text = sc.print_scalar(out.body)
         assert "x.1" in text and "congr" in text
+
+    # recorded before scalar constants became integers; dense atoms must
+    # still print divided by their content, with the same fractions
+    @pytest.mark.parametrize("spec,text,printed", [
+        ("Q", "(exists (y) (and (< x (* 2 y)) (< (* 3 y) (c 1))))",
+         "(< x.1 (c 2/3))"),
+        ("Q", "(exists (y) (and (< (* 2 x) y) (< y (+ (* 4 z) (c 1)))))",
+         "(< (+ x.1 (* -2 z.1)) (c 1/2))"),
+        ("Q*Q", "(exists (y) (and (<= (* 3 x) y) (< y (c 1/2 2))))",
+         "(or (< x.1 (c 1/6)) (and (= x.1 (c 1/6)) (< x.2 (c 2/3))) "
+         "(and (or (< x.1 (c 1/6)) (= x.1 (c 1/6))) (< x.2 (c 2/3))) "
+         "(and (or (< x.2 (c 2/3)) (= x.2 (c 2/3))) (< x.1 (c 1/6))))"),
+        ("Q*Z", "(exists (y) (and (< (c 1/3 0) (* 2 y)) (= x (* 3 y))))",
+         "(and (congr 3 x.2 (c 0)) (or (< (* -1 x.1) (c -1/2)) "
+         "(and (= x.1 (c 1/2)) (< (* -1 x.2) (c 0)))))"),
+        ("Z*Q", "(exists (y) (and (= x (* 2 y)) (< (* 3 y) (c 0 1))))",
+         "(or (and (or (< x.1 (c 0)) (and (< x.1 (c 2)) (< (* -1 x.1) (c 2)) "
+         "(< x.2 (c 2/3))) (and (= x.2 (c 2/3)) (< x.1 (c 0)))) "
+         "(congr 2 x.1 (c 0))) (and (< x.1 (c 1)) (< (* -1 x.1) (c 1)) "
+         "(< x.2 (c 2/3))))"),
+    ], ids=["Q", "Q-two-vars", "Q*Q", "Q*Z", "Z*Q"])
+    def test_dense_answers_print_fractions(self, spec, text, printed):
+        g = parse_group(spec)
+        out = qe.eliminate(g, fm.parse(g, text))
+        assert sc.print_scalar(out.body) == printed
+
+
+def _qf_atoms(f):
+    while isinstance(f, (sc.SExists, sc.SForall)):
+        f = f.body
+    return sc.atoms(f)
+
+
+@pytest.mark.parametrize("spec", ["Z*Q", "Q*Z", "Z*Q*Z"])
+def test_scalar_constants_are_integers(spec):
+    """Every atom of a lowered or eliminated formula has integer
+    coefficients and an integer constant, and a dense order atom is
+    coprime, an equation with a positive leading coefficient."""
+    g = parse_group(spec)
+    dense = 0
+    for f in orc.fuzz_corpus(g, 29, 12, template="qf"):
+        for phi in (f, fm.Exists("x", f)):
+            for body in (fm.lower(g, phi), qe.eliminate(g, phi).body):
+                for atom in _qf_atoms(body):
+                    e = atom.expr
+                    assert type(e.const) is int
+                    assert all(type(c) is int for _, c in e.coeffs)
+                    if isinstance(atom, sc.SCongr) or \
+                            sc.atom_kind(g, e) == "Z":
+                        continue
+                    dense += 1
+                    assert math.gcd(e.const, *(c for _, c in e.coeffs)) == 1
+                    if isinstance(atom, sc.SEq):
+                        assert e.coeffs[0][1] > 0
+    assert dense > 0

