@@ -24,6 +24,7 @@ from .groups import (Element, FiniteQuotientElement, GroupSpec,
                      QuotientElement, element, project, project_fin,
                      quotient_spec, representatives_mod)
 from .qe import satisfiable
+from .scalars import operation
 from .segments import (CongrLiteral, DivSegment, END, GE, GT, INITIAL,
                        NiceSet, SegmentError, dual_div_segment,
                        empty_end_segment, full_end_segment, nice_decompose,
@@ -240,6 +241,7 @@ def _side_parts(g: GroupSpec, seg: DivSegment):
     return (tag,), (_bound_value(g, seg.level, seg.bound),)
 
 
+@operation
 def code_set(g: GroupSpec, phi: fm.Formula, var: Optional[str] = None) -> Code:
     """Code a unary definable set via its canonical nice decomposition.
 
@@ -342,6 +344,7 @@ def _set_pieces_from_code(g: GroupSpec, c: Code) -> tuple:
     return tuple(pieces)
 
 
+@operation
 def reconstruct(g: GroupSpec, c: Code, var: str = "x") -> fm.Formula:
     """Rebuild a unary formula from a segment or set code.
 

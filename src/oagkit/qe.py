@@ -11,6 +11,19 @@ congruences.
 Everything else in the package funnels through `decide`: satisfiable,
 equivalent and entails close a formula and decide it, and `witness`
 digs a concrete element out of a satisfiable one-variable formula.
+
+While a high-level operation runs (`code_set`, `reconstruct`,
+`nice_decompose`, `end_hull`, `to_div_segment`, `generic_type_trace`,
+`check_descriptor`; see `scalars.operation_scope`), `_eliminate_block`
+and `decide` remember their answers in the operation's memo, keyed on
+the group, the variable block and the interned body node, or on the
+group and the sentence.  Both are pure functions of those keys, so the
+memo changes no answer.  It is thread-local, has no option or size
+limit, and is dropped when the outermost operation returns or raises,
+so no answer outlives the operation that computed it.  Outside an
+operation nothing is memoized.  Cooper's method and the dense
+projection yield their disjuncts lazily, so `mk_or` stops substituting
+at the first true one.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ from .scalars import (
     SVar, atom_roots, atoms, budget_scope, kind_of, lin_add, lin_const,
     lin_neg, lin_var,
     mk_and, mk_congr, mk_eq, mk_exists, mk_le, mk_lt, mk_not, mk_or,
-    s_eval, s_free_vars, s_is_qf, s_subst,
+    operation_memo, s_eval, s_free_vars, s_is_qf, s_subst,
 )
 
 
@@ -177,14 +190,16 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
 
     row = _map_atoms(f, at_infinity, skip=v)
     bounds = lowers if use_lowers else uppers
-    pieces = []
-    for j in range(1, period + 1):
-        shift = lin_const(j if use_lowers else -j)
-        pieces.append(s_subst(g, row, v, shift))
-        for b in bounds:
-            t = lin_add(b, shift)
-            pieces.append(s_subst(g, f, v, t))
-    return mk_or(pieces)
+
+    # yielded lazily: mk_or stops at the first true disjunct
+    def pieces():
+        for j in range(1, period + 1):
+            shift = lin_const(j if use_lowers else -j)
+            yield s_subst(g, row, v, shift)
+            for b in bounds:
+                yield s_subst(g, f, v, lin_add(b, shift))
+
+    return mk_or(pieces())
 
 
 # --- dense elimination on a divisible coordinate ----------------------------
@@ -237,11 +252,13 @@ def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
             return SBool(False)
         return SBool(c2 > 0)
 
-    pieces = [_map_atoms(f, at_minus_inf, skip=v)]
-    for a, rest in roots.values():
-        pieces.append(subst_at(a, rest, eps=False))
-        pieces.append(subst_at(a, rest, eps=True))
-    return mk_or(pieces)
+    def pieces():
+        yield _map_atoms(f, at_minus_inf, skip=v)
+        for a, rest in roots.values():
+            yield subst_at(a, rest, eps=False)
+            yield subst_at(a, rest, eps=True)
+
+    return mk_or(pieces())
 
 
 # --- the driver -------------------------------------------------------------
@@ -251,7 +268,14 @@ def _eliminate_block(g: GroupSpec, block: list, body: SFormula) -> SFormula:
     """Existentially project a run of variables.  Projection order is free
     inside one block, so variables pinned to a small window go first:
     substituting them folds guard atoms to constants, which usually
-    uncovers windows for the remaining coordinates."""
+    uncovers windows for the remaining coordinates.  Memoized in the
+    open operation's memo."""
+    memo = operation_memo()
+    key = (g, tuple(block), body)
+    if memo is not None:
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
     remaining = list(block)
     body = nnf(g, body)
     while remaining:
@@ -270,6 +294,8 @@ def _eliminate_block(g: GroupSpec, block: list, body: SFormula) -> SFormula:
         else:
             v = remaining.pop()
             body = _miniscope(g, v, body)
+    if memo is not None:
+        memo[key] = body
     return body
 
 
@@ -404,18 +430,29 @@ def eliminate(g: GroupSpec, f: fm.Formula,
     free = tuple(sorted(fm.free_vars(f)))
     with budget_scope(budget):
         body = eliminate_scalar(g, fm.lower(g, f))
-    assert s_is_qf(body)
+    if not s_is_qf(body):
+        raise AssertionError("elimination left a quantifier")
     return QfFormula(g, free, body)
 
 
 def decide(g: GroupSpec, f: fm.Formula, budget: Optional[int] = None) -> bool:
-    """Truth value of a sentence."""
+    """Truth value of a sentence.  Memoized in the open operation's
+    memo."""
     free = fm.free_vars(f)
     if free:
         raise FormulaError(
             f"decide needs a sentence; free variables: {sorted(free)}")
+    memo = operation_memo()
+    key = (g, f)
+    if memo is not None:
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
     out = eliminate(g, f, budget).body
-    assert isinstance(out, SBool), "closed elimination must ground out"
+    if not isinstance(out, SBool):
+        raise AssertionError("closed elimination must ground out")
+    if memo is not None:
+        memo[key] = out.value
     return out.value
 
 

@@ -28,6 +28,7 @@ DAG size, not tree size.  The intern tables are process-global
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import weakref
@@ -333,6 +334,41 @@ def _charge(amount: int = 1) -> None:
         b.charge(amount)
 
 
+# --- operation memo ---------------------------------------------------------
+
+
+class operation_scope:
+    """Context manager holding one elimination memo for the duration of
+    a high-level operation.  A nested scope joins the outermost one,
+    which drops the memo on exit, so nothing is remembered between
+    operations."""
+
+    def __enter__(self):
+        self.outermost = getattr(_local, "memo", None) is None
+        if self.outermost:
+            _local.memo = {}
+        return self
+
+    def __exit__(self, *exc):
+        if self.outermost:
+            _local.memo = None
+        return False
+
+
+def operation(fn):
+    """Run fn inside an operation_scope."""
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        with operation_scope():
+            return fn(*args, **kwargs)
+    return scoped
+
+
+def operation_memo() -> Optional[dict]:
+    """The memo of the operation open on this thread, or None."""
+    return getattr(_local, "memo", None)
+
+
 # --- sorts ------------------------------------------------------------------
 
 
@@ -564,13 +600,21 @@ def atom_roots(f: SFormula, v: SVar) -> list:
 
 
 def s_is_qf(f: SFormula) -> bool:
-    if isinstance(f, (SBool, SLt, SEq, SCongr)):
-        return True
-    if isinstance(f, SNot):
-        return s_is_qf(f.body)
-    if isinstance(f, (SAnd, SOr)):
-        return all(s_is_qf(it) for it in f.items)
-    return False
+    """Whether f has no quantifier; each DAG node is visited once."""
+    seen: set = set()
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if isinstance(node, SNot):
+            todo.append(node.body)
+        elif isinstance(node, (SAnd, SOr)):
+            todo.extend(node.items)
+        elif not isinstance(node, (SBool, SLt, SEq, SCongr)):
+            return False
+    return True
 
 
 def expr_value(e: LinExpr, env: Mapping[SVar, object]) -> Fraction:

@@ -49,6 +49,7 @@ from .scalars import (
     mk_exists,
     mk_not,
     mk_or,
+    operation,
 )
 
 END = "end"
@@ -298,6 +299,7 @@ def _has_minimum(g: GroupSpec, phi: fm.Formula, v: str) -> bool:
     return decide(g, fm.Exists(v, fm.And((phi, least))))
 
 
+@operation
 def end_hull(g: GroupSpec, phi: fm.Formula,
              var: Optional[str] = None) -> fm.Formula:
     """The smallest end segment the defined set is co-initial in.
@@ -361,6 +363,7 @@ def _pinned_scalar(g: GroupSpec, phi: fm.Formula, v: str, prefix, k: int,
     return s_subst_all(g, qf, env)
 
 
+@operation
 def to_div_segment(g: GroupSpec, phi: fm.Formula,
                    var: Optional[str] = None) -> DivSegment:
     """The canonical divisibility form of a definable end segment.
@@ -441,6 +444,7 @@ class _RawPiece:
         self.lits = lits
 
 
+@operation
 def nice_decompose(g: GroupSpec, phi: fm.Formula,
                    var: Optional[str] = None) -> tuple:
     """Canonical decomposition of a unary definable set into nice pieces.
@@ -471,25 +475,6 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
             phi_of[name] = f
         return f
 
-    dcache: dict = {}
-
-    def dec(f) -> bool:
-        hit = dcache.get(f)
-        if hit is None:
-            hit = decide(g, f)
-            dcache[f] = hit
-        return hit
-
-    wcache: dict = {}
-
-    def wit(f) -> Element:
-        w = wcache.get(f)
-        if w is None:
-            w = witness(g, f)
-            assert w is not None
-            wcache[f] = w
-        return w
-
     def shifted(name, delta: Element) -> fm.Formula:
         t = fm.t_add(g, fm.t_var(g, name), fm.t_const(delta))
         return fm.substitute(g, phi, v, t)
@@ -509,7 +494,7 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         vals[j - 1] = v2 - v1
         delta = element(g, vals)
         anchor = fm.RelEq(j, tv, fm.t_const(pad(g, pin + (v1,))))
-        return dec(fm.Forall(
+        return decide(g, fm.Forall(
             v, fm.Implies(anchor, fm.Iff(phi, shifted(v, delta)))))
 
     memo: dict = {}
@@ -520,11 +505,12 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         if hit is not None:
             return hit
         if j > g.n:
-            member = dec(fm.substitute(g, phi, v, fm.t_const(pad(g, pin))))
+            point = fm.t_const(pad(g, pin))
+            member = decide(g, fm.substitute(g, phi, v, point))
             out = [_RawPiece(None, None, ())] if member else []
         else:
             region = fm.And((pin_formula(v, j, pin), phi))
-            if not dec(fm.Exists(v, region)):
+            if not decide(g, fm.Exists(v, region)):
                 out = []
             elif g.kinds[j - 1] == "Z":
                 out = rec_discrete(j, pin)
@@ -548,7 +534,7 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         sent_down = fm.Exists(zname, fm.And((
             pin_formula(zname, j, pin),
             fm.Forall(y, fm.Implies(pin_formula(y, j, pin), down)))))
-        return dec(sent_up) and dec(sent_down)
+        return decide(g, sent_up) and decide(g, sent_down)
 
     def minimal_period(j: int, pin) -> int:
         qf = eliminate_scalar(g, fm.lower(
@@ -565,7 +551,8 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     def class_constant(j: int, pin, m: int, r: int) -> bool:
         e = scale(g, m, unit(g, j))
         guard = fm.And((pin_formula(v, j, pin), class_formula(v, j, m, pin + (r,))))
-        return dec(fm.Forall(v, fm.Implies(guard, fm.Iff(phi, shifted(v, e)))))
+        return decide(g, fm.Forall(
+            v, fm.Implies(guard, fm.Iff(phi, shifted(v, e)))))
 
     def tail_ok(name, j: int, pin, m: int, r: int, upward: bool) -> fm.Formula:
         # All fibers from `name` on (towards the tail) equal their shift.
@@ -592,8 +579,8 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
             extreme = fm.RelCmp(j, fm.LE, tz, tv)
         best = fm.Exists(v, fm.And(
             (mine, fm.Forall(zname, fm.Implies(others, extreme)))))
-        assert dec(best), "threshold must exist in a non-constant class"
-        return int(wit(best)[j - 1])
+        assert decide(g, best), "threshold must exist in a non-constant class"
+        return int(witness(g, best)[j - 1])
 
     def check_ray_lits(fps, m: int) -> None:
         for fp in fps:

@@ -25,6 +25,7 @@ from .codes import (CUT_AT_SEGMENT, CUT_MINUS_INF, CUT_REALIZED,
 from .errors import SegmentError, TypeGenError
 from .groups import GroupSpec, QuotientElement, project, project_fin
 from .qe import decide, entails, satisfiable, witness
+from .scalars import operation
 from .segments import (CongrLiteral, end_hull, fresh_names, pad, the_var,
                        to_div_segment)
 
@@ -70,6 +71,7 @@ def generic_type(g: GroupSpec, phi: fm.Formula,
     return p
 
 
+@operation
 def generic_type_trace(g: GroupSpec, phi: fm.Formula,
                        bound: int = DEFAULT_RESIDUE_BOUND,
                        var: Optional[str] = None):
@@ -178,6 +180,7 @@ def generic_type_trace(g: GroupSpec, phi: fm.Formula,
     return p, tuple(trace)
 
 
+@operation
 def check_descriptor(g: GroupSpec, p: TypeDescriptor, phi: fm.Formula,
                      var: Optional[str] = None) -> bool:
     """Whether the descriptor's finite fragment concentrates on phi.

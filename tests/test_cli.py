@@ -244,6 +244,12 @@ class TestLargeOutput:
         assert rc == 1
         assert obj["error"]["type"] == "OutputTooLarge"
 
+    def test_deep_chain_fails_fast(self):
+        # the elimination is quick; only the printed answer is too large
+        rc, obj = run_json(["qe", "--group", "Z", iff_chain(30)])
+        assert rc == 1
+        assert obj["error"]["type"] == "OutputTooLarge"
+
     def test_large_answer_prints_as_before(self):
         # the digest of the 380869-character answer, recorded before the
         # printed length was checked
@@ -293,13 +299,18 @@ class TestDeepInput:
         assert "not valid JSON" in obj["error"]["message"]
 
 
-def test_module_entry_point_types_input_errors(tmp_path):
-    """The same failures, and an answer too large to print, through
-    `python -m oagkit`: exit 1 and a JSON error line, no traceback."""
+def _module_env():
     env = dict(os.environ)
     src = str(Path(oagkit.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_module_entry_point_types_input_errors(tmp_path):
+    """The same failures, and an answer too large to print, through
+    `python -m oagkit`: exit 1 and a JSON error line, no traceback."""
+    env = _module_env()
     deep_formula = tmp_path / "formula.txt"
     deep_formula.write_text(nested_nots(2000))
     deep_json = tmp_path / "code.json"
@@ -316,3 +327,27 @@ def test_module_entry_point_types_input_errors(tmp_path):
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["error"]["type"] == kind
 
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--group", "Z*Z", "(exists (x) (= (+ x x) (c 1 1)))"],
+    ["qe", "--group", "Z*Q",
+     "(exists (y) (and (= x (* 2 y)) (< (* 3 y) (c 0 1))))"],
+    ["code", "--group", "Z",
+     "(or (= x (c 2)) (and (< (c 5) x) (congr 3 x (c 1))))"],
+    ["nice", "--group", "Z*Q",
+     "(or (< x (c 0 1/2)) (and (< (c 1 0) x) (congr 2 x (c 1 0))))"],
+    ["typegen", "--group", "Z*Z", "--modbound", "4",
+     "(le@ 2 (c 1 1) (* 2 x))"],
+])
+def test_same_answers_without_asserts(argv):
+    """`python -O` strips assert statements; no answer may depend on
+    one."""
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable] + flags + ["-m", "oagkit"] + argv
+            + ["--format", "json"],
+            capture_output=True, text=True, env=_module_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

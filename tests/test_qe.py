@@ -333,3 +333,75 @@ def test_scalar_constants_are_integers(spec):
                     if isinstance(atom, sc.SEq):
                         assert e.coeffs[0][1] > 0
     assert dense > 0
+
+
+MEMO_LIMITS = orc.FuzzLimits(max_coeff=3, max_modulus=4, max_depth=2,
+                             window=6, max_den=2)
+
+
+def _memo_corpus(g):
+    """Sentences and one-free-variable formulas: bounded ones, and
+    quantifier-free ones under an unbounded quantifier, which reach
+    Cooper's method and the dense projection."""
+    out = list(orc.fuzz_corpus(g, 41, 10, MEMO_LIMITS, template="bounded"))
+    for f in orc.fuzz_corpus(g, 43, 10, MEMO_LIMITS, template="qf"):
+        out.append(fm.Exists("x", f))
+        out.append(fm.Forall("x", fm.Exists("y", f)))
+    return out
+
+
+def _answers(g, corpus):
+    out = []
+    for f in corpus:
+        out.append(sc.print_scalar(qe.eliminate(g, f).body))
+        if not fm.free_vars(f):
+            out.append(qe.decide(g, f))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["Z", "Z*Z", "Z*Q", "Q*Z"])
+def test_operation_memo_is_transparent(spec):
+    """decide and eliminate answer byte for byte the same inside one open
+    operation scope, where each repeats through the memo, as with no
+    scope at all."""
+    g = parse_group(spec)
+    corpus = _memo_corpus(g)
+    assert any(not fm.free_vars(f) for f in corpus)
+    assert any(fm.free_vars(f) for f in corpus)
+    cold = _answers(g, corpus)
+    assert sc.operation_memo() is None
+    with sc.operation_scope():
+        assert _answers(g, corpus) == cold
+        # the second pass answers from the memo
+        assert _answers(g, corpus) == cold
+        assert sc.operation_memo()
+    assert sc.operation_memo() is None
+
+
+def test_cooper_disjunction_stops_at_first_true(monkeypatch):
+    """The first Cooper disjunct, x = 1, already satisfies the body: the
+    remaining substitutions are never made."""
+    f = fm.parse(Z1, "(exists (x) (and (< (c 0) x) (< x (c 100)) "
+                     "(congr 12 x (c 1))))")
+    calls = []
+    subst = qe.s_subst
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return subst(*args, **kwargs)
+
+    monkeypatch.setattr(qe, "s_subst", counted)
+    assert qe.decide(Z1, f) is True
+    # period 12 and one lower bound: 12 * (1 + 1) eagerly
+    assert 0 < len(calls) < 12 * 2
+
+
+def test_deep_iff_chain_eliminates():
+    """The quantifier-free check of the answer visits each shared node
+    once; as a tree walk it took seconds at 18 levels."""
+    f = fm.parse(Z1, "(< (c 0) x)")
+    for i in range(1, 41):
+        f = fm.Iff(fm.parse(Z1, f"(< (c {i}) x)"), f)
+    out = qe.eliminate(Z1, f)
+    assert out.free == ("x",)
+    assert sc.s_is_qf(out.body)

@@ -1,5 +1,6 @@
 """Scalar-layer unit tests: canonicalization must preserve semantics."""
 
+import threading
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,48 @@ class TestPrinter:
         monkeypatch.setattr(sc, "PRINT_LIMIT", len(text) - 1)
         with pytest.raises(OutputTooLarge):
             sc.print_scalar(f)
+
+
+class TestIsQf:
+    def test_shared_dag_is_walked_once(self):
+        # 2**200 paths through 400 distinct nodes
+        f = sc.SLt(le({X1: 1}))
+        for i in range(200):
+            a, b = sc.SLt(le({Y1: 1}, i)), sc.SLt(le({Y1: -1}, i))
+            f = sc.SOr((sc.SAnd((a, f)), sc.SAnd((b, sc.SNot(f)))))
+        assert sc.s_is_qf(f)
+        assert not sc.s_is_qf(sc.SAnd((f, sc.SExists(X1, f))))
+
+
+class TestOperationScope:
+    def test_nested_scope_joins_the_outermost(self):
+        assert sc.operation_memo() is None
+        with sc.operation_scope():
+            memo = sc.operation_memo()
+            memo["k"] = 1
+            with sc.operation_scope():
+                assert sc.operation_memo() is memo
+            assert sc.operation_memo() is memo
+        assert sc.operation_memo() is None
+
+    def test_memo_dropped_on_exception(self):
+        @sc.operation
+        def fails():
+            sc.operation_memo()["k"] = 1
+            raise ValueError("inside the operation")
+
+        with pytest.raises(ValueError):
+            fails()
+        assert sc.operation_memo() is None
+
+    def test_memo_is_thread_local(self):
+        seen = []
+        with sc.operation_scope():
+            t = threading.Thread(
+                target=lambda: seen.append(sc.operation_memo()))
+            t.start()
+            t.join()
+        assert seen == [None]
 
 
 class TestBudget:

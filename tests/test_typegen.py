@@ -3,12 +3,14 @@
 import pytest
 
 from oagkit import formulas as fm
+from oagkit import qe
 from oagkit.errors import CodeError, TypeGenError
 from oagkit.groups import FiniteQuotientElement, QuotientElement, parse_group
 from oagkit.codes import (Code, MainVal, QuotVal, TypeDescriptor, code_segment,
                           code_type, descriptor_fragment)
 from oagkit.oracle import FuzzLimits, fuzz_corpus
 from oagkit.qe import entails, equivalent, satisfiable
+from oagkit.scalars import operation_memo, operation_scope
 from oagkit.segments import DivSegment, END, GE
 from oagkit.typegen import StageState, check_descriptor, generic_type, \
     generic_type_trace
@@ -190,3 +192,39 @@ class TestCheckDescriptor:
         with pytest.raises(CodeError):
             check_descriptor(Z, TypeDescriptor(cut=("nowhere",)),
                              fm.parse(Z, "true"))
+
+
+class TestOperationMemo:
+    """Criterion 07 checks determinism by running generic_type twice; the
+    rerun must start without a memo, or it would only replay the first."""
+
+    PHI = "(le@ 2 (c 1 1) (* 2 x))"
+
+    def test_no_memo_survives_an_operation(self):
+        generic_type(ZZ, fm.parse(ZZ, self.PHI), 4)
+        assert operation_memo() is None
+        with pytest.raises(TypeGenError):
+            generic_type(Z, fm.parse(Z, "(< x x)"))
+        assert operation_memo() is None
+
+    def test_rerun_is_cold(self, monkeypatch):
+        calls = []
+        cooper = qe._cooper
+
+        def counted(*args):
+            calls.append(args)
+            return cooper(*args)
+
+        monkeypatch.setattr(qe, "_cooper", counted)
+        phi = fm.parse(ZZ, self.PHI)
+        first = generic_type(ZZ, phi, 4)
+        n = len(calls)
+        assert n > 0
+        assert generic_type(ZZ, phi, 4) == first
+        assert len(calls) == 2 * n
+        # inside one open scope the rerun joins it and repeats nothing
+        with operation_scope():
+            generic_type(ZZ, phi, 4)
+            assert len(calls) == 3 * n
+            assert generic_type(ZZ, phi, 4) == first
+            assert len(calls) == 3 * n
