@@ -18,9 +18,10 @@ single coordinate.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from . import scalars as sc
 from .errors import FormulaError, GroupError, ParseError
@@ -673,7 +674,7 @@ def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
     atoms look only at the first k coordinates, congruences become
     per-discrete-coordinate congruences, and quantifiers become blocks
     of scalar quantifiers."""
-    return _lower(g, _freshen(g, f, all_names(f) | free_vars(f)))
+    return _lower(g, _freshen(g, f, all_names(f)))
 
 
 def _freshen(g: GroupSpec, f: Formula, used: frozenset) -> Formula:
@@ -703,20 +704,33 @@ def _freshen(g: GroupSpec, f: Formula, used: frozenset) -> Formula:
     return walk(f, frozenset(free_vars(f)))
 
 
+def _lower_atom(g: GroupSpec, f: Formula) -> sc.SFormula:
+    k = getattr(f, "level", g.n)
+    diffs = _coord_exprs(g, t_sub(g, f.left, f.right))
+    if isinstance(f, (Congr, RelCongr)):
+        return _congr_exprs(g, f.modulus, diffs, k)
+    rel = EQ if isinstance(f, RelEq) else f.rel
+    if rel == EQ:
+        return _lex_eq(g, diffs, k)
+    if rel == LT:
+        return _lex_lt(g, diffs, k)
+    return sc.mk_or([_lex_lt(g, diffs, k), _lex_eq(g, diffs, k)])
+
+
 def _lower(g: GroupSpec, f: Formula) -> sc.SFormula:
     if isinstance(f, BoolConst):
         return sc.SBool(f.value)
-    if isinstance(f, (Cmp, RelCmp, RelEq, Congr, RelCongr)):
-        k = getattr(f, "level", g.n)
-        diffs = _coord_exprs(g, t_sub(g, f.left, f.right))
-        if isinstance(f, (Congr, RelCongr)):
-            return _congr_exprs(g, f.modulus, diffs, k)
-        rel = EQ if isinstance(f, RelEq) else f.rel
-        if rel == EQ:
-            return _lex_eq(g, diffs, k)
-        if rel == LT:
-            return _lex_lt(g, diffs, k)
-        return sc.mk_or([_lex_lt(g, diffs, k), _lex_eq(g, diffs, k)])
+    if isinstance(f, ATOMS):
+        # an atom lowers once per operation; the "lower" tag keeps the
+        # key apart from decide's (group, sentence) keys
+        memo = sc.operation_memo()
+        if memo is None:
+            return _lower_atom(g, f)
+        key = ("lower", g, f)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _lower_atom(g, f)
+        return out
     if isinstance(f, Not):
         return sc.mk_not(_lower(g, f.body))
     if isinstance(f, And):

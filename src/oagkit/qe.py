@@ -21,9 +21,14 @@ group and the sentence.  Both are pure functions of those keys, so the
 memo changes no answer.  It is thread-local, has no option or size
 limit, and is dropped when the outermost operation returns or raises,
 so no answer outlives the operation that computed it.  Outside an
-operation nothing is memoized.  Cooper's method and the dense
-projection yield their disjuncts lazily, so `mk_or` stops substituting
-at the first true one.
+operation nothing is memoized.  (`formulas.lower` keeps the scalar form
+of each atom in the same memo, under a key tagged "lower".)  Cooper's
+method and the dense projection yield their disjuncts lazily, so
+`mk_or` stops substituting at the first true one.  Cooper's method
+substitutes its infinity rows first, and a true one answers the whole
+disjunction before any bound row is built; otherwise the disjuncts
+come in the interleaved order (each row, then its bound rows), so the
+answer is the same node either way.
 """
 
 from __future__ import annotations
@@ -190,12 +195,23 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
 
     row = _map_atoms(f, at_infinity, skip=v)
     bounds = lowers if use_lowers else uppers
+    shifts = [lin_const(j if use_lowers else -j)
+              for j in range(1, period + 1)]
 
-    # yielded lazily: mk_or stops at the first true disjunct
+    # the infinity rows first: any true one decides the disjunction
+    # before a bound row is built
+    rows = []
+    for shift in shifts:
+        r = row if isinstance(row, SBool) else s_subst(g, row, v, shift)
+        if r is sc.TRUE:
+            return r
+        rows.append(r)
+
+    # the same disjuncts in the same order as an interleaved walk, the
+    # rows reused; yielded lazily: mk_or stops at the first true one
     def pieces():
-        for j in range(1, period + 1):
-            shift = lin_const(j if use_lowers else -j)
-            yield s_subst(g, row, v, shift)
+        for r, shift in zip(rows, shifts):
+            yield r
             for b in bounds:
                 yield s_subst(g, f, v, lin_add(b, shift))
 
@@ -553,10 +569,13 @@ def witness(g: GroupSpec, f: fm.Formula,
             picked[v] = chosen
             current = s_subst_all(g, current, {v: chosen})
         check = eliminate_scalar(g, current)
-        assert isinstance(check, SBool)
+        if not isinstance(check, SBool):
+            raise AssertionError("a pinned witness must ground out")
         if g.n == 0:
             return () if check.value else None
-        assert check.value
+        if not check.value:
+            raise AssertionError("the picked coordinates must satisfy the "
+                                 "formula")
         return element(g, [picked[v] for v in svars])
 
 

@@ -32,9 +32,10 @@ import functools
 import math
 import threading
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import BudgetExceeded, FormulaError, OutputTooLarge
 from .groups import GroupSpec

@@ -327,14 +327,23 @@ def end_hull(g: GroupSpec, phi: fm.Formula,
 
 def stabilizer(g: GroupSpec, phi: fm.Formula,
                var: Optional[str] = None) -> ConvexSubgroup:
-    """The largest tail subgroup whose translates preserve the set."""
+    """The largest tail subgroup whose translates preserve the set.
+
+    Level 0, the whole group, needs no translation sentence: an end
+    segment invariant under every translation is empty or the whole
+    group, since for a member s and any g, g = s + (g - s).  So level 0
+    is decided by emptiness and fullness (memo hits inside
+    `to_div_segment`, which has just decided both), and the sentences
+    start at level 1."""
     v = the_var(g, phi, var)
     if not is_end_segment(g, phi, v):
         raise SegmentError("stabilizer is defined for end segments only")
+    if not satisfiable(g, phi) or decide(g, fm.Forall(v, phi)):
+        return ConvexSubgroup(0)
     (d,) = fresh_names(phi, [v], 1)
     td, tv = fm.t_var(g, d), fm.t_var(g, v)
     shifted = fm.substitute(g, phi, v, fm.t_add(g, tv, td))
-    for k in range(g.n + 1):
+    for k in range(1, g.n + 1):
         insub = fm.RelEq(k, td, fm.t_const(zero(g)))
         sent = fm.Forall(d, fm.Forall(
             v, fm.Implies(fm.And((insub, phi)), shifted)))
@@ -382,7 +391,9 @@ def to_div_segment(g: GroupSpec, phi: fm.Formula,
     if decide(g, fm.Forall(v, phi)):
         return full_end_segment()
     k = stabilizer(g, phi, v).level
-    assert k >= 1, "a proper nonempty end segment has a proper stabilizer"
+    if k < 1:
+        raise AssertionError(
+            "a proper nonempty end segment has a proper stabilizer")
     (y,) = fresh_names(phi, [v], 1)
     tv, ty = fm.t_var(g, v), fm.t_var(g, y)
     phi_y = fm.substitute(g, phi, v, ty)
@@ -391,11 +402,13 @@ def to_div_segment(g: GroupSpec, phi: fm.Formula,
     has_min = fm.Exists(v, fm.And((phi, least_k)))
     if decide(g, has_min):
         w = witness(g, has_min)
-        assert w is not None
+        if w is None:
+            raise AssertionError("a set with a minimum must have a witness")
         return DivSegment(END, 1, k, pad(g, w[:k]), GE)
 
     # No minimum modulo the stabilizer: the cut coordinate must be dense.
-    assert g.kinds[k - 1] == "Q"
+    if g.kinds[k - 1] != "Q":
+        raise AssertionError("an open cut must lie on a dense coordinate")
     if k == 1:
         prefix: tuple = ()
     else:
@@ -403,7 +416,9 @@ def to_div_segment(g: GroupSpec, phi: fm.Formula,
             y, fm.Implies(phi_y, fm.RelCmp(k - 1, fm.LE, tv, ty)))
         want = fm.Exists(v, fm.And((phi, least_pre)))
         w = witness(g, want)
-        assert w is not None, "projection below the cut must have a minimum"
+        if w is None:
+            raise AssertionError(
+                "projection below the cut must have a minimum")
         prefix = tuple(w[:k - 1])
     psi = _pinned_scalar(g, phi, v, prefix, k)
     xk = SVar(v, k)

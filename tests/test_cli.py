@@ -338,6 +338,9 @@ def test_module_entry_point_types_input_errors(tmp_path):
      "(or (< x (c 0 1/2)) (and (< (c 1 0) x) (congr 2 x (c 1 0))))"],
     ["typegen", "--group", "Z*Z", "--modbound", "4",
      "(le@ 2 (c 1 1) (* 2 x))"],
+    ["endseg", "--group", "Z*Z", "(<= (c 1 1) (* 2 x))", "--var", "x"],
+    ["endseg", "--group", "Q*Z", "(lt@ 1 (c 1/2 0) x)", "--var", "x"],
+    ["endseg", "--group", "Z*Q", "(< (c 1 1/2) x)", "--var", "x"],
 ])
 def test_same_answers_without_asserts(argv):
     """`python -O` strips assert statements; no answer may depend on

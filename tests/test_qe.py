@@ -396,6 +396,55 @@ def test_cooper_disjunction_stops_at_first_true(monkeypatch):
     assert 0 < len(calls) < 12 * 2
 
 
+def test_cooper_tries_infinity_rows_first(monkeypatch):
+    """Only the fifth +infinity row, x = -5, satisfies the body, and no
+    bound row does: the rows come first, so the body with its bounds is
+    never substituted; interleaved, it was substituted 3 times for each
+    of the first four residues."""
+    f = fm.parse(Z1, "(exists (x) (and (congr 5 x (c 0)) (or "
+                     "(< x (c 0)) (< x (c 5)) (< x (c 10)) (< (c 20) x) "
+                     "(< (c 25) x) (< (c 30) x) (< (c 35) x))))")
+    body_calls = []
+    subst = qe.s_subst
+
+    def counted(g, body, v, *args, **kwargs):
+        if any(isinstance(a, sc.SLt) and a.expr.coeff(v)
+               for a in sc.atoms(body)):
+            body_calls.append(body)
+        return subst(g, body, v, *args, **kwargs)
+
+    monkeypatch.setattr(qe, "s_subst", counted)
+    assert qe.decide(Z1, f) is True
+    assert body_calls == []
+    assert orc.evaluate(Z1, f.body, {"x": (-5,)})
+
+
+def test_lower_memo_returns_the_same_node():
+    texts = [(Z2, "(forall (y) (or (< x y) (congr 3 (+ x y) (c 1 0))))"),
+             (ZQ, "(exists (y) (and (le@ 1 x y) (= (* 2 y) (c 1 1/2))))")]
+    for g, text in texts:
+        f = fm.parse(g, text)
+        outside = fm.lower(g, f)
+        with sc.operation_scope():
+            assert fm.lower(g, f) is outside
+            assert fm.lower(g, f) is outside
+
+
+def test_lower_memo_keys_apart_from_decide():
+    """A closed atom is both a sentence and an atom: in one operation,
+    deciding it gives a bool and lowering it gives a node."""
+    atom = fm.parse(Z2, "(< (c 0 1) (c 1 0))")
+    assert isinstance(atom, fm.ATOMS)
+    for order in (("decide", "lower"), ("lower", "decide")):
+        with sc.operation_scope():
+            for step in order * 2:
+                if step == "decide":
+                    assert qe.decide(Z2, atom) is True
+                else:
+                    out = fm.lower(Z2, atom)
+                    assert isinstance(out, sc.SBool) and out.value
+
+
 def test_deep_iff_chain_eliminates():
     """The quantifier-free check of the answer visits each shared node
     once; as a tree walk it took seconds at 18 levels."""

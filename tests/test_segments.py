@@ -226,28 +226,72 @@ class TestStabilizer:
             assert sg.stabilizer(g, fm.parse(g, "true"), "x") == \
                 ConvexSubgroup(0)
 
+    LEVEL_CASES = [
+        (Z, "false"), (Z, "true"), (Z, "(<= (c 3) x)"),
+        (Z, "(<= (c 7) (* 2 x))"), (Z, "(and (< (c 0) x) (< x (c 0)))"),
+        (ZZ, "false"), (ZZ, "true"), (ZZ, "(<= (c 1 1) (* 2 x))"),
+        (ZZ, "(lt@ 1 (c 1 0) x)"), (ZZ, "(<= (c 0 3) x)"),
+        (QZ, "false"), (QZ, "true"), (QZ, "(lt@ 1 (c 1 0) x)"),
+        (QZ, "(lt@ 1 (c 1/2 0) x)"), (QZ, "(< (c 1/2 0) x)"),
+        (QZ, "(or (< x (c 0 0)) (<= (c 0 0) x))"),
+        (ZQ, "false"), (ZQ, "true"), (ZQ, "(< (c 1 1/2) x)"),
+        (ZQ, "(le@ 1 (c 2 0) x)"), (ZQ, "(<= (c 0 1/3) (* 3 x))"),
+    ]
+
+    @staticmethod
+    def translation_holds(g, phi, level):
+        # every translate by an element of the level's tail subgroup
+        # keeps the set
+        d, v = "d", "x"
+        td, tv = fm.t_var(g, d), fm.t_var(g, v)
+        shifted = fm.substitute(g, phi, v, fm.t_add(g, tv, td))
+        insub = fm.RelEq(level, td, fm.t_const(element(g, [0] * g.n)))
+        return decide(g, fm.Forall(d, fm.Forall(
+            v, fm.Implies(fm.And((insub, phi)), shifted))))
+
     def test_level_is_tight(self):
-        # the stabilization sentence holds at the returned level and
-        # fails one level up the chain
-        for g, text in [
-            (ZZ, "(<= (c 1 1) (* 2 x))"),
-            (Z, "(<= (c 3) x)"),
-            (QZ, "(lt@ 1 (c 1 0) x)"),
-        ]:
+        # the level is the first one whose translation sentence holds, for
+        # empty, full and proper sets; level 0 comes from emptiness and
+        # fullness instead of a sentence
+        for g, text in self.LEVEL_CASES:
             phi = fm.parse(g, text)
-            k = sg.stabilizer(g, phi).level
-            d, v = "d", "x"
-            td, tv = fm.t_var(g, d), fm.t_var(g, v)
-            shifted = fm.substitute(g, phi, v, fm.t_add(g, tv, td))
+            first = next(k for k in range(g.n + 1)
+                         if self.translation_holds(g, phi, k))
+            assert sg.stabilizer(g, phi, "x").level == first, (g, text)
+            empty_or_full = (not satisfiable(g, phi)
+                             or decide(g, fm.Forall("x", phi)))
+            assert (first == 0) == empty_or_full, (g, text)
 
-            def holds(level):
-                insub = fm.RelEq(level, td, fm.t_const(element(g, [0] * g.n)))
-                return decide(g, fm.Forall(d, fm.Forall(
-                    v, fm.Implies(fm.And((insub, phi)), shifted))))
+    def test_proper_segment_decides_no_level_zero_sentence(self, monkeypatch):
+        seen = []
+        real = sg.decide
 
-            assert holds(k)
-            if k >= 1:
-                assert not holds(k - 1)
+        def recording(g, f, *args, **kwargs):
+            seen.append(f)
+            return real(g, f, *args, **kwargs)
+
+        def level_zero(f):
+            if isinstance(f, fm.RelEq):
+                return f.level == 0
+            if isinstance(f, fm.Not):
+                return level_zero(f.body)
+            if isinstance(f, (fm.And, fm.Or)):
+                return any(level_zero(it) for it in f.items)
+            if isinstance(f, (fm.Implies, fm.Iff)):
+                return level_zero(f.left) or level_zero(f.right)
+            if isinstance(f, (fm.Exists, fm.Forall)):
+                return level_zero(f.body)
+            return False
+
+        monkeypatch.setattr(sg, "decide", recording)
+        for g, text in [(ZZ, "(<= (c 1 1) (* 2 x))"), (QZ, "(< (c 1/2 0) x)"),
+                        (ZQ, "(< (c 1 1/2) x)")]:
+            phi = fm.parse(g, text)
+            seen.clear()
+            assert sg.stabilizer(g, phi).level >= 1
+            sg.to_div_segment(g, phi)
+            assert seen, "the higher levels still go through decide"
+            assert not any(level_zero(f) for f in seen), (g, text)
 
     def test_requires_end_segment(self):
         with pytest.raises(SegmentError):
