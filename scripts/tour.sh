@@ -29,11 +29,12 @@ run equiv --group Z*Z \
 run nice --group Z "(and (< (c 3) x) (congr 3 x (c 1)))" --var x
 run endseg --group Z*Z "(<= (c 1 1) (* 2 z))" --var z
 
-# Canonical codes round-trip through files
-tmp=$(mktemp)
-oagkit code --group Z "(< (c 5) x)" --var x --format json > "$tmp"
-run reconstruct --group Z --file "$tmp"
-rm -f "$tmp"
+# Canonical codes round-trip through files (a fixed name in a fresh
+# directory, so the echoed command is the same on every run)
+dir=$(mktemp -d)
+oagkit code --group Z "(< (c 5) x)" --var x --format json > "$dir/code.json"
+(cd "$dir" && run reconstruct --group Z --file code.json)
+rm -rf "$dir"
 
 # Types, invariants, residue systems
 run typegen --group Z "(and (< (c 5) x) (congr 3 x (c 1)))" --var x

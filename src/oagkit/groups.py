@@ -297,7 +297,9 @@ def subgroup_an(g: GroupSpec, gamma: Element, n: int) -> ConvexSubgroup:
     if j == 0:
         raise GroupError("subgroup_an is undefined at the zero element")
     t = next((i for i in range(j, g.n + 1) if g.kinds[i - 1] == "Z"), g.n)
-    assert is_n_regular_block(g, j, t, n) if j <= t else True
+    if j <= t and not is_n_regular_block(g, j, t, n):
+        raise AssertionError("the block up to the first discrete "
+                             "coordinate must be n-regular")
     return ConvexSubgroup(t)
 
 

@@ -118,7 +118,8 @@ def _map_atoms(f: SFormula, fn, skip: Optional[SVar] = None,
     elif isinstance(f, (SLt, SEq, SCongr)):
         out = fn(f)
     elif isinstance(f, SNot):
-        assert isinstance(f.body, SCongr)
+        if not isinstance(f.body, SCongr):
+            raise AssertionError("only congruences are negated in NNF")
         out = mk_not(fn(f.body))
     elif isinstance(f, SAnd):
         out = mk_and(_map_atoms(it, fn, skip, _memo) for it in f.items)
@@ -227,8 +228,8 @@ def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
         a = lit.expr.coeff(v)
         if a == 0:
             continue
-        assert not isinstance(lit, SCongr), \
-            "dense coordinates carry no congruences"
+        if isinstance(lit, SCongr):
+            raise AssertionError("dense coordinates carry no congruences")
         rest = sc.LinExpr(tuple((w, c) for w, c in lit.expr.coeffs
                                 if w != v), lit.expr.const)
         # the root -rest/a, as (a, rest) divided by its content and sign

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 from typing import Optional, Union
 
 from . import formulas as fm
@@ -38,11 +38,11 @@ from .qe import (
     witness,
 )
 from .scalars import (
-    FALSE,
     LinExpr,
     SCongr,
     SLt,
     SVar,
+    TRUE,
     atom_roots,
     atoms,
     mk_and,
@@ -317,11 +317,14 @@ def end_hull(g: GroupSpec, phi: fm.Formula,
     phi_y = fm.substitute(g, phi, v, fm.t_var(g, y))
     below = fm.Cmp(fm.LE, fm.t_var(g, y), fm.t_var(g, v))
     hull = fm.Not(fm.Forall(y, fm.Implies(below, fm.Not(phi_y))))
-    assert is_end_segment(g, hull, v)
-    assert entails(g, phi, hull)
+    if not is_end_segment(g, hull, v):
+        raise AssertionError("the hull must be closed upward")
+    if not entails(g, phi, hull):
+        raise AssertionError("the hull must contain the set")
     coinit = fm.Forall(
         v, fm.Implies(hull, fm.Exists(y, fm.And((phi_y, below)))))
-    assert decide(g, coinit)
+    if not decide(g, coinit):
+        raise AssertionError("the set must be co-initial in its hull")
     return hull
 
 
@@ -358,18 +361,33 @@ def pad(g: GroupSpec, vals) -> Element:
     return element(g, vals + [0] * (g.n - len(vals)))
 
 
-def _pinned_scalar(g: GroupSpec, phi: fm.Formula, v: str, prefix, k: int,
-                   zero_tail: bool = True):
+def _pinned_scalar(g: GroupSpec, phi: fm.Formula, v: str, prefix, k: int):
     """Eliminate quantifiers, then fix coordinates below k to the given
-    prefix; optionally zero out the coordinates above k as well."""
+    prefix and zero out the coordinates above k."""
     qf = eliminate_scalar(g, fm.lower(g, phi))
     env = {}
     for i in range(1, g.n + 1):
         if i < k:
             env[SVar(v, i)] = prefix[i - 1]
-        elif i > k and zero_tail:
+        elif i > k:
             env[SVar(v, i)] = 0
     return s_subst_all(g, qf, env)
+
+
+def _holds_somewhere(g: GroupSpec, f) -> bool:
+    """Whether a quantifier-free scalar formula holds at some point."""
+    for w in sorted(f.fv, key=lambda w: (w.base, w.coord), reverse=True):
+        f = mk_exists(w, f)
+    return eliminate_scalar(g, f) is TRUE
+
+
+def same_points(g: GroupSpec, a, b) -> bool:
+    """Whether two quantifier-free scalar formulas hold at the same
+    points: no point satisfies exactly one of them."""
+    if a is b:
+        return True
+    return not _holds_somewhere(
+        g, mk_or([mk_and([a, mk_not(b)]), mk_and([mk_not(a), b])]))
 
 
 @operation
@@ -424,9 +442,7 @@ def to_div_segment(g: GroupSpec, phi: fm.Formula,
     xk = SVar(v, k)
     for c in atom_roots(psi, xk):
         above = SLt(LinExpr(((xk, -c.denominator),), c.numerator))
-        differ = mk_or([mk_and([psi, mk_not(above)]),
-                        mk_and([mk_not(psi), above])])
-        if eliminate_scalar(g, mk_exists(xk, differ)) is FALSE:
+        if same_points(g, psi, above):
             return DivSegment(END, 1, k, pad(g, prefix + (c,)), GT)
     raise AssertionError("open cut value must be a root of some atom")
 
@@ -447,6 +463,68 @@ def to_div_segment_initial(g: GroupSpec, phi: fm.Formula,
     return dual_div_segment(to_div_segment(g, fm.Not(phi), v))
 
 
+def _roots_and_modulus(psi, x) -> tuple:
+    """The sorted roots of psi's order atoms in x, and the lcm of the
+    moduli of psi's congruences in x."""
+    modulus = 1
+    for atom in atoms(psi):
+        if isinstance(atom, SCongr) and atom.expr.coeff(x):
+            modulus = lcm(modulus, atom.modulus)
+    return atom_roots(psi, x), modulus
+
+
+def fibre_changes(g: GroupSpec, psi, x: SVar, m: int, r: int) -> list:
+    """The s = r (mod m), in increasing order, at which the fibre of psi
+    over x = s differs from the fibre over x = s + m.
+
+    psi is a quantifier-free scalar formula whose atoms mention the
+    discrete variable x alone or not at all; its fibre over t is psi with
+    x = t, a condition on the other variables.  Off the roots of psi's
+    order atoms in x, the fibre depends only on the gap between roots
+    that t lies in and on t modulo L, the lcm of psi's moduli in x.  So a
+    change at s is also a change at s - lcm(L, m) and at s + lcm(L, m)
+    unless a root lies in between, and the least and the greatest change
+    (where the changes are bounded) lie within lcm(L, m) + m of an
+    integer next to a root.  Only those candidates are compared, so the
+    work does not grow with the distance between roots.  Without roots
+    the fibres repeat every lcm(L, m) steps, and the window is taken
+    around 0.
+    """
+    roots, modulus = _roots_and_modulus(psi, x)
+    span = lcm(modulus, m) + m
+    ends = {e for c in roots for e in (floor(c), ceil(c))} or {0}
+    cands = set()
+    for e in ends:
+        cands.update(range(e - span + (r - e + span) % m, e + span + 1, m))
+    fibre = {t: s_subst_all(g, psi, {x: t})
+             for t in cands | {s + m for s in cands}}
+    return [s for s in sorted(cands)
+            if not same_points(g, fibre[s], fibre[s + m])]
+
+
+def eventual_period(g: GroupSpec, psi, x: SVar) -> int:
+    """The least m such that the fibre of psi over x = t (see
+    `fibre_changes`) equals the one over t + m for every t beyond some
+    bound, in both directions.
+
+    The m that qualify are the multiples of this one, and L, the lcm of
+    psi's moduli in x, is one of them.  A change at s past the greatest
+    root, or with s + m below the least root, repeats every lcm(L, m)
+    steps without end; m qualifies when no class has such a change.
+    """
+    roots, modulus = _roots_and_modulus(psi, x)
+
+    def between_roots(s, m):
+        return bool(roots) and roots[0] <= s + m and s <= roots[-1]
+
+    for m in range(1, modulus + 1):
+        if modulus % m == 0 and all(
+                between_roots(s, m)
+                for r in range(m) for s in fibre_changes(g, psi, x, m, r)):
+            return m
+    raise AssertionError("the lcm of the moduli must be an eventual period")
+
+
 class _RawPiece:
     """Partial piece during decomposition: missing sides are inherited
     from the enclosing pins when the recursion unwinds."""
@@ -464,13 +542,22 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
                    var: Optional[str] = None) -> tuple:
     """Canonical decomposition of a unary definable set into nice pieces.
 
-    Works coordinate by coordinate, most significant first.  A discrete
-    coordinate is split into residue classes modulo the minimal eventual
-    period (refined by the moduli of the limiting fibers); each class
-    contributes two constant rays plus finitely many exceptional values.
-    A dense coordinate is split at the cut points where the fiber
-    actually changes.  All thresholds and cut points are found
-    semantically, so equivalent inputs produce identical output.
+    Works coordinate by coordinate, most significant first, on the
+    quantifier-free form of phi, eliminated once.  Every atom of that
+    form mentions a single coordinate x.j.  With x.1..x.(j-1) pinned,
+    the fibre over a value t of coordinate j is the form with x.j = t as
+    well: a condition on the deeper coordinates.  Two fibres are equal
+    when no point of the deeper coordinates satisfies exactly one.
+
+    A discrete coordinate is split into residue classes modulo the
+    minimal eventual period (refined by the moduli of the limiting
+    fibres); each class contributes two constant rays plus finitely many
+    exceptional values.  The period, the constant classes and the ray
+    thresholds are read off `fibre_changes`, which compares fibres only
+    near the roots of the coordinate's atoms.  A dense coordinate is
+    split at the roots where the fibre actually changes.  All of this
+    depends only on the defined set, so equivalent inputs produce
+    identical output.
     """
     v = the_var(g, phi, var)
     if not satisfiable(g, phi):
@@ -478,186 +565,90 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     if g.n == 0:
         return (NiceSet(full_end_segment(), full_initial_segment(), ()),)
 
-    tv = fm.t_var(g, v)
-    y, zname = fresh_names(phi, [v], 2)
-    ty, tz = fm.t_var(g, y), fm.t_var(g, zname)
-    phi_of: dict = {}
-
-    def at(name):
-        f = phi_of.get(name)
-        if f is None:
-            f = phi if name == v else fm.substitute(g, phi, v, fm.t_var(g, name))
-            phi_of[name] = f
-        return f
-
-    def shifted(name, delta: Element) -> fm.Formula:
-        t = fm.t_add(g, fm.t_var(g, name), fm.t_const(delta))
-        return fm.substitute(g, phi, v, t)
-
-    def pin_formula(name, j: int, pin) -> fm.Formula:
-        return fm.RelEq(j - 1, fm.t_var(g, name), fm.t_const(pad(g, pin)))
-
-    def class_formula(name, j: int, m: int, rep) -> fm.Formula:
-        if m == 1:
-            return fm.BoolConst(True)
-        return fm.RelCongr(j, m, fm.t_var(g, name), fm.t_const(pad(g, rep)))
-
-    def fiber_equal(j: int, pin, v1, v2) -> bool:
-        # Fibers over two concrete coordinate-j values agree exactly when
-        # the set is invariant under the constant shift between them.
-        vals = [0] * g.n
-        vals[j - 1] = v2 - v1
-        delta = element(g, vals)
-        anchor = fm.RelEq(j, tv, fm.t_const(pad(g, pin + (v1,))))
-        return decide(g, fm.Forall(
-            v, fm.Implies(anchor, fm.Iff(phi, shifted(v, delta)))))
-
+    qf = eliminate_scalar(g, fm.lower(g, phi))
+    xs = [SVar(v, i) for i in range(1, g.n + 1)]
     memo: dict = {}
 
-    def rec(j: int, pin) -> list:
-        key = (j, pin)
-        hit = memo.get(key)
+    def rec(pin) -> list:
+        # the pieces of the set over the pinned leading coordinates
+        hit = memo.get(pin)
         if hit is not None:
             return hit
-        if j > g.n:
-            point = fm.t_const(pad(g, pin))
-            member = decide(g, fm.substitute(g, phi, v, point))
-            out = [_RawPiece(None, None, ())] if member else []
+        j = len(pin) + 1
+        psi = s_subst_all(g, qf, dict(zip(xs, pin)))
+        if not _holds_somewhere(g, psi):
+            out = []
+        elif j > g.n:
+            out = [_RawPiece(None, None, ())]
+        elif g.kinds[j - 1] == "Z":
+            out = rec_discrete(pin, psi)
         else:
-            region = fm.And((pin_formula(v, j, pin), phi))
-            if not decide(g, fm.Exists(v, region)):
-                out = []
-            elif g.kinds[j - 1] == "Z":
-                out = rec_discrete(j, pin)
-            else:
-                out = rec_dense(j, pin)
-        memo[key] = out
+            out = rec_dense(pin, psi)
+        memo[pin] = out
         return out
-
-    def eventual_period_holds(j: int, pin, m: int) -> bool:
-        e = scale(g, m, unit(g, j))
-        up = fm.Implies(fm.RelCmp(j, fm.LE, tz, ty),
-                        fm.Iff(at(y), shifted(y, e)))
-        down = fm.Implies(fm.RelCmp(j, fm.LE, ty, tz),
-                          fm.Iff(at(y), shifted(y, scale(g, -1, e))))
-        # One sentence per tail: a threshold above which shifting by m
-        # changes nothing, and one below.  The threshold itself must lie
-        # in the pinned region, else the tail condition can hold vacuously.
-        sent_up = fm.Exists(zname, fm.And((
-            pin_formula(zname, j, pin),
-            fm.Forall(y, fm.Implies(pin_formula(y, j, pin), up)))))
-        sent_down = fm.Exists(zname, fm.And((
-            pin_formula(zname, j, pin),
-            fm.Forall(y, fm.Implies(pin_formula(y, j, pin), down)))))
-        return decide(g, sent_up) and decide(g, sent_down)
-
-    def minimal_period(j: int, pin) -> int:
-        qf = eliminate_scalar(g, fm.lower(
-            g, fm.And((pin_formula(v, j, pin), phi))))
-        cap = 1
-        for atom in atoms(qf):
-            if isinstance(atom, SCongr):
-                cap = lcm(cap, atom.modulus)
-        for m in range(1, cap + 1):
-            if cap % m == 0 and eventual_period_holds(j, pin, m):
-                return m
-        raise AssertionError("eventual period must divide the modulus lcm")
-
-    def class_constant(j: int, pin, m: int, r: int) -> bool:
-        e = scale(g, m, unit(g, j))
-        guard = fm.And((pin_formula(v, j, pin), class_formula(v, j, m, pin + (r,))))
-        return decide(g, fm.Forall(
-            v, fm.Implies(guard, fm.Iff(phi, shifted(v, e)))))
-
-    def tail_ok(name, j: int, pin, m: int, r: int, upward: bool) -> fm.Formula:
-        # All fibers from `name` on (towards the tail) equal their shift.
-        e = scale(g, m if upward else -m, unit(g, j))
-        tn = fm.t_var(g, name)
-        if upward:
-            side = fm.RelCmp(j, fm.LE, tn, ty)
-        else:
-            side = fm.RelCmp(j, fm.LE, ty, tn)
-        guard = fm.And((pin_formula(y, j, pin),
-                        class_formula(y, j, m, pin + (r,)), side))
-        return fm.Forall(y, fm.Implies(guard, fm.Iff(at(y), shifted(y, e))))
-
-    def threshold(j: int, pin, m: int, r: int, upward: bool) -> int:
-        mine = fm.And((pin_formula(v, j, pin),
-                       class_formula(v, j, m, pin + (r,)),
-                       tail_ok(v, j, pin, m, r, upward)))
-        others = fm.And((pin_formula(zname, j, pin),
-                         class_formula(zname, j, m, pin + (r,)),
-                         tail_ok(zname, j, pin, m, r, upward)))
-        if upward:
-            extreme = fm.RelCmp(j, fm.LE, tv, tz)
-        else:
-            extreme = fm.RelCmp(j, fm.LE, tz, tv)
-        best = fm.Exists(v, fm.And(
-            (mine, fm.Forall(zname, fm.Implies(others, extreme)))))
-        assert decide(g, best), "threshold must exist in a non-constant class"
-        return int(witness(g, best)[j - 1])
 
     def check_ray_lits(fps, m: int) -> None:
         for fp in fps:
-            assert fp.upper is None and fp.lower is None, \
-                "limiting fibers carry no bounds"
-            for lit in fp.lits:
-                assert m % lit.modulus == 0, \
-                    "fiber moduli must divide the class modulus"
+            if fp.upper is not None or fp.lower is not None:
+                raise AssertionError("limiting fibres carry no bounds")
+            if any(m % lit.modulus for lit in fp.lits):
+                raise AssertionError(
+                    "fibre moduli must divide the class modulus")
 
-    def rec_discrete(j: int, pin) -> list:
-        m_star = minimal_period(j, pin)
+    def rec_discrete(pin, psi) -> list:
+        j = len(pin) + 1
+        x = xs[j - 1]
+        m_star = eventual_period(g, psi, x)
         moduli = m_star
         for r in range(m_star):
-            if class_constant(j, pin, m_star, r):
-                fps = rec(j + 1, pin + (r,))
-            else:
-                a_hat = threshold(j, pin, m_star, r, True)
-                b_hat = threshold(j, pin, m_star, r, False)
-                fps = rec(j + 1, pin + (a_hat,)) + rec(j + 1, pin + (b_hat,))
-            for fp in fps:
-                for lit in fp.lits:
-                    moduli = lcm(moduli, lit.modulus)
+            changes = fibre_changes(g, psi, x, m_star, r)
+            reps = (changes[-1] + m_star, changes[0]) if changes else (r,)
+            for t in reps:
+                for fp in rec(pin + (t,)):
+                    for lit in fp.lits:
+                        moduli = lcm(moduli, lit.modulus)
         m_d = moduli
         out: list = []
         for r in range(m_d):
-            cls_lit = []
+            cls_lit: tuple = ()
             if m_d > 1:
-                cls_lit = [CongrLiteral(1, 1, j, m_d, pad(g, pin + (r,)), 0)]
-            if class_constant(j, pin, m_d, r):
-                fps = rec(j + 1, pin + (r,))
+                cls_lit = (CongrLiteral(1, 1, j, m_d, pad(g, pin + (r,)), 0),)
+            changes = fibre_changes(g, psi, x, m_d, r)
+            if not changes:
+                fps = rec(pin + (r,))
                 check_ray_lits(fps, m_d)
                 for fp in fps:
-                    out.append(_RawPiece(
-                        None, None, tuple(cls_lit) + fp.lits))
+                    out.append(_RawPiece(None, None, cls_lit + fp.lits))
                 continue
-            a_hat = threshold(j, pin, m_d, r, True)
-            b_hat = threshold(j, pin, m_d, r, False)
-            assert a_hat > b_hat
-            fps = rec(j + 1, pin + (a_hat,))
+            # the class's fibres are constant from a_hat up and from
+            # b_hat down
+            a_hat, b_hat = changes[-1] + m_d, changes[0]
+            fps = rec(pin + (a_hat,))
             check_ray_lits(fps, m_d)
             for fp in fps:
                 out.append(_RawPiece((j, pad(g, pin + (a_hat,)), GE),
-                                     None, tuple(cls_lit) + fp.lits))
-            fps = rec(j + 1, pin + (b_hat,))
+                                     None, cls_lit + fp.lits))
+            fps = rec(pin + (b_hat,))
             check_ray_lits(fps, m_d)
             for fp in fps:
                 out.append(_RawPiece(None, (j, pad(g, pin + (b_hat,)), GE),
-                                     tuple(cls_lit) + fp.lits))
+                                     cls_lit + fp.lits))
             a = b_hat + m_d
             while a < a_hat:
-                for fp in rec(j + 1, pin + (a,)):
+                for fp in rec(pin + (a,)):
                     up = fp.upper or (j, pad(g, pin + (a,)), GE)
                     low = fp.lower or (j, pad(g, pin + (a,)), GE)
                     out.append(_RawPiece(up, low, fp.lits))
                 a += m_d
         return out
 
-    def rec_dense(j: int, pin) -> list:
-        # Deeper coordinates stay free here: zeroing them could collapse
-        # atoms to constants and hide genuine coordinate-j cut points.
-        psi = _pinned_scalar(g, phi, v, pin, j, zero_tail=False)
-        roots = atom_roots(psi, SVar(v, j))
+    def rec_dense(pin, psi) -> list:
+        j = len(pin) + 1
+        x = xs[j - 1]
+        roots = atom_roots(psi, x)
+
+        def fibre(t):
+            return s_subst_all(g, psi, {x: t})
 
         def interval_rep(lo, hi):
             if lo is None and hi is None:
@@ -672,31 +663,29 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         for i, c in enumerate(roots):
             left = roots[i - 1] if i > 0 else None
             right = roots[i + 1] if i + 1 < len(roots) else None
-            lrep = interval_rep(left, c)
-            rrep = interval_rep(c, right)
-            if not (fiber_equal(j, pin, lrep, c)
-                    and fiber_equal(j, pin, c, rrep)):
+            here = fibre(c)
+            if not (same_points(g, fibre(interval_rep(left, c)), here)
+                    and same_points(g, here, fibre(interval_rep(c, right)))):
                 survivors.append(c)
 
         out: list = []
         cuts = [None] + survivors + [None]
         for lo, hi in zip(cuts, cuts[1:]):
             w = interval_rep(lo, hi)
-            fps = rec(j + 1, pin + (w,))
-            for fp in fps:
-                assert fp.upper is None and fp.lower is None, \
-                    "interval fibers carry no bounds"
+            for fp in rec(pin + (w,)):
+                if fp.upper is not None or fp.lower is not None:
+                    raise AssertionError("interval fibres carry no bounds")
                 up = None if lo is None else (j, pad(g, pin + (lo,)), GT)
                 low = None if hi is None else (j, pad(g, pin + (hi,)), GT)
                 out.append(_RawPiece(up, low, fp.lits))
         for c in survivors:
-            for fp in rec(j + 1, pin + (c,)):
+            for fp in rec(pin + (c,)):
                 up = fp.upper or (j, pad(g, pin + (c,)), GE)
                 low = fp.lower or (j, pad(g, pin + (c,)), GE)
                 out.append(_RawPiece(up, low, fp.lits))
         return out
 
-    raw = rec(1, ())
+    raw = rec(())
     pieces = []
     for rp in raw:
         if rp.upper is None:
@@ -763,9 +752,11 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
             break
 
     for p in pieces:
-        assert satisfiable(g, p.denote(g, v)), "nice pieces must be nonempty"
+        if not satisfiable(g, p.denote(g, v)):
+            raise AssertionError("nice pieces must be nonempty")
     if pieces:
         union = fm.Or(tuple(p.denote(g, v) for p in pieces)) \
             if len(pieces) > 1 else pieces[0].denote(g, v)
-        assert equivalent(g, union, phi), "decomposition must cover the set"
+        if not equivalent(g, union, phi):
+            raise AssertionError("decomposition must cover the set")
     return tuple(pieces)

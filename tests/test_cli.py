@@ -1,5 +1,6 @@
 """Tests for the batch command-line surface."""
 
+import ast
 import hashlib
 import io
 import json
@@ -354,3 +355,14 @@ def test_same_answers_without_asserts(argv):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_no_assert_statements_in_the_package():
+    """Self-checks raise AssertionError explicitly, so `python -O` keeps
+    them."""
+    found = []
+    for path in sorted(Path(oagkit.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found

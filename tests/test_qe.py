@@ -272,6 +272,15 @@ class TestBudget:
         out = qe.eliminate(Z3, f, budget=None)
         assert sc.s_is_qf(out.body)
 
+    @pytest.mark.parametrize("seed,count,index", [(12, 50, 43), (41, 10, 9)])
+    def test_mixed_blow_ups_end_in_a_typed_error(self, seed, count, index):
+        # bounded Q*Z formulas whose elimination grows without a useful
+        # bound (a Cooper step, then a dense step, on the outer block);
+        # a node budget turns them into BudgetExceeded within seconds
+        f = orc.fuzz_corpus(QZ, seed, count, template="bounded")[index]
+        with pytest.raises(BudgetExceeded):
+            qe.eliminate(QZ, f, budget=10**5)
+
 
 class TestScalarPrinter:
     def test_smoke(self):

@@ -1,7 +1,9 @@
 """Tests for end segments, stabilizers, divisibility form, and the
 canonical nice decomposition."""
 
+import time
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ import oagkit.formulas as fm
 from oagkit import segments as sg
 from oagkit.errors import SegmentError
 from oagkit.groups import ConvexSubgroup, element, parse_group
-from oagkit.oracle import FuzzLimits, evaluate, fuzz_corpus, grid_axes, grid_eval
-from oagkit.qe import decide, entails, equivalent, satisfiable
+from oagkit.oracle import (Box, FuzzLimits, evaluate, fuzz_corpus, grid_axes,
+                           grid_eval)
+from oagkit.qe import (decide, eliminate, entails, equivalent, satisfiable,
+                       witness)
+from oagkit.scalars import SCongr, SVar, atoms
 
 Z = parse_group("Z")
 ZZ = parse_group("Z*Z")
@@ -440,21 +445,66 @@ class TestNiceDecompose:
                 for lit in p.congr:
                     assert lit == lit.canonical(g)
 
+    BOX_CASES = [
+        ("Z", "(or (< x (c -3)) (and (congr 4 x (c 2)) (< (c 0) x)))"),
+        ("Z*Z", "(or (lt@ 1 (c 1 0) x) (and (congr@ 2 2 x (c 0 1)) "
+                "(le@ 2 (c 0 2) x)))"),
+        ("Q", "(or (< x (c -1/2)) (and (< (c 1/3) x) (< x (c 2))) "
+              "(= x (c 3)))"),
+        ("Z*Q", "(or (< x (c 0 1/2)) (and (< (c 1 0) x) "
+                "(congr 2 x (c 1 0))) (and (eq@ 1 x (c -1 0)) "
+                "(< (c -1 -2/3) x)))"),
+        ("Q*Z", "(or (lt@ 1 (c 1/2 0) x) (and (eq@ 1 x (c -1 0)) "
+                "(congr@ 2 2 x (c 0 1))) (and (lt@ 1 (c -2 0) x) "
+                "(lt@ 1 x (c -1 0)) (le@ 2 x (c 0 -1))))"),
+    ]
+
     def test_box_agreement_with_oracle(self):
-        for gname, text in [
-            ("Z", "(or (< x (c -3)) (and (congr 4 x (c 2)) (< (c 0) x)))"),
-            ("Z*Z", "(or (lt@ 1 (c 1 0) x) (and (congr@ 2 2 x (c 0 1)) "
-                    "(le@ 2 (c 0 2) x)))"),
-        ]:
+        for gname, text in self.BOX_CASES:
             g = parse_group(gname)
             f = fm.parse(g, text)
             union = union_formula(g, sg.nice_decompose(g, f))
+            for p in Box(3).points(g):
+                assert evaluate(g, union, {"x": p}) == \
+                    evaluate(g, f, {"x": p}), (gname, text, p)
+            if "Q" in g.kinds:
+                continue
+            # on discrete groups the grid reaches further out
             env = grid_axes(g, ["x"], 10)
             got = grid_eval(g, union, env)
             want = grid_eval(g, f, env)
             assert np.array_equal(
                 np.broadcast_to(got, want.shape if hasattr(want, "shape")
                                 else ()), want)
+
+    def test_far_roots_cost_nothing_extra(self, monkeypatch):
+        # the roots at -R and R split nothing: one piece, and the number
+        # of fibre comparisons does not depend on R
+        def far_roots(radius):
+            return (f"(or (and (< x (c -{radius})) (congr 2 x (c 0))) "
+                    f"(and (<= (c -{radius}) x) (< x (c {radius})) "
+                    f"(congr 2 x (c 0))) "
+                    f"(and (<= (c {radius}) x) (congr 2 x (c 0))))")
+
+        real = sg.same_points
+        compared = []
+
+        def counting(*args):
+            compared.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sg, "same_points", counting)
+        counts = []
+        for radius in (100, 10**6):
+            compared.clear()
+            start = time.process_time()
+            pieces = sg.nice_decompose(Z, fm.parse(Z, far_roots(radius)))
+            assert time.process_time() - start < 5
+            assert pieces == (sg.NiceSet(
+                sg.full_end_segment(), sg.full_initial_segment(),
+                (sg.CongrLiteral(1, 1, 1, 2, (0,)),)),)
+            counts.append(len(compared))
+        assert counts[0] == counts[1] > 0
 
     def test_quantified_input(self):
         # membership defined through a quantifier still decomposes
@@ -466,3 +516,100 @@ class TestNiceDecompose:
     def test_arity_error(self):
         with pytest.raises(SegmentError):
             sg.nice_decompose(Z, fm.parse(Z, "(< x y)"))
+
+
+class TestFibreScan:
+    """`eventual_period` and `fibre_changes` at the top coordinate against
+    group sentences that decide the same questions (an eventual period, a
+    constant class, the two ray thresholds) through quantifiers over the
+    whole group."""
+
+    @staticmethod
+    def shifted(g, phi, name, m):
+        delta = fm.t_const(element(g, [m] + [0] * (g.n - 1)))
+        return fm.substitute(g, phi, "x",
+                             fm.t_add(g, fm.t_var(g, name), delta))
+
+    @staticmethod
+    def in_class(g, name, m, r):
+        if m == 1:
+            return fm.BoolConst(True)
+        rep = fm.t_const(element(g, [r] + [0] * (g.n - 1)))
+        return fm.RelCongr(1, m, fm.t_var(g, name), rep)
+
+    def period_holds(self, g, phi, m):
+        # from some z on, upward and downward, shifting by m keeps phi
+        ty, tz = fm.t_var(g, "y"), fm.t_var(g, "z")
+        phi_y = fm.substitute(g, phi, "x", ty)
+        up = fm.Implies(fm.RelCmp(1, fm.LE, tz, ty),
+                        fm.Iff(phi_y, self.shifted(g, phi, "y", m)))
+        down = fm.Implies(fm.RelCmp(1, fm.LE, ty, tz),
+                          fm.Iff(phi_y, self.shifted(g, phi, "y", -m)))
+        return all(decide(g, fm.Exists("z", fm.Forall("y", side)))
+                   for side in (up, down))
+
+    def class_constant(self, g, phi, m, r):
+        return decide(g, fm.Forall("x", fm.Implies(
+            self.in_class(g, "x", m, r),
+            fm.Iff(phi, self.shifted(g, phi, "x", m)))))
+
+    def threshold(self, g, phi, m, r, upward):
+        # the extreme member of the class from which on, towards the
+        # tail, every fibre equals its shift by m
+        ty = fm.t_var(g, "y")
+
+        def tail_ok(name):
+            tn = fm.t_var(g, name)
+            side = (fm.RelCmp(1, fm.LE, tn, ty) if upward
+                    else fm.RelCmp(1, fm.LE, ty, tn))
+            same = fm.Iff(fm.substitute(g, phi, "x", ty),
+                          self.shifted(g, phi, "y", m if upward else -m))
+            return fm.And((self.in_class(g, name, m, r), fm.Forall(
+                "y", fm.Implies(fm.And((self.in_class(g, "y", m, r), side)),
+                                same))))
+
+        tx, tz = fm.t_var(g, "x"), fm.t_var(g, "z")
+        extreme = (fm.RelCmp(1, fm.LE, tx, tz) if upward
+                   else fm.RelCmp(1, fm.LE, tz, tx))
+        best = fm.Exists("x", fm.And((tail_ok("x"), fm.Forall(
+            "z", fm.Implies(tail_ok("z"), extreme)))))
+        return witness(g, best)[0]
+
+    def cases(self):
+        out = []
+        for gname, seed in (("Z", 3), ("Z*Z", 4), ("Z*Q", 5)):
+            g = parse_group(gname)
+            corpus = fuzz_corpus(g, seed=seed, count=12, template="qf",
+                                 limits=LIM)
+            out += [(g, f) for f in corpus
+                    if fm.free_vars(f) == frozenset({"x"})][:3]
+        for gname, text in TestNiceDecompose.BOX_CASES:
+            g = parse_group(gname)
+            if g.kinds[0] == "Z":
+                out.append((g, fm.parse(g, text)))
+        return out
+
+    def test_scan_agrees_with_the_sentences(self):
+        cases = self.cases()
+        assert len(cases) >= 10
+        for g, phi in cases:
+            psi = eliminate(g, phi).body
+            x = SVar("x", 1)
+            cap = 1
+            for atom in atoms(psi):
+                if isinstance(atom, SCongr):
+                    cap = lcm(cap, atom.modulus)
+            want = next(m for m in range(1, cap + 1)
+                        if cap % m == 0 and self.period_holds(g, phi, m))
+            period = sg.eventual_period(g, psi, x)
+            assert period == want, (g, phi)
+            for m in (period, 2 * period):
+                for r in range(m):
+                    changes = sg.fibre_changes(g, psi, x, m, r)
+                    assert (not changes) == self.class_constant(
+                        g, phi, m, r), (g, phi, m, r)
+                    if changes:
+                        assert changes[-1] + m == self.threshold(
+                            g, phi, m, r, True), (g, phi, m, r)
+                        assert changes[0] == self.threshold(
+                            g, phi, m, r, False), (g, phi, m, r)
