@@ -25,7 +25,7 @@ from .groups import (GroupSpec, compute_chi, compute_rj, parse_group,
                      representatives_mod, subgroup_an, subgroup_bn, unit)
 from .scalars import print_scalar
 from .segments import (CongrLiteral, DivSegment, is_end_segment,
-                       nice_decompose, stabilizer, to_div_segment)
+                       nice_decompose, to_div_segment)
 from .typegen import check_descriptor, generic_type
 
 FORMAT_VERSION = "oag-v1"
@@ -171,7 +171,7 @@ def _cmd_endseg(g, cfg, args):
         return {"is_end_segment": False}
     seg = to_div_segment(g, f, args.var)
     return {"is_end_segment": True,
-            "stabilizer_level": stabilizer(g, f, args.var).level,
+            "stabilizer_level": seg.level,
             "segment": _segment_obj(seg),
             "code": code_to_obj(code_segment(g, seg))}
 

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
-import numpy as np
-
 from . import formulas as fm
 from . import scalars as sc
 from .errors import OracleError
@@ -312,6 +310,7 @@ def grid_axes(g: GroupSpec, names, bound: int) -> dict:
     """One integer axis per (variable, coordinate), mutually
     broadcastable: variable i's coordinate j varies along its own
     dimension.  All-discrete groups only."""
+    import numpy as np
     if "Q" in g.kinds:
         raise OracleError("integer grids need an all-discrete group")
     names = sorted(names)
@@ -329,6 +328,7 @@ def grid_axes(g: GroupSpec, names, bound: int) -> dict:
 
 
 def _term_arrays(g: GroupSpec, t: fm.Term, env: Mapping[str, tuple]):
+    import numpy as np
     out = []
     for j in range(g.n):
         acc = np.int64(int(t.const[j]))
@@ -339,6 +339,7 @@ def _term_arrays(g: GroupSpec, t: fm.Term, env: Mapping[str, tuple]):
 
 
 def _lex_masks(d1, d2, k: int):
+    import numpy as np
     lt = np.bool_(False)
     eq = np.bool_(True)
     for j in range(k):
@@ -353,6 +354,7 @@ def grid_eval(g: GroupSpec, f: fm.Formula, env: Mapping[str, tuple],
     """Vectorized truth table of a formula over integer grids.  The
     environment maps each free variable to a tuple of n broadcastable
     integer arrays; bounded quantifiers expand to candidate loops."""
+    import numpy as np
     if isinstance(f, fm.BoolConst):
         return np.bool_(f.value)
     if isinstance(f, fm.ATOMS):
@@ -405,6 +407,7 @@ def s_grid_eval(g: GroupSpec, f: sc.SFormula, env: Mapping,
     """Vectorized truth table of a quantifier-free scalar formula; the
     environment maps SVar to broadcastable integer arrays.  Shared
     subformulas evaluate once."""
+    import numpy as np
     if _memo is None:
         _memo = {}
     hit = _memo.get(f)

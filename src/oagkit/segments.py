@@ -26,7 +26,6 @@ from .groups import (
     element,
     scale,
     unit,
-    zero,
 )
 from .qe import (
     decide,
@@ -35,12 +34,9 @@ from .qe import (
     equivalent,
     satisfiable,
     s_subst_all,
-    witness,
 )
 from .scalars import (
-    LinExpr,
     SCongr,
-    SLt,
     SVar,
     TRUE,
     atom_roots,
@@ -50,6 +46,7 @@ from .scalars import (
     mk_not,
     mk_or,
     operation,
+    s_eval,
 )
 
 END = "end"
@@ -291,14 +288,6 @@ def is_end_segment(g: GroupSpec, phi: fm.Formula,
     return decide(g, fm.Forall(v, fm.Forall(y, body)))
 
 
-def _has_minimum(g: GroupSpec, phi: fm.Formula, v: str) -> bool:
-    (y,) = fresh_names(phi, [v], 1)
-    phi_y = fm.substitute(g, phi, v, fm.t_var(g, y))
-    least = fm.Forall(
-        y, fm.Implies(phi_y, fm.Cmp(fm.LE, fm.t_var(g, v), fm.t_var(g, y))))
-    return decide(g, fm.Exists(v, fm.And((phi, least))))
-
-
 @operation
 def end_hull(g: GroupSpec, phi: fm.Formula,
              var: Optional[str] = None) -> fm.Formula:
@@ -310,7 +299,8 @@ def end_hull(g: GroupSpec, phi: fm.Formula,
     v = the_var(g, phi, var)
     if not satisfiable(g, phi):
         raise SegmentError("end hull of an empty set is undefined")
-    if _has_minimum(g, phi, v):
+    prefix, attained = least_prefix(g, phi, v, g.n)
+    if attained and len(prefix) == g.n:
         raise SegmentError("set has a minimum; use the minimum directly "
                            "instead of an end hull")
     (y,) = fresh_names(phi, [v], 1)
@@ -328,50 +318,10 @@ def end_hull(g: GroupSpec, phi: fm.Formula,
     return hull
 
 
-def stabilizer(g: GroupSpec, phi: fm.Formula,
-               var: Optional[str] = None) -> ConvexSubgroup:
-    """The largest tail subgroup whose translates preserve the set.
-
-    Level 0, the whole group, needs no translation sentence: an end
-    segment invariant under every translation is empty or the whole
-    group, since for a member s and any g, g = s + (g - s).  So level 0
-    is decided by emptiness and fullness (memo hits inside
-    `to_div_segment`, which has just decided both), and the sentences
-    start at level 1."""
-    v = the_var(g, phi, var)
-    if not is_end_segment(g, phi, v):
-        raise SegmentError("stabilizer is defined for end segments only")
-    if not satisfiable(g, phi) or decide(g, fm.Forall(v, phi)):
-        return ConvexSubgroup(0)
-    (d,) = fresh_names(phi, [v], 1)
-    td, tv = fm.t_var(g, d), fm.t_var(g, v)
-    shifted = fm.substitute(g, phi, v, fm.t_add(g, tv, td))
-    for k in range(1, g.n + 1):
-        insub = fm.RelEq(k, td, fm.t_const(zero(g)))
-        sent = fm.Forall(d, fm.Forall(
-            v, fm.Implies(fm.And((insub, phi)), shifted)))
-        if decide(g, sent):
-            return ConvexSubgroup(k)
-    raise AssertionError("the zero subgroup must stabilize any set")
-
-
 def pad(g: GroupSpec, vals) -> Element:
     """The element of g with the given leading coordinates, zeros after."""
     vals = list(vals)
     return element(g, vals + [0] * (g.n - len(vals)))
-
-
-def _pinned_scalar(g: GroupSpec, phi: fm.Formula, v: str, prefix, k: int):
-    """Eliminate quantifiers, then fix coordinates below k to the given
-    prefix and zero out the coordinates above k."""
-    qf = eliminate_scalar(g, fm.lower(g, phi))
-    env = {}
-    for i in range(1, g.n + 1):
-        if i < k:
-            env[SVar(v, i)] = prefix[i - 1]
-        elif i > k:
-            env[SVar(v, i)] = 0
-    return s_subst_all(g, qf, env)
 
 
 def _holds_somewhere(g: GroupSpec, f) -> bool:
@@ -390,6 +340,99 @@ def same_points(g: GroupSpec, a, b) -> bool:
         g, mk_or([mk_and([a, mk_not(b)]), mk_and([mk_not(a), b])]))
 
 
+def _least_value(g: GroupSpec, psi, x: SVar):
+    """(infimum, attained) of the x at which psi, which mentions x alone,
+    holds: MINUS_INF when they are unbounded below, None when there are
+    none.  On Z, psi is periodic modulo L, the lcm of its moduli in x,
+    below the least root, and the least value lies within L above an
+    integer next to a root.  On Q, psi is constant between roots."""
+    roots, period = _roots_and_modulus(psi, x)
+
+    def holds(t) -> bool:
+        return s_eval(g, psi, {x: t})
+
+    if g.kinds[x.coord - 1] == "Z":
+        # aligned to a multiple of L: the evaluations do not move with roots
+        start = ((ceil(roots[0]) if roots else 0) // period - 1) * period
+        if any(holds(t) for t in range(start, start + period)):
+            return MINUS_INF, True
+        cands = {t for c in roots
+                 for t in range(floor(c), ceil(c) + period + 1)}
+        return next(((t, True) for t in sorted(cands) if holds(t)), None)
+    if holds(roots[0] - 1 if roots else Fraction(0)):
+        return MINUS_INF, True
+    for i, c in enumerate(roots):
+        if holds(c):
+            return c, True
+        if holds((c + roots[i + 1]) / 2 if i + 1 < len(roots) else c + 1):
+            return c, False
+    return None
+
+
+def least_prefix(g: GroupSpec, phi: fm.Formula, v: str,
+                 k: int) -> Optional[tuple]:
+    """(prefix, attained): the least values of x.1..x.k on the set phi
+    defines, read off its quantifier-free form, eliminated once; None
+    when the set is empty and k >= 1.
+
+    Coordinate j's value is the least x.j with x.1..x.(j-1) pinned to
+    the prefix so far, the deeper coordinates eliminated.  The walk stops
+    at a coordinate unbounded below, which is left out, and at an
+    infimum that is not attained, appended with attained False.  So the
+    set has a least element modulo the level-k subgroup exactly when the
+    prefix has length k and attained is True.  A set and its end hull
+    have the same walk.
+    """
+    qf = eliminate_scalar(g, fm.lower(g, phi))
+    xs = [SVar(v, i) for i in range(1, g.n + 1)]
+    prefix: tuple = ()
+    for x in xs[:k]:
+        psi = s_subst_all(g, qf, dict(zip(xs, prefix)))
+        for w in reversed(xs[x.coord:]):
+            psi = mk_exists(w, psi)
+        psi = eliminate_scalar(g, psi)
+        if not psi.fv <= {x}:
+            raise AssertionError("the projected form must mention x.j alone")
+        low = _least_value(g, psi, x)
+        if low is None and not prefix:
+            return None
+        if low is None:
+            raise AssertionError("a nonempty fibre has an infimum")
+        if low[0] == MINUS_INF:
+            break
+        prefix += (low[0],)
+        if not low[1]:
+            return prefix, False
+    return prefix, True
+
+
+def hull_segment(g: GroupSpec, walk: tuple) -> DivSegment:
+    """The divisibility form of a nonempty set's end hull, from its
+    `least_prefix` over all coordinates: past the prefix the hull's
+    fibre is full, since the next coordinate is unbounded below."""
+    prefix, attained = walk
+    if not prefix:
+        return full_end_segment()
+    return DivSegment(END, 1, len(prefix), pad(g, prefix),
+                      GE if attained else GT)
+
+
+def _div_form(g: GroupSpec, phi: fm.Formula, v: str, op: str) -> DivSegment:
+    if not is_end_segment(g, phi, v):
+        raise SegmentError(f"{op} is defined for end segments only")
+    if not satisfiable(g, phi):
+        return empty_end_segment()
+    return hull_segment(g, least_prefix(g, phi, v, g.n))
+
+
+def stabilizer(g: GroupSpec, phi: fm.Formula,
+               var: Optional[str] = None) -> ConvexSubgroup:
+    """The largest tail subgroup whose translates preserve the set: the
+    level of its divisibility form, 0 for the empty and the full set."""
+    return ConvexSubgroup(
+        _div_form(g, phi, the_var(g, phi, var), "stabilizer").level)
+
+
 @operation
 def to_div_segment(g: GroupSpec, phi: fm.Formula,
                    var: Optional[str] = None) -> DivSegment:
@@ -398,53 +441,9 @@ def to_div_segment(g: GroupSpec, phi: fm.Formula,
     The level is the stabilizer level; the multiplier is always the
     minimal 1 because the bound lives in the quotient by the stabilizer,
     where the set is principal.  Empty and full sets come back as the
-    sentinel segments.
+    sentinel segments.  An end segment is its own hull (`hull_segment`).
     """
-    v = the_var(g, phi, var)
-    if not is_end_segment(g, phi, v):
-        raise SegmentError("divisibility form is defined for end "
-                           "segments only")
-    if not satisfiable(g, phi):
-        return empty_end_segment()
-    if decide(g, fm.Forall(v, phi)):
-        return full_end_segment()
-    k = stabilizer(g, phi, v).level
-    if k < 1:
-        raise AssertionError(
-            "a proper nonempty end segment has a proper stabilizer")
-    (y,) = fresh_names(phi, [v], 1)
-    tv, ty = fm.t_var(g, v), fm.t_var(g, y)
-    phi_y = fm.substitute(g, phi, v, ty)
-
-    least_k = fm.Forall(y, fm.Implies(phi_y, fm.RelCmp(k, fm.LE, tv, ty)))
-    has_min = fm.Exists(v, fm.And((phi, least_k)))
-    if decide(g, has_min):
-        w = witness(g, has_min)
-        if w is None:
-            raise AssertionError("a set with a minimum must have a witness")
-        return DivSegment(END, 1, k, pad(g, w[:k]), GE)
-
-    # No minimum modulo the stabilizer: the cut coordinate must be dense.
-    if g.kinds[k - 1] != "Q":
-        raise AssertionError("an open cut must lie on a dense coordinate")
-    if k == 1:
-        prefix: tuple = ()
-    else:
-        least_pre = fm.Forall(
-            y, fm.Implies(phi_y, fm.RelCmp(k - 1, fm.LE, tv, ty)))
-        want = fm.Exists(v, fm.And((phi, least_pre)))
-        w = witness(g, want)
-        if w is None:
-            raise AssertionError(
-                "projection below the cut must have a minimum")
-        prefix = tuple(w[:k - 1])
-    psi = _pinned_scalar(g, phi, v, prefix, k)
-    xk = SVar(v, k)
-    for c in atom_roots(psi, xk):
-        above = SLt(LinExpr(((xk, -c.denominator),), c.numerator))
-        if same_points(g, psi, above):
-            return DivSegment(END, 1, k, pad(g, prefix + (c,)), GT)
-    raise AssertionError("open cut value must be a root of some atom")
+    return _div_form(g, phi, the_var(g, phi, var), "divisibility form")
 
 
 def is_initial_segment(g: GroupSpec, phi: fm.Formula,

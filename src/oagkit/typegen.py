@@ -10,7 +10,10 @@ subgroup by subgroup in a fixed enumeration order.
 A constraint is admissible at a stage exactly when the constrained set
 still reaches arbitrarily far down inside the hull; since the order is
 total, that co-initiality test captures consistency with the edge
-constraints without materializing them.
+constraints without materializing them.  The minimum, the cosets, the
+hull and co-initiality are all read off `segments.least_prefix`: a
+fragment of the set is co-initial in the hull exactly when it is
+nonempty and its walk equals the set's.
 """
 
 from dataclasses import dataclass
@@ -24,10 +27,10 @@ from .codes import (CUT_AT_SEGMENT, CUT_MINUS_INF, CUT_REALIZED,
                     enumerate_finite_quotient)
 from .errors import SegmentError, TypeGenError
 from .groups import GroupSpec, QuotientElement, project, project_fin
-from .qe import decide, entails, satisfiable, witness
+from .qe import entails, satisfiable
 from .scalars import operation
-from .segments import (CongrLiteral, end_hull, fresh_names, pad, the_var,
-                       to_div_segment)
+from .segments import (CongrLiteral, hull_segment, least_prefix, pad,
+                       the_var)
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,10 @@ def generic_type(g: GroupSpec, phi: fm.Formula,
 def generic_type_trace(g: GroupSpec, phi: fm.Formula,
                        bound: int = DEFAULT_RESIDUE_BOUND,
                        var: Optional[str] = None):
-    """generic_type plus the per-stage trace, for auditing the stages."""
+    """generic_type plus the per-stage trace, for auditing the stages.
+
+    A fragment is co-initial in the hull exactly when it is nonempty
+    and its `segments.least_prefix` walk equals phi's."""
     if bound < 2:
         raise TypeGenError(f"residue bound {bound} must be at least 2")
     if var is None and not fm.free_vars(phi):
@@ -87,36 +93,24 @@ def generic_type_trace(g: GroupSpec, phi: fm.Formula,
     if not satisfiable(g, phi):
         raise TypeGenError("cannot build a type on an unsatisfiable formula")
 
-    tv = fm.t_var(g, v)
-    y = fresh_names(phi, [v], 1)[0]
-    ty = fm.t_var(g, y)
-
-    def at(f, name):
-        return f if name == v else fm.substitute(g, f, v, fm.t_var(g, name))
-
     # minimum first: a least element realizes the type
-    if g.n == 0:
-        cut = (CUT_REALIZED, ())
-        p = TypeDescriptor(cut=cut, residue_bound=bound)
-        return p, (StageState(0, 0, 0, "minimum", phi, (), (), cut),)
-    is_least = fm.Forall(y, fm.Implies(at(phi, y),
-                                       fm.RelCmp(g.n, fm.LE, tv, ty)))
-    w = witness(g, fm.Exists(v, fm.And((phi, is_least))))
-    if w is not None:
-        cut = (CUT_REALIZED, w)
+    walk = least_prefix(g, phi, v, g.n)
+    if walk[1] and len(walk[0]) == g.n:
+        cut = (CUT_REALIZED, pad(g, walk[0]))
         p = TypeDescriptor(cut=cut, residue_bound=bound)
         trace = (StageState(0, 0, 0, "minimum", phi, (), (), cut),)
         return p, trace
 
-    hull = end_hull(g, phi, v)
-    if decide(g, fm.Forall(v, hull) if fm.free_vars(hull) else hull):
+    hull = hull_segment(g, walk)
+    if hull.is_full():
         cut = (CUT_MINUS_INF,)
     else:
-        cut = (CUT_AT_SEGMENT, code_segment(g, to_div_segment(g, hull, v)))
+        cut = (CUT_AT_SEGMENT, code_segment(g, hull))
 
     def co_initial(psi: fm.Formula) -> bool:
-        reach = fm.Exists(v, fm.And((psi, fm.RelCmp(g.n, fm.LE, tv, ty))))
-        return decide(g, fm.Forall(y, fm.Implies(at(hull, y), reach)))
+        # psi is part of phi, so psi is co-initial in phi's hull exactly
+        # when its hull is the same, that is, when it has phi's walk
+        return least_prefix(g, psi, v, g.n) == walk
 
     frag = phi
     residues: list = []
@@ -130,15 +124,13 @@ def generic_type_trace(g: GroupSpec, phi: fm.Formula,
             action = "trivial"
             if m == 1 and k >= 1:
                 # the level-k coset: forced iff the descent pins a least one
-                is_low = fm.Forall(y, fm.Implies(at(frag, y),
-                                                 fm.RelCmp(k, fm.LE, tv, ty)))
-                w = witness(g, fm.Exists(v, fm.And((frag, is_low))))
-                if w is None:
+                low, attained = least_prefix(g, frag, v, k)
+                if not attained or len(low) < k:
                     action = "coset-generic"
                 else:
-                    eta = project(g, k, w)
-                    cosets.append(eta)
-                    atom = fm.RelEq(k, tv, fm.t_const(pad(g, eta.coords)))
+                    low = pad(g, low)
+                    cosets.append(project(g, k, low))
+                    atom = fm.RelEq(k, fm.t_var(g, v), fm.t_const(low))
                     frag = fm.And((frag, atom))
                     action = "coset-forced"
             elif m >= 2 and nontrivial_fin:

@@ -366,3 +366,25 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_numpy_stays_out_of_import_and_decide():
+    """Only the oracle's grid evaluation and fuzzcheck need numpy; a plain
+    import and a `decide` must not pay for loading it."""
+    env = _module_env()
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, oagkit; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "oagkit", "decide",
+         "--group", "Z*Z", "(exists (x) (= (+ x x) (c 1 1)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "result: false\n"
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines() if "|" in line]
+    assert "oagkit.cli" in imported
+    assert not [m for m in imported if m.split(".")[0] == "numpy"]

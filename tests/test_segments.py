@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import oagkit.formulas as fm
+from oagkit import qe
 from oagkit import segments as sg
+from oagkit.codes import beta_of_residues, enumerate_finite_quotient
 from oagkit.errors import SegmentError
 from oagkit.groups import ConvexSubgroup, element, parse_group
 from oagkit.oracle import (Box, FuzzLimits, evaluate, fuzz_corpus, grid_axes,
@@ -328,6 +330,35 @@ class TestToDivSegment:
         with pytest.raises(SegmentError):
             sg.to_div_segment(Z, fm.parse(Z, "(congr 2 x (c 0))"))
 
+    @staticmethod
+    def record_decides(monkeypatch):
+        seen = []
+        real = qe.decide
+
+        def recording(g, f, *args, **kwargs):
+            seen.append(f)
+            return real(g, f, *args, **kwargs)
+
+        monkeypatch.setattr(qe, "decide", recording)
+        monkeypatch.setattr(sg, "decide", recording)
+        return seen
+
+    def test_two_sentences_only(self, monkeypatch):
+        # the end-segment test and emptiness; the bound comes off the walk
+        seen = self.record_decides(monkeypatch)
+        phi = fm.parse(ZZ, "(<= (c 1 1) (* 2 x))")
+        assert sg.to_div_segment(ZZ, phi) == \
+            sg.DivSegment(sg.END, 1, 1, (1, 0), sg.GE)
+        assert len(seen) == 2
+        assert isinstance(seen[0], fm.Forall)
+        assert seen[1] == fm.Exists("x", phi)
+
+    def test_stabilizer_tests_the_end_segment_once(self, monkeypatch):
+        seen = self.record_decides(monkeypatch)
+        phi = fm.parse(QZ, "(lt@ 1 (c 1/2 0) x)")
+        assert sg.stabilizer(QZ, phi) == ConvexSubgroup(1)
+        assert len(seen) == 2
+
     def test_mixed_group_open_cut(self):
         phi = fm.parse(ZQ, "(< (c 0 4) (* 3 x))")
         seg = sg.to_div_segment(ZQ, phi)
@@ -613,3 +644,112 @@ class TestFibreScan:
                             g, phi, m, r, True), (g, phi, m, r)
                         assert changes[0] == self.threshold(
                             g, phi, m, r, False), (g, phi, m, r)
+
+
+class TestLeastPrefix:
+    """`least_prefix` against the group sentences it replaces: a least
+    element modulo the level-k subgroup (its value through `witness`),
+    and co-initiality of a fragment in the end hull."""
+
+    GROUPS = ("Z", "Q", "Z*Z", "Z*Q", "Q*Z")
+    EXTRA = [
+        ("Q", "(< (c 1) (* 2 x))"), ("Z*Q", "(< (c 0 4) (* 3 x))"),
+        ("Q*Z", "(lt@ 1 (c 1/2 0) x)"), ("Z", "(congr 2 x (c 1))"),
+        ("Z*Q", "(or (< x (c -3 0)) (and (< (c 1 0) x) (< x (c 1 2))))"),
+        ("Q*Z", "(and (< (c 0 0) x) (congr 3 x (c 0 1)))"),
+    ]
+
+    @staticmethod
+    def least(g, phi, k):
+        # some member is at or below every member, modulo level k
+        tx, ty = fm.t_var(g, "x"), fm.t_var(g, "y")
+        below = fm.Forall("y", fm.Implies(fm.substitute(g, phi, "x", ty),
+                                          fm.RelCmp(k, fm.LE, tx, ty)))
+        return fm.Exists("x", fm.And((phi, below)))
+
+    @staticmethod
+    def hull(g, phi):
+        ty = fm.t_var(g, "y")
+        return fm.Exists("y", fm.And((fm.substitute(g, phi, "x", ty),
+                                      fm.Cmp(fm.LE, ty, fm.t_var(g, "x")))))
+
+    @staticmethod
+    def co_initial(g, hull, psi):
+        # psi reaches at or below every point of the hull
+        tx, ty = fm.t_var(g, "x"), fm.t_var(g, "y")
+        reach = fm.Exists("x", fm.And((psi, fm.Cmp(fm.LE, tx, ty))))
+        return decide(g, fm.Forall("y", fm.Implies(
+            fm.substitute(g, hull, "x", ty), reach)))
+
+    @staticmethod
+    def fragments(g, phi):
+        # the residue atoms generic_type tries and the coset atoms it
+        # forces, each conjoined to phi
+        out = []
+        for k in range(1, g.n + 1):
+            if "Z" in g.kinds[:k]:
+                for fq in enumerate_finite_quotient(g, k, 2):
+                    lit = sg.CongrLiteral(1, 1, k, 2, beta_of_residues(g, fq))
+                    out.append(fm.And((phi, lit.denote(g, "x"))))
+            low, attained = sg.least_prefix(g, phi, "x", k)
+            if attained and len(low) == k:
+                out.append(fm.And((phi, fm.RelEq(
+                    k, fm.t_var(g, "x"), fm.t_const(sg.pad(g, low))))))
+        return out
+
+    def cases(self):
+        # each fuzzed formula also cut off below 1/2 on every coordinate,
+        # which gives minima and open cuts
+        out = []
+        for i, gname in enumerate(self.GROUPS):
+            g = parse_group(gname)
+            half = fm.Cmp(fm.LT, fm.t_const(element(g, [1] * g.n)),
+                          fm.t_scale(g, 2, fm.t_var(g, "x")))
+            qf = [f for f in fuzz_corpus(g, seed=20 + i, count=16,
+                                         template="qf", limits=LIM)
+                  if fm.free_vars(f) == frozenset({"x"})][:5]
+            bounded = [fm.substitute(g, f, "z", fm.t_var(g, "x"))
+                       for f in fuzz_corpus(g, seed=30 + i, count=12,
+                                            template="bounded", limits=LIM)
+                       if fm.free_vars(f) == frozenset({"z"})][:1]
+            out += [(g, h) for f in qf + bounded
+                    for h in (f, fm.And((f, half)))]
+        out += [(parse_group(gname), fm.parse(parse_group(gname), text))
+                for gname, text in self.EXTRA]
+        return [(g, f) for g, f in out if satisfiable(g, f)]
+
+    def test_walk_agrees_with_the_sentences(self):
+        cases = self.cases()
+        assert len(cases) >= 40
+        kinds = set()
+        for g, phi in cases:
+            walk = sg.least_prefix(g, phi, "x", g.n)
+            for k in range(1, g.n + 1):
+                low, attained = sg.least_prefix(g, phi, "x", k)
+                assert (low, attained) == (walk[0][:k], walk[1] or
+                                           len(walk[0]) > k), (g, phi, k)
+                has_min = decide(g, self.least(g, phi, k))
+                assert has_min == (attained and len(low) == k), (g, phi, k)
+                if has_min:
+                    w = witness(g, self.least(g, phi, k))
+                    assert sg.pad(g, low)[:k] == w[:k], (g, phi, k)
+            hull = self.hull(g, phi)
+            assert equivalent(g, sg.hull_segment(g, walk).denote(g, "x"),
+                              hull), (g, phi)
+            if not walk[1]:
+                kinds.add("open cut on " + g.kinds[len(walk[0]) - 1])
+            elif len(walk[0]) < g.n:
+                kinds.add("unbounded below")
+            else:
+                kinds.add("minimum")
+            for psi in self.fragments(g, phi):
+                same = sg.least_prefix(g, psi, "x", g.n) == walk
+                assert same == self.co_initial(g, hull, psi), (g, psi)
+                if not satisfiable(g, psi):
+                    assert sg.least_prefix(g, psi, "x", g.n) is None
+        assert kinds == {"open cut on Q", "unbounded below", "minimum"}
+
+    def test_empty_set_has_no_walk(self):
+        for g in (Z, Q, ZQ, QZ):
+            assert sg.least_prefix(g, fm.parse(g, "(< x x)"), "x", g.n) \
+                is None

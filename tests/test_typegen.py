@@ -1,9 +1,13 @@
 """Tests for the staged construction of definable types."""
 
+import time
+
 import pytest
 
 from oagkit import formulas as fm
 from oagkit import qe
+from oagkit import segments as sg
+from oagkit import typegen as tg
 from oagkit.errors import CodeError, TypeGenError
 from oagkit.groups import FiniteQuotientElement, QuotientElement, parse_group
 from oagkit.codes import (Code, MainVal, QuotVal, TypeDescriptor, code_segment,
@@ -145,6 +149,53 @@ class TestGenericType:
     def test_arity_rejected(self):
         with pytest.raises(TypeGenError):
             generic_type(Z, fm.parse(Z, "(< x y)"))
+
+
+class TestLeastValueWalk:
+    """generic_type reads the minimum, the cosets, the cut and
+    co-initiality off `segments.least_prefix`."""
+
+    def test_no_witness_calls(self, monkeypatch):
+        calls = []
+        real = qe.witness
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for mod in (qe, sg, tg):
+            monkeypatch.setattr(mod, "witness", counting, raising=False)
+        for g, seed, count in ((Z, 3, 6), (ZZ, 4, 6), (Z, 11, 8),
+                               (ZZ, 12, 8)):
+            for phi in unary_corpus(g, seed, count):
+                generic_type(g, phi, 4)
+        assert calls == []
+
+    def test_far_roots_cost_nothing_extra(self, monkeypatch):
+        # the least values do not move with the roots at -R and R, and
+        # neither does the number of point evaluations
+        def far_roots(radius):
+            return (f"(or (and (< x (c -{radius})) (congr 2 x (c 0))) "
+                    f"(and (<= (c {radius}) x) (congr 3 x (c 0))))")
+
+        real = sg.s_eval
+        evaluated = []
+
+        def counting(*args):
+            evaluated.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sg, "s_eval", counting)
+        types, counts = [], []
+        for radius in (100, 10**6):
+            evaluated.clear()
+            start = time.process_time()
+            types.append(generic_type(Z, fm.parse(Z, far_roots(radius))))
+            assert time.process_time() - start < 5
+            counts.append(len(evaluated))
+        assert types[0] == types[1]
+        assert types[0].cut == ("minus-inf",)
+        assert counts[0] == counts[1] > 0
 
 
 class TestStageTrace:
