@@ -20,12 +20,12 @@ from . import oracle as orc
 from . import qe
 from .codes import (code_from_obj, code_segment, code_set, code_to_obj,
                     code_type, reconstruct)
-from .errors import OagError
+from .errors import OagError, SegmentError
 from .groups import (GroupSpec, compute_chi, compute_rj, parse_group,
                      representatives_mod, subgroup_an, subgroup_bn, unit)
 from .scalars import print_scalar
-from .segments import (CongrLiteral, DivSegment, is_end_segment,
-                       nice_decompose, to_div_segment)
+from .segments import (CongrLiteral, DivSegment, nice_decompose, the_var,
+                       to_div_segment)
 from .typegen import check_descriptor, generic_type
 
 FORMAT_VERSION = "oag-v1"
@@ -167,9 +167,11 @@ def _cmd_nice(g, cfg, args):
 
 def _cmd_endseg(g, cfg, args):
     f = fm.parse(g, _read_input(args))
-    if not is_end_segment(g, f, args.var):
+    v = the_var(g, f, args.var)
+    try:
+        seg = to_div_segment(g, f, v)
+    except SegmentError:
         return {"is_end_segment": False}
-    seg = to_div_segment(g, f, args.var)
     return {"is_end_segment": True,
             "stabilizer_level": seg.level,
             "segment": _segment_obj(seg),

@@ -2,10 +2,11 @@
 
 A definable subset of a lex product splits into finitely many "nice"
 pieces: a convex stretch cut out by an upper and a lower divisibility
-segment, intersected with congruence conditions.  This module detects
-end segments, computes their stabilizing convex subgroup, reduces them
-to divisibility form, and produces a canonical nice decomposition whose
-shape depends only on the defined set, never on the input formula.
+segment, intersected with congruence conditions.  This module reads
+all of it off the input's quantifier-free form, eliminated once: end
+segments (a set equal to the hull of its least-value walk), their
+stabilizer and divisibility form, and a canonical nice decomposition
+whose shape depends only on the defined set, never on the formula.
 """
 
 from __future__ import annotations
@@ -279,13 +280,8 @@ def fresh_names(phi: fm.Formula, avoid, count: int) -> list:
 
 def is_end_segment(g: GroupSpec, phi: fm.Formula,
                    var: Optional[str] = None) -> bool:
-    """Whether the defined set is closed upward."""
-    v = the_var(g, phi, var)
-    (y,) = fresh_names(phi, [v], 1)
-    phi_y = fm.substitute(g, phi, v, fm.t_var(g, y))
-    body = fm.Implies(
-        fm.And((phi, fm.Cmp(fm.LT, fm.t_var(g, v), fm.t_var(g, y)))), phi_y)
-    return decide(g, fm.Forall(v, fm.Forall(y, body)))
+    """Whether the defined set is closed upward (see `_end_form`)."""
+    return _end_form(g, phi, the_var(g, phi, var)) is not None
 
 
 @operation
@@ -417,12 +413,25 @@ def hull_segment(g: GroupSpec, walk: tuple) -> DivSegment:
                       GE if attained else GT)
 
 
-def _div_form(g: GroupSpec, phi: fm.Formula, v: str, op: str) -> DivSegment:
-    if not is_end_segment(g, phi, v):
-        raise SegmentError(f"{op} is defined for end segments only")
-    if not satisfiable(g, phi):
+def _end_form(g: GroupSpec, phi: fm.Formula, v: str) -> Optional[DivSegment]:
+    """The divisibility form of phi's set if it is an end segment, else
+    None: a walk's hull is closed upward, an end segment is its own hull.
+    The trivial group's hull is full, so a set unequal to it is empty."""
+    walk = least_prefix(g, phi, v, g.n)
+    if walk is None:
         return empty_end_segment()
-    return hull_segment(g, least_prefix(g, phi, v, g.n))
+    hull = hull_segment(g, walk)
+    if decide(g, fm.Forall(v, fm.Iff(phi, hull.denote(g, v)))):
+        return hull
+    return empty_end_segment() if g.n == 0 else None
+
+
+def _div_form(g: GroupSpec, phi: fm.Formula, v: str, op: str) -> DivSegment:
+    """`_end_form`, or SegmentError naming op for other sets."""
+    seg = _end_form(g, phi, v)
+    if seg is None:
+        raise SegmentError(f"{op} is defined for end segments only")
+    return seg
 
 
 def stabilizer(g: GroupSpec, phi: fm.Formula,
@@ -441,7 +450,7 @@ def to_div_segment(g: GroupSpec, phi: fm.Formula,
     The level is the stabilizer level; the multiplier is always the
     minimal 1 because the bound lives in the quotient by the stabilizer,
     where the set is principal.  Empty and full sets come back as the
-    sentinel segments.  An end segment is its own hull (`hull_segment`).
+    sentinel segments.  An end segment is its own hull (`_end_form`).
     """
     return _div_form(g, phi, the_var(g, phi, var), "divisibility form")
 
@@ -456,10 +465,10 @@ def is_initial_segment(g: GroupSpec, phi: fm.Formula,
 def to_div_segment_initial(g: GroupSpec, phi: fm.Formula,
                            var: Optional[str] = None) -> DivSegment:
     """Divisibility form of an initial segment, via its complement."""
-    v = the_var(g, phi, var)
-    if not is_initial_segment(g, phi, v):
+    seg = _end_form(g, fm.Not(phi), the_var(g, phi, var))
+    if seg is None:
         raise SegmentError("expected a downward closed set")
-    return dual_div_segment(to_div_segment(g, fm.Not(phi), v))
+    return dual_div_segment(seg)
 
 
 def _roots_and_modulus(psi, x) -> tuple:
@@ -559,11 +568,6 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     identical output.
     """
     v = the_var(g, phi, var)
-    if not satisfiable(g, phi):
-        return ()
-    if g.n == 0:
-        return (NiceSet(full_end_segment(), full_initial_segment(), ()),)
-
     qf = eliminate_scalar(g, fm.lower(g, phi))
     xs = [SVar(v, i) for i in range(1, g.n + 1)]
     memo: dict = {}
@@ -687,15 +691,10 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     raw = rec(())
     pieces = []
     for rp in raw:
-        if rp.upper is None:
-            upper = full_end_segment()
-        else:
-            upper = DivSegment(END, 1, rp.upper[0], rp.upper[1], rp.upper[2])
-        if rp.lower is None:
-            lower = full_initial_segment()
-        else:
-            lower = DivSegment(
-                INITIAL, 1, rp.lower[0], rp.lower[1], rp.lower[2])
+        upper = DivSegment(END, 1, *rp.upper) if rp.upper \
+            else full_end_segment()
+        lower = DivSegment(INITIAL, 1, *rp.lower) if rp.lower \
+            else full_initial_segment()
         pieces.append(NiceSet(upper, lower, canonical_restriction(g, rp.lits)))
 
     def prune(ns: NiceSet) -> NiceSet:

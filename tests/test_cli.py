@@ -123,6 +123,16 @@ class TestCommands:
         assert obj == {"version": "oag-v1", "command": "endseg",
                        "config": obj["config"], "is_end_segment": False}
 
+    @pytest.mark.parametrize("argv", [
+        ["(< x y)"], ["(< x (c 1))", "--var", "y"], ["true"]])
+    def test_endseg_variable_errors_are_no_verdict(self, argv):
+        # a formula without the one free variable is an error, never a
+        # set that fails to be an end segment
+        rc, obj = run_json(["endseg"] + argv)
+        assert rc == 1
+        assert obj["error"]["type"] == "SegmentError"
+        assert "is_end_segment" not in obj
+
     def test_code_then_reconstruct_round_trip(self, tmp_path):
         rc, obj = run_json(["code", "(and (< (c 5) x) (congr 3 x (c 1)))"])
         assert rc == 0
@@ -388,3 +398,22 @@ def test_numpy_stays_out_of_import_and_decide():
                 for line in proc.stderr.splitlines() if "|" in line]
     assert "oagkit.cli" in imported
     assert not [m for m in imported if m.split(".")[0] == "numpy"]
+
+
+TOUR_SHA256 = \
+    "bf54442f65465746f982171abe2389dbcb340614dd9b6ab01f69f80e6c8fdf81"
+
+
+def test_tour_output_is_unchanged(tmp_path):
+    """scripts/tour.sh walks every command once; its output, byte for
+    byte, is the documented one."""
+    shim = tmp_path / "oagkit"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m oagkit "$@"\n')
+    shim.chmod(0o755)
+    env = _module_env()
+    env["PATH"] = os.pathsep.join([str(tmp_path), env.get("PATH", "")])
+    tour = Path(__file__).resolve().parent.parent / "scripts" / "tour.sh"
+    proc = subprocess.run(["sh", str(tour)], capture_output=True, env=env,
+                          cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == TOUR_SHA256

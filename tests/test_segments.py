@@ -1,6 +1,7 @@
 """Tests for end segments, stabilizers, divisibility form, and the
 canonical nice decomposition."""
 
+import random
 import time
 from fractions import Fraction
 from math import lcm
@@ -14,8 +15,8 @@ from oagkit import segments as sg
 from oagkit.codes import beta_of_residues, enumerate_finite_quotient
 from oagkit.errors import SegmentError
 from oagkit.groups import ConvexSubgroup, element, parse_group
-from oagkit.oracle import (Box, FuzzLimits, evaluate, fuzz_corpus, grid_axes,
-                           grid_eval)
+from oagkit.oracle import (Box, FuzzLimits, _rand_endseg_candidate, evaluate,
+                           fuzz_corpus, grid_axes, grid_eval)
 from oagkit.qe import (decide, eliminate, entails, equivalent, satisfiable,
                        witness)
 from oagkit.scalars import SCongr, SVar, atoms
@@ -344,20 +345,23 @@ class TestToDivSegment:
         return seen
 
     def test_two_sentences_only(self, monkeypatch):
-        # the end-segment test and emptiness; the bound comes off the walk
+        # one sentence: the set equals the hull its walk gives; an empty
+        # set has no walk and needs none
         seen = self.record_decides(monkeypatch)
         phi = fm.parse(ZZ, "(<= (c 1 1) (* 2 x))")
-        assert sg.to_div_segment(ZZ, phi) == \
-            sg.DivSegment(sg.END, 1, 1, (1, 0), sg.GE)
-        assert len(seen) == 2
-        assert isinstance(seen[0], fm.Forall)
-        assert seen[1] == fm.Exists("x", phi)
+        seg = sg.to_div_segment(ZZ, phi)
+        assert seg == sg.DivSegment(sg.END, 1, 1, (1, 0), sg.GE)
+        assert seen == [fm.Forall("x", fm.Iff(phi, seg.denote(ZZ, "x")))]
+        seen.clear()
+        assert sg.to_div_segment(ZZ, fm.parse(ZZ, "(< x x)")) == \
+            sg.empty_end_segment()
+        assert seen == []
 
     def test_stabilizer_tests_the_end_segment_once(self, monkeypatch):
         seen = self.record_decides(monkeypatch)
         phi = fm.parse(QZ, "(lt@ 1 (c 1/2 0) x)")
         assert sg.stabilizer(QZ, phi) == ConvexSubgroup(1)
-        assert len(seen) == 2
+        assert len(seen) == 1
 
     def test_mixed_group_open_cut(self):
         phi = fm.parse(ZQ, "(< (c 0 4) (* 3 x))")
@@ -753,3 +757,90 @@ class TestLeastPrefix:
         for g in (Z, Q, ZQ, QZ):
             assert sg.least_prefix(g, fm.parse(g, "(< x x)"), "x", g.n) \
                 is None
+
+
+class TestEndSegmentSentence:
+    """`is_end_segment` and `is_initial_segment` against the two-variable
+    closure sentences they replace: every point above a member is a
+    member, every point below a member is a member."""
+
+    GROUPS = ("Z", "Q", "Z*Z", "Z*Q", "Q*Z", "Z*Z*Z")
+    EXTRA = [
+        ("Z", "(< x x)"), ("Q*Z", "true"), ("Q", "(< (c 1) (* 2 x))"),
+        ("Z*Q", "(< (c 0 4) (* 3 x))"), ("Z*Z", "(le@ 1 (c 1 0) x)"),
+        ("Z*Z", "(< x (c 3 0))"), ("Q*Z", "(lt@ 1 (c 1/2 0) x)"),
+        ("Z*Z", "(and (le@ 1 (c 1 0) x) (congr@ 2 2 x (c 0 0)))"),
+        ("Z*Z*Z", "(le@ 2 (c 1 -2 0) x)"),
+    ]
+
+    @staticmethod
+    def closed(g, phi, upward):
+        # every point above (below) a member is a member
+        (y,) = sg.fresh_names(phi, ["x"], 1)
+        tx, ty = fm.t_var(g, "x"), fm.t_var(g, y)
+        beyond = fm.Cmp(fm.LT, tx, ty) if upward else fm.Cmp(fm.LT, ty, tx)
+        body = fm.Implies(fm.And((phi, beyond)),
+                          fm.substitute(g, phi, "x", ty))
+        return decide(g, fm.Forall("x", fm.Forall(y, body)))
+
+    def cases(self):
+        # accepted and rejected end-segment candidates, and quantifier-free
+        # formulas with their negations
+        out = []
+        for i, gname in enumerate(self.GROUPS):
+            g = parse_group(gname)
+            rng = random.Random(40 + i)
+            out += [("candidate", g, _rand_endseg_candidate(g, rng, LIM))
+                    for _ in range(8)]
+            qf = [f for f in fuzz_corpus(g, seed=50 + i, count=16,
+                                         template="qf", limits=LIM)
+                  if fm.free_vars(f) == frozenset({"x"})][:4]
+            out += [("qf", g, h) for f in qf for h in (f, fm.Not(f))]
+        out += [("fixed", parse_group(gname),
+                 fm.parse(parse_group(gname), text))
+                for gname, text in self.EXTRA]
+        return out
+
+    @staticmethod
+    def kind(g, phi):
+        walk = sg.least_prefix(g, phi, "x", g.n)
+        if walk is None:
+            return "empty"
+        if not satisfiable(g, fm.Not(phi)):
+            return "full"
+        prefix, attained = walk
+        if not attained:
+            return "open cut on " + g.kinds[len(prefix) - 1]
+        if len(prefix) < g.n:
+            return "unbounded below at %d" % (len(prefix) + 1)
+        return "minimum"
+
+    def test_one_sentence_agrees_with_the_closure(self):
+        kinds, verdicts = set(), set()
+        for source, g, phi in self.cases():
+            end = sg.is_end_segment(g, phi, "x")
+            assert end == self.closed(g, phi, True), (g, phi)
+            assert sg.is_initial_segment(g, phi, "x") == \
+                self.closed(g, phi, False), (g, phi)
+            if end:
+                seg = sg.to_div_segment(g, phi, "x")
+                assert equivalent(g, seg.denote(g, "x"), phi), (g, phi)
+            else:
+                with pytest.raises(SegmentError):
+                    sg.to_div_segment(g, phi, "x")
+            kinds.add(self.kind(g, phi))
+            verdicts.add((source, end))
+        assert {("candidate", True), ("candidate", False), ("qf", True),
+                ("qf", False)} <= verdicts
+        assert {"empty", "full", "open cut on Q", "unbounded below at 1",
+                "unbounded below at 2", "minimum"} <= kinds
+
+    def test_trivial_group(self):
+        # one point: the walk is empty and the hull full for both sets
+        g0 = parse_group("1")
+        for text, want in (("true", sg.full_end_segment()),
+                           ("false", sg.empty_end_segment())):
+            phi = fm.parse(g0, text)
+            assert sg.is_end_segment(g0, phi, "x")
+            assert sg.is_initial_segment(g0, phi, "x")
+            assert sg.to_div_segment(g0, phi, "x") == want
