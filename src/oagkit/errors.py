@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the output size bound.
 
 Every domain failure raises a subclass of OagError so callers (and the CLI)
 can distinguish bad input from genuine bugs.
@@ -32,8 +32,14 @@ class BudgetExceeded(OagError):
     """Quantifier elimination exceeded the configured node budget."""
 
 
+PRINT_LIMIT = 1 << 24
+"""Most characters print_scalar returns (elimination output is a DAG
+whose printed tree can be exponentially larger), and most residue
+representatives representatives_mod lists."""
+
+
 class OutputTooLarge(OagError):
-    """A result's printed form would exceed scalars.PRINT_LIMIT characters."""
+    """A result would exceed PRINT_LIMIT characters or elements."""
 
 
 class SegmentError(OagError):

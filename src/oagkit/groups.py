@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import GroupError
+from .errors import PRINT_LIMIT, GroupError, OutputTooLarge
 
 Kind = str  # "Z" or "Q"
 Coord = Union[int, Fraction]
@@ -337,12 +337,17 @@ def representatives_mod(g: GroupSpec, k: int, m: int) -> tuple[Element, ...]:
     quotient by (level-k subgroup + m*G), in lexicographic residue order.
 
     Representatives are chosen with residues in [0, m) on the discrete
-    coordinates among the first k and zeros everywhere else.
+    coordinates among the first k and zeros everywhere else.  More than
+    PRINT_LIMIT of them raise OutputTooLarge before any is built.
     """
     check_level(g, k)
     if m < 1:
         raise GroupError(f"modulus {m} must be >= 1")
     zpos = [i for i in range(k) if g.kinds[i] == "Z"]
+    if m ** len(zpos) > PRINT_LIMIT:
+        raise OutputTooLarge(f"{m}^{len(zpos)} representatives modulo {m} "
+                             f"at level {k}, more than the limit of "
+                             f"{PRINT_LIMIT}")
     out = []
     for combo in itertools.product(range(m), repeat=len(zpos)):
         vals = [0] * g.n

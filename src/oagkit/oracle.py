@@ -313,6 +313,8 @@ def grid_axes(g: GroupSpec, names, bound: int) -> dict:
     import numpy as np
     if "Q" in g.kinds:
         raise OracleError("integer grids need an all-discrete group")
+    if bound < 0:
+        raise OracleError(f"grid bound must be at least 0, got {bound}")
     names = sorted(names)
     total = len(names) * g.n
     vals = np.arange(-bound, bound + 1, dtype=np.int64)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import BudgetExceeded, FormulaError, OutputTooLarge
+from .errors import PRINT_LIMIT, BudgetExceeded, FormulaError, OutputTooLarge
 from .groups import GroupSpec
 
 
@@ -657,11 +657,6 @@ def s_eval(g: GroupSpec, f: SFormula, env: Mapping[SVar, object]) -> bool:
         return out
 
     return ev(f)
-
-
-PRINT_LIMIT = 1 << 24
-"""Most characters print_scalar returns: elimination output is a DAG
-whose printed tree can be exponentially larger."""
 
 
 def _atom_text(f) -> str:

@@ -190,6 +190,26 @@ class TestErrors:
         assert rc == 1
         assert "all-discrete" in obj["error"]["message"]
 
+    @pytest.mark.parametrize("flags", [["--box", "-1", "--count", "3"],
+                                       ["--count", "-3"]])
+    def test_fuzzcheck_refuses_negative_box_and_count(self, flags):
+        """A negative box gave empty grids and a negative count an empty
+        corpus: both used to report a vacuous clean run."""
+        rc, obj = run_json(["fuzzcheck", *flags])
+        assert rc == 1
+        assert obj["error"]["type"] == "OagError"
+        assert "checked" not in obj
+
+    def test_fuzzcheck_box_zero_is_one_point(self):
+        rc, obj = run_json(["fuzzcheck", "--count", "10", "--box", "0"])
+        assert rc == 0
+        assert (obj["checked"], obj["failures"]) == (10, 0)
+
+    def test_reps_too_many_is_typed(self):
+        rc, obj = run_json(["reps", "--group", "Z*Z", "1", "1000000000"])
+        assert rc == 1
+        assert obj["error"]["type"] == "OutputTooLarge"
+
     def test_bad_modbound_rejected(self):
         rc, obj = run_json(["typegen", "--modbound", "1", "(<= (c 0) x)"])
         assert rc == 1
@@ -378,26 +398,54 @@ def test_no_assert_statements_in_the_package():
     assert not found
 
 
-def test_numpy_stays_out_of_import_and_decide():
-    """Only the oracle's grid evaluation and fuzzcheck need numpy; a plain
-    import and a `decide` must not pay for loading it."""
-    env = _module_env()
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, oagkit; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60)
+_CLI = {"oagkit", "oagkit.cli", "oagkit.errors", "oagkit.groups"}
+_FORMULAS = _CLI | {"oagkit.scalars", "oagkit.formulas"}
+_QE = _FORMULAS | {"oagkit.qe"}
+_SEGMENTS = _QE | {"oagkit.segments"}
+_CODES = _SEGMENTS | {"oagkit.codes"}
+_Z_CODE = ('{"version": "code-v1", "header": ["set", [[["ge"], ["full"], '
+           '[]]]], "values": [{"sort": "main", "coords": ["0"]}, '
+           '{"sort": "marker", "kind": "plus-inf"}]}')
+
+
+_LOADS = [
+    (["-c", "import oagkit"], {"oagkit"}, None),
+    (["rank", "--group", "Z*Z"], _CLI, "modulus: 2"),
+    (["chi", "--group", "Z*Q*Z", "3"], _CLI, "prime: 3"),
+    (["reps", "--group", "Z*Z", "2", "3"], _CLI, "level: 2"),
+    (["parse", "(< x (c 1))"], _FORMULAS, "formula: (< x (c 1))"),
+    (["decide", "--group", "Z*Z", "(exists (x) (= (+ x x) (c 1 1)))"], _QE,
+     "result: false"),
+    (["qe", "(exists (y) (< x y))"], _QE, 'free: ["x"]'),
+    (["equiv", "(< x (c 1))", "(<= x (c 0))"], _QE, "result: true"),
+    (["nice", "(<= (c 0) x)"], _SEGMENTS, "count: 1"),
+    (["endseg", "(<= (c 0) x)"], _CODES, "is_end_segment: true"),
+    (["code", "(<= (c 0) x)"], _CODES, 'code: {"version": "code-v1"'),
+    (["reconstruct", _Z_CODE], _CODES, "formula: (le@ 1 (c 0) x)"),
+    (["typegen", "(<= (c 0) x)"], _CODES | {"oagkit.typegen"},
+     'descriptor: {"cut": {"kind": "realized"'),
+    (["fuzzcheck", "--count", "5"], _QE | {"oagkit.oracle"}, "count: 5"),
+]
+
+
+@pytest.mark.parametrize("argv, loads, first", _LOADS,
+                         ids=["import" if a[0] == "-c" else a[0]
+                              for a, _, _ in _LOADS])
+def test_command_loads_only_its_layers(argv, loads, first):
+    """A cold command compiles and runs only the modules it uses: a plain
+    import loads no submodule, `rank` no eliminator, `decide` no segment,
+    code or type layer, and only `fuzzcheck` loads the oracle and numpy."""
+    cmd = argv if argv[0] == "-c" else ["-m", "oagkit", *argv]
+    proc = subprocess.run([sys.executable, "-X", "importtime", *cmd],
+                          capture_output=True, text=True, env=_module_env(),
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "oagkit", "decide",
-         "--group", "Z*Z", "(exists (x) (= (+ x x) (c 1 1)))"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "result: false\n"
-    imported = [line.rsplit("|", 1)[-1].strip()
-                for line in proc.stderr.splitlines() if "|" in line]
-    assert "oagkit.cli" in imported
-    assert not [m for m in imported if m.split(".")[0] == "numpy"]
+    if first is not None:
+        assert proc.stdout.splitlines()[0].startswith(first)
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines() if "|" in line}
+    assert {m for m in imported if m.split(".")[0] == "oagkit"} == loads
+    assert ("numpy" in imported) == (argv[0] == "fuzzcheck")
 
 
 TOUR_SHA256 = \

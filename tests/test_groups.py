@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oagkit.errors import GroupError
+from oagkit import groups
+from oagkit.errors import GroupError, OutputTooLarge
 from oagkit.groups import (
     EQ, GT, LT,
     ConvexSubgroup, GroupSpec,
@@ -324,6 +325,20 @@ def test_representatives_mod_sizes():
                 reps = representatives_mod(g, k, m)
                 assert len(reps) == m ** zcount[k]
                 assert len(set(reps)) == len(reps)
+
+
+def test_too_many_representatives_is_typed(monkeypatch):
+    """The count m^(discrete coordinates among the first k) is checked
+    against PRINT_LIMIT before any representative is built."""
+    with pytest.raises(OutputTooLarge):
+        representatives_mod(ZZ, 1, 10**9)
+    with pytest.raises(OutputTooLarge):
+        representatives_mod(ZZZ, 3, 10**6)
+    assert len(representatives_mod(QZ, 1, 10**9)) == 1
+    monkeypatch.setattr(groups, "PRINT_LIMIT", 9)
+    assert len(representatives_mod(ZZ, 2, 3)) == 9
+    with pytest.raises(OutputTooLarge):
+        representatives_mod(ZZ, 2, 4)
 
 
 def test_representatives_are_complete_and_distinct():

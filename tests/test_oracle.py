@@ -194,6 +194,19 @@ class TestGrids:
         with pytest.raises(OracleError):
             orc.grid_axes(ZQ, ["x"], 2)
 
+    def test_negative_bound_refused(self):
+        """An empty axis would make every grid comparison vacuously
+        equal."""
+        with pytest.raises(OracleError):
+            orc.grid_axes(Z2, ["x"], -1)
+        with pytest.raises(OracleError):
+            orc.scalar_axes(Z2, ["x"], -1)
+
+    def test_bound_zero_is_one_point(self):
+        env = orc.grid_axes(Z2, ["x", "y"], 0)
+        assert [a.size for a in env["x"] + env["y"]] == [1, 1, 1, 1]
+        assert all(int(a.flat[0]) == 0 for a in env["x"] + env["y"])
+
 
 class TestFuzzCorpus:
     def test_deterministic(self):
