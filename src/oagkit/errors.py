@@ -34,12 +34,12 @@ class BudgetExceeded(OagError):
 
 PRINT_LIMIT = 1 << 24
 """Most characters print_scalar returns (elimination output is a DAG
-whose printed tree can be exponentially larger), and most residue
-representatives representatives_mod lists."""
+whose printed tree can be exponentially larger), and most characters the
+residue representatives of representatives_mod would print."""
 
 
 class OutputTooLarge(OagError):
-    """A result would exceed PRINT_LIMIT characters or elements."""
+    """A result would exceed PRINT_LIMIT characters."""
 
 
 class SegmentError(OagError):

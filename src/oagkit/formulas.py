@@ -7,25 +7,31 @@ quotient by the convex subgroup that kills all but the first k
 coordinates.  Congruence atoms assert membership of the difference in
 m times the (quotient) group.
 
-The concrete syntax is s-expressions; see GRAMMAR below.  The parser
-alpha-renames so no bound variable shadows another, flattens nested
-and/or, and reports syntax and sort errors with line and column.
-`lower` translates a group formula into the scalar language of
-`scalars`, one variable per coordinate, with every atom confined to a
-single coordinate.
+The concrete syntax is s-expressions; see GRAMMAR below.  Space, tab,
+CR and LF separate tokens, `;` starts a comment to the end of the line,
+and parentheses nest at most MAX_DEPTH deep.  The parser sums each term
+into one coefficient table and constant, alpha-renames so no bound
+variable shadows another, flattens nested and/or, and reports syntax and
+sort errors with 1-based line and column.  `lower` translates a group
+formula into the scalar language of `scalars`, one variable per
+coordinate: each atom becomes integer constraints on the coordinates of
+its left - right, and bound variables are renamed only where one shadows
+another name.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
 from . import scalars as sc
-from .errors import FormulaError, GroupError, ParseError
-from .groups import Element, GroupSpec, add as g_add, element, scale as g_scale, zero
+from .errors import FormulaError, ParseError
+from .groups import Element, GroupSpec, add as g_add, scale as g_scale, zero
 
 GRAMMAR = """\
 f    := atom | (not f) | (and f f+) | (or f f+) | (implies f f)
@@ -95,10 +101,6 @@ def t_add(g: GroupSpec, a: Term, b: Term) -> Term:
 
 def t_scale(g: GroupSpec, k: int, a: Term) -> Term:
     return term(((v, k * c) for v, c in a.coeffs), g_scale(g, k, a.const))
-
-
-def t_sub(g: GroupSpec, a: Term, b: Term) -> Term:
-    return t_add(g, a, t_scale(g, -1, b))
 
 
 def t_subst(g: GroupSpec, t: Term, name: str, repl: Term) -> Term:
@@ -208,16 +210,11 @@ Formula = Union[BoolConst, Cmp, Congr, RelCmp, RelCongr, RelEq,
 ATOMS = (Cmp, Congr, RelCmp, RelCongr, RelEq)
 
 
-# --- tokenizer --------------------------------------------------------------
+# --- tokenizer and parser ----------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
-
-
+# A comment, a parenthesis, or a run of anything else: only space, tab, CR
+# and LF separate tokens (a form feed or a no-break space is part of one).
+_TOKEN = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT = re.compile(r"-?\d+\Z")
 _RAT = re.compile(r"-?\d+(/\d+)?\Z")
@@ -228,180 +225,181 @@ _RESERVED = {
 }
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            toks.append(_Tok(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < len(text) and text[j] not in " \t\r\n();":
-                j += 1
-            toks.append(_Tok(text[i:j], line, col))
-            col += j - i
-            i = j
-    return toks
-
-
-def _err(msg: str, tok: _Tok | None = None) -> ParseError:
-    if tok is None:
-        return ParseError(msg)
-    return ParseError(msg, line=tok.line, column=tok.col)
-
-
-def _read_sexp(toks: list[_Tok], pos: int):
-    """The s-expression starting at toks[pos] and the position after it.
-    A list is an (open paren, items) pair, an atom its token."""
-    stack: list = []  # the lists still open, innermost last
-    while True:
-        if pos >= len(toks):
-            if stack:
-                raise _err("unclosed parenthesis", stack[-1][0])
-            raise ParseError("unexpected end of input")
-        t = toks[pos]
-        pos += 1
-        if t.text == "(":
-            if len(stack) == MAX_DEPTH:
-                raise _err(f"parentheses nest deeper than {MAX_DEPTH}", t)
-            stack.append((t, []))
-            continue
-        if t.text == ")":
-            if not stack:
-                raise _err("unexpected ')'", t)
-            node = stack.pop()
-        else:
-            node = t
-        if not stack:
-            return node, pos
-        stack[-1][1].append(node)
-
-
-# --- parser -----------------------------------------------------------------
-
-
 class _Parser:
-    def __init__(self, g: GroupSpec) -> None:
+    """One formula read from s-expression text.  Tokens are plain strings;
+    the reader's tree has token indices for atoms and (index of the open
+    parenthesis, items) pairs for lists, so an error can name its token,
+    and line and column are worked out only for that one token."""
+
+    def __init__(self, g: GroupSpec, text: str) -> None:
         self.g = g
+        self.text = text
+        self.toks = [t for t in _TOKEN.findall(text) if t[0] != ";"]
+        self.zero = zero(g)
         self.used: set[str] = set()
         self.scopes: list[dict[str, str]] = []
 
-    def fresh(self, name: str) -> str:
-        if name not in self.used:
-            self.used.add(name)
-            return name
-        k = 2
-        while f"{name}_{k}" in self.used:
-            k += 1
-        fresh = f"{name}_{k}"
-        self.used.add(fresh)
-        return fresh
+    def err(self, msg: str, i: int) -> ParseError:
+        """A ParseError at token i, with its 1-based line and column."""
+        text = self.text
+        starts = (m.start() for m in _TOKEN.finditer(text)
+                  if text[m.start()] != ";")
+        off = next(itertools.islice(starts, i, None))
+        return ParseError(msg, line=text.count("\n", 0, off) + 1,
+                          column=off - text.rfind("\n", 0, off))
 
-    def resolve(self, tok: _Tok) -> str:
+    def read(self):
+        """The tree of the whole input, which must be one s-expression."""
+        toks = self.toks
+        if not toks:
+            raise ParseError("empty input")
+        stack: list = []  # the lists still open, innermost last
+        for i, t in enumerate(toks):
+            if t == "(":
+                if len(stack) == MAX_DEPTH:
+                    raise self.err(
+                        f"parentheses nest deeper than {MAX_DEPTH}", i)
+                stack.append((i, []))
+                continue
+            if t == ")":
+                if not stack:
+                    raise self.err("unexpected ')'", i)
+                node = stack.pop()
+            else:
+                node = i
+            if not stack:
+                if i + 1 < len(toks):
+                    raise self.err("trailing input after formula", i + 1)
+                return node
+            stack[-1][1].append(node)
+        raise self.err("unclosed parenthesis", stack[-1][0])
+
+    def fresh(self, name: str) -> str:
+        name = _fresh_name(name, self.used)
+        self.used.add(name)
+        return name
+
+    def resolve(self, name: str) -> str:
         for scope in reversed(self.scopes):
-            if tok.text in scope:
-                return scope[tok.text]
-        self.used.add(tok.text)
-        return tok.text
+            if name in scope:
+                return scope[name]
+        self.used.add(name)
+        return name
+
+    def number(self, i: int) -> int | Fraction:
+        """The numeral at token i: an int unless it has a denominator."""
+        num, _, den = self.toks[i].partition("/")
+        try:
+            return Fraction(int(num), int(den)) if den else int(num)
+        except ZeroDivisionError:
+            raise self.err(f"zero denominator in '{self.toks[i]}'",
+                           i) from None
+        except ValueError:  # int() refuses strings over its digit limit
+            raise self.err(f"numeral longer than "
+                           f"{sys.get_int_max_str_digits()} digits",
+                           i) from None
 
     # -- terms --
 
     def term(self, node) -> Term:
-        if isinstance(node, _Tok):
-            if not _IDENT.match(node.text) or node.text in _RESERVED:
-                raise _err(f"expected a term, got '{node.text}'", node)
-            return t_var(self.g, self.resolve(node))
-        head_tok, items = node
-        if not items or not isinstance(items[0], _Tok):
-            raise _err("expected a term", head_tok)
+        coeffs: dict[str, int] = {}
+        const = list(self.zero)
+        self._sum(node, 1, coeffs, const)
+        return Term(tuple(sorted((v, c) for v, c in coeffs.items() if c)),
+                    tuple(const))
+
+    def _sum(self, node, k: int, coeffs: dict, const: list) -> None:
+        """Add k times the term at node to coeffs and const."""
+        toks = self.toks
+        if type(node) is int:
+            name = toks[node]
+            if not _IDENT.match(name) or name in _RESERVED:
+                raise self.err(f"expected a term, got '{name}'", node)
+            name = self.resolve(name)
+            coeffs[name] = coeffs.get(name, 0) + k
+            return
+        head, items = node
+        if not items or type(items[0]) is not int:
+            raise self.err("expected a term", head)
         op = items[0]
-        if op.text == "c":
+        name = toks[op]
+        if name == "c":
             vals = items[1:]
             if len(vals) != self.g.n:
-                raise _err(
+                raise self.err(
                     f"constant has {len(vals)} entries, group has rank "
                     f"{self.g.n}", op)
             coords = []
             for v in vals:
-                if not isinstance(v, _Tok) or not _RAT.match(v.text):
-                    where = v if isinstance(v, _Tok) else op
-                    raise _err("constant entries must be rationals", where)
-                coords.append(Fraction(v.text))
-            try:
-                return t_const(element(self.g, coords))
-            except GroupError as e:
-                raise _err(str(e), op) from None
-        if op.text == "+":
+                if type(v) is not int or not _RAT.match(toks[v]):
+                    raise self.err("constant entries must be rationals",
+                                   v if type(v) is int else op)
+                coords.append(self.number(v))
+            for j, q in enumerate(coords):
+                if self.g.kinds[j] == "Z" and type(q) is Fraction:
+                    if q.denominator != 1:
+                        raise self.err(
+                            f"non-integer value {q} in a Z coordinate", op)
+                    q = q.numerator
+                const[j] += k * q
+        elif name == "+":
             if len(items) < 3:
-                raise _err("'+' needs at least two arguments", op)
-            out = self.term(items[1])
-            for it in items[2:]:
-                out = t_add(self.g, out, self.term(it))
-            return out
-        if op.text == "-":
+                raise self.err("'+' needs at least two arguments", op)
+            for it in items[1:]:
+                self._sum(it, k, coeffs, const)
+        elif name == "-":
             if len(items) != 3:
-                raise _err("'-' takes exactly two arguments", op)
-            return t_sub(self.g, self.term(items[1]), self.term(items[2]))
-        if op.text == "*":
+                raise self.err("'-' takes exactly two arguments", op)
+            self._sum(items[1], k, coeffs, const)
+            self._sum(items[2], -k, coeffs, const)
+        elif name == "*":
             if len(items) != 3:
-                raise _err("'*' takes an integer and a term", op)
-            k = items[1]
-            if not isinstance(k, _Tok) or not _INT.match(k.text):
-                where = k if isinstance(k, _Tok) else op
-                raise _err("scalar multiplier must be an integer", where)
-            return t_scale(self.g, int(k.text), self.term(items[2]))
-        raise _err(f"unknown term operator '{op.text}'", op)
+                raise self.err("'*' takes an integer and a term", op)
+            m = items[1]
+            if type(m) is not int or not _INT.match(toks[m]):
+                raise self.err("scalar multiplier must be an integer",
+                               m if type(m) is int else op)
+            self._sum(items[2], k * self.number(m), coeffs, const)
+        else:
+            raise self.err(f"unknown term operator '{name}'", op)
 
-    def _int_arg(self, node, what: str) -> tuple[int, _Tok]:
-        if not isinstance(node, _Tok) or not _INT.match(node.text):
-            tok = node if isinstance(node, _Tok) else node[0]
-            raise _err(f"{what} must be an integer", tok)
-        return int(node.text), node
+    def _int_arg(self, node, what: str) -> int:
+        if type(node) is not int or not _INT.match(self.toks[node]):
+            raise self.err(f"{what} must be an integer",
+                           node if type(node) is int else node[0])
+        return self.number(node)
 
     def level(self, node) -> int:
-        k, tok = self._int_arg(node, "level")
+        k = self._int_arg(node, "level")
         if not 0 <= k <= self.g.n:
-            raise _err(f"level {k} outside 0..{self.g.n}", tok)
+            raise self.err(f"level {k} outside 0..{self.g.n}", node)
         return k
 
     def modulus(self, node) -> int:
-        m, tok = self._int_arg(node, "modulus")
+        m = self._int_arg(node, "modulus")
         if m < 2:
-            raise _err(f"modulus {m} must be >= 2", tok)
+            raise self.err(f"modulus {m} must be >= 2", node)
         return m
 
     # -- formulas --
 
     def formula(self, node) -> Formula:
-        if isinstance(node, _Tok):
-            if node.text == "true":
+        toks = self.toks
+        if type(node) is int:
+            if toks[node] == "true":
                 return BoolConst(True)
-            if node.text == "false":
+            if toks[node] == "false":
                 return BoolConst(False)
-            raise _err(f"expected a formula, got '{node.text}'", node)
-        head_tok, items = node
+            raise self.err(f"expected a formula, got '{toks[node]}'", node)
+        head, items = node
         if not items:
-            raise _err("empty form", head_tok)
-        if not isinstance(items[0], _Tok):
-            raise _err("expected an operator symbol", head_tok)
+            raise self.err("empty form", head)
+        if type(items[0]) is not int:
+            raise self.err("expected an operator symbol", head)
         op = items[0]
-        name = op.text
+        name = toks[op]
 
-        if name in (LT, LE, EQ):
+        if name in RELS:
             self._arity(op, items, 2)
             return Cmp(name, self.term(items[1]), self.term(items[2]))
         if name == "congr":
@@ -423,13 +421,13 @@ class _Parser:
         if name == "insub":
             self._arity(op, items, 2)
             k = self.level(items[1])
-            return RelEq(k, self.term(items[2]), t_const(zero(self.g)))
+            return RelEq(k, self.term(items[2]), Term((), self.zero))
         if name == "not":
             self._arity(op, items, 1)
             return Not(self.formula(items[1]))
         if name in ("and", "or"):
             if len(items) < 3:
-                raise _err(f"'{name}' needs at least two arguments", op)
+                raise self.err(f"'{name}' needs at least two arguments", op)
             parts = []
             cls = And if name == "and" else Or
             for it in items[1:]:
@@ -445,37 +443,33 @@ class _Parser:
         if name in ("exists", "forall"):
             self._arity(op, items, 2)
             binder = items[1]
-            if (isinstance(binder, _Tok) or len(binder[1]) != 1
-                    or not isinstance(binder[1][0], _Tok)):
-                raise _err(f"'{name}' binder must be a single (v)", op)
+            if (type(binder) is int or len(binder[1]) != 1
+                    or type(binder[1][0]) is not int):
+                raise self.err(f"'{name}' binder must be a single (v)", op)
             vtok = binder[1][0]
-            if not _IDENT.match(vtok.text) or vtok.text in _RESERVED:
-                raise _err(f"bad variable name '{vtok.text}'", vtok)
-            internal = self.fresh(vtok.text)
-            self.scopes.append({vtok.text: internal})
+            var = toks[vtok]
+            if not _IDENT.match(var) or var in _RESERVED:
+                raise self.err(f"bad variable name '{var}'", vtok)
+            internal = self.fresh(var)
+            self.scopes.append({var: internal})
             body = self.formula(items[2])
             self.scopes.pop()
             cls = Exists if name == "exists" else Forall
             return cls(internal, body)
-        raise _err(f"unknown operator '{name}'", op)
+        raise self.err(f"unknown operator '{name}'", op)
 
-    def _arity(self, op: _Tok, items, n: int) -> None:
+    def _arity(self, op: int, items, n: int) -> None:
         if len(items) != n + 1:
-            raise _err(f"'{op.text}' takes {n} arguments, got "
-                       f"{len(items) - 1}", op)
+            raise self.err(f"'{self.toks[op]}' takes {n} arguments, got "
+                           f"{len(items) - 1}", op)
 
 
 def parse(g: GroupSpec, text: str) -> Formula:
-    toks = _tokenize(text)
-    if not toks:
-        raise ParseError("empty input")
-    node, pos = _read_sexp(toks, 0)
-    if pos != len(toks):
-        raise _err("trailing input after formula", toks[pos])
-    f = _Parser(g).formula(node)
+    p = _Parser(g, text)
+    f = p.formula(p.read())
     # a binder textually before a free use of the same name slips past the
-    # scope stack; a final freshening pass restores the no-shadowing invariant
-    return _freshen(g, f, all_names(f))
+    # scope stack; freshening restores the no-shadowing invariant
+    return _freshen(g, f)
 
 
 # --- printer ----------------------------------------------------------------
@@ -532,45 +526,32 @@ def print_formula(f: Formula) -> str:
 
 
 def free_vars(f: Formula) -> frozenset:
-    if isinstance(f, BoolConst):
-        return frozenset()
-    if isinstance(f, ATOMS):
-        return frozenset(f.left.vars()) | frozenset(f.right.vars())
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or)):
-        out = frozenset()
-        for it in f.items:
-            out |= free_vars(it)
-        return out
-    if isinstance(f, (Implies, Iff)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    raise FormulaError(f"unknown formula node {f!r}")
+    return _names(f, False)
 
 
 def all_names(f: Formula) -> frozenset:
     """Every variable name occurring in f, bound or free."""
-    if isinstance(f, BoolConst):
-        return frozenset()
+    return _names(f, True)
+
+
+def _names(f: Formula, bound: bool) -> frozenset:
     if isinstance(f, ATOMS):
         return frozenset(f.left.vars()) | frozenset(f.right.vars())
-    if isinstance(f, Not):
-        return all_names(f.body)
     if isinstance(f, (And, Or)):
-        out = frozenset()
-        for it in f.items:
-            out |= all_names(it)
-        return out
-    if isinstance(f, (Implies, Iff)):
-        return all_names(f.left) | all_names(f.right)
+        return frozenset().union(*(_names(it, bound) for it in f.items))
     if isinstance(f, (Exists, Forall)):
-        return all_names(f.body) | {f.var}
+        inner = _names(f.body, bound)
+        return inner | {f.var} if bound else inner - {f.var}
+    if isinstance(f, Not):
+        return _names(f.body, bound)
+    if isinstance(f, (Implies, Iff)):
+        return _names(f.left, bound) | _names(f.right, bound)
+    if isinstance(f, BoolConst):
+        return frozenset()
     raise FormulaError(f"unknown formula node {f!r}")
 
 
-def _fresh_name(base: str, used: frozenset) -> str:
+def _fresh_name(base: str, used) -> str:
     if base not in used:
         return base
     k = 2
@@ -631,41 +612,6 @@ def scalarize(g: GroupSpec, env: Mapping[str, Element]) -> dict:
     return out
 
 
-def _coord_exprs(g: GroupSpec, t: Term) -> list[sc.LinExpr]:
-    # each coordinate times the denominator of its constant (1 on discrete
-    # ones): a positive factor keeps a dense atom's truth value
-    out = []
-    for j in range(1, g.n + 1):
-        q = t.const[j - 1]
-        coeffs = tuple((sc.SVar(v, j), q.denominator * c)
-                       for v, c in t.coeffs)
-        out.append(sc.LinExpr(coeffs, q.numerator))
-    return out
-
-
-def _lex_eq(g: GroupSpec, diffs, k: int) -> sc.SFormula:
-    return sc.mk_and(sc.mk_eq(g, diffs[j]) for j in range(k))
-
-
-def _lex_lt(g: GroupSpec, diffs, k: int) -> sc.SFormula:
-    # (d_1, ..., d_k) <lex 0
-    cases = []
-    for j in range(k):
-        prefix = [sc.mk_eq(g, diffs[i]) for i in range(j)]
-        cases.append(sc.mk_and(prefix + [sc.mk_lt(g, diffs[j])]))
-    return sc.mk_or(cases)
-
-
-def _congr_exprs(g: GroupSpec, m: int, diffs, k: int) -> sc.SFormula:
-    # m*(quotient by level k) is coordinatewise: only discrete coordinates
-    # impose a condition
-    parts = []
-    for j in range(k):
-        if g.kinds[j] == "Z":
-            parts.append(sc.mk_congr(g, m, diffs[j]))
-    return sc.mk_and(parts)
-
-
 def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
     """Translate into the per-coordinate scalar language.
 
@@ -674,11 +620,45 @@ def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
     atoms look only at the first k coordinates, congruences become
     per-discrete-coordinate congruences, and quantifiers become blocks
     of scalar quantifiers."""
-    return _lower(g, _freshen(g, f, all_names(f)))
+    return _lower(g, _freshen(g, f))
 
 
-def _freshen(g: GroupSpec, f: Formula, used: frozenset) -> Formula:
-    """Rename bound variables so no binder shadows another name."""
+def _shadows(f: Formula) -> bool:
+    """Whether some binder of f reuses a free name of f or the name of
+    an enclosing binder."""
+    free: set[str] = set()
+    binders: set[str] = set()
+
+    def walk(node: Formula, bound: frozenset) -> bool:
+        if isinstance(node, ATOMS):
+            for v, _ in node.left.coeffs + node.right.coeffs:
+                if v not in bound:
+                    free.add(v)
+            return False
+        if isinstance(node, (And, Or)):
+            return any(walk(it, bound) for it in node.items)
+        if isinstance(node, (Exists, Forall)):
+            if node.var in bound:
+                return True
+            binders.add(node.var)
+            return walk(node.body, bound | {node.var})
+        if isinstance(node, Not):
+            return walk(node.body, bound)
+        if isinstance(node, (Implies, Iff)):
+            return walk(node.left, bound) or walk(node.right, bound)
+        if isinstance(node, BoolConst):
+            return False
+        raise FormulaError(f"unknown formula node {node!r}")
+
+    return walk(f, frozenset()) or not binders.isdisjoint(free)
+
+
+def _freshen(g: GroupSpec, f: Formula) -> Formula:
+    """Rename bound variables so no binder shadows another name; f itself
+    when none does."""
+    if not _shadows(f):
+        return f
+    used = all_names(f)
 
     def walk(node: Formula, bound: frozenset):
         nonlocal used
@@ -691,8 +671,7 @@ def _freshen(g: GroupSpec, f: Formula, used: frozenset) -> Formula:
         if isinstance(node, (Implies, Iff)):
             return type(node)(walk(node.left, bound), walk(node.right, bound))
         if isinstance(node, (Exists, Forall)):
-            v = node.var
-            body = node.body
+            v, body = node.var, node.body
             if v in bound:
                 fresh = _fresh_name(v, used)
                 used |= {fresh}
@@ -706,15 +685,34 @@ def _freshen(g: GroupSpec, f: Formula, used: frozenset) -> Formula:
 
 def _lower_atom(g: GroupSpec, f: Formula) -> sc.SFormula:
     k = getattr(f, "level", g.n)
-    diffs = _coord_exprs(g, t_sub(g, f.left, f.right))
+    table = dict(f.left.coeffs)
+    for v, c in f.right.coeffs:
+        table[v] = table.get(v, 0) - c
+    coeffs = sorted((v, c) for v, c in table.items() if c)
+    # coordinate j of left - right, times the denominator of its constant
+    # (1 on discrete ones): a positive factor keeps a dense atom's truth
+    # value; coordinates past the level play no part
+    diffs = []
+    for j in range(k):
+        q = f.left.const[j] - f.right.const[j]
+        diffs.append(sc.LinExpr(tuple((sc.SVar(v, j + 1), q.denominator * c)
+                                      for v, c in coeffs), q.numerator))
     if isinstance(f, (Congr, RelCongr)):
-        return _congr_exprs(g, f.modulus, diffs, k)
+        # m times the quotient is coordinatewise: only discrete coordinates
+        # impose a condition
+        return sc.mk_and([sc.mk_congr(g, f.modulus, d)
+                          for d, kind in zip(diffs, g.kinds) if kind == "Z"])
     rel = EQ if isinstance(f, RelEq) else f.rel
+    # (d_1, ..., d_k) <lex 0: some d_j < 0 and every earlier d_i = 0, so
+    # the strict order needs no equation for d_k
+    eqs = [sc.mk_eq(g, d) for d in (diffs[:-1] if rel == LT else diffs)]
     if rel == EQ:
-        return _lex_eq(g, diffs, k)
-    if rel == LT:
-        return _lex_lt(g, diffs, k)
-    return sc.mk_or([_lex_lt(g, diffs, k), _lex_eq(g, diffs, k)])
+        return sc.mk_and(eqs)
+    cases = [sc.mk_and(eqs[:j] + [sc.mk_lt(g, d)])
+             for j, d in enumerate(diffs)]
+    if rel == LE:
+        cases.append(sc.mk_and(eqs))
+    return sc.mk_or(cases)
 
 
 def _lower(g: GroupSpec, f: Formula) -> sc.SFormula:

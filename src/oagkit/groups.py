@@ -337,17 +337,19 @@ def representatives_mod(g: GroupSpec, k: int, m: int) -> tuple[Element, ...]:
     quotient by (level-k subgroup + m*G), in lexicographic residue order.
 
     Representatives are chosen with residues in [0, m) on the discrete
-    coordinates among the first k and zeros everywhere else.  More than
-    PRINT_LIMIT of them raise OutputTooLarge before any is built.
+    coordinates among the first k and zeros everywhere else.  When their
+    count times the width of the shortest one printed, the zero element
+    as a list, exceeds PRINT_LIMIT characters, OutputTooLarge is raised
+    before any is built.
     """
     check_level(g, k)
     if m < 1:
         raise GroupError(f"modulus {m} must be >= 1")
     zpos = [i for i in range(k) if g.kinds[i] == "Z"]
-    if m ** len(zpos) > PRINT_LIMIT:
+    if m ** len(zpos) * len(repr([0] * g.n)) > PRINT_LIMIT:
         raise OutputTooLarge(f"{m}^{len(zpos)} representatives modulo {m} "
-                             f"at level {k}, more than the limit of "
-                             f"{PRINT_LIMIT}")
+                             f"at level {k} print more than "
+                             f"{PRINT_LIMIT} characters")
     out = []
     for combo in itertools.product(range(m), repeat=len(zpos)):
         vals = [0] * g.n

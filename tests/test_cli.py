@@ -175,6 +175,20 @@ class TestErrors:
         assert rc == 1
         assert obj["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize("argv", [
+        ["decide", "--group", "Z", "(forall (x) (< x (c 1/0)))"],
+        ["decide", "--group", "Q", "(forall (x) (< x (c 1/0)))"],
+        ["parse", "--group", "Z", "(< x (c " + "9" * 5000 + "))"],
+        ["parse", "--group", "Z", "(congr " + "9" * 5000 + " x x)"]])
+    def test_unreadable_numeral_is_a_parse_error(self, argv):
+        """A zero denominator raised ZeroDivisionError and a numeral past
+        Python's integer string limit a raw ValueError, each a traceback."""
+        rc, obj = run_json(argv)
+        assert rc == 1
+        assert obj["version"] == "oag-v1"
+        assert obj["error"]["type"] == "ParseError"
+        assert "(line 1, column " in obj["error"]["message"]
+
     def test_human_error_line(self):
         rc, text = run_human(["parse", "(("])
         assert rc == 1
@@ -207,6 +221,13 @@ class TestErrors:
 
     def test_reps_too_many_is_typed(self):
         rc, obj = run_json(["reps", "--group", "Z*Z", "1", "1000000000"])
+        assert rc == 1
+        assert obj["error"]["type"] == "OutputTooLarge"
+
+    def test_reps_too_long_to_print_is_typed(self):
+        # 2^24 representatives: within the old count bound, but about
+        # 190 MB of JSON
+        rc, obj = run_json(["reps", "--group", "Z*Z", "2", "4096"])
         assert rc == 1
         assert obj["error"]["type"] == "OutputTooLarge"
 

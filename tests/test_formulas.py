@@ -1,20 +1,47 @@
 """Parser, printer, substitution and lowering tests."""
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import reference_frontend as ref
 from oagkit import formulas as fm
 from oagkit import oracle as orc
+from oagkit import qe
 from oagkit import scalars as sc
 from oagkit.errors import ParseError
 from oagkit.groups import box_elements, parse_group
 
 Z1 = parse_group("Z")
 Z2 = parse_group("Z*Z")
+Z3 = parse_group("Z*Z*Z")
 Q1 = parse_group("Q")
 ZQ = parse_group("Z*Q")
 QZ = parse_group("Q*Z")
+
+# the fuzz limits of acceptance criterion 01
+CRIT01 = orc.FuzzLimits(max_coeff=3, max_modulus=6, max_depth=3, window=6)
+
+
+def crit01_texts(g, count):
+    """A seed-0 sample of criterion 01's bounded formulas, as text."""
+    return [fm.print_formula(f) for f in
+            orc.fuzz_corpus(g, 0, count, limits=CRIT01, template="bounded")]
+
+
+def atoms_of(f):
+    if isinstance(f, fm.ATOMS):
+        yield f
+    elif isinstance(f, (fm.And, fm.Or)):
+        for it in f.items:
+            yield from atoms_of(it)
+    elif isinstance(f, (fm.Not, fm.Exists, fm.Forall)):
+        yield from atoms_of(f.body)
+    elif isinstance(f, (fm.Implies, fm.Iff)):
+        yield from atoms_of(f.left)
+        yield from atoms_of(f.right)
 
 
 class TestParse:
@@ -215,3 +242,208 @@ class TestLowerAgreesWithDirectSemantics:
 
     def test_on_wide_window(self):
         self.check(Z1, orc.fuzz_corpus(Z1, 36, 15, template="qf"), 6, 1)
+
+
+def outcome(parse, g, text):
+    """What a parser makes of text: the formula and its repr, or the
+    error's message, line and column."""
+    try:
+        f = parse(g, text)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.column)
+    return ("formula", f, repr(f))
+
+
+DEEP = fm.MAX_DEPTH
+HANDWRITTEN = [
+    "", " \t\r\n", "; only a comment", "(< x y) ; a comment at the end",
+    "(< x y);", "(<\tx\ty)", "(and (< x y)\r\n\t(= x (c 1)))\r\n",
+    "\r(< x y", "(and (< x y)\n  (congr 1 x x))", "(< x\r\n  (c 1/2))",
+    "(and (< x y) ; note\n (< y z", "(< x y) ; (", "(", "((", "(< x (c 1)",
+    "(< x y) junk", "(< x y) )", ")", "(< x y))", "(< x y) (", "x y",
+    "(" * (DEEP + 1) + ")" * (DEEP + 1),
+    "(not " * (DEEP - 1) + "(< x y)" + ")" * (DEEP - 1),
+    "(not " * DEEP + "(< x y)" + ")" * DEEP,
+    "(and (< x y)\n" + "(" * (DEEP + 1), "(< x y) " + "(" * (DEEP + 1),
+    # bad constants
+    "(< x (c))", "(< x (c 1 2))", "(< x (c a))", "(< x (c (c 1)))",
+    "(< x (c 1/2))", "(< x (c 4/2))", "(< x (c -6/4))", "(< x (c 1.5))", "(< x (c 1/-2))", "(< x (c --1))", "(< x (c 1/2/3))",
+    "(< x (+ (c 1/2) 3))", "(< x (+ (c 1/2) (c 1/0)))",
+    # bad binders and forms
+    "(exists (1) (< x x))", "(exists (x y) (< x x))",
+    "(exists ((x)) (< x x))", "(exists () (< x x))", "(forall (and) true)",
+    "(exists x (< x x))", "(exists (x))", "(exists (x) true false)",
+    "(frob x x)", "(< 3 x)", "(< x true)", "(< and x)", "(c 1)", "x",
+    "true", "false", "()", "(())", "((< x y))", "(not)", "(and (< x y))",
+    "(implies (< x y))", "(iff true)", "(congr 1 x x)", "(congr x x x)",
+    "(congr@ 1 1 x x)", "(lt@ 2 x x)", "(lt@ -1 x x)", "(insub x)",
+    "(insub 1 x)", "(eq@ 1 x (c 1))", "(< (+ x) x)", "(< (- x) x)",
+    "(< (* 2) x)", "(< (* 1/2 x) x)", "(< (* (c 1) x) x)", "(< () x)",
+    "(< (foo x) x)", "(< ((+) x) x)", "(< (+ x (* -2 y) (- y x)) (c 3))",
+    # names and shadowing
+    "(and (exists (x) (< x (c 0))) (< x (c 1)))",
+    "(exists (x) (and (< x (c 0)) (exists (x) (< x (c 1)))))",
+    "(and (exists (x) (< x y)) (exists (x) (< y x)) (< x_2 x))",
+    "(forall (y) (exists (x) (and (< x y) (forall (y) (< y x)))))",
+]
+
+
+def mutate(text, rng):
+    """One to three seeded inserts or deletes of a delimiter, a comment
+    start or a character that does not separate tokens."""
+    for _ in range(rng.randint(1, 3)):
+        ch = rng.choice("();\t\f\xa0\n")
+        hits = [i for i, c in enumerate(text) if c == ch]
+        if hits and rng.random() < 0.5:
+            i = rng.choice(hits)
+            text = text[:i] + text[i + 1:]
+        else:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + ch + text[i:]
+    return text
+
+
+class TestParseAgainstReference:
+    """The regex tokenizer and index reader against the per-character
+    tokenizer and token-object reader they replaced: the same formula,
+    or the same error message, line and column."""
+
+    @pytest.mark.parametrize("g", [Z1, ZQ])
+    def test_handwritten(self, g):
+        for text in HANDWRITTEN:
+            assert outcome(fm.parse, g, text) == \
+                outcome(ref.parse, g, text), repr(text)
+
+    def test_mutated_crit01_texts(self):
+        rng = random.Random(0)
+        kinds = {"error": 0, "formula": 0}
+        for g in (Z1, Z2, Z3):
+            for text in crit01_texts(g, 40):
+                for _ in range(5):
+                    bad = mutate(text, rng)
+                    got = outcome(fm.parse, g, bad)
+                    assert got == outcome(ref.parse, g, bad), repr(bad)
+                    kinds[got[0]] += 1
+        assert kinds["error"] >= 300 and kinds["formula"] >= 50, kinds
+
+    def test_whitespace_that_does_not_separate(self):
+        for text, msg in (
+                ("(<\x0cx y)", "unknown operator '<\x0cx' (line 1, column 2)"),
+                ("(< x\xa0y x)",
+                 "expected a term, got 'x\xa0y' (line 1, column 4)")):
+            with pytest.raises(ParseError) as e:
+                fm.parse(Z1, text)
+            assert str(e.value) == msg
+
+
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "9" * (INT_DIGITS + 1)
+
+
+class TestNumerals:
+    @pytest.mark.parametrize("g", [Z1, Q1])
+    def test_zero_denominator(self, g):
+        with pytest.raises(ParseError) as e:
+            fm.parse(g, "(and (< x (c 0))\n     (< x (c 1/0)))")
+        assert str(e.value) == \
+            "zero denominator in '1/0' (line 2, column 14)"
+
+    @pytest.mark.skipif(not INT_DIGITS, reason="no integer string limit")
+    @pytest.mark.parametrize("text,column", [
+        (f"(< x (c {LONG}))", 9), (f"(< x (* {LONG} x))", 9),
+        (f"(congr {LONG} x x)", 8), (f"(lt@ {LONG} x x)", 6),
+        (f"(congr@ 1 {LONG} x x)", 11)])
+    def test_past_the_integer_string_limit(self, text, column):
+        with pytest.raises(ParseError) as e:
+            fm.parse(Z1, text)
+        assert (e.value.line, e.value.column) == (1, column)
+        assert "numeral longer than" in str(e.value)
+
+    def test_discrete_constants_read_as_integers(self):
+        f = fm.parse(Z2, "(< x (c 4/2 -7))")
+        assert f.right.const == (2, -7)
+        assert all(type(q) is int for q in f.right.const)
+        with pytest.raises(ParseError) as e:
+            fm.parse(Z1, "(< x (c 1/2))")
+        assert str(e.value) == \
+            "non-integer value 1/2 in a Z coordinate (line 1, column 7)"
+
+    def test_dense_constants_stay_fractions(self):
+        f = fm.parse(ZQ, "(< (+ x (* 2 y)) (+ (c 1 2) (c 0 1/2)))")
+        assert f.right.const == (1, Fraction(5, 2))
+        assert type(f.left.const[1]) is Fraction
+        assert repr(f) == repr(ref.parse(ZQ, fm.print_formula(f)))
+
+
+def _mixed_atom_texts(g):
+    """Atoms of every kind on g, with a fractional constant on each dense
+    coordinate."""
+    const = " ".join("1/2" if k == "Q" else "3" for k in g.kinds)
+    neg = " ".join("-5/3" if k == "Q" else "-1" for k in g.kinds)
+    s, t = "(+ (* 2 x) (* -3 y))", f"(+ y (c {const}))"
+    out = [f"(< {s} {t})", f"(<= {s} {t})", f"(= {s} {t})",
+           f"(congr 3 {s} {t})", f"(< x (c {neg}))", f"(<= (c {neg}) x)",
+           f"(= (* 2 x) (c {const}))", f"(< x x)", f"(<= x x)"]
+    for k in range(g.n + 1):
+        out += [f"(lt@ {k} {s} {t})", f"(le@ {k} {s} {t})",
+                f"(eq@ {k} {s} {t})", f"(congr@ {k} 2 {s} {t})",
+                f"(insub {k} (- {s} (c {const})))"]
+    return out
+
+
+class TestLowerAgainstReference:
+    """Each atom lowered from its coefficient table against the lowering
+    through the term difference, `_coord_exprs` and `_lex_*`: the very
+    same interned node."""
+
+    @pytest.mark.parametrize("g", [Z1, Z2, Z3])
+    def test_crit01_atoms(self, g):
+        count = 0
+        for text in crit01_texts(g, 40):
+            for atom in atoms_of(fm.parse(g, text)):
+                assert fm._lower_atom(g, atom) is ref.lower_atom(g, atom)
+                count += 1
+        assert count >= 100
+
+    @pytest.mark.parametrize("g", [ZQ, QZ])
+    def test_every_atom_kind_on_mixed_groups(self, g):
+        for text in _mixed_atom_texts(g):
+            atom = fm.parse(g, text)
+            assert fm._lower_atom(g, atom) is ref.lower_atom(g, atom), text
+
+    def test_freshen_keeps_a_formula_without_shadowing(self):
+        for g in (Z1, Z2, Z3):
+            for text in crit01_texts(g, 40):
+                f = fm.parse(g, text)
+                assert fm._freshen(g, f) is f
+        f = fm.parse(Z1, "(exists (x) (exists (y) (< x y)))")
+        assert fm._freshen(Z1, f) is f
+
+    def test_freshen_renames_a_binder_that_shadows(self):
+        f = fm.parse(Z1, "(and (exists (x) (< x (c 0))) (< x (c 1)))")
+        assert f.items[0].var == "x_2"
+        assert f == ref.parse(Z1, "(and (exists (x) (< x (c 0))) "
+                                  "(< x (c 1)))")
+        tx = fm.t_var(Z1, "x")
+        inner = fm.Exists("x", fm.Cmp(fm.LT, tx, fm.t_const((0,))))
+        for f in (fm.And((inner, fm.Cmp(fm.LT, tx, fm.t_const((1,))))),
+                  fm.Forall("x", fm.Or((inner, fm.Cmp(fm.EQ, tx, tx))))):
+            out = fm._freshen(Z1, f)
+            assert out is not f
+            assert out == ref.freshen(Z1, f, fm.all_names(f))
+
+
+# scalars.nodes_built of parsing and eliminating the sample below with the
+# term-level lowering this one replaced; node budgets depend on the count,
+# so it may only fall
+NODES_BUILT_BEFORE = {"Z": 1548, "Z*Z": 1429, "Z*Z*Z": 2315}
+
+
+@pytest.mark.parametrize("spec", sorted(NODES_BUILT_BEFORE))
+def test_nodes_built_may_only_fall(spec):
+    g = parse_group(spec)
+    texts = crit01_texts(g, 30)
+    with sc.budget_scope(None) as budget:
+        for text in texts:
+            qe.eliminate_scalar(g, fm.lower(g, fm.parse(g, text)))
+    assert budget.used <= NODES_BUILT_BEFORE[spec]

@@ -328,17 +328,39 @@ def test_representatives_mod_sizes():
 
 
 def test_too_many_representatives_is_typed(monkeypatch):
-    """The count m^(discrete coordinates among the first k) is checked
-    against PRINT_LIMIT before any representative is built."""
+    """The count m^(discrete coordinates among the first k), times the
+    width of the zero representative printed as a list, is checked
+    against PRINT_LIMIT characters before any representative is built."""
     with pytest.raises(OutputTooLarge):
         representatives_mod(ZZ, 1, 10**9)
     with pytest.raises(OutputTooLarge):
         representatives_mod(ZZZ, 3, 10**6)
     assert len(representatives_mod(QZ, 1, 10**9)) == 1
-    monkeypatch.setattr(groups, "PRINT_LIMIT", 9)
+    monkeypatch.setattr(groups, "PRINT_LIMIT", 9 * len("[0, 0]"))
     assert len(representatives_mod(ZZ, 2, 3)) == 9
     with pytest.raises(OutputTooLarge):
         representatives_mod(ZZ, 2, 4)
+    monkeypatch.setattr(groups, "PRINT_LIMIT", 9 * len("[0, 0]") - 1)
+    with pytest.raises(OutputTooLarge):
+        representatives_mod(ZZ, 2, 3)
+
+
+def test_representative_bound_is_sized_to_output(monkeypatch):
+    """2^24 representatives on Z*Z would print about 100 MB and are
+    refused; 90,000 pass the bound, which the first element built after
+    it shows here by raising a marker, so nothing large is built."""
+
+    class Built(Exception):
+        pass
+
+    def built(g, vals):
+        raise Built
+
+    monkeypatch.setattr(groups, "element", built)
+    with pytest.raises(OutputTooLarge):
+        representatives_mod(ZZ, 2, 4096)
+    with pytest.raises(Built):
+        representatives_mod(ZZ, 2, 300)
 
 
 def test_representatives_are_complete_and_distinct():
