@@ -21,9 +21,8 @@ from typing import Iterable, Optional
 from . import formulas as fm
 from .errors import CodeError, OagError
 from .groups import (Element, FiniteQuotientElement, GroupSpec,
-                     QuotientElement, element, project, project_fin,
-                     quotient_spec, representatives_mod)
-from .qe import satisfiable
+                     QuotientElement, element, meet_classes, project,
+                     project_fin, quotient_spec, representatives_mod)
 from .scalars import operation
 from .segments import (CongrLiteral, DivSegment, END, GE, GT, INITIAL,
                        NiceSet, SegmentError, dual_div_segment,
@@ -185,11 +184,14 @@ def code_segment(g: GroupSpec, seg: DivSegment) -> Code:
     if seg.direction == INITIAL:
         inner = code_segment(g, dual_div_segment(seg))
         return Code(("segment", INITIAL) + inner.header[2:], inner.values)
-    if seg.is_full():
-        return Code(("segment", END, "whole", 1), (Marker(MARK_WHOLE),))
-    if seg.is_empty():
-        return Code(("segment", END, "empty", 1), (Marker(MARK_EMPTY),))
-    canon = to_div_segment(g, seg.denote(g, "x"), "x")
+    if seg.is_full() or seg.is_empty():
+        return code_div_form(g, seg)
+    return code_div_form(g, to_div_segment(g, seg.denote(g, "x"), "x"))
+
+
+def code_div_form(g: GroupSpec, canon: DivSegment) -> Code:
+    """The code of an end segment already in its canonical divisibility
+    form (`to_div_segment`), such as the hull of a least-value walk."""
     if canon.is_full():
         return Code(("segment", END, "whole", 1), (Marker(MARK_WHOLE),))
     if canon.is_empty():
@@ -478,35 +480,75 @@ def descriptor_fragment(g: GroupSpec, p: TypeDescriptor,
 
 def descriptor_issue(g: GroupSpec, p: TypeDescriptor) -> Optional[str]:
     """The first coherence violation, or None for a coherent descriptor.
-    A structurally malformed descriptor raises CodeError instead."""
+    A structurally malformed descriptor raises CodeError instead.
+
+    Coherent means the finite fragment (`descriptor_fragment`) is
+    satisfiable, which is decided by arithmetic, without a sentence.  A
+    realized cut carries no other data, and x = a is satisfiable.  Else
+    the fragment is S ∧ R ∧ K: the cut's segment S (no condition for an
+    unbounded cut or the whole-group sentinel, none satisfiable for the
+    empty one), the residues R, and the cosets K.  A residue of level l
+    modulo m says x.i = r_i (mod m) for each discrete i <= l, a coset of
+    level c says x.i = u_i for each i <= c.
+
+    1. R: congruences on different coordinates are independent, and
+       those on one coordinate have a common solution iff every two of
+       them agree modulo the gcd of their moduli (the generalized
+       Chinese remainder theorem, `groups.meet_classes`).
+    2. K: two cosets must agree on the coordinates of the lower one, and
+       the pinned values u_1..u_c (c the highest coset level) must meet
+       every congruence on those coordinates.  By 1 the coordinates past
+       c keep a nonempty class each, so R ∧ K is then satisfiable.
+    3. S = {x : n*x >= b at level l} (or > b) is closed upward.
+       Lemma: a nonempty set closed upward meets every class of a
+       finite-index subgroup H, such as the points of the class that R
+       leaves on the coordinates past c.  Take y in the set and a in
+       the class.  Some M*e_1 lies in H (M the lcm of the moduli if
+       coordinate 1 is discrete, any M if it is dense, since a dense
+       coordinate carries no congruence), and for t large
+       a + t*M*e_1 > y lies in the class and, being above y, in the
+       set.
+       Now let h = min(c, l) and compare n*u with b on the first h
+       coordinates.  If n*u < b there, or n*u > b, that decides: no
+       point of K, or every point of K, is in S.  If they are equal and
+       c >= l, the comparison is all of S's condition, met iff S is
+       `ge`.  If they are equal and c < l, a point of K is in S iff its
+       coordinates c+1..n satisfy n*y >= b' (or >) at level l - c >= 1
+       in the group of those coordinates: a nonempty set closed upward
+       there (large y_(c+1) are in it), which meets the class of R there
+       by the lemma.  So S ∧ R ∧ K is satisfiable iff n*u > b on the
+       first h coordinates, or they are equal and S is `ge` or c < l.
+       Without cosets c = 0: a segment of level l >= 1 is nonempty, and
+       one of level 0 is everything (`ge`) or nothing (`gt`).  This is
+       how a `gt` cut at the coset's own value, say x >_1 (3, 0) with
+       the coset x.1 = 3 on Z*Q, is unsatisfiable while the `ge` cut
+       x >=_1 (3, 0) with that coset is not.
+    """
     _descriptor_structure(g, p)
-    if p.cut[0] == CUT_REALIZED and (p.cosets or p.residues):
-        return "realized cut must not carry stored congruence data"
-    by_level: dict = {}
-    for fq in p.residues:
-        by_level.setdefault(fq.level, []).append(fq)
-    for level, fqs in by_level.items():
-        for small in fqs:
-            for big in fqs:
-                if small.modulus == big.modulus:
-                    continue
-                if big.modulus % small.modulus != 0:
-                    continue
-                reduced = project_fin(g, level, small.modulus,
-                                      beta_of_residues(g, big))
-                if reduced != small:
-                    return (f"residues mod {small.modulus} and {big.modulus} "
-                            f"at level {level} disagree")
+    if p.cut[0] == CUT_REALIZED:
+        if p.cosets or p.residues:
+            return "realized cut must not carry stored congruence data"
+        return None
+    classes = meet_classes(g, p.residues)
+    if classes is None:
+        return "residues disagree: their classes do not meet"
+    u: tuple = ()
     for q in p.cosets:
-        for fq in p.residues:
-            if fq.level <= q.level:
-                want = project_fin(g, fq.level, fq.modulus,
-                                   _pad_quot(g, q.level, q.coords))
-                if want != fq:
-                    return (f"coset at level {q.level} contradicts the residue "
-                            f"mod {fq.modulus} at level {fq.level}")
-    if not satisfiable(g, descriptor_fragment(g, p)):
-        return "finite fragment is unsatisfiable"
+        if tuple(q.coords[:len(u)]) != u:
+            return f"cosets at levels {len(u)} and {q.level} disagree"
+        u = tuple(q.coords)
+    if any(i < len(u) and (u[i] - r) % n for i, (r, n) in classes.items()):
+        return f"coset at level {len(u)} contradicts the residues"
+    if p.cut[0] == CUT_AT_SEGMENT:
+        seg = _segment_from_code(g, p.cut[1])
+        if seg.is_empty():
+            return "finite fragment is unsatisfiable"
+        if not seg.is_full():
+            h = min(len(u), seg.level)
+            nu = tuple(seg.n * c for c in u[:h])
+            b = tuple(seg.bound[:h])
+            if nu < b or (nu == b and seg.rel == GT and len(u) >= seg.level):
+                return "finite fragment is unsatisfiable"
     return None
 
 

@@ -275,7 +275,11 @@ class _Parser:
         raise self.err("unclosed parenthesis", stack[-1][0])
 
     def fresh(self, name: str) -> str:
-        name = _fresh_name(name, self.used)
+        """The internal name of a binder: its own unless a name seen so
+        far is the same, else the first name_k that no token of the
+        input spells, so no later free use can be captured."""
+        if name in self.used:
+            name = _fresh_name(name, self.used.union(self.toks))
         self.used.add(name)
         return name
 

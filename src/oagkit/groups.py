@@ -16,6 +16,7 @@ rj_levels for the ones that are.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -219,6 +220,38 @@ def project_fin(g: GroupSpec, k: int, m: int, a: Element) -> FiniteQuotientEleme
         raise GroupError("element arity mismatch in project_fin")
     res = tuple(int(a[i]) % m for i in range(k) if g.kinds[i] == "Z")
     return FiniteQuotientElement(k, m, res)
+
+
+def crt(a: int, w: int, s: int, m: int):
+    """(c, lcm(w, m)) such that t = a (mod w) and t = s (mod m) exactly
+    when t = c (mod lcm(w, m)); None when no t satisfies both, that is,
+    when a and s differ modulo gcd(w, m) (the Chinese remainder
+    theorem)."""
+    d = math.gcd(w, m)
+    if (s - a) % d:
+        return None
+    n = w // d * m
+    return (a + w * ((s - a) // d * pow(w // d, -1, m // d))) % n, n
+
+
+def meet_classes(g: GroupSpec, fqs: Iterable[FiniteQuotientElement]):
+    """The common points of finite-quotient classes, coordinate by
+    coordinate: a dict from each 0-based discrete coordinate i that a
+    class constrains to (c, M), the classes meeting in x_i = c (mod M)
+    there; None when they have no common point.  Congruences on
+    different coordinates are independent, and those on one coordinate
+    meet iff every two agree modulo the gcd of their moduli (the
+    generalized Chinese remainder theorem), which folding them in one
+    at a time with `crt` checks."""
+    out: dict = {}
+    for fq in fqs:
+        zs = [i for i in range(fq.level) if g.kinds[i] == "Z"]
+        for i, r in zip(zs, fq.residues):
+            hit = crt(*out.get(i, (0, 1)), r, fq.modulus)
+            if hit is None:
+                return None
+            out[i] = hit
+    return out
 
 
 def quotient_spec(g: GroupSpec, k: int) -> GroupSpec:

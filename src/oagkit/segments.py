@@ -11,7 +11,6 @@ whose shape depends only on the defined set, never on the formula.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
@@ -24,20 +23,22 @@ from .groups import (
     Element,
     GroupSpec,
     add,
+    crt,
     element,
+    meet_classes,
     scale,
     unit,
 )
 from .qe import (
     decide,
     eliminate_scalar,
-    entails,
     equivalent,
     satisfiable,
     s_subst_all,
 )
 from .scalars import (
     SCongr,
+    FALSE,
     SVar,
     TRUE,
     atom_roots,
@@ -264,20 +265,6 @@ def the_var(g: GroupSpec, phi: fm.Formula, var: Optional[str]) -> str:
     return next(iter(fv))
 
 
-def fresh_names(phi: fm.Formula, avoid, count: int) -> list:
-    """count variable names that occur neither in phi nor in avoid."""
-    taken = set(fm.all_names(phi)) | set(avoid)
-    out = []
-    for i in itertools.count():
-        if len(out) == count:
-            break
-        cand = "_t%d" % i
-        if cand not in taken:
-            taken.add(cand)
-            out.append(cand)
-    return out
-
-
 def is_end_segment(g: GroupSpec, phi: fm.Formula,
                    var: Optional[str] = None) -> bool:
     """Whether the defined set is closed upward (see `_end_form`)."""
@@ -287,31 +274,20 @@ def is_end_segment(g: GroupSpec, phi: fm.Formula,
 @operation
 def end_hull(g: GroupSpec, phi: fm.Formula,
              var: Optional[str] = None) -> fm.Formula:
-    """The smallest end segment the defined set is co-initial in.
+    """The smallest end segment the defined set is co-initial in: the
+    divisibility form of its least-value walk (`hull_segment`).
 
     The input set must be nonempty and have no minimum; the hull keeps
     every point that fails to bound the set strictly from below.
     """
     v = the_var(g, phi, var)
-    if not satisfiable(g, phi):
+    walk = least_prefix(g, phi, v, g.n)
+    if walk is None:
         raise SegmentError("end hull of an empty set is undefined")
-    prefix, attained = least_prefix(g, phi, v, g.n)
-    if attained and len(prefix) == g.n:
+    if walk[1] and len(walk[0]) == g.n:
         raise SegmentError("set has a minimum; use the minimum directly "
                            "instead of an end hull")
-    (y,) = fresh_names(phi, [v], 1)
-    phi_y = fm.substitute(g, phi, v, fm.t_var(g, y))
-    below = fm.Cmp(fm.LE, fm.t_var(g, y), fm.t_var(g, v))
-    hull = fm.Not(fm.Forall(y, fm.Implies(below, fm.Not(phi_y))))
-    if not is_end_segment(g, hull, v):
-        raise AssertionError("the hull must be closed upward")
-    if not entails(g, phi, hull):
-        raise AssertionError("the hull must contain the set")
-    coinit = fm.Forall(
-        v, fm.Implies(hull, fm.Exists(y, fm.And((phi_y, below)))))
-    if not decide(g, coinit):
-        raise AssertionError("the set must be co-initial in its hull")
-    return hull
+    return hull_segment(g, walk).denote(g, v)
 
 
 def pad(g: GroupSpec, vals) -> Element:
@@ -367,9 +343,14 @@ def _least_value(g: GroupSpec, psi, x: SVar):
 
 def least_prefix(g: GroupSpec, phi: fm.Formula, v: str,
                  k: int) -> Optional[tuple]:
-    """(prefix, attained): the least values of x.1..x.k on the set phi
-    defines, read off its quantifier-free form, eliminated once; None
-    when the set is empty and k >= 1.
+    """`least_prefix_qf` of phi's quantifier-free form."""
+    return least_prefix_qf(g, eliminate_scalar(g, fm.lower(g, phi)), v, k)
+
+
+def least_prefix_qf(g: GroupSpec, qf, v: str, k: int) -> Optional[tuple]:
+    """(prefix, attained): the least values of x.1..x.k on the set the
+    quantifier-free scalar formula qf defines in the coordinates of v;
+    None when the set is empty and k >= 1, and when qf is FALSE.
 
     Coordinate j's value is the least x.j with x.1..x.(j-1) pinned to
     the prefix so far, the deeper coordinates eliminated.  The walk stops
@@ -379,7 +360,8 @@ def least_prefix(g: GroupSpec, phi: fm.Formula, v: str,
     prefix has length k and attained is True.  A set and its end hull
     have the same walk.
     """
-    qf = eliminate_scalar(g, fm.lower(g, phi))
+    if qf is FALSE:
+        return None
     xs = [SVar(v, i) for i in range(1, g.n + 1)]
     prefix: tuple = ()
     for x in xs[:k]:
@@ -402,6 +384,141 @@ def least_prefix(g: GroupSpec, phi: fm.Formula, v: str,
     return prefix, True
 
 
+def _meets(t: int, w: int, lo, hi, s: int, n: int) -> bool:
+    """Whether some t' in lo..hi (None: unbounded) has t' = t (mod w)
+    and t' = s (mod n)."""
+    hit = crt(t, w, s, n)
+    if hit is None or lo is None or hi is None:
+        return hit is not None
+    c, period = hit
+    return lo + (c - lo) % period <= hi
+
+
+def _pieces(g: GroupSpec, psi, x: SVar, m: int) -> tuple:
+    """(L, triples (t, lo, hi)) whose fibres (see `fibre_changes`) are
+    all the fibres of psi over x, each with its classes modulo m on Z.
+
+    On Z, L is the lcm of psi's moduli in x, and t stands for the t' in
+    lo..hi (None: unbounded) with t' = t modulo w = lcm(L, m).  The
+    fibre over t' depends only on the gap between roots that t' lies
+    in, or the root it is, and on t' modulo L, so those t' all have t's
+    fibre, and so do the t' of the gap congruent to t modulo L.  Each
+    root that is an integer is a piece, and the first w integers of each
+    gap (the last w of the one unbounded below) stand for the gap.  On Q
+    the fibre is constant between roots: one point per gap and each
+    root, with L 1 and lo and hi None."""
+    roots, modulus = _roots_and_modulus(psi, x)
+    if g.kinds[x.coord - 1] == "Q":
+        if not roots:
+            return 1, [(Fraction(0), None, None)]
+        gaps = [(c + d) / 2 for c, d in zip(roots, roots[1:])]
+        return 1, [(t, None, None)
+                   for t in [roots[0] - 1, roots[-1] + 1] + roots + gaps]
+    w = lcm(modulus, m)
+    out = [(c, c, c) for c in roots if c.denominator == 1]
+    ends = [None] + roots + [None]
+    for c, d in zip(ends, ends[1:]):
+        lo = None if c is None else floor(c) + 1
+        hi = None if d is None else ceil(d) - 1
+        if lo is None:
+            top = 0 if hi is None else hi + 1
+            reps = range(top - w, top)
+        else:
+            reps = range(lo, lo + w if hi is None else min(lo + w, hi + 1))
+        out += [(t, lo, hi) for t in reps]
+    return modulus, out
+
+
+def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,
+                       m: int, decided) -> set:
+    """The classes modulo the level-k subgroup plus m*G in which the set
+    of qf ∧ D is co-initial in its end hull, as tuples of residues of
+    the discrete coordinates among x.1..x.k.  D is the conjunction of
+    the finite-quotient classes `decided`; walk is the `least_prefix_qf`
+    of qf ∧ D over all coordinates, and has no minimum.
+
+    A class C, like D, is a conjunction of congruences on single
+    coordinates, and qf ∧ D ∧ C is co-initial in the hull exactly when
+    it has the walk.  The walk is decided at coordinate q: the one after
+    the prefix, unbounded below, when the last value is attained, else
+    the last one, a dense coordinate whose infimum is not attained.  So
+    qf ∧ D ∧ C has the walk exactly when the pinned values x.1..x.(q-1)
+    lie in C and some of its points over them have x.q arbitrarily far
+    down (attained) or arbitrarily close above the infimum (not
+    attained).  Below the least root of the pinned form's atoms in x.q,
+    its fibre over t depends only on t modulo lcm(L, m), L the lcm of
+    its moduli in x.q, so one run of that many integers stands for
+    "arbitrarily far down"; above a dense infimum the fibre is constant
+    up to the next root, so one point stands for "arbitrarily close".
+    D's congruences on one coordinate meet in one class (the Chinese
+    remainder theorem, `groups.meet_classes`), so whether a piece of a
+    coordinate (`_pieces`) has a point in D's class is arithmetic
+    (`_meets`), and D's moduli
+    never cut the pieces.  The residues of x.q..x.k over which the
+    pinned form reaches a true ground value are collected in one pass
+    over the fibres of those pieces: no elimination, for all classes
+    at once.
+    """
+    fixed = meet_classes(g, decided)
+    if fixed is None:
+        raise AssertionError("decided classes must meet")
+    prefix, attained = walk
+    q = len(prefix) + 1 if attained else len(prefix)
+    pinned = prefix[:q - 1]
+    base = tuple(int(pinned[i]) % m for i in range(min(q - 1, k))
+                 if g.kinds[i] == "Z")
+    if k < q:
+        return {base}
+    xs = [SVar(v, i) for i in range(1, g.n + 1)]
+    memo: dict = {}
+
+    def collect(psi, i: int, modulus: int, pieces) -> set:
+        # the residues of x.i..x.k at which psi holds somewhere over the
+        # pieces of x.i (see `_pieces`), within D's class
+        out: set = set()
+        discrete = g.kinds[i - 1] == "Z"
+        w = lcm(modulus, m) if i <= k else modulus
+        s, n = fixed.get(i - 1, (0, 1))
+        fibres: dict = {}
+        for t, lo, hi in pieces:
+            if discrete and not _meets(t, w, lo, hi, s, n):
+                continue
+            key = (lo, hi, t % modulus) if discrete else t
+            fibre = fibres.get(key)
+            if fibre is None:
+                fibre = fibres[key] = s_subst_all(g, psi, {xs[i - 1]: t})
+            here = (t % m,) if discrete and i <= k else ()
+            out.update(here + r for r in classes(fibre, i + 1))
+            if out and i > k:
+                break
+        return out
+
+    def classes(psi, i: int) -> set:
+        # the residues of x.i..x.k at which psi, a form in x.i..x.n,
+        # holds somewhere within D's classes
+        if i > g.n:
+            return {()} if psi is TRUE else set()
+        hit = memo.get((psi, i))
+        if hit is None:
+            modulus, pieces = _pieces(g, psi, xs[i - 1], m if i <= k else 1)
+            hit = memo[(psi, i)] = collect(psi, i, modulus, pieces)
+        return hit
+
+    psi = s_subst_all(g, qf, dict(zip(xs, pinned)))
+    roots, modulus = _roots_and_modulus(psi, xs[q - 1])
+    w = lcm(modulus, m)
+    if not attained:
+        above = [c for c in roots if c > prefix[-1]]
+        ts = [(prefix[-1] + above[0]) / 2 if above else prefix[-1] + 1]
+    elif g.kinds[q - 1] == "Z":
+        start = ((ceil(roots[0]) if roots else 0) // w - 1) * w
+        ts = range(start, start + w)
+    else:
+        ts = [roots[0] - 1 if roots else Fraction(0)]
+    return {base + r for r in
+            collect(psi, q, modulus, [(t, None, None) for t in ts])}
+
+
 def hull_segment(g: GroupSpec, walk: tuple) -> DivSegment:
     """The divisibility form of a nonempty set's end hull, from its
     `least_prefix` over all coordinates: past the prefix the hull's
@@ -415,15 +532,14 @@ def hull_segment(g: GroupSpec, walk: tuple) -> DivSegment:
 
 def _end_form(g: GroupSpec, phi: fm.Formula, v: str) -> Optional[DivSegment]:
     """The divisibility form of phi's set if it is an end segment, else
-    None: a walk's hull is closed upward, an end segment is its own hull.
-    The trivial group's hull is full, so a set unequal to it is empty."""
+    None: a walk's hull is closed upward, an end segment is its own hull."""
     walk = least_prefix(g, phi, v, g.n)
     if walk is None:
         return empty_end_segment()
     hull = hull_segment(g, walk)
     if decide(g, fm.Forall(v, fm.Iff(phi, hull.denote(g, v)))):
         return hull
-    return empty_end_segment() if g.n == 0 else None
+    return None
 
 
 def _div_form(g: GroupSpec, phi: fm.Formula, v: str, op: str) -> DivSegment:

@@ -10,27 +10,29 @@ subgroup by subgroup in a fixed enumeration order.
 A constraint is admissible at a stage exactly when the constrained set
 still reaches arbitrarily far down inside the hull; since the order is
 total, that co-initiality test captures consistency with the edge
-constraints without materializing them.  The minimum, the cosets, the
-hull and co-initiality are all read off `segments.least_prefix`: a
-fragment of the set is co-initial in the hull exactly when it is
-nonempty and its walk equals the set's.
+constraints without materializing them.  The minimum, the cosets and
+the hull are read off the set's least-value walk
+(`segments.least_prefix_qf`).  A fragment of the set is co-initial in
+the hull exactly when it is nonempty and its walk equals the set's, and
+`segments.co_initial_classes` reads the classes that keep the walk off
+the fibres of the fragment's quantifier-free form.  Coherence of the
+result is arithmetic (`codes.descriptor_issue`), so `generic_type`
+decides no sentence.
 """
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 from . import formulas as fm
 from .codes import (CUT_AT_SEGMENT, CUT_MINUS_INF, CUT_REALIZED,
                     DEFAULT_RESIDUE_BOUND, TypeDescriptor, beta_of_residues,
-                    code_segment, descriptor_fragment, descriptor_issue,
-                    enumerate_finite_quotient)
+                    code_div_form, descriptor_fragment, descriptor_issue)
 from .errors import SegmentError, TypeGenError
-from .groups import GroupSpec, QuotientElement, project, project_fin
-from .qe import entails, satisfiable
+from .groups import FiniteQuotientElement, GroupSpec, project
+from .qe import eliminate_scalar, satisfiable
 from .scalars import operation
-from .segments import (CongrLiteral, hull_segment, least_prefix, pad,
-                       the_var)
+from .segments import (CongrLiteral, co_initial_classes, hull_segment,
+                       least_prefix_qf, pad, the_var)
 
 
 @dataclass(frozen=True)
@@ -45,16 +47,6 @@ class StageState:
     residues: tuple
     cosets: tuple
     cut: tuple
-
-
-def _residue_compatible(g: GroupSpec, a, b) -> bool:
-    """Whether two finite-quotient classes can hold simultaneously."""
-    d = gcd(a.modulus, b.modulus)
-    if d == 1:
-        return True
-    k = min(a.level, b.level)
-    return project_fin(g, k, d, beta_of_residues(g, a)) == \
-        project_fin(g, k, d, beta_of_residues(g, b))
 
 
 def generic_type(g: GroupSpec, phi: fm.Formula,
@@ -80,8 +72,14 @@ def generic_type_trace(g: GroupSpec, phi: fm.Formula,
                        var: Optional[str] = None):
     """generic_type plus the per-stage trace, for auditing the stages.
 
-    A fragment is co-initial in the hull exactly when it is nonempty
-    and its `segments.least_prefix` walk equals phi's."""
+    phi is lowered and eliminated once.  A fragment is co-initial in the
+    hull exactly when it has phi's `segments.least_prefix_qf` walk, and
+    each decided atom keeps it, so the walk gives every forced coset.
+    The fragment's quantifier-free form is phi's form, the cosets (the
+    walk's own values, which `segments.co_initial_classes` pins anyway)
+    and the classes decided so far, so the classes come from that form
+    and that list.  The trace keeps the fragment as a formula.  No
+    sentence is decided."""
     if bound < 2:
         raise TypeGenError(f"residue bound {bound} must be at least 2")
     if var is None and not fm.free_vars(phi):
@@ -90,13 +88,15 @@ def generic_type_trace(g: GroupSpec, phi: fm.Formula,
         v = the_var(g, phi, var)
     except SegmentError as e:
         raise TypeGenError(str(e)) from e
-    if not satisfiable(g, phi):
+    qf = eliminate_scalar(g, fm.lower(g, phi))
+    walk = least_prefix_qf(g, qf, v, g.n)
+    if walk is None:
         raise TypeGenError("cannot build a type on an unsatisfiable formula")
 
     # minimum first: a least element realizes the type
-    walk = least_prefix(g, phi, v, g.n)
-    if walk[1] and len(walk[0]) == g.n:
-        cut = (CUT_REALIZED, pad(g, walk[0]))
+    prefix, attained = walk
+    if attained and len(prefix) == g.n:
+        cut = (CUT_REALIZED, pad(g, prefix))
         p = TypeDescriptor(cut=cut, residue_bound=bound)
         trace = (StageState(0, 0, 0, "minimum", phi, (), (), cut),)
         return p, trace
@@ -105,12 +105,7 @@ def generic_type_trace(g: GroupSpec, phi: fm.Formula,
     if hull.is_full():
         cut = (CUT_MINUS_INF,)
     else:
-        cut = (CUT_AT_SEGMENT, code_segment(g, hull))
-
-    def co_initial(psi: fm.Formula) -> bool:
-        # psi is part of phi, so psi is co-initial in phi's hull exactly
-        # when its hull is the same, that is, when it has phi's walk
-        return least_prefix(g, psi, v, g.n) == walk
+        cut = (CUT_AT_SEGMENT, code_div_form(g, hull))
 
     frag = phi
     residues: list = []
@@ -123,40 +118,28 @@ def generic_type_trace(g: GroupSpec, phi: fm.Formula,
             index += 1
             action = "trivial"
             if m == 1 and k >= 1:
-                # the level-k coset: forced iff the descent pins a least one
-                low, attained = least_prefix(g, frag, v, k)
-                if not attained or len(low) < k:
-                    action = "coset-generic"
-                else:
-                    low = pad(g, low)
+                # the level-k coset: forced iff the walk pins x.1..x.k
+                if len(prefix) > k or (len(prefix) == k and attained):
+                    low = pad(g, prefix[:k])
                     cosets.append(project(g, k, low))
-                    atom = fm.RelEq(k, fm.t_var(g, v), fm.t_const(low))
-                    frag = fm.And((frag, atom))
+                    frag = fm.And((frag, fm.RelEq(k, fm.t_var(g, v),
+                                                  fm.t_const(low))))
                     action = "coset-forced"
-            elif m >= 2 and nontrivial_fin:
-                fixed = None
-                for q in cosets:
-                    if q.level >= k:
-                        fixed = project_fin(g, k, m, pad(g, q.coords))
-                        break
-                if fixed is not None:
-                    candidates = [fixed]
                 else:
-                    candidates = [fq for fq in enumerate_finite_quotient(g, k, m)
-                                  if all(_residue_compatible(g, fq, r)
-                                         for r in residues)]
-                chosen = None
-                for fq in candidates:
-                    lit = CongrLiteral(1, 1, k, m, beta_of_residues(g, fq))
-                    atom = lit.denote(g, v)
-                    if co_initial(fm.And((frag, atom))):
-                        chosen = fq
-                        frag = fm.And((frag, atom))
-                        break
-                if chosen is None:
+                    action = "coset-generic"
+            elif m >= 2 and nontrivial_fin:
+                # the first class in `enumerate_finite_quotient`'s order,
+                # which is lexicographic in the residues, that keeps the
+                # walk; when a coset at level k or deeper is forced, the
+                # walk pins x.1..x.k and the one class is the coset's
+                fits = co_initial_classes(g, qf, v, walk, k, m, residues)
+                if not fits:
                     raise TypeGenError(
                         f"no consistent class modulo {m} at level {k}")
+                chosen = FiniteQuotientElement(k, m, min(fits))
                 residues.append(chosen)
+                lit = CongrLiteral(1, 1, k, m, beta_of_residues(g, chosen))
+                frag = fm.And((frag, lit.denote(g, v)))
                 action = "residue"
             trace.append(StageState(index, k, m, action, frag,
                                     tuple(residues), tuple(cosets), cut))
@@ -177,10 +160,12 @@ def check_descriptor(g: GroupSpec, p: TypeDescriptor, phi: fm.Formula,
                      var: Optional[str] = None) -> bool:
     """Whether the descriptor's finite fragment concentrates on phi.
 
-    True iff the descriptor is coherent and the fragment (cut atom,
-    stored residues and cosets, plus membership in the set itself) is
-    satisfiable and entails the formula.  Structurally malformed
-    descriptors raise; semantic violations return False.
+    True iff the descriptor is coherent (`codes.descriptor_issue`, by
+    arithmetic) and the fragment (cut atom, stored residues and cosets,
+    plus membership in the set itself) is satisfiable: one decide.  The
+    fragment entails phi because phi is one of its conjuncts.
+    Structurally malformed descriptors raise; semantic violations return
+    False.
     """
     if var is None and not fm.free_vars(phi):
         var = "x"
@@ -191,4 +176,4 @@ def check_descriptor(g: GroupSpec, p: TypeDescriptor, phi: fm.Formula,
     if descriptor_issue(g, p) is not None:
         return False
     frag = fm.And((descriptor_fragment(g, p, v), phi))
-    return satisfiable(g, frag) and entails(g, frag, phi)
+    return satisfiable(g, frag)

@@ -110,8 +110,9 @@ def t_sub(g: GroupSpec, a: fm.Term, b: fm.Term) -> fm.Term:
 
 
 class _Parser:
-    def __init__(self, g: GroupSpec) -> None:
+    def __init__(self, g: GroupSpec, names: frozenset) -> None:
         self.g = g
+        self.names = names  # every token of the input
         self.used: set[str] = set()
         self.scopes: list[dict[str, str]] = []
 
@@ -120,7 +121,7 @@ class _Parser:
             self.used.add(name)
             return name
         k = 2
-        while f"{name}_{k}" in self.used:
+        while f"{name}_{k}" in self.used or f"{name}_{k}" in self.names:
             k += 1
         fresh = f"{name}_{k}"
         self.used.add(fresh)
@@ -309,7 +310,7 @@ def parse(g: GroupSpec, text: str) -> fm.Formula:
     node, pos = read_sexp(toks, 0)
     if pos != len(toks):
         raise _err("trailing input after formula", toks[pos])
-    f = _Parser(g).formula(node)
+    f = _Parser(g, frozenset(t.text for t in toks)).formula(node)
     return freshen(g, f, fm.all_names(f))
 
 

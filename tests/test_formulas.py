@@ -1,6 +1,7 @@
 """Parser, printer, substitution and lowering tests."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -108,6 +109,13 @@ class TestParse:
         inner = f.body.items[1]
         assert f.var == "x" and inner.var == "x_2"
         assert inner.body.left.vars() == ("x_2",)
+
+    def test_renamed_binder_captures_no_free_use(self):
+        # x_2 is free in the input, so the renamed binder must skip it
+        f = fm.parse(Z1, "(and (< x (c 0)) (exists (x) (< x x_2)))")
+        assert fm.free_vars(f) == {"x", "x_2"}
+        assert fm.print_formula(f) == \
+            "(and (< x (c 0)) (exists (x_3) (< x_3 x_2)))"
 
     def test_binder_before_free_use(self):
         f = fm.parse(Z1, "(and (exists (x) (< x (c 0))) (< x (c 0)))")
@@ -338,6 +346,33 @@ class TestParseAgainstReference:
 
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 LONG = "9" * (INT_DIGITS + 1)
+
+
+def parse_without_capture_fix(g, text):
+    """The reference front end with binder suffixes that avoid only the
+    names seen so far, as before the capture fix."""
+    toks = ref.tokenize(text)
+    node, _ = ref.read_sexp(toks, 0)
+    f = ref._Parser(g, frozenset()).formula(node)
+    return ref.freshen(g, f, fm.all_names(f))
+
+
+def test_capture_fix_changes_only_inputs_naming_a_suffix():
+    # an input without a name like x_2 parses byte for byte as before,
+    # renamed binders included
+    cases = [(Z1, t) for t in HANDWRITTEN
+             if outcome(fm.parse, Z1, t)[0] == "formula"]
+    cases += [(Z2, t) for t in crit01_texts(Z2, 40)]
+    cases += [(Z1, "(exists (x) (and (< x y) (exists (x) (< y x))))"),
+              (Z1, "(forall (y) (exists (y) (< y (c 1))))")]
+    renamed = 0
+    for g, text in cases:
+        if re.search(r"_\d", text):
+            continue
+        f = fm.parse(g, text)
+        assert repr(f) == repr(parse_without_capture_fix(g, text)), text
+        renamed += "_2" in fm.print_formula(f)
+    assert renamed >= 3, renamed
 
 
 class TestNumerals:

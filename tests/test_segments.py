@@ -14,7 +14,7 @@ from oagkit import qe
 from oagkit import segments as sg
 from oagkit.codes import beta_of_residues, enumerate_finite_quotient
 from oagkit.errors import SegmentError
-from oagkit.groups import ConvexSubgroup, element, parse_group
+from oagkit.groups import ConvexSubgroup, crt, element, parse_group
 from oagkit.oracle import (Box, FuzzLimits, _rand_endseg_candidate, evaluate,
                            fuzz_corpus, grid_axes, grid_eval)
 from oagkit.qe import (decide, eliminate, entails, equivalent, satisfiable,
@@ -28,6 +28,20 @@ QZ = parse_group("Q*Z")
 ZQ = parse_group("Z*Q")
 
 LIM = FuzzLimits(max_coeff=3, max_modulus=4, max_depth=2, window=6, max_den=2)
+
+
+def fresh_names(phi, avoid, count):
+    """count variable names that occur neither in phi nor in avoid."""
+    taken = set(fm.all_names(phi)) | set(avoid)
+    out = []
+    i = 0
+    while len(out) < count:
+        cand = "_t%d" % i
+        if cand not in taken:
+            taken.add(cand)
+            out.append(cand)
+        i += 1
+    return out
 
 
 def union_formula(g, pieces):
@@ -185,6 +199,37 @@ class TestEndHull:
         assert set(xm) <= set(hm)
         lex_le = lambda u, s: u[0] < s[0] or (u[0] == s[0] and u[1] <= s[1])
         assert all(any(lex_le(u, s) for u in xm) for s in hm)
+
+    def test_hull_is_the_least_end_segment_above_the_set(self):
+        # the checks end_hull used to run on itself: the hull is closed
+        # upward, contains the set and has the set co-initial in it; and
+        # it is the set of points not strictly below the whole set
+        seen = 0
+        for i, gname in enumerate(("Z", "Q", "Z*Z", "Z*Q", "Q*Z")):
+            g = parse_group(gname)
+            for phi in fuzz_corpus(g, seed=60 + i, count=20, template="qf",
+                                   limits=LIM):
+                if fm.free_vars(phi) != frozenset({"x"}):
+                    continue
+                walk = sg.least_prefix(g, phi, "x", g.n)
+                if walk is None or (walk[1] and len(walk[0]) == g.n):
+                    continue
+                hull = sg.end_hull(g, phi)
+                (y,) = fresh_names(fm.And((phi, hull)), ["x"], 1)
+                tx, ty = fm.t_var(g, "x"), fm.t_var(g, y)
+                phi_y = fm.substitute(g, phi, "x", ty)
+                hull_y = fm.substitute(g, hull, "x", ty)
+                below = fm.Cmp(fm.LE, ty, tx)
+                assert decide(g, fm.Forall("x", fm.Forall(y, fm.Implies(
+                    fm.And((hull, fm.Cmp(fm.LT, tx, ty))), hull_y))))
+                assert entails(g, phi, hull)
+                assert decide(g, fm.Forall("x", fm.Implies(
+                    hull, fm.Exists(y, fm.And((phi_y, below))))))
+                quantified = fm.Not(fm.Forall(
+                    y, fm.Implies(below, fm.Not(phi_y))))
+                assert equivalent(g, hull, quantified), (g, phi)
+                seen += 1
+        assert seen >= 10
 
     def test_empty_set_rejected(self):
         with pytest.raises(SegmentError):
@@ -650,6 +695,58 @@ class TestFibreScan:
                             g, phi, m, r, False), (g, phi, m, r)
 
 
+class TestClassArithmetic:
+    """The pieces and the class arithmetic `co_initial_classes` reads
+    classes with, against enumeration."""
+
+    def test_meets_agrees_with_enumeration(self):
+        rng = random.Random(3)
+        for _ in range(400):
+            w, n = rng.randint(1, 12), rng.randint(1, 12)
+            t, s = rng.randint(-20, 20), rng.randint(-20, 20)
+            lo = rng.choice((None, rng.randint(-30, 10)))
+            hi = rng.choice((None, rng.randint(-10, 30)))
+            span = range(-200 if lo is None else lo,
+                         (200 if hi is None else hi) + 1)
+            want = any((u - t) % w == 0 and (u - s) % n == 0 for u in span)
+            assert sg._meets(t, w, lo, hi, s, n) == want, (t, w, lo, hi, s, n)
+            hit = crt(t, w, s, n)
+            if hit is not None:
+                c, period = hit
+                assert period == lcm(w, n)
+                assert (c - t) % w == 0 and (c - s) % n == 0
+
+    def test_pieces_cover_every_fibre(self):
+        # each t in a window has its truth value, and its class modulo m,
+        # at the representative of a piece that contains it
+        forms = []
+        for i, gname in enumerate(("Z", "Q")):
+            g = parse_group(gname)
+            forms += [(g, f) for f in fuzz_corpus(g, seed=70 + i, count=30,
+                                                  template="qf", limits=LIM)
+                      if fm.free_vars(f) == frozenset({"x"})]
+        x = SVar("x", 1)
+        for g, f in forms:
+            psi = qe.eliminate(g, f).body
+            for m in (1, 2, 3, 4):
+                modulus, pieces = sg._pieces(g, psi, x, m)
+                w = lcm(modulus, m)
+                if g.kinds[0] == "Q":
+                    pts = [Fraction(t, 4) for t in range(-80, 81)]
+                    reps = {sg.s_eval(g, psi, {x: t}) for t, _, _ in pieces}
+                    assert {sg.s_eval(g, psi, {x: t}) for t in pts} <= reps
+                    continue
+                assert w % m == 0
+                for t in range(-40, 41):
+                    fits = [r for r, lo, hi in pieces
+                            if (lo is None or lo <= t)
+                            and (hi is None or t <= hi)
+                            and (t - r) % w == 0]
+                    assert fits, (f, m, t)
+                    assert all(sg.s_eval(g, psi, {x: r}) ==
+                               sg.s_eval(g, psi, {x: t}) for r in fits)
+
+
 class TestLeastPrefix:
     """`least_prefix` against the group sentences it replaces: a least
     element modulo the level-k subgroup (its value through `witness`),
@@ -776,7 +873,7 @@ class TestEndSegmentSentence:
     @staticmethod
     def closed(g, phi, upward):
         # every point above (below) a member is a member
-        (y,) = sg.fresh_names(phi, ["x"], 1)
+        (y,) = fresh_names(phi, ["x"], 1)
         tx, ty = fm.t_var(g, "x"), fm.t_var(g, y)
         beyond = fm.Cmp(fm.LT, tx, ty) if upward else fm.Cmp(fm.LT, ty, tx)
         body = fm.Implies(fm.And((phi, beyond)),

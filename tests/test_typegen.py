@@ -1,17 +1,22 @@
 """Tests for the staged construction of definable types."""
 
+import random
 import time
+from fractions import Fraction
 
 import pytest
 
+import reference_typegen as ref
 from oagkit import formulas as fm
 from oagkit import qe
 from oagkit import segments as sg
 from oagkit import typegen as tg
 from oagkit.errors import CodeError, TypeGenError
-from oagkit.groups import FiniteQuotientElement, QuotientElement, parse_group
-from oagkit.codes import (Code, MainVal, QuotVal, TypeDescriptor, code_segment,
-                          code_type, descriptor_fragment)
+from oagkit.groups import (FiniteQuotientElement, QuotientElement,
+                           parse_group, project_fin)
+from oagkit.codes import (Code, MainVal, Marker, QuotVal,
+                          TypeDescriptor, code_segment, code_type,
+                          descriptor_fragment, descriptor_issue)
 from oagkit.oracle import FuzzLimits, fuzz_corpus
 from oagkit.qe import entails, equivalent, satisfiable
 from oagkit.scalars import operation_memo, operation_scope
@@ -26,6 +31,41 @@ QZ = parse_group("Q*Z")
 ZQ = parse_group("Z*Q")
 
 LIM = FuzzLimits(max_coeff=3, max_modulus=4, max_depth=2, window=6, max_den=2)
+
+
+# acceptance criterion 07's corpus: its groups, seeds and limits (its
+# residue bound is 6)
+CRIT07 = (("Z", 71), ("Z*Z", 72), ("Q", 73), ("Z*Q", 74))
+CRIT07_LIMITS = FuzzLimits(max_coeff=3, max_modulus=4, max_depth=2,
+                           window=6)
+
+
+def crit07_corpus(spec, seed, count):
+    g = parse_group(spec)
+    out = [f for f in fuzz_corpus(g, seed, 8 * count, limits=CRIT07_LIMITS,
+                                  template="qf")
+           if fm.free_vars(f) == frozenset({"x"}) and satisfiable(g, f)]
+    return g, out[:count]
+
+
+def far_roots(radius):
+    return (f"(or (and (< x (c -{radius})) (congr 2 x (c 0))) "
+            f"(and (<= (c {radius}) x) (congr 3 x (c 0))))")
+
+
+def count_decides(monkeypatch):
+    """The list every `qe.decide` call is appended to, through any
+    module that binds it."""
+    calls = []
+    real = qe.decide
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (qe, sg, tg):
+        monkeypatch.setattr(mod, "decide", counting, raising=False)
+    return calls
 
 
 def unary_corpus(g, seed, count):
@@ -250,6 +290,9 @@ class TestOperationMemo:
     rerun must start without a memo, or it would only replay the first."""
 
     PHI = "(le@ 2 (c 1 1) (* 2 x))"
+    # generic_type of PHI projects nothing by Cooper's method; eliminating
+    # the quantifier of this one does
+    PROJECTING = "(exists (y) (and (le@ 2 (c 1 1) (* 2 y)) (< y x)))"
 
     def test_no_memo_survives_an_operation(self):
         generic_type(ZZ, fm.parse(ZZ, self.PHI), 4)
@@ -267,7 +310,7 @@ class TestOperationMemo:
             return cooper(*args)
 
         monkeypatch.setattr(qe, "_cooper", counted)
-        phi = fm.parse(ZZ, self.PHI)
+        phi = fm.parse(ZZ, self.PROJECTING)
         first = generic_type(ZZ, phi, 4)
         n = len(calls)
         assert n > 0
@@ -279,3 +322,209 @@ class TestOperationMemo:
             assert len(calls) == 3 * n
             assert generic_type(ZZ, phi, 4) == first
             assert len(calls) == 3 * n
+
+
+class TestDecides:
+    """generic_type and descriptor_issue decide no sentence;
+    check_descriptor decides one."""
+
+    def test_far_roots_decide_nothing(self, monkeypatch):
+        # the fragment's congruences have lcm 27720; arithmetic does not
+        # enumerate them
+        decided = count_decides(monkeypatch)
+        types = []
+        for radius in (100, 10**6):
+            phi = fm.parse(Z, far_roots(radius))
+            types.append(generic_type(Z, phi))
+            assert descriptor_issue(Z, types[-1]) is None
+        assert decided == []
+        assert types[0] == types[1]
+        assert [fq.residues for fq in types[0].residues] == [(0,)] * 11
+
+    def test_corpus_types_decide_nothing(self, monkeypatch):
+        cases = [crit07_corpus(spec, seed, 6) for spec, seed in CRIT07]
+        decided = count_decides(monkeypatch)
+        for g, fs in cases:
+            for phi in fs:
+                generic_type(g, phi, 6)
+        assert decided == []
+
+    def test_check_descriptor_decides_once(self, monkeypatch):
+        cases = [(g, phi, generic_type(g, phi, 6))
+                 for g, fs in (crit07_corpus("Z*Z", 72, 4),
+                               crit07_corpus("Z*Q", 74, 4))
+                 for phi in fs]
+        decided = count_decides(monkeypatch)
+        for g, phi, p in cases:
+            before = len(decided)
+            assert check_descriptor(g, p, phi, "x")
+            assert len(decided) - before == 1
+
+
+def _segment_code(g, case, n, level, vals):
+    if case in ("whole", "empty"):
+        mark = "whole-group" if case == "whole" else "empty"
+        return Code(("segment", END, case, 1), (Marker(mark),))
+    val = MainVal(tuple(vals)) if level == g.n else \
+        QuotVal(QuotientElement(level, tuple(vals[:level])))
+    return Code(("segment", END, case, n), (val,))
+
+
+def _random_descriptor(g, rng, bound=6):
+    """A descriptor read off a random point, then perhaps perturbed: a
+    cut at or near the point (or a sentinel, or a realized point), its
+    cosets and its residues, and one changed value."""
+    def coord(i):
+        if g.kinds[i] == "Z":
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
+
+    point = [coord(i) for i in range(g.n)]
+    if rng.random() < 0.1:
+        cut = ("realized", tuple(point))
+        return TypeDescriptor(cut=cut, residue_bound=bound), "realized"
+    kind = rng.choice(("minus-inf", "plus-inf", "seg", "seg", "seg",
+                       "whole", "empty"))
+    tag = kind
+    if kind in ("minus-inf", "plus-inf"):
+        cut = (kind,)
+    elif kind in ("whole", "empty"):
+        cut = ("at-segment", _segment_code(g, kind, 1, 0, ()))
+    else:
+        level = rng.randint(0, g.n)
+        n = rng.choice((1, 1, 2))
+        bound_vals = [n * c for c in point]
+        if rng.random() < 0.3:
+            bound_vals = [coord(i) for i in range(g.n)]
+        case = rng.choice(("min", "cut"))
+        cut = ("at-segment", _segment_code(g, case, n, level, bound_vals))
+        tag = "ge" if case == "min" else "gt"
+    levels = sorted(rng.sample(range(1, g.n + 1),
+                               rng.randint(0, min(2, g.n))))
+    cosets = [QuotientElement(k, tuple(point[:k])) for k in levels]
+    keys = sorted({(rng.randint(1, g.n), rng.randint(2, bound))
+                   for _ in range(rng.randint(0, 4))})
+    residues = [project_fin(g, k, m, tuple(point)) for k, m in keys]
+    change = rng.random()
+    if change < 0.25 and residues:
+        i = rng.randrange(len(residues))
+        fq = residues[i]
+        if fq.residues:
+            res = list(fq.residues)
+            j = rng.randrange(len(res))
+            res[j] = (res[j] + rng.randint(1, fq.modulus - 1)) % fq.modulus
+            residues[i] = FiniteQuotientElement(fq.level, fq.modulus,
+                                                tuple(res))
+    elif change < 0.4 and cosets:
+        i = rng.randrange(len(cosets))
+        q = cosets[i]
+        j = rng.randrange(q.level)
+        coords = list(q.coords)
+        coords[j] += rng.choice((-1, 1))
+        cosets[i] = QuotientElement(q.level, tuple(coords))
+    p = TypeDescriptor(cut=cut, cosets=tuple(cosets),
+                       residues=tuple(residues), residue_bound=bound)
+    return p, ("coset-" if cosets else "") + tag
+
+
+class TestArithmeticCoherence:
+    """`descriptor_issue` by arithmetic against the decide-based check
+    it replaced (`reference_typegen.descriptor_issue`)."""
+
+    GROUPS = ("Z", "Z*Z", "Q", "Z*Q", "Q*Z", "Z*Z*Z")
+
+    def test_agrees_on_random_descriptors(self):
+        seen = set()
+        for i, spec in enumerate(self.GROUPS):
+            g = parse_group(spec)
+            rng = random.Random(90 + i)
+            for _ in range(80):
+                p, shape = _random_descriptor(g, rng)
+                want = ref.descriptor_issue(g, p) is None
+                assert (descriptor_issue(g, p) is None) == want, (g, p)
+                seen.add((shape, want))
+        assert {("coset-ge", True), ("coset-ge", False),
+                ("coset-gt", True), ("coset-gt", False),
+                ("ge", True), ("gt", True), ("gt", False),
+                ("realized", True), ("whole", True), ("empty", False),
+                ("minus-inf", False), ("plus-inf", True)} <= seen, seen
+
+    def test_residues_across_levels(self):
+        # moduli 4 and 6 share 2: the level-1 and level-2 classes meet
+        # exactly when their first residues agree modulo 2
+        for r in range(4):
+            p = TypeDescriptor(
+                cut=("minus-inf",),
+                residues=(FiniteQuotientElement(1, 4, (r,)),
+                          FiniteQuotientElement(2, 6, (1, 5))))
+            ok = descriptor_issue(ZZ, p) is None
+            assert ok == (r % 2 == 1)
+            assert ok == (ref.descriptor_issue(ZZ, p) is None)
+
+    def test_coset_against_cut_on_the_pinned_coordinates(self):
+        # a coset at level 1 against cuts of level 2 at its own value:
+        # the cut leaves the second coordinate free, so both relations
+        # are satisfiable; at level 1 only ge is
+        for level, case, want in ((2, "min", True), (2, "cut", True),
+                                  (1, "min", True), (1, "cut", False),
+                                  (0, "cut", False), (0, "min", True)):
+            code = _segment_code(ZQ, case, 1, level, (3, Fraction(1, 2)))
+            p = TypeDescriptor(cut=("at-segment", code),
+                               cosets=(QuotientElement(1, (3,)),))
+            assert (descriptor_issue(ZQ, p) is None) == want, (level, case)
+            assert (ref.descriptor_issue(ZQ, p) is None) == want
+
+    def test_agrees_on_perturbed_corpus_descriptors(self):
+        rng = random.Random(7)
+        verdicts = set()
+        for spec, seed in CRIT07:
+            g, fs = crit07_corpus(spec, seed, 5)
+            for phi in fs:
+                p = generic_type(g, phi, 6)
+                assert descriptor_issue(g, p) is None
+                assert ref.descriptor_issue(g, p) is None
+                for fq_i, fq in enumerate(p.residues[:3]):
+                    if not fq.residues:
+                        continue
+                    res = ((fq.residues[0] + rng.randint(1, fq.modulus - 1))
+                           % fq.modulus,) + fq.residues[1:]
+                    bad = p.residues[:fq_i] + (FiniteQuotientElement(
+                        fq.level, fq.modulus, res),) + p.residues[fq_i + 1:]
+                    q = TypeDescriptor(p.cut, p.cosets, bad, p.residue_bound)
+                    want = ref.descriptor_issue(g, q) is None
+                    assert (descriptor_issue(g, q) is None) == want, (g, q)
+                    verdicts.add(want)
+        # a changed class clashes with a class or coset sharing a factor
+        # of its modulus, and is harmless without one
+        assert verdicts == {False, True}
+
+
+class TestClassChooser:
+    """The classes read off the fibres against the per-candidate walks
+    they replaced (`reference_typegen.generic_type_trace`): the same
+    descriptor and the same trace, fragments included."""
+
+    def test_crit07_corpus(self):
+        for spec, seed in CRIT07:
+            g, fs = crit07_corpus(spec, seed, 20)
+            for phi in fs:
+                assert generic_type_trace(g, phi, 6) == \
+                    ref.generic_type_trace(g, phi, 6), fm.print_formula(phi)
+
+    def test_cut_off_corpora(self):
+        # fuzzed formulas, also cut off below 1/2 on every coordinate,
+        # which gives minima, open cuts and classes below the top level
+        cuts = set()
+        for i, spec in enumerate(("Q*Z", "Z*Z*Z", "Z*Q*Z")):
+            g = parse_group(spec)
+            half = fm.Cmp(fm.LT, fm.t_const((1,) * g.n),
+                          fm.t_scale(g, 2, fm.t_var(g, "x")))
+            for f in unary_corpus(g, 40 + i, 10)[:4]:
+                for phi in (f, fm.And((f, half))):
+                    if not satisfiable(g, phi):
+                        continue
+                    got = generic_type_trace(g, phi, 4)
+                    assert got == ref.generic_type_trace(g, phi, 4), \
+                        fm.print_formula(phi)
+                    cuts.add(got[0].cut[0])
+        assert cuts == {"realized", "at-segment", "minus-inf"}
