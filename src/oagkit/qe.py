@@ -22,7 +22,9 @@ memo changes no answer.  It is thread-local, has no option or size
 limit, and is dropped when the outermost operation returns or raises,
 so no answer outlives the operation that computed it.  Outside an
 operation nothing is memoized.  (`formulas.lower` keeps the scalar form
-of each atom in the same memo, under a key tagged "lower".)  Cooper's
+of each atom in the same memo, under a key tagged "lower", and
+`segments._holds_somewhere` the answer for each fibre it walks, under a
+key tagged "holds".)  Cooper's
 method and the dense projection yield their disjuncts lazily, so
 `mk_or` stops substituting at the first true one.  Cooper's method
 substitutes its infinity rows first, and a true one answers the whole

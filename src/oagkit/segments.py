@@ -29,25 +29,21 @@ from .groups import (
     scale,
     unit,
 )
-from .qe import (
-    decide,
-    eliminate_scalar,
-    equivalent,
-    satisfiable,
-    s_subst_all,
-)
+from .qe import decide, eliminate_scalar, s_subst_all
 from .scalars import (
+    SBool,
     SCongr,
+    SEq,
     FALSE,
     SVar,
     TRUE,
-    atom_roots,
     atoms,
     mk_and,
     mk_exists,
     mk_not,
     mk_or,
     operation,
+    operation_memo,
     s_eval,
 )
 
@@ -297,15 +293,45 @@ def pad(g: GroupSpec, vals) -> Element:
 
 
 def _holds_somewhere(g: GroupSpec, f) -> bool:
-    """Whether a quantifier-free scalar formula holds at some point."""
-    for w in sorted(f.fv, key=lambda w: (w.base, w.coord), reverse=True):
-        f = mk_exists(w, f)
-    return eliminate_scalar(g, f) is TRUE
+    """Whether a quantifier-free scalar formula, each of whose atoms
+    mentions one variable, holds at some point.
+
+    No elimination is needed.  The truth of such a form at a point
+    depends only on each variable's cell: the root of the variable's
+    order atoms it is, or the gap between two roots it lies in, and on
+    Z its residue modulo L, the lcm of the variable's moduli.  So the
+    form holds somewhere exactly when one of its fibres over its first
+    variable set to a representative of each cell (`_pieces`) does.
+    The walk recurses on those fibres (`_fibres`) and evaluates a form
+    in one variable at each representative.  It is memoized on the
+    interned fibre in the open operation's memo under a key tagged
+    "holds" (for the call alone outside an operation).  An atom that
+    mentions two variables raises AssertionError."""
+    memo = operation_memo()
+    return _walk(g, f, {} if memo is None else memo)
+
+
+def _walk(g: GroupSpec, f, memo: dict) -> bool:
+    if isinstance(f, SBool):
+        return f.value
+    key = ("holds", g, f)
+    hit = memo.get(key)
+    if hit is None:
+        x = min(f.fv, key=lambda w: (w.base, w.coord))
+        ts = [t for t, _, _ in _pieces(g, f, x, 1)[1]]
+        if len(f.fv) == 1:
+            hit = any(s_eval(g, f, {x: t}) for t in ts)
+        else:
+            hit = any(_walk(g, fibre, memo)
+                      for _, fibre in _fibres(g, f, x, ts))
+        memo[key] = hit
+    return hit
 
 
 def same_points(g: GroupSpec, a, b) -> bool:
-    """Whether two quantifier-free scalar formulas hold at the same
-    points: no point satisfies exactly one of them."""
+    """Whether two quantifier-free scalar formulas, each of whose atoms
+    mentions one variable, hold at the same points: their exclusive or
+    holds nowhere (`_holds_somewhere`, exact for such forms)."""
     if a is b:
         return True
     return not _holds_somewhere(
@@ -589,12 +615,46 @@ def to_div_segment_initial(g: GroupSpec, phi: fm.Formula,
 
 def _roots_and_modulus(psi, x) -> tuple:
     """The sorted roots of psi's order atoms in x, and the lcm of the
-    moduli of psi's congruences in x."""
+    moduli of psi's congruences in x.  Every atom of psi must mention
+    one variable: AssertionError otherwise."""
+    roots = set()
     modulus = 1
     for atom in atoms(psi):
-        if isinstance(atom, SCongr) and atom.expr.coeff(x):
+        coeffs = atom.expr.coeffs
+        if len(coeffs) > 1:
+            raise AssertionError(
+                f"atom {atom!r} mentions more than one variable")
+        if coeffs[0][0] != x:
+            continue
+        if isinstance(atom, SCongr):
             modulus = lcm(modulus, atom.modulus)
-    return atom_roots(psi, x), modulus
+        else:
+            roots.add(Fraction(-atom.expr.const, coeffs[0][1]))
+    return sorted(roots), modulus
+
+
+def _fibres(g: GroupSpec, psi, x: SVar, ts):
+    """(t, the fibre of psi over x = t) for each t of ts, in order.  The
+    fibre, psi with x = t, depends only on the truth values at t of the
+    atoms of psi that mention x, so psi is substituted once per distinct
+    tuple of those values."""
+    mine = [a for a in atoms(psi) if a.expr.coeffs[0][0] == x]
+    done: dict = {}
+    for t in ts:
+        key = tuple(_atom_holds(a, t) for a in mine)
+        fibre = done.get(key)
+        if fibre is None:
+            fibre = done[key] = s_subst_all(g, psi, {x: t})
+        yield t, fibre
+
+
+def _atom_holds(atom, t) -> bool:
+    # the truth value of an atom in one variable at the value t
+    ((_, a),) = atom.expr.coeffs
+    val = a * t + atom.expr.const
+    if isinstance(atom, SCongr):
+        return val % atom.modulus == 0
+    return val == 0 if isinstance(atom, SEq) else val < 0
 
 
 def fibre_changes(g: GroupSpec, psi, x: SVar, m: int, r: int) -> list:
@@ -620,8 +680,7 @@ def fibre_changes(g: GroupSpec, psi, x: SVar, m: int, r: int) -> list:
     cands = set()
     for e in ends:
         cands.update(range(e - span + (r - e + span) % m, e + span + 1, m))
-    fibre = {t: s_subst_all(g, psi, {x: t})
-             for t in cands | {s + m for s in cands}}
+    fibre = dict(_fibres(g, psi, x, cands | {s + m for s in cands}))
     return [s for s in sorted(cands)
             if not same_points(g, fibre[s], fibre[s + m])]
 
@@ -672,6 +731,11 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     the fibre over a value t of coordinate j is the form with x.j = t as
     well: a condition on the deeper coordinates.  Two fibres are equal
     when no point of the deeper coordinates satisfies exactly one.
+    Every test here is on such forms, so none eliminates: the truth of
+    a form whose atoms each mention one coordinate depends only on each
+    coordinate's cell (its root gap or root, and on Z its residue modulo
+    L, the lcm of its moduli), so trying one point per cell is exact
+    (`_holds_somewhere`, `same_points`).
 
     A discrete coordinate is split into residue classes modulo the
     minimal eventual period (refined by the moduli of the limiting
@@ -681,7 +745,9 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     near the roots of the coordinate's atoms.  A dense coordinate is
     split at the roots where the fibre actually changes.  All of this
     depends only on the defined set, so equivalent inputs produce
-    identical output.
+    identical output.  The pieces are then pruned of redundant literals
+    and merged, and checked to be nonempty and to cover the set, all by
+    comparing their lowered forms with `same_points`.
     """
     v = the_var(g, phi, var)
     qf = eliminate_scalar(g, fm.lower(g, phi))
@@ -764,7 +830,7 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     def rec_dense(pin, psi) -> list:
         j = len(pin) + 1
         x = xs[j - 1]
-        roots = atom_roots(psi, x)
+        roots, _ = _roots_and_modulus(psi, x)
 
         def fibre(t):
             return s_subst_all(g, psi, {x: t})
@@ -813,49 +879,22 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
             else full_initial_segment()
         pieces.append(NiceSet(upper, lower, canonical_restriction(g, rp.lits)))
 
-    def prune(ns: NiceSet) -> NiceSet:
-        lits = list(ns.congr)
-        i = 0
-        while i < len(lits):
-            trimmed = NiceSet(ns.upper, ns.lower,
-                              tuple(lits[:i] + lits[i + 1:]))
-            if equivalent(g, trimmed.denote(g, v),
-                          NiceSet(ns.upper, ns.lower, tuple(lits)).denote(g, v)):
-                del lits[i]
-            else:
-                i += 1
-        return NiceSet(ns.upper, ns.lower, tuple(lits))
+    lowered: dict = {}
 
-    def seg_key(s: DivSegment):
-        if s.bound == MINUS_INF:
-            b = (0, ())
-        elif s.bound == PLUS_INF:
-            b = (2, ())
-        else:
-            b = (1, tuple(Fraction(x) for x in s.bound))
-        return (b, s.level, s.n, 0 if s.rel == GE else 1)
-
-    def piece_key(ns: NiceSet):
-        return (seg_key(ns.upper), seg_key(ns.lower),
-                tuple(_lit_key(l) for l in ns.congr))
-
-    def try_merge(a: NiceSet, b: NiceSet):
-        if a.congr != b.congr:
-            return None
-        union = fm.Or((a.denote(g, v), b.denote(g, v)))
-        for up, low in ((a.upper, b.lower), (b.upper, a.lower)):
-            cand = NiceSet(up, low, a.congr)
-            if equivalent(g, union, cand.denote(g, v)):
-                return cand
-        return None
+    def low(ns: NiceSet):
+        # a piece's scalar form, lowered once per piece
+        hit = lowered.get(ns)
+        if hit is None:
+            hit = lowered[ns] = fm.lower(g, ns.denote(g, v))
+        return hit
 
     while True:
-        pieces = [prune(p) for p in pieces]
-        pieces.sort(key=piece_key)
+        pieces = [_prune(g, p, low) for p in pieces]
+        pieces.sort(key=_piece_key)
         merged_any = False
         i = 0
         while i < len(pieces) - 1:
-            cand = try_merge(pieces[i], pieces[i + 1])
+            cand = _try_merge(g, pieces[i], pieces[i + 1], low)
             if cand is not None:
                 pieces[i:i + 2] = [cand]
                 merged_any = True
@@ -866,11 +905,52 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
             break
 
     for p in pieces:
-        if not satisfiable(g, p.denote(g, v)):
+        if not _holds_somewhere(g, low(p)):
             raise AssertionError("nice pieces must be nonempty")
-    if pieces:
-        union = fm.Or(tuple(p.denote(g, v) for p in pieces)) \
-            if len(pieces) > 1 else pieces[0].denote(g, v)
-        if not equivalent(g, union, phi):
-            raise AssertionError("decomposition must cover the set")
+    if not same_points(g, mk_or([low(p) for p in pieces]), qf):
+        raise AssertionError("decomposition must cover the set")
     return tuple(pieces)
+
+
+def _prune(g: GroupSpec, ns: NiceSet, low) -> NiceSet:
+    """ns without each congruence literal whose removal keeps its points;
+    low gives a piece's scalar form."""
+    lits = list(ns.congr)
+    i = 0
+    while i < len(lits):
+        trimmed = NiceSet(ns.upper, ns.lower, tuple(lits[:i] + lits[i + 1:]))
+        if same_points(g, low(trimmed),
+                       low(NiceSet(ns.upper, ns.lower, tuple(lits)))):
+            del lits[i]
+        else:
+            i += 1
+    return NiceSet(ns.upper, ns.lower, tuple(lits))
+
+
+def _seg_key(s: DivSegment):
+    if s.bound == MINUS_INF:
+        b = (0, ())
+    elif s.bound == PLUS_INF:
+        b = (2, ())
+    else:
+        b = (1, tuple(Fraction(x) for x in s.bound))
+    return (b, s.level, s.n, 0 if s.rel == GE else 1)
+
+
+def _piece_key(ns: NiceSet):
+    return (_seg_key(ns.upper), _seg_key(ns.lower),
+            tuple(_lit_key(l) for l in ns.congr))
+
+
+def _try_merge(g: GroupSpec, a: NiceSet, b: NiceSet, low):
+    """The one piece with a's literals whose points are those of a and b
+    together, taking one side from each, or None; low gives a piece's
+    scalar form."""
+    if a.congr != b.congr:
+        return None
+    union = mk_or([low(a), low(b)])
+    for up, down in ((a.upper, b.lower), (b.upper, a.lower)):
+        cand = NiceSet(up, down, a.congr)
+        if same_points(g, union, low(cand)):
+            return cand
+    return None

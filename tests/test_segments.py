@@ -10,16 +10,20 @@ import numpy as np
 import pytest
 
 import oagkit.formulas as fm
+import reference_segments as ref
 from oagkit import qe
 from oagkit import segments as sg
-from oagkit.codes import beta_of_residues, enumerate_finite_quotient
+from oagkit.codes import (beta_of_residues, code_set,
+                          enumerate_finite_quotient)
 from oagkit.errors import SegmentError
 from oagkit.groups import ConvexSubgroup, crt, element, parse_group
 from oagkit.oracle import (Box, FuzzLimits, _rand_endseg_candidate, evaluate,
                            fuzz_corpus, grid_axes, grid_eval)
 from oagkit.qe import (decide, eliminate, entails, equivalent, satisfiable,
                        witness)
-from oagkit.scalars import SCongr, SVar, atoms
+from oagkit.scalars import (SCongr, SVar, atoms, lin, mk_and, mk_congr,
+                            mk_eq, mk_lt, mk_not, mk_or, operation_memo,
+                            operation_scope)
 
 Z = parse_group("Z")
 ZZ = parse_group("Z*Z")
@@ -941,3 +945,165 @@ class TestEndSegmentSentence:
             assert sg.is_end_segment(g0, phi, "x")
             assert sg.is_initial_segment(g0, phi, "x")
             assert sg.to_div_segment(g0, phi, "x") == want
+
+
+KINDS = ("Z", "Q", "Z*Z", "Z*Q", "Q*Z", "Q*Q", "Z*Z*Z", "Z*Q*Z")
+
+
+def one_coordinate_form(g, rng, moduli, depth):
+    """A random quantifier-free form over x.1..x.n and y.1..y.n whose
+    atoms each mention one variable: some roots near -10**6 or 10**6,
+    congruences on a discrete variable v modulo moduli[v]."""
+    if depth == 0 or rng.random() < 0.25:
+        v = SVar(rng.choice("xy"), rng.randint(1, g.n))
+        c = rng.randint(-6, 6)
+        if rng.random() < 0.2:
+            c += rng.choice((-1, 1)) * 10**6
+        e = lin({v: rng.choice((1, 2, 3, -1, -2))}, c)
+        kind = rng.randrange(3)
+        if kind == 2 and g.kinds[v.coord - 1] == "Z":
+            return mk_congr(g, moduli[v], e)
+        return mk_eq(g, e) if kind == 1 else mk_lt(g, e)
+    items = [one_coordinate_form(g, rng, moduli, depth - 1)
+             for _ in range(rng.randint(2, 3))]
+    r = rng.random()
+    if r < 0.4:
+        return mk_and(items)
+    if r < 0.8:
+        return mk_or(items)
+    return mk_not(mk_and(items))
+
+
+class TestFibreWalk:
+    """`_holds_somewhere` and `same_points` walk fibres instead of
+    eliminating; `reference_segments` keeps the elimination."""
+
+    def test_walk_agrees_with_elimination(self):
+        rng = random.Random(11)
+        verdicts = set()
+        for gname in KINDS:
+            g = parse_group(gname)
+            for _ in range(20):
+                moduli = {SVar(b, i): rng.randint(2, 12)
+                          for b in "xy" for i in range(1, g.n + 1)}
+                f = one_coordinate_form(g, rng, moduli, 3)
+                h = one_coordinate_form(g, rng, moduli, 3)
+                for a in (f, mk_and([f, h])):
+                    got = sg._holds_somewhere(g, a)
+                    assert got == ref.holds_somewhere(g, a), (gname, a)
+                    verdicts.add(("holds", got))
+                for a, b in ((f, h), (f, mk_or([f, mk_and([f, h])]))):
+                    got = sg.same_points(g, a, b)
+                    assert got == ref.same_points(g, a, b), (gname, a, b)
+                    verdicts.add(("same", got))
+        assert len(verdicts) == 4
+
+    def test_far_roots_and_large_moduli(self):
+        # roots a million apart, lcm 12: one class in the far gap holds
+        x, y = SVar("x", 1), SVar("y", 1)
+        f = mk_and([mk_lt(Z, lin({x: -1}, 10**6)),
+                    mk_congr(Z, 12, lin({x: 1}, -5)),
+                    mk_congr(Z, 4, lin({y: 1}, -1)),
+                    mk_lt(Z, lin({y: 1}, 10**6))])
+        assert sg._holds_somewhere(Z, f)
+        assert not sg._holds_somewhere(
+            Z, mk_and([f, mk_congr(Z, 8, lin({y: 1}, 0))]))
+
+    def test_two_variable_atom_raises(self):
+        two = mk_lt(ZZ, lin({SVar("x", 1): 1, SVar("y", 1): -1}, 0))
+        for f in (two, mk_and([mk_lt(ZZ, lin({SVar("x", 2): 1}, 0)), two])):
+            with pytest.raises(AssertionError, match="more than one"):
+                sg._holds_somewhere(ZZ, f)
+            with pytest.raises(AssertionError, match="more than one"):
+                sg.same_points(ZZ, f, mk_not(f))
+
+    def test_memo_is_the_operation_memo(self):
+        f = mk_or([mk_lt(ZZ, lin({SVar("x", 1): 1}, 3)),
+                   mk_congr(ZZ, 3, lin({SVar("x", 2): 1}, 1))])
+        assert operation_memo() is None
+        assert sg._holds_somewhere(ZZ, f)
+        with operation_scope():
+            assert sg._holds_somewhere(ZZ, f)
+            memo = operation_memo()
+            assert memo[("holds", ZZ, f)] is True
+            assert all(k[0] == "holds" for k in memo)
+
+
+# acceptance criterion 06's corpus: its groups, seeds, counts and limits
+CRIT06 = (("Z", 61, 120), ("Z*Z", 62, 90), ("Z*Q", 63, 90))
+CRIT06_LIMITS = FuzzLimits(max_coeff=3, max_modulus=4, max_depth=2,
+                           window=6)
+
+
+def crit06_corpus(spec, seed, count):
+    g = parse_group(spec)
+    out = [f for f in fuzz_corpus(g, seed, 8 * count, limits=CRIT06_LIMITS,
+                                  template="qf")
+           if fm.free_vars(f) == frozenset({"x"})]
+    return g, out[:count]
+
+
+class TestNiceDecomposeReference:
+    """`nice_decompose` against the elimination- and decide-based code it
+    replaced (`reference_segments.nice_decompose`), and its closing
+    checks."""
+
+    def test_same_pieces_on_crit06(self):
+        for spec, seed, count in CRIT06:
+            g, corpus = crit06_corpus(spec, seed, count)
+            assert len(corpus) == count
+            for f in corpus:
+                assert sg.nice_decompose(g, f, "x") == \
+                    ref.nice_decompose(g, f, "x"), (spec, f)
+
+    def test_same_pieces_on_every_group_kind(self):
+        for i, gname in enumerate(KINDS):
+            g = parse_group(gname)
+            corpus = [f for f in fuzz_corpus(g, 130 + i, 30, limits=LIM,
+                                             template="qf")
+                      if fm.free_vars(f) == frozenset({"x"})]
+            corpus += fuzz_corpus(g, 140 + i, 12, limits=LIM,
+                                  template="end-segment")
+            for f in corpus:
+                assert sg.nice_decompose(g, f, "x") == \
+                    ref.nice_decompose(g, f, "x"), (gname, f)
+
+    def test_code_set_decides_nothing(self, monkeypatch):
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("code_set must not decide")
+
+        monkeypatch.setattr(qe, "decide", refuse)
+        monkeypatch.setattr(sg, "decide", refuse)
+        coded = 0
+        for spec, seed, count in CRIT06[1:]:
+            g, corpus = crit06_corpus(spec, seed, 30)
+            for f in corpus:
+                code_set(g, f, "x")
+                coded += 1
+        assert coded == 60 and not calls
+
+    def test_cover_check_fires(self, monkeypatch):
+        # a merge that widens its pieces to the whole group
+        def widen(g, a, b, low):
+            return sg.NiceSet(sg.full_end_segment(),
+                              sg.full_initial_segment(), a.congr)
+
+        monkeypatch.setattr(sg, "_try_merge", widen)
+        phi = fm.parse(Z, "(or (< x (c 0)) (< (c 5) x))")
+        with pytest.raises(AssertionError,
+                           match="decomposition must cover the set"):
+            sg.nice_decompose(Z, phi)
+
+    def test_nonempty_check_fires(self, monkeypatch):
+        # a pruning that empties every piece
+        def empty(g, ns, low):
+            return sg.NiceSet(sg.empty_end_segment(), ns.lower, ns.congr)
+
+        monkeypatch.setattr(sg, "_prune", empty)
+        phi = fm.parse(Z, "(and (< (c 5) x) (congr 3 x (c 1)))")
+        with pytest.raises(AssertionError,
+                           match="nice pieces must be nonempty"):
+            sg.nice_decompose(Z, phi)
