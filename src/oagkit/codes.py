@@ -26,8 +26,8 @@ from .groups import (Element, FiniteQuotientElement, GroupSpec,
 from .scalars import operation
 from .segments import (CongrLiteral, DivSegment, END, GE, GT, INITIAL,
                        NiceSet, SegmentError, dual_div_segment,
-                       empty_end_segment, full_end_segment, nice_decompose,
-                       to_div_segment)
+                       empty_end_segment, full_end_segment, hull_form,
+                       nice_decompose)
 
 CODE_VERSION = "code-v1"
 
@@ -172,9 +172,11 @@ def code_segment(g: GroupSpec, seg: DivSegment) -> Code:
 
     The segment is reduced to its canonical one-sided form first, so any
     well-formed multiplier/bound presentation of the same set yields the
-    same code.  A segment with a minimum (in the quotient by its level
-    subgroup) is coded by that minimum; one without is coded by its cut
-    value.  Initial segments are coded through their complement, with
+    same code.  An end segment is closed upward by construction, so that
+    form is the hull of its least-value walk (`segments.hull_form`), and
+    nothing is decided.  A segment with a minimum (in the quotient by its
+    level subgroup) is coded by that minimum; one without is coded by its
+    cut value.  Initial segments are coded through their complement, with
     the direction recorded in the header.
     """
     try:
@@ -186,7 +188,7 @@ def code_segment(g: GroupSpec, seg: DivSegment) -> Code:
         return Code(("segment", INITIAL) + inner.header[2:], inner.values)
     if seg.is_full() or seg.is_empty():
         return code_div_form(g, seg)
-    return code_div_form(g, to_div_segment(g, seg.denote(g, "x"), "x"))
+    return code_div_form(g, hull_form(g, seg.denote(g, "x"), "x"))
 
 
 def code_div_form(g: GroupSpec, canon: DivSegment) -> Code:

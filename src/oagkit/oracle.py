@@ -10,10 +10,7 @@ Three jobs:
   quantifier qualifies when its body carries constant bounds
   L < k*x < U (any mix of strict and nonstrict) that pin a finite
   lexicographic interval: the bounds agree on every coordinate except
-  the last and the last coordinate is discrete.  An optional
-  componentwise fallback box widens this to arbitrary quantifiers over
-  all-discrete groups; that reading changes the semantics to "within
-  the box" and is opt-in.
+  the last and the last coordinate is discrete.
 * `fuzz_corpus` generates reproducible formula streams for the
   differential tests, and `grid_eval`/`s_grid_eval` evaluate formulas
   over whole integer boxes as numpy arrays so the differential tests
@@ -120,53 +117,48 @@ def _atom_value(g: GroupSpec, f, env: Mapping[str, Element]) -> bool:
 
 def evaluate(g: GroupSpec, f: fm.Formula, env: Mapping[str, Element]) -> bool:
     """Pointwise truth of a quantifier-free formula."""
-    return _ev(g, f, dict(env), None, allow_quant=False)
+    return _ev(g, f, dict(env), allow_quant=False)
 
 
-def _ev(g: GroupSpec, f: fm.Formula, env: dict,
-        fallback: Optional[Box], allow_quant: bool) -> bool:
+def _ev(g: GroupSpec, f: fm.Formula, env: dict, allow_quant: bool) -> bool:
     if isinstance(f, fm.BoolConst):
         return f.value
     if isinstance(f, fm.ATOMS):
         return _atom_value(g, f, env)
     if isinstance(f, fm.Not):
-        return not _ev(g, f.body, env, fallback, allow_quant)
+        return not _ev(g, f.body, env, allow_quant)
     if isinstance(f, fm.And):
-        return all(_ev(g, it, env, fallback, allow_quant) for it in f.items)
+        return all(_ev(g, it, env, allow_quant) for it in f.items)
     if isinstance(f, fm.Or):
-        return any(_ev(g, it, env, fallback, allow_quant) for it in f.items)
+        return any(_ev(g, it, env, allow_quant) for it in f.items)
     if isinstance(f, fm.Implies):
-        return (not _ev(g, f.left, env, fallback, allow_quant)
-                or _ev(g, f.right, env, fallback, allow_quant))
+        return (not _ev(g, f.left, env, allow_quant)
+                or _ev(g, f.right, env, allow_quant))
     if isinstance(f, fm.Iff):
-        return (_ev(g, f.left, env, fallback, allow_quant)
-                == _ev(g, f.right, env, fallback, allow_quant))
+        return (_ev(g, f.left, env, allow_quant)
+                == _ev(g, f.right, env, allow_quant))
     if isinstance(f, (fm.Exists, fm.Forall)):
         if not allow_quant:
             raise OracleError("evaluate requires a quantifier-free formula")
-        return _expand_quant(g, f, env, fallback)
+        return _expand_quant(g, f, env)
     raise OracleError(f"unknown formula node {f!r}")
 
 
-def expand_bounded(g: GroupSpec, f: fm.Formula,
-                   box: Optional[Box] = None,
-                   fallback_box: Optional[Box] = None):
+def expand_bounded(g: GroupSpec, f: fm.Formula, box: Optional[Box] = None):
     """Ground truth by finite expansion.
 
     Sentences return a boolean.  A formula with free variables needs
     `box` and returns a table {(sorted (name, value) pairs): bool} over
-    the box grid.  `fallback_box` opts in to componentwise expansion of
-    quantifiers without usable syntactic bounds (all-discrete groups
-    only)."""
+    the box grid."""
     free = sorted(fm.free_vars(f))
     if not free:
-        return _ev(g, f, {}, fallback_box, allow_quant=True)
+        return _ev(g, f, {}, allow_quant=True)
     if box is None:
         raise OracleError("formula has free variables; supply a box")
     table = {}
     for env in box.assignments(g, free):
         key = tuple(sorted(env.items()))
-        table[key] = _ev(g, f, env, fallback_box, allow_quant=True)
+        table[key] = _ev(g, f, env, allow_quant=True)
     return table
 
 
@@ -273,8 +265,7 @@ def _candidates(g: GroupSpec, v: str, conjuncts,
     return None
 
 
-def _quant_candidates(g: GroupSpec, f, env: dict,
-                      fallback: Optional[Box]) -> tuple[list, fm.Formula]:
+def _quant_candidates(g: GroupSpec, f, env: dict) -> tuple[list, fm.Formula]:
     if isinstance(f, fm.Exists):
         cands = _candidates(g, f.var, _conjuncts(f.body), env)
     else:
@@ -285,21 +276,14 @@ def _quant_candidates(g: GroupSpec, f, env: dict,
             cands = _candidates(g, f.var, (), env)
     if cands is not None:
         return cands, f.body
-    if fallback is not None:
-        if "Q" in g.kinds:
-            raise OracleError(
-                "dense coordinates cannot be expanded over a box")
-        return list(fallback.points(g)), f.body
     raise OracleError(
         f"unbounded quantifier over '{f.var}': no constant bounds pin a "
         "finite range")
 
 
-def _expand_quant(g: GroupSpec, f, env: dict,
-                  fallback: Optional[Box]) -> bool:
-    cands, body = _quant_candidates(g, f, env, fallback)
-    results = (_ev(g, body, {**env, f.var: a}, fallback, True)
-               for a in cands)
+def _expand_quant(g: GroupSpec, f, env: dict) -> bool:
+    cands, body = _quant_candidates(g, f, env)
+    results = (_ev(g, body, {**env, f.var: a}, True) for a in cands)
     return any(results) if isinstance(f, fm.Exists) else all(results)
 
 
@@ -351,8 +335,7 @@ def _lex_masks(d1, d2, k: int):
     return lt, eq
 
 
-def grid_eval(g: GroupSpec, f: fm.Formula, env: Mapping[str, tuple],
-              fallback: Optional[Box] = None):
+def grid_eval(g: GroupSpec, f: fm.Formula, env: Mapping[str, tuple]):
     """Vectorized truth table of a formula over integer grids.  The
     environment maps each free variable to a tuple of n broadcastable
     integer arrays; bounded quantifiers expand to candidate loops."""
@@ -377,28 +360,26 @@ def grid_eval(g: GroupSpec, f: fm.Formula, env: Mapping[str, tuple],
             acc = acc & ((d1[j] - d2[j]) % f.modulus == 0)
         return acc
     if isinstance(f, fm.Not):
-        return ~grid_eval(g, f.body, env, fallback)
+        return ~grid_eval(g, f.body, env)
     if isinstance(f, (fm.And, fm.Or)):
         op = np.logical_and if isinstance(f, fm.And) else np.logical_or
         acc = np.bool_(isinstance(f, fm.And))
         for it in f.items:
-            acc = op(acc, grid_eval(g, it, env, fallback))
+            acc = op(acc, grid_eval(g, it, env))
         return acc
     if isinstance(f, fm.Implies):
-        return (~grid_eval(g, f.left, env, fallback)
-                | grid_eval(g, f.right, env, fallback))
+        return ~grid_eval(g, f.left, env) | grid_eval(g, f.right, env)
     if isinstance(f, fm.Iff):
-        return (grid_eval(g, f.left, env, fallback)
-                == grid_eval(g, f.right, env, fallback))
+        return grid_eval(g, f.left, env) == grid_eval(g, f.right, env)
     if isinstance(f, (fm.Exists, fm.Forall)):
         # candidate bounds must be ground: grid variables never appear in
         # the recognized bound atoms
-        cands, body = _quant_candidates(g, f, {}, fallback)
+        cands, body = _quant_candidates(g, f, {})
         is_ex = isinstance(f, fm.Exists)
         acc = np.bool_(not is_ex)
         for a in cands:
             point = tuple(np.int64(int(q)) for q in a)
-            sub = grid_eval(g, body, {**env, f.var: point}, fallback)
+            sub = grid_eval(g, body, {**env, f.var: point})
             acc = (acc | sub) if is_ex else (acc & sub)
         return acc
     raise OracleError(f"unknown formula node {f!r}")

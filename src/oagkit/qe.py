@@ -46,10 +46,10 @@ from .errors import FormulaError
 from .groups import Element, GroupSpec, element
 from .scalars import (
     SAnd, SBool, SCongr, SEq, SExists, SForall, SFormula, SLt, SNot, SOr,
-    SVar, atom_roots, atoms, budget_scope, kind_of, lin_add, lin_const,
-    lin_neg, lin_var,
-    mk_and, mk_congr, mk_eq, mk_exists, mk_le, mk_lt, mk_not, mk_or,
-    operation_memo, s_eval, s_free_vars, s_is_qf, s_subst,
+    SVar, atoms, budget_scope, kind_of, lin_add, lin_const, lin_neg,
+    lin_var, mk_and, mk_congr, mk_eq, mk_exists, mk_le, mk_lt, mk_not,
+    mk_or, operation_memo, roots_and_modulus, s_eval, s_free_vars, s_is_qf,
+    s_subst,
 )
 
 
@@ -501,12 +501,9 @@ def entails(g: GroupSpec, a: fm.Formula, b: fm.Formula,
 
 
 def _candidates_z(f: SFormula, v: SVar) -> list:
-    period = 1
-    for atom in atoms(f):
-        if isinstance(atom, SCongr) and atom.expr.coeff(v) != 0:
-            period = math.lcm(period, atom.modulus)
+    roots, period = roots_and_modulus(f, v)
     bases = {0}
-    for root in atom_roots(f, v):
+    for root in roots:
         bases.add(math.floor(root))
         bases.add(math.ceil(root))
     out = set()
@@ -517,7 +514,7 @@ def _candidates_z(f: SFormula, v: SVar) -> list:
 
 
 def _candidates_q(f: SFormula, v: SVar) -> list:
-    rs = atom_roots(f, v)
+    rs, _ = roots_and_modulus(f, v)
     if not rs:
         return [Fraction(0)]
     cands = set(rs)

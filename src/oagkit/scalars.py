@@ -587,17 +587,24 @@ def atoms(f: SFormula) -> list:
     return out
 
 
-def atom_roots(f: SFormula, v: SVar) -> list:
-    """Sorted distinct values of v at which an order atom of f that
-    mentions v changes truth value."""
+def roots_and_modulus(f: SFormula, v: SVar) -> tuple:
+    """The sorted roots of f's order atoms in v, and the lcm of the
+    moduli of f's congruences in v.  Every atom of f must mention one
+    variable: AssertionError otherwise."""
     roots = set()
+    modulus = 1
     for atom in atoms(f):
-        if isinstance(atom, SCongr):
+        coeffs = atom.expr.coeffs
+        if len(coeffs) > 1:
+            raise AssertionError(
+                f"atom {atom!r} mentions more than one variable")
+        if coeffs[0][0] != v:
             continue
-        a = atom.expr.coeff(v)
-        if a:
-            roots.add(Fraction(-atom.expr.const, a))
-    return sorted(roots)
+        if isinstance(atom, SCongr):
+            modulus = math.lcm(modulus, atom.modulus)
+        else:
+            roots.add(Fraction(-atom.expr.const, coeffs[0][1]))
+    return sorted(roots), modulus
 
 
 def s_is_qf(f: SFormula) -> bool:

@@ -7,10 +7,17 @@ all of it off the input's quantifier-free form, eliminated once: end
 segments (a set equal to the hull of its least-value walk), their
 stabilizer and divisibility form, and a canonical nice decomposition
 whose shape depends only on the defined set, never on the formula.
+
+Every atom of that form mentions one coordinate, so each question about
+it is answered one coordinate at a time on the coordinate's cells
+(`_Cells`): the roots of its atoms there, the gaps between them, and on
+Z the residues modulo the lcm of its moduli.  Nothing else is
+eliminated.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
@@ -32,18 +39,15 @@ from .groups import (
 from .qe import decide, eliminate_scalar, s_subst_all
 from .scalars import (
     SBool,
-    SCongr,
-    SEq,
     FALSE,
     SVar,
     TRUE,
-    atoms,
     mk_and,
-    mk_exists,
     mk_not,
     mk_or,
     operation,
     operation_memo,
+    roots_and_modulus,
     s_eval,
 )
 
@@ -297,16 +301,14 @@ def _holds_somewhere(g: GroupSpec, f) -> bool:
     mentions one variable, holds at some point.
 
     No elimination is needed.  The truth of such a form at a point
-    depends only on each variable's cell: the root of the variable's
-    order atoms it is, or the gap between two roots it lies in, and on
-    Z its residue modulo L, the lcm of the variable's moduli.  So the
-    form holds somewhere exactly when one of its fibres over its first
-    variable set to a representative of each cell (`_pieces`) does.
-    The walk recurses on those fibres (`_fibres`) and evaluates a form
-    in one variable at each representative.  It is memoized on the
-    interned fibre in the open operation's memo under a key tagged
-    "holds" (for the call alone outside an operation).  An atom that
-    mentions two variables raises AssertionError."""
+    depends only on each variable's cell (`_Cells`), so the form holds
+    somewhere exactly when one of its fibres over its first variable set
+    to the representative of each cell does.  The walk recurses on
+    those fibres and evaluates a form in one variable at each
+    representative.  It is memoized on the interned fibre in the open
+    operation's memo under a key tagged "holds" (for the call alone
+    outside an operation).  An atom that mentions two variables raises
+    AssertionError."""
     memo = operation_memo()
     return _walk(g, f, {} if memo is None else memo)
 
@@ -317,13 +319,12 @@ def _walk(g: GroupSpec, f, memo: dict) -> bool:
     key = ("holds", g, f)
     hit = memo.get(key)
     if hit is None:
-        x = min(f.fv, key=lambda w: (w.base, w.coord))
-        ts = [t for t, _, _ in _pieces(g, f, x, 1)[1]]
+        cells = _cells(g, f, min(f.fv, key=lambda w: (w.base, w.coord)), memo)
         if len(f.fv) == 1:
-            hit = any(s_eval(g, f, {x: t}) for t in ts)
+            hit = any(s_eval(g, f, {cells.x: t}) for t, _, _ in cells.pieces())
         else:
-            hit = any(_walk(g, fibre, memo)
-                      for _, fibre in _fibres(g, f, x, ts))
+            hit = any(_walk(g, cells.fibre(t), memo)
+                      for t, _, _ in cells.pieces())
         memo[key] = hit
     return hit
 
@@ -338,35 +339,6 @@ def same_points(g: GroupSpec, a, b) -> bool:
         g, mk_or([mk_and([a, mk_not(b)]), mk_and([mk_not(a), b])]))
 
 
-def _least_value(g: GroupSpec, psi, x: SVar):
-    """(infimum, attained) of the x at which psi, which mentions x alone,
-    holds: MINUS_INF when they are unbounded below, None when there are
-    none.  On Z, psi is periodic modulo L, the lcm of its moduli in x,
-    below the least root, and the least value lies within L above an
-    integer next to a root.  On Q, psi is constant between roots."""
-    roots, period = _roots_and_modulus(psi, x)
-
-    def holds(t) -> bool:
-        return s_eval(g, psi, {x: t})
-
-    if g.kinds[x.coord - 1] == "Z":
-        # aligned to a multiple of L: the evaluations do not move with roots
-        start = ((ceil(roots[0]) if roots else 0) // period - 1) * period
-        if any(holds(t) for t in range(start, start + period)):
-            return MINUS_INF, True
-        cands = {t for c in roots
-                 for t in range(floor(c), ceil(c) + period + 1)}
-        return next(((t, True) for t in sorted(cands) if holds(t)), None)
-    if holds(roots[0] - 1 if roots else Fraction(0)):
-        return MINUS_INF, True
-    for i, c in enumerate(roots):
-        if holds(c):
-            return c, True
-        if holds((c + roots[i + 1]) / 2 if i + 1 < len(roots) else c + 1):
-            return c, False
-    return None
-
-
 def least_prefix(g: GroupSpec, phi: fm.Formula, v: str,
                  k: int) -> Optional[tuple]:
     """`least_prefix_qf` of phi's quantifier-free form."""
@@ -379,34 +351,40 @@ def least_prefix_qf(g: GroupSpec, qf, v: str, k: int) -> Optional[tuple]:
     None when the set is empty and k >= 1, and when qf is FALSE.
 
     Coordinate j's value is the least x.j with x.1..x.(j-1) pinned to
-    the prefix so far, the deeper coordinates eliminated.  The walk stops
+    the prefix so far and some deeper point in the set.  The walk stops
     at a coordinate unbounded below, which is left out, and at an
     infimum that is not attained, appended with attained False.  So the
     set has a least element modulo the level-k subgroup exactly when the
     prefix has length k and attained is True.  A set and its end hull
     have the same walk.
+
+    Nothing is eliminated: with the prefix pinned, whether the fibre over
+    x.j = t holds somewhere depends only on t's cell (`_Cells`), so the
+    least value is read off the first cell, in ascending order, whose
+    fibre holds (`_holds_somewhere`).  It is unbounded below when that
+    cell is, the cell's left end, not attained, when it is a gap between
+    dense roots, and its representative otherwise, since on Z the first
+    L integers of a gap are its representatives.
     """
     if qf is FALSE:
         return None
-    xs = [SVar(v, i) for i in range(1, g.n + 1)]
     prefix: tuple = ()
-    for x in xs[:k]:
-        psi = s_subst_all(g, qf, dict(zip(xs, prefix)))
-        for w in reversed(xs[x.coord:]):
-            psi = mk_exists(w, psi)
-        psi = eliminate_scalar(g, psi)
-        if not psi.fv <= {x}:
-            raise AssertionError("the projected form must mention x.j alone")
-        low = _least_value(g, psi, x)
+    psi = qf
+    for j in range(1, k + 1):
+        cells = _cells(g, psi, SVar(v, j))
+        low = next(((t, lo) for t, lo, _ in cells.pieces()
+                    if _holds_somewhere(g, cells.fibre(t))), None)
         if low is None and not prefix:
             return None
         if low is None:
             raise AssertionError("a nonempty fibre has an infimum")
-        if low[0] == MINUS_INF:
+        t, lo = low
+        if lo is None:
             break
-        prefix += (low[0],)
-        if not low[1]:
-            return prefix, False
+        if t != lo and not cells.discrete:
+            return prefix + (lo,), False
+        prefix += (t,)
+        psi = cells.fibre(t)
     return prefix, True
 
 
@@ -420,30 +398,28 @@ def _meets(t: int, w: int, lo, hi, s: int, n: int) -> bool:
     return lo + (c - lo) % period <= hi
 
 
-def _pieces(g: GroupSpec, psi, x: SVar, m: int) -> tuple:
-    """(L, triples (t, lo, hi)) whose fibres (see `fibre_changes`) are
-    all the fibres of psi over x, each with its classes modulo m on Z.
-
-    On Z, L is the lcm of psi's moduli in x, and t stands for the t' in
-    lo..hi (None: unbounded) with t' = t modulo w = lcm(L, m).  The
-    fibre over t' depends only on the gap between roots that t' lies
-    in, or the root it is, and on t' modulo L, so those t' all have t's
-    fibre, and so do the t' of the gap congruent to t modulo L.  Each
-    root that is an integer is a piece, and the first w integers of each
-    gap (the last w of the one unbounded below) stand for the gap.  On Q
-    the fibre is constant between roots: one point per gap and each
-    root, with L 1 and lo and hi None."""
-    roots, modulus = _roots_and_modulus(psi, x)
-    if g.kinds[x.coord - 1] == "Q":
-        if not roots:
-            return 1, [(Fraction(0), None, None)]
-        gaps = [(c + d) / 2 for c, d in zip(roots, roots[1:])]
-        return 1, [(t, None, None)
-                   for t in [roots[0] - 1, roots[-1] + 1] + roots + gaps]
-    w = lcm(modulus, m)
-    out = [(c, c, c) for c in roots if c.denominator == 1]
+def _pieces(discrete: bool, roots: list, w: int) -> list:
+    """The cells of a line cut at the sorted roots, in ascending order,
+    as triples (t, lo, hi): a representative t, and the cell's ends lo
+    and hi (None: unbounded).  A root c is the cell (c, c, c).  A gap's
+    ends are the roots around it on Q and its first and last integer on
+    Z, where it has w representatives: its first w integers (the last w
+    of the gap unbounded below), each standing for the integers of the
+    gap congruent to it modulo w.  On Q a gap's representative is its
+    midpoint, or one past its finite end, or 0 for the whole line."""
+    out: list = []
     ends = [None] + roots + [None]
     for c, d in zip(ends, ends[1:]):
+        if c is not None and (not discrete or c.denominator == 1):
+            root = int(c) if discrete else c
+            out.append((root, root, root))
+        if not discrete:
+            if c is None:
+                t = Fraction(0) if d is None else d - 1
+            else:
+                t = c + 1 if d is None else (c + d) / 2
+            out.append((t, c, d))
+            continue
         lo = None if c is None else floor(c) + 1
         hi = None if d is None else ceil(d) - 1
         if lo is None:
@@ -452,7 +428,56 @@ def _pieces(g: GroupSpec, psi, x: SVar, m: int) -> tuple:
         else:
             reps = range(lo, lo + w if hi is None else min(lo + w, hi + 1))
         out += [(t, lo, hi) for t in reps]
-    return modulus, out
+    return out
+
+
+class _Cells:
+    """The cell model of coordinate x in a quantifier-free scalar form
+    psi whose atoms each mention one variable.
+
+    The atoms of psi in x keep their truth values on each cell of x's
+    line: a root of the order atoms, or a gap between two roots, and on
+    Z within those each class modulo L (`modulus`), the lcm of the
+    moduli.  So the fibre of psi over x = t, psi with x = t, a condition
+    on the other variables, depends only on t's cell and residue.
+    `pieces` gives a point of each cell (`_pieces`), and `fibre`
+    substitutes psi once per cell and residue."""
+
+    __slots__ = ("g", "psi", "x", "discrete", "roots", "modulus", "fibres")
+
+    def __init__(self, g: GroupSpec, psi, x: SVar):
+        self.g, self.psi, self.x = g, psi, x
+        self.discrete = g.kinds[x.coord - 1] == "Z"
+        self.roots, self.modulus = roots_and_modulus(psi, x)
+        self.fibres: dict = {}
+
+    def pieces(self, m: int = 1) -> list:
+        """The cells with, on Z, their classes modulo m as well."""
+        return _pieces(self.discrete, self.roots, lcm(self.modulus, m))
+
+    def fibre(self, t):
+        # the cell (gap i below roots[i], or roots[i] itself), residue
+        i = bisect_left(self.roots, t)
+        key = (i, self.roots[i:i + 1] == [t],
+               t % self.modulus if self.discrete else 0)
+        hit = self.fibres.get(key)
+        if hit is None:
+            hit = self.fibres[key] = s_subst_all(self.g, self.psi, {self.x: t})
+        return hit
+
+
+def _cells(g: GroupSpec, psi, x: SVar, memo: Optional[dict] = None) -> _Cells:
+    """psi's cell model of x, one per form and coordinate in memo (the
+    open operation's when None) under a key tagged "cells"."""
+    if memo is None:
+        memo = operation_memo()
+        if memo is None:
+            return _Cells(g, psi, x)
+    key = ("cells", g, psi, x)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _Cells(g, psi, x)
+    return hit
 
 
 def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,
@@ -471,19 +496,14 @@ def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,
     qf ∧ D ∧ C has the walk exactly when the pinned values x.1..x.(q-1)
     lie in C and some of its points over them have x.q arbitrarily far
     down (attained) or arbitrarily close above the infimum (not
-    attained).  Below the least root of the pinned form's atoms in x.q,
-    its fibre over t depends only on t modulo lcm(L, m), L the lcm of
-    its moduli in x.q, so one run of that many integers stands for
-    "arbitrarily far down"; above a dense infimum the fibre is constant
-    up to the next root, so one point stands for "arbitrarily close".
-    D's congruences on one coordinate meet in one class (the Chinese
-    remainder theorem, `groups.meet_classes`), so whether a piece of a
-    coordinate (`_pieces`) has a point in D's class is arithmetic
-    (`_meets`), and D's moduli
-    never cut the pieces.  The residues of x.q..x.k over which the
-    pinned form reaches a true ground value are collected in one pass
-    over the fibres of those pieces: no elimination, for all classes
-    at once.
+    attained): in a cell of x.q (`_Cells`) unbounded below, or in the
+    dense gap whose left end is the infimum.  D's congruences on one
+    coordinate meet in one class (the Chinese remainder theorem,
+    `groups.meet_classes`), so whether a cell has a point in D's class
+    is arithmetic (`_meets`), and D's moduli never cut the cells.  The
+    residues of x.q..x.k over which the pinned form reaches a true
+    ground value are collected in one pass over the fibres of those
+    cells: no elimination, for all classes at once.
     """
     fixed = meet_classes(g, decided)
     if fixed is None:
@@ -498,23 +518,17 @@ def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,
     xs = [SVar(v, i) for i in range(1, g.n + 1)]
     memo: dict = {}
 
-    def collect(psi, i: int, modulus: int, pieces) -> set:
-        # the residues of x.i..x.k at which psi holds somewhere over the
-        # pieces of x.i (see `_pieces`), within D's class
+    def collect(cells: _Cells, i: int, pieces) -> set:
+        # the residues of x.i..x.k at which the form holds somewhere over
+        # the pieces of x.i, within D's class
         out: set = set()
-        discrete = g.kinds[i - 1] == "Z"
-        w = lcm(modulus, m) if i <= k else modulus
+        w = lcm(cells.modulus, m) if i <= k else cells.modulus
         s, n = fixed.get(i - 1, (0, 1))
-        fibres: dict = {}
         for t, lo, hi in pieces:
-            if discrete and not _meets(t, w, lo, hi, s, n):
+            if cells.discrete and not _meets(t, w, lo, hi, s, n):
                 continue
-            key = (lo, hi, t % modulus) if discrete else t
-            fibre = fibres.get(key)
-            if fibre is None:
-                fibre = fibres[key] = s_subst_all(g, psi, {xs[i - 1]: t})
-            here = (t % m,) if discrete and i <= k else ()
-            out.update(here + r for r in classes(fibre, i + 1))
+            here = (t % m,) if cells.discrete and i <= k else ()
+            out.update(here + r for r in classes(cells.fibre(t), i + 1))
             if out and i > k:
                 break
         return out
@@ -526,23 +540,18 @@ def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,
             return {()} if psi is TRUE else set()
         hit = memo.get((psi, i))
         if hit is None:
-            modulus, pieces = _pieces(g, psi, xs[i - 1], m if i <= k else 1)
-            hit = memo[(psi, i)] = collect(psi, i, modulus, pieces)
+            cells = _cells(g, psi, xs[i - 1])
+            hit = memo[(psi, i)] = collect(
+                cells, i, cells.pieces(m if i <= k else 1))
         return hit
 
-    psi = s_subst_all(g, qf, dict(zip(xs, pinned)))
-    roots, modulus = _roots_and_modulus(psi, xs[q - 1])
-    w = lcm(modulus, m)
-    if not attained:
-        above = [c for c in roots if c > prefix[-1]]
-        ts = [(prefix[-1] + above[0]) / 2 if above else prefix[-1] + 1]
-    elif g.kinds[q - 1] == "Z":
-        start = ((ceil(roots[0]) if roots else 0) // w - 1) * w
-        ts = range(start, start + w)
+    cells = _cells(g, s_subst_all(g, qf, dict(zip(xs, pinned))), xs[q - 1])
+    if attained:
+        pieces = [p for p in cells.pieces(m) if p[1] is None]
     else:
-        ts = [roots[0] - 1 if roots else Fraction(0)]
-    return {base + r for r in
-            collect(psi, q, modulus, [(t, None, None) for t in ts])}
+        pieces = [p for p in cells.pieces(m)
+                  if p[1] == prefix[-1] and p[0] != p[1]]
+    return {base + r for r in collect(cells, q, pieces)}
 
 
 def hull_segment(g: GroupSpec, walk: tuple) -> DivSegment:
@@ -556,16 +565,21 @@ def hull_segment(g: GroupSpec, walk: tuple) -> DivSegment:
                       GE if attained else GT)
 
 
+@operation
+def hull_form(g: GroupSpec, phi: fm.Formula, v: str) -> DivSegment:
+    """The divisibility form of the end hull of phi's set, from its
+    least-value walk: the empty segment for the empty set.  An end
+    segment is its own hull, so this is its canonical form."""
+    walk = least_prefix(g, phi, v, g.n)
+    return empty_end_segment() if walk is None else hull_segment(g, walk)
+
+
 def _end_form(g: GroupSpec, phi: fm.Formula, v: str) -> Optional[DivSegment]:
     """The divisibility form of phi's set if it is an end segment, else
     None: a walk's hull is closed upward, an end segment is its own hull."""
-    walk = least_prefix(g, phi, v, g.n)
-    if walk is None:
-        return empty_end_segment()
-    hull = hull_segment(g, walk)
-    if decide(g, fm.Forall(v, fm.Iff(phi, hull.denote(g, v)))):
-        return hull
-    return None
+    hull = hull_form(g, phi, v)
+    sentence = fm.Forall(v, fm.Iff(phi, hull.denote(g, v)))
+    return hull if hull.is_empty() or decide(g, sentence) else None
 
 
 def _div_form(g: GroupSpec, phi: fm.Formula, v: str, op: str) -> DivSegment:
@@ -613,50 +627,6 @@ def to_div_segment_initial(g: GroupSpec, phi: fm.Formula,
     return dual_div_segment(seg)
 
 
-def _roots_and_modulus(psi, x) -> tuple:
-    """The sorted roots of psi's order atoms in x, and the lcm of the
-    moduli of psi's congruences in x.  Every atom of psi must mention
-    one variable: AssertionError otherwise."""
-    roots = set()
-    modulus = 1
-    for atom in atoms(psi):
-        coeffs = atom.expr.coeffs
-        if len(coeffs) > 1:
-            raise AssertionError(
-                f"atom {atom!r} mentions more than one variable")
-        if coeffs[0][0] != x:
-            continue
-        if isinstance(atom, SCongr):
-            modulus = lcm(modulus, atom.modulus)
-        else:
-            roots.add(Fraction(-atom.expr.const, coeffs[0][1]))
-    return sorted(roots), modulus
-
-
-def _fibres(g: GroupSpec, psi, x: SVar, ts):
-    """(t, the fibre of psi over x = t) for each t of ts, in order.  The
-    fibre, psi with x = t, depends only on the truth values at t of the
-    atoms of psi that mention x, so psi is substituted once per distinct
-    tuple of those values."""
-    mine = [a for a in atoms(psi) if a.expr.coeffs[0][0] == x]
-    done: dict = {}
-    for t in ts:
-        key = tuple(_atom_holds(a, t) for a in mine)
-        fibre = done.get(key)
-        if fibre is None:
-            fibre = done[key] = s_subst_all(g, psi, {x: t})
-        yield t, fibre
-
-
-def _atom_holds(atom, t) -> bool:
-    # the truth value of an atom in one variable at the value t
-    ((_, a),) = atom.expr.coeffs
-    val = a * t + atom.expr.const
-    if isinstance(atom, SCongr):
-        return val % atom.modulus == 0
-    return val == 0 if isinstance(atom, SEq) else val < 0
-
-
 def fibre_changes(g: GroupSpec, psi, x: SVar, m: int, r: int) -> list:
     """The s = r (mod m), in increasing order, at which the fibre of psi
     over x = s differs from the fibre over x = s + m.
@@ -672,17 +642,17 @@ def fibre_changes(g: GroupSpec, psi, x: SVar, m: int, r: int) -> list:
     integer next to a root.  Only those candidates are compared, so the
     work does not grow with the distance between roots.  Without roots
     the fibres repeat every lcm(L, m) steps, and the window is taken
-    around 0.
+    around 0.  The fibres come from psi's cell model of x (`_Cells`),
+    which every call on psi and x in one operation shares.
     """
-    roots, modulus = _roots_and_modulus(psi, x)
-    span = lcm(modulus, m) + m
-    ends = {e for c in roots for e in (floor(c), ceil(c))} or {0}
+    cells = _cells(g, psi, x)
+    span = lcm(cells.modulus, m) + m
+    ends = {e for c in cells.roots for e in (floor(c), ceil(c))} or {0}
     cands = set()
     for e in ends:
         cands.update(range(e - span + (r - e + span) % m, e + span + 1, m))
-    fibre = dict(_fibres(g, psi, x, cands | {s + m for s in cands}))
     return [s for s in sorted(cands)
-            if not same_points(g, fibre[s], fibre[s + m])]
+            if not same_points(g, cells.fibre(s), cells.fibre(s + m))]
 
 
 def eventual_period(g: GroupSpec, psi, x: SVar) -> int:
@@ -695,7 +665,8 @@ def eventual_period(g: GroupSpec, psi, x: SVar) -> int:
     root, or with s + m below the least root, repeats every lcm(L, m)
     steps without end; m qualifies when no class has such a change.
     """
-    roots, modulus = _roots_and_modulus(psi, x)
+    cells = _cells(g, psi, x)
+    roots, modulus = cells.roots, cells.modulus
 
     def between_roots(s, m):
         return bool(roots) and roots[0] <= s + m and s <= roots[-1]
@@ -754,23 +725,26 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     xs = [SVar(v, i) for i in range(1, g.n + 1)]
     memo: dict = {}
 
-    def rec(pin) -> list:
-        # the pieces of the set over the pinned leading coordinates
+    def rec(pin, psi) -> list:
+        # the pieces of the set over the pinned leading coordinates, psi
+        # the form with those pinned
         hit = memo.get(pin)
         if hit is not None:
             return hit
         j = len(pin) + 1
-        psi = s_subst_all(g, qf, dict(zip(xs, pin)))
         if not _holds_somewhere(g, psi):
             out = []
         elif j > g.n:
             out = [_RawPiece(None, None, ())]
-        elif g.kinds[j - 1] == "Z":
-            out = rec_discrete(pin, psi)
         else:
-            out = rec_dense(pin, psi)
+            cells = _cells(g, psi, xs[j - 1])
+            out = (rec_discrete if cells.discrete else rec_dense)(pin, cells)
         memo[pin] = out
         return out
+
+    def over(pin, cells: _Cells, t) -> list:
+        # the pieces over the pins and x.j = t
+        return rec(pin + (t,), cells.fibre(t))
 
     def check_ray_lits(fps, m: int) -> None:
         for fp in fps:
@@ -780,16 +754,16 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
                 raise AssertionError(
                     "fibre moduli must divide the class modulus")
 
-    def rec_discrete(pin, psi) -> list:
+    def rec_discrete(pin, cells: _Cells) -> list:
         j = len(pin) + 1
-        x = xs[j - 1]
+        psi, x = cells.psi, cells.x
         m_star = eventual_period(g, psi, x)
         moduli = m_star
         for r in range(m_star):
             changes = fibre_changes(g, psi, x, m_star, r)
             reps = (changes[-1] + m_star, changes[0]) if changes else (r,)
             for t in reps:
-                for fp in rec(pin + (t,)):
+                for fp in over(pin, cells, t):
                     for lit in fp.lits:
                         moduli = lcm(moduli, lit.modulus)
         m_d = moduli
@@ -800,7 +774,7 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
                 cls_lit = (CongrLiteral(1, 1, j, m_d, pad(g, pin + (r,)), 0),)
             changes = fibre_changes(g, psi, x, m_d, r)
             if not changes:
-                fps = rec(pin + (r,))
+                fps = over(pin, cells, r)
                 check_ray_lits(fps, m_d)
                 for fp in fps:
                     out.append(_RawPiece(None, None, cls_lit + fp.lits))
@@ -808,69 +782,54 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
             # the class's fibres are constant from a_hat up and from
             # b_hat down
             a_hat, b_hat = changes[-1] + m_d, changes[0]
-            fps = rec(pin + (a_hat,))
+            fps = over(pin, cells, a_hat)
             check_ray_lits(fps, m_d)
             for fp in fps:
                 out.append(_RawPiece((j, pad(g, pin + (a_hat,)), GE),
                                      None, cls_lit + fp.lits))
-            fps = rec(pin + (b_hat,))
+            fps = over(pin, cells, b_hat)
             check_ray_lits(fps, m_d)
             for fp in fps:
                 out.append(_RawPiece(None, (j, pad(g, pin + (b_hat,)), GE),
                                      cls_lit + fp.lits))
             a = b_hat + m_d
             while a < a_hat:
-                for fp in rec(pin + (a,)):
+                for fp in over(pin, cells, a):
                     up = fp.upper or (j, pad(g, pin + (a,)), GE)
                     low = fp.lower or (j, pad(g, pin + (a,)), GE)
                     out.append(_RawPiece(up, low, fp.lits))
                 a += m_d
         return out
 
-    def rec_dense(pin, psi) -> list:
+    def rec_dense(pin, cells: _Cells) -> list:
+        # the roots where the fibre changes cut the line: a root survives
+        # unless its fibre equals those of the gaps on both sides
         j = len(pin) + 1
-        x = xs[j - 1]
-        roots, _ = _roots_and_modulus(psi, x)
-
-        def fibre(t):
-            return s_subst_all(g, psi, {x: t})
-
-        def interval_rep(lo, hi):
-            if lo is None and hi is None:
-                return Fraction(0)
-            if lo is None:
-                return hi - 1
-            if hi is None:
-                return lo + 1
-            return (lo + hi) / 2
-
+        fibre = cells.fibre
+        ps = cells.pieces()
         survivors = []
-        for i, c in enumerate(roots):
-            left = roots[i - 1] if i > 0 else None
-            right = roots[i + 1] if i + 1 < len(roots) else None
-            here = fibre(c)
-            if not (same_points(g, fibre(interval_rep(left, c)), here)
-                    and same_points(g, here, fibre(interval_rep(c, right)))):
+        for (a, _, _), (c, lo, _), (b, _, _) in zip(ps, ps[1:], ps[2:]):
+            if c == lo and not (same_points(g, fibre(a), fibre(c))
+                                and same_points(g, fibre(c), fibre(b))):
                 survivors.append(c)
-
         out: list = []
-        cuts = [None] + survivors + [None]
-        for lo, hi in zip(cuts, cuts[1:]):
-            w = interval_rep(lo, hi)
-            for fp in rec(pin + (w,)):
+        for w, lo, hi in _pieces(False, survivors, 1):
+            if w == lo:
+                continue
+            for fp in over(pin, cells, w):
                 if fp.upper is not None or fp.lower is not None:
                     raise AssertionError("interval fibres carry no bounds")
                 up = None if lo is None else (j, pad(g, pin + (lo,)), GT)
                 low = None if hi is None else (j, pad(g, pin + (hi,)), GT)
                 out.append(_RawPiece(up, low, fp.lits))
         for c in survivors:
-            for fp in rec(pin + (c,)):
+            for fp in over(pin, cells, c):
                 up = fp.upper or (j, pad(g, pin + (c,)), GE)
                 low = fp.lower or (j, pad(g, pin + (c,)), GE)
                 out.append(_RawPiece(up, low, fp.lits))
         return out
 
-    raw = rec(())
+    raw = rec((), qf)
     pieces = []
     for rp in raw:
         upper = DivSegment(END, 1, *rp.upper) if rp.upper \

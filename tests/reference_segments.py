@@ -17,10 +17,10 @@ from math import ceil, floor, lcm
 from oagkit import formulas as fm
 from oagkit.qe import eliminate_scalar, equivalent, satisfiable, s_subst_all
 from oagkit.scalars import (TRUE, SVar, mk_and, mk_exists, mk_not, mk_or,
-                            operation)
+                            operation, roots_and_modulus)
 from oagkit.segments import (END, GE, GT, INITIAL, CongrLiteral,
                              DivSegment, NiceSet, _RawPiece, _piece_key,
-                             _roots_and_modulus, canonical_restriction,
+                             canonical_restriction,
                              full_end_segment, full_initial_segment, pad,
                              the_var)
 
@@ -41,7 +41,7 @@ def same_points(g, a, b) -> bool:
 
 
 def fibre_changes(g, psi, x, m, r) -> list:
-    roots, modulus = _roots_and_modulus(psi, x)
+    roots, modulus = roots_and_modulus(psi, x)
     span = lcm(modulus, m) + m
     ends = {e for c in roots for e in (floor(c), ceil(c))} or {0}
     cands = set()
@@ -54,7 +54,7 @@ def fibre_changes(g, psi, x, m, r) -> list:
 
 
 def eventual_period(g, psi, x) -> int:
-    roots, modulus = _roots_and_modulus(psi, x)
+    roots, modulus = roots_and_modulus(psi, x)
 
     def between_roots(s, m):
         return bool(roots) and roots[0] <= s + m and s <= roots[-1]
@@ -150,7 +150,7 @@ def nice_decompose(g, phi, var=None) -> tuple:
     def rec_dense(pin, psi) -> list:
         j = len(pin) + 1
         x = xs[j - 1]
-        roots, _ = _roots_and_modulus(psi, x)
+        roots, _ = roots_and_modulus(psi, x)
 
         def fibre(t):
             return s_subst_all(g, psi, {x: t})

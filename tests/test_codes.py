@@ -10,16 +10,20 @@ from oagkit import formulas as fm
 from oagkit.errors import CodeError
 from oagkit.groups import (FiniteQuotientElement, QuotientElement,
                            parse_group, project_fin)
+from oagkit import qe
+from oagkit import segments as sg
 from oagkit.codes import (Code, FinQuotVal, MainVal, Marker, QuotVal,
-                          TypeDescriptor, code_finite_set, code_from_obj,
-                          code_segment, code_set, code_to_obj, code_type,
+                          TypeDescriptor, code_div_form, code_finite_set,
+                          code_from_obj, code_segment, code_set, code_to_obj,
+                          code_type,
                           descriptor_fragment, descriptor_issue,
                           enumerate_finite_quotient, reconstruct)
 from oagkit.oracle import FuzzLimits, fuzz_corpus
 from oagkit.qe import equivalent, satisfiable
 from oagkit.segments import (DivSegment, END, GE, GT, INITIAL,
-                             full_end_segment, empty_end_segment,
-                             full_initial_segment, to_div_segment)
+                             dual_div_segment, full_end_segment,
+                             empty_end_segment, full_initial_segment,
+                             to_div_segment)
 
 Z = parse_group("Z")
 ZZ = parse_group("Z*Z")
@@ -108,6 +112,63 @@ class TestSegmentCodes:
             code_segment(Z, DivSegment(END, 1, 5, (4,), GE))
         with pytest.raises(CodeError):
             code_segment(Z, DivSegment("sideways", 1, 1, (4,), GE))
+
+
+
+def _decided_code(g, seg):
+    """code_segment as it was: every bounded segment normalized by
+    `to_div_segment`, which decides one sentence."""
+    if seg.direction == INITIAL:
+        inner = _decided_code(g, dual_div_segment(seg))
+        return Code(("segment", INITIAL) + inner.header[2:], inner.values)
+    if seg.is_full() or seg.is_empty():
+        return code_div_form(g, seg)
+    return code_div_form(g, to_div_segment(g, seg.denote(g, "x"), "x"))
+
+
+class TestSegmentCodesWithoutDecide:
+    """An end segment is closed upward by construction, so its code comes
+    off the hull of its walk: the codes of the decided path, with no
+    decide."""
+
+    @staticmethod
+    def segments():
+        # criterion 05's corpus, normalized, and random presentations with
+        # multipliers up to 3 at every level, 0 included, both directions
+        out = []
+        for spec, seed, count in (("Z", 51, 50), ("Z*Z", 52, 50),
+                                  ("Q", 53, 30), ("Z*Q", 54, 35),
+                                  ("Q*Z", 55, 35)):
+            g = parse_group(spec)
+            out += [(g, to_div_segment(g, f, "x")) for f in fuzz_corpus(
+                g, seed, count, template="end-segment")]
+        rng = random.Random(5)
+        for g in (Z, ZZ, QZ, ZQ, Q):
+            for _ in range(24):
+                bound = tuple(Fraction(rng.randint(-6, 6),
+                                       1 if kind == "Z" else rng.randint(1, 2))
+                              for kind in g.kinds)
+                seg = DivSegment(END, rng.randint(1, 3), rng.randint(0, g.n),
+                                 bound, rng.choice((GE, GT)))
+                out += [(g, seg), (g, dual_div_segment(seg))]
+        return out
+
+    def test_codes_match_the_decided_path(self, monkeypatch):
+        cases = self.segments()
+        want = [_decided_code(g, seg) for g, seg in cases]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("code_segment decided a sentence")
+
+        monkeypatch.setattr(sg, "decide", refused)
+        monkeypatch.setattr(qe, "decide", refused)
+        assert [code_segment(g, seg) for g, seg in cases] == want
+        for g in (Z, ZZ, QZ):
+            zero = (0,) * g.n
+            assert code_segment(g, DivSegment(END, 2, 0, zero, GT)) == \
+                code_segment(g, empty_end_segment())
+            assert code_segment(g, DivSegment(END, 2, 0, zero, GE)) == \
+                code_segment(g, full_end_segment())
 
 
 class TestSetCodes:

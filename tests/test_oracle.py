@@ -86,17 +86,6 @@ class TestExpandBounded:
         with pytest.raises(OracleError):
             orc.expand_bounded(Z2, f)
 
-    def test_fallback_box(self):
-        f = fm.parse(Z1, "(exists (x) (< (c 0) x))")
-        assert orc.expand_bounded(Z1, f, fallback_box=orc.Box(5)) is True
-        g = fm.parse(Z2, "(forall (x) (<= x x))")
-        assert orc.expand_bounded(Z2, g, fallback_box=orc.Box(2)) is True
-
-    def test_fallback_refuses_dense(self):
-        f = fm.parse(ZQ, "(exists (x) (< (c 0 0) x))")
-        with pytest.raises(OracleError):
-            orc.expand_bounded(ZQ, f, fallback_box=orc.Box(3))
-
     def test_dense_singleton_window(self):
         f = fm.parse(ZQ, "(exists (x) (and (<= (c 1 1/2) (* 2 x)) "
                          "(<= (* 2 x) (c 1 1/2)) (= x (c 0 0))))")

@@ -151,11 +151,15 @@ class TestTraversal:
         assert sc.atoms(f) == [b, c, a]
         assert sc.atoms(sc.TRUE) == []
 
-    def test_atom_roots_skip_congruences_and_other_vars(self):
+    def test_roots_and_modulus_read_one_variable(self):
         f = sc.SAnd((sc.SLt(le({X1: 2}, -3)), sc.SCongr(3, le({X1: 1}, 1)),
-                     sc.SNot(sc.SEq(le({X1: 1, Y1: -1}, 1))),
-                     sc.SLt(le({Y1: 1}, 5))))
-        assert sc.atom_roots(f, X1) == [Fraction(-1), Fraction(3, 2)]
+                     sc.SNot(sc.SEq(le({X1: 1}, 1))),
+                     sc.SCongr(4, le({Y1: 1})), sc.SLt(le({Y1: 1}, 5))))
+        assert sc.roots_and_modulus(f, X1) == ([Fraction(-1), Fraction(3, 2)],
+                                               3)
+        assert sc.roots_and_modulus(f, Y1) == ([Fraction(-5)], 4)
+        with pytest.raises(AssertionError):
+            sc.roots_and_modulus(sc.SEq(le({X1: 1, Y1: -1})), X1)
 
 
 class TestPrinter:

@@ -721,8 +721,9 @@ class TestClassArithmetic:
                 assert (c - t) % w == 0 and (c - s) % n == 0
 
     def test_pieces_cover_every_fibre(self):
-        # each t in a window has its truth value, and its class modulo m,
-        # at the representative of a piece that contains it
+        # the pieces ascend, and each t in a window has its truth value,
+        # and its class modulo m, at the representative of a piece that
+        # contains it: on Q exactly one, a root or the open gap around t
         forms = []
         for i, gname in enumerate(("Z", "Q")):
             g = parse_group(gname)
@@ -732,13 +733,20 @@ class TestClassArithmetic:
         x = SVar("x", 1)
         for g, f in forms:
             psi = qe.eliminate(g, f).body
+            cells = sg._cells(g, psi, x)
             for m in (1, 2, 3, 4):
-                modulus, pieces = sg._pieces(g, psi, x, m)
-                w = lcm(modulus, m)
+                pieces = cells.pieces(m)
+                w = lcm(cells.modulus, m)
+                ts = [t for t, _, _ in pieces]
+                assert ts == sorted(set(ts))
                 if g.kinds[0] == "Q":
-                    pts = [Fraction(t, 4) for t in range(-80, 81)]
-                    reps = {sg.s_eval(g, psi, {x: t}) for t, _, _ in pieces}
-                    assert {sg.s_eval(g, psi, {x: t}) for t in pts} <= reps
+                    for t in (Fraction(t, 4) for t in range(-80, 81)):
+                        fits = [r for r, lo, hi in pieces if r == lo == t
+                                or (r != lo and (lo is None or lo < t)
+                                    and (hi is None or t < hi))]
+                        assert len(fits) == 1, (f, t)
+                        assert sg.s_eval(g, psi, {x: fits[0]}) == \
+                            sg.s_eval(g, psi, {x: t})
                     continue
                 assert w % m == 0
                 for t in range(-40, 41):
@@ -1026,7 +1034,7 @@ class TestFibreWalk:
             assert sg._holds_somewhere(ZZ, f)
             memo = operation_memo()
             assert memo[("holds", ZZ, f)] is True
-            assert all(k[0] == "holds" for k in memo)
+            assert all(k[0] in ("holds", "cells") for k in memo)
 
 
 # acceptance criterion 06's corpus: its groups, seeds, counts and limits
@@ -1107,3 +1115,39 @@ class TestNiceDecomposeReference:
         with pytest.raises(AssertionError,
                            match="nice pieces must be nonempty"):
             sg.nice_decompose(Z, phi)
+
+
+class TestOneElimination:
+    """Each operation eliminates its input once and nothing more: least
+    values and co-initial classes come off the fibre walk."""
+
+    CASES = (("Z", "(exists (y) (and (< y x) (congr 2 y (c 0))))"),
+             ("Q", "(< (c 1/2) x)"),
+             ("Z*Z", "(lt@ 1 (c 2 0) x)"),
+             ("Q*Z", "(lt@ 1 (c 1/2 0) x)"),
+             ("Z*Q", "(lt@ 2 (c 1 1/2) x)"))
+
+    def test_eliminations_per_operation(self, monkeypatch):
+        real = sg.eliminate_scalar
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sg, "eliminate_scalar", counting)
+        for spec, text in self.CASES:
+            g = parse_group(spec)
+            phi = fm.parse(g, text)
+            qf = real(g, fm.lower(g, phi))
+            walk = sg.least_prefix_qf(g, qf, "x", g.n)
+            for run, want in (
+                    (lambda: sg.least_prefix_qf(g, qf, "x", g.n), 0),
+                    (lambda: sg.co_initial_classes(g, qf, "x", walk, g.n, 2,
+                                                   []), 0),
+                    (lambda: sg.end_hull(g, phi, "x"), 1),
+                    (lambda: sg.to_div_segment(g, phi, "x"), 1),
+                    (lambda: sg.nice_decompose(g, phi, "x"), 1)):
+                calls.clear()
+                run()
+                assert len(calls) == want, (spec, text, want)

@@ -213,19 +213,19 @@ class TestLeastValueWalk:
 
     def test_far_roots_cost_nothing_extra(self, monkeypatch):
         # the least values do not move with the roots at -R and R, and
-        # neither does the number of point evaluations
+        # neither does the number of fibre substitutions
         def far_roots(radius):
             return (f"(or (and (< x (c -{radius})) (congr 2 x (c 0))) "
                     f"(and (<= (c {radius}) x) (congr 3 x (c 0))))")
 
-        real = sg.s_eval
+        real = sg.s_subst_all
         evaluated = []
 
         def counting(*args):
             evaluated.append(args)
             return real(*args)
 
-        monkeypatch.setattr(sg, "s_eval", counting)
+        monkeypatch.setattr(sg, "s_subst_all", counting)
         types, counts = [], []
         for radius in (100, 10**6):
             evaluated.clear()
