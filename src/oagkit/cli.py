@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .errors import OagError, SegmentError
+from .errors import OagError, Record, SegmentError
 from .groups import (compute_chi, compute_rj, parse_group,
                      representatives_mod, subgroup_an, subgroup_bn, unit)
 
@@ -25,8 +24,7 @@ if TYPE_CHECKING:
 FORMAT_VERSION = "oag-v1"
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Record):
     """Run parameters echoed into every structured output."""
 
     group: str

@@ -14,12 +14,11 @@ Equivalent inputs produce bit-identical codes; `reconstruct` inverts
 the first two kinds back to formulas.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import formulas as fm
-from .errors import CodeError, OagError
+from .errors import CodeError, OagError, Record
 from .groups import (Element, FiniteQuotientElement, GroupSpec,
                      QuotientElement, element, meet_classes, project,
                      project_fin, quotient_spec, representatives_mod)
@@ -41,8 +40,7 @@ _MARKER_KINDS = (MARK_PLUS_INF, MARK_MINUS_INF, MARK_EMPTY, MARK_WHOLE)
 # --- sort-tagged values -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MainVal:
+class MainVal(Record):
     """A value in the main sort: a full group element."""
 
     value: tuple
@@ -51,8 +49,7 @@ class MainVal:
         return f"main({', '.join(map(str, self.value))})"
 
 
-@dataclass(frozen=True)
-class QuotVal:
+class QuotVal(Record):
     """A value in a quotient sort: an element of the level-k quotient."""
 
     value: QuotientElement
@@ -61,8 +58,7 @@ class QuotVal:
         return f"quot{self.value}"
 
 
-@dataclass(frozen=True)
-class FinQuotVal:
+class FinQuotVal(Record):
     """A value in a finite quotient sort."""
 
     value: FiniteQuotientElement
@@ -71,8 +67,7 @@ class FinQuotVal:
         return f"finquot{self.value}"
 
 
-@dataclass(frozen=True)
-class Marker:
+class Marker(Record):
     """A symbolic value: an infinity, the empty set or the whole group."""
 
     kind: str
@@ -84,8 +79,7 @@ class Marker:
 CodeValue = object
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(Record):
     """Header describing the coded object's shape, plus its values.
 
     Headers are nested tuples of strings and small integers only, so a
@@ -386,8 +380,7 @@ GENERIC = "generic"
 DEFAULT_RESIDUE_BOUND = 12
 
 
-@dataclass(frozen=True)
-class TypeDescriptor:
+class TypeDescriptor(Record):
     """The data of a definable one-variable type.
 
     cut: ("realized", element) for a realized type, ("at-segment", code)

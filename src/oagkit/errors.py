@@ -1,8 +1,13 @@
-"""Exception types shared across the toolkit, and the output size bound.
+"""Exception types shared across the toolkit, the output size bound, and
+the Record base of the package's small immutable values.
 
 Every domain failure raises a subclass of OagError so callers (and the CLI)
-can distinguish bad input from genuine bugs.
+can distinguish bad input from genuine bugs.  Every layer imports this
+module, so Record gives them frozen value classes without the import and
+class-creation cost of `dataclasses`.
 """
+
+from operator import attrgetter
 
 
 class OagError(Exception):
@@ -56,3 +61,68 @@ class TypeGenError(OagError):
 
 class OracleError(OagError):
     """Oracle precondition failure (unbounded quantifier, missing assignment)."""
+
+
+class Record:
+    """Base of the small immutable values: group specs, quotient
+    elements, code values, segments, formula nodes.
+
+    A subclass's fields are its own annotations, in order, and its class
+    attributes are their defaults.  Instances behave as frozen
+    dataclasses: `==` holds between instances of one class with equal
+    field tuples, `hash` is the hash of the field tuple, `repr` is
+    `Name(field=value, ...)`, and no field can be assigned or deleted.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        fields = tuple(own.get("__annotations__", ()))
+        cls._fields = fields
+        cls._defaults = {f: own[f] for f in fields if f in own}
+        get = attrgetter(*fields)
+        if len(fields) == 1:  # a bare value, but the hash is of a 1-tuple
+            one = get
+
+            def get(obj):
+                return (one(obj),)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(get(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values of a call with keywords, defaults or a wrong
+        number of arguments."""
+        fields = cls._fields
+        given = dict(zip(fields, args))
+        values = {**cls._defaults, **given, **kwargs}
+        if len(args) > len(fields) or given.keys() & kwargs.keys() \
+                or values.keys() != set(fields):
+            raise TypeError(
+                f"{cls.__qualname__}() takes the fields ({', '.join(fields)});"
+                f" got {len(args)} positional and keywords {sorted(kwargs)}")
+        return [values[f] for f in fields]
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -25,12 +25,11 @@ import itertools
 import re
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
 from . import scalars as sc
-from .errors import FormulaError, ParseError
+from .errors import FormulaError, ParseError, Record
 from .groups import Element, GroupSpec, add as g_add, scale as g_scale, zero
 
 GRAMMAR = """\
@@ -58,8 +57,7 @@ RELS = (LT, LE, EQ)
 # --- terms ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """Sum of integer multiples of variables plus a group constant."""
 
     coeffs: tuple  # tuple[(varname, int), ...] sorted by name, nonzero
@@ -123,83 +121,70 @@ def term_value(g: GroupSpec, t: Term, env: Mapping[str, Element]) -> Element:
 # --- formula nodes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoolConst:
+class BoolConst(Record):
     value: bool
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(Record):
     rel: str  # one of RELS
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Congr:
+class Congr(Record):
     modulus: int  # >= 2
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class RelCmp:
+class RelCmp(Record):
     level: int
     rel: str
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class RelCongr:
+class RelCongr(Record):
     level: int
     modulus: int
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class RelEq:
+class RelEq(Record):
     level: int
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     items: tuple
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     items: tuple
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Iff:
+class Iff(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Record):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Record):
     var: str
     body: "Formula"
 

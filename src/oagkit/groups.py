@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import PRINT_LIMIT, GroupError, OutputTooLarge
+from .errors import PRINT_LIMIT, GroupError, OutputTooLarge, Record
 
 Kind = str  # "Z" or "Q"
 Coord = Union[int, Fraction]
@@ -30,16 +29,16 @@ Element = tuple  # tuple[Coord, ...], arity == rank of the group
 LT, EQ, GT = -1, 0, 1
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """A finite lexicographic product of Z and Q factors."""
 
     kinds: tuple[Kind, ...]
 
-    def __post_init__(self) -> None:
-        for k in self.kinds:
+    def __init__(self, kinds: tuple[Kind, ...]) -> None:
+        for k in kinds:
             if k not in ("Z", "Q"):
                 raise GroupError(f"unknown coordinate kind {k!r}")
+        super().__init__(kinds)
 
     @property
     def n(self) -> int:
@@ -65,8 +64,7 @@ def parse_group(text: str) -> GroupSpec:
     return GroupSpec(tuple(parts))
 
 
-@dataclass(frozen=True)
-class ConvexSubgroup:
+class ConvexSubgroup(Record):
     """The convex subgroup of elements whose first `level` coordinates are 0."""
 
     level: int
@@ -75,8 +73,7 @@ class ConvexSubgroup:
         return f"conv[{self.level}]"
 
 
-@dataclass(frozen=True)
-class QuotientElement:
+class QuotientElement(Record):
     """An element of the quotient by the level-k subgroup: a k-prefix."""
 
     level: int
@@ -86,8 +83,7 @@ class QuotientElement:
         return f"({', '.join(map(str, self.coords))})@{self.level}"
 
 
-@dataclass(frozen=True)
-class FiniteQuotientElement:
+class FiniteQuotientElement(Record):
     """An element of the finite quotient by (level-k subgroup + m*G).
 
     Only the discrete coordinates among the first k survive; `residues`

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
 from . import formulas as fm
 from . import scalars as sc
-from .errors import OracleError
+from .errors import OracleError, Record
 from .groups import (
     Element,
     GroupSpec,
@@ -53,8 +52,7 @@ def _box_rationals(bound: int) -> list[Fraction]:
     return sorted(vals)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Componentwise finite grid: integers in [-B, B] on discrete
     coordinates, reduced fractions with numerator and denominator in
     [-B, B] on dense ones."""
@@ -437,8 +435,7 @@ def scalar_axes(g: GroupSpec, names, bound: int) -> dict:
 # --- fuzz corpus ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FuzzLimits:
+class FuzzLimits(Record):
     max_coeff: int = 3
     max_modulus: int = 8
     max_depth: int = 2

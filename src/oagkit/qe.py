@@ -36,13 +36,12 @@ answer is the same node either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import formulas as fm
 from . import scalars as sc
-from .errors import FormulaError
+from .errors import FormulaError, Record
 from .groups import Element, GroupSpec, element
 from .scalars import (
     SAnd, SBool, SCongr, SEq, SExists, SForall, SFormula, SLt, SNot, SOr,
@@ -53,8 +52,7 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
-class QfFormula:
+class QfFormula(Record):
     """Elimination result: a quantifier-free scalar formula together
     with the group and the surviving free group variables."""
 

@@ -33,7 +33,6 @@ import math
 import threading
 import weakref
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -41,13 +40,37 @@ from .errors import PRINT_LIMIT, BudgetExceeded, FormulaError, OutputTooLarge
 from .groups import GroupSpec
 
 
-@dataclass(frozen=True)
 class SVar:
-    base: str
-    coord: int  # 1-based coordinate index within the group
+    """Scalar variable: coordinate `coord` (1-based) of group variable
+    `base`.  Immutable; compares, hashes and prints as the pair would in
+    a frozen dataclass, with the hash computed once."""
+
+    __slots__ = ("base", "coord", "_hash")
+
+    def __init__(self, base: str, coord: int) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coord", coord)
+        object.__setattr__(self, "_hash", hash((base, coord)))
+
+    def __eq__(self, other):
+        if other.__class__ is SVar:
+            return self.base == other.base and self.coord == other.coord
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"SVar(base={self.base!r}, coord={self.coord!r})"
 
     def __str__(self) -> str:
         return f"{self.base}.{self.coord}"
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SVar is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SVar is immutable")
 
 
 def _var_key(item):
@@ -153,9 +176,6 @@ class _Node:
     """Interned immutable formula node: equality is identity."""
 
     __slots__ = ("fv", "__weakref__")
-
-    def __init__(self, *args, **kwargs):
-        pass
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

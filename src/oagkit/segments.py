@@ -18,13 +18,12 @@ eliminated.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Optional, Union
 
 from . import formulas as fm
-from .errors import SegmentError
+from .errors import Record, SegmentError
 from .groups import (
     ConvexSubgroup,
     Element,
@@ -65,8 +64,7 @@ def _is_inf(b) -> bool:
     return b == PLUS_INF or b == MINUS_INF
 
 
-@dataclass(frozen=True)
-class DivSegment:
+class DivSegment(Record):
     """One-sided divisibility condition on multiples of the variable.
 
     direction "end" denotes {x : n*x rel bound at the given level};
@@ -146,8 +144,7 @@ def dual_div_segment(seg: DivSegment) -> DivSegment:
     return DivSegment(direction, seg.n, seg.level, seg.bound, rel)
 
 
-@dataclass(frozen=True)
-class CongrLiteral:
+class CongrLiteral(Record):
     """One congruence condition z*x = beta + offset (mod level, modulus).
 
     sign +1 asserts the congruence, -1 its negation.  The condition
@@ -217,8 +214,7 @@ def canonical_restriction(g: GroupSpec, lits) -> tuple:
     return tuple(sorted(seen, key=_lit_key))
 
 
-@dataclass(frozen=True)
-class NiceSet:
+class NiceSet(Record):
     """A convex stretch (upper and lower segment) meeting congruences."""
 
     upper: DivSegment

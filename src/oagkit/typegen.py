@@ -20,14 +20,13 @@ result is arithmetic (`codes.descriptor_issue`), so `generic_type`
 decides no sentence.
 """
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import formulas as fm
 from .codes import (CUT_AT_SEGMENT, CUT_MINUS_INF, CUT_REALIZED,
                     DEFAULT_RESIDUE_BOUND, TypeDescriptor, beta_of_residues,
                     code_div_form, descriptor_fragment, descriptor_issue)
-from .errors import SegmentError, TypeGenError
+from .errors import Record, SegmentError, TypeGenError
 from .groups import FiniteQuotientElement, GroupSpec, project
 from .qe import eliminate_scalar, satisfiable
 from .scalars import operation
@@ -35,8 +34,7 @@ from .segments import (CongrLiteral, co_initial_classes, hull_segment,
                        least_prefix_qf, pad, the_var)
 
 
-@dataclass(frozen=True)
-class StageState:
+class StageState(Record):
     """Snapshot after one enumeration step of the staged construction."""
 
     index: int

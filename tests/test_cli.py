@@ -419,6 +419,24 @@ def test_no_assert_statements_in_the_package():
     assert not found
 
 
+def test_no_dataclasses_import_in_the_package():
+    """Value classes derive from `errors.Record`; importing `dataclasses`
+    would cost every cold command its import and class-building time."""
+    found = []
+    for path in sorted(Path(oagkit.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
 _CLI = {"oagkit", "oagkit.cli", "oagkit.errors", "oagkit.groups"}
 _FORMULAS = _CLI | {"oagkit.scalars", "oagkit.formulas"}
 _QE = _FORMULAS | {"oagkit.qe"}
@@ -455,7 +473,8 @@ _LOADS = [
 def test_command_loads_only_its_layers(argv, loads, first):
     """A cold command compiles and runs only the modules it uses: a plain
     import loads no submodule, `rank` no eliminator, `decide` no segment,
-    code or type layer, and only `fuzzcheck` loads the oracle and numpy."""
+    code or type layer, only `fuzzcheck` loads the oracle and numpy, and
+    none loads `dataclasses`."""
     cmd = argv if argv[0] == "-c" else ["-m", "oagkit", *argv]
     proc = subprocess.run([sys.executable, "-X", "importtime", *cmd],
                           capture_output=True, text=True, env=_module_env(),
@@ -467,6 +486,7 @@ def test_command_loads_only_its_layers(argv, loads, first):
                 for line in proc.stderr.splitlines() if "|" in line}
     assert {m for m in imported if m.split(".")[0] == "oagkit"} == loads
     assert ("numpy" in imported) == (argv[0] == "fuzzcheck")
+    assert "dataclasses" not in imported
 
 
 TOUR_SHA256 = \

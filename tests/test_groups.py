@@ -40,6 +40,12 @@ def test_parse_group_roundtrip():
         parse_group("Z*R")
 
 
+def test_group_spec_checks_its_kinds():
+    assert GroupSpec(("Z", "Q")) == parse_group("Z*Q")
+    with pytest.raises(GroupError):
+        GroupSpec(("Z", "R"))
+
+
 def test_element_validation():
     assert element(ZZ, [1, -1]) == (1, -1)
     assert element(QZ, [Fraction(1, 2), 3]) == (Fraction(1, 2), 3)
