@@ -9,6 +9,8 @@ class-creation cost of `dataclasses`.
 
 from operator import attrgetter
 
+_setattr = object.__setattr__
+
 
 class OagError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -80,6 +82,10 @@ class Record:
         fields = tuple(own.get("__annotations__", ()))
         cls._fields = fields
         cls._defaults = {f: own[f] for f in fields if f in own}
+        first = len(fields)  # the first of the trailing defaulted fields
+        while first and fields[first - 1] in own:
+            first -= 1
+        cls._tail = tuple(own[f] for f in fields[first:])
         get = attrgetter(*fields)
         if len(fields) == 1:  # a bare value, but the hash is of a 1-tuple
             one = get
@@ -101,13 +107,22 @@ class Record:
         fields = self._fields
         if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
-        self.__dict__.update(zip(fields, args))
+        # object.__setattr__ keeps the fields in the instance's inline
+        # values; reading self.__dict__ would turn them into a dict, which
+        # makes every later field read slower and the GC track one more
+        # object per instance
+        for f, v in zip(fields, args):
+            _setattr(self, f, v)
 
     @classmethod
     def _bind(cls, args, kwargs):
         """The field values of a call with keywords, defaults or a wrong
-        number of arguments."""
-        fields = cls._fields
+        number of arguments.  Leaving out trailing defaulted fields, the
+        common case, only appends their defaults."""
+        fields, tail = cls._fields, cls._tail
+        missing = len(fields) - len(args)
+        if not kwargs and 0 < missing <= len(tail):
+            return args + tail[len(tail) - missing:]
         given = dict(zip(fields, args))
         values = {**cls._defaults, **given, **kwargs}
         if len(args) > len(fields) or given.keys() & kwargs.keys() \

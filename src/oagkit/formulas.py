@@ -554,7 +554,7 @@ def substitute(g: GroupSpec, f: Formula, name: str, repl: Term) -> Formula:
     if isinstance(f, BoolConst):
         return f
     if isinstance(f, ATOMS):
-        kwargs = {k: v for k, v in f.__dict__.items()
+        kwargs = {k: getattr(f, k) for k in f._fields
                   if k not in ("left", "right")}
         return type(f)(left=t_subst(g, f.left, name, repl),
                        right=t_subst(g, f.right, name, repl), **kwargs)

@@ -148,6 +148,9 @@ def test_defaults_fill_only_the_trailing_fields():
     with pytest.raises(TypeError):
         orc.Box(cap=5)
     assert orc.FuzzLimits(window=4) == orc.FuzzLimits(3, 8, 2, 4, 2)
+    assert orc.FuzzLimits(3, 5) == orc.FuzzLimits(3, 5, 2, 6, 2)
+    with pytest.raises(TypeError):
+        orc.FuzzLimits(3, 8, 2, 4, 2, 1)
 
 
 def test_svar_is_the_dataclass_pair():
