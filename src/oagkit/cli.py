@@ -3,13 +3,15 @@
 Every structured (json) result is a single line with stable key order,
 tagged `oag-v1`, and echoes the run configuration so output files are
 reproducible byte for byte.  Human format prints one `key: value` line
-per field instead.  Exit codes: 0 success, 1 domain error, 2 usage.
+per field instead.  Exit codes: 0 success, 1 domain error or standard
+output closed by its reader, 2 usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
@@ -384,4 +386,14 @@ def run(argv, out=None) -> int:
 
 
 def main() -> int:
-    return run(sys.argv[1:])
+    """`run` on the process's arguments.  A reader that closes standard
+    output early ends the run with exit code 1 and no traceback; stdout
+    then points at the null device, so the flush at exit cannot fail
+    again."""
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code

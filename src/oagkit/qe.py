@@ -8,34 +8,42 @@ sides), and virtual-substitution over test points (minus infinity, each
 root, each root plus epsilon) on dense coordinates, which carry no
 congruences.
 
-Everything else in the package funnels through `decide`: satisfiable,
-equivalent and entails close a formula and decide it, and `witness`
-digs a concrete element out of a satisfiable one-variable formula.
+Two kinds of question are answered here.  Sentences are projected:
+`decide` and `eliminate` run the eliminations above, and satisfiable,
+equivalent and entails close a formula into a sentence and decide it.
+A formula whose only free variable is one group variable x is
+eliminated once; every atom of its quantifier-free form then mentions
+one coordinate of x, and questions about that form walk its cells
+instead (`_Cells`, `_holds_somewhere`, `same_points`): `witness` here,
+and the unary-set layers, `segments` and `typegen`.
 
-While a high-level operation runs (`code_set`, `reconstruct`,
-`nice_decompose`, `end_hull`, `to_div_segment`, `generic_type_trace`,
-`check_descriptor`; see `scalars.operation_scope`), `_eliminate_block`
-and `decide` remember their answers in the operation's memo, keyed on
-the group, the variable block and the interned body node, or on the
-group and the sentence.  Both are pure functions of those keys, so the
-memo changes no answer.  It is thread-local, has no option or size
-limit, and is dropped when the outermost operation returns or raises,
-so no answer outlives the operation that computed it.  Outside an
-operation nothing is memoized.  (`formulas.lower` keeps the scalar form
-of each atom in the same memo, under a key tagged "lower", and
-`segments._holds_somewhere` the answer for each fibre it walks, under a
-key tagged "holds".)  Cooper's
+While a high-level operation runs (`witness`, `code_set`,
+`reconstruct`, `nice_decompose`, `end_hull`, `to_div_segment`,
+`generic_type_trace`, `check_descriptor`; see
+`scalars.operation_scope`), `_eliminate_block` and `decide` remember
+their answers in the operation's memo, keyed on the group, the variable
+block and the interned body node, or on the group and the sentence.
+Both are pure functions of those keys, so the memo changes no answer.
+It is thread-local, has no option or size limit, and is dropped when
+the outermost operation returns or raises, so no answer outlives the
+operation that computed it.  Outside an operation nothing is memoized.
+(`formulas.lower` keeps the scalar form of each atom in the same memo,
+under a key tagged "lower", `_cells` one cell model per form and
+coordinate, under a key tagged "cells", and `_holds_somewhere` the
+answer for each fibre it walks, under a key tagged "holds".)  Cooper's
 method and the dense projection yield their disjuncts lazily, so
 `mk_or` stops substituting at the first true one.  Cooper's method
-substitutes its infinity rows first, and a true one answers the whole
-disjunction before any bound row is built; otherwise the disjuncts
-come in the interleaved order (each row, then its bound rows), so the
-answer is the same node either way.
+substitutes its infinity rows first, building each shift constant when
+its row needs it, and a true row answers the whole disjunction before
+any bound row is built; otherwise the disjuncts come in the interleaved
+order (each row, then its bound rows), so the answer is the same node
+either way.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional
 
@@ -46,9 +54,8 @@ from .groups import Element, GroupSpec, element
 from .scalars import (
     SAnd, SBool, SCongr, SEq, SExists, SForall, SFormula, SLt, SNot, SOr,
     SVar, atoms, budget_scope, kind_of, lin_add, lin_const, lin_neg,
-    lin_var, mk_and, mk_congr, mk_eq, mk_exists, mk_le, mk_lt, mk_not,
-    mk_or, operation_memo, roots_and_modulus, s_eval, s_free_vars, s_is_qf,
-    s_subst,
+    lin_var, mk_and, mk_congr, mk_eq, mk_le, mk_lt, mk_not, mk_or,
+    operation, operation_memo, roots_and_modulus, s_eval, s_is_qf, s_subst,
 )
 
 
@@ -195,23 +202,30 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
         return lit
 
     row = _map_atoms(f, at_infinity, skip=v)
+    if row is sc.TRUE:
+        return row
     bounds = lowers if use_lowers else uppers
-    shifts = [lin_const(j if use_lowers else -j)
-              for j in range(1, period + 1)]
+    sign = 1 if use_lowers else -1
 
     # the infinity rows first: any true one decides the disjunction
-    # before a bound row is built
-    rows = []
-    for shift in shifts:
-        r = row if isinstance(row, SBool) else s_subst(g, row, v, shift)
-        if r is sc.TRUE:
-            return r
-        rows.append(r)
+    # before a bound row is built.  Each shift is built once, when its
+    # row needs it, so the budget is charged from the first row on; a
+    # FALSE row adds no disjunct, and its shifts wait for the bound rows
+    shifts = (lin_const(sign * j) for j in range(1, period + 1))
+    if row is sc.FALSE:
+        rows = ((row, shift) for shift in shifts) if bounds else ()
+    else:
+        rows = []
+        for shift in shifts:
+            r = s_subst(g, row, v, shift)
+            if r is sc.TRUE:
+                return r
+            rows.append((r, shift))
 
     # the same disjuncts in the same order as an interleaved walk, the
     # rows reused; yielded lazily: mk_or stops at the first true one
     def pieces():
-        for r, shift in zip(rows, shifts):
+        for r, shift in rows:
             yield r
             for b in bounds:
                 yield s_subst(g, f, v, lin_add(b, shift))
@@ -495,41 +509,169 @@ def entails(g: GroupSpec, a: fm.Formula, b: fm.Formula,
     return decide(g, _close(fm.Implies(a, b), fm.Forall), budget)
 
 
+# --- the cell model of a monadic form ---------------------------------------
+
+
+def _pieces(discrete: bool, roots: list, w: int) -> list:
+    """The cells of a line cut at the sorted roots, in ascending order,
+    as triples (t, lo, hi): a representative t, and the cell's ends lo
+    and hi (None: unbounded).  A root c is the cell (c, c, c).  A gap's
+    ends are the roots around it on Q and its first and last integer on
+    Z, where it has w representatives: its first w integers (the last w
+    of the gap unbounded below), each standing for the integers of the
+    gap congruent to it modulo w.  On Q a gap's representative is its
+    midpoint, or one past its finite end, or 0 for the whole line."""
+    out: list = []
+    ends = [None] + roots + [None]
+    for c, d in zip(ends, ends[1:]):
+        if c is not None and (not discrete or c.denominator == 1):
+            root = int(c) if discrete else c
+            out.append((root, root, root))
+        if not discrete:
+            if c is None:
+                t = Fraction(0) if d is None else d - 1
+            else:
+                t = c + 1 if d is None else (c + d) / 2
+            out.append((t, c, d))
+            continue
+        lo = None if c is None else math.floor(c) + 1
+        hi = None if d is None else math.ceil(d) - 1
+        if lo is None:
+            top = 0 if hi is None else hi + 1
+            reps = range(top - w, top)
+        else:
+            reps = range(lo, lo + w if hi is None else min(lo + w, hi + 1))
+        out += [(t, lo, hi) for t in reps]
+    return out
+
+
+class _Cells:
+    """The cell model of coordinate x in a quantifier-free scalar form
+    psi whose atoms each mention one variable.
+
+    The atoms of psi in x keep their truth values on each cell of x's
+    line: a root of the order atoms, or a gap between two roots, and on
+    Z within those each class modulo L (`modulus`), the lcm of the
+    moduli.  So the fibre of psi over x = t, psi with x = t, a condition
+    on the other variables, depends only on t's cell and residue.
+    `pieces` gives a point of each cell (`_pieces`), and `fibre`
+    substitutes psi once per cell and residue."""
+
+    __slots__ = ("g", "psi", "x", "discrete", "roots", "modulus", "fibres")
+
+    def __init__(self, g: GroupSpec, psi, x: SVar):
+        self.g, self.psi, self.x = g, psi, x
+        self.discrete = g.kinds[x.coord - 1] == "Z"
+        self.roots, self.modulus = roots_and_modulus(psi, x)
+        self.fibres: dict = {}
+
+    def pieces(self, m: int = 1) -> list:
+        """The cells with, on Z, their classes modulo m as well."""
+        return _pieces(self.discrete, self.roots, math.lcm(self.modulus, m))
+
+    def fibre(self, t):
+        # the cell (gap i below roots[i], or roots[i] itself), residue
+        i = bisect_left(self.roots, t)
+        key = (i, self.roots[i:i + 1] == [t],
+               t % self.modulus if self.discrete else 0)
+        hit = self.fibres.get(key)
+        if hit is None:
+            hit = self.fibres[key] = s_subst_all(self.g, self.psi, {self.x: t})
+        return hit
+
+
+def _cells(g: GroupSpec, psi, x: SVar, memo: Optional[dict] = None) -> _Cells:
+    """psi's cell model of x, one per form and coordinate in memo (the
+    open operation's when None) under a key tagged "cells"."""
+    if memo is None:
+        memo = operation_memo()
+        if memo is None:
+            return _Cells(g, psi, x)
+    key = ("cells", g, psi, x)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _Cells(g, psi, x)
+    return hit
+
+
+def _holds_somewhere(g: GroupSpec, f) -> bool:
+    """Whether a quantifier-free scalar formula, each of whose atoms
+    mentions one variable, holds at some point.
+
+    No elimination is needed.  The truth of such a form at a point
+    depends only on each variable's cell (`_Cells`), so the form holds
+    somewhere exactly when one of its fibres over its first variable set
+    to the representative of each cell does.  The walk recurses on
+    those fibres and evaluates a form in one variable at each
+    representative.  It is memoized on the interned fibre in the open
+    operation's memo under a key tagged "holds" (for the call alone
+    outside an operation).  An atom that mentions two variables raises
+    AssertionError."""
+    memo = operation_memo()
+    return _walk(g, f, {} if memo is None else memo)
+
+
+def _walk(g: GroupSpec, f, memo: dict) -> bool:
+    if isinstance(f, SBool):
+        return f.value
+    key = ("holds", g, f)
+    hit = memo.get(key)
+    if hit is None:
+        cells = _cells(g, f, min(f.fv, key=lambda w: (w.base, w.coord)), memo)
+        if len(f.fv) == 1:
+            hit = any(s_eval(g, f, {cells.x: t}) for t, _, _ in cells.pieces())
+        else:
+            hit = any(_walk(g, cells.fibre(t), memo)
+                      for t, _, _ in cells.pieces())
+        memo[key] = hit
+    return hit
+
+
+def same_points(g: GroupSpec, a, b) -> bool:
+    """Whether two quantifier-free scalar formulas, each of whose atoms
+    mentions one variable, hold at the same points: their exclusive or
+    holds nowhere (`_holds_somewhere`, exact for such forms)."""
+    if a is b:
+        return True
+    return not _holds_somewhere(
+        g, mk_or([mk_and([a, mk_not(b)]), mk_and([mk_not(a), b])]))
+
+
 # --- witness extraction -----------------------------------------------------
 
 
-def _candidates_z(f: SFormula, v: SVar) -> list:
-    roots, period = roots_and_modulus(f, v)
-    bases = {0}
-    for root in roots:
-        bases.add(math.floor(root))
-        bases.add(math.ceil(root))
-    out = set()
-    for b in bases:
-        for t in range(-period, period + 1):
-            out.add(b + t)
-    return sorted(out, key=lambda q: (abs(q), q < 0))
+def _near_zero(t) -> tuple:
+    return abs(t), t < 0
 
 
-def _candidates_q(f: SFormula, v: SVar) -> list:
-    rs, _ = roots_and_modulus(f, v)
-    if not rs:
-        return [Fraction(0)]
-    cands = set(rs)
-    cands.add(rs[0] - 1)
-    cands.add(rs[-1] + 1)
-    for x, y in zip(rs, rs[1:]):
-        cands.add(Fraction(x + y, 2))
-    cands.add(Fraction(0))
-    return sorted(cands, key=lambda q: (abs(q), q < 0))
+def _least_point(cells: _Cells, t, lo, hi):
+    """The point of least (|s|, s < 0) of the piece (t, lo, hi) of
+    `cells.pieces()`: on Z the member of t's class modulo the cells'
+    modulus in lo..hi nearest 0 from either side, by remainder
+    arithmetic; on Q 0 when the cell holds it, else its representative
+    t, since an open gap has no point nearest 0."""
+    if not cells.discrete:
+        inside = (lo is None or lo < 0) and (hi is None or 0 < hi)
+        return 0 if inside else t
+    w = cells.modulus
+    up = 0 if lo is None else max(lo, 0)
+    down = 0 if hi is None else min(hi, 0)
+    return min((s for s in (up + (t - up) % w, down - (down - t) % w)
+                if (lo is None or lo <= s) and (hi is None or s <= hi)),
+               key=_near_zero)
 
 
+@operation
 def witness(g: GroupSpec, f: fm.Formula,
             budget: Optional[int] = None) -> Optional[Element]:
     """A satisfying element of an existential with one named variable:
-    input Exists(x, phi) where phi has exactly the free variable x.
-    Coordinates are fixed most significant first, each from a finite
-    candidate window derived from the eliminated formula's literals."""
+    input Exists(x, phi) where phi has no free variable but x.
+
+    phi is eliminated once.  Coordinates are then fixed most significant
+    first: among the cells of x.j (`_Cells`) whose fibre holds somewhere
+    (`_holds_somewhere`), with x.1..x.(j-1) pinned, x.j takes the point
+    of least (|t|, t < 0) (`_least_point`), and the next coordinate is
+    read off that point's fibre.  None when the set is empty."""
     if not isinstance(f, fm.Exists):
         raise FormulaError("witness expects an existential formula")
     var, phi = f.var, f.body
@@ -537,44 +679,18 @@ def witness(g: GroupSpec, f: fm.Formula,
         raise FormulaError(
             f"witness body must have exactly the free variable '{var}'")
     with budget_scope(budget):
-        low = fm.lower(g, phi)
-        svars = [SVar(var, j) for j in range(1, g.n + 1)]
-        picked: dict = {}
-        current = low
-        for j, v in enumerate(svars):
-            tail = current
-            for w in reversed(svars[j + 1:]):
-                tail = mk_exists(w, tail)
-            psi = eliminate_scalar(g, tail)
-            if isinstance(psi, SBool):
-                if not psi.value:
-                    return None
-                cands = [0]
-            elif kind_of(g, v) == "Z":
-                cands = _candidates_z(psi, v)
-            else:
-                cands = _candidates_q(psi, v)
-            chosen = None
-            for cand in cands:
-                if s_eval(g, psi, {v: cand}):
-                    chosen = cand
-                    break
-            if chosen is None:
-                if j == 0:
-                    return None
-                raise AssertionError(
-                    "candidate window missed a witness coordinate")
-            picked[v] = chosen
-            current = s_subst_all(g, current, {v: chosen})
-        check = eliminate_scalar(g, current)
-        if not isinstance(check, SBool):
-            raise AssertionError("a pinned witness must ground out")
-        if g.n == 0:
-            return () if check.value else None
-        if not check.value:
-            raise AssertionError("the picked coordinates must satisfy the "
-                                 "formula")
-        return element(g, [picked[v] for v in svars])
+        psi = eliminate_scalar(g, fm.lower(g, phi))
+        picked = []
+        for j in range(1, g.n + 1):
+            cells = _cells(g, psi, SVar(var, j))
+            points = [_least_point(cells, t, lo, hi)
+                      for t, lo, hi in cells.pieces()
+                      if _holds_somewhere(g, cells.fibre(t))]
+            if not points:
+                return None
+            picked.append(min(points, key=_near_zero))
+            psi = cells.fibre(picked[-1])
+    return element(g, picked) if psi is sc.TRUE else None
 
 
 def s_subst_all(g: GroupSpec, f: SFormula, env: dict) -> SFormula:

@@ -9,15 +9,15 @@ stabilizer and divisibility form, and a canonical nice decomposition
 whose shape depends only on the defined set, never on the formula.
 
 Every atom of that form mentions one coordinate, so each question about
-it is answered one coordinate at a time on the coordinate's cells
-(`_Cells`): the roots of its atoms there, the gaps between them, and on
-Z the residues modulo the lcm of its moduli.  Nothing else is
-eliminated.
+it is answered one coordinate at a time on the coordinate's cells: the
+roots of its atoms there, the gaps between them, and on Z the residues
+modulo the lcm of its moduli.  That cell model (`qe._Cells`,
+`qe._holds_somewhere`, `qe.same_points`) lives in `qe`, which walks it
+for `witness` too.  Nothing else is eliminated.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Optional, Union
@@ -35,20 +35,9 @@ from .groups import (
     scale,
     unit,
 )
-from .qe import decide, eliminate_scalar, s_subst_all
-from .scalars import (
-    SBool,
-    FALSE,
-    SVar,
-    TRUE,
-    mk_and,
-    mk_not,
-    mk_or,
-    operation,
-    operation_memo,
-    roots_and_modulus,
-    s_eval,
-)
+from .qe import (_Cells, _cells, _holds_somewhere, _pieces, decide,
+                 eliminate_scalar, same_points, s_subst_all)
+from .scalars import FALSE, SVar, TRUE, mk_or, operation
 
 END = "end"
 INITIAL = "initial"
@@ -292,49 +281,6 @@ def pad(g: GroupSpec, vals) -> Element:
     return element(g, vals + [0] * (g.n - len(vals)))
 
 
-def _holds_somewhere(g: GroupSpec, f) -> bool:
-    """Whether a quantifier-free scalar formula, each of whose atoms
-    mentions one variable, holds at some point.
-
-    No elimination is needed.  The truth of such a form at a point
-    depends only on each variable's cell (`_Cells`), so the form holds
-    somewhere exactly when one of its fibres over its first variable set
-    to the representative of each cell does.  The walk recurses on
-    those fibres and evaluates a form in one variable at each
-    representative.  It is memoized on the interned fibre in the open
-    operation's memo under a key tagged "holds" (for the call alone
-    outside an operation).  An atom that mentions two variables raises
-    AssertionError."""
-    memo = operation_memo()
-    return _walk(g, f, {} if memo is None else memo)
-
-
-def _walk(g: GroupSpec, f, memo: dict) -> bool:
-    if isinstance(f, SBool):
-        return f.value
-    key = ("holds", g, f)
-    hit = memo.get(key)
-    if hit is None:
-        cells = _cells(g, f, min(f.fv, key=lambda w: (w.base, w.coord)), memo)
-        if len(f.fv) == 1:
-            hit = any(s_eval(g, f, {cells.x: t}) for t, _, _ in cells.pieces())
-        else:
-            hit = any(_walk(g, cells.fibre(t), memo)
-                      for t, _, _ in cells.pieces())
-        memo[key] = hit
-    return hit
-
-
-def same_points(g: GroupSpec, a, b) -> bool:
-    """Whether two quantifier-free scalar formulas, each of whose atoms
-    mentions one variable, hold at the same points: their exclusive or
-    holds nowhere (`_holds_somewhere`, exact for such forms)."""
-    if a is b:
-        return True
-    return not _holds_somewhere(
-        g, mk_or([mk_and([a, mk_not(b)]), mk_and([mk_not(a), b])]))
-
-
 def least_prefix(g: GroupSpec, phi: fm.Formula, v: str,
                  k: int) -> Optional[tuple]:
     """`least_prefix_qf` of phi's quantifier-free form."""
@@ -392,88 +338,6 @@ def _meets(t: int, w: int, lo, hi, s: int, n: int) -> bool:
         return hit is not None
     c, period = hit
     return lo + (c - lo) % period <= hi
-
-
-def _pieces(discrete: bool, roots: list, w: int) -> list:
-    """The cells of a line cut at the sorted roots, in ascending order,
-    as triples (t, lo, hi): a representative t, and the cell's ends lo
-    and hi (None: unbounded).  A root c is the cell (c, c, c).  A gap's
-    ends are the roots around it on Q and its first and last integer on
-    Z, where it has w representatives: its first w integers (the last w
-    of the gap unbounded below), each standing for the integers of the
-    gap congruent to it modulo w.  On Q a gap's representative is its
-    midpoint, or one past its finite end, or 0 for the whole line."""
-    out: list = []
-    ends = [None] + roots + [None]
-    for c, d in zip(ends, ends[1:]):
-        if c is not None and (not discrete or c.denominator == 1):
-            root = int(c) if discrete else c
-            out.append((root, root, root))
-        if not discrete:
-            if c is None:
-                t = Fraction(0) if d is None else d - 1
-            else:
-                t = c + 1 if d is None else (c + d) / 2
-            out.append((t, c, d))
-            continue
-        lo = None if c is None else floor(c) + 1
-        hi = None if d is None else ceil(d) - 1
-        if lo is None:
-            top = 0 if hi is None else hi + 1
-            reps = range(top - w, top)
-        else:
-            reps = range(lo, lo + w if hi is None else min(lo + w, hi + 1))
-        out += [(t, lo, hi) for t in reps]
-    return out
-
-
-class _Cells:
-    """The cell model of coordinate x in a quantifier-free scalar form
-    psi whose atoms each mention one variable.
-
-    The atoms of psi in x keep their truth values on each cell of x's
-    line: a root of the order atoms, or a gap between two roots, and on
-    Z within those each class modulo L (`modulus`), the lcm of the
-    moduli.  So the fibre of psi over x = t, psi with x = t, a condition
-    on the other variables, depends only on t's cell and residue.
-    `pieces` gives a point of each cell (`_pieces`), and `fibre`
-    substitutes psi once per cell and residue."""
-
-    __slots__ = ("g", "psi", "x", "discrete", "roots", "modulus", "fibres")
-
-    def __init__(self, g: GroupSpec, psi, x: SVar):
-        self.g, self.psi, self.x = g, psi, x
-        self.discrete = g.kinds[x.coord - 1] == "Z"
-        self.roots, self.modulus = roots_and_modulus(psi, x)
-        self.fibres: dict = {}
-
-    def pieces(self, m: int = 1) -> list:
-        """The cells with, on Z, their classes modulo m as well."""
-        return _pieces(self.discrete, self.roots, lcm(self.modulus, m))
-
-    def fibre(self, t):
-        # the cell (gap i below roots[i], or roots[i] itself), residue
-        i = bisect_left(self.roots, t)
-        key = (i, self.roots[i:i + 1] == [t],
-               t % self.modulus if self.discrete else 0)
-        hit = self.fibres.get(key)
-        if hit is None:
-            hit = self.fibres[key] = s_subst_all(self.g, self.psi, {self.x: t})
-        return hit
-
-
-def _cells(g: GroupSpec, psi, x: SVar, memo: Optional[dict] = None) -> _Cells:
-    """psi's cell model of x, one per form and coordinate in memo (the
-    open operation's when None) under a key tagged "cells"."""
-    if memo is None:
-        memo = operation_memo()
-        if memo is None:
-            return _Cells(g, psi, x)
-    key = ("cells", g, psi, x)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = _Cells(g, psi, x)
-    return hit
 
 
 def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,

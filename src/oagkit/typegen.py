@@ -17,7 +17,8 @@ the hull exactly when it is nonempty and its walk equals the set's, and
 `segments.co_initial_classes` reads the classes that keep the walk off
 the fibres of the fragment's quantifier-free form.  Coherence of the
 result is arithmetic (`codes.descriptor_issue`), so `generic_type`
-decides no sentence.
+decides no sentence, and neither does `check_descriptor`, which walks
+the cells of the checked fragment's quantifier-free form.
 """
 
 from typing import Optional
@@ -28,7 +29,7 @@ from .codes import (CUT_AT_SEGMENT, CUT_MINUS_INF, CUT_REALIZED,
                     code_div_form, descriptor_fragment, descriptor_issue)
 from .errors import Record, SegmentError, TypeGenError
 from .groups import FiniteQuotientElement, GroupSpec, project
-from .qe import eliminate_scalar, satisfiable
+from .qe import _holds_somewhere, eliminate_scalar
 from .scalars import operation
 from .segments import (CongrLiteral, co_initial_classes, hull_segment,
                        least_prefix_qf, pad, the_var)
@@ -160,10 +161,12 @@ def check_descriptor(g: GroupSpec, p: TypeDescriptor, phi: fm.Formula,
 
     True iff the descriptor is coherent (`codes.descriptor_issue`, by
     arithmetic) and the fragment (cut atom, stored residues and cosets,
-    plus membership in the set itself) is satisfiable: one decide.  The
-    fragment entails phi because phi is one of its conjuncts.
-    Structurally malformed descriptors raise; semantic violations return
-    False.
+    plus membership in the set itself) is satisfiable.  Every atom of
+    the fragment's eliminated form mentions one coordinate, so the cell
+    walk (`qe._holds_somewhere`) answers that exactly: no sentence is
+    decided.  The fragment entails phi because phi is one of its
+    conjuncts.  Structurally malformed descriptors raise; semantic
+    violations return False.
     """
     if var is None and not fm.free_vars(phi):
         var = "x"
@@ -174,4 +177,4 @@ def check_descriptor(g: GroupSpec, p: TypeDescriptor, phi: fm.Formula,
     if descriptor_issue(g, p) is not None:
         return False
     frag = fm.And((descriptor_fragment(g, p, v), phi))
-    return satisfiable(g, frag)
+    return _holds_somewhere(g, eliminate_scalar(g, fm.lower(g, frag)))

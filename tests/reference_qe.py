@@ -1,0 +1,99 @@
+"""Reference witness extraction: the nested eliminations and candidate
+windows that `oagkit.qe.witness` replaced.
+
+`witness` fixes the coordinates most significant first.  For each one it
+eliminates the deeper coordinates of the formula with the earlier ones
+pinned, and scans a finite window of candidates derived from the roots
+and moduli of that one-variable form: on Z every integer within the
+period of 0 and of each root, on Q the roots, the midpoints between
+them, one past each extreme root and 0.  Tests compare the library
+against it.  Nothing here is fast; it is the old code kept as a
+specification.
+"""
+
+import math
+from fractions import Fraction
+
+from oagkit import formulas as fm
+from oagkit.errors import FormulaError
+from oagkit.groups import element
+from oagkit.qe import eliminate_scalar, s_subst_all
+from oagkit.scalars import (SBool, SVar, budget_scope, kind_of, mk_exists,
+                            roots_and_modulus, s_eval)
+
+
+def _candidates_z(f, v) -> list:
+    roots, period = roots_and_modulus(f, v)
+    bases = {0}
+    for root in roots:
+        bases.add(math.floor(root))
+        bases.add(math.ceil(root))
+    out = set()
+    for b in bases:
+        for t in range(-period, period + 1):
+            out.add(b + t)
+    return sorted(out, key=lambda q: (abs(q), q < 0))
+
+
+def _candidates_q(f, v) -> list:
+    rs, _ = roots_and_modulus(f, v)
+    if not rs:
+        return [Fraction(0)]
+    cands = set(rs)
+    cands.add(rs[0] - 1)
+    cands.add(rs[-1] + 1)
+    for x, y in zip(rs, rs[1:]):
+        cands.add(Fraction(x + y, 2))
+    cands.add(Fraction(0))
+    return sorted(cands, key=lambda q: (abs(q), q < 0))
+
+
+def witness(g, f, budget=None):
+    """A satisfying element of Exists(x, phi), phi with the free
+    variable x alone, or None: each coordinate is the first candidate of
+    its window at which the eliminated tail holds."""
+    if not isinstance(f, fm.Exists):
+        raise FormulaError("witness expects an existential formula")
+    var, phi = f.var, f.body
+    if fm.free_vars(phi) - {var}:
+        raise FormulaError(
+            f"witness body must have exactly the free variable '{var}'")
+    with budget_scope(budget):
+        low = fm.lower(g, phi)
+        svars = [SVar(var, j) for j in range(1, g.n + 1)]
+        picked: dict = {}
+        current = low
+        for j, v in enumerate(svars):
+            tail = current
+            for w in reversed(svars[j + 1:]):
+                tail = mk_exists(w, tail)
+            psi = eliminate_scalar(g, tail)
+            if isinstance(psi, SBool):
+                if not psi.value:
+                    return None
+                cands = [0]
+            elif kind_of(g, v) == "Z":
+                cands = _candidates_z(psi, v)
+            else:
+                cands = _candidates_q(psi, v)
+            chosen = None
+            for cand in cands:
+                if s_eval(g, psi, {v: cand}):
+                    chosen = cand
+                    break
+            if chosen is None:
+                if j == 0:
+                    return None
+                raise AssertionError(
+                    "candidate window missed a witness coordinate")
+            picked[v] = chosen
+            current = s_subst_all(g, current, {v: chosen})
+        check = eliminate_scalar(g, current)
+        if not isinstance(check, SBool):
+            raise AssertionError("a pinned witness must ground out")
+        if g.n == 0:
+            return () if check.value else None
+        if not check.value:
+            raise AssertionError("the picked coordinates must satisfy the "
+                                 "formula")
+        return element(g, [picked[v] for v in svars])

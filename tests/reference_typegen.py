@@ -1,17 +1,19 @@
 """Reference type generation: the per-candidate co-initiality walk and
-the decide-based coherence check that `oagkit.typegen` and
-`oagkit.codes.descriptor_issue` replaced.
+the decide-based coherence and concentration checks that
+`oagkit.typegen` and `oagkit.codes.descriptor_issue` replaced.
 
 `generic_type_trace` lowers and eliminates the fragment afresh for
 every candidate class and keeps the class whose `least_prefix` walk is
 the set's; `descriptor_issue` decides the satisfiability of the finite
-fragment with Cooper's procedure.  Tests compare the library against
-both.  Nothing here is fast; it is the old code kept as a
+fragment with Cooper's procedure, and `check_descriptor` that of the
+fragment conjoined with the set.  Tests compare the library against
+all three.  Nothing here is fast; it is the old code kept as a
 specification.
 """
 
 from math import gcd
 
+from oagkit import codes
 from oagkit import formulas as fm
 from oagkit.codes import (CUT_AT_SEGMENT, CUT_MINUS_INF, CUT_REALIZED,
                           TypeDescriptor, _descriptor_structure, _pad_quot,
@@ -23,6 +25,7 @@ from oagkit.scalars import operation
 from oagkit.segments import (CongrLiteral, hull_segment, least_prefix, pad,
                              the_var)
 from oagkit.typegen import StageState
+
 
 
 def residue_compatible(g, a, b) -> bool:
@@ -139,3 +142,16 @@ def generic_type_trace(g, phi, bound, var=None):
                                                             f.modulus))),
                        residue_bound=bound)
     return p, tuple(trace)
+
+
+@operation
+def check_descriptor(g, p, phi, var=None):
+    """The decide-based check: coherence by `codes.descriptor_issue`,
+    then the satisfiability of the fragment conjoined with phi, closed
+    into a sentence and decided."""
+    if var is None and not fm.free_vars(phi):
+        var = "x"
+    v = the_var(g, phi, var)
+    if codes.descriptor_issue(g, p) is not None:
+        return False
+    return satisfiable(g, fm.And((descriptor_fragment(g, p, v), phi)))

@@ -380,6 +380,23 @@ def test_module_entry_point_types_input_errors(tmp_path):
         assert json.loads(proc.stdout)["error"]["type"] == kind
 
 
+def test_reader_closing_early_gets_no_traceback():
+    """`oagkit reps … | head -c 150`: the 436187-byte answer overflows
+    the pipe, so the reader's close breaks the write; exit 1, no
+    traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oagkit", "reps", "--group", "Z*Z", "2",
+         "200", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env())
+    head = proc.stdout.read(150)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1, err
+    assert head.startswith(b'{"version": "oag-v1", "command": "reps"')
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["decide", "--group", "Z*Z", "(exists (x) (= (+ x x) (c 1 1)))"],
     ["qe", "--group", "Z*Q",

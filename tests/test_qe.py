@@ -2,11 +2,13 @@
 differential against the oracle, and witness extraction."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import reference_qe
 from oagkit import formulas as fm
 from oagkit import oracle as orc
 from oagkit import qe
@@ -183,6 +185,53 @@ class TestWitness:
         with pytest.raises(FormulaError):
             qe.witness(Z1, fm.parse(Z1, "(exists (x) (< x y))"))
 
+    @staticmethod
+    def corpus(g):
+        # one-variable formulas and sentences of every template, each
+        # closed by its variable
+        out = []
+        for seed in (0, 1):
+            for template in ("qf", "end-segment", "bounded"):
+                for f in orc.fuzz_corpus(g, seed, 10, template=template):
+                    free = fm.free_vars(f)
+                    if len(free) <= 1:
+                        out.append(fm.Exists(min(free, default="x"), f))
+        return out
+
+    @pytest.mark.parametrize("spec", ["1", "Z", "Q", "Z*Z", "Z*Q", "Q*Z",
+                                      "Z*Q*Z"])
+    def test_walk_agrees_with_the_eliminations(self, spec):
+        # the reference eliminates the deeper coordinates for each one
+        # and scans a candidate window
+        g = parse_group(spec)
+        found = set()
+        for f in self.corpus(g):
+            w = qe.witness(g, f)
+            assert w == reference_qe.witness(g, f), fm.print_formula(f)
+            found.add(w is None)
+        assert found == {True, False}
+
+    def test_eliminates_once_and_decides_nothing(self, monkeypatch):
+        calls = {"eliminate": 0, "decide": 0}
+        eliminate_scalar, decide = qe.eliminate_scalar, qe.decide
+
+        def eliminating(g, f, _memo=None):
+            # the recursion passes its memo; count the outer calls
+            calls["eliminate"] += _memo is None
+            return eliminate_scalar(g, f, _memo)
+
+        def deciding(*args, **kwargs):
+            calls["decide"] += 1
+            return decide(*args, **kwargs)
+
+        monkeypatch.setattr(qe, "eliminate_scalar", eliminating)
+        monkeypatch.setattr(qe, "decide", deciding)
+        f = fm.parse(ZQ, "(exists (x) (exists (y) (and (= x (* 2 y)) "
+                         "(< (c 1 0) y) (congr 3 x (c 1 0)))))")
+        w = qe.witness(ZQ, f)
+        assert w == (4, 0)
+        assert calls == {"eliminate": 1, "decide": 0}
+
 
 class TestNnf:
     def test_shapes(self):
@@ -280,6 +329,16 @@ class TestBudget:
         f = orc.fuzz_corpus(QZ, seed, count, template="bounded")[index]
         with pytest.raises(BudgetExceeded):
             qe.eliminate(QZ, f, budget=10**5)
+
+    def test_huge_period_meets_the_budget(self):
+        # Cooper's shifts 1..10^9+7 are built one row at a time, so the
+        # budget is charged before the list of them could exhaust memory
+        f = fm.parse(Z1, "(exists (x) (and (congr 1000000007 x (c 3)) "
+                         "(< (c 0) x)))")
+        start = time.process_time()
+        with pytest.raises(BudgetExceeded):
+            qe.decide(Z1, f, budget=10**4)
+        assert time.process_time() - start < 5
 
 
 class TestScalarPrinter:

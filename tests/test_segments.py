@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oagkit.formulas as fm
+import reference_qe
 import reference_segments as ref
 from oagkit import qe
 from oagkit import segments as sg
@@ -19,11 +20,10 @@ from oagkit.errors import SegmentError
 from oagkit.groups import ConvexSubgroup, crt, element, parse_group
 from oagkit.oracle import (Box, FuzzLimits, _rand_endseg_candidate, evaluate,
                            fuzz_corpus, grid_axes, grid_eval)
-from oagkit.qe import (decide, eliminate, entails, equivalent, satisfiable,
-                       witness)
+from oagkit.qe import decide, eliminate, entails, equivalent, satisfiable
 from oagkit.scalars import (SCongr, SVar, atoms, lin, mk_and, mk_congr,
                             mk_eq, mk_lt, mk_not, mk_or, operation_memo,
-                            operation_scope)
+                            operation_scope, s_eval)
 
 Z = parse_group("Z")
 ZZ = parse_group("Z*Z")
@@ -657,7 +657,7 @@ class TestFibreScan:
                    else fm.RelCmp(1, fm.LE, tz, tx))
         best = fm.Exists("x", fm.And((tail_ok("x"), fm.Forall(
             "z", fm.Implies(tail_ok("z"), extreme)))))
-        return witness(g, best)[0]
+        return reference_qe.witness(g, best)[0]
 
     def cases(self):
         out = []
@@ -745,8 +745,8 @@ class TestClassArithmetic:
                                 or (r != lo and (lo is None or lo < t)
                                     and (hi is None or t < hi))]
                         assert len(fits) == 1, (f, t)
-                        assert sg.s_eval(g, psi, {x: fits[0]}) == \
-                            sg.s_eval(g, psi, {x: t})
+                        assert s_eval(g, psi, {x: fits[0]}) == \
+                            s_eval(g, psi, {x: t})
                     continue
                 assert w % m == 0
                 for t in range(-40, 41):
@@ -755,13 +755,14 @@ class TestClassArithmetic:
                             and (hi is None or t <= hi)
                             and (t - r) % w == 0]
                     assert fits, (f, m, t)
-                    assert all(sg.s_eval(g, psi, {x: r}) ==
-                               sg.s_eval(g, psi, {x: t}) for r in fits)
+                    assert all(s_eval(g, psi, {x: r}) ==
+                               s_eval(g, psi, {x: t}) for r in fits)
 
 
 class TestLeastPrefix:
     """`least_prefix` against the group sentences it replaces: a least
-    element modulo the level-k subgroup (its value through `witness`),
+    element modulo the level-k subgroup (its value through the
+    elimination-based `reference_qe.witness`),
     and co-initiality of a fragment in the end hull."""
 
     GROUPS = ("Z", "Q", "Z*Z", "Z*Q", "Q*Z")
@@ -844,7 +845,7 @@ class TestLeastPrefix:
                 has_min = decide(g, self.least(g, phi, k))
                 assert has_min == (attained and len(low) == k), (g, phi, k)
                 if has_min:
-                    w = witness(g, self.least(g, phi, k))
+                    w = reference_qe.witness(g, self.least(g, phi, k))
                     assert sg.pad(g, low)[:k] == w[:k], (g, phi, k)
             hull = self.hull(g, phi)
             assert equivalent(g, sg.hull_segment(g, walk).denote(g, "x"),
