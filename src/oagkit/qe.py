@@ -30,14 +30,18 @@ operation that computed it.  Outside an operation nothing is memoized.
 (`formulas.lower` keeps the scalar form of each atom in the same memo,
 under a key tagged "lower", `_cells` one cell model per form and
 coordinate, under a key tagged "cells", and `_holds_somewhere` the
-answer for each fibre it walks, under a key tagged "holds".)  Cooper's
-method and the dense projection yield their disjuncts lazily, so
-`mk_or` stops substituting at the first true one.  Cooper's method
-substitutes its infinity rows first, building each shift constant when
-its row needs it, and a true row answers the whole disjunction before
-any bound row is built; otherwise the disjuncts come in the interleaved
-order (each row, then its bound rows), so the answer is the same node
-either way.
+answer for each fibre it walks, under a key tagged "holds".)
+
+Negation normal form, the atom map, miniscoping, the window ranges and
+elimination itself run on `scalars.walk`, with one memo per call keyed
+on the node (for `nnf`, on the node and its polarity), and stop at a
+first FALSE conjunct or TRUE disjunct.  Cooper's method and the dense
+projection yield their disjuncts lazily, so `mk_or` stops substituting
+at the first true one.  Cooper's method substitutes its infinity rows
+first, building each shift constant when its row needs it, and a true
+row answers the whole disjunction before any bound row is built;
+otherwise the disjuncts come in the interleaved order (each row, then
+its bound rows), so the answer is the same node either way.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from . import formulas as fm
@@ -52,10 +57,11 @@ from . import scalars as sc
 from .errors import FormulaError, Record
 from .groups import Element, GroupSpec, element
 from .scalars import (
-    SAnd, SBool, SCongr, SEq, SExists, SForall, SFormula, SLt, SNot, SOr,
-    SVar, atoms, budget_scope, kind_of, lin_add, lin_const, lin_neg,
-    lin_var, mk_and, mk_congr, mk_eq, mk_le, mk_lt, mk_not, mk_or,
+    FALSE, TRUE, Join, SAnd, SBool, SCongr, SEq, SExists, SForall, SFormula,
+    SLt, SNot, SOr, SVar, atoms, budget_scope, kind_of, lin_add, lin_const,
+    lin_neg, lin_var, mk_and, mk_congr, mk_eq, mk_le, mk_lt, mk_not, mk_or,
     operation, operation_memo, roots_and_modulus, s_eval, s_is_qf, s_subst,
+    walk,
 )
 
 
@@ -71,72 +77,61 @@ class QfFormula(Record):
 # --- negation normal form ---------------------------------------------------
 
 
-def nnf(g: GroupSpec, f: SFormula, positive: bool = True,
-        _memo: Optional[dict] = None) -> SFormula:
+_sole = itemgetter(0)
+
+
+def nnf(g: GroupSpec, f: SFormula, positive: bool = True) -> SFormula:
     """Push negations to literals.  Positive output contains SLt, SEq,
     SCongr and negated SCongr only; discrete sorts absorb the
-    trichotomy rewrites exactly, dense sorts split into disjunctions."""
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get((f, positive))
-    if hit is not None:
-        return hit
-    if isinstance(f, SBool):
-        out = SBool(f.value == positive)
-    elif isinstance(f, SLt):
-        out = f if positive else mk_le(g, lin_neg(f.expr))
-    elif isinstance(f, SEq):
-        if positive:
-            out = f
-        else:
-            out = mk_or([mk_lt(g, f.expr), mk_lt(g, lin_neg(f.expr))])
-    elif isinstance(f, SCongr):
-        out = f if positive else SNot(f)
-    elif isinstance(f, SNot):
-        out = nnf(g, f.body, not positive, _memo)
-    elif isinstance(f, SAnd):
-        ctor = mk_and if positive else mk_or
-        out = ctor(nnf(g, it, positive, _memo) for it in f.items)
-    elif isinstance(f, SOr):
-        ctor = mk_or if positive else mk_and
-        out = ctor(nnf(g, it, positive, _memo) for it in f.items)
-    else:
+    trichotomy rewrites exactly, dense sorts split into disjunctions.
+    Walked on (node, polarity) keys."""
+    def step(key):
+        f, positive = key
+        cls = f.__class__
+        if cls is SBool:
+            return SBool(f.value == positive)
+        if positive and (cls is SLt or cls is SEq or cls is SCongr):
+            return f
+        if cls is SLt:
+            return mk_le(g, lin_neg(f.expr))
+        if cls is SEq:
+            return mk_or([mk_lt(g, f.expr), mk_lt(g, lin_neg(f.expr))])
+        if cls is SCongr:
+            return SNot(f)
+        if cls is SNot:
+            return Join(_sole, ((f.body, not positive),))
+        if cls is SAnd or cls is SOr:
+            keys = [(it, positive) for it in f.items]
+            if (cls is SAnd) == positive:
+                return Join(mk_and, keys, FALSE)
+            return Join(mk_or, keys, TRUE)
         raise FormulaError("negation normal form expects a quantifier-free "
-                           f"formula, got {type(f).__name__}")
-    _memo[(f, positive)] = out
-    return out
+                           f"formula, got {cls.__name__}")
+
+    return walk((f, positive), step)
 
 
-def _map_atoms(f: SFormula, fn, skip: Optional[SVar] = None,
-               _memo: Optional[dict] = None) -> SFormula:
+def _map_atoms(f: SFormula, fn, v: SVar) -> SFormula:
     """Rebuild an NNF formula, transforming each atom through fn; a
     negated congruence becomes the negation of fn applied to its
-    congruence.  Subtrees without the skip variable are shared
-    untouched; shared subtrees are rewritten once."""
-    if skip is not None and skip not in f.fv:
-        return f
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(f)
-    if hit is not None:
-        return hit
-    if isinstance(f, SBool):
-        out = f
-    elif isinstance(f, (SLt, SEq, SCongr)):
-        out = fn(f)
-    elif isinstance(f, SNot):
-        if not isinstance(f.body, SCongr):
-            raise AssertionError("only congruences are negated in NNF")
-        out = mk_not(fn(f.body))
-    elif isinstance(f, SAnd):
-        out = mk_and(_map_atoms(it, fn, skip, _memo) for it in f.items)
-    elif isinstance(f, SOr):
-        out = mk_or(_map_atoms(it, fn, skip, _memo) for it in f.items)
-    else:
-        raise FormulaError(
-            f"unexpected node in atom map: {type(f).__name__}")
-    _memo[f] = out
-    return out
+    congruence.  Subtrees without v are shared untouched."""
+    def step(node):
+        if v not in node.fv:
+            return node
+        cls = node.__class__
+        if cls is SLt or cls is SEq or cls is SCongr:
+            return fn(node)
+        if cls is SNot:
+            if node.body.__class__ is not SCongr:
+                raise AssertionError("only congruences are negated in NNF")
+            return mk_not(fn(node.body))
+        if cls is SAnd:
+            return Join(mk_and, node.items, FALSE)
+        if cls is SOr:
+            return Join(mk_or, node.items, TRUE)
+        raise FormulaError(f"unexpected node in atom map: {cls.__name__}")
+
+    return walk(f, step)
 
 
 # --- Cooper elimination on a discrete coordinate ----------------------------
@@ -150,7 +145,7 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
             return mk_and([mk_le(g, lit.expr), mk_le(g, lin_neg(lit.expr))])
         return lit
 
-    f = _map_atoms(f, split_eq, skip=v)
+    f = _map_atoms(f, split_eq, v)
 
     delta = 1
     for lit in atoms(f):
@@ -171,7 +166,7 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
             return SLt(expr)
         return mk_congr(g, lam * lit.modulus, expr)
 
-    f = _map_atoms(f, rescale, skip=v)
+    f = _map_atoms(f, rescale, v)
     f = mk_and([f, mk_congr(g, delta, lin_var(v))])
 
     lowers, uppers = [], []
@@ -201,7 +196,7 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
             return SBool((a == 1) == use_lowers)
         return lit
 
-    row = _map_atoms(f, at_infinity, skip=v)
+    row = _map_atoms(f, at_infinity, v)
     if row is sc.TRUE:
         return row
     bounds = lowers if use_lowers else uppers
@@ -273,7 +268,7 @@ def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
                 return mk_or([mk_lt(g, numer), mk_eq(g, numer)])
             return mk_lt(g, numer)
 
-        return _map_atoms(f, per_lit, skip=v)
+        return _map_atoms(f, per_lit, v)
 
     def at_minus_inf(lit):
         c2 = lit.expr.coeff(v)
@@ -284,7 +279,7 @@ def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
         return SBool(c2 > 0)
 
     def pieces():
-        yield _map_atoms(f, at_minus_inf, skip=v)
+        yield _map_atoms(f, at_minus_inf, v)
         for a, rest in roots.values():
             yield subst_at(a, rest, eps=False)
             yield subst_at(a, rest, eps=True)
@@ -334,23 +329,27 @@ def _miniscope(g: GroupSpec, v: SVar, body: SFormula) -> SFormula:
     # shrink the scope before projecting: the existential distributes
     # over disjunction, and conjuncts without v move outside untouched;
     # each slice then rescales by its own, usually much smaller, lcm
-    if v not in body.fv:
-        return body
-    if isinstance(body, SOr):
-        return mk_or(_miniscope(g, v, it) for it in body.items)
-    if isinstance(body, SAnd):
-        inside = [it for it in body.items if v in it.fv]
-        outside = [it for it in body.items if v not in it.fv]
-        if outside:
-            return mk_and(outside + [_miniscope(g, v, mk_and(inside))])
-    if kind_of(g, v) == "Z":
-        window = _constant_window(v, body)
-        if window is not None:
-            lo, hi = window
-            return mk_or(s_subst(g, body, v, lin_const(t))
-                         for t in range(lo, hi + 1))
-        return _cooper(g, v, body)
-    return _dense(g, v, body)
+    def step(node):
+        if v not in node.fv:
+            return node
+        cls = node.__class__
+        if cls is SOr:
+            return Join(mk_or, node.items, TRUE)
+        if cls is SAnd:
+            outside = [it for it in node.items if v not in it.fv]
+            if outside:
+                inside = mk_and([it for it in node.items if v in it.fv])
+                return Join(lambda rs: mk_and(outside + rs), (inside,))
+        if kind_of(g, v) == "Z":
+            window = _constant_window(v, node)
+            if window is not None:
+                lo, hi = window
+                return mk_or(s_subst(g, node, v, lin_const(t))
+                             for t in range(lo, hi + 1))
+            return _cooper(g, v, node)
+        return _dense(g, v, node)
+
+    return walk(body, step)
 
 
 _WINDOW_CAP = 64
@@ -359,100 +358,86 @@ _UNBOUNDED = (None, None)
 _VOID = (0, -1)
 
 
-def _range_empty(r) -> bool:
-    return r[0] is not None and r[1] is not None and r[0] > r[1]
+def _meet(ranges):
+    lo = hi = None
+    for r in ranges:
+        if r is _VOID:
+            return _VOID
+        if r[0] is not None:
+            lo = r[0] if lo is None else max(lo, r[0])
+        if r[1] is not None:
+            hi = r[1] if hi is None else min(hi, r[1])
+    if lo is not None and hi is not None and lo > hi:
+        return _VOID
+    return (lo, hi)
 
 
-def _var_range(v: SVar, f: SFormula, memo: dict):
-    """Integer interval (lo, hi) containing every satisfying value of v,
-    None on a side meaning unbounded.  Over-approximate, so always
-    sound; only constant-side atoms contribute."""
-    hit = memo.get(f)
-    if hit is not None:
-        return hit
-    out = _UNBOUNDED
-    if isinstance(f, SBool):
-        out = _VOID if not f.value else _UNBOUNDED
-    elif isinstance(f, (SLt, SEq)):
-        a, c = f.expr.coeff(v), f.expr.const
-        if a != 0 and all(w == v for w, _ in f.expr.coeffs):
-            # a*v + c = 0, a*v + c < 0 with a > 0, and with a < 0
-            if isinstance(f, SEq):
-                out = (-c // a, -c // a) if c % a == 0 else _VOID
-            elif a > 0:
-                out = (None, -(c // a) - 1)
-            else:
-                out = (c // -a + 1, None)
-    elif isinstance(f, SAnd):
-        lo = hi = None
-        for it in f.items:
-            r = _var_range(v, it, memo)
-            if _range_empty(r):
-                lo, hi = _VOID
-                break
-            if r[0] is not None:
-                lo = r[0] if lo is None else max(lo, r[0])
-            if r[1] is not None:
-                hi = r[1] if hi is None else min(hi, r[1])
-        out = (lo, hi)
-    elif isinstance(f, SOr):
-        parts = [_var_range(v, it, memo) for it in f.items]
-        parts = [r for r in parts if not _range_empty(r)]
-        if not parts:
-            out = _VOID
-        else:
-            out = (None if any(r[0] is None for r in parts)
-                   else min(r[0] for r in parts),
-                   None if any(r[1] is None for r in parts)
-                   else max(r[1] for r in parts))
-    memo[f] = out
-    return out
+def _hull(ranges):
+    parts = [r for r in ranges if r is not _VOID]
+    if not parts:
+        return _VOID
+    los, his = zip(*parts)
+    return (None if None in los else min(los),
+            None if None in his else max(his))
 
 
 def _constant_window(v: SVar, body: SFormula):
     """Closed integer interval that constant-side bounds pin v into,
-    when it has at most _WINDOW_CAP points; None otherwise."""
-    r = _var_range(v, body, {})
-    if _range_empty(r):
-        return _VOID
-    lo, hi = r
+    when it has at most _WINDOW_CAP points (_VOID when none); None
+    otherwise.  The walk over-approximates the values of v satisfying
+    each subformula by an interval, None on a side meaning unbounded, so
+    the window is sound."""
+    def step(node):
+        cls = node.__class__
+        if cls is SBool:
+            return _UNBOUNDED if node.value else _VOID
+        if cls is SLt or cls is SEq:
+            a, c = node.expr.coeff(v), node.expr.const
+            if a == 0 or any(w != v for w, _ in node.expr.coeffs):
+                return _UNBOUNDED
+            # a*v + c = 0, a*v + c < 0 with a > 0, and with a < 0
+            if cls is SEq:
+                return (-c // a, -c // a) if c % a == 0 else _VOID
+            if a > 0:
+                return (None, -(c // a) - 1)
+            return (c // -a + 1, None)
+        if cls is SAnd:
+            return Join(_meet, node.items, _VOID)
+        if cls is SOr:
+            return Join(_hull, node.items)
+        return _UNBOUNDED
+
+    lo, hi = walk(body, step)
     if lo is None or hi is None or hi - lo + 1 > _WINDOW_CAP:
         return None
     return (lo, hi)
 
 
-def eliminate_scalar(g: GroupSpec, f: SFormula, _memo=None) -> SFormula:
+def eliminate_scalar(g: GroupSpec, f: SFormula) -> SFormula:
     """Quantifier-free equivalent of an arbitrary scalar formula."""
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(f)
-    if hit is not None:
-        return hit
-    if isinstance(f, (SBool, SLt, SEq, SCongr)):
-        out = f
-    elif isinstance(f, SNot):
-        out = mk_not(eliminate_scalar(g, f.body, _memo))
-    elif isinstance(f, SAnd):
-        out = mk_and(eliminate_scalar(g, it, _memo) for it in f.items)
-    elif isinstance(f, SOr):
-        out = mk_or(eliminate_scalar(g, it, _memo) for it in f.items)
-    elif isinstance(f, SExists):
-        block, inner = [f.var], f.body
-        while isinstance(inner, SExists):
-            block.append(inner.var)
-            inner = inner.body
-        out = _eliminate_block(g, block, eliminate_scalar(g, inner, _memo))
-    elif isinstance(f, SForall):
-        block, inner = [f.var], f.body
-        while isinstance(inner, SForall):
-            block.append(inner.var)
-            inner = inner.body
-        inner = eliminate_scalar(g, inner, _memo)
-        out = mk_not(_eliminate_block(g, block, mk_not(inner)))
-    else:
-        raise FormulaError(f"unknown scalar node {f!r}")
-    _memo[f] = out
-    return out
+    def step(node):
+        cls = node.__class__
+        if cls is SBool or cls is SLt or cls is SEq or cls is SCongr:
+            return node
+        if cls is SNot:
+            return Join(lambda rs: mk_not(rs[0]), (node.body,))
+        if cls is SAnd:
+            return Join(mk_and, node.items, FALSE)
+        if cls is SOr:
+            return Join(mk_or, node.items, TRUE)
+        if cls is SExists or cls is SForall:
+            block, inner = [node.var], node.body
+            while inner.__class__ is cls:
+                block.append(inner.var)
+                inner = inner.body
+            if cls is SExists:
+                return Join(lambda rs: _eliminate_block(g, block, rs[0]),
+                            (inner,))
+            return Join(lambda rs: mk_not(
+                _eliminate_block(g, block, mk_not(rs[0]))), (inner,))
+        raise FormulaError(f"unknown scalar node {node!r}")
+
+    return walk(f, step)
 
 
 def eliminate(g: GroupSpec, f: fm.Formula,

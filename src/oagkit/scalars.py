@@ -20,9 +20,11 @@ blowing up.
 All expression and formula nodes are hash-consed: structurally equal
 terms are the same object, equality and hashing are identity, and each
 node caches its free-variable set.  Elimination output is therefore a
-DAG with heavy sharing, and the traversals here (substitution,
-evaluation, atom collection) memoize on node identity so they run in
-DAG size, not tree size.  The intern tables are process-global
+DAG with heavy sharing.  Its traversals (here evaluation, atom
+collection and printing; in `qe` normal form, elimination and its
+helpers) run on one iterative walker, `walk`, with one memo per call
+keyed on the node, so they take DAG size, not tree size, at any depth;
+substitution still recurses.  The intern tables are process-global
 `WeakValueDictionary`s without a lock, so interning is single-threaded.
 """
 
@@ -543,6 +545,59 @@ def mk_forall(v: SVar, body: SFormula) -> SFormula:
 # --- traversal --------------------------------------------------------------
 
 
+_UNSET = object()
+
+
+class Join:
+    """A composite key's answer in `walk`: fn of the list of its
+    children's results, in the order of keys, taken after the first
+    result that is stop, or after all of them."""
+
+    __slots__ = ("fn", "keys", "stop")
+
+    def __init__(self, fn, keys, stop=_UNSET) -> None:
+        self.fn, self.keys, self.stop = fn, keys, stop
+
+
+def walk(root, step):
+    """Post-order walk from root without recursion: step(key) answers a
+    key with its result, or with a Join over child keys.  One memo per
+    call, keyed on the key, so each key is stepped once.  A Join's
+    children after its stop are never walked: the rewrites stop at the
+    first FALSE conjunct or TRUE disjunct, as `mk_and` and `mk_or` stop
+    drawing on a generator, so they skip the same later Cooper rows and
+    eliminations and build the same nodes in the same order."""
+    memo: dict = {}
+    top = step(root)
+    if top.__class__ is not Join:
+        return top
+    stack = [(root, top, iter(top.keys), [])]
+    while True:
+        frame = key, join, todo, done = stack[-1]
+        # resumed after a child frame, whose result may be the stop
+        for child in todo if not done or done[-1] is not join.stop else ():
+            r = memo.get(child, _UNSET)
+            if r is _UNSET:
+                r = step(child)
+                if r.__class__ is Join:
+                    stack.append((child, r, iter(r.keys), []))
+                    break
+                memo[child] = r
+            done.append(r)
+            if r is join.stop:
+                break
+        if stack[-1] is frame:
+            stack.pop()
+            out = memo[key] = join.fn(done)
+            if not stack:
+                return out
+            stack[-1][3].append(out)
+
+
+def _nothing(results):
+    return None
+
+
 def s_free_vars(f: SFormula) -> frozenset:
     return f.fv
 
@@ -587,23 +642,17 @@ def s_subst(g: GroupSpec, f: SFormula, v: SVar, repl: LinExpr,
 
 def atoms(f: SFormula) -> list:
     """The distinct atoms of a quantifier-free formula in preorder,
-    including those under any negation; each DAG node is visited once."""
+    including those under any negation."""
     out: list = []
-    seen: set = set()
 
-    def walk(node):
-        if node in seen:
-            return
-        seen.add(node)
-        if isinstance(node, (SLt, SEq, SCongr)):
+    def step(node):
+        cls = node.__class__
+        if cls is SLt or cls is SEq or cls is SCongr:
             out.append(node)
-        elif isinstance(node, SNot):
-            walk(node.body)
-        elif isinstance(node, (SAnd, SOr)):
-            for it in node.items:
-                walk(it)
+        elif cls is SNot or cls is SAnd or cls is SOr:
+            return Join(_nothing, (node.body,) if cls is SNot else node.items)
 
-    walk(f)
+    walk(f, step)
     return out
 
 
@@ -628,21 +677,15 @@ def roots_and_modulus(f: SFormula, v: SVar) -> tuple:
 
 
 def s_is_qf(f: SFormula) -> bool:
-    """Whether f has no quantifier; each DAG node is visited once."""
-    seen: set = set()
-    todo = [f]
-    while todo:
-        node = todo.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if isinstance(node, SNot):
-            todo.append(node.body)
-        elif isinstance(node, (SAnd, SOr)):
-            todo.extend(node.items)
-        elif not isinstance(node, (SBool, SLt, SEq, SCongr)):
-            return False
-    return True
+    """Whether f has no quantifier."""
+    def step(node):
+        cls = node.__class__
+        if cls is SNot or cls is SAnd or cls is SOr:
+            return Join(all, (node.body,) if cls is SNot else node.items,
+                        False)
+        return cls is SBool or cls is SLt or cls is SEq or cls is SCongr
+
+    return walk(f, step)
 
 
 def expr_value(e: LinExpr, env: Mapping[SVar, object]) -> Fraction:
@@ -655,35 +698,27 @@ def expr_value(e: LinExpr, env: Mapping[SVar, object]) -> Fraction:
 
 
 def s_eval(g: GroupSpec, f: SFormula, env: Mapping[SVar, object]) -> bool:
-    """Evaluate a quantifier-free scalar formula pointwise.  Shared
-    subformulas are evaluated once."""
-    memo: dict = {}
-
-    def ev(node) -> bool:
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
-        if isinstance(node, SBool):
-            out = node.value
-        elif isinstance(node, SLt):
-            out = expr_value(node.expr, env) < 0
-        elif isinstance(node, SEq):
-            out = expr_value(node.expr, env) == 0
-        elif isinstance(node, SCongr):
+    """Evaluate a quantifier-free scalar formula pointwise."""
+    def step(node):
+        cls = node.__class__
+        if cls is SBool:
+            return node.value
+        if cls is SLt:
+            return expr_value(node.expr, env) < 0
+        if cls is SEq:
+            return expr_value(node.expr, env) == 0
+        if cls is SCongr:
             val = expr_value(node.expr, env)
-            out = val.denominator == 1 and int(val) % node.modulus == 0
-        elif isinstance(node, SNot):
-            out = not ev(node.body)
-        elif isinstance(node, SAnd):
-            out = all(ev(it) for it in node.items)
-        elif isinstance(node, SOr):
-            out = any(ev(it) for it in node.items)
-        else:
-            raise FormulaError("s_eval requires a quantifier-free formula")
-        memo[node] = out
-        return out
+            return val.denominator == 1 and int(val) % node.modulus == 0
+        if cls is SNot:
+            return Join(lambda rs: not rs[0], (node.body,))
+        if cls is SAnd:
+            return Join(all, node.items, False)
+        if cls is SOr:
+            return Join(any, node.items, True)
+        raise FormulaError("s_eval requires a quantifier-free formula")
 
-    return ev(f)
+    return walk(f, step)
 
 
 def _atom_text(f) -> str:
@@ -702,44 +737,49 @@ def _atom_text(f) -> str:
 
 
 def _shape(f) -> tuple:
-    """(head, parts, tail): f prints as head, then its parts separated by
-    spaces, then tail."""
+    """The pieces f prints as, in order: strings, and the subformulas
+    between them."""
     if isinstance(f, SBool):
-        return "true" if f.value else "false", (), ""
+        return ("true" if f.value else "false",)
     if isinstance(f, (SLt, SEq, SCongr)):
-        return _atom_text(f), (), ""
+        return (_atom_text(f),)
     if isinstance(f, SNot):
-        return "(not ", (f.body,), ")"
+        return "(not ", f.body, ")"
     if isinstance(f, (SAnd, SOr)):
-        return "(and " if isinstance(f, SAnd) else "(or ", f.items, ")"
+        spaced = [x for it in f.items for x in (" ", it)]
+        spaced[0] = "(and " if isinstance(f, SAnd) else "(or "
+        return (*spaced, ")")
     if isinstance(f, (SExists, SForall)):
         op = "exists" if isinstance(f, SExists) else "forall"
-        return f"({op} ({f.var}) ", (f.body,), ")"
+        return f"({op} ({f.var}) ", f.body, ")"
     raise FormulaError(f"unknown scalar node {f!r}")
 
 
 def print_scalar(f: SFormula) -> str:
     """Readable s-expression form, scalar variables printed base.coord
     and the constant moved to the right-hand side.  The printed length
-    is computed first, once per DAG node, and a text longer than
-    PRINT_LIMIT raises OutputTooLarge before any of it is built."""
-    memo: dict = {}
+    is walked first, and a text longer than PRINT_LIMIT raises
+    OutputTooLarge before any of it is built.  The text is then emitted
+    in preorder: joining each subtree's text into its parent's would
+    copy it once per level above it, quadratic on a deep formula."""
+    shapes: dict = {}
 
-    def size(node) -> int:
-        hit = memo.get(node)
-        if hit is None:
-            head, parts, tail = _shape(node)
-            n = len(head) + len(tail) + max(len(parts) - 1, 0) + \
-                sum(map(size, parts))
-            hit = memo[node] = (head, parts, tail, n)
-        return hit[3]
+    def size(piece):
+        if piece.__class__ is str:
+            return len(piece)
+        shapes[piece] = shape = _shape(piece)
+        return Join(sum, shape)
 
-    def text(node) -> str:
-        head, parts, tail, _ = memo[node]
-        return head + " ".join(map(text, parts)) + tail
-
-    n = size(f)
+    n = walk(f, size)
     if n > PRINT_LIMIT:
         raise OutputTooLarge(f"printed formula would have {n} characters, "
                              f"more than the limit of {PRINT_LIMIT}")
-    return text(f)
+    out: list = []
+    todo: list = [f]
+    while todo:
+        piece = todo.pop()
+        if piece.__class__ is str:
+            out.append(piece)
+        else:
+            todo.extend(reversed(shapes[piece]))
+    return "".join(out)

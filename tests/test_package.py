@@ -1,7 +1,9 @@
 """The package's top-level names: a fixed surface, each loaded on first use
 from its home module."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +60,48 @@ def test_unknown_name_is_an_attribute_error():
         oagkit.nope
     with pytest.raises(ImportError):
         exec("from oagkit import nope", {})
+
+
+# Every function whose body names itself, by module and qualified name.
+# The scalar traversals run on `scalars.walk` and are not listed; a new
+# recursive traversal fails here, and each later port shortens the list.
+RECURSIVE = {
+    # substitution, until the benchmark stops probing its recursion
+    "scalars.s_subst",
+    # the cell walk: one level per coordinate, at most the group's rank
+    "qe._walk",
+    # the independent evaluators that elimination is checked against
+    "oracle.s_grid_eval", "oracle._ev", "oracle.grid_eval",
+    # the formula layer, whose Record nodes are not interned
+    "formulas._names", "formulas._shadows.walk", "formulas._freshen.walk",
+    "formulas._lower", "formulas.is_quantifier_free",
+    "formulas.print_formula", "formulas.substitute",
+    # bounded: the code header (by _HEADER_DEPTH), the fuzz generators
+    # (by FuzzLimits) and code_segment
+    "codes._header_to_obj", "codes._header_from_obj.walk",
+    "oracle._rand_qf", "oracle._rand_bounded", "codes.code_segment",
+}
+
+
+def _self_naming(node, prefix, module, out):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if isinstance(child, ast.FunctionDef) and any(
+                    isinstance(n, ast.Name) and n.id == child.name
+                    and isinstance(n.ctx, ast.Load)
+                    for stmt in child.body for n in ast.walk(stmt)):
+                out.add(f"{module}.{name}")
+            _self_naming(child, name + ".", module, out)
+        else:
+            _self_naming(child, prefix, module, out)
+
+
+def test_recursion_is_only_where_pinned():
+    """A function that loads its own name recurses (directly, or through
+    something like `map(size, parts)`); Python recursion ends at the
+    interpreter's depth limit, not in an answer or a typed error."""
+    found: set = set()
+    for path in sorted(Path(oagkit.__file__).resolve().parent.glob("*.py")):
+        _self_naming(ast.parse(path.read_text()), "", path.stem, found)
+    assert found == RECURSIVE

@@ -215,10 +215,9 @@ class TestWitness:
         calls = {"eliminate": 0, "decide": 0}
         eliminate_scalar, decide = qe.eliminate_scalar, qe.decide
 
-        def eliminating(g, f, _memo=None):
-            # the recursion passes its memo; count the outer calls
-            calls["eliminate"] += _memo is None
-            return eliminate_scalar(g, f, _memo)
+        def eliminating(g, f):
+            calls["eliminate"] += 1
+            return eliminate_scalar(g, f)
 
         def deciding(*args, **kwargs):
             calls["decide"] += 1

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oagkit import qe
 from oagkit import scalars as sc
 from oagkit.errors import BudgetExceeded, OutputTooLarge
 from oagkit.groups import parse_group
@@ -192,6 +193,90 @@ class TestIsQf:
             f = sc.SOr((sc.SAnd((a, f)), sc.SAnd((b, sc.SNot(f)))))
         assert sc.s_is_qf(f)
         assert not sc.s_is_qf(sc.SAnd((f, sc.SExists(X1, f))))
+
+
+class TestDeepChains:
+    """Chains ten times deeper than the default recursion limit, built
+    with the node constructors, through every walked traversal."""
+
+    DEPTH = 10_000
+    Z = parse_group("Z")
+    X = sc.SVar("x", 1)
+    ATOM = sc.SLt(le({X: 1}, -3))  # x < 3
+
+    @pytest.fixture(scope="class")
+    def nots(self):
+        out = [self.ATOM]
+        for _ in range(self.DEPTH + 1):
+            out.append(sc.SNot(out[-1]))
+        return out[-2:]  # DEPTH and DEPTH + 1 negations
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        # level i: x < 10 + i and ..., or x >= i or ...; at the bottom
+        # x = 5.  It holds exactly when 1 <= x <= 9, and constant-side
+        # bounds pin x into 1..9.
+        atoms, texts = [], []
+        for i in range(self.DEPTH):
+            if i % 2 == 0:
+                atoms.append(sc.SLt(le({self.X: 1}, -10 - i)))
+                texts.append(f"(and (< x.1 (c {10 + i})) ")
+            else:
+                atoms.append(sc.SLt(le({self.X: -1}, i - 1)))
+                texts.append(f"(or (< (* -1 x.1) (c {1 - i})) ")
+        leaf = sc.SEq(le({self.X: 1}, -5))
+        f = leaf
+        for i in reversed(range(self.DEPTH)):
+            f = (sc.SAnd if i % 2 == 0 else sc.SOr)((atoms[i], f))
+        text = "".join(texts) + "(= x.1 (c 5))" + ")" * self.DEPTH
+        return f, atoms + [leaf], text
+
+    def test_negations(self, nots):
+        even, odd = nots
+        negated = sc.mk_le(self.Z, sc.lin_neg(self.ATOM.expr))
+        assert qe.nnf(self.Z, even) is self.ATOM
+        assert qe.nnf(self.Z, odd) is negated
+        assert qe.nnf(self.Z, odd, positive=False) is self.ATOM
+        for t in (-4, 2, 3, 7):
+            assert sc.s_eval(self.Z, even, {self.X: t}) == (t < 3)
+            assert sc.s_eval(self.Z, odd, {self.X: t}) == (t >= 3)
+        assert sc.atoms(even) == [self.ATOM]
+        assert qe.eliminate_scalar(self.Z, even) is self.ATOM
+        assert qe.eliminate_scalar(self.Z, odd) is sc.SNot(self.ATOM)
+        assert sc.s_is_qf(odd)
+        assert sc.print_scalar(even) == \
+            "(not " * self.DEPTH + "(< x.1 (c 3))" + ")" * self.DEPTH
+
+    def test_alternating_chain(self, chain, monkeypatch):
+        f, atoms, text = chain
+        assert qe.nnf(self.Z, f) is f
+        dual = qe.nnf(self.Z, sc.SNot(f))
+        for t in (-3, 0, 1, 5, 9, 10, 10 ** 6):
+            assert sc.s_eval(self.Z, f, {self.X: t}) == (1 <= t <= 9)
+            assert sc.s_eval(self.Z, dual, {self.X: t}) != (1 <= t <= 9)
+        assert sc.atoms(f) == atoms
+        assert qe.eliminate_scalar(self.Z, f) is f
+        assert qe._constant_window(self.X, f) == (1, 9)
+        assert sc.s_is_qf(f)
+        assert sc.print_scalar(f) == text
+        monkeypatch.setattr(sc, "PRINT_LIMIT", len(text) - 1)
+        with pytest.raises(OutputTooLarge):
+            sc.print_scalar(f)
+
+    def test_quantifier_beside_the_chain(self, chain):
+        f, _, _ = chain
+        deep = f
+        for _ in range(self.DEPTH):
+            deep = sc.SNot(deep)
+        y = sc.SVar("y", 1)
+        g = sc.SExists(y, sc.SLt(le({y: 1})))  # true
+        assert not sc.s_is_qf(sc.SAnd((deep, g)))
+        assert qe.eliminate_scalar(self.Z, sc.SAnd((deep, g))) is f
+        # a true disjunct stops the walk before the chain: nothing of
+        # it is built
+        with sc.budget_scope(None) as budget:
+            assert qe.eliminate_scalar(self.Z, sc.SOr((g, deep))) is sc.TRUE
+        assert budget.used < 10
 
 
 class TestOperationScope:
