@@ -16,7 +16,8 @@ sort errors with 1-based line and column.  `lower` translates a group
 formula into the scalar language of `scalars`, one variable per
 coordinate: each atom becomes integer constraints on the coordinates of
 its left - right, and bound variables are renamed only where one shadows
-another name.
+another name.  Past the parser, every traversal is a loop over `_parts`,
+the one reader of a node's children, or a step on `scalars.walk`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Iterable, Union
 from . import scalars as sc
 from .errors import FormulaError, ParseError, Record
 from .groups import Element, GroupSpec, add as g_add, scale as g_scale, zero
+from .scalars import Join, walk
 
 GRAMMAR = """\
 f    := atom | (not f) | (and f f+) | (or f f+) | (implies f f)
@@ -42,10 +44,9 @@ atom := (< t t) | (<= t t) | (= t t) | (congr m t t)
 """
 
 # Parentheses may nest at most this deep; a deeper input is a ParseError.
-# Parsing, lowering and elimination recurse per level (a nested iff costs
-# about eight interpreter frames a level), and at this depth qe, code,
-# nice and typegen still answer on Z*Z*Z within the default recursion
-# limit, with a hundred frames of caller on the stack.
+# Only the parser recurses per level (`_Parser.formula` and `_sum`); the
+# traversals after it are loops or `scalars.walk` steps, and answer on a
+# library-built formula of any depth.
 MAX_DEPTH = 100
 
 LT = "<"
@@ -99,14 +100,6 @@ def t_add(g: GroupSpec, a: Term, b: Term) -> Term:
 
 def t_scale(g: GroupSpec, k: int, a: Term) -> Term:
     return term(((v, k * c) for v, c in a.coeffs), g_scale(g, k, a.const))
-
-
-def t_subst(g: GroupSpec, t: Term, name: str, repl: Term) -> Term:
-    c = t.coeff(name)
-    if c == 0:
-        return t
-    rest = Term(tuple((v, k) for v, k in t.coeffs if v != name), t.const)
-    return t_add(g, rest, t_scale(g, c, repl))
 
 
 def term_value(g: GroupSpec, t: Term, env: Mapping[str, Element]) -> Element:
@@ -461,6 +454,33 @@ def parse(g: GroupSpec, text: str) -> Formula:
     return _freshen(g, f)
 
 
+# --- traversal ------------------------------------------------------------
+
+
+def _parts(f: Formula) -> tuple:
+    """The subformulas of f in order, () for atoms and constants: the only
+    code that knows a node's children or refuses a value that is none."""
+    cls = f.__class__
+    if cls is And or cls is Or:
+        return f.items
+    if cls is Not or cls is Exists or cls is Forall:
+        return (f.body,)
+    if cls is Implies or cls is Iff:
+        return (f.left, f.right)
+    if cls is BoolConst or cls in ATOMS:
+        return ()
+    raise FormulaError(f"unknown formula node {f!r}")
+
+
+class _Key:
+    """A walk key by identity: a formula Record hashes its whole subtree."""
+
+    __slots__ = ("node", "m")
+
+    def __init__(self, node: Formula, m=None) -> None:
+        self.node, self.m = node, m
+
+
 # --- printer ----------------------------------------------------------------
 
 
@@ -475,69 +495,75 @@ def _print_term(t: Term) -> str:
     return "(+ " + " ".join(parts) + ")"
 
 
+def _shape(key: _Key) -> tuple:
+    """The pieces a node prints as, in order: strings, and the keys of
+    the subformulas between them (a string is no formula node)."""
+    f = key.node
+    cls = f.__class__
+    kids = _parts(f)
+    if kids:
+        # the connectives and quantifiers print as their class names
+        spaced = [x for k in kids for x in (" ", _Key(k))]
+        spaced[0] = f"({cls.__name__.lower()} "
+        if cls is Exists or cls is Forall:
+            spaced[0] += f"({f.var}) "
+        return (*spaced, ")")
+    if cls is BoolConst:
+        return ("true" if f.value else "false",)
+    sides = f"{_print_term(f.left)} {_print_term(f.right)})"
+    if cls is Cmp:
+        return (f"({f.rel} {sides}",)
+    if cls is Congr:
+        return (f"(congr {f.modulus} {sides}",)
+    if cls is RelCmp:
+        return (f"({'lt@' if f.rel == LT else 'le@'} {f.level} {sides}",)
+    if cls is RelCongr:
+        return (f"(congr@ {f.level} {f.modulus} {sides}",)
+    if not f.right.coeffs and not any(f.right.const):
+        return (f"(insub {f.level} {_print_term(f.left)})",)
+    return (f"(eq@ {f.level} {sides}",)
+
+
 def print_formula(f: Formula) -> str:
-    if isinstance(f, BoolConst):
-        return "true" if f.value else "false"
-    if isinstance(f, Cmp):
-        return f"({f.rel} {_print_term(f.left)} {_print_term(f.right)})"
-    if isinstance(f, Congr):
-        return (f"(congr {f.modulus} {_print_term(f.left)} "
-                f"{_print_term(f.right)})")
-    if isinstance(f, RelCmp):
-        op = "lt@" if f.rel == LT else "le@"
-        return (f"({op} {f.level} {_print_term(f.left)} "
-                f"{_print_term(f.right)})")
-    if isinstance(f, RelCongr):
-        return (f"(congr@ {f.level} {f.modulus} {_print_term(f.left)} "
-                f"{_print_term(f.right)})")
-    if isinstance(f, RelEq):
-        if not f.right.coeffs and not any(f.right.const):
-            return f"(insub {f.level} {_print_term(f.left)})"
-        return (f"(eq@ {f.level} {_print_term(f.left)} "
-                f"{_print_term(f.right)})")
-    if isinstance(f, Not):
-        return f"(not {print_formula(f.body)})"
-    if isinstance(f, (And, Or)):
-        op = "and" if isinstance(f, And) else "or"
-        return f"({op} " + " ".join(print_formula(x) for x in f.items) + ")"
-    if isinstance(f, Implies):
-        return f"(implies {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, Iff):
-        return f"(iff {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, Exists):
-        return f"(exists ({f.var}) {print_formula(f.body)})"
-    if isinstance(f, Forall):
-        return f"(forall ({f.var}) {print_formula(f.body)})"
-    raise FormulaError(f"unknown formula node {f!r}")
+    return sc.preorder_text(_Key(f), _shape)
 
 
 # --- structural utilities ---------------------------------------------------
 
 
+def _scan(f: Formula) -> tuple:
+    """The free names of f, its binders' names, and whether some binder
+    reuses a free name of f or the name of an enclosing binder."""
+    free, binders, shadows = set(), set(), False
+    todo = [(f, frozenset())]
+    while todo:
+        node, bound = todo.pop()
+        cls = node.__class__
+        if cls in ATOMS:
+            for v, _ in node.left.coeffs + node.right.coeffs:
+                if v not in bound:
+                    free.add(v)
+            continue
+        if cls is Exists or cls is Forall:
+            shadows = shadows or node.var in bound
+            binders.add(node.var)
+            bound = bound | {node.var}
+        todo += [(k, bound) for k in _parts(node)]
+    return free, binders, shadows or not binders.isdisjoint(free)
+
+
 def free_vars(f: Formula) -> frozenset:
-    return _names(f, False)
+    return frozenset(_scan(f)[0])
 
 
 def all_names(f: Formula) -> frozenset:
     """Every variable name occurring in f, bound or free."""
-    return _names(f, True)
+    free, binders, _ = _scan(f)
+    return frozenset(free | binders)
 
 
-def _names(f: Formula, bound: bool) -> frozenset:
-    if isinstance(f, ATOMS):
-        return frozenset(f.left.vars()) | frozenset(f.right.vars())
-    if isinstance(f, (And, Or)):
-        return frozenset().union(*(_names(it, bound) for it in f.items))
-    if isinstance(f, (Exists, Forall)):
-        inner = _names(f.body, bound)
-        return inner | {f.var} if bound else inner - {f.var}
-    if isinstance(f, Not):
-        return _names(f.body, bound)
-    if isinstance(f, (Implies, Iff)):
-        return _names(f.left, bound) | _names(f.right, bound)
-    if isinstance(f, BoolConst):
-        return frozenset()
-    raise FormulaError(f"unknown formula node {f!r}")
+def is_quantifier_free(f: Formula) -> bool:
+    return not _scan(f)[1]
 
 
 def _fresh_name(base: str, used) -> str:
@@ -549,44 +575,73 @@ def _fresh_name(base: str, used) -> str:
     return f"{base}_{k}"
 
 
+def _rename(g: GroupSpec, f: Formula, m: dict, rebind) -> Formula:
+    """f with each free name in m replaced by its term, in one walk that
+    carries the map down.  At a binder, rebind(var, body, m) is its name
+    and the map under it, or None to keep the binder as it is."""
+    def step(key):
+        node, m = key.node, key.m
+        cls = node.__class__
+        if cls in ATOMS:
+            sides = []
+            for t in (node.left, node.right):
+                out = t_const(t.const)
+                for v, c in t.coeffs:
+                    out = t_add(g, out, t_scale(g, c, m.get(v) or t_var(g, v)))
+                sides.append(out)
+            return cls(*[getattr(node, k) for k in node._fields[:-2]], *sides)
+        head = ()
+        if cls is Exists or cls is Forall:
+            out = rebind(node.var, node.body, m)
+            if out is None:
+                return node
+            head, m = out[:1], out[1]
+        kids = [_Key(k, m) for k in _parts(node)]
+        if not kids:
+            return node
+        if cls is And or cls is Or:
+            return Join(lambda rs: cls(tuple(rs)), kids)
+        return Join(lambda rs: cls(*head, *rs), kids)
+
+    return walk(_Key(f, m), step)
+
+
 def substitute(g: GroupSpec, f: Formula, name: str, repl: Term) -> Formula:
-    """Capture-avoiding substitution of a term for a free variable."""
-    if isinstance(f, BoolConst):
+    """Capture-avoiding substitution of a term for a free variable.  A
+    binder that would capture is renamed clear of the terms still to
+    substitute, the names they replace and the names of its body."""
+    def rebind(v, body, m):
+        m = {k: t for k, t in m.items() if k != v}
+        near = set(m).union(*(t.vars() for t in m.values()))
+        new = _fresh_name(v, near | all_names(body)) if v in near else v
+        if new != v:
+            m[v] = t_var(g, new)
+        return (new, m) if m else None
+
+    return _rename(g, f, {name: repl}, rebind)
+
+
+def _freshen(g: GroupSpec, f: Formula) -> Formula:
+    """Rename bound variables so no binder shadows another name, each to
+    the first name_k still unused, in preorder; f itself when none does."""
+    free, binders, shadows = _scan(f)
+    if not shadows:
         return f
-    if isinstance(f, ATOMS):
-        kwargs = {k: getattr(f, k) for k in f._fields
-                  if k not in ("left", "right")}
-        return type(f)(left=t_subst(g, f.left, name, repl),
-                       right=t_subst(g, f.right, name, repl), **kwargs)
-    if isinstance(f, Not):
-        return Not(substitute(g, f.body, name, repl))
-    if isinstance(f, (And, Or)):
-        return type(f)(tuple(substitute(g, it, name, repl) for it in f.items))
-    if isinstance(f, (Implies, Iff)):
-        return type(f)(substitute(g, f.left, name, repl),
-                       substitute(g, f.right, name, repl))
-    if isinstance(f, (Exists, Forall)):
-        if f.var == name:
-            return f
-        if f.var in repl.vars():
-            used = all_names(f.body) | frozenset(repl.vars()) | {name}
-            fresh = _fresh_name(f.var, used)
-            body = substitute(g, f.body, f.var, t_var(g, fresh))
-            return type(f)(fresh, substitute(g, body, name, repl))
-        return type(f)(f.var, substitute(g, f.body, name, repl))
-    raise FormulaError(f"unknown formula node {f!r}")
+    used = free | binders
+    names: dict = {}  # base -> its candidates v_2, v_3, ...
 
+    def rebind(v, body, m):
+        # m has a term for each free name and enclosing binder, and used
+        # only grows, so a name's candidates are never rewound
+        new = v
+        if v in m:
+            todo = names.setdefault(
+                v, (f"{v}_{k}" for k in itertools.count(2)))
+            new = next(n for n in todo if n not in used)
+            used.add(new)
+        return new, {**m, v: t_var(g, new)}
 
-def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (BoolConst,) + ATOMS):
-        return True
-    if isinstance(f, Not):
-        return is_quantifier_free(f.body)
-    if isinstance(f, (And, Or)):
-        return all(is_quantifier_free(it) for it in f.items)
-    if isinstance(f, (Implies, Iff)):
-        return is_quantifier_free(f.left) and is_quantifier_free(f.right)
-    return False
+    return _rename(g, f, {v: t_var(g, v) for v in free}, rebind)
 
 
 # --- lowering to scalar coordinates ----------------------------------------
@@ -599,77 +654,6 @@ def scalarize(g: GroupSpec, env: Mapping[str, Element]) -> dict:
         for j, q in enumerate(a, start=1):
             out[sc.SVar(name, j)] = q
     return out
-
-
-def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
-    """Translate into the per-coordinate scalar language.
-
-    Each group variable x becomes scalar variables x.1 ... x.n, most
-    significant first.  Comparisons expand lexicographically, level-k
-    atoms look only at the first k coordinates, congruences become
-    per-discrete-coordinate congruences, and quantifiers become blocks
-    of scalar quantifiers."""
-    return _lower(g, _freshen(g, f))
-
-
-def _shadows(f: Formula) -> bool:
-    """Whether some binder of f reuses a free name of f or the name of
-    an enclosing binder."""
-    free: set[str] = set()
-    binders: set[str] = set()
-
-    def walk(node: Formula, bound: frozenset) -> bool:
-        if isinstance(node, ATOMS):
-            for v, _ in node.left.coeffs + node.right.coeffs:
-                if v not in bound:
-                    free.add(v)
-            return False
-        if isinstance(node, (And, Or)):
-            return any(walk(it, bound) for it in node.items)
-        if isinstance(node, (Exists, Forall)):
-            if node.var in bound:
-                return True
-            binders.add(node.var)
-            return walk(node.body, bound | {node.var})
-        if isinstance(node, Not):
-            return walk(node.body, bound)
-        if isinstance(node, (Implies, Iff)):
-            return walk(node.left, bound) or walk(node.right, bound)
-        if isinstance(node, BoolConst):
-            return False
-        raise FormulaError(f"unknown formula node {node!r}")
-
-    return walk(f, frozenset()) or not binders.isdisjoint(free)
-
-
-def _freshen(g: GroupSpec, f: Formula) -> Formula:
-    """Rename bound variables so no binder shadows another name; f itself
-    when none does."""
-    if not _shadows(f):
-        return f
-    used = all_names(f)
-
-    def walk(node: Formula, bound: frozenset):
-        nonlocal used
-        if isinstance(node, (BoolConst,) + ATOMS):
-            return node
-        if isinstance(node, Not):
-            return Not(walk(node.body, bound))
-        if isinstance(node, (And, Or)):
-            return type(node)(tuple(walk(it, bound) for it in node.items))
-        if isinstance(node, (Implies, Iff)):
-            return type(node)(walk(node.left, bound), walk(node.right, bound))
-        if isinstance(node, (Exists, Forall)):
-            v, body = node.var, node.body
-            if v in bound:
-                fresh = _fresh_name(v, used)
-                used |= {fresh}
-                body = substitute(g, body, v, t_var(g, fresh))
-                v = fresh
-            return type(node)(v, walk(body, bound | {v}))
-        raise FormulaError(f"unknown formula node {node!r}")
-
-    return walk(f, frozenset(free_vars(f)))
 
 
 def _lower_atom(g: GroupSpec, f: Formula) -> sc.SFormula:
@@ -704,36 +688,53 @@ def _lower_atom(g: GroupSpec, f: Formula) -> sc.SFormula:
     return sc.mk_or(cases)
 
 
-def _lower(g: GroupSpec, f: Formula) -> sc.SFormula:
-    if isinstance(f, BoolConst):
-        return sc.SBool(f.value)
-    if isinstance(f, ATOMS):
-        # an atom lowers once per operation; the "lower" tag keeps the
-        # key apart from decide's (group, sentence) keys
-        memo = sc.operation_memo()
-        if memo is None:
-            return _lower_atom(g, f)
-        key = ("lower", g, f)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = _lower_atom(g, f)
-        return out
-    if isinstance(f, Not):
-        return sc.mk_not(_lower(g, f.body))
-    if isinstance(f, And):
-        return sc.mk_and(_lower(g, it) for it in f.items)
-    if isinstance(f, Or):
-        return sc.mk_or(_lower(g, it) for it in f.items)
-    if isinstance(f, Implies):
-        return sc.mk_or([sc.mk_not(_lower(g, f.left)), _lower(g, f.right)])
-    if isinstance(f, Iff):
-        a, b = _lower(g, f.left), _lower(g, f.right)
-        return sc.mk_and([sc.mk_or([sc.mk_not(a), b]),
-                          sc.mk_or([sc.mk_not(b), a])])
-    if isinstance(f, (Exists, Forall)):
-        body = _lower(g, f.body)
-        ctor = sc.mk_exists if isinstance(f, Exists) else sc.mk_forall
-        for j in range(g.n, 0, -1):
-            body = ctor(sc.SVar(f.var, j), body)
-        return body
-    raise FormulaError(f"unknown formula node {f!r}")
+def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
+    """Translate into the per-coordinate scalar language.
+
+    Each group variable x becomes scalar variables x.1 ... x.n, most
+    significant first.  Comparisons expand lexicographically, level-k
+    atoms look only at the first k coordinates, congruences become
+    per-discrete-coordinate congruences, and quantifiers become blocks
+    of scalar quantifiers."""
+    memo = sc.operation_memo()
+
+    def step(key):
+        node = key.node
+        cls = node.__class__
+        if cls in ATOMS:
+            # an atom lowers once per operation, under a key tagged "lower"
+            if memo is None:
+                return _lower_atom(g, node)
+            k = ("lower", g, node)
+            out = memo.get(k)
+            if out is None:
+                out = memo[k] = _lower_atom(g, node)
+            return out
+        kids = [_Key(k) for k in _parts(node)]
+        # a conjunction stops at its first FALSE and a disjunction at its
+        # first TRUE, as mk_and and mk_or stop drawing on a generator
+        if cls is And:
+            return Join(sc.mk_and, kids, sc.FALSE)
+        if cls is Or:
+            return Join(sc.mk_or, kids, sc.TRUE)
+        if cls is Not:
+            return Join(lambda rs: sc.mk_not(rs[0]), kids)
+        if cls is Implies:
+            return Join(lambda rs: sc.mk_or([sc.mk_not(rs[0]), rs[1]]), kids)
+        if cls is Iff:
+            return Join(lambda rs: sc.mk_and([
+                sc.mk_or([sc.mk_not(rs[0]), rs[1]]),
+                sc.mk_or([sc.mk_not(rs[1]), rs[0]])]), kids)
+        if cls is BoolConst:
+            return sc.SBool(node.value)
+        ctor = sc.mk_exists if cls is Exists else sc.mk_forall
+
+        def block(rs):
+            body = rs[0]
+            for j in range(g.n, 0, -1):
+                body = ctor(sc.SVar(node.var, j), body)
+            return body
+
+        return Join(block, kids)
+
+    return walk(_Key(_freshen(g, f)), step)

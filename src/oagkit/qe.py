@@ -20,17 +20,15 @@ and the unary-set layers, `segments` and `typegen`.
 While a high-level operation runs (`witness`, `code_set`,
 `reconstruct`, `nice_decompose`, `end_hull`, `to_div_segment`,
 `generic_type_trace`, `check_descriptor`; see
-`scalars.operation_scope`), `_eliminate_block` and `decide` remember
-their answers in the operation's memo, keyed on the group, the variable
-block and the interned body node, or on the group and the sentence.
-Both are pure functions of those keys, so the memo changes no answer.
-It is thread-local, has no option or size limit, and is dropped when
-the outermost operation returns or raises, so no answer outlives the
-operation that computed it.  Outside an operation nothing is memoized.
-(`formulas.lower` keeps the scalar form of each atom in the same memo,
-under a key tagged "lower", `_cells` one cell model per form and
-coordinate, under a key tagged "cells", and `_holds_somewhere` the
-answer for each fibre it walks, under a key tagged "holds".)
+`scalars.operation_scope`), `_eliminate_block` remembers its answers in
+the operation's memo, keyed on the group, the variable block and the
+interned body node.  It is a pure function of that key, so the memo
+changes no answer.  The memo is thread-local, has no option or size
+limit, and is dropped when the outermost operation returns or raises.
+Outside an operation nothing is memoized.  (`formulas.lower` keeps the
+scalar form of each atom in the same memo, under a key tagged "lower",
+`_cells` one cell model per form and coordinate, under "cells", and
+`_holds_somewhere` the answer for each fibre it walks, under "holds".)
 
 Negation normal form, the atom map, miniscoping, the window ranges and
 elimination itself run on `scalars.walk`, with one memo per call keyed
@@ -302,8 +300,10 @@ def _eliminate_block(g: GroupSpec, block: list, body: SFormula) -> SFormula:
         hit = memo.get(key)
         if hit is not None:
             return hit
-    remaining = list(block)
     body = nnf(g, body)
+    # fv only shrinks, so a variable the body lacks is never projected:
+    # leaving it out skips a scan per variable of a long vacuous block
+    remaining = [v for v in block if v in body.fv]
     while remaining:
         best = None
         for v in remaining:
@@ -452,23 +452,14 @@ def eliminate(g: GroupSpec, f: fm.Formula,
 
 
 def decide(g: GroupSpec, f: fm.Formula, budget: Optional[int] = None) -> bool:
-    """Truth value of a sentence.  Memoized in the open operation's
-    memo."""
+    """Truth value of a sentence."""
     free = fm.free_vars(f)
     if free:
         raise FormulaError(
             f"decide needs a sentence; free variables: {sorted(free)}")
-    memo = operation_memo()
-    key = (g, f)
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
     out = eliminate(g, f, budget).body
     if not isinstance(out, SBool):
         raise AssertionError("closed elimination must ground out")
-    if memo is not None:
-        memo[key] = out.value
     return out.value
 
 

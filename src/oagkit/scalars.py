@@ -24,7 +24,9 @@ DAG with heavy sharing.  Its traversals (here evaluation, atom
 collection and printing; in `qe` normal form, elimination and its
 helpers) run on one iterative walker, `walk`, with one memo per call
 keyed on the node, so they take DAG size, not tree size, at any depth;
-substitution still recurses.  The intern tables are process-global
+`s_subst` still recurses.  `formulas` lowers and renames its (not
+interned) group formulas on `walk` too, and prints them with
+`preorder_text`.  The intern tables are process-global
 `WeakValueDictionary`s without a lock, so interning is single-threaded.
 """
 
@@ -760,8 +762,7 @@ def print_scalar(f: SFormula) -> str:
     and the constant moved to the right-hand side.  The printed length
     is walked first, and a text longer than PRINT_LIMIT raises
     OutputTooLarge before any of it is built.  The text is then emitted
-    in preorder: joining each subtree's text into its parent's would
-    copy it once per level above it, quadratic on a deep formula."""
+    in preorder (`preorder_text`)."""
     shapes: dict = {}
 
     def size(piece):
@@ -774,12 +775,19 @@ def print_scalar(f: SFormula) -> str:
     if n > PRINT_LIMIT:
         raise OutputTooLarge(f"printed formula would have {n} characters, "
                              f"more than the limit of {PRINT_LIMIT}")
+    return preorder_text(f, shapes.__getitem__)
+
+
+def preorder_text(root, shape) -> str:
+    """The text of root, where shape(node) gives the strings and nodes
+    that node prints as, in order.  Emitted in preorder: joining each
+    subtree's text into its parent's is quadratic on a deep formula."""
     out: list = []
-    todo: list = [f]
+    todo: list = [root]
     while todo:
         piece = todo.pop()
         if piece.__class__ is str:
             out.append(piece)
         else:
-            todo.extend(reversed(shapes[piece]))
+            todo.extend(reversed(shape(piece)))
     return "".join(out)

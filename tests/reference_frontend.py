@@ -1,11 +1,15 @@
 """Reference front end: the per-character tokenizer, the token-object
 s-expression reader and parser, and the term-level lowering that the
-regex front end of `oagkit.formulas` replaced.
+regex front end of `oagkit.formulas` replaced; and the recursive
+printer, name sets, quantifier-free test, substitution, freshening and
+lowering that its loops and `scalars.walk` steps replaced.
 
-Tests compare the two on handwritten and mutated inputs: the same AST
-(`==` and `repr`), the same `ParseError` message, line and column, and
-the same interned scalar node for every lowered atom.  Nothing here is
-fast; it is the old code kept as a specification.
+Tests compare the two on handwritten, mutated and generated inputs: the
+same AST (`==` and `repr`), the same `ParseError` message, line and
+column, the same text, and the same interned scalar node for every
+lowered atom and formula.  Nothing here is fast, and the recursions stop
+at the interpreter's depth limit; it is the old code kept as a
+specification.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 
 from oagkit import formulas as fm
 from oagkit import scalars as sc
-from oagkit.errors import GroupError, ParseError
+from oagkit.errors import FormulaError, GroupError, ParseError
 from oagkit.groups import GroupSpec, element, zero
 
 MAX_DEPTH = fm.MAX_DEPTH
@@ -278,9 +282,149 @@ class _Parser:
                        f"{len(items) - 1}", op)
 
 
+# --- structural utilities: the recursions oagkit.formulas replaced ----------
+
+
+_print_term = fm._print_term  # terms are flat; their printer is unchanged
+
+
+def print_formula(f: fm.Formula) -> str:
+    if isinstance(f, fm.BoolConst):
+        return "true" if f.value else "false"
+    if isinstance(f, fm.Cmp):
+        return f"({f.rel} {_print_term(f.left)} {_print_term(f.right)})"
+    if isinstance(f, fm.Congr):
+        return (f"(congr {f.modulus} {_print_term(f.left)} "
+                f"{_print_term(f.right)})")
+    if isinstance(f, fm.RelCmp):
+        op = "lt@" if f.rel == fm.LT else "le@"
+        return (f"({op} {f.level} {_print_term(f.left)} "
+                f"{_print_term(f.right)})")
+    if isinstance(f, fm.RelCongr):
+        return (f"(congr@ {f.level} {f.modulus} {_print_term(f.left)} "
+                f"{_print_term(f.right)})")
+    if isinstance(f, fm.RelEq):
+        if not f.right.coeffs and not any(f.right.const):
+            return f"(insub {f.level} {_print_term(f.left)})"
+        return (f"(eq@ {f.level} {_print_term(f.left)} "
+                f"{_print_term(f.right)})")
+    if isinstance(f, fm.Not):
+        return f"(not {print_formula(f.body)})"
+    if isinstance(f, (fm.And, fm.Or)):
+        op = "and" if isinstance(f, fm.And) else "or"
+        return f"({op} " + " ".join(print_formula(x) for x in f.items) + ")"
+    if isinstance(f, fm.Implies):
+        return f"(implies {print_formula(f.left)} {print_formula(f.right)})"
+    if isinstance(f, fm.Iff):
+        return f"(iff {print_formula(f.left)} {print_formula(f.right)})"
+    if isinstance(f, fm.Exists):
+        return f"(exists ({f.var}) {print_formula(f.body)})"
+    if isinstance(f, fm.Forall):
+        return f"(forall ({f.var}) {print_formula(f.body)})"
+    raise FormulaError(f"unknown formula node {f!r}")
+
+
+def names(f: fm.Formula, bound: bool) -> frozenset:
+    """The free names of f, or with bound true every name."""
+    if isinstance(f, fm.ATOMS):
+        return frozenset(f.left.vars()) | frozenset(f.right.vars())
+    if isinstance(f, (fm.And, fm.Or)):
+        return frozenset().union(*(names(it, bound) for it in f.items))
+    if isinstance(f, (fm.Exists, fm.Forall)):
+        inner = names(f.body, bound)
+        return inner | {f.var} if bound else inner - {f.var}
+    if isinstance(f, fm.Not):
+        return names(f.body, bound)
+    if isinstance(f, (fm.Implies, fm.Iff)):
+        return names(f.left, bound) | names(f.right, bound)
+    if isinstance(f, fm.BoolConst):
+        return frozenset()
+    raise FormulaError(f"unknown formula node {f!r}")
+
+
+def t_subst(g: GroupSpec, t: fm.Term, name: str, repl: fm.Term) -> fm.Term:
+    c = t.coeff(name)
+    if c == 0:
+        return t
+    rest = fm.Term(tuple((v, k) for v, k in t.coeffs if v != name), t.const)
+    return fm.t_add(g, rest, fm.t_scale(g, c, repl))
+
+
+def substitute(g: GroupSpec, f: fm.Formula, name: str,
+               repl: fm.Term) -> fm.Formula:
+    """Capture-avoiding substitution, one name per pass: a capturing
+    binder is renamed by a pass of its own over its body."""
+    if isinstance(f, fm.BoolConst):
+        return f
+    if isinstance(f, fm.ATOMS):
+        kwargs = {k: getattr(f, k) for k in f._fields
+                  if k not in ("left", "right")}
+        return type(f)(left=t_subst(g, f.left, name, repl),
+                       right=t_subst(g, f.right, name, repl), **kwargs)
+    if isinstance(f, fm.Not):
+        return fm.Not(substitute(g, f.body, name, repl))
+    if isinstance(f, (fm.And, fm.Or)):
+        return type(f)(tuple(substitute(g, it, name, repl) for it in f.items))
+    if isinstance(f, (fm.Implies, fm.Iff)):
+        return type(f)(substitute(g, f.left, name, repl),
+                       substitute(g, f.right, name, repl))
+    if isinstance(f, (fm.Exists, fm.Forall)):
+        if f.var == name:
+            return f
+        if f.var in repl.vars():
+            used = names(f.body, True) | frozenset(repl.vars()) | {name}
+            fresh = fm._fresh_name(f.var, used)
+            body = substitute(g, f.body, f.var, fm.t_var(g, fresh))
+            return type(f)(fresh, substitute(g, body, name, repl))
+        return type(f)(f.var, substitute(g, f.body, name, repl))
+    raise FormulaError(f"unknown formula node {f!r}")
+
+
+def is_quantifier_free(f: fm.Formula) -> bool:
+    if isinstance(f, (fm.BoolConst,) + fm.ATOMS):
+        return True
+    if isinstance(f, fm.Not):
+        return is_quantifier_free(f.body)
+    if isinstance(f, (fm.And, fm.Or)):
+        return all(is_quantifier_free(it) for it in f.items)
+    if isinstance(f, (fm.Implies, fm.Iff)):
+        return is_quantifier_free(f.left) and is_quantifier_free(f.right)
+    return False
+
+
+def shadows(f: fm.Formula) -> bool:
+    """Whether some binder of f reuses a free name of f or the name of
+    an enclosing binder."""
+    free: set[str] = set()
+    binders: set[str] = set()
+
+    def walk(node, bound: frozenset) -> bool:
+        if isinstance(node, fm.ATOMS):
+            for v, _ in node.left.coeffs + node.right.coeffs:
+                if v not in bound:
+                    free.add(v)
+            return False
+        if isinstance(node, (fm.And, fm.Or)):
+            return any(walk(it, bound) for it in node.items)
+        if isinstance(node, (fm.Exists, fm.Forall)):
+            if node.var in bound:
+                return True
+            binders.add(node.var)
+            return walk(node.body, bound | {node.var})
+        if isinstance(node, fm.Not):
+            return walk(node.body, bound)
+        if isinstance(node, (fm.Implies, fm.Iff)):
+            return walk(node.left, bound) or walk(node.right, bound)
+        if isinstance(node, fm.BoolConst):
+            return False
+        raise FormulaError(f"unknown formula node {node!r}")
+
+    return walk(f, frozenset()) or not binders.isdisjoint(free)
+
+
 def freshen(g: GroupSpec, f: fm.Formula, used: frozenset) -> fm.Formula:
     """Rename bound variables so no binder shadows another name; rebuilds
-    every node."""
+    every node, and renames a binder by a substitution over its body."""
 
     def walk(node, bound: frozenset):
         nonlocal used
@@ -296,11 +440,16 @@ def freshen(g: GroupSpec, f: fm.Formula, used: frozenset) -> fm.Formula:
         if v in bound:
             fresh = fm._fresh_name(v, used)
             used |= {fresh}
-            body = fm.substitute(g, body, v, fm.t_var(g, fresh))
+            body = substitute(g, body, v, fm.t_var(g, fresh))
             v = fresh
         return type(node)(v, walk(body, bound | {v}))
 
-    return walk(f, frozenset(fm.free_vars(f)))
+    return walk(f, names(f, False))
+
+
+def freshen_if_shadowed(g: GroupSpec, f: fm.Formula) -> fm.Formula:
+    """`oagkit.formulas._freshen`: f itself when no binder shadows."""
+    return freshen(g, f, names(f, True)) if shadows(f) else f
 
 
 def parse(g: GroupSpec, text: str) -> fm.Formula:
@@ -311,7 +460,7 @@ def parse(g: GroupSpec, text: str) -> fm.Formula:
     if pos != len(toks):
         raise _err("trailing input after formula", toks[pos])
     f = _Parser(g, frozenset(t.text for t in toks)).formula(node)
-    return freshen(g, f, fm.all_names(f))
+    return freshen(g, f, names(f, True))
 
 
 # --- lowering ----------------------------------------------------------------
@@ -358,3 +507,36 @@ def lower_atom(g: GroupSpec, f) -> sc.SFormula:
     if rel == fm.LT:
         return lex_lt(g, diffs, k)
     return sc.mk_or([lex_lt(g, diffs, k), lex_eq(g, diffs, k)])
+
+
+def lower_formula(g: GroupSpec, f: fm.Formula) -> sc.SFormula:
+    """The walk of `oagkit.formulas.lower` as a recursion, without the
+    operation memo (an atom's lowering is an interned node either way)."""
+    if isinstance(f, fm.BoolConst):
+        return sc.SBool(f.value)
+    if isinstance(f, fm.ATOMS):
+        return fm._lower_atom(g, f)
+    if isinstance(f, fm.Not):
+        return sc.mk_not(lower_formula(g, f.body))
+    if isinstance(f, fm.And):
+        return sc.mk_and(lower_formula(g, it) for it in f.items)
+    if isinstance(f, fm.Or):
+        return sc.mk_or(lower_formula(g, it) for it in f.items)
+    if isinstance(f, fm.Implies):
+        return sc.mk_or([sc.mk_not(lower_formula(g, f.left)),
+                         lower_formula(g, f.right)])
+    if isinstance(f, fm.Iff):
+        a, b = lower_formula(g, f.left), lower_formula(g, f.right)
+        return sc.mk_and([sc.mk_or([sc.mk_not(a), b]),
+                          sc.mk_or([sc.mk_not(b), a])])
+    if isinstance(f, (fm.Exists, fm.Forall)):
+        body = lower_formula(g, f.body)
+        ctor = sc.mk_exists if isinstance(f, fm.Exists) else sc.mk_forall
+        for j in range(g.n, 0, -1):
+            body = ctor(sc.SVar(f.var, j), body)
+        return body
+    raise FormulaError(f"unknown formula node {f!r}")
+
+
+def lower(g: GroupSpec, f: fm.Formula) -> sc.SFormula:
+    return lower_formula(g, freshen_if_shadowed(g, f))

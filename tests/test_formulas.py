@@ -10,9 +10,9 @@ import pytest
 import reference_frontend as ref
 from oagkit import formulas as fm
 from oagkit import oracle as orc
-from oagkit import qe
+from oagkit import codes, qe, segments
 from oagkit import scalars as sc
-from oagkit.errors import ParseError
+from oagkit.errors import FormulaError, ParseError
 from oagkit.groups import box_elements, parse_group
 
 Z1 = parse_group("Z")
@@ -21,6 +21,7 @@ Z3 = parse_group("Z*Z*Z")
 Q1 = parse_group("Q")
 ZQ = parse_group("Z*Q")
 QZ = parse_group("Q*Z")
+ZQZ = parse_group("Z*Q*Z")
 
 # the fuzz limits of acceptance criterion 01
 CRIT01 = orc.FuzzLimits(max_coeff=3, max_modulus=6, max_depth=3, window=6)
@@ -482,3 +483,176 @@ def test_nodes_built_may_only_fall(spec):
         for text in texts:
             qe.eliminate_scalar(g, fm.lower(g, fm.parse(g, text)))
     assert budget.used <= NODES_BUILT_BEFORE[spec]
+
+
+# --- the traversals against the recursions they replaced ---------------------
+
+
+def traversal_corpus(g):
+    out = []
+    for template, count in (("qf", 25), ("bounded", 25), ("end-segment", 6)):
+        out += orc.fuzz_corpus(g, 7, count, template=template)
+    return out
+
+
+class TestTraversalsAgainstReference:
+    """Printing, names, the quantifier-free test, freshening, lowering and
+    substitution against the recursive code in `reference_frontend`:
+    the same text, `==` formulas and the very same lowered node."""
+
+    @pytest.mark.parametrize("g", [Z1, Z2, ZQ, QZ, ZQZ], ids=str)
+    def test_fuzz_corpus(self, g):
+        renamed = 0
+        for f in traversal_corpus(g):
+            assert fm.print_formula(f) == ref.print_formula(f)
+            assert fm.free_vars(f) == ref.names(f, False)
+            assert fm.all_names(f) == ref.names(f, True)
+            assert fm.is_quantifier_free(f) == ref.is_quantifier_free(f)
+            assert fm._freshen(g, f) == ref.freshen_if_shadowed(g, f)
+            assert fm.lower(g, f) is ref.lower(g, f)
+            with sc.operation_scope():
+                assert fm.lower(g, f) is ref.lower(g, f)
+            names = sorted(fm.all_names(f))
+            for v in names:
+                for w in names:
+                    repl = fm.t_add(g, fm.t_var(g, w),
+                                    fm.t_scale(g, 2, fm.t_var(g, v)))
+                    out = fm.substitute(g, f, v, repl)
+                    assert out == ref.substitute(g, f, v, repl)
+                    renamed += not fm.all_names(out) <= (
+                        fm.all_names(f) | set(repl.vars()))
+        assert renamed > 0  # some binders were renamed to avoid capture
+
+    def test_substitute_renames_capturing_binders(self):
+        x, y, z = (fm.t_var(Z1, v) for v in "xyz")
+        lt = fm.Cmp(fm.LT, x, y)
+        cases = [
+            # a binder named like the replacement, shadowed by another
+            (fm.Exists("y", fm.And((fm.Exists("y", lt),
+                                    fm.Cmp(fm.EQ, x, y)))), y,
+             "(exists (y_2) (and (exists (y_2) (< y y_2)) (= y y_2)))"),
+            # the fresh name of the outer binder is taken below it
+            (fm.Exists("y", fm.Forall("y_2", fm.Cmp(
+                fm.LT, x, fm.t_add(Z1, y, fm.t_var(Z1, "y_2"))))), y,
+             "(exists (y_3) (forall (y_2) (< y (+ y_2 y_3))))"),
+            # two binders, each named like a variable of the replacement
+            (fm.Exists("y", fm.Exists("z", fm.Cmp(
+                fm.LT, x, fm.t_add(Z1, y, z)))), fm.t_add(Z1, y, z),
+             "(exists (y_2) (exists (z_2) (< (+ y z) (+ y_2 z_2))))"),
+            # the substituted name bound below a renamed binder
+            (fm.Forall("y", fm.Or((fm.Exists("x", lt), lt))), y,
+             "(forall (y_2) (or (exists (x) (< x y_2)) (< y y_2)))"),
+        ]
+        for f, repl, text in cases:
+            out = fm.substitute(Z1, f, "x", repl)
+            assert out == ref.substitute(Z1, f, "x", repl)
+            assert fm.print_formula(out) == text
+
+    def test_freshen_shadowing_chains(self):
+        x = fm.t_var(Z1, "x")
+        neg = fm.Cmp(fm.LT, x, fm.t_const((0,)))
+        chain = fm.Exists("x", fm.Forall("x", fm.Exists("x", neg)))
+        cases = [
+            (chain,
+             "(exists (x) (forall (x_2) (exists (x_3) (< x_3 (c 0)))))"),
+            (fm.And((neg, chain)),
+             "(and (< x (c 0)) (exists (x_2) (forall (x_3) (exists (x_4) "
+             "(< x_4 (c 0))))))"),
+            (fm.Or((fm.Cmp(fm.EQ, fm.t_var(Z1, "x_3"), x), chain, chain)),
+             "(or (= x_3 x) (exists (x_2) (forall (x_4) (exists (x_5) "
+             "(< x_5 (c 0))))) (exists (x_6) (forall (x_7) (exists (x_8) "
+             "(< x_8 (c 0))))))"),
+        ]
+        for f, text in cases:
+            out = fm._freshen(Z1, f)
+            assert out == ref.freshen_if_shadowed(Z1, f)
+            assert fm.print_formula(out) == text
+            assert fm._freshen(Z1, out) is out
+
+    def test_an_unknown_node_is_a_formula_error(self):
+        for f in ("x", None, fm.Not("x"), fm.And((fm.BoolConst(True), 3))):
+            for fn in (fm.free_vars, fm.all_names, fm.is_quantifier_free,
+                       fm.print_formula, lambda f: fm.lower(Z1, f)):
+                with pytest.raises(FormulaError):
+                    fn(f)
+
+
+# --- library-built formulas deeper than the recursion limit ----------------
+
+
+class TestDeepChains:
+    """Formulas ten times deeper than the default recursion limit, built
+    with the node constructors, through every formula-layer traversal
+    and the entry points above it.  Each defines x > 0 on Z."""
+
+    DEPTH = 10_000
+    X = fm.t_var(Z1, "x")
+    POS = fm.Cmp(fm.LT, fm.t_const((0,)), X)  # 0 < x
+    POS_TEXT = "(< (c 0) x)"
+    MOVED = " (+ y (c 1)))"  # the text of x after substituting y + 1
+
+    def check(self, f, text, moved_text, quantifier_free):
+        assert fm.free_vars(f) == {"x"}
+        assert fm.all_names(f) == {"x"}
+        assert fm.is_quantifier_free(f) is quantifier_free
+        assert fm.print_formula(f) == text
+        y1 = fm.t_add(Z1, fm.t_var(Z1, "y"), fm.t_const((1,)))
+        moved = fm.substitute(Z1, f, "x", y1)
+        assert fm.free_vars(moved) == {"y"}
+        assert fm.print_formula(moved) == moved_text
+        body = qe.eliminate_scalar(Z1, fm.lower(Z1, f))
+        for t in range(-3, 4):
+            assert sc.s_eval(Z1, body, {sc.SVar("x", 1): t}) == (t > 0)
+        sentence = fm.Exists("x", f)
+        assert qe.decide(Z1, sentence) is True
+        assert qe.satisfiable(Z1, f) is True
+        assert qe.equivalent(Z1, f, self.POS) is True
+        assert qe.witness(Z1, sentence) == (1,)
+        assert segments.to_div_segment(Z1, f, "x") == \
+            segments.to_div_segment(Z1, self.POS, "x")
+        assert codes.code_set(Z1, f, "x") == codes.code_set(Z1, self.POS, "x")
+        return body
+
+    def test_negations(self):
+        f = self.POS
+        for _ in range(self.DEPTH):
+            f = fm.Not(f)
+        text = "(not " * self.DEPTH + self.POS_TEXT + ")" * self.DEPTH
+        body = self.check(f, text, text.replace(" x)", self.MOVED), True)
+        assert body is fm.lower(Z1, self.POS)
+
+    def test_conjunction_chain(self):
+        # right-nested binary conjunctions of 0 < x, -1 < x, -2 < x, ...
+        f, texts = self.POS, []
+        for i in reversed(range(self.DEPTH)):
+            f = fm.And((fm.Cmp(fm.LT, fm.t_const((-(i % 3),)), self.X), f))
+        for i in range(self.DEPTH):
+            texts.append(f"(and (< (c {-(i % 3)}) x) ")
+        text = "".join(texts) + self.POS_TEXT + ")" * self.DEPTH
+        self.check(f, text, text.replace(" x)", self.MOVED), True)
+
+    def test_shadowing_chain(self):
+        # every binder shadows the free x and the binders around it
+        chain = self.POS
+        for _ in range(self.DEPTH):
+            chain = fm.Exists("x", chain)
+        f = fm.And((self.POS, chain))
+        text = ("(and " + self.POS_TEXT + " " + "(exists (x) " * self.DEPTH
+                + self.POS_TEXT + ")" * self.DEPTH + ")")
+        # only the first atom's x is free
+        moved = text.replace(" x)", self.MOVED, 1)
+        body = self.check(f, text, moved, False)
+        assert body is fm.lower(Z1, self.POS)
+        names, node = [], fm._freshen(Z1, f).items[1]
+        while isinstance(node, fm.Exists):
+            names.append(node.var)
+            node = node.body
+        assert names == [f"x_{k}" for k in range(2, self.DEPTH + 2)]
+        assert node == fm.Cmp(fm.LT, fm.t_const((0,)),
+                              fm.t_var(Z1, f"x_{self.DEPTH + 1}"))
+
+    def test_three_thousand_negations_decide(self):
+        f = fm.Cmp(fm.LT, self.X, fm.t_const((0,)))  # x < 0
+        for _ in range(3000):
+            f = fm.Not(f)
+        assert qe.decide(Z1, fm.Exists("x", f)) is True

@@ -62,9 +62,11 @@ def test_unknown_name_is_an_attribute_error():
         exec("from oagkit import nope", {})
 
 
-# Every function whose body names itself, by module and qualified name.
-# The scalar traversals run on `scalars.walk` and are not listed; a new
-# recursive traversal fails here, and each later port shortens the list.
+# Every function whose body names itself, by module and qualified name: a
+# bare load of its own name, or in a method `self.<name>` or `cls.<name>`.
+# The scalar and formula traversals run on `scalars.walk` or on loops and
+# are not listed; a new recursive traversal fails here, and each later
+# port shortens the list.
 RECURSIVE = {
     # substitution, until the benchmark stops probing its recursion
     "scalars.s_subst",
@@ -72,10 +74,8 @@ RECURSIVE = {
     "qe._walk",
     # the independent evaluators that elimination is checked against
     "oracle.s_grid_eval", "oracle._ev", "oracle.grid_eval",
-    # the formula layer, whose Record nodes are not interned
-    "formulas._names", "formulas._shadows.walk", "formulas._freshen.walk",
-    "formulas._lower", "formulas.is_quantifier_free",
-    "formulas.print_formula", "formulas.substitute",
+    # the parser: one level per parenthesis, at most formulas.MAX_DEPTH
+    "formulas._Parser.formula", "formulas._Parser._sum",
     # bounded: the code header (by _HEADER_DEPTH), the fuzz generators
     # (by FuzzLimits) and code_segment
     "codes._header_to_obj", "codes._header_from_obj.walk",
@@ -83,18 +83,27 @@ RECURSIVE = {
 }
 
 
-def _self_naming(node, prefix, module, out):
+def _names_itself(node, name: str, method: bool) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == name and isinstance(node.ctx, ast.Load)
+    return (method and isinstance(node, ast.Attribute) and node.attr == name
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("self", "cls")
+            and isinstance(node.ctx, ast.Load))
+
+
+def _self_naming(node, prefix, module, out, in_class=False):
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             name = prefix + child.name
             if isinstance(child, ast.FunctionDef) and any(
-                    isinstance(n, ast.Name) and n.id == child.name
-                    and isinstance(n.ctx, ast.Load)
+                    _names_itself(n, child.name, in_class)
                     for stmt in child.body for n in ast.walk(stmt)):
                 out.add(f"{module}.{name}")
-            _self_naming(child, name + ".", module, out)
+            _self_naming(child, name + ".", module, out,
+                         isinstance(child, ast.ClassDef))
         else:
-            _self_naming(child, prefix, module, out)
+            _self_naming(child, prefix, module, out, in_class)
 
 
 def test_recursion_is_only_where_pinned():
@@ -105,3 +114,15 @@ def test_recursion_is_only_where_pinned():
     for path in sorted(Path(oagkit.__file__).resolve().parent.glob("*.py")):
         _self_naming(ast.parse(path.read_text()), "", path.stem, found)
     assert found == RECURSIVE
+
+
+def test_the_scan_sees_a_method_calling_itself():
+    code = ast.parse("class A:\n"
+                     "    def f(self):\n        return self.f()\n"
+                     "    @classmethod\n"
+                     "    def g(cls):\n        return cls.g\n"
+                     "    def h(self):\n        return other.h()\n"
+                     "def k(self):\n    return self.k()\n")
+    found: set = set()
+    _self_naming(code, "", "m", found)
+    assert found == {"m.A.f", "m.A.g"}
