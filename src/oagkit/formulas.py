@@ -535,20 +535,27 @@ def _scan(f: Formula) -> tuple:
     """The free names of f, its binders' names, and whether some binder
     reuses a free name of f or the name of an enclosing binder."""
     free, binders, shadows = set(), set(), False
-    todo = [(f, frozenset())]
+    # the names of the binders around a node, and how many bind each
+    path, bound = [], {}
+    todo = [(f, 0)]  # a node and its number of enclosing binders
     while todo:
-        node, bound = todo.pop()
+        node, depth = todo.pop()
+        while len(path) > depth:
+            bound[path.pop()] -= 1
         cls = node.__class__
         if cls in ATOMS:
             for v, _ in node.left.coeffs + node.right.coeffs:
-                if v not in bound:
+                if not bound.get(v):
                     free.add(v)
             continue
         if cls is Exists or cls is Forall:
-            shadows = shadows or node.var in bound
-            binders.add(node.var)
-            bound = bound | {node.var}
-        todo += [(k, bound) for k in _parts(node)]
+            v = node.var
+            shadows = shadows or bound.get(v, 0) > 0
+            binders.add(v)
+            path.append(v)
+            bound[v] = bound.get(v, 0) + 1
+            depth += 1
+        todo += [(k, depth) for k in _parts(node)]
     return free, binders, shadows or not binders.isdisjoint(free)
 
 

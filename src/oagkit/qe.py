@@ -9,15 +9,15 @@ root, each root plus epsilon) on dense coordinates, which carry no
 congruences.
 
 Two kinds of question are answered here.  Sentences are projected:
-`decide` and `eliminate` run the eliminations above, and satisfiable,
-equivalent and entails close a formula into a sentence and decide it.
-A formula whose only free variable is one group variable x is
-eliminated once; every atom of its quantifier-free form then mentions
-one coordinate of x, and questions about that form walk its cells
-instead (`_Cells`, `_holds_somewhere`, `same_points`): `witness` here,
-and the unary-set layers, `segments` and `typegen`.
+`decide` and `eliminate` run the eliminations above.  A formula whose
+only free variable is one group variable x is eliminated once; every
+atom of its quantifier-free form then mentions one coordinate of x, and
+questions about it walk that form's cells (`_Cells`, `_holds_somewhere`,
+`same_points`): satisfiable, equivalent, entails (which close any other
+formula into a sentence and decide it) and witness here, and the
+unary-set layers, `segments` and `typegen`.
 
-While a high-level operation runs (`witness`, `code_set`,
+While a high-level operation runs (those four, `code_set`,
 `reconstruct`, `nice_decompose`, `end_hull`, `to_div_segment`,
 `generic_type_trace`, `check_descriptor`; see
 `scalars.operation_scope`), `_eliminate_block` remembers its answers in
@@ -469,46 +469,66 @@ def _close(f: fm.Formula, ctor) -> fm.Formula:
     return f
 
 
+def _qf(g: GroupSpec, f: fm.Formula) -> SFormula:
+    return eliminate_scalar(g, fm.lower(g, f))
+
+
+@operation
 def satisfiable(g: GroupSpec, f: fm.Formula,
                 budget: Optional[int] = None) -> bool:
-    return decide(g, _close(f, fm.Exists), budget)
+    """Whether f holds somewhere: by the walk when f has one free
+    variable, else by deciding its existential closure."""
+    if len(fm.free_vars(f)) != 1:
+        return decide(g, _close(f, fm.Exists), budget)
+    with budget_scope(budget):
+        return _holds_somewhere(g, _qf(g, f))
 
 
+@operation
 def equivalent(g: GroupSpec, a: fm.Formula, b: fm.Formula,
                budget: Optional[int] = None) -> bool:
-    """Universal closure of the biconditional."""
-    return decide(g, _close(fm.Iff(a, b), fm.Forall), budget)
+    """Whether a and b hold at the same points: by the walk when they
+    have one free variable, else by deciding the closed biconditional."""
+    if len(fm.free_vars(a) | fm.free_vars(b)) != 1:
+        return decide(g, _close(fm.Iff(a, b), fm.Forall), budget)
+    with budget_scope(budget):
+        return same_points(g, _qf(g, a), _qf(g, b))
 
 
+@operation
 def entails(g: GroupSpec, a: fm.Formula, b: fm.Formula,
             budget: Optional[int] = None) -> bool:
-    return decide(g, _close(fm.Implies(a, b), fm.Forall), budget)
+    """Whether b holds wherever a does: by the walk when they have one
+    free variable, else by deciding the closed implication."""
+    if len(fm.free_vars(a) | fm.free_vars(b)) != 1:
+        return decide(g, _close(fm.Implies(a, b), fm.Forall), budget)
+    with budget_scope(budget):
+        return not _holds_somewhere(g, mk_and([_qf(g, a), mk_not(_qf(g, b))]))
 
 
 # --- the cell model of a monadic form ---------------------------------------
 
 
-def _pieces(discrete: bool, roots: list, w: int) -> list:
-    """The cells of a line cut at the sorted roots, in ascending order,
-    as triples (t, lo, hi): a representative t, and the cell's ends lo
+def _pieces(discrete: bool, roots: list, w: int):
+    """The cells of a line cut at the sorted roots, lazily, in ascending
+    order, as triples (t, lo, hi): a representative t, and the cell's ends lo
     and hi (None: unbounded).  A root c is the cell (c, c, c).  A gap's
     ends are the roots around it on Q and its first and last integer on
     Z, where it has w representatives: its first w integers (the last w
     of the gap unbounded below), each standing for the integers of the
     gap congruent to it modulo w.  On Q a gap's representative is its
     midpoint, or one past its finite end, or 0 for the whole line."""
-    out: list = []
     ends = [None] + roots + [None]
     for c, d in zip(ends, ends[1:]):
         if c is not None and (not discrete or c.denominator == 1):
             root = int(c) if discrete else c
-            out.append((root, root, root))
+            yield root, root, root
         if not discrete:
             if c is None:
                 t = Fraction(0) if d is None else d - 1
             else:
                 t = c + 1 if d is None else (c + d) / 2
-            out.append((t, c, d))
+            yield t, c, d
             continue
         lo = None if c is None else math.floor(c) + 1
         hi = None if d is None else math.ceil(d) - 1
@@ -517,8 +537,8 @@ def _pieces(discrete: bool, roots: list, w: int) -> list:
             reps = range(top - w, top)
         else:
             reps = range(lo, lo + w if hi is None else min(lo + w, hi + 1))
-        out += [(t, lo, hi) for t in reps]
-    return out
+        for t in reps:
+            yield t, lo, hi
 
 
 class _Cells:
@@ -543,7 +563,14 @@ class _Cells:
 
     def pieces(self, m: int = 1) -> list:
         """The cells with, on Z, their classes modulo m as well."""
-        return _pieces(self.discrete, self.roots, math.lcm(self.modulus, m))
+        return list(_pieces(self.discrete, self.roots,
+                            math.lcm(self.modulus, m)))
+
+    def points(self):
+        """Each cell's representative, lazily, charging the node budget."""
+        for t, _, _ in _pieces(self.discrete, self.roots, self.modulus):
+            sc._charge()
+            yield t
 
     def fibre(self, t):
         # the cell (gap i below roots[i], or roots[i] itself), residue
@@ -595,10 +622,9 @@ def _walk(g: GroupSpec, f, memo: dict) -> bool:
     if hit is None:
         cells = _cells(g, f, min(f.fv, key=lambda w: (w.base, w.coord)), memo)
         if len(f.fv) == 1:
-            hit = any(s_eval(g, f, {cells.x: t}) for t, _, _ in cells.pieces())
+            hit = any(s_eval(g, f, {cells.x: t}) for t in cells.points())
         else:
-            hit = any(_walk(g, cells.fibre(t), memo)
-                      for t, _, _ in cells.pieces())
+            hit = any(_walk(g, cells.fibre(t), memo) for t in cells.points())
         memo[key] = hit
     return hit
 
@@ -655,7 +681,7 @@ def witness(g: GroupSpec, f: fm.Formula,
         raise FormulaError(
             f"witness body must have exactly the free variable '{var}'")
     with budget_scope(budget):
-        psi = eliminate_scalar(g, fm.lower(g, phi))
+        psi = _qf(g, phi)
         picked = []
         for j in range(1, g.n + 1):
             cells = _cells(g, psi, SVar(var, j))

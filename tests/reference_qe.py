@@ -1,5 +1,7 @@
-"""Reference witness extraction: the nested eliminations and candidate
-windows that `oagkit.qe.witness` replaced.
+"""Reference witness extraction and one-variable questions: the nested
+eliminations and candidate windows that `oagkit.qe.witness` replaced,
+and the closed sentences that `satisfiable`, `equivalent` and `entails`
+decided before they walked the cells of one free variable.
 
 `witness` fixes the coordinates most significant first.  For each one it
 eliminates the deeper coordinates of the formula with the earlier ones
@@ -7,14 +9,21 @@ pinned, and scans a finite window of candidates derived from the roots
 and moduli of that one-variable form: on Z every integer within the
 period of 0 and of each root, on Q the roots, the midpoints between
 them, one past each extreme root and 0.  Tests compare the library
-against it.  Nothing here is fast; it is the old code kept as a
-specification.
+against it.  The three questions close their formula and decide it
+with `qe.decide`, which runs Cooper's method and the dense projection,
+for any number of free variables; tests that check the walking layers
+(`segments`, `codes`, `typegen`) use them as their independent oracle.
+Nothing here is fast; it is the old code kept as a specification.
+`count_decides` counts the sentences the library decides.
 """
 
 import math
 from fractions import Fraction
 
 from oagkit import formulas as fm
+from oagkit import qe
+from oagkit import segments as sg
+from oagkit import typegen as tg
 from oagkit.errors import FormulaError
 from oagkit.groups import element
 from oagkit.qe import eliminate_scalar, s_subst_all
@@ -97,3 +106,39 @@ def witness(g, f, budget=None):
             raise AssertionError("the picked coordinates must satisfy the "
                                  "formula")
         return element(g, [picked[v] for v in svars])
+
+
+def _close(f, ctor):
+    for v in sorted(fm.free_vars(f), reverse=True):
+        f = ctor(v, f)
+    return f
+
+
+def satisfiable(g, f, budget=None):
+    """Whether the existential closure of f is true."""
+    return qe.decide(g, _close(f, fm.Exists), budget)
+
+
+def equivalent(g, a, b, budget=None):
+    """Whether the universal closure of a <-> b is true."""
+    return qe.decide(g, _close(fm.Iff(a, b), fm.Forall), budget)
+
+
+def entails(g, a, b, budget=None):
+    """Whether the universal closure of a -> b is true."""
+    return qe.decide(g, _close(fm.Implies(a, b), fm.Forall), budget)
+
+
+def count_decides(monkeypatch):
+    """The list every `qe.decide` call is appended to, through any
+    module that binds it."""
+    calls = []
+    real = qe.decide
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (qe, sg, tg):
+        monkeypatch.setattr(mod, "decide", counting, raising=False)
+    return calls

@@ -20,11 +20,11 @@ from oagkit.codes import (CUT_AT_SEGMENT, CUT_MINUS_INF, CUT_REALIZED,
                           beta_of_residues, code_segment,
                           descriptor_fragment, enumerate_finite_quotient)
 from oagkit.groups import project, project_fin
-from oagkit.qe import satisfiable
 from oagkit.scalars import operation
 from oagkit.segments import (CongrLiteral, hull_segment, least_prefix, pad,
                              the_var)
 from oagkit.typegen import StageState
+from reference_qe import satisfiable
 
 
 

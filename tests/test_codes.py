@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference_qe import equivalent, satisfiable
 from oagkit import formulas as fm
 from oagkit.errors import CodeError
 from oagkit.groups import (FiniteQuotientElement, QuotientElement,
@@ -19,7 +20,6 @@ from oagkit.codes import (Code, FinQuotVal, MainVal, Marker, QuotVal,
                           descriptor_fragment, descriptor_issue,
                           enumerate_finite_quotient, reconstruct)
 from oagkit.oracle import FuzzLimits, fuzz_corpus
-from oagkit.qe import equivalent, satisfiable
 from oagkit.segments import (DivSegment, END, GE, GT, INITIAL,
                              dual_div_segment, full_end_segment,
                              empty_end_segment, full_initial_segment,

@@ -3,6 +3,7 @@
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -650,6 +651,18 @@ class TestDeepChains:
         assert names == [f"x_{k}" for k in range(2, self.DEPTH + 2)]
         assert node == fm.Cmp(fm.LT, fm.t_const((0,)),
                               fm.t_var(Z1, f"x_{self.DEPTH + 1}"))
+
+    def test_distinct_binder_chain_scans_in_linear_time(self):
+        # ∃x1 … ∃xn (x1 < x): each binder adds one name to the scope
+        n = 2 * self.DEPTH
+        f = fm.Cmp(fm.LT, fm.t_var(Z1, "x1"), self.X)
+        for i in range(n, 0, -1):
+            f = fm.Exists(f"x{i}", f)
+        start = time.process_time()
+        assert fm.free_vars(f) == {"x"}
+        assert fm.all_names(f) == {"x"} | {f"x{i}" for i in range(1, n + 1)}
+        assert fm.is_quantifier_free(f) is False
+        assert time.process_time() - start < 1
 
     def test_three_thousand_negations_decide(self):
         f = fm.Cmp(fm.LT, self.X, fm.t_const((0,)))  # x < 0

@@ -1,20 +1,28 @@
 """Elimination engine tests: spec examples, mixed-sort cases, a scaled
 differential against the oracle, and witness extraction."""
 
+import json
 import math
+import os
+import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oagkit
 import reference_qe
+from reference_qe import count_decides
 from oagkit import formulas as fm
 from oagkit import oracle as orc
 from oagkit import qe
 from oagkit import scalars as sc
 from oagkit.errors import BudgetExceeded, FormulaError
-from oagkit.groups import box_elements, compare, parse_group
+from oagkit.groups import box_elements, compare, parse_group, unit
 
 Z1 = parse_group("Z")
 Z2 = parse_group("Z*Z")
@@ -139,6 +147,89 @@ class TestEquivalent:
         assert qe.entails(Z1, wide, narrow) is False
         assert qe.satisfiable(Z1, fm.parse(Z1, "(and (< x (c 0)) "
                                                 "(< (c 0) x))")) is False
+
+
+def _bumped(g, f):
+    """f with the right side of every congruence moved by one on each
+    coordinate."""
+    cls = f.__class__
+    one = fm.t_const((1,) * g.n)
+    if cls is fm.Congr:
+        return fm.Congr(f.modulus, f.left, fm.t_add(g, f.right, one))
+    if cls is fm.RelCongr:
+        return fm.RelCongr(f.level, f.modulus, f.left,
+                           fm.t_add(g, f.right, one))
+    if cls is fm.And or cls is fm.Or:
+        return cls(tuple(_bumped(g, it) for it in f.items))
+    if cls is fm.Not:
+        return fm.Not(_bumped(g, f.body))
+    if cls is fm.Exists or cls is fm.Forall:
+        return cls(f.var, _bumped(g, f.body))
+    if cls is fm.Implies or cls is fm.Iff:
+        return cls(_bumped(g, f.left), _bumped(g, f.right))
+    return f
+
+
+def _one_variable_pairs(g, seed, count):
+    """Each one-variable formula of every template, with: an equivalent
+    rewrite, itself shifted by a unit, with an extra conjunct, its
+    negation, and its congruences bumped."""
+    rng = random.Random(seed)
+    for template in ("qf", "end-segment", "bounded"):
+        for f in orc.fuzz_corpus(g, seed, count, template=template):
+            free = fm.free_vars(f)
+            if len(free) != 1:
+                continue
+            v, = free
+            x = fm.t_var(g, v)
+            atom = fm.Cmp(fm.LT, fm.t_const(tuple(rng.randint(-3, 3)
+                                                  for _ in range(g.n))), x)
+            shift = fm.t_add(g, x, fm.t_const(unit(g, rng.randint(1, g.n))))
+            for other in (fm.Or((f, fm.And((f, atom)))),
+                          fm.substitute(g, f, v, shift),
+                          fm.And((f, atom)), fm.Not(f), _bumped(g, f)):
+                yield f, other
+
+
+class TestOneVariableWalk:
+    """`satisfiable`, `equivalent` and `entails` walk the cells of one
+    free variable; `reference_qe` decides the closed sentence."""
+
+    @pytest.mark.parametrize("spec", ["Z", "Q", "Z*Z", "Z*Q", "Q*Z",
+                                      "Z*Q*Z"])
+    def test_walk_agrees_with_the_sentences(self, spec):
+        g = parse_group(spec)
+        outcomes = {}
+        for f, other in _one_variable_pairs(g, 7, 6):
+            for name, args in (("equivalent", (f, other)),
+                               ("entails", (f, other)),
+                               ("satisfiable", (fm.And((f, other)),))):
+                got = getattr(qe, name)(g, *args)
+                assert got == getattr(reference_qe, name)(g, *args), \
+                    (name, *map(fm.print_formula, args))
+                outcomes[name, got] = outcomes.get((name, got), 0) + 1
+        assert len(outcomes) == 6, outcomes
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_one_variable_decides_nothing(self, monkeypatch):
+        f = fm.parse(ZQ, "(exists (y) (and (< y x) (congr 3 y (c 1 0))))")
+        h = fm.parse(ZQ, "(< (c 2 0) x)")
+        decided = count_decides(monkeypatch)
+        assert qe.satisfiable(ZQ, f) is True
+        assert qe.equivalent(ZQ, f, h) is False
+        assert qe.entails(ZQ, h, f) is True
+        assert decided == []
+
+    def test_sentences_and_two_variables_decide(self, monkeypatch):
+        two = fm.parse(ZQ, "(< x y)")
+        closed = fm.parse(ZQ, "(exists (x) (< x (c 0 0)))")
+        decided = count_decides(monkeypatch)
+        assert qe.satisfiable(ZQ, two) is True
+        assert qe.equivalent(ZQ, two, fm.parse(ZQ, "(< y x)")) is False
+        assert qe.entails(ZQ, two, fm.parse(ZQ, "(<= x y)")) is True
+        assert qe.satisfiable(ZQ, closed) is True
+        assert qe.equivalent(ZQ, closed, fm.BoolConst(True)) is True
+        assert len(decided) == 5
 
 
 class TestWitness:
@@ -338,6 +429,36 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             qe.decide(Z1, f, budget=10**4)
         assert time.process_time() - start < 5
+
+    HUGE = ("(congr 1000000007 x (c 3))", "(congr 1000000007 x (c 4))",
+            "(congr 1000000007 (* 2 x) (c 6))")
+
+    def test_huge_modulus_walk_meets_the_budget(self):
+        # the walk takes a gap's 10^9+7 classes one at a time, charging
+        # the budget for each: the first pair differs at its fourth
+        # class, the second never does
+        a, b, c = (fm.parse(Z1, t) for t in self.HUGE)
+        for other, want in ((b, False), (c, None)):
+            start = time.process_time()
+            try:
+                got = qe.equivalent(Z1, a, other, budget=10**4)
+            except BudgetExceeded:
+                got = None
+            assert got == want
+            assert time.process_time() - start < 5
+
+    def test_huge_modulus_equiv_command(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(oagkit.__file__).parent.parent))
+        for other in self.HUGE[1:]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "oagkit", "equiv", "--group", "Z",
+                 "--budget", "10000", self.HUGE[0], other, "--format",
+                 "json"], capture_output=True, text=True, env=env,
+                timeout=60)
+            assert proc.returncode in (0, 1), proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert json.loads(proc.stdout)["version"] == "oag-v1"
 
 
 class TestScalarPrinter:

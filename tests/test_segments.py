@@ -12,6 +12,7 @@ import pytest
 import oagkit.formulas as fm
 import reference_qe
 import reference_segments as ref
+from reference_qe import entails, equivalent, satisfiable
 from oagkit import qe
 from oagkit import segments as sg
 from oagkit.codes import (beta_of_residues, code_set,
@@ -20,7 +21,7 @@ from oagkit.errors import SegmentError
 from oagkit.groups import ConvexSubgroup, crt, element, parse_group
 from oagkit.oracle import (Box, FuzzLimits, _rand_endseg_candidate, evaluate,
                            fuzz_corpus, grid_axes, grid_eval)
-from oagkit.qe import decide, eliminate, entails, equivalent, satisfiable
+from oagkit.qe import decide, eliminate
 from oagkit.scalars import (SCongr, SVar, atoms, lin, mk_and, mk_congr,
                             mk_eq, mk_lt, mk_not, mk_or, operation_memo,
                             operation_scope, s_eval)

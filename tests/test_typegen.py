@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import reference_typegen as ref
+from reference_qe import count_decides, entails, satisfiable
 from oagkit import formulas as fm
 from oagkit import qe
 from oagkit import segments as sg
@@ -18,7 +19,6 @@ from oagkit.codes import (Code, MainVal, Marker, QuotVal,
                           TypeDescriptor, code_segment, code_type,
                           descriptor_fragment, descriptor_issue)
 from oagkit.oracle import FuzzLimits, fuzz_corpus
-from oagkit.qe import entails, equivalent, satisfiable
 from oagkit.scalars import operation_memo, operation_scope
 from oagkit.segments import DivSegment, END, GE
 from oagkit.typegen import StageState, check_descriptor, generic_type, \
@@ -51,21 +51,6 @@ def crit07_corpus(spec, seed, count):
 def far_roots(radius):
     return (f"(or (and (< x (c -{radius})) (congr 2 x (c 0))) "
             f"(and (<= (c {radius}) x) (congr 3 x (c 0))))")
-
-
-def count_decides(monkeypatch):
-    """The list every `qe.decide` call is appended to, through any
-    module that binds it."""
-    calls = []
-    real = qe.decide
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for mod in (qe, sg, tg):
-        monkeypatch.setattr(mod, "decide", counting, raising=False)
-    return calls
 
 
 def unary_corpus(g, seed, count):
