@@ -163,8 +163,11 @@ def _cmd_equiv(g, cfg, args):
 
 
 def _cmd_nice(g, cfg, args):
+    from .scalars import budget_scope
     from .segments import nice_decompose
-    pieces = nice_decompose(g, _read_formula(g, args), args.var)
+    f = _read_formula(g, args)
+    with budget_scope(cfg.budget):
+        pieces = nice_decompose(g, f, args.var)
     return {"count": len(pieces),
             "pieces": [{"upper": _segment_obj(p.upper),
                         "lower": _segment_obj(p.lower),
@@ -174,23 +177,29 @@ def _cmd_nice(g, cfg, args):
 
 def _cmd_endseg(g, cfg, args):
     from .codes import code_segment, code_to_obj
+    from .scalars import budget_scope
     from .segments import the_var, to_div_segment
     f = _read_formula(g, args)
     v = the_var(g, f, args.var)
-    try:
-        seg = to_div_segment(g, f, v)
-    except SegmentError:
-        return {"is_end_segment": False}
+    with budget_scope(cfg.budget):
+        try:
+            seg = to_div_segment(g, f, v)
+        except SegmentError:
+            return {"is_end_segment": False}
+        code = code_segment(g, seg)
     return {"is_end_segment": True,
             "stabilizer_level": seg.level,
             "segment": _segment_obj(seg),
-            "code": code_to_obj(code_segment(g, seg))}
+            "code": code_to_obj(code)}
 
 
 def _cmd_code(g, cfg, args):
     from .codes import code_set, code_to_obj
-    return {"code": code_to_obj(code_set(g, _read_formula(g, args),
-                                         args.var))}
+    from .scalars import budget_scope
+    f = _read_formula(g, args)
+    with budget_scope(cfg.budget):
+        code = code_set(g, f, args.var)
+    return {"code": code_to_obj(code)}
 
 
 def _cmd_reconstruct(g, cfg, args):
@@ -210,12 +219,15 @@ def _cmd_reconstruct(g, cfg, args):
 
 def _cmd_typegen(g, cfg, args):
     from .codes import code_to_obj, code_type
+    from .scalars import budget_scope
     from .typegen import check_descriptor, generic_type
     f = _read_formula(g, args)
-    p = generic_type(g, f, cfg.modbound, args.var)
+    with budget_scope(cfg.budget):
+        p = generic_type(g, f, cfg.modbound, args.var)
+        checked = check_descriptor(g, p, f, args.var)
     return {"descriptor": _descriptor_obj(p),
             "code": code_to_obj(code_type(g, p)),
-            "checked": check_descriptor(g, p, f, args.var)}
+            "checked": checked}
 
 
 def _cmd_rank(g, cfg, args):

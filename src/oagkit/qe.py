@@ -12,10 +12,15 @@ Two kinds of question are answered here.  Sentences are projected:
 `decide` and `eliminate` run the eliminations above.  A formula whose
 only free variable is one group variable x is eliminated once; every
 atom of its quantifier-free form then mentions one coordinate of x, and
-questions about it walk that form's cells (`_Cells`, `_holds_somewhere`,
-`same_points`): satisfiable, equivalent, entails (which close any other
-formula into a sentence and decide it) and witness here, and the
-unary-set layers, `segments` and `typegen`.
+questions about it walk that form's cells (`_Cells`): satisfiable,
+equivalent, entails (which close any other formula into a sentence and
+decide it) and witness here, and the unary-set layers, `segments` and
+`typegen`.  One walk, `_walk`, asks whether two forms differ somewhere:
+it walks the cells of both together and compares their fibres pair by
+pair, so `_holds_somewhere` compares a form with FALSE and
+`same_points` two forms.  A fibre is the form with its variable pinned
+to a value (`_pin`): each atom in that variable becomes a truth value
+by integer arithmetic, and no expression is substituted.
 
 While a high-level operation runs (those four, `code_set`,
 `reconstruct`, `nice_decompose`, `end_hull`, `to_div_segment`,
@@ -27,8 +32,9 @@ changes no answer.  The memo is thread-local, has no option or size
 limit, and is dropped when the outermost operation returns or raises.
 Outside an operation nothing is memoized.  (`formulas.lower` keeps the
 scalar form of each atom in the same memo, under a key tagged "lower",
-`_cells` one cell model per form and coordinate, under "cells", and
-`_holds_somewhere` the answer for each fibre it walks, under "holds".)
+`_cells` one cell model per form and coordinate, with its fibres, under
+"cells", and `_walk` the answer for each pair of forms it compares,
+under "walk".)
 
 Negation normal form, the atom map, miniscoping, the window ranges and
 elimination itself run on `scalars.walk`, with one memo per call keyed
@@ -58,7 +64,7 @@ from .scalars import (
     FALSE, TRUE, Join, SAnd, SBool, SCongr, SEq, SExists, SForall, SFormula,
     SLt, SNot, SOr, SVar, atoms, budget_scope, kind_of, lin_add, lin_const,
     lin_neg, lin_var, mk_and, mk_congr, mk_eq, mk_le, mk_lt, mk_not, mk_or,
-    operation, operation_memo, roots_and_modulus, s_eval, s_is_qf, s_subst,
+    operation, operation_memo, roots_and_modulus, s_is_qf, s_subst,
     walk,
 )
 
@@ -541,6 +547,41 @@ def _pieces(discrete: bool, roots: list, w: int):
             yield t, lo, hi
 
 
+def _pin(psi, x: SVar, t):
+    """The quantifier-free form psi with x = t, an integer or, on a dense
+    coordinate, a Fraction: the node `s_subst` builds, for the same
+    charge.  Each atom in x alone becomes TRUE or FALSE by integer
+    arithmetic on a*t + c and is charged as `mk_lt`, `mk_eq` and
+    `mk_congr` charge; the rest is rebuilt with `mk_and`, `mk_or` and
+    `mk_not`, which stop at the same FALSE conjunct or TRUE disjunct.
+    An atom that mentions x and another variable raises AssertionError."""
+    num, den = t.numerator, t.denominator
+
+    def step(node):
+        if x not in node.fv:
+            return node
+        cls = node.__class__
+        if cls is SAnd:
+            return Join(mk_and, node.items, FALSE)
+        if cls is SOr:
+            return Join(mk_or, node.items, TRUE)
+        if cls is SNot:
+            return Join(lambda rs: mk_not(rs[0]), (node.body,))
+        coeffs = node.expr.coeffs
+        if len(coeffs) > 1:
+            raise AssertionError(
+                f"atom {node!r} mentions more than one variable")
+        sc._charge()
+        value = coeffs[0][1] * num + node.expr.const * den
+        if cls is SLt:
+            return TRUE if value < 0 else FALSE
+        if cls is SEq:
+            return TRUE if value == 0 else FALSE
+        return TRUE if value % node.modulus == 0 else FALSE
+
+    return walk(psi, step)
+
+
 class _Cells:
     """The cell model of coordinate x in a quantifier-free scalar form
     psi whose atoms each mention one variable.
@@ -550,13 +591,15 @@ class _Cells:
     Z within those each class modulo L (`modulus`), the lcm of the
     moduli.  So the fibre of psi over x = t, psi with x = t, a condition
     on the other variables, depends only on t's cell and residue.
-    `pieces` gives a point of each cell (`_pieces`), and `fibre`
-    substitutes psi once per cell and residue."""
+    `pieces` gives a point of each cell (`_pieces`), and `fibre` pins
+    psi (`_pin`) once per cell and residue, for any t: a point of a
+    finer cell model, such as the joint one of two forms, finds the
+    fibre of its cell here."""
 
-    __slots__ = ("g", "psi", "x", "discrete", "roots", "modulus", "fibres")
+    __slots__ = ("psi", "x", "discrete", "roots", "modulus", "fibres")
 
     def __init__(self, g: GroupSpec, psi, x: SVar):
-        self.g, self.psi, self.x = g, psi, x
+        self.psi, self.x = psi, x
         self.discrete = g.kinds[x.coord - 1] == "Z"
         self.roots, self.modulus = roots_and_modulus(psi, x)
         self.fibres: dict = {}
@@ -566,12 +609,6 @@ class _Cells:
         return list(_pieces(self.discrete, self.roots,
                             math.lcm(self.modulus, m)))
 
-    def points(self):
-        """Each cell's representative, lazily, charging the node budget."""
-        for t, _, _ in _pieces(self.discrete, self.roots, self.modulus):
-            sc._charge()
-            yield t
-
     def fibre(self, t):
         # the cell (gap i below roots[i], or roots[i] itself), residue
         i = bisect_left(self.roots, t)
@@ -579,7 +616,7 @@ class _Cells:
                t % self.modulus if self.discrete else 0)
         hit = self.fibres.get(key)
         if hit is None:
-            hit = self.fibres[key] = s_subst_all(self.g, self.psi, {self.x: t})
+            hit = self.fibres[key] = _pin(self.psi, self.x, t)
         return hit
 
 
@@ -599,44 +636,52 @@ def _cells(g: GroupSpec, psi, x: SVar, memo: Optional[dict] = None) -> _Cells:
 
 def _holds_somewhere(g: GroupSpec, f) -> bool:
     """Whether a quantifier-free scalar formula, each of whose atoms
-    mentions one variable, holds at some point.
-
-    No elimination is needed.  The truth of such a form at a point
-    depends only on each variable's cell (`_Cells`), so the form holds
-    somewhere exactly when one of its fibres over its first variable set
-    to the representative of each cell does.  The walk recurses on
-    those fibres and evaluates a form in one variable at each
-    representative.  It is memoized on the interned fibre in the open
-    operation's memo under a key tagged "holds" (for the call alone
-    outside an operation).  An atom that mentions two variables raises
-    AssertionError."""
-    memo = operation_memo()
-    return _walk(g, f, {} if memo is None else memo)
-
-
-def _walk(g: GroupSpec, f, memo: dict) -> bool:
-    if isinstance(f, SBool):
-        return f.value
-    key = ("holds", g, f)
-    hit = memo.get(key)
-    if hit is None:
-        cells = _cells(g, f, min(f.fv, key=lambda w: (w.base, w.coord)), memo)
-        if len(f.fv) == 1:
-            hit = any(s_eval(g, f, {cells.x: t}) for t in cells.points())
-        else:
-            hit = any(_walk(g, cells.fibre(t), memo) for t in cells.points())
-        memo[key] = hit
-    return hit
+    mentions one variable, holds at some point: it differs from FALSE
+    somewhere (`_walk`)."""
+    return not same_points(g, f, FALSE)
 
 
 def same_points(g: GroupSpec, a, b) -> bool:
     """Whether two quantifier-free scalar formulas, each of whose atoms
-    mentions one variable, hold at the same points: their exclusive or
-    holds nowhere (`_holds_somewhere`, exact for such forms)."""
+    mentions one variable, hold at the same points: they differ nowhere
+    (`_walk`, in the open operation's memo, or in one for the call).  An
+    atom that mentions two variables raises AssertionError."""
+    memo = operation_memo()
+    return not _walk(g, a, b, {} if memo is None else memo)
+
+
+def _walk(g: GroupSpec, a, b, memo: dict) -> bool:
+    """Whether the forms a and b differ at some point.
+
+    No elimination is needed: their truth at a point depends only on
+    each variable's cell (`_Cells`), so they differ somewhere exactly
+    when their fibres over the representative of some cell of their
+    joint model of their first variable x (the roots of both, and on Z
+    the lcm of both moduli) differ somewhere.  Each fibre comes from its
+    form's own cell model in memo, so it is pinned once however many
+    forms it is compared with.  The same interned node differs nowhere,
+    and two distinct truth values differ.  The budget is charged once
+    per representative, and the answer is memoized on the pair in memo
+    under a key tagged "walk"."""
     if a is b:
+        return False
+    if a.__class__ is SBool and b.__class__ is SBool:
         return True
-    return not _holds_somewhere(
-        g, mk_or([mk_and([a, mk_not(b)]), mk_and([mk_not(a), b])]))
+    key = ("walk", g, a, b)
+    hit = memo.get(key)
+    if hit is None:
+        x = min(a.fv | b.fv, key=lambda w: (w.base, w.coord))
+        ca, cb = _cells(g, a, x, memo), _cells(g, b, x, memo)
+        hit = False
+        for t, _, _ in _pieces(ca.discrete,
+                               sorted(set(ca.roots).union(cb.roots)),
+                               math.lcm(ca.modulus, cb.modulus)):
+            sc._charge()
+            if _walk(g, ca.fibre(t), cb.fibre(t), memo):
+                hit = True
+                break
+        memo[key] = hit
+    return hit
 
 
 # --- witness extraction -----------------------------------------------------
@@ -694,10 +739,3 @@ def witness(g: GroupSpec, f: fm.Formula,
             psi = cells.fibre(picked[-1])
     return element(g, picked) if psi is sc.TRUE else None
 
-
-def s_subst_all(g: GroupSpec, f: SFormula, env: dict) -> SFormula:
-    """Substitute integer or rational values for variables."""
-    out = f
-    for v, q in env.items():
-        out = s_subst(g, out, v, lin_const(q.numerator), q.denominator)
-    return out

@@ -331,7 +331,10 @@ _local = threading.local()
 
 
 class budget_scope:
-    """Context manager charging scalar-node construction against a limit."""
+    """Context manager charging scalar-node construction against a limit.
+    A scope without a limit opened inside another scope joins it, as a
+    nested `operation_scope` does, so an inner call passing no budget
+    keeps the caller's limit; entering it yields the open scope."""
 
     def __init__(self, limit: Optional[int]) -> None:
         self.limit = limit
@@ -339,6 +342,8 @@ class budget_scope:
 
     def __enter__(self):
         self.prev = getattr(_local, "budget", None)
+        if self.limit is None and self.prev is not None:
+            return self.prev
         _local.budget = self
         return self
 

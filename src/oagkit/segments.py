@@ -13,7 +13,8 @@ it is answered one coordinate at a time on the coordinate's cells: the
 roots of its atoms there, the gaps between them, and on Z the residues
 modulo the lcm of its moduli.  That cell model (`qe._Cells`,
 `qe._holds_somewhere`, `qe.same_points`) lives in `qe`, which walks it
-for `witness` too.  Nothing else is eliminated.
+for `witness` too; a coordinate is fixed by pinning it (`qe._pin`), not
+by substitution.  Nothing else is eliminated.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .groups import (
     scale,
     unit,
 )
-from .qe import (_Cells, _cells, _holds_somewhere, _pieces, decide,
-                 eliminate_scalar, same_points, s_subst_all)
+from .qe import (_Cells, _cells, _holds_somewhere, _pieces, _pin, decide,
+                 eliminate_scalar, same_points)
 from .scalars import FALSE, SVar, TRUE, mk_or, operation
 
 END = "end"
@@ -405,7 +406,9 @@ def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,
                 cells, i, cells.pieces(m if i <= k else 1))
         return hit
 
-    cells = _cells(g, s_subst_all(g, qf, dict(zip(xs, pinned))), xs[q - 1])
+    for x, t in zip(xs, pinned):
+        qf = _pin(qf, x, t)
+    cells = _cells(g, qf, xs[q - 1])
     if attained:
         pieces = [p for p in cells.pieces(m) if p[1] is None]
     else:

@@ -1,7 +1,8 @@
 """Reference witness extraction and one-variable questions: the nested
 eliminations and candidate windows that `oagkit.qe.witness` replaced,
-and the closed sentences that `satisfiable`, `equivalent` and `entails`
-decided before they walked the cells of one free variable.
+the closed sentences that `satisfiable`, `equivalent` and `entails`
+decided before they walked the cells of one free variable, and the
+one-form cell walk and exclusive or that `qe._walk` replaced.
 
 `witness` fixes the coordinates most significant first.  For each one it
 eliminates the deeper coordinates of the formula with the earlier ones
@@ -13,8 +14,13 @@ against it.  The three questions close their formula and decide it
 with `qe.decide`, which runs Cooper's method and the dense projection,
 for any number of free variables; tests that check the walking layers
 (`segments`, `codes`, `typegen`) use them as their independent oracle.
-Nothing here is fast; it is the old code kept as a specification.
-`count_decides` counts the sentences the library decides.
+`holds_somewhere` walks the cells of one form, substituting each
+representative (`s_subst_all`) and evaluating a form in one variable
+pointwise, and `same_points` asks it whether the exclusive or of two
+forms holds somewhere; tests compare `qe._pin`, `_holds_somewhere` and
+`same_points` against them.  Nothing here is fast; it is the old code
+kept as a specification.  `count_decides` counts the sentences the
+library decides.
 """
 
 import math
@@ -26,9 +32,46 @@ from oagkit import segments as sg
 from oagkit import typegen as tg
 from oagkit.errors import FormulaError
 from oagkit.groups import element
-from oagkit.qe import eliminate_scalar, s_subst_all
-from oagkit.scalars import (SBool, SVar, budget_scope, kind_of, mk_exists,
-                            roots_and_modulus, s_eval)
+from oagkit.qe import _pieces, eliminate_scalar
+from oagkit.scalars import (SBool, SVar, budget_scope, kind_of, lin_const,
+                            mk_and, mk_exists, mk_not, mk_or,
+                            roots_and_modulus, s_eval, s_subst)
+
+
+def s_subst_all(g, f, env):
+    """Substitute integer or rational values for variables, one at a
+    time in the order of env."""
+    out = f
+    for v, q in env.items():
+        out = s_subst(g, out, v, lin_const(q.numerator), q.denominator)
+    return out
+
+
+def holds_somewhere(g, f) -> bool:
+    """Whether a quantifier-free form, each of whose atoms mentions one
+    variable, holds at some point: at the representative of some cell of
+    its first variable, its substituted fibre holds somewhere, and a
+    form in one variable is evaluated there."""
+    if isinstance(f, SBool):
+        return f.value
+    x = min(f.fv, key=lambda w: (w.base, w.coord))
+    roots, modulus = roots_and_modulus(f, x)
+    for t, _, _ in _pieces(g.kinds[x.coord - 1] == "Z", roots, modulus):
+        if len(f.fv) == 1:
+            if s_eval(g, f, {x: t}):
+                return True
+        elif holds_somewhere(g, s_subst_all(g, f, {x: t})):
+            return True
+    return False
+
+
+def same_points(g, a, b) -> bool:
+    """Whether two such forms hold at the same points: their exclusive
+    or holds nowhere."""
+    if a is b:
+        return True
+    return not holds_somewhere(
+        g, mk_or([mk_and([a, mk_not(b)]), mk_and([mk_not(a), b])]))
 
 
 def _candidates_z(f, v) -> list:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from oagkit import formulas as fm
-from oagkit.qe import eliminate_scalar, s_subst_all
+from oagkit.qe import eliminate_scalar
 from oagkit.scalars import (TRUE, SVar, mk_and, mk_exists, mk_not, mk_or,
                             operation, roots_and_modulus)
 from oagkit.segments import (END, GE, GT, INITIAL, CongrLiteral,
@@ -23,7 +23,7 @@ from oagkit.segments import (END, GE, GT, INITIAL, CongrLiteral,
                              canonical_restriction,
                              full_end_segment, full_initial_segment, pad,
                              the_var)
-from reference_qe import equivalent, satisfiable
+from reference_qe import equivalent, s_subst_all, satisfiable
 
 
 def holds_somewhere(g, f) -> bool:

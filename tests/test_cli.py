@@ -219,6 +219,21 @@ class TestErrors:
         assert rc == 0
         assert (obj["checked"], obj["failures"]) == (10, 0)
 
+    SET = "(or (< x (c 0 0)) (congr 3 x (c 1 0)))"
+
+    @pytest.mark.parametrize("command", ["nice", "code", "endseg", "typegen"])
+    def test_budget_reaches_the_set_commands(self, command):
+        rc, obj = run_json([command, "--group", "Z*Z", "--budget", "5",
+                            self.SET])
+        assert rc == 1
+        assert obj["error"]["type"] == "BudgetExceeded"
+        # a budget that suffices changes nothing but the echoed config
+        _, free = run_json([command, "--group", "Z*Z", self.SET])
+        _, roomy = run_json([command, "--group", "Z*Z", "--budget",
+                             "1000000", self.SET])
+        assert "error" not in free
+        assert {**roomy, "config": free["config"]} == free
+
     def test_reps_too_many_is_typed(self):
         rc, obj = run_json(["reps", "--group", "Z*Z", "1", "1000000000"])
         assert rc == 1

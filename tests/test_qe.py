@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -232,6 +233,86 @@ class TestOneVariableWalk:
         assert len(decided) == 5
 
 
+KINDS = ["Z", "Q", "Z*Z", "Z*Q", "Q*Z", "Z*Q*Z"]
+
+
+class TestPin:
+    """`qe._pin` builds the node substitution builds, for the same
+    charge: `reference_qe.s_subst_all` substitutes the value."""
+
+    @pytest.mark.parametrize("spec", KINDS)
+    def test_pin_is_the_substitution(self, spec):
+        g = parse_group(spec)
+        pinned = charged = 0
+        for template in ("qf", "end-segment", "bounded"):
+            for f in orc.fuzz_corpus(g, 5, 12, template=template):
+                free = fm.free_vars(f)
+                if len(free) != 1:
+                    continue
+                v, = free
+                psi = qe._qf(g, f)
+                for j in range(1, g.n + 1):
+                    x = sc.SVar(v, j)
+                    roots, modulus = sc.roots_and_modulus(psi, x)
+                    for t, _, _ in qe._pieces(g.kinds[j - 1] == "Z", roots,
+                                              modulus):
+                        with sc.budget_scope(None) as want:
+                            ref = reference_qe.s_subst_all(g, psi, {x: t})
+                        with sc.budget_scope(None) as got:
+                            out = qe._pin(psi, x, t)
+                        assert out is ref, (fm.print_formula(f), x, t)
+                        assert got.used == want.used, (fm.print_formula(f),
+                                                       x, t)
+                        pinned += out is not psi
+                        charged += got.used
+        assert pinned >= 90 and charged > pinned
+
+    def test_two_variable_atom_raises(self):
+        x1, x2, y1 = sc.SVar("x", 1), sc.SVar("x", 2), sc.SVar("y", 1)
+        f = sc.mk_or([sc.mk_lt(Z2, sc.lin({x2: 1}, 0)),
+                      sc.mk_lt(Z2, sc.lin({x1: 1, y1: -1}, 0))])
+        with pytest.raises(AssertionError, match="more than one"):
+            qe._pin(f, x1, 0)
+
+
+class TestPairWalk:
+    """`same_points` and `_holds_somewhere` walk two forms' fibres
+    together; `reference_qe` walks their exclusive or, substituting."""
+
+    @staticmethod
+    def sides(g, f, other):
+        # both forms, a fibre of each without the first coordinate, and
+        # the truth values
+        a, b = qe._qf(g, f), qe._qf(g, other)
+        out = [a, b, sc.TRUE, sc.FALSE]
+        for psi in (a, b):
+            if psi.fv:
+                x = min(psi.fv, key=lambda w: (w.base, w.coord))
+                out.append(reference_qe.s_subst_all(g, psi, {x: 1}))
+        return out
+
+    @pytest.mark.parametrize("spec", KINDS)
+    def test_walk_agrees_with_the_exclusive_or(self, spec):
+        g = parse_group(spec)
+        verdicts = {}
+        for scoped in (False, True):
+            with sc.operation_scope() if scoped else nullcontext():
+                for f, other in _one_variable_pairs(g, 7, 4):
+                    sides = self.sides(g, f, other)
+                    for a in sides:
+                        got = qe._holds_somewhere(g, a)
+                        assert got == reference_qe.holds_somewhere(g, a), a
+                        verdicts["holds", got] = True
+                    for a in sides:
+                        for b in sides[:2]:
+                            got = qe.same_points(g, a, b)
+                            assert got == reference_qe.same_points(g, a, b), \
+                                (a, b)
+                            assert got == qe.same_points(g, b, a)
+                            verdicts["same", got] = True
+        assert len(verdicts) == 4
+
+
 class TestWitness:
     def test_congruence_above_threshold(self):
         f = fm.parse(Z1, "(exists (x) (and (< (c 5) x) (congr 3 x (c 1))))")
@@ -410,6 +491,10 @@ class TestBudget:
             qe.eliminate(Z3, f, budget=60)
         out = qe.eliminate(Z3, f, budget=None)
         assert sc.s_is_qf(out.body)
+        # a call passing no budget inside a limited scope keeps its limit
+        with sc.budget_scope(60):
+            with pytest.raises(BudgetExceeded):
+                qe.eliminate(Z3, f)
 
     @pytest.mark.parametrize("seed,count,index", [(12, 50, 43), (41, 10, 9)])
     def test_mixed_blow_ups_end_in_a_typed_error(self, seed, count, index):

@@ -323,6 +323,21 @@ class TestBudget:
         for _ in range(100):
             sc.mk_lt(ZZ, le({X1: 1}, -1))
 
+    def test_unlimited_scope_joins_an_open_one(self):
+        # an inner call passing no budget keeps the caller's limit; at
+        # the top an unlimited scope still counts
+        with sc.budget_scope(10) as outer:
+            with sc.budget_scope(None) as inner:
+                assert inner is outer
+                with pytest.raises(BudgetExceeded):
+                    for _ in range(100):
+                        sc.mk_lt(ZZ, le({X1: 1}, -1))
+        assert outer.used == 11
+        with sc.budget_scope(None) as top:
+            with sc.budget_scope(None) as inner:
+                sc.mk_lt(ZZ, le({X1: 1}, -1))
+        assert inner is top and top.used == 1
+
 
 @given(st.integers(-9, 9), st.integers(-30, 30), st.integers(-40, 40))
 def test_lt_canonicalization_sound_on_z(a, c, x):

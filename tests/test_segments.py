@@ -22,9 +22,9 @@ from oagkit.groups import ConvexSubgroup, crt, element, parse_group
 from oagkit.oracle import (Box, FuzzLimits, _rand_endseg_candidate, evaluate,
                            fuzz_corpus, grid_axes, grid_eval)
 from oagkit.qe import decide, eliminate
-from oagkit.scalars import (SCongr, SVar, atoms, lin, mk_and, mk_congr,
-                            mk_eq, mk_lt, mk_not, mk_or, operation_memo,
-                            operation_scope, s_eval)
+from oagkit.scalars import (FALSE, SCongr, SVar, atoms, budget_scope, lin,
+                            mk_and, mk_congr, mk_eq, mk_lt, mk_not, mk_or,
+                            operation_memo, operation_scope, s_eval)
 
 Z = parse_group("Z")
 ZZ = parse_group("Z*Z")
@@ -1035,8 +1035,8 @@ class TestFibreWalk:
         with operation_scope():
             assert sg._holds_somewhere(ZZ, f)
             memo = operation_memo()
-            assert memo[("holds", ZZ, f)] is True
-            assert all(k[0] in ("holds", "cells") for k in memo)
+            assert memo[("walk", ZZ, f, FALSE)] is True
+            assert all(k[0] in ("walk", "cells") for k in memo)
 
 
 # acceptance criterion 06's corpus: its groups, seeds, counts and limits
@@ -1117,6 +1117,21 @@ class TestNiceDecomposeReference:
         with pytest.raises(AssertionError,
                            match="nice pieces must be nonempty"):
             sg.nice_decompose(Z, phi)
+
+
+# scalars.nodes_built of coding acceptance criterion 06's corpus, per
+# group; node budgets depend on the count, so it may only fall
+CODE_SET_NODES_BUILT = {"Z": 3373, "Z*Z": 8736, "Z*Q": 5303}
+
+
+@pytest.mark.parametrize("spec, seed, count", CRIT06,
+                         ids=[spec for spec, _, _ in CRIT06])
+def test_code_set_nodes_built_may_only_fall(spec, seed, count):
+    g, corpus = crit06_corpus(spec, seed, count)
+    with budget_scope(None) as budget:
+        for f in corpus:
+            code_set(g, f, "x")
+    assert budget.used <= CODE_SET_NODES_BUILT[spec]
 
 
 class TestOneElimination:

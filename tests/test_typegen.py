@@ -198,22 +198,22 @@ class TestLeastValueWalk:
 
     def test_far_roots_cost_nothing_extra(self, monkeypatch):
         # the least values do not move with the roots at -R and R, and
-        # neither does the number of fibre substitutions
+        # neither does the number of fibre pins
         def far_roots(radius):
             return (f"(or (and (< x (c -{radius})) (congr 2 x (c 0))) "
                     f"(and (<= (c {radius}) x) (congr 3 x (c 0))))")
 
-        real = qe.s_subst_all
+        real = qe._pin
         evaluated = []
 
         def counting(*args):
             evaluated.append(args)
             return real(*args)
 
-        # fibres substitute through qe's binding, co_initial_classes'
-        # pin through segments'
+        # fibres pin through qe's binding, co_initial_classes' pin
+        # through segments'
         for mod in (qe, sg):
-            monkeypatch.setattr(mod, "s_subst_all", counting)
+            monkeypatch.setattr(mod, "_pin", counting)
         types, counts = [], []
         for radius in (100, 10**6):
             evaluated.clear()
