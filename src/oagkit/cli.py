@@ -10,6 +10,7 @@ output closed by its reader, 2 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -145,13 +146,13 @@ def _cmd_parse(g, cfg, args):
 def _cmd_qe(g, cfg, args):
     from .qe import eliminate
     from .scalars import print_scalar
-    out = eliminate(g, _read_formula(g, args), cfg.budget)
+    out = eliminate(g, _read_formula(g, args))
     return {"free": list(out.free), "scalar": print_scalar(out.body)}
 
 
 def _cmd_decide(g, cfg, args):
     from .qe import decide
-    return {"result": decide(g, _read_formula(g, args), cfg.budget)}
+    return {"result": decide(g, _read_formula(g, args))}
 
 
 def _cmd_equiv(g, cfg, args):
@@ -159,15 +160,12 @@ def _cmd_equiv(g, cfg, args):
     from .qe import equivalent
     a = parse(g, args.left)
     b = parse(g, args.right)
-    return {"result": equivalent(g, a, b, cfg.budget)}
+    return {"result": equivalent(g, a, b)}
 
 
 def _cmd_nice(g, cfg, args):
-    from .scalars import budget_scope
     from .segments import nice_decompose
-    f = _read_formula(g, args)
-    with budget_scope(cfg.budget):
-        pieces = nice_decompose(g, f, args.var)
+    pieces = nice_decompose(g, _read_formula(g, args), args.var)
     return {"count": len(pieces),
             "pieces": [{"upper": _segment_obj(p.upper),
                         "lower": _segment_obj(p.lower),
@@ -177,29 +175,23 @@ def _cmd_nice(g, cfg, args):
 
 def _cmd_endseg(g, cfg, args):
     from .codes import code_segment, code_to_obj
-    from .scalars import budget_scope
     from .segments import the_var, to_div_segment
     f = _read_formula(g, args)
     v = the_var(g, f, args.var)
-    with budget_scope(cfg.budget):
-        try:
-            seg = to_div_segment(g, f, v)
-        except SegmentError:
-            return {"is_end_segment": False}
-        code = code_segment(g, seg)
+    try:
+        seg = to_div_segment(g, f, v)
+    except SegmentError:
+        return {"is_end_segment": False}
     return {"is_end_segment": True,
             "stabilizer_level": seg.level,
             "segment": _segment_obj(seg),
-            "code": code_to_obj(code)}
+            "code": code_to_obj(code_segment(g, seg))}
 
 
 def _cmd_code(g, cfg, args):
     from .codes import code_set, code_to_obj
-    from .scalars import budget_scope
-    f = _read_formula(g, args)
-    with budget_scope(cfg.budget):
-        code = code_set(g, f, args.var)
-    return {"code": code_to_obj(code)}
+    return {"code": code_to_obj(code_set(g, _read_formula(g, args),
+                                         args.var))}
 
 
 def _cmd_reconstruct(g, cfg, args):
@@ -219,12 +211,10 @@ def _cmd_reconstruct(g, cfg, args):
 
 def _cmd_typegen(g, cfg, args):
     from .codes import code_to_obj, code_type
-    from .scalars import budget_scope
     from .typegen import check_descriptor, generic_type
     f = _read_formula(g, args)
-    with budget_scope(cfg.budget):
-        p = generic_type(g, f, cfg.modbound, args.var)
-        checked = check_descriptor(g, p, f, args.var)
+    p = generic_type(g, f, cfg.modbound, args.var)
+    checked = check_descriptor(g, p, f, args.var)
     return {"descriptor": _descriptor_obj(p),
             "code": code_to_obj(code_type(g, p)),
             "checked": checked}
@@ -375,6 +365,15 @@ _HANDLERS = {
 }
 
 
+def _budget(cfg: Config):
+    """The node budget every command runs under: none without a limit,
+    so a cold command that builds no scalar node loads no scalar layer."""
+    if cfg.budget is None:
+        return contextlib.nullcontext()
+    from .scalars import budget_scope
+    return budget_scope(cfg.budget)
+
+
 def run(argv, out=None) -> int:
     """Execute one command line; returns the exit code."""
     out = out if out is not None else sys.stdout
@@ -389,7 +388,8 @@ def run(argv, out=None) -> int:
             raise OagError(f"modulus bound must be at least 2, "
                            f"got {args.modbound}")
         g = parse_group(cfg.group)
-        fields = _HANDLERS[args.command](g, cfg, args)
+        with _budget(cfg):
+            fields = _HANDLERS[args.command](g, cfg, args)
     except OagError as err:
         _fail(cfg, args.command, err, args.format, out)
         return 1

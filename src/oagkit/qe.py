@@ -54,7 +54,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import formulas as fm
 from . import scalars as sc
@@ -604,10 +604,9 @@ class _Cells:
         self.roots, self.modulus = roots_and_modulus(psi, x)
         self.fibres: dict = {}
 
-    def pieces(self, m: int = 1) -> list:
-        """The cells with, on Z, their classes modulo m as well."""
-        return list(_pieces(self.discrete, self.roots,
-                            math.lcm(self.modulus, m)))
+    def pieces(self, m: int = 1) -> Iterator[tuple]:
+        """The cells with, on Z, their classes modulo m as well, lazily."""
+        return _pieces(self.discrete, self.roots, math.lcm(self.modulus, m))
 
     def fibre(self, t):
         # the cell (gap i below roots[i], or roots[i] itself), residue

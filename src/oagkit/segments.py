@@ -20,7 +20,7 @@ by substitution.  Nothing else is eliminated.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, isqrt, lcm
 from typing import Optional, Union
 
 from . import formulas as fm
@@ -410,10 +410,10 @@ def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,
         qf = _pin(qf, x, t)
     cells = _cells(g, qf, xs[q - 1])
     if attained:
-        pieces = [p for p in cells.pieces(m) if p[1] is None]
+        pieces = (p for p in cells.pieces(m) if p[1] is None)
     else:
-        pieces = [p for p in cells.pieces(m)
-                  if p[1] == prefix[-1] and p[0] != p[1]]
+        pieces = (p for p in cells.pieces(m)
+                  if p[1] == prefix[-1] and p[0] != p[1])
     return {base + r for r in collect(cells, q, pieces)}
 
 
@@ -492,7 +492,8 @@ def to_div_segment_initial(g: GroupSpec, phi: fm.Formula,
 
 def fibre_changes(g: GroupSpec, psi, x: SVar, m: int, r: int) -> list:
     """The s = r (mod m), in increasing order, at which the fibre of psi
-    over x = s differs from the fibre over x = s + m.
+    over x = s differs from the fibre over x = s + m, for m an eventual
+    period of the fibres (a multiple of `eventual_period`).
 
     psi is a quantifier-free scalar formula whose atoms mention the
     discrete variable x alone or not at all; its fibre over t is psi with
@@ -500,17 +501,16 @@ def fibre_changes(g: GroupSpec, psi, x: SVar, m: int, r: int) -> list:
     order atoms in x, the fibre depends only on the gap between roots
     that t lies in and on t modulo L, the lcm of psi's moduli in x.  So a
     change at s is also a change at s - lcm(L, m) and at s + lcm(L, m)
-    unless a root lies in between, and the least and the greatest change
-    (where the changes are bounded) lie within lcm(L, m) + m of an
-    integer next to a root.  Only those candidates are compared, so the
-    work does not grow with the distance between roots.  Without roots
-    the fibres repeat every lcm(L, m) steps, and the window is taken
-    around 0.  The fibres come from psi's cell model of x (`_Cells`),
-    which every call on psi and x in one operation shares.
+    unless a root lies in between, and as m is a period the least and
+    the greatest change lie within lcm(L, m) + m of an integer next to a
+    root; without roots there is none.  Only those candidates are
+    compared, so the work does not grow with the distance between roots.
+    The fibres come from psi's cell model of x (`_Cells`), which every
+    call on psi and x in one operation shares.
     """
     cells = _cells(g, psi, x)
     span = lcm(cells.modulus, m) + m
-    ends = {e for c in cells.roots for e in (floor(c), ceil(c))} or {0}
+    ends = {e for c in cells.roots for e in (floor(c), ceil(c))}
     cands = set()
     for e in ends:
         cands.update(range(e - span + (r - e + span) % m, e + span + 1, m))
@@ -523,23 +523,23 @@ def eventual_period(g: GroupSpec, psi, x: SVar) -> int:
     `fibre_changes`) equals the one over t + m for every t beyond some
     bound, in both directions.
 
-    The m that qualify are the multiples of this one, and L, the lcm of
-    psi's moduli in x, is one of them.  A change at s past the greatest
-    root, or with s + m below the least root, repeats every lcm(L, m)
-    steps without end; m qualifies when no class has such a change.
+    On the unbounded gaps of psi's cells in x (`_Cells`) the fibre
+    depends only on t modulo L, the lcm of psi's moduli in x, so the
+    least m divides L.  A divisor m qualifies when, for i < L, the fibres
+    over top + i and top + i + m, and over bot - i - m and bot - i, are
+    `same_points`: top the first integer above the greatest root, bot the
+    last below the least.
     """
     cells = _cells(g, psi, x)
-    roots, modulus = cells.roots, cells.modulus
-
-    def between_roots(s, m):
-        return bool(roots) and roots[0] <= s + m and s <= roots[-1]
-
-    for m in range(1, modulus + 1):
-        if modulus % m == 0 and all(
-                between_roots(s, m)
-                for r in range(m) for s in fibre_changes(g, psi, x, m, r)):
-            return m
-    raise AssertionError("the lcm of the moduli must be an eventual period")
+    roots, n, fibre = cells.roots, cells.modulus, cells.fibre
+    top = floor(roots[-1]) + 1 if roots else 0
+    bot = ceil(roots[0]) - 1 if roots else 0
+    divisors = {e for d in range(1, isqrt(n) + 1) if n % d == 0
+                for e in (d, n // d)}
+    return next(m for m in sorted(divisors) if m == n or all(
+        same_points(g, fibre(top + i), fibre(top + i + m))
+        and same_points(g, fibre(bot - i - m), fibre(bot - i))
+        for i in range(n)))
 
 
 class _RawPiece:
@@ -574,10 +574,10 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     A discrete coordinate is split into residue classes modulo the
     minimal eventual period (refined by the moduli of the limiting
     fibres); each class contributes two constant rays plus finitely many
-    exceptional values.  The period, the constant classes and the ray
-    thresholds are read off `fibre_changes`, which compares fibres only
-    near the roots of the coordinate's atoms.  A dense coordinate is
-    split at the roots where the fibre actually changes.  All of this
+    exceptional values.  The period is read off the unbounded gaps of
+    the coordinate's cells (`eventual_period`), the constant classes and
+    ray thresholds off fibres near its roots (`fibre_changes`).  A dense
+    coordinate is split at the roots where the fibre changes.  All of this
     depends only on the defined set, so equivalent inputs produce
     identical output.  The pieces are then pruned of redundant literals
     and merged, and checked to be nonempty and to cover the set, all by
@@ -669,7 +669,7 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         # unless its fibre equals those of the gaps on both sides
         j = len(pin) + 1
         fibre = cells.fibre
-        ps = cells.pieces()
+        ps = list(cells.pieces())
         survivors = []
         for (a, _, _), (c, lo, _), (b, _, _) in zip(ps, ps[1:], ps[2:]):
             if c == lo and not (same_points(g, fibre(a), fibre(c))

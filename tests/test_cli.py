@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -265,6 +266,23 @@ class TestErrors:
         assert rc == 1
         assert "JSON" in obj["error"]["message"]
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"version": "code-v1", "header": ["set", [["ge"]]],
+          "values": [{"sort": "main", "coords": ["1"]}]},
+         "malformed piece descriptor"),
+        ({"version": "code-v1",
+          "header": ["set", [[["full"], ["full"], [[1, 1]]]]],
+          "values": [{"sort": "marker", "kind": "minus-inf"},
+                     {"sort": "marker", "kind": "plus-inf"},
+                     {"sort": "finquot", "level": 1, "modulus": 2,
+                      "residues": [5]}]},
+         "residue 5 out of range for modulus 2"),
+    ], ids=["piece", "residue"])
+    def test_reconstruct_rejects_malformed_codes(self, obj, message):
+        rc, out = run_json(["reconstruct", json.dumps(obj)])
+        assert rc == 1
+        assert out["error"] == {"type": "CodeError", "message": message}
+
     def test_missing_file_rejected(self, tmp_path):
         rc, obj = run_json(["decide", "--file", str(tmp_path / "absent")])
         assert rc == 1
@@ -393,6 +411,43 @@ def test_module_entry_point_types_input_errors(tmp_path):
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["error"]["type"] == kind
+
+
+_HUGE = "(congr 1000000007 x (c 3))"
+
+
+def _limit_child():
+    # 2 GB of address space and 5 s of CPU time, then the child is killed
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
+
+
+@pytest.mark.parametrize("command, text, want", [
+    ("nice", _HUGE, None),
+    ("code", _HUGE, None),
+    ("endseg", f"(or (< (c 5) x) {_HUGE})", None),
+    ("typegen", _HUGE, None),
+    ("typegen", f"(and (< (c 5) x) {_HUGE})", None),
+    ("endseg", _HUGE, {"is_end_segment": False}),
+], ids=["nice", "code", "endseg-ray", "typegen", "typegen-ray", "endseg"])
+def test_huge_modulus_is_bounded_by_the_budget(command, text, want):
+    """A binary-encoded modulus of 10^9+7: the commands that walk its
+    classes stop at the node budget, within memory, instead of listing
+    every residue first; endseg of the bare class needs no walk.  A child
+    killed at its CPU limit has a negative return code and no output."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "oagkit", command, "--group", "Z", text,
+         "--budget", "100000", "--format", "json"],
+        capture_output=True, text=True, env=_module_env(),
+        preexec_fn=_limit_child, timeout=60)
+    assert "Traceback" not in proc.stderr
+    obj = json.loads(proc.stdout)
+    if want is None:
+        assert proc.returncode == 1, proc.stdout
+        assert obj["error"]["type"] == "BudgetExceeded"
+    else:
+        assert proc.returncode == 0, proc.stdout
+        assert {k: obj[k] for k in want} == want
 
 
 def test_reader_closing_early_gets_no_traceback():

@@ -285,6 +285,12 @@ class TestReconstructValidation:
                                 (MainVal((1,)),)))
         with pytest.raises(CodeError):
             reconstruct(Z, Code(("mystery",), ()))
+        with pytest.raises(CodeError, match="expected a Code"):
+            reconstruct(Z, code_to_obj(good))
+        with pytest.raises(CodeError, match="unknown marker kind"):
+            reconstruct(Z, Code(good.header, (Marker("nowhere"),)))
+        with pytest.raises(CodeError, match="unknown code value"):
+            reconstruct(Z, Code(good.header, (0, Marker("plus-inf"))))
 
     def test_type_codes_are_not_sets(self):
         c = code_type(Z, TypeDescriptor(cut=("realized", (5,))))
@@ -371,6 +377,33 @@ class TestTypeCodes:
                 cut=("minus-inf",),
                 residues=(FiniteQuotientElement(1, 9, (0,)),),
                 residue_bound=6))
+        initial = code_segment(Z, DivSegment(INITIAL, 1, 1, (3,), GE))
+        inf = ("minus-inf",)
+        two = FiniteQuotientElement(1, 2, (0,))
+        for bad, message in [
+                ("junk", "expected a TypeDescriptor"),
+                (TypeDescriptor(cut=()), "cut must be a tagged tuple"),
+                (TypeDescriptor(cut=("realized",)), "exactly one element"),
+                (TypeDescriptor(cut=("at-segment", "x")),
+                 "must carry a segment code"),
+                (TypeDescriptor(cut=("at-segment", initial)),
+                 "must carry an end-segment code"),
+                (TypeDescriptor(cut=("plus-inf", 0)), "carries no data"),
+                (TypeDescriptor(cut=inf, residue_bound=1),
+                 "residue bound must be"),
+                (TypeDescriptor(cut=inf, cosets=((1, (0,)),)),
+                 "cosets must be quotient elements"),
+                (TypeDescriptor(cut=inf, cosets=(QuotientElement(2, (0, 0)),)),
+                 "coset level 2 out of range"),
+                (TypeDescriptor(cut=inf, residues=((1, 2, (0,)),)),
+                 "residues must be finite-quotient elements"),
+                (TypeDescriptor(cut=inf,
+                                residues=(FiniteQuotientElement(0, 2, ()),)),
+                 "residue level 0 out of range"),
+                (TypeDescriptor(cut=inf, residues=(two, two)),
+                 "sorted by \\(level, modulus\\)")]:
+            with pytest.raises(CodeError, match=message):
+                code_type(Z, bad)
 
     def test_equal_codes_give_equivalent_fragments(self):
         res23 = (FiniteQuotientElement(1, 2, (1,)),
@@ -458,6 +491,10 @@ class TestFiniteSetCodes:
             code_finite_set(ZZ, [()])
         with pytest.raises(CodeError):
             code_finite_set(Z, [(QuotientElement(1, (Fraction(1, 2),)),)])
+        with pytest.raises(CodeError, match="must be quotient elements"):
+            code_finite_set(ZZ, [((1, (1,)),)])
+        with pytest.raises(CodeError, match="level 3 out of range"):
+            code_finite_set(ZZ, [(QuotientElement(3, (1, 0, 0)),)])
 
 
 class TestEnumerateFiniteQuotient:
@@ -495,6 +532,86 @@ class TestEnumerateFiniteQuotient:
             enumerate_finite_quotient(ZZ, 1, 1)
         with pytest.raises(CodeError):
             enumerate_finite_quotient(ZZ, 3, 2)
+
+
+def _obj(header, values):
+    return {"version": "code-v1", "header": header, "values": values}
+
+
+def _marker(kind):
+    return {"sort": "marker", "kind": kind}
+
+
+def _fq(level, modulus, *residues):
+    return {"sort": "finquot", "level": level, "modulus": modulus,
+            "residues": list(residues)}
+
+
+_MAIN = {"sort": "main", "coords": ["1"]}
+_RAYS = [_marker("minus-inf"), _marker("plus-inf")]
+
+
+def _congr(lit_meta, value):
+    # a one-piece set code: both sides full, one congruence descriptor
+    return _obj(["set", [[["full"], ["full"], [lit_meta]]]], _RAYS + [value])
+
+
+# (group, object, message): each object breaks one rule of the code
+# format; the message names the rule
+MALFORMED = [
+    (Z, [], "must be a dictionary"),
+    (Z, {"version": "code-v1"}, "must have header and values"),
+    (Z, _obj("set", []), "header must be a list"),
+    (Z, _obj(["set", []], {}), "values must be a list"),
+    (Z, _obj([], []), "header must be a nonempty tuple"),
+    (Z, _obj(["set", []], [5]), "bad code value object"),
+    (Z, _obj(["set", []], [{"sort": "blob"}]), "unknown value sort"),
+    (Z, _obj(["segment", "end", "min", 1],
+             [{"sort": "main", "coords": [1]}]), "expected a number string"),
+    (Z, _obj(["segment", "end", "min"], [_MAIN]), "malformed segment header"),
+    (Z, _obj(["segment", "up", "min", 1], [_MAIN]),
+     "unknown segment direction"),
+    (Z, _obj(["segment", "end", "min", 0], [_MAIN]),
+     "multiplier must be a positive integer"),
+    (Z, _obj(["segment", "end", "min", 1], [_MAIN, _MAIN]),
+     "exactly one value"),
+    (Z, _obj(["segment", "end", "whole", 1], [_marker("empty")]),
+     "marker does not match its header"),
+    (ZZ, _obj(["segment", "end", "min", 1],
+              [{"sort": "quot", "level": 5, "coords": []}]),
+     "quotient level 5 out of range"),
+    (ZZ, _obj(["segment", "end", "min", 1],
+              [{"sort": "quot", "level": 1, "coords": ["1", "2"]}]),
+     "arity does not match its level"),
+    (Z, _obj(["set"], []), "malformed set header"),
+    (Z, _obj(["set", [["ge"]]], [_MAIN]), "malformed piece descriptor"),
+    (Z, _obj(["set", [[["ge", 1], ["full"], []]]], [_MAIN]),
+     "malformed piece side descriptor"),
+    (Z, _obj(["set", [[["up"], ["full"], []]]], [_MAIN]),
+     "unknown piece side tag"),
+    (Z, _obj(["set", [[["full"], ["full"], []]]], []),
+     "set code ran out of values"),
+    (Z, _obj(["set", [[["full"], ["full"], []]]], _RAYS[::-1]),
+     "piece side marker does not match its header"),
+    (Z, _congr([1], _fq(1, 2, 0)), "malformed congruence descriptor"),
+    (Z, _obj(["set", [[["full"], ["full"], [[1, 1]]]]], _RAYS),
+     "set code ran out of values"),
+    (Z, _congr([1, 1], _MAIN), "must hold a finite-quotient value"),
+    (Z, _congr([1, 1], _fq(3, 2)), "finite-quotient level 3 out of range"),
+    (Z, _congr([1, 1], _fq(1, 0, 0)), "modulus must be positive"),
+    (Z, _congr([1, 1], _fq(1, 2)), "residue count does not match level"),
+    (Z, _congr([1, 1], _fq(1, 2, 5)), "residue 5 out of range for modulus 2"),
+    (Z, _congr([2, 1], _fq(1, 2, 1)), "sign must be"),
+]
+
+
+@pytest.mark.parametrize("g, obj, message", MALFORMED,
+                         ids=[m for _, _, m in MALFORMED])
+def test_malformed_objects_rejected(g, obj, message):
+    """Decoding an object and rebuilding its formula raises a typed
+    CodeError naming the broken rule, never another exception."""
+    with pytest.raises(CodeError, match=message):
+        reconstruct(g, code_from_obj(obj))
 
 
 class TestSerialization:

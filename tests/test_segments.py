@@ -736,7 +736,7 @@ class TestClassArithmetic:
             psi = qe.eliminate(g, f).body
             cells = sg._cells(g, psi, x)
             for m in (1, 2, 3, 4):
-                pieces = cells.pieces(m)
+                pieces = list(cells.pieces(m))
                 w = lcm(cells.modulus, m)
                 ts = [t for t, _, _ in pieces]
                 assert ts == sorted(set(ts))
