@@ -585,7 +585,9 @@ def _fresh_name(base: str, used) -> str:
 def _rename(g: GroupSpec, f: Formula, m: dict, rebind) -> Formula:
     """f with each free name in m replaced by its term, in one walk that
     carries the map down.  At a binder, rebind(var, body, m) is its name
-    and the map under it, or None to keep the binder as it is."""
+    and the map under it, or None to keep the binder as it is.  rebind may
+    set var in m itself: m gets its outer term for var back once the
+    binder is rebuilt."""
     def step(key):
         node, m = key.node, key.m
         cls = node.__class__
@@ -597,18 +599,26 @@ def _rename(g: GroupSpec, f: Formula, m: dict, rebind) -> Formula:
                     out = t_add(g, out, t_scale(g, c, m.get(v) or t_var(g, v)))
                 sides.append(out)
             return cls(*[getattr(node, k) for k in node._fields[:-2]], *sides)
-        head = ()
         if cls is Exists or cls is Forall:
-            out = rebind(node.var, node.body, m)
+            v, outer = node.var, m.get(node.var)
+            out = rebind(v, node.body, m)
             if out is None:
                 return node
-            head, m = out[:1], out[1]
+            new, under = out
+
+            def build(rs):
+                m.pop(v, None)
+                if outer is not None:
+                    m[v] = outer
+                return cls(new, *rs)
+
+            return Join(build, [_Key(k, under) for k in _parts(node)])
         kids = [_Key(k, m) for k in _parts(node)]
         if not kids:
             return node
         if cls is And or cls is Or:
             return Join(lambda rs: cls(tuple(rs)), kids)
-        return Join(lambda rs: cls(*head, *rs), kids)
+        return Join(lambda rs: cls(*rs), kids)
 
     return walk(_Key(f, m), step)
 
@@ -638,15 +648,18 @@ def _freshen(g: GroupSpec, f: Formula) -> Formula:
     names: dict = {}  # base -> its candidates v_2, v_3, ...
 
     def rebind(v, body, m):
-        # m has a term for each free name and enclosing binder, and used
-        # only grows, so a name's candidates are never rewound
+        # one map for the whole walk, with a term for each free name and
+        # enclosing binder: a binder sets its own on entry, and _rename
+        # puts the outer one back.  used only grows, so a name's
+        # candidates are never rewound
         new = v
         if v in m:
             todo = names.setdefault(
                 v, (f"{v}_{k}" for k in itertools.count(2)))
             new = next(n for n in todo if n not in used)
             used.add(new)
-        return new, {**m, v: t_var(g, new)}
+        m[v] = t_var(g, new)
+        return new, m
 
     return _rename(g, f, {v: t_var(g, v) for v in free}, rebind)
 
@@ -708,22 +721,24 @@ def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
     def step(key):
         node = key.node
         cls = node.__class__
-        if cls in ATOMS:
-            # an atom lowers once per operation, under a key tagged "lower"
-            if memo is None:
-                return _lower_atom(g, node)
-            k = ("lower", g, node)
-            out = memo.get(k)
-            if out is None:
-                out = memo[k] = _lower_atom(g, node)
-            return out
-        kids = [_Key(k) for k in _parts(node)]
-        # a conjunction stops at its first FALSE and a disjunction at its
-        # first TRUE, as mk_and and mk_or stop drawing on a generator
-        if cls is And:
-            return Join(sc.mk_and, kids, sc.FALSE)
-        if cls is Or:
+        if cls in ATOMS or cls is BoolConst:
+            return _literal(g, node, memo)
+        if cls is And or cls is Or:
+            # one Join for a maximal run of nested conjunctions (or
+            # disjunctions), which mk_and (mk_or) flattens to the same node
+            # anyway, keeping first occurrences; it stops at its first FALSE
+            # conjunct (TRUE disjunct), as they stop drawing on a generator
+            kids, todo = [], list(reversed(_parts(node)))
+            while todo:
+                k = todo.pop()
+                if k.__class__ is cls:
+                    todo += reversed(_parts(k))
+                else:
+                    kids.append(_Key(k))
+            if cls is And:
+                return Join(sc.mk_and, kids, sc.FALSE)
             return Join(sc.mk_or, kids, sc.TRUE)
+        kids = [_Key(k) for k in _parts(node)]
         if cls is Not:
             return Join(lambda rs: sc.mk_not(rs[0]), kids)
         if cls is Implies:
@@ -732,8 +747,6 @@ def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
             return Join(lambda rs: sc.mk_and([
                 sc.mk_or([sc.mk_not(rs[0]), rs[1]]),
                 sc.mk_or([sc.mk_not(rs[1]), rs[0]])]), kids)
-        if cls is BoolConst:
-            return sc.SBool(node.value)
         ctor = sc.mk_exists if cls is Exists else sc.mk_forall
 
         def block(rs):
@@ -745,3 +758,32 @@ def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
         return Join(block, kids)
 
     return walk(_Key(_freshen(g, f)), step)
+
+
+def _literal(g: GroupSpec, p: Formula, memo) -> sc.SFormula:
+    """The scalar form of a constant, an atom or a negated atom.  With an
+    operation's memo, an atom is lowered once per operation, under a key
+    tagged "lower"."""
+    cls = p.__class__
+    if cls is BoolConst:
+        return sc.SBool(p.value)
+    atom = p.body if cls is Not else p
+    if atom.__class__ not in ATOMS:
+        raise FormulaError(f"not a literal: {p!r}")
+    key = ("lower", g, atom)
+    out = None if memo is None else memo.get(key)
+    if out is None:
+        out = _lower_atom(g, atom)
+        if memo is not None:
+            memo[key] = out
+    return sc.mk_not(out) if cls is Not else out
+
+
+def lower_literals(g: GroupSpec, f: Formula) -> sc.SFormula:
+    """`lower` of a literal or a conjunction of literals, such as a segment,
+    a congruence literal, a nice piece or a type's fragment denotes: the
+    same node and charges, with nothing to freshen or walk."""
+    memo = sc.operation_memo()
+    if f.__class__ is not And:
+        return _literal(g, f, memo)
+    return sc.mk_and(_literal(g, p, memo) for p in _parts(f))

@@ -664,6 +664,59 @@ class TestDeepChains:
         assert fm.is_quantifier_free(f) is False
         assert time.process_time() - start < 1
 
+    def test_distinct_binder_chain_freshens_in_linear_time(self):
+        # ∃x1 … ∃xn (x1 < x5) beside a free x5: only the binder x5 shadows,
+        # and one renaming map serves the whole chain
+        n = 2 * self.DEPTH
+        x5 = fm.t_var(Z1, "x5")
+        chain = fm.Cmp(fm.LT, fm.t_var(Z1, "x1"), x5)
+        for i in range(n, 0, -1):
+            chain = fm.Exists(f"x{i}", chain)
+        f = fm.And((fm.Cmp(fm.LT, x5, self.X), chain))
+        start = time.process_time()
+        out = fm._freshen(Z1, f)
+        assert time.process_time() - start < 2
+        binders = "".join(f"(exists (x{i if i != 5 else '5_2'}) "
+                          for i in range(1, n + 1))
+        assert fm.print_formula(out) == \
+            "(and (< x5 x) " + binders + "(< x1 x5_2)" + ")" * (n + 1)
+
+    def test_distinct_conjunction_chain_lowers_in_linear_time(self):
+        # right-nested binary conjunctions of n distinct atoms c_i < x,
+        # and disjunctions: one node, built from one list of the atoms
+        n = 10 ** 4
+        lows = [fm.Cmp(fm.LT, fm.t_const((i,)), self.X) for i in range(n)]
+        for cls, mk in ((fm.And, sc.mk_and), (fm.Or, sc.mk_or)):
+            f = lows[-1]
+            for atom in reversed(lows[:-1]):
+                f = cls((atom, f))
+            start = time.process_time()
+            out = fm.lower(Z1, f)
+            assert time.process_time() - start < 2
+            assert out is mk([fm.lower(Z1, atom) for atom in lows])
+
+    def test_a_chain_stops_at_its_first_false_conjunct(self, monkeypatch):
+        # 2x = 1 (mod 2) lowers to FALSE: nested or not, the atoms after
+        # it are never lowered, and the disjunction stops at TRUE alike
+        lowered = []
+        real = fm._lower_atom
+
+        def counting(g, atom):
+            lowered.append(atom)
+            return real(g, atom)
+
+        monkeypatch.setattr(fm, "_lower_atom", counting)
+        two_x = fm.t_scale(Z1, 2, self.X)
+        false = fm.Congr(2, two_x, fm.t_const((1,)))
+        true = fm.Congr(2, two_x, fm.t_const((0,)))
+        after = fm.Cmp(fm.LT, self.X, fm.t_const((7,)))
+        for cls, stop, want in ((fm.And, false, sc.FALSE),
+                                (fm.Or, true, sc.TRUE)):
+            lowered.clear()
+            f = cls((self.POS, cls((stop, cls((after, self.POS))))))
+            assert fm.lower(Z1, f) is want
+            assert lowered == [self.POS, stop]
+
     def test_three_thousand_negations_decide(self):
         f = fm.Cmp(fm.LT, self.X, fm.t_const((0,)))  # x < 0
         for _ in range(3000):

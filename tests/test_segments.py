@@ -3,6 +3,7 @@ canonical nice decomposition."""
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -13,9 +14,11 @@ import oagkit.formulas as fm
 import reference_qe
 import reference_segments as ref
 from reference_qe import entails, equivalent, satisfiable
+from test_typegen import CRIT07, crit07_corpus
 from oagkit import qe
 from oagkit import segments as sg
-from oagkit.codes import (beta_of_residues, code_set,
+from oagkit import typegen as tg
+from oagkit.codes import (beta_of_residues, code_set, descriptor_fragment,
                           enumerate_finite_quotient)
 from oagkit.errors import SegmentError
 from oagkit.groups import ConvexSubgroup, crt, element, parse_group
@@ -1132,6 +1135,133 @@ def test_code_set_nodes_built_may_only_fall(spec, seed, count):
         for f in corpus:
             code_set(g, f, "x")
     assert budget.used <= CODE_SET_NODES_BUILT[spec]
+
+
+# scalars.nodes_built of generic_type on type-generation acceptance
+# criterion 07's corpora (residue bound 6), per group; it may only fall
+GENERIC_TYPE_NODES_BUILT = {"Z": 281, "Z*Z": 471, "Q": 204, "Z*Q": 605}
+
+
+@pytest.mark.parametrize("spec, seed", CRIT07,
+                         ids=[spec for spec, _ in CRIT07])
+def test_generic_type_nodes_built_may_only_fall(spec, seed):
+    g, corpus = crit07_corpus(spec, seed, 30)
+    with budget_scope(None) as budget:
+        for f in corpus:
+            tg.generic_type(g, f, 6)
+    assert budget.used <= GENERIC_TYPE_NODES_BUILT[spec]
+
+
+class _CountingFormulas:
+    """The formulas module as a binding, counting the conjunctions built
+    and the lower calls made through it."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        real = getattr(fm, name)
+        if name not in ("And", "lower"):
+            return real
+
+        def counted(*args):
+            self.calls[name] += 1
+            return real(*args)
+
+        return counted
+
+
+def test_generic_type_builds_no_fragment(monkeypatch):
+    # through typegen's bindings: generic_type lowers phi once and builds
+    # no literal's formula and no conjunction, and check_descriptor lowers
+    # phi once, its fragment going literal by literal; only the trace
+    # builds fragments, which the same probes see
+    seen = _CountingFormulas()
+    denoted = []
+    real = sg.CongrLiteral.denote
+
+    def counting(lit, *args):
+        denoted.append(lit)
+        return real(lit, *args)
+
+    monkeypatch.setattr(tg, "fm", seen)
+    monkeypatch.setattr(sg.CongrLiteral, "denote", counting)
+    for spec, seed in CRIT07:
+        g, corpus = crit07_corpus(spec, seed, 10)
+        for phi in corpus:
+            seen.calls.clear()
+            denoted.clear()
+            p = tg.generic_type(g, phi, 6)
+            assert seen.calls == {"lower": 1} and denoted == []
+            seen.calls.clear()
+            assert tg.check_descriptor(g, p, phi, "x")
+            assert seen.calls == {"lower": 1}
+    seen.calls.clear()
+    denoted.clear()
+    _, trace = tg.generic_type_trace(Z, fm.parse(Z, "(congr 3 x (c 2))"), 4)
+    assert seen.calls["And"] == len(denoted) == 3
+    assert trace[-1].fragment.items[1] == denoted[-1].denote(Z, "x")
+
+
+class TestScalarForms:
+    """What a segment, a congruence literal, a nice piece or a type's
+    fragment denotes lowers literal by literal (`lower_literals`) to the
+    very node `formulas.lower` makes of it, with the same charges, and
+    to the same node inside an operation, from its memo."""
+
+    @staticmethod
+    def same(g, f):
+        with budget_scope(None) as lowered:
+            want = fm.lower(g, f)
+        with budget_scope(None) as literal:
+            got = fm.lower_literals(g, f)
+        assert got is want, fm.print_formula(f)
+        assert literal.used == lowered.used
+        with operation_scope():
+            assert fm.lower_literals(g, f) is fm.lower(g, f) is want
+
+    def test_nice_pieces_and_their_sides(self):
+        pieces = 0
+        for i, spec in enumerate(("Z", "Q", "Z*Z", "Z*Q", "Q*Z", "Z*Q*Z")):
+            g = parse_group(spec)
+            for f in fuzz_corpus(g, 80 + i, 24, limits=LIM, template="qf"):
+                if fm.free_vars(f) != {"x"}:
+                    continue
+                for p in sg.nice_decompose(g, f, "x"):
+                    pieces += 1
+                    self.same(g, p.denote(g, "x"))
+                    for seg in (p.upper, p.lower):
+                        self.same(g, sg.dual_div_segment(seg).denote(g, "x"))
+        assert pieces >= 60
+
+    def test_sentinels_and_their_duals(self):
+        for g in (Z, QZ, parse_group("Z*Q*Z")):
+            for seg in (sg.full_end_segment(), sg.empty_end_segment(),
+                        sg.full_initial_segment(),
+                        sg.empty_initial_segment()):
+                self.same(g, seg.denote(g, "x"))
+                self.same(g, sg.dual_div_segment(seg).denote(g, "x"))
+
+    def test_congruence_literals(self):
+        # negated, scaled and offset literals on every level
+        rng = random.Random(5)
+        count = 0
+        for g in (Z, ZZ, QZ, ZQ, parse_group("Z*Q*Z")):
+            for level in range(1, g.n + 1):
+                for m, z, sign, offset in ((2, 1, -1, 0), (3, 2, 1, 1),
+                                           (4, -1, -1, -2), (3, 5, 1, 0)):
+                    beta = element(g, [rng.randint(-5, 5) for _ in g.kinds])
+                    lit = sg.CongrLiteral(sign, z, level, m, beta, offset)
+                    self.same(g, lit.denote(g, "x"))
+                    count += 1
+        assert count == 4 * 10
+
+    def test_crit07_descriptor_fragments(self):
+        for spec, seed in CRIT07:
+            g, corpus = crit07_corpus(spec, seed, 30)
+            for phi in corpus:
+                p = tg.generic_type(g, phi, 6)
+                self.same(g, descriptor_fragment(g, p, "x"))
 
 
 class TestOneElimination:
