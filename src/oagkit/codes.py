@@ -449,31 +449,23 @@ def _descriptor_structure(g: GroupSpec, p: TypeDescriptor) -> None:
         raise CodeError("residues must be sorted by (level, modulus)")
 
 
-def fragment_atoms(g: GroupSpec, p: TypeDescriptor, var: str = "x") -> list:
-    """The stored congruences as atoms, each with its stage: (level,
-    modulus) for a residue, then (level, 1) for a coset."""
-    tv = fm.t_var(g, var)
-    out = []
-    for fq in p.residues:
-        lit = CongrLiteral(1, 1, fq.level, fq.modulus, beta_of_residues(g, fq))
-        out.append(((fq.level, fq.modulus), lit.denote(g, var)))
-    for q in p.cosets:
-        coset = fm.t_const(_pad_quot(g, q.level, q.coords))
-        out.append(((q.level, 1), fm.RelEq(q.level, tv, coset)))
-    return out
-
-
 def descriptor_fragment(g: GroupSpec, p: TypeDescriptor,
                         var: str = "x") -> fm.Formula:
     """The finite fragment of the type: cut atom plus stored congruences."""
+    tv = fm.t_var(g, var)
     parts = []
     tag = p.cut[0]
     if tag == CUT_REALIZED:
         a = element(g, p.cut[1])
-        parts.append(fm.RelEq(g.n, fm.t_var(g, var), fm.t_const(a)))
+        parts.append(fm.RelEq(g.n, tv, fm.t_const(a)))
     elif tag == CUT_AT_SEGMENT:
         parts.append(reconstruct(g, p.cut[1], var))
-    parts += [atom for _, atom in fragment_atoms(g, p, var)]
+    for fq in p.residues:
+        lit = CongrLiteral(1, 1, fq.level, fq.modulus, beta_of_residues(g, fq))
+        parts.append(lit.denote(g, var))
+    for q in p.cosets:
+        parts.append(fm.RelEq(q.level, tv, fm.t_const(_pad_quot(g, q.level,
+                                                                q.coords))))
     if not parts:
         return fm.BoolConst(True)
     if len(parts) == 1:

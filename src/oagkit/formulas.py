@@ -585,9 +585,8 @@ def _fresh_name(base: str, used) -> str:
 def _rename(g: GroupSpec, f: Formula, m: dict, rebind) -> Formula:
     """f with each free name in m replaced by its term, in one walk that
     carries the map down.  At a binder, rebind(var, body, m) is its name
-    and the map under it, or None to keep the binder as it is.  rebind may
-    set var in m itself: m gets its outer term for var back once the
-    binder is rebuilt."""
+    and the map under it, or None to keep the binder as it is; m gets its
+    outer term for var back once the binder is rebuilt."""
     def step(key):
         node, m = key.node, key.m
         cls = node.__class__
@@ -648,10 +647,8 @@ def _freshen(g: GroupSpec, f: Formula) -> Formula:
     names: dict = {}  # base -> its candidates v_2, v_3, ...
 
     def rebind(v, body, m):
-        # one map for the whole walk, with a term for each free name and
-        # enclosing binder: a binder sets its own on entry, and _rename
-        # puts the outer one back.  used only grows, so a name's
-        # candidates are never rewound
+        # one map, with a term for each free name and enclosing binder, that
+        # _rename restores; used only grows, so candidates are never rewound
         new = v
         if v in m:
             todo = names.setdefault(
@@ -721,13 +718,18 @@ def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
     def step(key):
         node = key.node
         cls = node.__class__
-        if cls in ATOMS or cls is BoolConst:
-            return _literal(g, node, memo)
+        if cls in ATOMS:
+            # an atom lowers once per operation, under a key tagged "lower"
+            if memo is None:
+                return _lower_atom(g, node)
+            k = ("lower", g, node)
+            out = memo.get(k)
+            if out is None:
+                out = memo[k] = _lower_atom(g, node)
+            return out
         if cls is And or cls is Or:
-            # one Join for a maximal run of nested conjunctions (or
-            # disjunctions), which mk_and (mk_or) flattens to the same node
-            # anyway, keeping first occurrences; it stops at its first FALSE
-            # conjunct (TRUE disjunct), as they stop drawing on a generator
+            # a run of nested conjunctions (disjunctions) is one Join: mk_and
+            # (mk_or) flattens it anyway, and stops at its first FALSE (TRUE)
             kids, todo = [], list(reversed(_parts(node)))
             while todo:
                 k = todo.pop()
@@ -747,6 +749,8 @@ def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
             return Join(lambda rs: sc.mk_and([
                 sc.mk_or([sc.mk_not(rs[0]), rs[1]]),
                 sc.mk_or([sc.mk_not(rs[1]), rs[0]])]), kids)
+        if cls is BoolConst:
+            return sc.SBool(node.value)
         ctor = sc.mk_exists if cls is Exists else sc.mk_forall
 
         def block(rs):
@@ -758,32 +762,3 @@ def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
         return Join(block, kids)
 
     return walk(_Key(_freshen(g, f)), step)
-
-
-def _literal(g: GroupSpec, p: Formula, memo) -> sc.SFormula:
-    """The scalar form of a constant, an atom or a negated atom.  With an
-    operation's memo, an atom is lowered once per operation, under a key
-    tagged "lower"."""
-    cls = p.__class__
-    if cls is BoolConst:
-        return sc.SBool(p.value)
-    atom = p.body if cls is Not else p
-    if atom.__class__ not in ATOMS:
-        raise FormulaError(f"not a literal: {p!r}")
-    key = ("lower", g, atom)
-    out = None if memo is None else memo.get(key)
-    if out is None:
-        out = _lower_atom(g, atom)
-        if memo is not None:
-            memo[key] = out
-    return sc.mk_not(out) if cls is Not else out
-
-
-def lower_literals(g: GroupSpec, f: Formula) -> sc.SFormula:
-    """`lower` of a literal or a conjunction of literals, such as a segment,
-    a congruence literal, a nice piece or a type's fragment denotes: the
-    same node and charges, with nothing to freshen or walk."""
-    memo = sc.operation_memo()
-    if f.__class__ is not And:
-        return _literal(g, f, memo)
-    return sc.mk_and(_literal(g, p, memo) for p in _parts(f))

@@ -30,11 +30,11 @@ the operation's memo, keyed on the group, the variable block and the
 interned body node.  It is a pure function of that key, so the memo
 changes no answer.  The memo is thread-local, has no option or size
 limit, and is dropped when the outermost operation returns or raises.
-Outside an operation nothing is memoized.  (`formulas.lower` and
-`lower_literals` keep the scalar form of each atom in the same memo,
-under a key tagged "lower", `_cells` one cell model per form and
-coordinate, with its fibres, under "cells", and `_walk` the answer for
-each pair of forms it compares, under "walk".)
+Outside an operation nothing is memoized.  (`formulas.lower` keeps the
+scalar form of each atom in the same memo, under a key tagged "lower",
+`_cells` one cell model per form and coordinate, with its fibres, under
+"cells", and `_walk` the answer for each pair of forms it compares,
+under "walk".)
 
 Negation normal form, the atom map, miniscoping, the window ranges and
 elimination itself run on `scalars.walk`, with one memo per call keyed

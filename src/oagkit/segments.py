@@ -704,10 +704,10 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     lowered: dict = {}
 
     def low(ns: NiceSet):
-        # a piece's scalar form, built once per piece from its literals
+        # a piece's scalar form, lowered once per piece
         hit = lowered.get(ns)
         if hit is None:
-            hit = lowered[ns] = fm.lower_literals(g, ns.denote(g, v))
+            hit = lowered[ns] = fm.lower(g, ns.denote(g, v))
         return hit
 
     while True:

@@ -18,23 +18,22 @@ the hull exactly when it is nonempty and its walk equals the set's, and
 the fibres of the fragment's quantifier-free form.  Coherence of the
 result is arithmetic (`codes.descriptor_issue`), so `generic_type`
 decides no sentence, and neither does `check_descriptor`, which walks
-the cells of the fragment's scalar form and the set's quantifier-free
-form.  Only the trace (`generic_type_trace`) builds the fragments as
-group formulas; `generic_type` keeps the decisions alone.
+the cells of the fragment's and the set's quantifier-free forms.  Only
+`generic_type_trace` builds the fragments as group formulas.
 """
 
 from typing import Optional
 
 from . import formulas as fm
 from .codes import (CUT_AT_SEGMENT, CUT_MINUS_INF, CUT_REALIZED,
-                    DEFAULT_RESIDUE_BOUND, TypeDescriptor, code_div_form,
-                    descriptor_fragment, descriptor_issue, fragment_atoms)
+                    DEFAULT_RESIDUE_BOUND, TypeDescriptor, beta_of_residues,
+                    code_div_form, descriptor_fragment, descriptor_issue)
 from .errors import Record, SegmentError, TypeGenError
 from .groups import FiniteQuotientElement, GroupSpec, project
 from .qe import _holds_somewhere, eliminate_scalar
 from .scalars import mk_and, operation
-from .segments import (co_initial_classes, hull_segment, least_prefix_qf,
-                       pad, the_var)
+from .segments import (CongrLiteral, co_initial_classes, hull_segment,
+                       least_prefix_qf, pad, the_var)
 
 
 class StageState(Record):
@@ -72,7 +71,13 @@ def generic_type(g: GroupSpec, phi: fm.Formula,
     the level coset is forced when the descent pins it and left generic
     when it does not, and each finite-quotient class is the least one
     that keeps the fragment co-initial in the hull.  Deterministic: a
-    pure function of its arguments.
+    pure function of its arguments."""
+    return _decide(g, phi, bound, var)[0]
+
+
+def _decide(g: GroupSpec, phi: fm.Formula, bound: int,
+            var: Optional[str]) -> tuple:
+    """generic_type's descriptor, and phi's distinguished variable.
 
     phi is lowered and eliminated once.  A fragment is co-initial in the
     hull exactly when it has phi's `segments.least_prefix_qf` walk, and
@@ -93,7 +98,7 @@ def generic_type(g: GroupSpec, phi: fm.Formula,
     prefix, attained = walk
     if attained and len(prefix) == g.n:
         return TypeDescriptor(cut=(CUT_REALIZED, pad(g, prefix)),
-                              residue_bound=bound)
+                              residue_bound=bound), v
 
     hull = hull_segment(g, walk)
     if hull.is_full():
@@ -123,7 +128,7 @@ def generic_type(g: GroupSpec, phi: fm.Formula,
     issue = descriptor_issue(g, p)
     if issue is not None:
         raise TypeGenError(f"constructed descriptor is incoherent: {issue}")
-    return p
+    return p, v
 
 
 @operation
@@ -133,28 +138,28 @@ def generic_type_trace(g: GroupSpec, phi: fm.Formula,
     """generic_type plus the per-stage trace, for auditing the stages.
 
     Only the trace builds the fragments.  The descriptor keeps every
-    stage's decision: the coset of each level (modulus 1) that is
-    forced, and the class of each (level, modulus) whose finite quotient
-    is nontrivial.  So a stage's fragment is phi and the atoms of the
-    cosets and classes decided up to it, read off the descriptor."""
-    p = generic_type(g, phi, bound, var)
+    decision, in stage order: the forced coset of a level (at modulus
+    1) and the class of each (level, modulus) with a nontrivial finite
+    quotient.  So one pass over the stages, with a cursor into each,
+    adds each decided atom to the fragment at its stage."""
+    p, v = _decide(g, phi, bound, var)
     if p.cut[0] == CUT_REALIZED:
         return p, (StageState(0, 0, 0, "minimum", phi, (), (), p.cut),)
-    atoms = dict(fragment_atoms(g, p, _var(g, phi, var)))
-    frag = phi
-    trace = [StageState(0, 0, 0, "start", frag, (), (), p.cut)]
+    frag, residues, cosets, tv = phi, (), (), fm.t_var(g, v)
+    trace = [StageState(0, 0, 0, "start", frag, residues, cosets, p.cut)]
     for k in range(0, g.n + 1):
         for m in range(1, bound + 1):
-            atom = atoms.get((k, m))
-            if atom is not None:
-                frag = fm.And((frag, atom))
-            if m == 1 and k >= 1:
-                action = "coset-generic" if atom is None else "coset-forced"
-            else:
-                action = "trivial" if atom is None else "residue"
-            residues = tuple(fq for fq in p.residues
-                             if (fq.level, fq.modulus) <= (k, m))
-            cosets = tuple(q for q in p.cosets if q.level <= k)
+            q = p.cosets[len(cosets):len(cosets) + 1]
+            fq = p.residues[len(residues):len(residues) + 1]
+            action = "coset-generic" if m == 1 and k >= 1 else "trivial"
+            if m == 1 and q and q[0].level == k:
+                cosets += q
+                atom = fm.RelEq(k, tv, fm.t_const(pad(g, q[0].coords)))
+                frag, action = fm.And((frag, atom)), "coset-forced"
+            elif fq and (fq[0].level, fq[0].modulus) == (k, m):
+                residues += fq
+                lit = CongrLiteral(1, 1, k, m, beta_of_residues(g, fq[0]))
+                frag, action = fm.And((frag, lit.denote(g, v))), "residue"
             trace.append(StageState(len(trace), k, m, action, frag,
                                     residues, cosets, p.cut))
     return p, tuple(trace)
@@ -167,16 +172,21 @@ def check_descriptor(g: GroupSpec, p: TypeDescriptor, phi: fm.Formula,
 
     True iff the descriptor is coherent (`codes.descriptor_issue`, by
     arithmetic) and the fragment (cut atom, stored residues and cosets)
-    meets the set.  The fragment is a conjunction of literals, lowered
-    one by one (`formulas.lower_literals`), and conjoined with phi's
-    eliminated form every atom mentions one coordinate, so the cell walk
-    (`qe._holds_somewhere`) answers that exactly: no sentence is decided.
-    Structurally malformed descriptors raise; semantic violations return
-    False.
+    meets the set.  The fragment's scalar form is quantifier-free, so
+    only phi's is eliminated; in their conjunction every atom mentions
+    one coordinate, and the cell walk (`qe._holds_somewhere`) answers
+    exactly: no sentence is decided.  Structurally malformed descriptors
+    raise; semantic violations return False.
     """
     v = _var(g, phi, var)
     if descriptor_issue(g, p) is not None:
         return False
-    frag = fm.lower_literals(g, descriptor_fragment(g, p, v))
-    return _holds_somewhere(
-        g, mk_and([frag, eliminate_scalar(g, fm.lower(g, phi))]))
+    # it is coherent: leave out what a deeper coset implies, and a class
+    # that one of a level as deep and a multiple modulus implies
+    c = p.cosets[-1].level if p.cosets else 0
+    frag = descriptor_fragment(g, TypeDescriptor(p.cut, p.cosets[-1:], tuple(
+        fq for fq in p.residues if fq.level > c and not any(
+            fq != r and fq.level <= r.level and r.modulus % fq.modulus == 0
+            for r in p.residues))), v)
+    return _holds_somewhere(g, mk_and(
+        [fm.lower(g, frag), eliminate_scalar(g, fm.lower(g, phi))]))

@@ -1174,7 +1174,7 @@ class _CountingFormulas:
 def test_generic_type_builds_no_fragment(monkeypatch):
     # through typegen's bindings: generic_type lowers phi once and builds
     # no literal's formula and no conjunction, and check_descriptor lowers
-    # phi once, its fragment going literal by literal; only the trace
+    # its fragment and phi apart, conjoining no formulas; only the trace
     # builds fragments, which the same probes see
     seen = _CountingFormulas()
     denoted = []
@@ -1195,7 +1195,7 @@ def test_generic_type_builds_no_fragment(monkeypatch):
             assert seen.calls == {"lower": 1} and denoted == []
             seen.calls.clear()
             assert tg.check_descriptor(g, p, phi, "x")
-            assert seen.calls == {"lower": 1}
+            assert seen.calls == {"lower": 2}
     seen.calls.clear()
     denoted.clear()
     _, trace = tg.generic_type_trace(Z, fm.parse(Z, "(congr 3 x (c 2))"), 4)
@@ -1204,21 +1204,27 @@ def test_generic_type_builds_no_fragment(monkeypatch):
 
 
 class TestScalarForms:
-    """What a segment, a congruence literal, a nice piece or a type's
-    fragment denotes lowers literal by literal (`lower_literals`) to the
-    very node `formulas.lower` makes of it, with the same charges, and
-    to the same node inside an operation, from its memo."""
+    """The scalar form of what a segment, a congruence literal, a nice
+    piece or a type's fragment denotes is the conjunction of its
+    literals' forms, and inside an operation, where each atom's form
+    comes from the memo, the very node `formulas.lower` makes outside
+    one, for no more charges, and the second time for its connectives'
+    alone."""
 
     @staticmethod
     def same(g, f):
-        with budget_scope(None) as lowered:
+        with budget_scope(None) as outside:
             want = fm.lower(g, f)
-        with budget_scope(None) as literal:
-            got = fm.lower_literals(g, f)
-        assert got is want, fm.print_formula(f)
-        assert literal.used == lowered.used
+        parts = f.items if isinstance(f, fm.And) else (f,)
+        assert mk_and([fm.lower(g, p) for p in parts]) is want, \
+            fm.print_formula(f)
         with operation_scope():
-            assert fm.lower_literals(g, f) is fm.lower(g, f) is want
+            with budget_scope(None) as first:
+                assert fm.lower(g, f) is want
+            with budget_scope(None) as again:
+                assert fm.lower(g, f) is want
+        assert first.used <= outside.used
+        assert again.used <= 1 + sum(isinstance(p, fm.Not) for p in parts)
 
     def test_nice_pieces_and_their_sides(self):
         pieces = 0
