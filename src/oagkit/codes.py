@@ -141,8 +141,8 @@ def _value_bound(g: GroupSpec, v: CodeValue):
     raise CodeError("expected a main-sort or quotient-sort value")
 
 
-def beta_of_residues(g: GroupSpec, fq: FiniteQuotientElement) -> Element:
-    """The canonical representative of a finite-quotient element."""
+def _residue_coords(g: GroupSpec, fq: FiniteQuotientElement) -> list:
+    """The discrete coordinates below fq's level, once fq is well formed."""
     if not 0 <= fq.level <= g.n:
         raise CodeError(f"finite-quotient level {fq.level} out of range")
     if fq.modulus < 1:
@@ -150,10 +150,16 @@ def beta_of_residues(g: GroupSpec, fq: FiniteQuotientElement) -> Element:
     zpos = [i for i in range(fq.level) if g.kinds[i] == "Z"]
     if len(fq.residues) != len(zpos):
         raise CodeError("finite-quotient residue count does not match level")
-    vals = [0] * g.n
-    for i, r in zip(zpos, fq.residues):
+    for r in fq.residues:
         if not 0 <= int(r) < fq.modulus:
             raise CodeError(f"residue {r} out of range for modulus {fq.modulus}")
+    return zpos
+
+
+def beta_of_residues(g: GroupSpec, fq: FiniteQuotientElement) -> Element:
+    """The canonical representative of a finite-quotient element."""
+    vals = [0] * g.n
+    for i, r in zip(_residue_coords(g, fq), fq.residues):
         vals[i] = int(r)
     return _element_of(g, vals)
 
@@ -443,7 +449,7 @@ def _descriptor_structure(g: GroupSpec, p: TypeDescriptor) -> None:
         if not 2 <= fq.modulus <= p.residue_bound:
             raise CodeError(
                 f"residue modulus {fq.modulus} outside 2..{p.residue_bound}")
-        beta_of_residues(g, fq)
+        _residue_coords(g, fq)
         seen_keys.append((fq.level, fq.modulus))
     if seen_keys != sorted(set(seen_keys)):
         raise CodeError("residues must be sorted by (level, modulus)")

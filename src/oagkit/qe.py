@@ -9,18 +9,20 @@ root, each root plus epsilon) on dense coordinates, which carry no
 congruences.
 
 Two kinds of question are answered here.  Sentences are projected:
-`decide` and `eliminate` run the eliminations above.  A formula whose
-only free variable is one group variable x is eliminated once; every
-atom of its quantifier-free form then mentions one coordinate of x, and
-questions about it walk that form's cells (`_Cells`): satisfiable,
-equivalent, entails (which close any other formula into a sentence and
-decide it) and witness here, and the unary-set layers, `segments` and
-`typegen`.  One walk, `_walk`, asks whether two forms differ somewhere:
-it walks the cells of both together and compares their fibres pair by
-pair, so `_holds_somewhere` compares a form with FALSE and
-`same_points` two forms.  A fibre is the form with its variable pinned
-to a value (`_pin`): each atom in that variable becomes a truth value
-by integer arithmetic, and no expression is substituted.
+`decide` and `eliminate` run the eliminations above, except that a
+closed block over the coordinates of one group variable is walked.  A
+formula whose only free variable is one group variable x is eliminated
+once; every atom of its quantifier-free form then mentions one
+coordinate of x, and questions about it walk that form's cells
+(`_Cells`): satisfiable, equivalent, entails (which close any other
+formula into a sentence and decide it) and witness here, and the
+unary-set layers, `segments` and `typegen`.  One walk, `_walk`, asks
+whether two forms differ somewhere: it walks the cells of both together
+and compares their fibres pair by pair, so `_holds_somewhere` compares
+a form with FALSE and `same_points` two forms.  A fibre is the form
+with its variable pinned to a value (`_pin`): each atom in that
+variable becomes a truth value by integer arithmetic, and no expression
+is substituted.
 
 While a high-level operation runs (those four, `code_set`,
 `reconstruct`, `nice_decompose`, `end_hull`, `to_div_segment`,
@@ -298,8 +300,11 @@ def _eliminate_block(g: GroupSpec, block: list, body: SFormula) -> SFormula:
     """Existentially project a run of variables.  Projection order is free
     inside one block, so variables pinned to a small window go first:
     substituting them folds guard atoms to constants, which usually
-    uncovers windows for the remaining coordinates.  Memoized in the
-    open operation's memo."""
+    uncovers windows for the remaining coordinates.  When none is left
+    and the block is closed and over one group variable, each atom of
+    the body mentions one coordinate, and the walk answers it
+    (`_holds_somewhere`); other blocks go to Cooper's method and the
+    dense projection.  Memoized in the open operation's memo."""
     memo = operation_memo()
     key = (g, tuple(block), body)
     if memo is not None:
@@ -323,6 +328,9 @@ def _eliminate_block(g: GroupSpec, block: list, body: SFormula) -> SFormula:
             remaining.remove(v)
             body = mk_or(s_subst(g, body, v, lin_const(t))
                          for t in range(lo, hi + 1))
+        elif body.fv <= set(block) and len({w.base for w in block}) == 1:
+            body = SBool(_holds_somewhere(g, body))
+            break
         else:
             v = remaining.pop()
             body = _miniscope(g, v, body)

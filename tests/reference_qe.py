@@ -1,8 +1,11 @@
 """Reference witness extraction and one-variable questions: the nested
 eliminations and candidate windows that `oagkit.qe.witness` replaced,
 the closed sentences that `satisfiable`, `equivalent` and `entails`
-decided before they walked the cells of one free variable, and the
-one-form cell walk and exclusive or that `qe._walk` replaced.
+decided before they walked the cells of one free variable, the one-form
+cell walk and exclusive or that `qe._walk` replaced, and the projection
+of every block by Cooper's method and the dense projection that
+`qe.decide` ran before it walked a closed block over one group
+variable.
 
 `witness` fixes the coordinates most significant first.  For each one it
 eliminates the deeper coordinates of the formula with the earlier ones
@@ -10,17 +13,21 @@ pinned, and scans a finite window of candidates derived from the roots
 and moduli of that one-variable form: on Z every integer within the
 period of 0 and of each root, on Q the roots, the midpoints between
 them, one past each extreme root and 0.  Tests compare the library
-against it.  The three questions close their formula and decide it
-with `qe.decide`, which runs Cooper's method and the dense projection,
-for any number of free variables; tests that check the walking layers
-(`segments`, `codes`, `typegen`) use them as their independent oracle.
-`holds_somewhere` walks the cells of one form, substituting each
-representative (`s_subst_all`) and evaluating a form in one variable
-pointwise, and `same_points` asks it whether the exclusive or of two
-forms holds somewhere; tests compare `qe._pin`, `_holds_somewhere` and
-`same_points` against them.  Nothing here is fast; it is the old code
-kept as a specification.  `count_decides` counts the sentences the
-library decides.
+against it.  `project_decide` lowers a sentence and projects every
+quantifier block, innermost first, by windows and `qe._miniscope`
+(Cooper's method on Z, the dense projection on Q), with no memo, as
+`qe._eliminate_block` did for every block; tests compare `qe.decide`
+against it, and the segment tests decide their own sentences with it.
+The three questions close their formula and decide it with
+`project_decide`, for any number of free variables; tests that check
+the walking layers (`segments`, `codes`, `typegen`) use them as their
+independent oracle.  `holds_somewhere` walks the cells of one form,
+substituting each representative (`s_subst_all`) and evaluating a form
+in one variable pointwise, and `same_points` asks it whether the
+exclusive or of two forms holds somewhere; tests compare `qe._pin`,
+`_holds_somewhere` and `same_points` against them.  Nothing here is
+fast; it is the old code kept as a specification.  `count_decides`
+counts the sentences the library decides.
 """
 
 import math
@@ -32,10 +39,12 @@ from oagkit import segments as sg
 from oagkit import typegen as tg
 from oagkit.errors import FormulaError
 from oagkit.groups import element
-from oagkit.qe import _pieces, eliminate_scalar
-from oagkit.scalars import (SBool, SVar, budget_scope, kind_of, lin_const,
-                            mk_and, mk_exists, mk_not, mk_or,
-                            roots_and_modulus, s_eval, s_subst)
+from oagkit.qe import (_constant_window, _miniscope, _pieces,
+                       eliminate_scalar, nnf)
+from oagkit.scalars import (SAnd, SBool, SExists, SForall, SNot, SOr, SVar,
+                            budget_scope, kind_of, lin_const, mk_and,
+                            mk_exists, mk_not, mk_or, roots_and_modulus,
+                            s_eval, s_subst)
 
 
 def s_subst_all(g, f, env):
@@ -157,19 +166,76 @@ def _close(f, ctor):
     return f
 
 
+def _project_block(g, block, body):
+    """Existentially project a run of variables: a variable pinned to a
+    small window first, by substituting each of its values, else the
+    last one left, by `qe._miniscope`."""
+    body = nnf(g, body)
+    remaining = [v for v in block if v in body.fv]
+    while remaining:
+        best = None
+        for v in remaining:
+            if kind_of(g, v) != "Z" or v not in body.fv:
+                continue
+            w = _constant_window(v, body)
+            if w is not None and (best is None or w[1] - w[0] < best[2]):
+                best = (v, w, w[1] - w[0])
+        if best is not None:
+            v, (lo, hi), _ = best
+            remaining.remove(v)
+            body = mk_or(s_subst(g, body, v, lin_const(t))
+                         for t in range(lo, hi + 1))
+        else:
+            body = _miniscope(g, remaining.pop(), body)
+    return body
+
+
+def _project(g, f):
+    """Quantifier-free equivalent of a scalar formula, projecting its
+    maximal blocks of like quantifiers innermost first."""
+    cls = f.__class__
+    if cls is SExists or cls is SForall:
+        block, inner = [f.var], f.body
+        while inner.__class__ is cls:
+            block.append(inner.var)
+            inner = inner.body
+        inner = _project(g, inner)
+        if cls is SExists:
+            return _project_block(g, block, inner)
+        return mk_not(_project_block(g, block, mk_not(inner)))
+    if cls is SNot:
+        return mk_not(_project(g, f.body))
+    if cls is SAnd:
+        return mk_and([_project(g, it) for it in f.items])
+    if cls is SOr:
+        return mk_or([_project(g, it) for it in f.items])
+    return f
+
+
+def project_decide(g, f, budget=None):
+    """Truth value of a sentence, every block projected (`_project`)."""
+    if fm.free_vars(f):
+        raise FormulaError("project_decide needs a sentence")
+    with budget_scope(budget):
+        out = _project(g, fm.lower(g, f))
+    if not isinstance(out, SBool):
+        raise AssertionError("closed elimination must ground out")
+    return out.value
+
+
 def satisfiable(g, f, budget=None):
     """Whether the existential closure of f is true."""
-    return qe.decide(g, _close(f, fm.Exists), budget)
+    return project_decide(g, _close(f, fm.Exists), budget)
 
 
 def equivalent(g, a, b, budget=None):
     """Whether the universal closure of a <-> b is true."""
-    return qe.decide(g, _close(fm.Iff(a, b), fm.Forall), budget)
+    return project_decide(g, _close(fm.Iff(a, b), fm.Forall), budget)
 
 
 def entails(g, a, b, budget=None):
     """Whether the universal closure of a -> b is true."""
-    return qe.decide(g, _close(fm.Implies(a, b), fm.Forall), budget)
+    return project_decide(g, _close(fm.Implies(a, b), fm.Forall), budget)
 
 
 def count_decides(monkeypatch):

@@ -14,9 +14,9 @@ from oagkit.groups import (FiniteQuotientElement, QuotientElement,
 from oagkit import qe
 from oagkit import segments as sg
 from oagkit.codes import (Code, FinQuotVal, MainVal, Marker, QuotVal,
-                          TypeDescriptor, code_div_form, code_finite_set,
-                          code_from_obj, code_segment, code_set, code_to_obj,
-                          code_type,
+                          TypeDescriptor, beta_of_residues, code_div_form,
+                          code_finite_set, code_from_obj, code_segment,
+                          code_set, code_to_obj, code_type,
                           descriptor_fragment, descriptor_issue,
                           enumerate_finite_quotient, reconstruct)
 from oagkit.oracle import FuzzLimits, fuzz_corpus
@@ -612,6 +612,44 @@ def test_malformed_objects_rejected(g, obj, message):
     CodeError naming the broken rule, never another exception."""
     with pytest.raises(CodeError, match=message):
         reconstruct(g, code_from_obj(obj))
+
+
+BAD_RESIDUES = [
+    # (class on Z*Q, message, whether a descriptor's own level and
+    # modulus checks come first)
+    (FiniteQuotientElement(3, 3, (0,)),
+     "finite-quotient level 3 out of range", True),
+    (FiniteQuotientElement(-1, 3, ()),
+     "finite-quotient level -1 out of range", True),
+    (FiniteQuotientElement(1, 0, (0,)),
+     "finite-quotient modulus must be positive", True),
+    (FiniteQuotientElement(2, 3, ()),
+     "finite-quotient residue count does not match level", False),
+    (FiniteQuotientElement(2, 3, (1, 0)),
+     "finite-quotient residue count does not match level", False),
+    (FiniteQuotientElement(1, 3, (3,)),
+     "residue 3 out of range for modulus 3", False),
+    (FiniteQuotientElement(2, 4, (-1,)),
+     "residue -1 out of range for modulus 4", False),
+]
+
+
+@pytest.mark.parametrize("fq, message, caught_before", BAD_RESIDUES,
+                         ids=[str(fq) for fq, _, _ in BAD_RESIDUES])
+def test_malformed_residues_keep_their_message(fq, message, caught_before):
+    """A malformed finite-quotient class raises the same CodeError from
+    `beta_of_residues` and, as a descriptor's residue, from the
+    descriptor checks, which build no element."""
+    with pytest.raises(CodeError) as err:
+        beta_of_residues(ZQ, fq)
+    assert str(err.value) == message
+    if caught_before:
+        return
+    p = TypeDescriptor(cut=("minus-inf",), residues=(fq,))
+    for check in (descriptor_issue, code_type):
+        with pytest.raises(CodeError) as err:
+            check(ZQ, p)
+        assert str(err.value) == message
 
 
 class TestSerialization:

@@ -22,6 +22,7 @@ from oagkit import formulas as fm
 from oagkit import oracle as orc
 from oagkit import qe
 from oagkit import scalars as sc
+from oagkit import segments as sg
 from oagkit.errors import BudgetExceeded, FormulaError
 from oagkit.groups import box_elements, compare, parse_group, unit
 
@@ -651,11 +652,18 @@ def test_operation_memo_is_transparent(spec):
     assert sc.operation_memo() is None
 
 
+def _open_body(g, f):
+    """The lowered body of an existential in NNF, its variable free: an
+    open block for `qe._cooper` to project."""
+    return qe.nnf(g, fm.lower(g, f.body))
+
+
 def test_cooper_disjunction_stops_at_first_true(monkeypatch):
     """The first Cooper disjunct, x = 1, already satisfies the body: the
     remaining substitutions are never made."""
     f = fm.parse(Z1, "(exists (x) (and (< (c 0) x) (< x (c 100)) "
                      "(congr 12 x (c 1))))")
+    body = _open_body(Z1, f)
     calls = []
     subst = qe.s_subst
 
@@ -664,7 +672,7 @@ def test_cooper_disjunction_stops_at_first_true(monkeypatch):
         return subst(*args, **kwargs)
 
     monkeypatch.setattr(qe, "s_subst", counted)
-    assert qe.decide(Z1, f) is True
+    assert qe._cooper(Z1, sc.SVar("x", 1), body) is sc.TRUE
     # period 12 and one lower bound: 12 * (1 + 1) eagerly
     assert 0 < len(calls) < 12 * 2
 
@@ -677,19 +685,72 @@ def test_cooper_tries_infinity_rows_first(monkeypatch):
     f = fm.parse(Z1, "(exists (x) (and (congr 5 x (c 0)) (or "
                      "(< x (c 0)) (< x (c 5)) (< x (c 10)) (< (c 20) x) "
                      "(< (c 25) x) (< (c 30) x) (< (c 35) x))))")
-    body_calls = []
+    body = _open_body(Z1, f)
+    calls, body_calls = [], []
     subst = qe.s_subst
 
     def counted(g, body, v, *args, **kwargs):
+        calls.append(body)
         if any(isinstance(a, sc.SLt) and a.expr.coeff(v)
                for a in sc.atoms(body)):
             body_calls.append(body)
         return subst(g, body, v, *args, **kwargs)
 
     monkeypatch.setattr(qe, "s_subst", counted)
-    assert qe.decide(Z1, f) is True
+    assert qe._cooper(Z1, sc.SVar("x", 1), body) is sc.TRUE
+    assert len(calls) > 0
     assert body_calls == []
     assert orc.evaluate(Z1, f.body, {"x": (-5,)})
+
+
+def test_two_variable_closed_block_is_projected(monkeypatch):
+    """A closed block over two group variables with an atom in both is
+    projected by Cooper's method, not walked."""
+    calls = []
+    cooper = qe._cooper
+
+    def counted(*args):
+        calls.append(args)
+        return cooper(*args)
+
+    monkeypatch.setattr(qe, "_cooper", counted)
+    f = fm.parse(Z1, "(forall (x) (forall (y) (or (< x y) (<= y x))))")
+    assert qe.decide(Z1, f) is True
+    assert len(calls) > 0
+
+
+class TestClosedOneVariableBlock:
+    """`decide` answers a closed block over one group variable by the
+    cell walk; `reference_qe.project_decide` projects it by Cooper's
+    method and the dense projection, as every block once was."""
+
+    GROUPS = ("Z", "Q", "Z*Z", "Z*Q", "Q*Z", "Q*Q", "Z*Z*Z", "Z*Q*Z")
+
+    @staticmethod
+    def sentences(g):
+        # the closures of each formula, and for a formula in one variable
+        # the sentence is_end_segment decides: it equals its end hull
+        for template in ("qf", "bounded", "end-segment"):
+            for phi in orc.fuzz_corpus(g, 31, 10, MEMO_LIMITS,
+                                       template=template):
+                yield "exists", reference_qe._close(phi, fm.Exists)
+                yield "forall", reference_qe._close(phi, fm.Forall)
+                free = fm.free_vars(phi)
+                if len(free) == 1:
+                    v, = free
+                    hull = sg.hull_form(g, phi, v)
+                    yield "hull", fm.Forall(v, fm.Iff(phi, hull.denote(g, v)))
+
+    def test_decide_agrees_with_the_projection(self):
+        verdicts = set()
+        for spec in self.GROUPS:
+            g = parse_group(spec)
+            for shape, f in self.sentences(g):
+                got = qe.decide(g, f)
+                assert got == reference_qe.project_decide(g, f), \
+                    (spec, fm.print_formula(f))
+                verdicts |= {(spec, got), (shape, got)}
+        assert len(verdicts) == 2 * (len(self.GROUPS) + 3), verdicts
 
 
 def test_lower_memo_returns_the_same_node():

@@ -13,18 +13,19 @@ import pytest
 import oagkit.formulas as fm
 import reference_qe
 import reference_segments as ref
-from reference_qe import entails, equivalent, satisfiable
+from reference_qe import entails, equivalent, project_decide, satisfiable
 from test_typegen import CRIT07, crit07_corpus
 from oagkit import qe
 from oagkit import segments as sg
 from oagkit import typegen as tg
-from oagkit.codes import (beta_of_residues, code_set, descriptor_fragment,
-                          enumerate_finite_quotient)
+from oagkit.codes import (beta_of_residues, code_segment, code_set,
+                          descriptor_fragment, enumerate_finite_quotient,
+                          reconstruct)
 from oagkit.errors import SegmentError
 from oagkit.groups import ConvexSubgroup, crt, element, parse_group
 from oagkit.oracle import (Box, FuzzLimits, _rand_endseg_candidate, evaluate,
                            fuzz_corpus, grid_axes, grid_eval)
-from oagkit.qe import decide, eliminate
+from oagkit.qe import eliminate
 from oagkit.scalars import (FALSE, SCongr, SVar, atoms, budget_scope, lin,
                             mk_and, mk_congr, mk_eq, mk_lt, mk_not, mk_or,
                             operation_memo, operation_scope, s_eval)
@@ -181,6 +182,36 @@ class TestIsEndSegment:
         with pytest.raises(SegmentError):
             sg.is_end_segment(Z, two)
 
+    @staticmethod
+    def count_projections(monkeypatch):
+        """The list every `qe._cooper` and `qe._dense` call is appended
+        to."""
+        calls = []
+        for name in ("_cooper", "_dense"):
+            def counted(*args, _real=getattr(qe, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(qe, name, counted)
+        return calls
+
+    def test_one_decide_and_no_projection(self, monkeypatch):
+        # the end-segment sentence is one closed block over x: decided
+        # once, and walked, with no Cooper or dense projection
+        projected = self.count_projections(monkeypatch)
+        decided = reference_qe.count_decides(monkeypatch)
+        assert sg.is_end_segment(ZZ, fm.parse(ZZ, "(< (c 1 1) x)"), "x")
+        assert len(decided) == 1
+        assert projected == []
+
+    def test_crit05_round_trips_project_nothing(self, monkeypatch):
+        corpus = fuzz_corpus(QZ, 55, 35, template="end-segment")
+        projected = self.count_projections(monkeypatch)
+        for f in corpus:
+            seg = sg.to_div_segment(QZ, f, "x")
+            reconstruct(QZ, code_segment(QZ, seg), "x")
+        assert projected == []
+
 
 class TestEndHull:
     def test_open_ray_is_its_own_hull(self):
@@ -228,10 +259,11 @@ class TestEndHull:
                 phi_y = fm.substitute(g, phi, "x", ty)
                 hull_y = fm.substitute(g, hull, "x", ty)
                 below = fm.Cmp(fm.LE, ty, tx)
-                assert decide(g, fm.Forall("x", fm.Forall(y, fm.Implies(
-                    fm.And((hull, fm.Cmp(fm.LT, tx, ty))), hull_y))))
+                assert project_decide(g, fm.Forall("x", fm.Forall(
+                    y, fm.Implies(fm.And((hull, fm.Cmp(fm.LT, tx, ty))),
+                                  hull_y))))
                 assert entails(g, phi, hull)
-                assert decide(g, fm.Forall("x", fm.Implies(
+                assert project_decide(g, fm.Forall("x", fm.Implies(
                     hull, fm.Exists(y, fm.And((phi_y, below))))))
                 quantified = fm.Not(fm.Forall(
                     y, fm.Implies(below, fm.Not(phi_y))))
@@ -307,7 +339,7 @@ class TestStabilizer:
         td, tv = fm.t_var(g, d), fm.t_var(g, v)
         shifted = fm.substitute(g, phi, v, fm.t_add(g, tv, td))
         insub = fm.RelEq(level, td, fm.t_const(element(g, [0] * g.n)))
-        return decide(g, fm.Forall(d, fm.Forall(
+        return project_decide(g, fm.Forall(d, fm.Forall(
             v, fm.Implies(fm.And((insub, phi)), shifted))))
 
     def test_level_is_tight(self):
@@ -320,7 +352,7 @@ class TestStabilizer:
                          if self.translation_holds(g, phi, k))
             assert sg.stabilizer(g, phi, "x").level == first, (g, text)
             empty_or_full = (not satisfiable(g, phi)
-                             or decide(g, fm.Forall("x", phi)))
+                             or project_decide(g, fm.Forall("x", phi)))
             assert (first == 0) == empty_or_full, (g, text)
 
     def test_proper_segment_decides_no_level_zero_sentence(self, monkeypatch):
@@ -633,11 +665,11 @@ class TestFibreScan:
                         fm.Iff(phi_y, self.shifted(g, phi, "y", m)))
         down = fm.Implies(fm.RelCmp(1, fm.LE, ty, tz),
                           fm.Iff(phi_y, self.shifted(g, phi, "y", -m)))
-        return all(decide(g, fm.Exists("z", fm.Forall("y", side)))
+        return all(project_decide(g, fm.Exists("z", fm.Forall("y", side)))
                    for side in (up, down))
 
     def class_constant(self, g, phi, m, r):
-        return decide(g, fm.Forall("x", fm.Implies(
+        return project_decide(g, fm.Forall("x", fm.Implies(
             self.in_class(g, "x", m, r),
             fm.Iff(phi, self.shifted(g, phi, "x", m)))))
 
@@ -796,7 +828,7 @@ class TestLeastPrefix:
         # psi reaches at or below every point of the hull
         tx, ty = fm.t_var(g, "x"), fm.t_var(g, "y")
         reach = fm.Exists("x", fm.And((psi, fm.Cmp(fm.LE, tx, ty))))
-        return decide(g, fm.Forall("y", fm.Implies(
+        return project_decide(g, fm.Forall("y", fm.Implies(
             fm.substitute(g, hull, "x", ty), reach)))
 
     @staticmethod
@@ -846,7 +878,7 @@ class TestLeastPrefix:
                 low, attained = sg.least_prefix(g, phi, "x", k)
                 assert (low, attained) == (walk[0][:k], walk[1] or
                                            len(walk[0]) > k), (g, phi, k)
-                has_min = decide(g, self.least(g, phi, k))
+                has_min = project_decide(g, self.least(g, phi, k))
                 assert has_min == (attained and len(low) == k), (g, phi, k)
                 if has_min:
                     w = reference_qe.witness(g, self.least(g, phi, k))
@@ -895,7 +927,7 @@ class TestEndSegmentSentence:
         beyond = fm.Cmp(fm.LT, tx, ty) if upward else fm.Cmp(fm.LT, ty, tx)
         body = fm.Implies(fm.And((phi, beyond)),
                           fm.substitute(g, phi, "x", ty))
-        return decide(g, fm.Forall("x", fm.Forall(y, body)))
+        return project_decide(g, fm.Forall("x", fm.Forall(y, body)))
 
     def cases(self):
         # accepted and rejected end-segment candidates, and quantifier-free
