@@ -26,8 +26,9 @@ helpers) run on one iterative walker, `walk`, with one memo per call
 keyed on the node, so they take DAG size, not tree size, at any depth;
 `s_subst` still recurses.  `formulas` lowers and renames its (not
 interned) group formulas on `walk` too, and prints them with
-`preorder_text`.  The intern tables are process-global
-`WeakValueDictionary`s without a lock, so interning is single-threaded.
+`preorder_text`.  Each interned class keeps a process-global plain
+dict from key to a weak reference, `_Ref`, which drops its entry when
+its object dies; there is no lock, so interning is single-threaded.
 """
 
 from __future__ import annotations
@@ -82,26 +83,56 @@ def _var_key(item):
     return (v.base, v.coord)
 
 
+class _Ref(weakref.ref):
+    """An intern table's entry: a weak reference to the object stored
+    under key in table.  Its callback, `_drop`, removes the entry when the
+    object dies, but only while the entry is still this reference, so a
+    newer object interned under the same key survives a late callback."""
+
+    __slots__ = ("key", "table")
+
+
+def _drop(ref):
+    if ref.table.get(ref.key) is ref:
+        del ref.table[ref.key]
+
+
+# Each interned class has a `_table` dict from key to `_Ref`, and names in
+# `_fields` the slots `_make` fills.  A constructor looks its key up as
+# `cls._table.get(key, _GONE)()`: the live object, or None (`_GONE()` is
+# None, as a dead ref's call is).  Interned objects are always true, so
+# `... or _make(...)` builds only on a miss.
+_GONE = type(None)
+_new, _set = object.__new__, object.__setattr__
+
+
+def _make(cls, key, *values):
+    """A new cls object with values for its `_fields`, stored under key."""
+    obj = _new(cls)
+    for name, value in zip(cls._fields, values):
+        _set(obj, name, value)
+    table = cls._table
+    ref = table[key] = _Ref(obj, _drop)
+    ref.key = key
+    ref.table = table
+    return obj
+
+
 class LinExpr:
     """Integer-coefficient linear expression plus an integer constant.
-    Interned: equal coefficient tuples and constants yield the same
-    object.  The constant is stored as given: callers pass an int."""
+    Interned in `_table` on (coeffs, const): equal coefficient tuples and
+    constants yield the same object.  The constant is stored as given:
+    callers pass an int."""
 
     __slots__ = ("coeffs", "const", "vars_set", "__weakref__")
-    _table: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+    _table: dict = {}
+    _fields = ("coeffs", "const", "vars_set")
 
     def __new__(cls, coeffs, const):
         coeffs = tuple(coeffs)
         key = (coeffs, const)
-        obj = cls._table.get(key)
-        if obj is None:
-            obj = super().__new__(cls)
-            object.__setattr__(obj, "coeffs", coeffs)
-            object.__setattr__(obj, "const", const)
-            object.__setattr__(obj, "vars_set",
-                               frozenset(v for v, _ in coeffs))
-            cls._table[key] = obj
-        return obj
+        return cls._table.get(key, _GONE)() or _make(
+            cls, key, coeffs, const, frozenset(v for v, _ in coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinExpr is immutable")
@@ -177,37 +208,26 @@ def lin_subst(e: LinExpr, v: SVar, repl: LinExpr, den: int = 1) -> LinExpr:
 
 
 class _Node:
-    """Interned immutable formula node: equality is identity."""
+    """Interned immutable formula node: equality is identity.  Each class
+    keeps its own `_table`, keyed on the node's fields, and a node's `fv`
+    is computed only when it is built."""
 
     __slots__ = ("fv", "__weakref__")
+
+    def __init_subclass__(cls):
+        cls._table, cls._fields = {}, cls.__slots__ + ("fv",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def _intern(cls, key, build):
-        table = cls._table
-        obj = table.get(key)
-        if obj is None:
-            obj = super().__new__(cls)
-            build(obj)
-            table[key] = obj
-        return obj
-
-    @staticmethod
-    def _set(obj, **fields):
-        for k, v in fields.items():
-            object.__setattr__(obj, k, v)
-
 
 class SBool(_Node):
     __slots__ = ("value",)
-    _table: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
     def __new__(cls, value):
         value = bool(value)
-        return cls._intern(value, lambda o: cls._set(
-            o, value=value, fv=frozenset()))
+        return cls._table.get(value, _GONE)() or _make(
+            cls, value, value, frozenset())
 
     def __repr__(self):
         return "TRUE" if self.value else "FALSE"
@@ -215,11 +235,10 @@ class SBool(_Node):
 
 class SLt(_Node):
     __slots__ = ("expr",)
-    _table: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
     def __new__(cls, expr):
-        return cls._intern(expr, lambda o: cls._set(
-            o, expr=expr, fv=expr.vars_set))
+        return cls._table.get(expr, _GONE)() or _make(
+            cls, expr, expr, expr.vars_set)
 
     def __repr__(self):
         return f"({self.expr!r} < 0)"
@@ -227,11 +246,7 @@ class SLt(_Node):
 
 class SEq(_Node):
     __slots__ = ("expr",)
-    _table: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-
-    def __new__(cls, expr):
-        return cls._intern(expr, lambda o: cls._set(
-            o, expr=expr, fv=expr.vars_set))
+    __new__ = SLt.__new__
 
     def __repr__(self):
         return f"({self.expr!r} = 0)"
@@ -239,12 +254,12 @@ class SEq(_Node):
 
 class SCongr(_Node):
     __slots__ = ("modulus", "expr")
-    _table: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
     def __new__(cls, modulus, expr):
         modulus = int(modulus)
-        return cls._intern((modulus, expr), lambda o: cls._set(
-            o, modulus=modulus, expr=expr, fv=expr.vars_set))
+        key = (modulus, expr)
+        return cls._table.get(key, _GONE)() or _make(
+            cls, key, modulus, expr, expr.vars_set)
 
     def __repr__(self):
         return f"({self.expr!r} ~ 0 mod {self.modulus})"
@@ -252,31 +267,22 @@ class SCongr(_Node):
 
 class SNot(_Node):
     __slots__ = ("body",)
-    _table: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
     def __new__(cls, body):
-        return cls._intern(body, lambda o: cls._set(
-            o, body=body, fv=body.fv))
+        return cls._table.get(body, _GONE)() or _make(
+            cls, body, body, body.fv)
 
     def __repr__(self):
         return f"~{self.body!r}"
 
 
-def _union_fv(items):
-    out = frozenset()
-    for it in items:
-        out |= it.fv
-    return out
-
-
 class SAnd(_Node):
     __slots__ = ("items",)
-    _table: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
     def __new__(cls, items):
         items = tuple(items)
-        return cls._intern(items, lambda o: cls._set(
-            o, items=items, fv=_union_fv(items)))
+        return cls._table.get(items, _GONE)() or _make(
+            cls, items, items, frozenset().union(*[it.fv for it in items]))
 
     def __repr__(self):
         return "(" + " & ".join(map(repr, self.items)) + ")"
@@ -284,12 +290,7 @@ class SAnd(_Node):
 
 class SOr(_Node):
     __slots__ = ("items",)
-    _table: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-
-    def __new__(cls, items):
-        items = tuple(items)
-        return cls._intern(items, lambda o: cls._set(
-            o, items=items, fv=_union_fv(items)))
+    __new__ = SAnd.__new__
 
     def __repr__(self):
         return "(" + " | ".join(map(repr, self.items)) + ")"
@@ -297,11 +298,11 @@ class SOr(_Node):
 
 class SExists(_Node):
     __slots__ = ("var", "body")
-    _table: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
     def __new__(cls, var, body):
-        return cls._intern((var, body), lambda o: cls._set(
-            o, var=var, body=body, fv=body.fv - {var}))
+        key = (var, body)
+        return cls._table.get(key, _GONE)() or _make(
+            cls, key, var, body, body.fv - {var})
 
     def __repr__(self):
         return f"(E {self.var} . {self.body!r})"
@@ -309,11 +310,7 @@ class SExists(_Node):
 
 class SForall(_Node):
     __slots__ = ("var", "body")
-    _table: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-
-    def __new__(cls, var, body):
-        return cls._intern((var, body), lambda o: cls._set(
-            o, var=var, body=body, fv=body.fv - {var}))
+    __new__ = SExists.__new__
 
     def __repr__(self):
         return f"(A {self.var} . {self.body!r})"

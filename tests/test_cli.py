@@ -592,4 +592,5 @@ def test_tour_output_is_unchanged(tmp_path):
     proc = subprocess.run(["sh", str(tour)], capture_output=True, env=env,
                           cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
     assert hashlib.sha256(proc.stdout).hexdigest() == TOUR_SHA256

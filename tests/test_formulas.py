@@ -695,6 +695,19 @@ class TestDeepChains:
             assert time.process_time() - start < 2
             assert out is mk([fm.lower(Z1, atom) for atom in lows])
 
+    def test_distinct_variable_connective_lowers_in_linear_time(self):
+        # (and (< v0 (c 0)) ... (< vn-1 (c n-1))) and the disjunction: each
+        # node's free variables are one union over its n items
+        n = 2 * self.DEPTH
+        lows = [fm.Cmp(fm.LT, fm.t_var(Z1, f"v{i}"), fm.t_const((i,)))
+                for i in range(n)]
+        for cls, mk in ((fm.And, sc.mk_and), (fm.Or, sc.mk_or)):
+            start = time.process_time()
+            out = fm.lower(Z1, cls(tuple(lows)))
+            assert time.process_time() - start < 2
+            assert out is mk([fm.lower(Z1, atom) for atom in lows])
+            assert len(out.fv) == n
+
     def test_a_chain_stops_at_its_first_false_conjunct(self, monkeypatch):
         # 2x = 1 (mod 2) lowers to FALSE: nested or not, the atoms after
         # it are never lowered, and the disjunction stops at TRUE alike

@@ -1,6 +1,8 @@
 """Scalar-layer unit tests: canonicalization must preserve semantics."""
 
+import gc
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -277,6 +279,107 @@ class TestDeepChains:
         with sc.budget_scope(None) as budget:
             assert qe.eliminate_scalar(self.Z, sc.SOr((g, deep))) is sc.TRUE
         assert budget.used < 10
+
+
+class TestIntern:
+    """The hash-consing kernel: one live object per structure, kept in
+    per-class tables of weak references that shrink as objects die."""
+
+    NODES = (sc.SBool, sc.SLt, sc.SEq, sc.SCongr, sc.SNot, sc.SAnd, sc.SOr,
+             sc.SExists, sc.SForall)
+
+    def samples(self):
+        """(node, field) for one node of every class."""
+        e = le({X1: 2, Y1: -1}, 3)
+        lt, eq = sc.SLt(e), sc.SEq(e)
+        return [(sc.TRUE, "value"), (lt, "expr"), (eq, "expr"),
+                (sc.SCongr(5, e), "modulus"), (sc.SNot(lt), "body"),
+                (sc.SAnd((lt, eq)), "items"), (sc.SOr((lt, eq)), "items"),
+                (sc.SExists(X1, lt), "var"), (sc.SForall(Y1, eq), "body")]
+
+    def test_equal_structures_are_one_object(self):
+        # equal SVars that are not the same object key the same entries
+        x, y = sc.SVar("x", 1), sc.SVar("y", 1)
+        e = sc.LinExpr(((X1, 2), (Y1, -1)), 3)
+        assert x is not X1
+        assert sc.LinExpr([(x, 2), (y, -1)], 3) is e
+        assert sc.lin({y: -1, x: 2}, 3) is e
+        assert sc.lin_add(le({X1: 2}, 1), le({Y1: -1}, 2)) is e
+        assert sc.lin_neg(sc.lin_neg(e)) is e
+        assert e.vars_set == {X1, Y1}
+        lt, eq = sc.SLt(e), sc.SEq(e)
+        congr = sc.SCongr(5, sc.LinExpr(((X1, 2), (Y1, 4)), 3))
+        pairs = [
+            (sc.SBool(1), sc.TRUE), (sc.SBool([]), sc.FALSE),
+            (sc.mk_lt(ZZ, e), lt), (sc.mk_eq(ZZ, e), eq),
+            (sc.mk_congr(ZZ, 5, e), congr), (sc.SCongr(5.0, congr.expr), congr),
+            (sc.mk_not(lt), sc.SNot(lt)),
+            (sc.mk_and([lt, eq]), sc.SAnd([lt, eq])),
+            (sc.mk_or(iter([eq, lt])), sc.SOr((eq, lt))),
+            (sc.mk_exists(x, lt), sc.SExists(X1, lt)),
+            (sc.mk_forall(y, eq), sc.SForall(Y1, eq)),
+        ]
+        for a, b in pairs:
+            assert a is b
+        # one key in two classes gives two nodes
+        assert lt is not eq
+        assert sc.SAnd((lt, eq)) is not sc.SOr((lt, eq))
+        assert sc.SExists(X1, lt) is not sc.SForall(X1, lt)
+        fvs = [frozenset(), frozenset(), {X1, Y1}, {X1, Y1}, {X1, Y1},
+               {X1, Y1}, {X1, Y1}, {X1, Y1}, {X1, Y1}, {Y1}, {X1}]
+        assert [b.fv for _, b in pairs] == fvs
+
+    def test_tables_shrink_back_when_objects_die(self):
+        gc.collect()
+        tables = [sc.LinExpr._table] + [cls._table for cls in self.NODES]
+        before = [len(t) for t in tables]
+        v = sc.SVar("transient", 1)
+        live = []
+        for i in range(10 ** 4):
+            e = sc.LinExpr(((v, 1),), 10 ** 9 + i)
+            lt, eq = sc.SLt(e), sc.SEq(e)
+            live += [sc.SCongr(7, e), sc.SNot(lt), sc.SAnd((lt, eq)),
+                     sc.SOr((eq, lt)), sc.SExists(v, lt), sc.SForall(v, eq)]
+        grown = [len(t) - n for t, n in zip(tables, before)]
+        assert grown == [10 ** 4, 0] + [10 ** 4] * 8
+        del live, e, lt, eq
+        assert [len(t) for t in tables] == before
+
+    def test_a_late_callback_keeps_the_newer_entry(self):
+        e = le({X1: 1}, -(10 ** 9))
+        table = sc.SLt._table
+        old = sc.SLt(e)
+        stale = table[e]
+        callback = stale.__callback__
+        del old
+        assert stale() is None and e not in table
+        # the dead reference is still in the table, its callback not yet
+        # run: the constructor builds anew and replaces the entry
+        table[e] = stale
+        new = sc.SLt(e)
+        fresh = table[e]
+        assert fresh is not stale and fresh() is new
+        callback(stale)
+        assert table[e] is fresh and sc.SLt(e) is new
+        del new
+        assert e not in table
+
+    def test_objects_are_immutable(self):
+        e = le({X1: 1}, 2)
+        for obj, field in [(X1, "base"), (e, "const")] + self.samples():
+            before = getattr(obj, field)
+            for name in (field, "fv", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, None)
+            assert getattr(obj, field) is before
+
+    def test_objects_are_weakly_referenceable(self):
+        objs = [le({X1: 1}, 2)] + [node for node, _ in self.samples()]
+        keys = weakref.WeakKeyDictionary()
+        for obj in objs:
+            assert weakref.ref(obj)() is obj
+            keys[obj] = True
+        assert len(keys) == len(objs) == 10
 
 
 class TestOperationScope:
