@@ -532,8 +532,17 @@ def print_formula(f: Formula) -> str:
 
 
 def _scan(f: Formula) -> tuple:
-    """The free names of f, its binders' names, and whether some binder
-    reuses a free name of f or the name of an enclosing binder."""
+    """The free names of f and its binders' names, as frozensets, and
+    whether some binder reuses a free name of f or the name of an enclosing
+    binder.  Walked once per object and kept on it outside its fields."""
+    hit = getattr(f, "_scanned", None)
+    if hit is None:
+        hit = _scan_walk(f)
+        object.__setattr__(f, "_scanned", hit)
+    return hit
+
+
+def _scan_walk(f: Formula) -> tuple:
     free, binders, shadows = set(), set(), False
     # the names of the binders around a node, and how many bind each
     path, bound = [], {}
@@ -556,17 +565,17 @@ def _scan(f: Formula) -> tuple:
             bound[v] = bound.get(v, 0) + 1
             depth += 1
         todo += [(k, depth) for k in _parts(node)]
-    return free, binders, shadows or not binders.isdisjoint(free)
+    return (frozenset(free), frozenset(binders),
+            shadows or not binders.isdisjoint(free))
 
 
 def free_vars(f: Formula) -> frozenset:
-    return frozenset(_scan(f)[0])
+    return _scan(f)[0]
 
 
 def all_names(f: Formula) -> frozenset:
     """Every variable name occurring in f, bound or free."""
-    free, binders, _ = _scan(f)
-    return frozenset(free | binders)
+    return frozenset.union(*_scan(f)[:2])
 
 
 def is_quantifier_free(f: Formula) -> bool:
@@ -643,7 +652,7 @@ def _freshen(g: GroupSpec, f: Formula) -> Formula:
     free, binders, shadows = _scan(f)
     if not shadows:
         return f
-    used = free | binders
+    used = set(free) | binders
     names: dict = {}  # base -> its candidates v_2, v_3, ...
 
     def rebind(v, body, m):

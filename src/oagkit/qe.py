@@ -64,10 +64,10 @@ from .errors import FormulaError, Record
 from .groups import Element, GroupSpec, element
 from .scalars import (
     FALSE, TRUE, Join, SAnd, SBool, SCongr, SEq, SExists, SForall, SFormula,
-    SLt, SNot, SOr, SVar, atoms, budget_scope, kind_of, lin_add, lin_const,
-    lin_neg, lin_var, mk_and, mk_congr, mk_eq, mk_le, mk_lt, mk_not, mk_or,
-    operation, operation_memo, roots_and_modulus, s_is_qf, s_subst,
-    walk,
+    SLt, SNot, SOr, SVar, atoms, budget_scope, fold_atom, kind_of, lin_add,
+    lin_const, lin_neg, lin_var, mk_and, mk_congr, mk_eq, mk_le, mk_lt,
+    mk_not, mk_or, operation, operation_memo, roots_and_modulus, s_is_qf,
+    s_subst, walk,
 )
 
 
@@ -535,8 +535,7 @@ def _pieces(discrete: bool, roots: list, w: int):
     ends = [None] + roots + [None]
     for c, d in zip(ends, ends[1:]):
         if c is not None and (not discrete or c.denominator == 1):
-            root = int(c) if discrete else c
-            yield root, root, root
+            yield c, c, c
         if not discrete:
             if c is None:
                 t = Fraction(0) if d is None else d - 1
@@ -558,11 +557,11 @@ def _pieces(discrete: bool, roots: list, w: int):
 def _pin(psi, x: SVar, t):
     """The quantifier-free form psi with x = t, an integer or, on a dense
     coordinate, a Fraction: the node `s_subst` builds, for the same
-    charge.  Each atom in x alone becomes TRUE or FALSE by integer
-    arithmetic on a*t + c and is charged as `mk_lt`, `mk_eq` and
-    `mk_congr` charge; the rest is rebuilt with `mk_and`, `mk_or` and
-    `mk_not`, which stop at the same FALSE conjunct or TRUE disjunct.
-    An atom that mentions x and another variable raises AssertionError."""
+    charge.  Each atom in x alone becomes TRUE or FALSE by the fold
+    `s_subst` uses (`scalars.fold_atom`); the rest is rebuilt with
+    `mk_and`, `mk_or` and `mk_not`, which stop at the same FALSE conjunct
+    or TRUE disjunct.  An atom that mentions x and another variable
+    raises AssertionError."""
     num, den = t.numerator, t.denominator
 
     def step(node):
@@ -575,17 +574,10 @@ def _pin(psi, x: SVar, t):
             return Join(mk_or, node.items, TRUE)
         if cls is SNot:
             return Join(lambda rs: mk_not(rs[0]), (node.body,))
-        coeffs = node.expr.coeffs
-        if len(coeffs) > 1:
+        if len(node.expr.coeffs) > 1:
             raise AssertionError(
                 f"atom {node!r} mentions more than one variable")
-        sc._charge()
-        value = coeffs[0][1] * num + node.expr.const * den
-        if cls is SLt:
-            return TRUE if value < 0 else FALSE
-        if cls is SEq:
-            return TRUE if value == 0 else FALSE
-        return TRUE if value % node.modulus == 0 else FALSE
+        return fold_atom(node, num, den)
 
     return walk(psi, step)
 
@@ -595,21 +587,21 @@ class _Cells:
     psi whose atoms each mention one variable.
 
     The atoms of psi in x keep their truth values on each cell of x's
-    line: a root of the order atoms, or a gap between two roots, and on
-    Z within those each class modulo L (`modulus`), the lcm of the
-    moduli.  So the fibre of psi over x = t, psi with x = t, a condition
-    on the other variables, depends only on t's cell and residue.
-    `pieces` gives a point of each cell (`_pieces`), and `fibre` pins
-    psi (`_pin`) once per cell and residue, for any t: a point of a
-    finer cell model, such as the joint one of two forms, finds the
-    fibre of its cell here."""
+    line: a root of the order atoms (an int if integral on Z), or a gap
+    between two roots, and on Z within those each class modulo L
+    (`modulus`), the lcm of the moduli.  So the fibre of psi over x = t,
+    psi with x = t, a condition on the other variables, depends only on
+    t's cell and residue.  `pieces` gives a point of each cell
+    (`_pieces`), and `fibre` pins psi (`_pin`) once per cell and residue,
+    for any t: a point of a finer cell model, such as the joint one of
+    two forms, finds the fibre of its cell here."""
 
     __slots__ = ("psi", "x", "discrete", "roots", "modulus", "fibres")
 
     def __init__(self, g: GroupSpec, psi, x: SVar):
         self.psi, self.x = psi, x
-        self.discrete = g.kinds[x.coord - 1] == "Z"
-        self.roots, self.modulus = roots_and_modulus(psi, x)
+        self.discrete = discrete = g.kinds[x.coord - 1] == "Z"
+        self.roots, self.modulus = roots_and_modulus(psi, x, discrete)
         self.fibres: dict = {}
 
     def pieces(self, m: int = 1) -> Iterator[tuple]:

@@ -17,11 +17,11 @@ coordinates, roots and evaluation.  The constructors also charge an
 optional node budget so quantifier elimination can fail fast instead of
 blowing up.
 
-All expression and formula nodes are hash-consed: structurally equal
-terms are the same object, equality and hashing are identity, and each
-node caches its free-variable set.  Elimination output is therefore a
-DAG with heavy sharing.  Its traversals (here evaluation, atom
-collection and printing; in `qe` normal form, elimination and its
+Variables, expressions and formula nodes are hash-consed: structurally
+equal terms are the same object, equality and hashing are identity, and
+each node caches its free-variable set.  Elimination output is
+therefore a DAG with heavy sharing.  Its traversals (here evaluation,
+atom collection and printing; in `qe` normal form, elimination and its
 helpers) run on one iterative walker, `walk`, with one memo per call
 keyed on the node, so they take DAG size, not tree size, at any depth;
 `s_subst` still recurses.  `formulas` lowers and renames its (not
@@ -43,44 +43,6 @@ from typing import Iterable, Optional, Union
 
 from .errors import PRINT_LIMIT, BudgetExceeded, FormulaError, OutputTooLarge
 from .groups import GroupSpec
-
-
-class SVar:
-    """Scalar variable: coordinate `coord` (1-based) of group variable
-    `base`.  Immutable; compares, hashes and prints as the pair would in
-    a frozen dataclass, with the hash computed once."""
-
-    __slots__ = ("base", "coord", "_hash")
-
-    def __init__(self, base: str, coord: int) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "coord", coord)
-        object.__setattr__(self, "_hash", hash((base, coord)))
-
-    def __eq__(self, other):
-        if other.__class__ is SVar:
-            return self.base == other.base and self.coord == other.coord
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"SVar(base={self.base!r}, coord={self.coord!r})"
-
-    def __str__(self) -> str:
-        return f"{self.base}.{self.coord}"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SVar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SVar is immutable")
-
-
-def _var_key(item):
-    v, _ = item
-    return (v.base, v.coord)
 
 
 class _Ref(weakref.ref):
@@ -118,6 +80,32 @@ def _make(cls, key, *values):
     return obj
 
 
+def _immutable(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class SVar:
+    """Scalar variable: coordinate `coord` (1-based) of group variable
+    `base`.  Interned in `_table` on (base, coord): `==` and `hash` are
+    identity's, in C.  Prints as the pair would in a frozen dataclass."""
+
+    __slots__ = ("base", "coord", "__weakref__")
+    _table: dict = {}
+    _fields = ("base", "coord")
+
+    def __new__(cls, base: str, coord: int):
+        key = (base, coord)
+        return cls._table.get(key, _GONE)() or _make(cls, key, base, coord)
+
+    def __repr__(self) -> str:
+        return f"SVar(base={self.base!r}, coord={self.coord!r})"
+
+    def __str__(self) -> str:
+        return f"{self.base}.{self.coord}"
+
+    __setattr__ = __delattr__ = _immutable
+
+
 class LinExpr:
     """Integer-coefficient linear expression plus an integer constant.
     Interned in `_table` on (coeffs, const): equal coefficient tuples and
@@ -134,8 +122,7 @@ class LinExpr:
         return cls._table.get(key, _GONE)() or _make(
             cls, key, coeffs, const, frozenset(v for v, _ in coeffs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LinExpr is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def is_ground(self) -> bool:
         return not self.coeffs
@@ -145,9 +132,6 @@ class LinExpr:
             if w == v:
                 return c
         return 0
-
-    def vars(self) -> tuple:
-        return tuple(v for v, _ in self.coeffs)
 
     def __repr__(self) -> str:
         parts = [f"{c}*{v}" for v, c in self.coeffs]
@@ -164,7 +148,7 @@ def lin(coeffs: Mapping[SVar, int] | Iterable, const=0) -> LinExpr:
     for v, c in items:
         merged[v] = merged.get(v, 0) + c
     cleaned = tuple(sorted(((v, c) for v, c in merged.items() if c != 0),
-                           key=_var_key))
+                           key=lambda vc: (vc[0].base, vc[0].coord)))
     return LinExpr(cleaned, const)
 
 
@@ -217,8 +201,7 @@ class _Node:
     def __init_subclass__(cls):
         cls._table, cls._fields = {}, cls.__slots__ + ("fv",)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __setattr__ = __delattr__ = _immutable
 
 
 class SBool(_Node):
@@ -606,13 +589,25 @@ def s_free_vars(f: SFormula) -> frozenset:
     return f.fv
 
 
+def fold_atom(atom, num: int, den: int = 1) -> SBool:
+    """The truth value of an atom whose one variable is num/den (den > 0)
+    by integer arithmetic on a*num + c*den: what its constructor gives,
+    and charges, on the ground expression `lin_subst` would build."""
+    _charge()
+    value = atom.expr.coeffs[0][1] * num + atom.expr.const * den
+    cls = atom.__class__
+    return TRUE if (value < 0 if cls is SLt else value == 0 if cls is SEq
+                    else value % atom.modulus == 0) else FALSE
+
+
 def s_subst(g: GroupSpec, f: SFormula, v: SVar, repl: LinExpr,
             den: int = 1, _memo: Optional[dict] = None) -> SFormula:
     """Substitute repl/den (den > 0) for a variable, renormalizing atoms;
     an atom mentioning the variable is multiplied by den first, which
     keeps its truth value because den > 1 only replaces a dense variable,
-    and dense atoms carry no congruences.  Subtrees not mentioning the
-    variable are shared, not copied."""
+    and dense atoms carry no congruences; under a ground repl, an atom in
+    the variable alone is folded (`fold_atom`).  Subtrees not mentioning
+    the variable are shared, not copied."""
     if v not in f.fv:
         return f
     if _memo is None:
@@ -620,24 +615,25 @@ def s_subst(g: GroupSpec, f: SFormula, v: SVar, repl: LinExpr,
     hit = _memo.get(f)
     if hit is not None:
         return hit
-    if isinstance(f, SLt):
-        out = mk_lt(g, lin_subst(f.expr, v, repl, den))
-    elif isinstance(f, SEq):
-        out = mk_eq(g, lin_subst(f.expr, v, repl, den))
-    elif isinstance(f, SCongr):
-        out = mk_congr(g, f.modulus, lin_subst(f.expr, v, repl, den))
-    elif isinstance(f, SNot):
+    cls = f.__class__
+    if cls is SLt or cls is SEq or cls is SCongr:
+        if not repl.coeffs and len(f.expr.coeffs) == 1:
+            out = fold_atom(f, repl.const, den)
+        else:
+            e = lin_subst(f.expr, v, repl, den)
+            out = (mk_lt(g, e) if cls is SLt else mk_eq(g, e) if cls is SEq
+                   else mk_congr(g, f.modulus, e))
+    elif cls is SNot:
         out = mk_not(s_subst(g, f.body, v, repl, den, _memo))
-    elif isinstance(f, SAnd):
+    elif cls is SAnd:
         out = mk_and(s_subst(g, it, v, repl, den, _memo) for it in f.items)
-    elif isinstance(f, SOr):
+    elif cls is SOr:
         out = mk_or(s_subst(g, it, v, repl, den, _memo) for it in f.items)
-    elif isinstance(f, (SExists, SForall)):
+    elif cls is SExists or cls is SForall:
         if f.var == v or f.var in repl.vars_set:
             raise FormulaError("substitution under a capturing quantifier")
         body = s_subst(g, f.body, v, repl, den, _memo)
-        ctor = mk_exists if isinstance(f, SExists) else mk_forall
-        out = ctor(f.var, body)
+        out = (mk_exists if cls is SExists else mk_forall)(f.var, body)
     else:
         raise FormulaError(f"unknown scalar node {f!r}")
     _memo[f] = out
@@ -660,10 +656,12 @@ def atoms(f: SFormula) -> list:
     return out
 
 
-def roots_and_modulus(f: SFormula, v: SVar) -> tuple:
+def roots_and_modulus(f: SFormula, v: SVar,
+                      discrete: bool = False) -> tuple:
     """The sorted roots of f's order atoms in v, and the lcm of the
-    moduli of f's congruences in v.  Every atom of f must mention one
-    variable: AssertionError otherwise."""
+    moduli of f's congruences in v; an integral root is an int when v is
+    discrete.  Every atom of f must mention one variable: AssertionError
+    otherwise."""
     roots = set()
     modulus = 1
     for atom in atoms(f):
@@ -671,12 +669,13 @@ def roots_and_modulus(f: SFormula, v: SVar) -> tuple:
         if len(coeffs) > 1:
             raise AssertionError(
                 f"atom {atom!r} mentions more than one variable")
-        if coeffs[0][0] != v:
+        if coeffs[0][0] is not v:
             continue
         if isinstance(atom, SCongr):
             modulus = math.lcm(modulus, atom.modulus)
-        else:
-            roots.add(Fraction(-atom.expr.const, coeffs[0][1]))
+            continue
+        a, c = coeffs[0][1], -atom.expr.const
+        roots.add(c // a if discrete and c % a == 0 else Fraction(c, a))
     return sorted(roots), modulus
 
 

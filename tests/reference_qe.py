@@ -25,7 +25,9 @@ independent oracle.  `holds_somewhere` walks the cells of one form,
 substituting each representative (`s_subst_all`) and evaluating a form
 in one variable pointwise, and `same_points` asks it whether the
 exclusive or of two forms holds somewhere; tests compare `qe._pin`,
-`_holds_somewhere` and `same_points` against them.  Nothing here is
+`_holds_somewhere` and `same_points` against them; the substitution
+is `reference_scalars.s_subst`, which folds no atom by arithmetic, so
+`_pin`'s fold is checked against the atom constructors.  Nothing here is
 fast; it is the old code kept as a specification.  `count_decides`
 counts the sentences the library decides.
 """
@@ -44,7 +46,8 @@ from oagkit.qe import (_constant_window, _miniscope, _pieces,
 from oagkit.scalars import (SAnd, SBool, SExists, SForall, SNot, SOr, SVar,
                             budget_scope, kind_of, lin_const, mk_and,
                             mk_exists, mk_not, mk_or, roots_and_modulus,
-                            s_eval, s_subst)
+                            s_eval)
+from reference_scalars import s_subst
 
 
 def s_subst_all(g, f, env):

@@ -470,6 +470,71 @@ class TestLowerAgainstReference:
             assert out == ref.freshen(Z1, f, fm.all_names(f))
 
 
+class TestScanOnce:
+    """`_scan` walks each formula object once and keeps the answer on it,
+    outside its fields."""
+
+    def count_walks(self, monkeypatch):
+        walked = []
+        walk = fm._scan_walk
+
+        def counted(f):
+            walked.append(f)
+            return walk(f)
+
+        monkeypatch.setattr(fm, "_scan_walk", counted)
+        return walked
+
+    def test_a_query_scans_each_formula_object_once(self, monkeypatch):
+        walked = self.count_walks(monkeypatch)
+        for g in (Z1, Z2, Z3):
+            for text in crit01_texts(g, 40):
+                del walked[:]
+                f = fm.parse(g, text)
+                if fm.free_vars(f):
+                    qe.eliminate(g, f)
+                else:
+                    qe.decide(g, f)
+                fm.lower(g, f)
+                assert walked == [f], text
+        # a parsed text whose binder shadows a later free use: the parse
+        # and its freshened result, one walk each
+        del walked[:]
+        f = fm.parse(Z1, "(and (exists (x) (< x (c 0))) (< x (c 1)))")
+        qe.eliminate(Z1, f)
+        fm.lower(Z1, f)
+        assert len(walked) == 2 and walked[-1] is f
+        assert len({id(w) for w in walked}) == 2
+
+    def test_the_kept_scan_changes_no_equality_hash_or_repr(self):
+        text = "(exists (y) (and (< x y) (forall (z) (< y z))))"
+        f, twin = fm.parse(Z2, text), fm.parse(Z2, text)
+        object.__delattr__(twin, "_scanned")
+        assert fm.free_vars(f) == {"x"}
+        assert fm.all_names(f) == {"x", "y", "z"}
+        assert not hasattr(twin, "_scanned") and hasattr(f, "_scanned")
+        assert f == twin and hash(f) == hash(twin) and repr(f) == repr(twin)
+        assert f._fields == ("var", "body")
+        with pytest.raises(AttributeError):
+            f._scanned = None
+
+    def test_library_built_shadowing_freshens_as_before(self):
+        tx, ty = fm.t_var(Z1, "x"), fm.t_var(Z1, "y")
+        zero = fm.t_const((0,))
+        inner = fm.Exists("x", fm.And((fm.Cmp(fm.LT, tx, ty),
+                                       fm.Exists("y", fm.Cmp(fm.LT, ty,
+                                                             tx)))))
+        f = fm.Forall("y", fm.Or((inner, fm.Cmp(fm.EQ, tx, zero),
+                                  fm.Exists("x", fm.Cmp(fm.LT, tx, ty)))))
+        out = fm._freshen(Z1, f)
+        assert fm.print_formula(out) == (
+            "(forall (y) (or (exists (x_2) (and (< x_2 y) (exists (y_2) "
+            "(< y_2 x_2)))) (= x (c 0)) (exists (x_3) (< x_3 y))))")
+        assert out == ref.freshen(Z1, f, fm.all_names(f))
+        assert fm._freshen(Z1, f) == out and fm._freshen(Z1, out) is out
+        assert fm.lower(Z1, f) is fm.lower(Z1, out)
+
+
 # scalars.nodes_built of parsing and eliminating the sample below with the
 # term-level lowering this one replaced; node budgets depend on the count,
 # so it may only fall

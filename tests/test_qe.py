@@ -17,6 +17,7 @@ import pytest
 
 import oagkit
 import reference_qe
+import reference_scalars
 from reference_qe import count_decides
 from oagkit import formulas as fm
 from oagkit import oracle as orc
@@ -274,6 +275,101 @@ class TestPin:
                       sc.mk_lt(Z2, sc.lin({x1: 1, y1: -1}, 0))])
         with pytest.raises(AssertionError, match="more than one"):
             qe._pin(f, x1, 0)
+
+
+def test_cell_roots_are_ints_on_z_and_fractions_on_q():
+    for g, kind in ((Z1, int), (Q1, Fraction)):
+        psi = qe._qf(g, fm.parse(g, "(or (< x (c 3)) (= (* 2 x) (c -4)))"))
+        cells = qe._Cells(g, psi, sc.SVar("x", 1))
+        assert cells.roots == [-2, 3]
+        assert {type(r) for r in cells.roots} == {kind}
+
+
+class TestGroundFold:
+    """`s_subst` folds an atom in the substituted variable alone, under a
+    ground value, by arithmetic: each call `qe` makes gives the node and
+    the budget charge of `reference_scalars.s_subst`, which builds the
+    ground expression and normalizes it."""
+
+    # the fuzz limits of acceptance criterion 01
+    LIMITS = orc.FuzzLimits(max_coeff=3, max_modulus=6, max_depth=3,
+                            window=6)
+
+    def run_against_reference(self, monkeypatch, g, formulas):
+        """Eliminate each formula, checking every s_subst call qe makes;
+        how many calls had a ground and how many a variable repl."""
+        library = qe.s_subst
+        seen = {True: 0, False: 0}
+
+        def checked(g, f, v, repl, den=1):
+            # a limit opens a scope of its own, even inside an operation
+            with sc.budget_scope(10 ** 12) as want:
+                ref = reference_scalars.s_subst(g, f, v, repl, den)
+            with sc.budget_scope(10 ** 12) as got:
+                out = library(g, f, v, repl, den)
+            assert out is ref, (sc.print_scalar(f), v, repl)
+            assert got.used == want.used, (sc.print_scalar(f), v, repl)
+            seen[repl.is_ground()] += 1
+            return out
+
+        monkeypatch.setattr(qe, "s_subst", checked)
+        for f in formulas:
+            qe.eliminate(g, f)
+        return seen
+
+    @pytest.mark.parametrize("spec", ["Z", "Z*Z", "Z*Z*Z"])
+    def test_window_substitutions_on_bounded_corpora(self, monkeypatch,
+                                                      spec):
+        g = parse_group(spec)
+        corpus = orc.fuzz_corpus(g, 0, 100, limits=self.LIMITS,
+                                 template="bounded")
+        seen = self.run_against_reference(monkeypatch, g, corpus)
+        assert seen[True] >= 100
+
+    @pytest.mark.parametrize("spec", ["Z", "Z*Z"])
+    def test_cooper_rows(self, monkeypatch, spec):
+        # x projected with y free: Cooper's method, its infinity rows
+        # substituted with ground shifts and its bound rows with terms in y
+        g = parse_group(spec)
+        corpus = [fm.Exists("x", f) for f in
+                  orc.fuzz_corpus(g, 3, 80, limits=self.LIMITS,
+                                  template="qf")
+                  if fm.free_vars(f) == {"x", "y"}]
+        seen = self.run_against_reference(monkeypatch, g, corpus)
+        assert seen[True] >= 10 and seen[False] >= 10
+
+    def test_an_atom_in_two_variables_is_not_folded(self):
+        x1, y1 = sc.SVar("x", 1), sc.SVar("y", 1)
+        for atom in (sc.SLt(sc.lin({x1: 1, y1: -1}, 2)),
+                     sc.SEq(sc.lin({x1: 1, y1: -1}, 2)),
+                     sc.SCongr(3, sc.lin({x1: 1, y1: 1}, 2))):
+            with sc.budget_scope(None) as used:
+                out = sc.s_subst(Z2, atom, x1, sc.lin_const(1))
+            assert out.fv == {y1} and used.used == 1
+            assert out is reference_scalars.s_subst(Z2, atom, x1,
+                                                    sc.lin_const(1))
+
+    def test_each_atom_kind_folds_at_its_boundary(self):
+        # 2x - 3 < 0, 2x - 4 = 0 and 3x + 1 ~ 0 mod 4 around their roots
+        x1 = sc.SVar("x", 1)
+        atoms = (sc.SLt(sc.lin({x1: 2}, -3)), sc.SEq(sc.lin({x1: 2}, -4)),
+                 sc.SCongr(4, sc.lin({x1: 3}, 1)))
+        for atom in atoms:
+            for t in range(-4, 5):
+                with sc.budget_scope(None) as want:
+                    ref = reference_scalars.s_subst(Z1, atom, x1,
+                                                    sc.lin_const(t))
+                with sc.budget_scope(None) as got:
+                    out = sc.s_subst(Z1, atom, x1, sc.lin_const(t))
+                assert out is ref and out.__class__ is sc.SBool
+                assert got.used == want.used == 1
+        # a dense variable at a fraction: the atom is multiplied by den
+        for atom in (sc.SLt(sc.lin({x1: 2}, -3)), sc.SEq(sc.lin({x1: 2}, -3))):
+            for num, den in ((3, 2), (1, 2), (5, 2), (-3, 2)):
+                ref = reference_scalars.s_subst(Q1, atom, x1,
+                                                sc.lin_const(num), den)
+                assert sc.s_subst(Q1, atom, x1, sc.lin_const(num), den) \
+                    is ref
 
 
 class TestPairWalk:

@@ -161,6 +161,12 @@ class TestTraversal:
         assert sc.roots_and_modulus(f, X1) == ([Fraction(-1), Fraction(3, 2)],
                                                3)
         assert sc.roots_and_modulus(f, Y1) == ([Fraction(-5)], 4)
+        # on a discrete coordinate an integral root is an int
+        roots, _ = sc.roots_and_modulus(f, X1, discrete=True)
+        assert roots == [-1, Fraction(3, 2)]
+        assert [type(r) for r in roots] == [int, Fraction]
+        assert [type(r) for r in sc.roots_and_modulus(f, X1)[0]] \
+            == [Fraction, Fraction]
         with pytest.raises(AssertionError):
             sc.roots_and_modulus(sc.SEq(le({X1: 1, Y1: -1})), X1)
 
@@ -298,10 +304,10 @@ class TestIntern:
                 (sc.SExists(X1, lt), "var"), (sc.SForall(Y1, eq), "body")]
 
     def test_equal_structures_are_one_object(self):
-        # equal SVars that are not the same object key the same entries
+        # equal SVars built apart are one object, and key the same entries
         x, y = sc.SVar("x", 1), sc.SVar("y", 1)
         e = sc.LinExpr(((X1, 2), (Y1, -1)), 3)
-        assert x is not X1
+        assert x is X1
         assert sc.LinExpr([(x, 2), (y, -1)], 3) is e
         assert sc.lin({y: -1, x: 2}, 3) is e
         assert sc.lin_add(le({X1: 2}, 1), le({Y1: -1}, 2)) is e
@@ -380,6 +386,21 @@ class TestIntern:
             assert weakref.ref(obj)() is obj
             keys[obj] = True
         assert len(keys) == len(objs) == 10
+
+
+    def test_svars_are_interned_weakly(self):
+        gc.collect()
+        table = sc.SVar._table
+        before = len(table)
+        assert sc.SVar("x", 1) is X1 and sc.SVar("t", 3) is sc.SVar("t", 3)
+        assert weakref.ref(X1)() is X1
+        live = [sc.SVar(f"transient{i}", 1 + i % 3) for i in range(10 ** 4)]
+        assert len(table) == before + 10 ** 4
+        assert [sc.SVar(v.base, v.coord) for v in live] == live
+        assert all(a is b for a, b in zip(live, [
+            sc.SVar(f"transient{i}", 1 + i % 3) for i in range(10 ** 4)]))
+        del live
+        assert len(table) == before
 
 
 class TestOperationScope:
