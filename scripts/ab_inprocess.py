@@ -1,0 +1,128 @@
+"""Same-process A/B timing of two checkouts on one benchmark workload.
+
+Loads the `src/oagkit` of two checkouts side by side, as the packages
+`oagkit_a` and `oagkit_b`, each with its own copy of the checkout's
+`perfbench/workloads.py` bound to it.  Nothing is written to either
+checkout: bytecode is not cached.  Both sides draw the same seed's
+queries (the script stops if their inputs differ), and one untimed pass
+checks that every query renders the same text and charges the same node
+budget on both.  Then each round replays every block of queries through
+each side's timed `Workload.run`, the two sides taking turns to go first,
+and times each side's block in CPU time.
+
+Run from anywhere, with two checkouts (the parent first):
+
+    python3 scripts/ab_inprocess.py ../parent . --workload qe-bounded
+
+It prints the CPU ratio B/A over all blocks (below 1 means B is faster)
+and how many blocks each side won.  Interleaving blocks in one process
+puts both sides under the same machine load, so it resolves differences
+of a few percent that the spread between separate benchmark runs hides.
+Only the in-process workloads (qe-bounded, codes, typegen) can be
+replayed.
+"""
+
+import argparse
+import gc
+import importlib.util
+import os
+import sys
+import time
+
+IN_PROCESS = ("qe-bounded", "codes", "typegen")
+
+
+def load_side(root, tag):
+    """The workloads module of the checkout at root, bound to its own
+    oagkit loaded as the package oagkit_<tag>."""
+    name = f"oagkit_{tag}"
+    src = os.path.join(root, "src", "oagkit")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(src, "__init__.py"),
+        submodule_search_locations=[src])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    for file in sorted(os.listdir(src)):
+        if file.endswith(".py") and not file.startswith("__"):
+            importlib.import_module(f"{name}.{file[:-3]}")
+    # workloads.py imports `oagkit`; every submodule it names is already
+    # an attribute of pkg, so the alias loads nothing twice
+    sys.modules["oagkit"] = pkg
+    try:
+        path = os.path.join(root, "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location(f"workloads_{tag}",
+                                                      path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules["oagkit"]
+    return workloads
+
+
+def block_cpu(wl, queries):
+    gc.collect()
+    t0 = time.process_time()
+    for q in queries:
+        wl.run(q)
+    return time.process_time() - t0
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("a", help="checkout A (the baseline)")
+    ap.add_argument("b", help="checkout B")
+    ap.add_argument("--workload", required=True, choices=IN_PROCESS)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--queries", type=int, default=300)
+    ap.add_argument("--block", type=int, default=25,
+                    help="queries per timed block")
+    ap.add_argument("--rounds", type=int, default=5,
+                    help="passes over all blocks")
+    args = ap.parse_args(argv)
+    sys.dont_write_bytecode = True
+
+    sides = []
+    for tag, root in (("a", args.a), ("b", args.b)):
+        workloads = load_side(os.path.abspath(root), tag)
+        wl = workloads.WORKLOADS[args.workload](args.seed)
+        queries = [wl.next_query() for _ in range(args.queries)]
+        sides.append((workloads, wl, queries))
+    inputs = [[(q.spec, q.args) for q in qs] for _, _, qs in sides]
+    if inputs[0] != inputs[1]:
+        sys.exit("the two checkouts draw different queries for this seed")
+
+    differ = 0
+    for i in range(args.queries):
+        seen = []
+        for workloads, wl, queries in sides:
+            scalars = workloads.sc
+            with scalars.budget_scope(None) as budget:
+                result = wl.run(queries[i])
+            seen.append((wl.render(queries[i], result), budget.used))
+        differ += seen[0] != seen[1]
+    print(f"{args.workload} seed {args.seed}: {args.queries} queries, "
+          f"{differ} with a different render or budget charge")
+
+    blocks = [range(i, min(i + args.block, args.queries))
+              for i in range(0, args.queries, args.block)]
+    totals, wins = [0.0, 0.0], [0, 0]
+    for r in range(args.rounds):
+        for k, span in enumerate(blocks):
+            times = [0.0, 0.0]
+            order = (0, 1) if (r + k) % 2 == 0 else (1, 0)
+            for s in order:
+                _, wl, queries = sides[s]
+                times[s] = block_cpu(wl, [queries[i] for i in span])
+            totals[0] += times[0]
+            totals[1] += times[1]
+            if times[0] != times[1]:  # a tie counts for neither
+                wins[times[1] < times[0]] += 1
+    print(f"CPU A {totals[0]:.3f} s, B {totals[1]:.3f} s, "
+          f"ratio B/A {totals[1] / totals[0]:.3f}; "
+          f"blocks won: A {wins[0]}, B {wins[1]} of {sum(wins)}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

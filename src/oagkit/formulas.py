@@ -23,6 +23,7 @@ the one reader of a node's children, or a step on `scalars.walk`.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import sys
 from collections.abc import Mapping
@@ -75,7 +76,8 @@ class Term(Record):
 
 
 def term(coeffs: Mapping[str, int] | Iterable, const: Element) -> Term:
-    items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+    items = (coeffs.items() if type(coeffs) is dict
+             or isinstance(coeffs, Mapping) else coeffs)
     merged: dict[str, int] = {}
     for v, c in items:
         merged[v] = merged.get(v, 0) + c
@@ -688,26 +690,27 @@ def _lower_atom(g: GroupSpec, f: Formula) -> sc.SFormula:
     for v, c in f.right.coeffs:
         table[v] = table.get(v, 0) - c
     coeffs = sorted((v, c) for v, c in table.items() if c)
-    # coordinate j of left - right, times the denominator of its constant
-    # (1 on discrete ones): a positive factor keeps a dense atom's truth
-    # value; coordinates past the level play no part
+    content = math.gcd(*[c for _, c in coeffs])
+    # coordinate j < k of left - right, as the parts the `scalars` cores
+    # normalize, times the denominator of its constant (1 on discrete ones),
+    # a positive factor that keeps a dense atom's truth value
     diffs = []
     for j in range(k):
         q = f.left.const[j] - f.right.const[j]
-        diffs.append(sc.LinExpr(tuple((sc.SVar(v, j + 1), q.denominator * c)
-                                      for v, c in coeffs), q.numerator))
+        den = q.denominator
+        row = tuple((sc.SVar(v, j + 1), den * c) for v, c in coeffs)
+        diffs.append((g.kinds[j] == "Z", row, q.numerator, den * content))
     if isinstance(f, (Congr, RelCongr)):
         # m times the quotient is coordinatewise: only discrete coordinates
         # impose a condition
-        return sc.mk_and([sc.mk_congr(g, f.modulus, d)
-                          for d, kind in zip(diffs, g.kinds) if kind == "Z"])
+        return sc.mk_and([sc.congr_core(f.modulus, *d) for d in diffs if d[0]])
     rel = EQ if isinstance(f, RelEq) else f.rel
     # (d_1, ..., d_k) <lex 0: some d_j < 0 and every earlier d_i = 0, so
     # the strict order needs no equation for d_k
-    eqs = [sc.mk_eq(g, d) for d in (diffs[:-1] if rel == LT else diffs)]
+    eqs = [sc.eq_core(*d) for d in (diffs[:-1] if rel == LT else diffs)]
     if rel == EQ:
         return sc.mk_and(eqs)
-    cases = [sc.mk_and(eqs[:j] + [sc.mk_lt(g, d)])
+    cases = [sc.mk_and(eqs[:j] + [sc.lt_core(*d)])
              for j, d in enumerate(diffs)]
     if rel == LE:
         cases.append(sc.mk_and(eqs))

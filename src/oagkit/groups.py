@@ -110,7 +110,8 @@ def element(g: GroupSpec, values: Sequence) -> Element:
         if isinstance(v, bool):
             raise GroupError("bool is not a coordinate value")
         if kind == "Z":
-            if isinstance(v, Fraction):
+            # an exact int skips the ABC check that isinstance makes
+            if v.__class__ is not int and isinstance(v, Fraction):
                 if v.denominator != 1:
                     raise GroupError(f"non-integer value {v} in a Z coordinate")
                 v = int(v)

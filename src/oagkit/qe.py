@@ -99,7 +99,11 @@ def nnf(g: GroupSpec, f: SFormula, positive: bool = True) -> SFormula:
         if positive and (cls is SLt or cls is SEq or cls is SCongr):
             return f
         if cls is SLt:
-            return mk_le(g, lin_neg(f.expr))
+            e = f.expr
+            if sc.is_discrete(g, e):  # not (e < 0) iff -e - 1 < 0: one build
+                return sc.lt_core(True, tuple((v, -c) for v, c in e.coeffs),
+                                  -e.const - 1, sc._content(e))
+            return mk_le(g, lin_neg(e))
         if cls is SEq:
             return mk_or([mk_lt(g, f.expr), mk_lt(g, lin_neg(f.expr))])
         if cls is SCongr:

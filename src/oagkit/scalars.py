@@ -8,12 +8,16 @@ behaves like the integers with congruences, a dense one like the
 rationals without them.
 
 Atoms are kept in a canonical homogeneous form (expr < 0, expr = 0,
-expr ~ 0 mod m) over the integers, and the smart constructors normalize
-aggressively: ground atoms evaluate away, contents are divided out,
-discrete strict bounds are tightened to integers, and a dense atom,
-whose truth value survives multiplication by a positive integer, is
-kept as its coprime integer multiple.  `Fraction` is for values only:
-coordinates, roots and evaluation.  The constructors also charge an
+expr ~ 0 mod m) over the integers: ground atoms evaluate away, contents
+are divided out, discrete strict bounds are tightened to integers,
+congruences are reduced, and a dense atom, whose truth value survives
+multiplication by a positive integer, is kept as its coprime integer
+multiple.  That normalization lives in `lt_core`, `eq_core` and
+`congr_core`, which take an atom's parts (whether its variables are
+discrete, its coefficients in `lin`'s order, its constant and their
+content) and build only its normal form; `mk_lt`, `mk_eq` and `mk_congr`
+wrap them for an expression at hand.  `Fraction` is for values only:
+coordinates, roots and evaluation.  Every constructor charges an
 optional node budget so quantifier elimination can fail fast instead of
 blowing up.
 
@@ -140,7 +144,7 @@ class LinExpr:
 
 
 def lin(coeffs: Mapping[SVar, int] | Iterable, const=0) -> LinExpr:
-    if isinstance(coeffs, Mapping):
+    if type(coeffs) is dict or isinstance(coeffs, Mapping):
         items = coeffs.items()
     else:
         items = coeffs
@@ -183,9 +187,10 @@ def lin_subst(e: LinExpr, v: SVar, repl: LinExpr, den: int = 1) -> LinExpr:
     c = e.coeff(v)
     if c == 0:
         return e
-    rest = LinExpr(tuple((w, den * k) for w, k in e.coeffs if w != v),
-                   den * e.const)
-    return lin_add(rest, lin_scale(c, repl))
+    merged = {w: den * k for w, k in e.coeffs if w is not v}
+    for w, k in repl.coeffs:
+        merged[w] = merged.get(w, 0) + c * k
+    return lin(merged, den * e.const + c * repl.const)
 
 
 # --- formula nodes ----------------------------------------------------------
@@ -401,21 +406,67 @@ def atom_kind(g: GroupSpec, expr: LinExpr) -> str:
 
 
 def _content(e: LinExpr) -> int:
-    return math.gcd(*(abs(c) for _, c in e.coeffs)) if e.coeffs else 0
+    return math.gcd(*[c for _, c in e.coeffs])
+
+
+def lt_core(discrete, coeffs, const, d) -> SFormula:
+    _charge()
+    if not coeffs:
+        return SBool(const < 0)
+    if not discrete:
+        # dense: divide by a common factor of every integer in the atom
+        d = math.gcd(d, const)
+    if d != 1:
+        # integer variables: divide out the content and tighten, using
+        # sum(a/d * v) < -c/d  iff  sum(a/d * v) + floor(c/d) < 0
+        coeffs = tuple((v, c // d) for v, c in coeffs)
+        const //= d
+    return SLt(LinExpr(coeffs, const))
+
+
+def eq_core(discrete, coeffs, const, d) -> SFormula:
+    _charge()
+    if not coeffs:
+        return SBool(const == 0)
+    if const % d:
+        if discrete:
+            return FALSE
+        d = math.gcd(d, const)
+    coeffs = tuple((v, c // d) for v, c in coeffs)
+    const //= d
+    if coeffs[0][1] < 0:
+        coeffs = tuple((v, -c) for v, c in coeffs)
+        const = -const
+    return SEq(LinExpr(coeffs, const))
+
+
+def congr_core(m, discrete, coeffs, const, d) -> SFormula:
+    _charge()
+    if m < 1:
+        raise FormulaError(f"congruence modulus {m} must be >= 1")
+    if not coeffs:
+        return SBool(const % m == 0)
+    if not discrete:
+        # dense coordinates are divisible: every congruence is trivial
+        return TRUE
+    d = math.gcd(d, m)
+    if const % d:
+        return FALSE
+    m //= d
+    if m == 1:
+        return TRUE
+    reduced = tuple((v, r) for v, k in coeffs if (r := k // d % m))
+    const = const // d % m
+    return SCongr(m, LinExpr(reduced, const)) if reduced else SBool(const == 0)
+
+
+def is_discrete(g: GroupSpec, e: LinExpr) -> bool:
+    """Whether e has variables, all of a discrete sort."""
+    return bool(e.coeffs) and atom_kind(g, e) == "Z"
 
 
 def mk_lt(g: GroupSpec, e: LinExpr) -> SFormula:
-    _charge()
-    if e.is_ground():
-        return SBool(e.const < 0)
-    d = _content(e)
-    if atom_kind(g, e) != "Z":
-        # dense: divide by a common factor of every integer in the atom
-        d = math.gcd(d, e.const)
-    # integer variables: divide out the content and tighten, using
-    # sum(a/d * v) < -c/d  iff  sum(a/d * v) + floor(c/d) < 0
-    coeffs = tuple((v, c // d) for v, c in e.coeffs)
-    return SLt(LinExpr(coeffs, e.const // d))
+    return lt_core(is_discrete(g, e), e.coeffs, e.const, _content(e))
 
 
 def mk_le(g: GroupSpec, e: LinExpr) -> SFormula:
@@ -423,47 +474,16 @@ def mk_le(g: GroupSpec, e: LinExpr) -> SFormula:
     if e.is_ground():
         return SBool(e.const <= 0)
     if atom_kind(g, e) == "Z":
-        return mk_lt(g, lin_add(e, lin_const(-1)))
+        return lt_core(True, e.coeffs, e.const - 1, _content(e))
     return mk_or([mk_lt(g, e), mk_eq(g, e)])
 
 
 def mk_eq(g: GroupSpec, e: LinExpr) -> SFormula:
-    _charge()
-    if e.is_ground():
-        return SBool(e.const == 0)
-    kind = atom_kind(g, e)
-    d = _content(e)
-    if e.const % d:
-        if kind == "Z":
-            return FALSE
-        d = math.gcd(d, e.const)
-    coeffs = tuple((v, c // d) for v, c in e.coeffs)
-    const = e.const // d
-    if coeffs[0][1] < 0:
-        coeffs = tuple((v, -c) for v, c in coeffs)
-        const = -const
-    return SEq(LinExpr(coeffs, const))
+    return eq_core(is_discrete(g, e), e.coeffs, e.const, _content(e))
 
 
 def mk_congr(g: GroupSpec, m: int, e: LinExpr) -> SFormula:
-    _charge()
-    if m < 1:
-        raise FormulaError(f"congruence modulus {m} must be >= 1")
-    if e.is_ground():
-        return SBool(e.const % m == 0)
-    if atom_kind(g, e) == "Q":
-        # dense coordinates are divisible: every congruence is trivial
-        return TRUE
-    d = math.gcd(_content(e), m)
-    if e.const % d:
-        return FALSE
-    m //= d
-    if m == 1:
-        return TRUE
-    reduced = lin(((v, k // d % m) for v, k in e.coeffs), e.const // d % m)
-    if reduced.is_ground():
-        return SBool(reduced.const == 0)
-    return SCongr(m, reduced)
+    return congr_core(m, is_discrete(g, e), e.coeffs, e.const, _content(e))
 
 
 def mk_not(f: SFormula) -> SFormula:
@@ -479,15 +499,17 @@ def _flatten(items, cls, absorb: SBool):
     out = []
     seen = set()
     for it in items:
-        if isinstance(it, SBool):
-            if it.value == absorb.value:
+        if it.__class__ is SBool:
+            if it is absorb:
                 return None
-            continue
-        sub = it.items if isinstance(it, cls) else (it,)
-        for s in sub:
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
+        elif it.__class__ is cls:
+            for s in it.items:
+                if s not in seen:
+                    seen.add(s)
+                    out.append(s)
+        elif it not in seen:
+            seen.add(it)
+            out.append(it)
     return out
 
 

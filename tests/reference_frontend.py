@@ -7,9 +7,11 @@ lowering that its loops and `scalars.walk` steps replaced.
 Tests compare the two on handwritten, mutated and generated inputs: the
 same AST (`==` and `repr`), the same `ParseError` message, line and
 column, the same text, and the same interned scalar node for every
-lowered atom and formula.  Nothing here is fast, and the recursions stop
-at the interpreter's depth limit; it is the old code kept as a
-specification.
+lowered atom and formula.  `lower_atom_charged` is the atom lowering
+that built each coordinate's difference before normalizing it, kept as
+the reference for the node and the budget charge of each lowered atom.
+Nothing here is fast, and the recursions stop at the interpreter's depth
+limit; it is the old code kept as a specification.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+import reference_scalars as rs
 from oagkit import formulas as fm
 from oagkit import scalars as sc
 from oagkit.errors import FormulaError, GroupError, ParseError
@@ -507,6 +510,37 @@ def lower_atom(g: GroupSpec, f) -> sc.SFormula:
     if rel == fm.LT:
         return lex_lt(g, diffs, k)
     return sc.mk_or([lex_lt(g, diffs, k), lex_eq(g, diffs, k)])
+
+
+def lower_atom_charged(g: GroupSpec, f) -> sc.SFormula:
+    """An atom lowered as `formulas._lower_atom` did before it called the
+    `scalars` cores: each coordinate's difference built as an expression
+    from the coefficient table, then normalized through the constructors
+    of `reference_scalars`.  It charges the budget as the library does,
+    unlike `lower_atom`, which builds each case's equations anew and so
+    charges more."""
+    k = getattr(f, "level", g.n)
+    table = dict(f.left.coeffs)
+    for v, c in f.right.coeffs:
+        table[v] = table.get(v, 0) - c
+    coeffs = sorted((v, c) for v, c in table.items() if c)
+    diffs = []
+    for j in range(k):
+        q = f.left.const[j] - f.right.const[j]
+        diffs.append(sc.LinExpr(tuple((sc.SVar(v, j + 1), q.denominator * c)
+                                      for v, c in coeffs), q.numerator))
+    if isinstance(f, (fm.Congr, fm.RelCongr)):
+        return sc.mk_and([rs.mk_congr(g, f.modulus, d)
+                          for d, kind in zip(diffs, g.kinds) if kind == "Z"])
+    rel = fm.EQ if isinstance(f, fm.RelEq) else f.rel
+    eqs = [rs.mk_eq(g, d) for d in (diffs[:-1] if rel == fm.LT else diffs)]
+    if rel == fm.EQ:
+        return sc.mk_and(eqs)
+    cases = [sc.mk_and(eqs[:j] + [rs.mk_lt(g, d)])
+             for j, d in enumerate(diffs)]
+    if rel == fm.LE:
+        cases.append(sc.mk_and(eqs))
+    return sc.mk_or(cases)
 
 
 def lower_formula(g: GroupSpec, f: fm.Formula) -> sc.SFormula:

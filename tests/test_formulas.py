@@ -470,6 +470,61 @@ class TestLowerAgainstReference:
             assert out == ref.freshen(Z1, f, fm.all_names(f))
 
 
+class TestLowerAtomCharges:
+    """`_lower_atom` calls the `scalars` cores on each coordinate's parts;
+    `ref.lower_atom_charged` builds each coordinate's difference and
+    normalizes it through the old constructors.  Each atom gives the
+    very same node for the same budget charge."""
+
+    def check(self, g, atoms):
+        count = 0
+        for atom in atoms:
+            with sc.budget_scope(None) as want:
+                expected = ref.lower_atom_charged(g, atom)
+            with sc.budget_scope(None) as got:
+                out = fm._lower_atom(g, atom)
+            assert out is expected, fm.print_formula(atom)
+            assert got.used == want.used, fm.print_formula(atom)
+            count += 1
+        return count
+
+    @pytest.mark.parametrize("g", [Z1, Z2, Z3], ids=str)
+    def test_crit01_atoms(self, g):
+        atoms = [a for text in crit01_texts(g, 40)
+                 for a in atoms_of(fm.parse(g, text))]
+        assert self.check(g, atoms) >= 100
+
+    def test_a_strict_atom_on_three_coordinates_charges_nine(self):
+        atom = fm.parse(Z3, "(< x (c 1 2 3))")
+        with sc.budget_scope(None) as got:
+            fm._lower_atom(Z3, atom)
+        with sc.budget_scope(None) as nested:
+            ref.lower_atom(Z3, atom)
+        assert (got.used, nested.used) == (9, 10)
+
+    @pytest.mark.parametrize("g", [ZQ, QZ], ids=str)
+    def test_every_atom_kind_on_mixed_groups(self, g):
+        self.check(g, [fm.parse(g, text) for text in _mixed_atom_texts(g)])
+
+    @pytest.mark.parametrize("g", [Q1, ZQZ], ids=str)
+    def test_fuzz_corpus_atoms(self, g):
+        atoms = [a for template in ("qf", "bounded")
+                 for f in orc.fuzz_corpus(g, 41, 30, template=template)
+                 for a in atoms_of(f)]
+        assert self.check(g, atoms) >= 100
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_library_congruence_modulus_below_one(self, m):
+        # the parser refuses m < 2; atoms built in code reach the cores
+        x, c = fm.t_var(Z2, "x"), fm.t_const((1, 2))
+        for atom in (fm.Congr(m, x, c), fm.RelCongr(1, m, x, c),
+                     fm.RelCongr(2, m, x, c), fm.Congr(m, c, c)):
+            with pytest.raises(FormulaError, match="modulus"):
+                fm.lower(Z2, atom)
+            with pytest.raises(FormulaError, match="modulus"):
+                fm.lower(Z2, fm.Exists("x", atom))
+
+
 class TestScanOnce:
     """`_scan` walks each formula object once and keeps the answer on it,
     outside its fields."""

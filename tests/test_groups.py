@@ -59,6 +59,35 @@ def test_element_validation():
         element(ZZ, [True, 0])
 
 
+def test_element_types_and_messages():
+    """An exact int takes a shortcut past the Fraction check: the values
+    and the types out, and every message, stay as they were."""
+    class Small(int):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    out = element(QZ, [3, 4])
+    assert out == (3, 4) and type(out[0]) is Fraction and type(out[1]) is int
+    out = element(ZZ, [Small(2), Fraction(-6, 3)])
+    assert out == (2, -2) and type(out[1]) is int
+    assert type(out[0]) is Small
+    out = element(QZ, [Ratio(1, 2), Ratio(6, 3)])
+    assert out == (Fraction(1, 2), 2) and type(out[1]) is int
+    bad = [(Z, True, "bool is not a coordinate value"),
+           (QZ, False, "bool is not a coordinate value"),
+           (Z, Fraction(1, 2), "non-integer value 1/2 in a Z coordinate"),
+           (Z, 2.0, "bad Z coordinate 2.0"), (Z, "3", "bad Z coordinate '3'"),
+           (QZ, 0.5, "bad Q coordinate 0.5"),
+           (QZ, None, "bad Q coordinate None")]
+    for g, v, message in bad:
+        values = [v] + [0] * (g.n - 1)
+        with pytest.raises(GroupError) as e:
+            element(g, values)
+        assert str(e.value) == message
+
+
 def test_compare_examples():
     # most significant coordinate first
     assert compare(ZZ, (0, 5), (1, -9)) == LT

@@ -1,6 +1,7 @@
 """Scalar-layer unit tests: canonicalization must preserve semantics."""
 
 import gc
+import random
 import threading
 import weakref
 from fractions import Fraction
@@ -8,9 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_scalars as ref
 from oagkit import qe
 from oagkit import scalars as sc
-from oagkit.errors import BudgetExceeded, OutputTooLarge
+from oagkit.errors import BudgetExceeded, FormulaError, OutputTooLarge
 from oagkit.groups import parse_group
 
 ZZ = parse_group("Z*Z")
@@ -91,6 +93,87 @@ class TestAtomConstructors:
         assert sc.mk_congr(ZZ, 3, sc.lin_const(6)) == sc.TRUE
         assert sc.mk_congr(ZZ, 3, sc.lin_const(7)) == sc.FALSE
         assert sc.mk_congr(ZZ, 3, sc.lin_const(Fraction(1, 2))) == sc.FALSE
+
+
+class TestCoresAgainstReference:
+    """The constructors as wrappers over the cores, `qe.nnf`'s negation
+    of a literal and `lin_subst` against the old code in
+    `reference_scalars`, which normalizes a built expression: the very
+    same node for the same budget charge."""
+
+    Y2 = sc.SVar("y", 2)
+
+    def exprs(self, seed, scales):
+        """Random expressions over x and y on coordinate 1 (discrete)
+        and 2 (dense on Z*Q), ground ones included; the coefficients are
+        multiples of one of scales, so contents above 1 occur."""
+        rng = random.Random(seed)
+        for _ in range(400):
+            v, w = (X1, Y1) if rng.random() < 0.5 else (X2, self.Y2)
+            k = rng.choice(scales)
+            coeffs = {v: rng.randint(-6, 6) * k, w: rng.randint(-6, 6) * k}
+            yield sc.lin(coeffs, rng.randint(-20, 20))
+
+    @staticmethod
+    def group(e):
+        """Z*Z for a discrete or ground e, Z*Q for a dense one."""
+        return ZQ if e.coeffs and e.coeffs[0][0].coord == 2 else ZZ
+
+    def same(self, build, reference):
+        with sc.budget_scope(None) as want:
+            expected = reference()
+        with sc.budget_scope(None) as got:
+            out = build()
+        assert out is expected
+        assert got.used == want.used
+        return out
+
+    def test_constructors(self):
+        for e in self.exprs(1, (1, 2, 3, 6)):
+            g = self.group(e)
+            self.same(lambda: sc.mk_lt(g, e), lambda: ref.mk_lt(g, e))
+            self.same(lambda: sc.mk_le(g, e), lambda: ref.mk_le(g, e))
+            self.same(lambda: sc.mk_eq(g, e), lambda: ref.mk_eq(g, e))
+            for m in (1, 2, 4, 6, 7, 12):
+                self.same(lambda: sc.mk_congr(g, m, e),
+                          lambda: ref.mk_congr(g, m, e))
+
+    def test_mixed_sorts_raise(self):
+        e = le({X1: 2, X2: 1}, 1)
+        for build in (sc.mk_lt, sc.mk_le, sc.mk_eq, ref.mk_lt, ref.mk_le,
+                      ref.mk_eq, lambda g, e: sc.mk_congr(g, 3, e),
+                      lambda g, e: ref.mk_congr(g, 3, e)):
+            with pytest.raises(FormulaError, match="mixes sorts"):
+                build(ZQ, e)
+
+    def test_negated_literals(self):
+        shapes = set()
+        atoms = [sc.SLt(sc.lin_const(k)) for k in (-1, 0, 2)]
+        for e in self.exprs(2, (1, 2, 5)):
+            g = self.group(e)
+            atoms += [sc.SLt(e), sc.SEq(e), sc.mk_lt(g, e), sc.mk_eq(g, e)]
+        for a in atoms:
+            if a.__class__ is sc.SBool:
+                continue
+            g = self.group(a.expr)
+            out = self.same(lambda: qe.nnf(g, a, positive=False),
+                            lambda: ref.negate(g, a))
+            self.same(lambda: qe.nnf(g, sc.SNot(a)), lambda: ref.negate(g, a))
+            shapes.add((a.__class__, g is ZZ, out.__class__))
+        # discrete and dense SLt and SEq, and a ground SLt built directly
+        assert {(sc.SLt, True, sc.SLt), (sc.SLt, False, sc.SOr),
+                (sc.SEq, True, sc.SOr), (sc.SEq, False, sc.SOr),
+                (sc.SLt, True, sc.SBool)} <= shapes
+
+    def test_lin_subst(self):
+        rng = random.Random(3)
+        exprs = list(self.exprs(4, (1, 2)))
+        for e in exprs:
+            for v in (X1, Y1, X2):
+                repl = rng.choice(exprs)
+                den = rng.choice((1, 1, 2, 3))
+                self.same(lambda: sc.lin_subst(e, v, repl, den),
+                          lambda: ref.lin_subst(e, v, repl, den))
 
 
 class TestConnectives:
