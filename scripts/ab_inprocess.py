@@ -1,4 +1,4 @@
-"""Same-process A/B timing of two checkouts on one benchmark workload.
+"""Same-process A/B timing of two checkouts on benchmark workloads.
 
 Loads the `src/oagkit` of two checkouts side by side, as the packages
 `oagkit_a` and `oagkit_b`, each with its own copy of the checkout's
@@ -12,20 +12,25 @@ and times each side's block in CPU time.
 
 Run from anywhere, with two checkouts (the parent first):
 
-    python3 scripts/ab_inprocess.py ../parent . --workload qe-bounded
+    python3 scripts/ab_inprocess.py ../parent . --workload qe-bounded \
+        --workload codes
 
-It prints the CPU ratio B/A over all blocks (below 1 means B is faster)
-and how many blocks each side won.  Interleaving blocks in one process
-puts both sides under the same machine load, so it resolves differences
-of a few percent that the spread between separate benchmark runs hides.
-Only the in-process workloads (qe-bounded, codes, typegen) can be
-replayed.
+For each workload, one after another, it prints the CPU ratio B/A over
+all blocks (below 1 means B is faster), the median of the per-block
+ratios and how many blocks each side won; the exit status is 1 if any
+query rendered or charged differently.  A few heavy blocks can sway the
+total, so the median and the wins say whether B is faster on most
+blocks.  Interleaving blocks in one process puts both sides under the
+same machine load, so it resolves differences of a few percent that the
+spread between separate benchmark runs hides.  Only the in-process
+workloads (qe-bounded, codes, typegen) can be replayed.
 """
 
 import argparse
 import gc
 import importlib.util
 import os
+import statistics
 import sys
 import time
 
@@ -68,11 +73,59 @@ def block_cpu(wl, queries):
     return time.process_time() - t0
 
 
+def compare(sides, name, args):
+    """Check and time one workload on both sides; True if every query
+    rendered and charged the same on both."""
+    runs = []
+    for workloads in sides:
+        wl = workloads.WORKLOADS[name](args.seed)
+        runs.append((workloads, wl, [wl.next_query()
+                                     for _ in range(args.queries)]))
+    inputs = [[(q.spec, q.args) for q in qs] for _, _, qs in runs]
+    if inputs[0] != inputs[1]:
+        sys.exit(f"the two checkouts draw different {name} queries for "
+                 f"seed {args.seed}")
+
+    differ = 0
+    for i in range(args.queries):
+        seen = []
+        for workloads, wl, queries in runs:
+            with workloads.sc.budget_scope(None) as budget:
+                result = wl.run(queries[i])
+            seen.append((wl.render(queries[i], result), budget.used))
+        differ += seen[0] != seen[1]
+    print(f"{name} seed {args.seed}: {args.queries} queries, "
+          f"{differ} with a different render or budget charge")
+
+    blocks = [range(i, min(i + args.block, args.queries))
+              for i in range(0, args.queries, args.block)]
+    totals, wins, ratios = [0.0, 0.0], [0, 0], []
+    for r in range(args.rounds):
+        for k, span in enumerate(blocks):
+            times = [0.0, 0.0]
+            order = (0, 1) if (r + k) % 2 == 0 else (1, 0)
+            for s in order:
+                _, wl, queries = runs[s]
+                times[s] = block_cpu(wl, [queries[i] for i in span])
+            totals[0] += times[0]
+            totals[1] += times[1]
+            if times[0] != times[1]:  # a tie counts for neither
+                wins[times[1] < times[0]] += 1
+            if times[0]:
+                ratios.append(times[1] / times[0])
+    print(f"CPU A {totals[0]:.3f} s, B {totals[1]:.3f} s, "
+          f"ratio B/A {totals[1] / totals[0]:.3f}, "
+          f"median block ratio {statistics.median(ratios):.3f}; "
+          f"blocks won: A {wins[0]}, B {wins[1]} of {sum(wins)}")
+    return differ == 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a", help="checkout A (the baseline)")
     ap.add_argument("b", help="checkout B")
-    ap.add_argument("--workload", required=True, choices=IN_PROCESS)
+    ap.add_argument("--workload", required=True, action="append",
+                    choices=IN_PROCESS, help="may be given more than once")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--queries", type=int, default=300)
     ap.add_argument("--block", type=int, default=25,
@@ -82,46 +135,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     sys.dont_write_bytecode = True
 
-    sides = []
-    for tag, root in (("a", args.a), ("b", args.b)):
-        workloads = load_side(os.path.abspath(root), tag)
-        wl = workloads.WORKLOADS[args.workload](args.seed)
-        queries = [wl.next_query() for _ in range(args.queries)]
-        sides.append((workloads, wl, queries))
-    inputs = [[(q.spec, q.args) for q in qs] for _, _, qs in sides]
-    if inputs[0] != inputs[1]:
-        sys.exit("the two checkouts draw different queries for this seed")
-
-    differ = 0
-    for i in range(args.queries):
-        seen = []
-        for workloads, wl, queries in sides:
-            scalars = workloads.sc
-            with scalars.budget_scope(None) as budget:
-                result = wl.run(queries[i])
-            seen.append((wl.render(queries[i], result), budget.used))
-        differ += seen[0] != seen[1]
-    print(f"{args.workload} seed {args.seed}: {args.queries} queries, "
-          f"{differ} with a different render or budget charge")
-
-    blocks = [range(i, min(i + args.block, args.queries))
-              for i in range(0, args.queries, args.block)]
-    totals, wins = [0.0, 0.0], [0, 0]
-    for r in range(args.rounds):
-        for k, span in enumerate(blocks):
-            times = [0.0, 0.0]
-            order = (0, 1) if (r + k) % 2 == 0 else (1, 0)
-            for s in order:
-                _, wl, queries = sides[s]
-                times[s] = block_cpu(wl, [queries[i] for i in span])
-            totals[0] += times[0]
-            totals[1] += times[1]
-            if times[0] != times[1]:  # a tie counts for neither
-                wins[times[1] < times[0]] += 1
-    print(f"CPU A {totals[0]:.3f} s, B {totals[1]:.3f} s, "
-          f"ratio B/A {totals[1] / totals[0]:.3f}; "
-          f"blocks won: A {wins[0]}, B {wins[1]} of {sum(wins)}")
-    return 1 if differ else 0
+    sides = [load_side(os.path.abspath(root), tag)
+             for tag, root in (("a", args.a), ("b", args.b))]
+    same = [compare(sides, name, args) for name in args.workload]
+    return 0 if all(same) else 1
 
 
 if __name__ == "__main__":

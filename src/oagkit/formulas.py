@@ -9,10 +9,12 @@ m times the (quotient) group.
 
 The concrete syntax is s-expressions; see GRAMMAR below.  Space, tab,
 CR and LF separate tokens, `;` starts a comment to the end of the line,
-and parentheses nest at most MAX_DEPTH deep.  The parser sums each term
-into one coefficient table and constant, alpha-renames so no bound
-variable shadows another, flattens nested and/or, and reports syntax and
-sort errors with 1-based line and column.  `lower` translates a group
+and parentheses nest at most MAX_DEPTH deep.  The parser splits tokens
+with str methods (the regex `_TOKEN` only places an error), records the
+names it resolves as the `_scan` of its result, sums each term into one
+coefficient table and constant, alpha-renames so no bound variable
+shadows another, flattens nested and/or, and reports syntax and sort
+errors with 1-based line and column.  `lower` translates a group
 formula into the scalar language of `scalars`, one variable per
 coordinate: each atom becomes integer constraints on the coordinates of
 its left - right, and bound variables are renamed only where one shadows
@@ -194,6 +196,8 @@ ATOMS = (Cmp, Congr, RelCmp, RelCongr, RelEq)
 
 # A comment, a parenthesis, or a run of anything else: only space, tab, CR
 # and LF separate tokens (a form feed or a no-break space is part of one).
+# `_Parser` splits the same tokens out with str methods; this regex only
+# finds where the token of a ParseError starts.
 _TOKEN = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT = re.compile(r"-?\d+\Z")
@@ -214,9 +218,15 @@ class _Parser:
     def __init__(self, g: GroupSpec, text: str) -> None:
         self.g = g
         self.text = text
-        self.toks = [t for t in _TOKEN.findall(text) if t[0] != ";"]
+        text = re.sub(r";[^\n]*", "", text) if ";" in text else text
+        self.toks = list(filter(None, text.replace("(", " ( ").replace(
+            ")", " ) ").replace("\t", " ").replace("\r", " ").replace(
+            "\n", " ").split(" ")))
         self.zero = zero(g)
-        self.used: set[str] = set()
+        # the formula's scan, as in `_scan`, unless a coefficient cancelled
+        self.free: set[str] = set()
+        self.binders: set[str] = set()
+        self.cancelled = False
         self.scopes: list[dict[str, str]] = []
 
     def err(self, msg: str, i: int) -> ParseError:
@@ -258,16 +268,16 @@ class _Parser:
         """The internal name of a binder: its own unless a name seen so
         far is the same, else the first name_k that no token of the
         input spells, so no later free use can be captured."""
-        if name in self.used:
-            name = _fresh_name(name, self.used.union(self.toks))
-        self.used.add(name)
+        if name in self.binders or name in self.free:
+            name = _fresh_name(name, self.binders.union(self.free, self.toks))
+        self.binders.add(name)
         return name
 
     def resolve(self, name: str) -> str:
         for scope in reversed(self.scopes):
             if name in scope:
                 return scope[name]
-        self.used.add(name)
+        self.free.add(name)
         return name
 
     def number(self, i: int) -> int | Fraction:
@@ -289,8 +299,10 @@ class _Parser:
         coeffs: dict[str, int] = {}
         const = list(self.zero)
         self._sum(node, 1, coeffs, const)
-        return Term(tuple(sorted((v, c) for v, c in coeffs.items() if c)),
-                    tuple(const))
+        if 0 in coeffs.values():
+            self.cancelled = True
+            coeffs = {v: c for v, c in coeffs.items() if c}
+        return Term(tuple(sorted(coeffs.items())), tuple(const))
 
     def _sum(self, node, k: int, coeffs: dict, const: list) -> None:
         """Add k times the term at node to coeffs and const."""
@@ -451,6 +463,9 @@ class _Parser:
 def parse(g: GroupSpec, text: str) -> Formula:
     p = _Parser(g, text)
     f = p.formula(p.read())
+    if not p.cancelled:  # `fresh` shadows no enclosing or earlier name
+        object.__setattr__(f, "_scanned", (frozenset(p.free), frozenset(
+            p.binders), not p.binders.isdisjoint(p.free)))
     # a binder textually before a free use of the same name slips past the
     # scope stack; freshening restores the no-shadowing invariant
     return _freshen(g, f)

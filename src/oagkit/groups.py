@@ -39,10 +39,8 @@ class GroupSpec(Record):
             if k not in ("Z", "Q"):
                 raise GroupError(f"unknown coordinate kind {k!r}")
         super().__init__(kinds)
-
-    @property
-    def n(self) -> int:
-        return len(self.kinds)
+        # the rank, kept outside the fields as formulas keep `_scanned`
+        object.__setattr__(self, "n", len(kinds))
 
     def __str__(self) -> str:
         return "*".join(self.kinds) if self.kinds else "1"

@@ -414,7 +414,10 @@ def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,
     else:
         pieces = (p for p in cells.pieces(m)
                   if p[1] == prefix[-1] and p[0] != p[1])
-    return {base + r for r in collect(cells, q, pieces)}
+    try:
+        return {base + r for r in collect(cells, q, pieces)}
+    finally:  # the closures' cycle would keep the memo until a GC pass
+        del collect, classes
 
 
 def hull_segment(g: GroupSpec, walk: tuple) -> DivSegment:
@@ -692,7 +695,10 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
                 out.append(_RawPiece(up, low, fp.lits))
         return out
 
-    raw = rec((), qf)
+    try:
+        raw = rec((), qf)
+    finally:  # as in co_initial_classes
+        del rec, over, rec_discrete, rec_dense, check_ray_lits
     pieces = []
     for rp in raw:
         upper = DivSegment(END, 1, *rp.upper) if rp.upper \

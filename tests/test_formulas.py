@@ -346,6 +346,39 @@ class TestParseAgainstReference:
             assert str(e.value) == msg
 
 
+def regex_tokens(text):
+    return [t for t in fm._TOKEN.findall(text) if t[0] != ";"]
+
+
+class TestTokenizer:
+    """The split-based tokenizer yields exactly the non-comment tokens of
+    `_TOKEN`, which `err` still uses to place a token."""
+
+    # the separators, `;`, line breaks and spaces that separate nothing,
+    # and the characters of tokens
+    ALPHABET = [" ", "\t", "\r", "\n", "\r\n", ";", "\x0c", "\x0b",
+                "\xa0", "\x85", "\u2028", "(", ")", "/", "-", "0", "7",
+                "x", "Q", "_", "@", "<"]
+
+    def test_random_strings(self):
+        rng = random.Random(0)
+        for _ in range(5000):
+            text = "".join(rng.choice(self.ALPHABET)
+                           for _ in range(rng.randrange(40)))
+            assert fm._Parser(Z1, text).toks == regex_tokens(text), \
+                repr(text)
+
+    def test_handwritten_and_mutated_texts(self):
+        rng = random.Random(1)
+        texts = list(HANDWRITTEN)
+        for g in (Z1, Z2, Z3):
+            for text in crit01_texts(g, 40):
+                texts += [text] + [mutate(text, rng) for _ in range(5)]
+        for text in texts:
+            assert fm._Parser(Z1, text).toks == regex_tokens(text), \
+                repr(text)
+
+
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 LONG = "9" * (INT_DIGITS + 1)
 
@@ -527,7 +560,8 @@ class TestLowerAtomCharges:
 
 class TestScanOnce:
     """`_scan` walks each formula object once and keeps the answer on it,
-    outside its fields."""
+    outside its fields; the parser keeps its own scan on what it parses,
+    so a parsed formula is not walked at all."""
 
     def count_walks(self, monkeypatch):
         walked = []
@@ -541,6 +575,7 @@ class TestScanOnce:
         return walked
 
     def test_a_query_scans_each_formula_object_once(self, monkeypatch):
+        scan_walk = fm._scan_walk
         walked = self.count_walks(monkeypatch)
         for g in (Z1, Z2, Z3):
             for text in crit01_texts(g, 40):
@@ -551,15 +586,45 @@ class TestScanOnce:
                 else:
                     qe.decide(g, f)
                 fm.lower(g, f)
-                assert walked == [f], text
-        # a parsed text whose binder shadows a later free use: the parse
-        # and its freshened result, one walk each
+                assert walked == [], text
+                assert f._scanned == scan_walk(f), text
+        # a parsed text whose binder shadows a later free use: the parser's
+        # scan says so, and only the freshened result is walked
         del walked[:]
         f = fm.parse(Z1, "(and (exists (x) (< x (c 0))) (< x (c 1)))")
         qe.eliminate(Z1, f)
         fm.lower(Z1, f)
-        assert len(walked) == 2 and walked[-1] is f
-        assert len({id(w) for w in walked}) == 2
+        assert walked == [f] and f._scanned == scan_walk(f)
+        assert fm.print_formula(f) == \
+            "(and (exists (x_2) (< x_2 (c 0))) (< x (c 1)))"
+
+    def test_the_parsers_scan_is_the_walks(self, monkeypatch):
+        # every parsed formula's scan is the one a walk finds.  A name
+        # whose coefficients cancel may be no free name, so such a parse
+        # is walked instead, and so is a freshened result
+        scan_walk = fm._scan_walk
+        walked = self.count_walks(monkeypatch)
+        cancelled = [
+            "(< (- x x) y)", "(exists (y) (< (+ x (* -1 x)) y))",
+            "(and (< (- x x) y) (< x y))", "(exists (x) (< (- x x) y))"]
+        seen, parsed = [], 0
+        for text in HANDWRITTEN + crit01_texts(Z1, 40) + cancelled:
+            del walked[:]
+            try:
+                f = fm.parse(Z1, text)
+            except ParseError:
+                continue
+            parsed += 1
+            assert fm._scan(f) == scan_walk(f), text
+            assert len(walked) <= 1
+            seen += [text] * len(walked)
+        assert parsed >= 60, parsed
+        assert seen == [
+            "(< (+ x (* -2 y) (- y x)) (c 3))",
+            "(and (exists (x) (< x (c 0))) (< x (c 1)))",
+            "(and (exists (x) (< x y)) (exists (x) (< y x)) (< x_2 x))",
+            *cancelled]
+        assert fm.free_vars(fm.parse(Z1, cancelled[0])) == {"y"}
 
     def test_the_kept_scan_changes_no_equality_hash_or_repr(self):
         text = "(exists (y) (and (< x y) (forall (z) (< y z))))"

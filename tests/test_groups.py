@@ -46,6 +46,18 @@ def test_group_spec_checks_its_kinds():
         GroupSpec(("Z", "R"))
 
 
+def test_group_rank_is_kept_outside_the_fields():
+    g = GroupSpec(kinds=("Z", "Q", "Z"))
+    assert g.n == 3 and quotient_spec(g, 2).n == 2
+    assert quotient_spec(g, 0).n == 0 and parse_group("1").n == 0
+    assert GroupSpec._fields == ("kinds",)
+    assert repr(g) == "GroupSpec(kinds=('Z', 'Q', 'Z'))"
+    assert g == parse_group("Z*Q*Z") and hash(g) == hash((g.kinds,))
+    with pytest.raises(AttributeError):
+        g.n = 2
+    assert g.n == 3
+
+
 def test_element_validation():
     assert element(ZZ, [1, -1]) == (1, -1)
     assert element(QZ, [Fraction(1, 2), 3]) == (Fraction(1, 2), 3)

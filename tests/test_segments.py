@@ -1,6 +1,7 @@
 """Tests for end segments, stabilizers, divisibility form, and the
 canonical nice decomposition."""
 
+import gc
 import random
 import time
 from collections import Counter
@@ -1182,6 +1183,25 @@ def test_generic_type_nodes_built_may_only_fall(spec, seed):
         for f in corpus:
             tg.generic_type(g, f, 6)
     assert budget.used <= GENERIC_TYPE_NODES_BUILT[spec]
+
+
+def test_segment_closures_leave_no_cyclic_garbage():
+    # the nested closures of co_initial_classes and nice_decompose refer
+    # to each other; each call drops that cycle, so its memo and the forms
+    # in it are freed by reference counting alone
+    phi = fm.parse(ZZ, "(and (< x (c 3 0)) (congr 2 x (c 1 0)))")
+    psi = fm.parse(ZZ, "(or (< x (c 3 1)) (and (< (c 5 0) x) "
+                       "(congr 3 x (c 1 2))))")
+    for run in (lambda: tg.generic_type(ZZ, phi, 4),
+                lambda: code_set(ZZ, psi, "x")):
+        run()
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class _CountingFormulas:
