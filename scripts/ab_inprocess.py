@@ -22,7 +22,10 @@ query rendered or charged differently.  A few heavy blocks can sway the
 total, so the median and the wins say whether B is faster on most
 blocks.  Interleaving blocks in one process puts both sides under the
 same machine load, so it resolves differences of a few percent that the
-spread between separate benchmark runs hides.  Only the in-process
+spread between separate benchmark runs hides.  It still has noise: an
+A/A run, a checkout against a copy of itself, reads within about 3% of
+1 and can give one side about 64% of the blocks, so a ratio or a share
+of wins inside that spread shows no difference.  Only the in-process
 workloads (qe-bounded, codes, typegen) can be replayed.
 """
 

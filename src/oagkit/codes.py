@@ -591,7 +591,7 @@ def code_type(g: GroupSpec, p: TypeDescriptor) -> Code:
 
 
 def _quot_sort_key(t):
-    return tuple(tuple(Fraction(x) for x in q.coords) for q in t)
+    return tuple(q.coords for q in t)
 
 
 def code_finite_set(g: GroupSpec, tuples: Iterable) -> Code:

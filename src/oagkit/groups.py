@@ -341,14 +341,33 @@ def subgroup_bn(g: GroupSpec, gamma: Element, n: int) -> ConvexSubgroup:
 # --- index invariants --------------------------------------------------------
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this
+# bound (Sorenson and Webster, 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Whether p is prime, by deterministic Miller-Rabin; GroupError at
+    or above _PRIME_LIMIT, where its bases no longer decide."""
+    if p >= _PRIME_LIMIT:
+        raise GroupError(f"{p} is too large to test for primality")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if any(p % b == 0 for b in _PRIME_BASES):
+        return p in _PRIME_BASES
+    s = ((p - 1) & -(p - 1)).bit_length() - 1  # p - 1 = d * 2**s, d odd
+    d = (p - 1) >> s
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 1
     return True
 
 

@@ -20,9 +20,9 @@ unary-set layers, `segments` and `typegen`.  One walk, `_walk`, asks
 whether two forms differ somewhere: it walks the cells of both together
 and compares their fibres pair by pair, so `_holds_somewhere` compares
 a form with FALSE and `same_points` two forms.  A fibre is the form
-with its variable pinned to a value (`_pin`): each atom in that
-variable becomes a truth value by integer arithmetic, and no expression
-is substituted.
+with its variable pinned to a value (`_pin`): the atom map folds each
+atom in that variable to a truth value by integer arithmetic, and no
+expression is substituted.
 
 While a high-level operation runs (those four, `code_set`,
 `reconstruct`, `nice_decompose`, `end_hull`, `to_div_segment`,
@@ -38,16 +38,21 @@ scalar form of each atom in the same memo, under a key tagged "lower",
 "cells", and `_walk` the answer for each pair of forms it compares,
 under "walk".)
 
-Negation normal form, the atom map, miniscoping, the window ranges and
-elimination itself run on `scalars.walk`, with one memo per call keyed
-on the node (for `nnf`, on the node and its polarity), and stop at a
-first FALSE conjunct or TRUE disjunct.  Cooper's method and the dense
-projection yield their disjuncts lazily, so `mk_or` stops substituting
-at the first true one.  Cooper's method substitutes its infinity rows
-first, building each shift constant when its row needs it, and a true
-row answers the whole disjunction before any bound row is built;
-otherwise the disjuncts come in the interleaved order (each row, then
-its bound rows), so the answer is the same node either way.
+A quantifier-free form is rewritten two ways: `_map_atoms` maps each
+atom in one variable (Cooper's normalization and infinity rows, the
+dense minus-infinity and root-plus-epsilon rows, the pins), and
+`scalars.s_subst` substitutes a term for the variable (Cooper's shifted
+and bound rows, the window rows, the dense root rows).  Negation normal
+form, the atom map, miniscoping, the window ranges and elimination
+itself run on `scalars.walk`, with one memo per call keyed on the node
+(for `nnf`, on the node and its polarity), and stop at a first FALSE
+conjunct or TRUE disjunct.  Cooper's method and the dense projection
+yield their disjuncts lazily, so `mk_or` stops substituting at the
+first true one.  Cooper's method substitutes its infinity rows first,
+building each shift constant when its row needs it, and a true row
+answers the whole disjunction before any bound row is built; otherwise
+the disjuncts come in the interleaved order (each row, then its bound
+rows), so the answer is the same node either way.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -122,26 +128,34 @@ def nnf(g: GroupSpec, f: SFormula, positive: bool = True) -> SFormula:
 
 
 def _map_atoms(f: SFormula, fn, v: SVar) -> SFormula:
-    """Rebuild an NNF formula, transforming each atom through fn; a
-    negated congruence becomes the negation of fn applied to its
-    congruence.  Subtrees without v are shared untouched."""
+    """Rebuild a quantifier-free formula with each atom in v replaced by
+    fn(atom); `mk_and`, `mk_or` and `mk_not` rebuild the rest, stopping
+    at a first FALSE conjunct or TRUE disjunct.  Subtrees without v are
+    shared untouched."""
     def step(node):
         if v not in node.fv:
             return node
         cls = node.__class__
-        if cls is SLt or cls is SEq or cls is SCongr:
-            return fn(node)
-        if cls is SNot:
-            if node.body.__class__ is not SCongr:
-                raise AssertionError("only congruences are negated in NNF")
-            return mk_not(fn(node.body))
         if cls is SAnd:
             return Join(mk_and, node.items, FALSE)
         if cls is SOr:
             return Join(mk_or, node.items, TRUE)
-        raise FormulaError(f"unexpected node in atom map: {cls.__name__}")
+        if cls is SNot:
+            return Join(lambda rs: mk_not(rs[0]), (node.body,))
+        return fn(node)
 
     return walk(f, step)
+
+
+def _without(e: sc.LinExpr, v: SVar) -> sc.LinExpr:
+    """e with its term in v dropped."""
+    return sc.LinExpr(tuple(p for p in e.coeffs if p[0] is not v), e.const)
+
+
+def _window_rows(g: GroupSpec, f: SFormula, v: SVar, lo, hi) -> SFormula:
+    """The disjunction of f at v = lo..hi; `mk_or` stops substituting at
+    a first TRUE row."""
+    return mk_or(s_subst(g, f, v, lin_const(t)) for t in range(lo, hi + 1))
 
 
 # --- Cooper elimination on a discrete coordinate ----------------------------
@@ -151,7 +165,7 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
     # equations on v become conjunctions of bounds so that only strict
     # inequalities and congruence literals mention v
     def split_eq(lit):
-        if isinstance(lit, SEq) and lit.expr.coeff(v) != 0:
+        if isinstance(lit, SEq):
             return mk_and([mk_le(g, lit.expr), mk_le(g, lin_neg(lit.expr))])
         return lit
 
@@ -166,8 +180,6 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
     # substitute y = delta * v: every coefficient of y becomes +-1
     def rescale(lit):
         a = lit.expr.coeff(v)
-        if a == 0:
-            return lit
         lam = delta // abs(a)
         coeffs = tuple((w, lam * c) if w != v else (w, 1 if a > 0 else -1)
                        for w, c in lit.expr.coeffs)
@@ -183,27 +195,22 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
     period = 1
     for lit in atoms(f):
         a = lit.expr.coeff(v)
-        if isinstance(lit, SCongr):
-            if a:
-                period = math.lcm(period, lit.modulus)
-            continue
         if a == 0:
             continue
-        rest = sc.LinExpr(tuple((w, c) for w, c in lit.expr.coeffs
-                                if w != v), lit.expr.const)
-        if a == 1:
-            uppers.append(lin_neg(rest))  # y + r < 0  means  y < -r
-        else:
-            lowers.append(rest)  # -y + r < 0  means  r < y
+        if isinstance(lit, SCongr):
+            period = math.lcm(period, lit.modulus)
+        elif a == 1:  # y + r < 0  means  y < -r
+            uppers.append(lin_neg(_without(lit.expr, v)))
+        else:  # -y + r < 0  means  r < y
+            lowers.append(_without(lit.expr, v))
 
     use_lowers = len(lowers) <= len(uppers)
 
     def at_infinity(lit):
-        a = lit.expr.coeff(v)
-        if isinstance(lit, SLt) and a != 0:
+        if isinstance(lit, SLt):
             # at -inf every upper bound holds and every lower fails;
             # dually at +inf
-            return SBool((a == 1) == use_lowers)
+            return SBool((lit.expr.coeff(v) == 1) == use_lowers)
         return lit
 
     row = _map_atoms(f, at_infinity, v)
@@ -242,6 +249,8 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
 
 
 def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
+    # each distinct root of an atom a*v + rest, as the substitution
+    # v = repl/den with den > 0
     roots = {}
     for lit in atoms(f):
         a = lit.expr.coeff(v)
@@ -249,50 +258,33 @@ def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
             continue
         if isinstance(lit, SCongr):
             raise AssertionError("dense coordinates carry no congruences")
-        rest = sc.LinExpr(tuple((w, c) for w, c in lit.expr.coeffs
-                                if w != v), lit.expr.const)
-        # the root -rest/a, as (a, rest) divided by its content and sign
-        k = math.gcd(a, rest.const, *(c for _, c in rest.coeffs))
-        k = k if a > 0 else -k
-        key = (a // k, tuple((w, c // k) for w, c in rest.coeffs),
-               rest.const // k)
-        roots.setdefault(key, (a, rest))
-
-    def subst_at(a, rest, eps):
-        # the test point is -rest/a, optionally nudged right by an
-        # infinitesimal
-        def per_lit(lit):
-            c2 = lit.expr.coeff(v)
-            if c2 == 0:
-                return lit
-            rest2 = sc.LinExpr(tuple((w, c) for w, c in lit.expr.coeffs
-                                     if w != v), lit.expr.const)
-            numer = lin_add(sc.lin_scale(a, rest2), sc.lin_scale(-c2, rest))
-            if a < 0:
-                numer = lin_neg(numer)
-            if isinstance(lit, SEq):
-                return SBool(False) if eps else mk_eq(g, numer)
-            if not eps:
-                return mk_lt(g, numer)
-            if c2 < 0:
-                return mk_or([mk_lt(g, numer), mk_eq(g, numer)])
-            return mk_lt(g, numer)
-
-        return _map_atoms(f, per_lit, v)
+        rest = _without(lit.expr, v)
+        repl, den = (rest, -a) if a < 0 else (lin_neg(rest), a)
+        k = math.gcd(den, repl.const, *(c for _, c in repl.coeffs))
+        key = (den // k, tuple((w, c // k) for w, c in repl.coeffs),
+               repl.const // k)
+        roots.setdefault(key, (repl, den))
 
     def at_minus_inf(lit):
-        c2 = lit.expr.coeff(v)
-        if c2 == 0:
-            return lit
         if isinstance(lit, SEq):
-            return SBool(False)
-        return SBool(c2 > 0)
+            return FALSE
+        return SBool(lit.expr.coeff(v) > 0)
+
+    def past_root(repl, den, lit):
+        # the atom at the root nudged right by an infinitesimal: an
+        # equation fails, and a decreasing atom is < or = at the root
+        if isinstance(lit, SEq):
+            return FALSE
+        numer = sc.lin_subst(lit.expr, v, repl, den)
+        if lit.expr.coeff(v) < 0:
+            return mk_or([mk_lt(g, numer), mk_eq(g, numer)])
+        return mk_lt(g, numer)
 
     def pieces():
         yield _map_atoms(f, at_minus_inf, v)
-        for a, rest in roots.values():
-            yield subst_at(a, rest, eps=False)
-            yield subst_at(a, rest, eps=True)
+        for repl, den in roots.values():
+            yield s_subst(g, f, v, repl, den)
+            yield _map_atoms(f, partial(past_root, repl, den), v)
 
     return mk_or(pieces())
 
@@ -330,8 +322,7 @@ def _eliminate_block(g: GroupSpec, block: list, body: SFormula) -> SFormula:
         if best is not None:
             v, (lo, hi), _ = best
             remaining.remove(v)
-            body = mk_or(s_subst(g, body, v, lin_const(t))
-                         for t in range(lo, hi + 1))
+            body = _window_rows(g, body, v, lo, hi)
         elif body.fv <= set(block) and len({w.base for w in block}) == 1:
             body = SBool(_holds_somewhere(g, body))
             break
@@ -361,9 +352,7 @@ def _miniscope(g: GroupSpec, v: SVar, body: SFormula) -> SFormula:
         if kind_of(g, v) == "Z":
             window = _constant_window(v, node)
             if window is not None:
-                lo, hi = window
-                return mk_or(s_subst(g, node, v, lin_const(t))
-                             for t in range(lo, hi + 1))
+                return _window_rows(g, node, v, *window)
             return _cooper(g, v, node)
         return _dense(g, v, node)
 
@@ -528,17 +517,18 @@ def entails(g: GroupSpec, a: fm.Formula, b: fm.Formula,
 
 
 def _pieces(discrete: bool, roots: list, w: int):
-    """The cells of a line cut at the sorted roots, lazily, in ascending
-    order, as triples (t, lo, hi): a representative t, and the cell's ends lo
-    and hi (None: unbounded).  A root c is the cell (c, c, c).  A gap's
-    ends are the roots around it on Q and its first and last integer on
-    Z, where it has w representatives: its first w integers (the last w
-    of the gap unbounded below), each standing for the integers of the
-    gap congruent to it modulo w.  On Q a gap's representative is its
-    midpoint, or one past its finite end, or 0 for the whole line."""
+    """The cells of a line cut at the sorted roots (ints on Z), lazily,
+    in ascending order, as triples (t, lo, hi): a representative t, and
+    the cell's ends lo and hi (None: unbounded).  A root c is the cell
+    (c, c, c).  A gap's ends are the roots around it on Q and its first
+    and last integer on Z, where it has w representatives: its first w
+    integers (the last w of the gap unbounded below), each standing for
+    the integers of the gap congruent to it modulo w.  On Q a gap's
+    representative is its midpoint, or one past its finite end, or 0 for
+    the whole line."""
     ends = [None] + roots + [None]
     for c, d in zip(ends, ends[1:]):
-        if c is not None and (not discrete or c.denominator == 1):
+        if c is not None:
             yield c, c, c
         if not discrete:
             if c is None:
@@ -547,8 +537,8 @@ def _pieces(discrete: bool, roots: list, w: int):
                 t = c + 1 if d is None else (c + d) / 2
             yield t, c, d
             continue
-        lo = None if c is None else math.floor(c) + 1
-        hi = None if d is None else math.ceil(d) - 1
+        lo = None if c is None else c + 1
+        hi = None if d is None else d - 1
         if lo is None:
             top = 0 if hi is None else hi + 1
             reps = range(top - w, top)
@@ -561,29 +551,10 @@ def _pieces(discrete: bool, roots: list, w: int):
 def _pin(psi, x: SVar, t):
     """The quantifier-free form psi with x = t, an integer or, on a dense
     coordinate, a Fraction: the node `s_subst` builds, for the same
-    charge.  Each atom in x alone becomes TRUE or FALSE by the fold
-    `s_subst` uses (`scalars.fold_atom`); the rest is rebuilt with
-    `mk_and`, `mk_or` and `mk_not`, which stop at the same FALSE conjunct
-    or TRUE disjunct.  An atom that mentions x and another variable
-    raises AssertionError."""
-    num, den = t.numerator, t.denominator
-
-    def step(node):
-        if x not in node.fv:
-            return node
-        cls = node.__class__
-        if cls is SAnd:
-            return Join(mk_and, node.items, FALSE)
-        if cls is SOr:
-            return Join(mk_or, node.items, TRUE)
-        if cls is SNot:
-            return Join(lambda rs: mk_not(rs[0]), (node.body,))
-        if len(node.expr.coeffs) > 1:
-            raise AssertionError(
-                f"atom {node!r} mentions more than one variable")
-        return fold_atom(node, num, den)
-
-    return walk(psi, step)
+    charge, by the atom map with each atom in x folded by integer
+    arithmetic (`scalars.fold_atom`).  An atom that mentions x and
+    another variable raises AssertionError."""
+    return _map_atoms(psi, partial(fold_atom, t.numerator, t.denominator), x)
 
 
 class _Cells:
@@ -591,14 +562,15 @@ class _Cells:
     psi whose atoms each mention one variable.
 
     The atoms of psi in x keep their truth values on each cell of x's
-    line: a root of the order atoms (an int if integral on Z), or a gap
-    between two roots, and on Z within those each class modulo L
-    (`modulus`), the lcm of the moduli.  So the fibre of psi over x = t,
-    psi with x = t, a condition on the other variables, depends only on
-    t's cell and residue.  `pieces` gives a point of each cell
-    (`_pieces`), and `fibre` pins psi (`_pin`) once per cell and residue,
-    for any t: a point of a finer cell model, such as the joint one of
-    two forms, finds the fibre of its cell here."""
+    line: a root of the order atoms (an int on Z), or a gap between two
+    roots, and on Z within those each class modulo L (`modulus`), the
+    lcm of the moduli.  So the fibre of psi over x = t, psi with x = t,
+    a condition on the other variables, depends only on t's cell and
+    residue.  `pieces` gives a point of each cell (`_pieces`), and
+    `fibre` pins psi (`_pin`, the atom map folding each atom in x) once
+    per cell and residue, for any t: a point of a finer cell model,
+    such as the joint one of two forms, finds the fibre of its cell
+    here."""
 
     __slots__ = ("psi", "x", "discrete", "roots", "modulus", "fibres")
 

@@ -611,12 +611,16 @@ def s_free_vars(f: SFormula) -> frozenset:
     return f.fv
 
 
-def fold_atom(atom, num: int, den: int = 1) -> SBool:
+def fold_atom(num: int, den: int, atom) -> SBool:
     """The truth value of an atom whose one variable is num/den (den > 0)
     by integer arithmetic on a*num + c*den: what its constructor gives,
-    and charges, on the ground expression `lin_subst` would build."""
+    and charges, on the ground expression `lin_subst` would build.  An
+    atom in two variables raises AssertionError."""
     _charge()
-    value = atom.expr.coeffs[0][1] * num + atom.expr.const * den
+    coeffs = atom.expr.coeffs
+    if len(coeffs) > 1:
+        raise AssertionError(f"atom {atom!r} mentions more than one variable")
+    value = coeffs[0][1] * num + atom.expr.const * den
     cls = atom.__class__
     return TRUE if (value < 0 if cls is SLt else value == 0 if cls is SEq
                     else value % atom.modulus == 0) else FALSE
@@ -624,12 +628,13 @@ def fold_atom(atom, num: int, den: int = 1) -> SBool:
 
 def s_subst(g: GroupSpec, f: SFormula, v: SVar, repl: LinExpr,
             den: int = 1, _memo: Optional[dict] = None) -> SFormula:
-    """Substitute repl/den (den > 0) for a variable, renormalizing atoms;
-    an atom mentioning the variable is multiplied by den first, which
-    keeps its truth value because den > 1 only replaces a dense variable,
-    and dense atoms carry no congruences; under a ground repl, an atom in
-    the variable alone is folded (`fold_atom`).  Subtrees not mentioning
-    the variable are shared, not copied."""
+    """Substitute repl/den (den > 0) for a variable in a quantifier-free
+    formula, renormalizing atoms; an atom in the variable is multiplied
+    by den first, which keeps its truth value because den > 1 only
+    replaces a dense variable (the dense projection's root rows), and
+    dense atoms carry no congruences; under a ground repl, an atom in the
+    variable alone is folded (`fold_atom`).  Subtrees not mentioning the
+    variable are shared, not copied."""
     if v not in f.fv:
         return f
     if _memo is None:
@@ -640,7 +645,7 @@ def s_subst(g: GroupSpec, f: SFormula, v: SVar, repl: LinExpr,
     cls = f.__class__
     if cls is SLt or cls is SEq or cls is SCongr:
         if not repl.coeffs and len(f.expr.coeffs) == 1:
-            out = fold_atom(f, repl.const, den)
+            out = fold_atom(repl.const, den, f)
         else:
             e = lin_subst(f.expr, v, repl, den)
             out = (mk_lt(g, e) if cls is SLt else mk_eq(g, e) if cls is SEq
@@ -651,13 +656,9 @@ def s_subst(g: GroupSpec, f: SFormula, v: SVar, repl: LinExpr,
         out = mk_and(s_subst(g, it, v, repl, den, _memo) for it in f.items)
     elif cls is SOr:
         out = mk_or(s_subst(g, it, v, repl, den, _memo) for it in f.items)
-    elif cls is SExists or cls is SForall:
-        if f.var == v or f.var in repl.vars_set:
-            raise FormulaError("substitution under a capturing quantifier")
-        body = s_subst(g, f.body, v, repl, den, _memo)
-        out = (mk_exists if cls is SExists else mk_forall)(f.var, body)
     else:
-        raise FormulaError(f"unknown scalar node {f!r}")
+        raise FormulaError("substitution expects a quantifier-free formula, "
+                           f"got {cls.__name__}")
     _memo[f] = out
     return out
 
@@ -681,9 +682,10 @@ def atoms(f: SFormula) -> list:
 def roots_and_modulus(f: SFormula, v: SVar,
                       discrete: bool = False) -> tuple:
     """The sorted roots of f's order atoms in v, and the lcm of the
-    moduli of f's congruences in v; an integral root is an int when v is
-    discrete.  Every atom of f must mention one variable: AssertionError
-    otherwise."""
+    moduli of f's congruences in v.  On a discrete v a root is the int
+    c // a of an atom a*v - c: the cores leave a unit coefficient, and
+    any other atom keeps its truth value below, at and above that floor.
+    Every atom of f must mention one variable: AssertionError otherwise."""
     roots = set()
     modulus = 1
     for atom in atoms(f):
@@ -697,7 +699,7 @@ def roots_and_modulus(f: SFormula, v: SVar,
             modulus = math.lcm(modulus, atom.modulus)
             continue
         a, c = coeffs[0][1], -atom.expr.const
-        roots.add(c // a if discrete and c % a == 0 else Fraction(c, a))
+        roots.add(c // a if discrete else Fraction(c, a))
     return sorted(roots), modulus
 
 

@@ -19,8 +19,7 @@ by substitution.  Nothing else is eliminated.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import ceil, floor, isqrt, lcm
+from math import isqrt, lcm
 from typing import Optional, Union
 
 from . import formulas as fm
@@ -36,8 +35,8 @@ from .groups import (
     scale,
     unit,
 )
-from .qe import (_Cells, _cells, _holds_somewhere, _pieces, _pin, decide,
-                 eliminate_scalar, same_points)
+from .qe import (_Cells, _cells, _holds_somewhere, _pieces, _pin, _qf,
+                 decide, same_points)
 from .scalars import FALSE, SVar, TRUE, mk_or, operation
 
 END = "end"
@@ -192,7 +191,7 @@ class CongrLiteral(Record):
 
 def _lit_key(lit: CongrLiteral):
     return (lit.level, lit.modulus, lit.z, 0 if lit.sign > 0 else 1,
-            tuple(Fraction(x) for x in lit.beta), lit.offset)
+            lit.beta, lit.offset)
 
 
 def canonical_restriction(g: GroupSpec, lits) -> tuple:
@@ -285,7 +284,7 @@ def pad(g: GroupSpec, vals) -> Element:
 def least_prefix(g: GroupSpec, phi: fm.Formula, v: str,
                  k: int) -> Optional[tuple]:
     """`least_prefix_qf` of phi's quantifier-free form."""
-    return least_prefix_qf(g, eliminate_scalar(g, fm.lower(g, phi)), v, k)
+    return least_prefix_qf(g, _qf(g, phi), v, k)
 
 
 def least_prefix_qf(g: GroupSpec, qf, v: str, k: int) -> Optional[tuple]:
@@ -513,9 +512,8 @@ def fibre_changes(g: GroupSpec, psi, x: SVar, m: int, r: int) -> list:
     """
     cells = _cells(g, psi, x)
     span = lcm(cells.modulus, m) + m
-    ends = {e for c in cells.roots for e in (floor(c), ceil(c))}
     cands = set()
-    for e in ends:
+    for e in cells.roots:
         cands.update(range(e - span + (r - e + span) % m, e + span + 1, m))
     return [s for s in sorted(cands)
             if not same_points(g, cells.fibre(s), cells.fibre(s + m))]
@@ -535,8 +533,8 @@ def eventual_period(g: GroupSpec, psi, x: SVar) -> int:
     """
     cells = _cells(g, psi, x)
     roots, n, fibre = cells.roots, cells.modulus, cells.fibre
-    top = floor(roots[-1]) + 1 if roots else 0
-    bot = ceil(roots[0]) - 1 if roots else 0
+    top = roots[-1] + 1 if roots else 0
+    bot = roots[0] - 1 if roots else 0
     divisors = {e for d in range(1, isqrt(n) + 1) if n % d == 0
                 for e in (d, n // d)}
     return next(m for m in sorted(divisors) if m == n or all(
@@ -587,7 +585,7 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     comparing their lowered forms with `same_points`.
     """
     v = the_var(g, phi, var)
-    qf = eliminate_scalar(g, fm.lower(g, phi))
+    qf = _qf(g, phi)
     xs = [SVar(v, i) for i in range(1, g.n + 1)]
     memo: dict = {}
 
@@ -761,7 +759,7 @@ def _seg_key(s: DivSegment):
     elif s.bound == PLUS_INF:
         b = (2, ())
     else:
-        b = (1, tuple(Fraction(x) for x in s.bound))
+        b = (1, s.bound)
     return (b, s.level, s.n, 0 if s.rel == GE else 1)
 
 

@@ -30,7 +30,7 @@ from .codes import (CUT_AT_SEGMENT, CUT_MINUS_INF, CUT_REALIZED,
                     code_div_form, descriptor_fragment, descriptor_issue)
 from .errors import Record, SegmentError, TypeGenError
 from .groups import FiniteQuotientElement, GroupSpec, project
-from .qe import _holds_somewhere, eliminate_scalar
+from .qe import _holds_somewhere, _qf
 from .scalars import mk_and, operation
 from .segments import (CongrLiteral, co_initial_classes, hull_segment,
                        least_prefix_qf, pad, the_var)
@@ -89,7 +89,7 @@ def _decide(g: GroupSpec, phi: fm.Formula, bound: int,
     if bound < 2:
         raise TypeGenError(f"residue bound {bound} must be at least 2")
     v = _var(g, phi, var)
-    qf = eliminate_scalar(g, fm.lower(g, phi))
+    qf = _qf(g, phi)
     walk = least_prefix_qf(g, qf, v, g.n)
     if walk is None:
         raise TypeGenError("cannot build a type on an unsatisfiable formula")
@@ -188,5 +188,4 @@ def check_descriptor(g: GroupSpec, p: TypeDescriptor, phi: fm.Formula,
         fq for fq in p.residues if fq.level > c and not any(
             fq != r and fq.level <= r.level and r.modulus % fq.modulus == 0
             for r in p.residues))), v)
-    return _holds_somewhere(g, mk_and(
-        [fm.lower(g, frag), eliminate_scalar(g, fm.lower(g, phi))]))
+    return _holds_somewhere(g, mk_and([fm.lower(g, frag), _qf(g, phi)]))

@@ -67,8 +67,9 @@ def holds_somewhere(g, f) -> bool:
     if isinstance(f, SBool):
         return f.value
     x = min(f.fv, key=lambda w: (w.base, w.coord))
-    roots, modulus = roots_and_modulus(f, x)
-    for t, _, _ in _pieces(g.kinds[x.coord - 1] == "Z", roots, modulus):
+    discrete = g.kinds[x.coord - 1] == "Z"
+    roots, modulus = roots_and_modulus(f, x, discrete)
+    for t, _, _ in _pieces(discrete, roots, modulus):
         if len(f.fv) == 1:
             if s_eval(g, f, {x: t}):
                 return True

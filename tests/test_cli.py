@@ -450,6 +450,22 @@ def test_huge_modulus_is_bounded_by_the_budget(command, text, want):
         assert {k: obj[k] for k in want} == want
 
 
+def test_chi_on_a_large_prime_is_fast():
+    """A cold `chi` on 10^18+3: primality by Miller-Rabin, not trial
+    division, takes well under a second of the child's CPU time."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "oagkit", "chi", "--group", "Z",
+         str(10 ** 18 + 3), "--format", "json"],
+        capture_output=True, text=True, env=_module_env(),
+        preexec_fn=_limit_child, timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == 10 ** 18 + 3
+    assert (after.ru_utime + after.ru_stime
+            - before.ru_utime - before.ru_stime) < 1.0
+
+
 def test_reader_closing_early_gets_no_traceback():
     """`oagkit reps … | head -c 150`: the 436187-byte answer overflows
     the pipe, so the reader's close breaks the write; exit 1, no

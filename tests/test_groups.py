@@ -1,6 +1,7 @@
 """Group model: order axioms, quotient maps, jumps, rank and index."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -349,6 +350,28 @@ def test_chi_formula():
     assert compute_chi(TRIV, 13) == 1
     with pytest.raises(GroupError):
         compute_chi(ZZ, 4)
+
+
+def _prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10 ** 5)
+            if groups.is_prime(n) != _prime_by_trial_division(n)] == []
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    # a Carmichael number, and strong pseudoprimes to the bases 2, 3, 5,
+    # 7 and to 2..23
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not groups.is_prime(n)
+    for p in (10 ** 18 + 3, 10 ** 20 + 39):
+        assert groups.is_prime(p)
+        assert compute_chi(ZZ, p) == p * p
+    # past the bound where the bases decide, a typed error
+    with pytest.raises(GroupError, match="too large"):
+        groups.is_prime(groups._PRIME_LIMIT)
 
 
 def test_chi_by_coset_enumeration():

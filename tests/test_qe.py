@@ -255,9 +255,9 @@ class TestPin:
                 psi = qe._qf(g, f)
                 for j in range(1, g.n + 1):
                     x = sc.SVar(v, j)
-                    roots, modulus = sc.roots_and_modulus(psi, x)
-                    for t, _, _ in qe._pieces(g.kinds[j - 1] == "Z", roots,
-                                              modulus):
+                    discrete = g.kinds[j - 1] == "Z"
+                    roots, modulus = sc.roots_and_modulus(psi, x, discrete)
+                    for t, _, _ in qe._pieces(discrete, roots, modulus):
                         with sc.budget_scope(None) as want:
                             ref = reference_qe.s_subst_all(g, psi, {x: t})
                         with sc.budget_scope(None) as got:
@@ -337,6 +337,26 @@ class TestGroundFold:
                   if fm.free_vars(f) == {"x", "y"}]
         seen = self.run_against_reference(monkeypatch, g, corpus)
         assert seen[True] >= 10 and seen[False] >= 10
+
+    @pytest.mark.parametrize("spec", ["Q", "Z*Q", "Q*Z"])
+    def test_dense_root_rows(self, monkeypatch, spec):
+        # x projected with y free on a dense coordinate: the root rows put
+        # x = repl/den, with den > 1 at the root of an atom whose
+        # coefficient of x is not +-1
+        g = parse_group(spec)
+        corpus = [fm.Exists("x", f) for f in
+                  orc.fuzz_corpus(g, 3, 80, limits=self.LIMITS,
+                                  template="qf")
+                  if fm.free_vars(f) == {"x", "y"}]
+        library, dens = qe.s_subst, []
+
+        def recording(g, f, v, repl, den=1):
+            dens.append(den)
+            return library(g, f, v, repl, den)
+
+        monkeypatch.setattr(qe, "s_subst", recording)
+        seen = self.run_against_reference(monkeypatch, g, corpus)
+        assert seen[False] >= 10 and sum(d > 1 for d in dens) >= 3
 
     def test_an_atom_in_two_variables_is_not_folded(self):
         x1, y1 = sc.SVar("x", 1), sc.SVar("y", 1)
@@ -525,6 +545,50 @@ class TestNnf:
                         check(it)
 
             check(low)
+
+    @pytest.mark.parametrize("spec, template", [
+        ("Z", "bounded"), ("Z*Z", "bounded"), ("Z*Z*Z", "bounded"),
+        ("Z", "qf"), ("Z*Z", "qf"), ("Z*Z*Z", "qf"), ("Q", "qf"),
+        ("Z*Q", "qf"), ("Q*Z", "qf")])
+    def test_only_congruences_stay_negated_on_the_corpora(self, monkeypatch,
+                                                           spec, template):
+        # the atom map does not check its input; Cooper's method and the
+        # dense projection take nnf's output, in which only congruences
+        # are negated: checked on every nnf call of the bounded formulas'
+        # eliminations, and on both polarities of each lowered qf formula
+        g = parse_group(spec)
+        real, outputs = qe.nnf, []
+
+        def recording(g, f, positive=True):
+            outputs.append(real(g, f, positive))
+            return outputs[-1]
+
+        monkeypatch.setattr(qe, "nnf", recording)
+        seed, count = (0, 100) if template == "bounded" else (3, 80)
+        for f in orc.fuzz_corpus(g, seed, count, limits=TestGroundFold.LIMITS,
+                                 template=template):
+            if template == "qf":
+                recording(g, fm.lower(g, f))
+                recording(g, fm.lower(g, f), False)
+            else:
+                qe.eliminate(g, f)
+        negated = 0
+        todo, seen = list(outputs), set()
+        while todo:
+            node = todo.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            cls = node.__class__
+            if cls is sc.SNot:
+                assert node.body.__class__ is sc.SCongr, sc.print_scalar(node)
+                negated += 1
+            elif cls is sc.SAnd or cls is sc.SOr:
+                todo.extend(node.items)
+            else:
+                assert cls in (sc.SBool, sc.SLt, sc.SEq, sc.SCongr), cls
+        assert len(outputs) >= count // 2
+        assert negated > 0 or "Z" not in spec
 
     def test_semantics_preserved(self):
         for f in orc.fuzz_corpus(Z2, 72, 10, template="qf"):

@@ -244,10 +244,10 @@ class TestTraversal:
         assert sc.roots_and_modulus(f, X1) == ([Fraction(-1), Fraction(3, 2)],
                                                3)
         assert sc.roots_and_modulus(f, Y1) == ([Fraction(-5)], 4)
-        # on a discrete coordinate an integral root is an int
+        # on a discrete coordinate a root is the int floor of its value
         roots, _ = sc.roots_and_modulus(f, X1, discrete=True)
-        assert roots == [-1, Fraction(3, 2)]
-        assert [type(r) for r in roots] == [int, Fraction]
+        assert roots == [-1, 1]
+        assert [type(r) for r in roots] == [int, int]
         assert [type(r) for r in sc.roots_and_modulus(f, X1)[0]] \
             == [Fraction, Fraction]
         with pytest.raises(AssertionError):

@@ -1224,30 +1224,37 @@ class _CountingFormulas:
 
 
 def test_generic_type_builds_no_fragment(monkeypatch):
-    # through typegen's bindings: generic_type lowers phi once and builds
-    # no literal's formula and no conjunction, and check_descriptor lowers
-    # its fragment and phi apart, conjoining no formulas; only the trace
-    # builds fragments, which the same probes see
+    # through typegen's bindings: generic_type takes phi's quantifier-free
+    # form once and builds no literal's formula and no conjunction, and
+    # check_descriptor lowers its fragment and takes phi's form apart,
+    # conjoining no formulas; only the trace builds fragments, which the
+    # same probes see
     seen = _CountingFormulas()
-    denoted = []
-    real = sg.CongrLiteral.denote
+    denoted, formed = [], []
+    real, real_qf = sg.CongrLiteral.denote, tg._qf
 
     def counting(lit, *args):
         denoted.append(lit)
         return real(lit, *args)
 
+    def counting_qf(g, phi):
+        formed.append(phi)
+        return real_qf(g, phi)
+
     monkeypatch.setattr(tg, "fm", seen)
+    monkeypatch.setattr(tg, "_qf", counting_qf)
     monkeypatch.setattr(sg.CongrLiteral, "denote", counting)
     for spec, seed in CRIT07:
         g, corpus = crit07_corpus(spec, seed, 10)
         for phi in corpus:
             seen.calls.clear()
             denoted.clear()
+            formed.clear()
             p = tg.generic_type(g, phi, 6)
-            assert seen.calls == {"lower": 1} and denoted == []
-            seen.calls.clear()
+            assert seen.calls == {} and formed == [phi] and denoted == []
+            formed.clear()
             assert tg.check_descriptor(g, p, phi, "x")
-            assert seen.calls == {"lower": 2}
+            assert seen.calls == {"lower": 1} and formed == [phi]
     seen.calls.clear()
     denoted.clear()
     _, trace = tg.generic_type_trace(Z, fm.parse(Z, "(congr 3 x (c 2))"), 4)
@@ -1333,18 +1340,18 @@ class TestOneElimination:
              ("Z*Q", "(lt@ 2 (c 1 1/2) x)"))
 
     def test_eliminations_per_operation(self, monkeypatch):
-        real = sg.eliminate_scalar
+        real = sg._qf
         calls = []
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(sg, "eliminate_scalar", counting)
+        monkeypatch.setattr(sg, "_qf", counting)
         for spec, text in self.CASES:
             g = parse_group(spec)
             phi = fm.parse(g, text)
-            qf = real(g, fm.lower(g, phi))
+            qf = real(g, phi)
             walk = sg.least_prefix_qf(g, qf, "x", g.n)
             for run, want in (
                     (lambda: sg.least_prefix_qf(g, qf, "x", g.n), 0),
