@@ -371,6 +371,21 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def divisors(n: int) -> list:
+    """The divisors of n >= 1, ascending, from its prime factors: trial
+    division stops once the cofactor is 1 or prime (`is_prime`)."""
+    out, d, fresh = [1], 2, True
+    while n > 1:
+        if d * d > n or fresh and n < _PRIME_LIMIT and is_prime(n):
+            d = n
+        fresh, size = n % d == 0, len(out)
+        while n % d == 0:  # the last size divisors, times d once more
+            n //= d
+            out += [e * d for e in out[-size:]]
+        d += 1
+    return sorted(out)
+
+
 def compute_chi(g: GroupSpec, p: int) -> int:
     """The index [G : pG].  Always finite here: each discrete coordinate
     contributes a factor p, dense coordinates are divisible."""

@@ -8,21 +8,12 @@ sides), and virtual-substitution over test points (minus infinity, each
 root, each root plus epsilon) on dense coordinates, which carry no
 congruences.
 
-Two kinds of question are answered here.  Sentences are projected:
-`decide` and `eliminate` run the eliminations above, except that a
-closed block over the coordinates of one group variable is walked.  A
-formula whose only free variable is one group variable x is eliminated
-once; every atom of its quantifier-free form then mentions one
-coordinate of x, and questions about it walk that form's cells
-(`_Cells`): satisfiable, equivalent, entails (which close any other
-formula into a sentence and decide it) and witness here, and the
-unary-set layers, `segments` and `typegen`.  One walk, `_walk`, asks
-whether two forms differ somewhere: it walks the cells of both together
-and compares their fibres pair by pair, so `_holds_somewhere` compares
-a form with FALSE and `same_points` two forms.  A fibre is the form
-with its variable pinned to a value (`_pin`): the atom map folds each
-atom in that variable to a truth value by integer arithmetic, and no
-expression is substituted.
+Sentences are projected: `decide` and `eliminate` run the eliminations
+above, except that a closed block over the coordinates of one group
+variable is walked.  A formula whose only free variable is one group
+variable is eliminated once (`qf_form`), and satisfiable, equivalent,
+entails (which close any other formula into a sentence and decide it)
+and witness ask that form's cell model (`cells`).
 
 While a high-level operation runs (those four, `code_set`,
 `reconstruct`, `nice_decompose`, `end_hull`, `to_div_segment`,
@@ -34,13 +25,11 @@ changes no answer.  The memo is thread-local, has no option or size
 limit, and is dropped when the outermost operation returns or raises.
 Outside an operation nothing is memoized.  (`formulas.lower` keeps the
 scalar form of each atom in the same memo, under a key tagged "lower",
-`_cells` one cell model per form and coordinate, with its fibres, under
-"cells", and `_walk` the answer for each pair of forms it compares,
-under "walk".)
+and `cells` its cell models and walks.)
 
-A quantifier-free form is rewritten two ways: `_map_atoms` maps each
-atom in one variable (Cooper's normalization and infinity rows, the
-dense minus-infinity and root-plus-epsilon rows, the pins), and
+A quantifier-free form is rewritten two ways: `scalars.map_atoms` maps
+each atom in one variable (Cooper's normalization and infinity rows,
+the dense minus-infinity and root-plus-epsilon rows, `cells.pin`), and
 `scalars.s_subst` substitutes a term for the variable (Cooper's shifted
 and bound rows, the window rows, the dense root rows).  Negation normal
 form, the atom map, miniscoping, the window ranges and elimination
@@ -58,22 +47,20 @@ rows), so the answer is the same node either way.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from fractions import Fraction
 from functools import partial
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import formulas as fm
 from . import scalars as sc
+from .cells import cells_of, holds_somewhere, near_zero, same_points
 from .errors import FormulaError, Record
 from .groups import Element, GroupSpec, element
 from .scalars import (
     FALSE, TRUE, Join, SAnd, SBool, SCongr, SEq, SExists, SForall, SFormula,
-    SLt, SNot, SOr, SVar, atoms, budget_scope, fold_atom, kind_of, lin_add,
-    lin_const, lin_neg, lin_var, mk_and, mk_congr, mk_eq, mk_le, mk_lt,
-    mk_not, mk_or, operation, operation_memo, roots_and_modulus, s_is_qf,
-    s_subst, walk,
+    SLt, SNot, SOr, SVar, atoms, budget_scope, kind_of, lin_add, lin_const,
+    lin_neg, lin_var, map_atoms, mk_and, mk_congr, mk_eq, mk_le, mk_lt,
+    mk_not, mk_or, operation, operation_memo, s_is_qf, s_subst, walk,
 )
 
 
@@ -127,26 +114,6 @@ def nnf(g: GroupSpec, f: SFormula, positive: bool = True) -> SFormula:
     return walk((f, positive), step)
 
 
-def _map_atoms(f: SFormula, fn, v: SVar) -> SFormula:
-    """Rebuild a quantifier-free formula with each atom in v replaced by
-    fn(atom); `mk_and`, `mk_or` and `mk_not` rebuild the rest, stopping
-    at a first FALSE conjunct or TRUE disjunct.  Subtrees without v are
-    shared untouched."""
-    def step(node):
-        if v not in node.fv:
-            return node
-        cls = node.__class__
-        if cls is SAnd:
-            return Join(mk_and, node.items, FALSE)
-        if cls is SOr:
-            return Join(mk_or, node.items, TRUE)
-        if cls is SNot:
-            return Join(lambda rs: mk_not(rs[0]), (node.body,))
-        return fn(node)
-
-    return walk(f, step)
-
-
 def _without(e: sc.LinExpr, v: SVar) -> sc.LinExpr:
     """e with its term in v dropped."""
     return sc.LinExpr(tuple(p for p in e.coeffs if p[0] is not v), e.const)
@@ -169,7 +136,7 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
             return mk_and([mk_le(g, lit.expr), mk_le(g, lin_neg(lit.expr))])
         return lit
 
-    f = _map_atoms(f, split_eq, v)
+    f = map_atoms(f, split_eq, v)
 
     delta = 1
     for lit in atoms(f):
@@ -188,7 +155,7 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
             return SLt(expr)
         return mk_congr(g, lam * lit.modulus, expr)
 
-    f = _map_atoms(f, rescale, v)
+    f = map_atoms(f, rescale, v)
     f = mk_and([f, mk_congr(g, delta, lin_var(v))])
 
     lowers, uppers = [], []
@@ -213,7 +180,7 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
             return SBool((lit.expr.coeff(v) == 1) == use_lowers)
         return lit
 
-    row = _map_atoms(f, at_infinity, v)
+    row = map_atoms(f, at_infinity, v)
     if row is sc.TRUE:
         return row
     bounds = lowers if use_lowers else uppers
@@ -281,10 +248,10 @@ def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
         return mk_lt(g, numer)
 
     def pieces():
-        yield _map_atoms(f, at_minus_inf, v)
+        yield map_atoms(f, at_minus_inf, v)
         for repl, den in roots.values():
             yield s_subst(g, f, v, repl, den)
-            yield _map_atoms(f, partial(past_root, repl, den), v)
+            yield map_atoms(f, partial(past_root, repl, den), v)
 
     return mk_or(pieces())
 
@@ -299,7 +266,7 @@ def _eliminate_block(g: GroupSpec, block: list, body: SFormula) -> SFormula:
     uncovers windows for the remaining coordinates.  When none is left
     and the block is closed and over one group variable, each atom of
     the body mentions one coordinate, and the walk answers it
-    (`_holds_somewhere`); other blocks go to Cooper's method and the
+    (`cells.holds_somewhere`); other blocks go to Cooper's method and the
     dense projection.  Memoized in the open operation's memo."""
     memo = operation_memo()
     key = (g, tuple(block), body)
@@ -324,7 +291,7 @@ def _eliminate_block(g: GroupSpec, block: list, body: SFormula) -> SFormula:
             remaining.remove(v)
             body = _window_rows(g, body, v, lo, hi)
         elif body.fv <= set(block) and len({w.base for w in block}) == 1:
-            body = SBool(_holds_somewhere(g, body))
+            body = SBool(holds_somewhere(g, body))
             break
         else:
             v = remaining.pop()
@@ -476,7 +443,8 @@ def _close(f: fm.Formula, ctor) -> fm.Formula:
     return f
 
 
-def _qf(g: GroupSpec, f: fm.Formula) -> SFormula:
+def qf_form(g: GroupSpec, f: fm.Formula) -> SFormula:
+    """f lowered, with every quantifier eliminated."""
     return eliminate_scalar(g, fm.lower(g, f))
 
 
@@ -488,7 +456,7 @@ def satisfiable(g: GroupSpec, f: fm.Formula,
     if len(fm.free_vars(f)) != 1:
         return decide(g, _close(f, fm.Exists), budget)
     with budget_scope(budget):
-        return _holds_somewhere(g, _qf(g, f))
+        return holds_somewhere(g, qf_form(g, f))
 
 
 @operation
@@ -499,7 +467,7 @@ def equivalent(g: GroupSpec, a: fm.Formula, b: fm.Formula,
     if len(fm.free_vars(a) | fm.free_vars(b)) != 1:
         return decide(g, _close(fm.Iff(a, b), fm.Forall), budget)
     with budget_scope(budget):
-        return same_points(g, _qf(g, a), _qf(g, b))
+        return same_points(g, qf_form(g, a), qf_form(g, b))
 
 
 @operation
@@ -510,177 +478,11 @@ def entails(g: GroupSpec, a: fm.Formula, b: fm.Formula,
     if len(fm.free_vars(a) | fm.free_vars(b)) != 1:
         return decide(g, _close(fm.Implies(a, b), fm.Forall), budget)
     with budget_scope(budget):
-        return not _holds_somewhere(g, mk_and([_qf(g, a), mk_not(_qf(g, b))]))
-
-
-# --- the cell model of a monadic form ---------------------------------------
-
-
-def _pieces(discrete: bool, roots: list, w: int):
-    """The cells of a line cut at the sorted roots (ints on Z), lazily,
-    in ascending order, as triples (t, lo, hi): a representative t, and
-    the cell's ends lo and hi (None: unbounded).  A root c is the cell
-    (c, c, c).  A gap's ends are the roots around it on Q and its first
-    and last integer on Z, where it has w representatives: its first w
-    integers (the last w of the gap unbounded below), each standing for
-    the integers of the gap congruent to it modulo w.  On Q a gap's
-    representative is its midpoint, or one past its finite end, or 0 for
-    the whole line."""
-    ends = [None] + roots + [None]
-    for c, d in zip(ends, ends[1:]):
-        if c is not None:
-            yield c, c, c
-        if not discrete:
-            if c is None:
-                t = Fraction(0) if d is None else d - 1
-            else:
-                t = c + 1 if d is None else (c + d) / 2
-            yield t, c, d
-            continue
-        lo = None if c is None else c + 1
-        hi = None if d is None else d - 1
-        if lo is None:
-            top = 0 if hi is None else hi + 1
-            reps = range(top - w, top)
-        else:
-            reps = range(lo, lo + w if hi is None else min(lo + w, hi + 1))
-        for t in reps:
-            yield t, lo, hi
-
-
-def _pin(psi, x: SVar, t):
-    """The quantifier-free form psi with x = t, an integer or, on a dense
-    coordinate, a Fraction: the node `s_subst` builds, for the same
-    charge, by the atom map with each atom in x folded by integer
-    arithmetic (`scalars.fold_atom`).  An atom that mentions x and
-    another variable raises AssertionError."""
-    return _map_atoms(psi, partial(fold_atom, t.numerator, t.denominator), x)
-
-
-class _Cells:
-    """The cell model of coordinate x in a quantifier-free scalar form
-    psi whose atoms each mention one variable.
-
-    The atoms of psi in x keep their truth values on each cell of x's
-    line: a root of the order atoms (an int on Z), or a gap between two
-    roots, and on Z within those each class modulo L (`modulus`), the
-    lcm of the moduli.  So the fibre of psi over x = t, psi with x = t,
-    a condition on the other variables, depends only on t's cell and
-    residue.  `pieces` gives a point of each cell (`_pieces`), and
-    `fibre` pins psi (`_pin`, the atom map folding each atom in x) once
-    per cell and residue, for any t: a point of a finer cell model,
-    such as the joint one of two forms, finds the fibre of its cell
-    here."""
-
-    __slots__ = ("psi", "x", "discrete", "roots", "modulus", "fibres")
-
-    def __init__(self, g: GroupSpec, psi, x: SVar):
-        self.psi, self.x = psi, x
-        self.discrete = discrete = g.kinds[x.coord - 1] == "Z"
-        self.roots, self.modulus = roots_and_modulus(psi, x, discrete)
-        self.fibres: dict = {}
-
-    def pieces(self, m: int = 1) -> Iterator[tuple]:
-        """The cells with, on Z, their classes modulo m as well, lazily."""
-        return _pieces(self.discrete, self.roots, math.lcm(self.modulus, m))
-
-    def fibre(self, t):
-        # the cell (gap i below roots[i], or roots[i] itself), residue
-        i = bisect_left(self.roots, t)
-        key = (i, self.roots[i:i + 1] == [t],
-               t % self.modulus if self.discrete else 0)
-        hit = self.fibres.get(key)
-        if hit is None:
-            hit = self.fibres[key] = _pin(self.psi, self.x, t)
-        return hit
-
-
-def _cells(g: GroupSpec, psi, x: SVar, memo: Optional[dict] = None) -> _Cells:
-    """psi's cell model of x, one per form and coordinate in memo (the
-    open operation's when None) under a key tagged "cells"."""
-    if memo is None:
-        memo = operation_memo()
-        if memo is None:
-            return _Cells(g, psi, x)
-    key = ("cells", g, psi, x)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = _Cells(g, psi, x)
-    return hit
-
-
-def _holds_somewhere(g: GroupSpec, f) -> bool:
-    """Whether a quantifier-free scalar formula, each of whose atoms
-    mentions one variable, holds at some point: it differs from FALSE
-    somewhere (`_walk`)."""
-    return not same_points(g, f, FALSE)
-
-
-def same_points(g: GroupSpec, a, b) -> bool:
-    """Whether two quantifier-free scalar formulas, each of whose atoms
-    mentions one variable, hold at the same points: they differ nowhere
-    (`_walk`, in the open operation's memo, or in one for the call).  An
-    atom that mentions two variables raises AssertionError."""
-    memo = operation_memo()
-    return not _walk(g, a, b, {} if memo is None else memo)
-
-
-def _walk(g: GroupSpec, a, b, memo: dict) -> bool:
-    """Whether the forms a and b differ at some point.
-
-    No elimination is needed: their truth at a point depends only on
-    each variable's cell (`_Cells`), so they differ somewhere exactly
-    when their fibres over the representative of some cell of their
-    joint model of their first variable x (the roots of both, and on Z
-    the lcm of both moduli) differ somewhere.  Each fibre comes from its
-    form's own cell model in memo, so it is pinned once however many
-    forms it is compared with.  The same interned node differs nowhere,
-    and two distinct truth values differ.  The budget is charged once
-    per representative, and the answer is memoized on the pair in memo
-    under a key tagged "walk"."""
-    if a is b:
-        return False
-    if a.__class__ is SBool and b.__class__ is SBool:
-        return True
-    key = ("walk", g, a, b)
-    hit = memo.get(key)
-    if hit is None:
-        x = min(a.fv | b.fv, key=lambda w: (w.base, w.coord))
-        ca, cb = _cells(g, a, x, memo), _cells(g, b, x, memo)
-        hit = False
-        for t, _, _ in _pieces(ca.discrete,
-                               sorted(set(ca.roots).union(cb.roots)),
-                               math.lcm(ca.modulus, cb.modulus)):
-            sc._charge()
-            if _walk(g, ca.fibre(t), cb.fibre(t), memo):
-                hit = True
-                break
-        memo[key] = hit
-    return hit
+        return not holds_somewhere(
+            g, mk_and([qf_form(g, a), mk_not(qf_form(g, b))]))
 
 
 # --- witness extraction -----------------------------------------------------
-
-
-def _near_zero(t) -> tuple:
-    return abs(t), t < 0
-
-
-def _least_point(cells: _Cells, t, lo, hi):
-    """The point of least (|s|, s < 0) of the piece (t, lo, hi) of
-    `cells.pieces()`: on Z the member of t's class modulo the cells'
-    modulus in lo..hi nearest 0 from either side, by remainder
-    arithmetic; on Q 0 when the cell holds it, else its representative
-    t, since an open gap has no point nearest 0."""
-    if not cells.discrete:
-        inside = (lo is None or lo < 0) and (hi is None or 0 < hi)
-        return 0 if inside else t
-    w = cells.modulus
-    up = 0 if lo is None else max(lo, 0)
-    down = 0 if hi is None else min(hi, 0)
-    return min((s for s in (up + (t - up) % w, down - (down - t) % w)
-                if (lo is None or lo <= s) and (hi is None or s <= hi)),
-               key=_near_zero)
 
 
 @operation
@@ -690,9 +492,9 @@ def witness(g: GroupSpec, f: fm.Formula,
     input Exists(x, phi) where phi has no free variable but x.
 
     phi is eliminated once.  Coordinates are then fixed most significant
-    first: among the cells of x.j (`_Cells`) whose fibre holds somewhere
-    (`_holds_somewhere`), with x.1..x.(j-1) pinned, x.j takes the point
-    of least (|t|, t < 0) (`_least_point`), and the next coordinate is
+    first: among the cells of x.j (`cells.Cells`) whose fibre holds
+    somewhere, with x.1..x.(j-1) pinned, x.j takes the point of least
+    (|t|, t < 0) (`Cells.least_point`), and the next coordinate is
     read off that point's fibre.  None when the set is empty."""
     if not isinstance(f, fm.Exists):
         raise FormulaError("witness expects an existential formula")
@@ -701,16 +503,16 @@ def witness(g: GroupSpec, f: fm.Formula,
         raise FormulaError(
             f"witness body must have exactly the free variable '{var}'")
     with budget_scope(budget):
-        psi = _qf(g, phi)
+        psi = qf_form(g, phi)
         picked = []
         for j in range(1, g.n + 1):
-            cells = _cells(g, psi, SVar(var, j))
-            points = [_least_point(cells, t, lo, hi)
+            cells = cells_of(g, psi, SVar(var, j))
+            points = [cells.least_point(t, lo, hi)
                       for t, lo, hi in cells.pieces()
-                      if _holds_somewhere(g, cells.fibre(t))]
+                      if holds_somewhere(g, cells.fibre(t))]
             if not points:
                 return None
-            picked.append(min(points, key=_near_zero))
+            picked.append(min(points, key=near_zero))
             psi = cells.fibre(picked[-1])
     return element(g, picked) if psi is sc.TRUE else None
 

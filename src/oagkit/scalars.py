@@ -25,14 +25,15 @@ Variables, expressions and formula nodes are hash-consed: structurally
 equal terms are the same object, equality and hashing are identity, and
 each node caches its free-variable set.  Elimination output is
 therefore a DAG with heavy sharing.  Its traversals (here evaluation,
-atom collection and printing; in `qe` normal form, elimination and its
-helpers) run on one iterative walker, `walk`, with one memo per call
-keyed on the node, so they take DAG size, not tree size, at any depth;
-`s_subst` still recurses.  `formulas` lowers and renames its (not
-interned) group formulas on `walk` too, and prints them with
-`preorder_text`.  Each interned class keeps a process-global plain
-dict from key to a weak reference, `_Ref`, which drops its entry when
-its object dies; there is no lock, so interning is single-threaded.
+atom collection, the atom map `map_atoms` and printing; in `qe` normal
+form, elimination and its helpers) run on one iterative walker, `walk`,
+with one memo per call keyed on the node, so they take DAG size, not
+tree size, at any depth; `s_subst` still recurses.  `formulas` lowers
+and renames its (not interned) group formulas on `walk` too, and
+prints them with `preorder_text`.  Each interned class keeps a
+process-global plain dict from key to a weak reference, `_Ref`, which
+drops its entry when its object dies; there is no lock, so interning is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -607,8 +608,24 @@ def _nothing(results):
     return None
 
 
-def s_free_vars(f: SFormula) -> frozenset:
-    return f.fv
+def map_atoms(f: SFormula, fn, v: SVar) -> SFormula:
+    """Rebuild a quantifier-free formula with each atom in v replaced by
+    fn(atom); `mk_and`, `mk_or` and `mk_not` rebuild the rest, stopping
+    at a first FALSE conjunct or TRUE disjunct.  Subtrees without v are
+    shared untouched."""
+    def step(node):
+        if v not in node.fv:
+            return node
+        cls = node.__class__
+        if cls is SAnd:
+            return Join(mk_and, node.items, FALSE)
+        if cls is SOr:
+            return Join(mk_or, node.items, TRUE)
+        if cls is SNot:
+            return Join(lambda rs: mk_not(rs[0]), (node.body,))
+        return fn(node)
+
+    return walk(f, step)
 
 
 def fold_atom(num: int, den: int, atom) -> SBool:

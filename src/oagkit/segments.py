@@ -9,34 +9,30 @@ stabilizer and divisibility form, and a canonical nice decomposition
 whose shape depends only on the defined set, never on the formula.
 
 Every atom of that form mentions one coordinate, so each question about
-it is answered one coordinate at a time on the coordinate's cells: the
-roots of its atoms there, the gaps between them, and on Z the residues
-modulo the lcm of its moduli.  That cell model (`qe._Cells`,
-`qe._holds_somewhere`, `qe.same_points`) lives in `qe`, which walks it
-for `witness` too; a coordinate is fixed by pinning it (`qe._pin`), not
-by substitution.  Nothing else is eliminated.
+it is asked of the form's cell model (`cells`), one coordinate at a
+time.  Nothing else is eliminated.
 """
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import lcm
 from typing import Optional, Union
 
 from . import formulas as fm
+from .cells import (Cells, cells_of, holds_somewhere, line_cells, pin,
+                    same_points)
 from .errors import Record, SegmentError
 from .groups import (
     ConvexSubgroup,
     Element,
     GroupSpec,
     add,
-    crt,
     element,
     meet_classes,
     scale,
     unit,
 )
-from .qe import (_Cells, _cells, _holds_somewhere, _pieces, _pin, _qf,
-                 decide, same_points)
+from .qe import decide, qf_form
 from .scalars import FALSE, SVar, TRUE, mk_or, operation
 
 END = "end"
@@ -284,7 +280,7 @@ def pad(g: GroupSpec, vals) -> Element:
 def least_prefix(g: GroupSpec, phi: fm.Formula, v: str,
                  k: int) -> Optional[tuple]:
     """`least_prefix_qf` of phi's quantifier-free form."""
-    return least_prefix_qf(g, _qf(g, phi), v, k)
+    return least_prefix_qf(g, qf_form(g, phi), v, k)
 
 
 def least_prefix_qf(g: GroupSpec, qf, v: str, k: int) -> Optional[tuple]:
@@ -301,9 +297,9 @@ def least_prefix_qf(g: GroupSpec, qf, v: str, k: int) -> Optional[tuple]:
     have the same walk.
 
     Nothing is eliminated: with the prefix pinned, whether the fibre over
-    x.j = t holds somewhere depends only on t's cell (`_Cells`), so the
+    x.j = t holds somewhere depends only on t's cell (`Cells`), so the
     least value is read off the first cell, in ascending order, whose
-    fibre holds (`_holds_somewhere`).  It is unbounded below when that
+    fibre holds (`holds_somewhere`).  It is unbounded below when that
     cell is, the cell's left end, not attained, when it is a gap between
     dense roots, and its representative otherwise, since on Z the first
     L integers of a gap are its representatives.
@@ -313,9 +309,9 @@ def least_prefix_qf(g: GroupSpec, qf, v: str, k: int) -> Optional[tuple]:
     prefix: tuple = ()
     psi = qf
     for j in range(1, k + 1):
-        cells = _cells(g, psi, SVar(v, j))
+        cells = cells_of(g, psi, SVar(v, j))
         low = next(((t, lo) for t, lo, _ in cells.pieces()
-                    if _holds_somewhere(g, cells.fibre(t))), None)
+                    if holds_somewhere(g, cells.fibre(t))), None)
         if low is None and not prefix:
             return None
         if low is None:
@@ -328,16 +324,6 @@ def least_prefix_qf(g: GroupSpec, qf, v: str, k: int) -> Optional[tuple]:
         prefix += (t,)
         psi = cells.fibre(t)
     return prefix, True
-
-
-def _meets(t: int, w: int, lo, hi, s: int, n: int) -> bool:
-    """Whether some t' in lo..hi (None: unbounded) has t' = t (mod w)
-    and t' = s (mod n)."""
-    hit = crt(t, w, s, n)
-    if hit is None or lo is None or hi is None:
-        return hit is not None
-    c, period = hit
-    return lo + (c - lo) % period <= hi
 
 
 def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,
@@ -356,11 +342,11 @@ def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,
     qf ∧ D ∧ C has the walk exactly when the pinned values x.1..x.(q-1)
     lie in C and some of its points over them have x.q arbitrarily far
     down (attained) or arbitrarily close above the infimum (not
-    attained): in a cell of x.q (`_Cells`) unbounded below, or in the
+    attained): in a cell of x.q (`Cells`) unbounded below, or in the
     dense gap whose left end is the infimum.  D's congruences on one
     coordinate meet in one class (the Chinese remainder theorem,
     `groups.meet_classes`), so whether a cell has a point in D's class
-    is arithmetic (`_meets`), and D's moduli never cut the cells.  The
+    is arithmetic (`Cells.meets`), and D's moduli never cut the cells.  The
     residues of x.q..x.k over which the pinned form reaches a true
     ground value are collected in one pass over the fibres of those
     cells: no elimination, for all classes at once.
@@ -378,14 +364,14 @@ def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,
     xs = [SVar(v, i) for i in range(1, g.n + 1)]
     memo: dict = {}
 
-    def collect(cells: _Cells, i: int, pieces) -> set:
+    def collect(cells: Cells, i: int, pieces) -> set:
         # the residues of x.i..x.k at which the form holds somewhere over
         # the pieces of x.i, within D's class
         out: set = set()
-        w = lcm(cells.modulus, m) if i <= k else cells.modulus
+        mk = m if i <= k else 1
         s, n = fixed.get(i - 1, (0, 1))
         for t, lo, hi in pieces:
-            if cells.discrete and not _meets(t, w, lo, hi, s, n):
+            if not cells.meets(t, mk, lo, hi, s, n):
                 continue
             here = (t % m,) if cells.discrete and i <= k else ()
             out.update(here + r for r in classes(cells.fibre(t), i + 1))
@@ -400,14 +386,14 @@ def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,
             return {()} if psi is TRUE else set()
         hit = memo.get((psi, i))
         if hit is None:
-            cells = _cells(g, psi, xs[i - 1])
+            cells = cells_of(g, psi, xs[i - 1])
             hit = memo[(psi, i)] = collect(
                 cells, i, cells.pieces(m if i <= k else 1))
         return hit
 
     for x, t in zip(xs, pinned):
-        qf = _pin(qf, x, t)
-    cells = _cells(g, qf, xs[q - 1])
+        qf = pin(qf, x, t)
+    cells = cells_of(g, qf, xs[q - 1])
     if attained:
         pieces = (p for p in cells.pieces(m) if p[1] is None)
     else:
@@ -492,57 +478,6 @@ def to_div_segment_initial(g: GroupSpec, phi: fm.Formula,
     return dual_div_segment(seg)
 
 
-def fibre_changes(g: GroupSpec, psi, x: SVar, m: int, r: int) -> list:
-    """The s = r (mod m), in increasing order, at which the fibre of psi
-    over x = s differs from the fibre over x = s + m, for m an eventual
-    period of the fibres (a multiple of `eventual_period`).
-
-    psi is a quantifier-free scalar formula whose atoms mention the
-    discrete variable x alone or not at all; its fibre over t is psi with
-    x = t, a condition on the other variables.  Off the roots of psi's
-    order atoms in x, the fibre depends only on the gap between roots
-    that t lies in and on t modulo L, the lcm of psi's moduli in x.  So a
-    change at s is also a change at s - lcm(L, m) and at s + lcm(L, m)
-    unless a root lies in between, and as m is a period the least and
-    the greatest change lie within lcm(L, m) + m of an integer next to a
-    root; without roots there is none.  Only those candidates are
-    compared, so the work does not grow with the distance between roots.
-    The fibres come from psi's cell model of x (`_Cells`), which every
-    call on psi and x in one operation shares.
-    """
-    cells = _cells(g, psi, x)
-    span = lcm(cells.modulus, m) + m
-    cands = set()
-    for e in cells.roots:
-        cands.update(range(e - span + (r - e + span) % m, e + span + 1, m))
-    return [s for s in sorted(cands)
-            if not same_points(g, cells.fibre(s), cells.fibre(s + m))]
-
-
-def eventual_period(g: GroupSpec, psi, x: SVar) -> int:
-    """The least m such that the fibre of psi over x = t (see
-    `fibre_changes`) equals the one over t + m for every t beyond some
-    bound, in both directions.
-
-    On the unbounded gaps of psi's cells in x (`_Cells`) the fibre
-    depends only on t modulo L, the lcm of psi's moduli in x, so the
-    least m divides L.  A divisor m qualifies when, for i < L, the fibres
-    over top + i and top + i + m, and over bot - i - m and bot - i, are
-    `same_points`: top the first integer above the greatest root, bot the
-    last below the least.
-    """
-    cells = _cells(g, psi, x)
-    roots, n, fibre = cells.roots, cells.modulus, cells.fibre
-    top = roots[-1] + 1 if roots else 0
-    bot = roots[0] - 1 if roots else 0
-    divisors = {e for d in range(1, isqrt(n) + 1) if n % d == 0
-                for e in (d, n // d)}
-    return next(m for m in sorted(divisors) if m == n or all(
-        same_points(g, fibre(top + i), fibre(top + i + m))
-        and same_points(g, fibre(bot - i - m), fibre(bot - i))
-        for i in range(n)))
-
-
 class _RawPiece:
     """Partial piece during decomposition: missing sides are inherited
     from the enclosing pins when the recursion unwinds."""
@@ -562,22 +497,19 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
 
     Works coordinate by coordinate, most significant first, on the
     quantifier-free form of phi, eliminated once.  Every atom of that
-    form mentions a single coordinate x.j.  With x.1..x.(j-1) pinned,
+    form mentions a single coordinate x.j.  With x.1..x.(j-1) pins,
     the fibre over a value t of coordinate j is the form with x.j = t as
     well: a condition on the deeper coordinates.  Two fibres are equal
     when no point of the deeper coordinates satisfies exactly one.
-    Every test here is on such forms, so none eliminates: the truth of
-    a form whose atoms each mention one coordinate depends only on each
-    coordinate's cell (its root gap or root, and on Z its residue modulo
-    L, the lcm of its moduli), so trying one point per cell is exact
-    (`_holds_somewhere`, `same_points`).
+    Every test here is on such forms, so none eliminates: the cell model
+    answers it (`holds_somewhere`, `same_points`).
 
     A discrete coordinate is split into residue classes modulo the
     minimal eventual period (refined by the moduli of the limiting
     fibres); each class contributes two constant rays plus finitely many
     exceptional values.  The period is read off the unbounded gaps of
-    the coordinate's cells (`eventual_period`), the constant classes and
-    ray thresholds off fibres near its roots (`fibre_changes`).  A dense
+    the coordinate's cells (`Cells.period`), the constant classes and
+    ray thresholds off fibres near its roots (`Cells.changes`).  A dense
     coordinate is split at the roots where the fibre changes.  All of this
     depends only on the defined set, so equivalent inputs produce
     identical output.  The pieces are then pruned of redundant literals
@@ -585,30 +517,30 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     comparing their lowered forms with `same_points`.
     """
     v = the_var(g, phi, var)
-    qf = _qf(g, phi)
+    qf = qf_form(g, phi)
     xs = [SVar(v, i) for i in range(1, g.n + 1)]
     memo: dict = {}
 
-    def rec(pin, psi) -> list:
-        # the pieces of the set over the pinned leading coordinates, psi
-        # the form with those pinned
-        hit = memo.get(pin)
+    def rec(pins, psi) -> list:
+        # the pieces of the set over the pins leading coordinates, psi
+        # the form with those pins
+        hit = memo.get(pins)
         if hit is not None:
             return hit
-        j = len(pin) + 1
-        if not _holds_somewhere(g, psi):
+        j = len(pins) + 1
+        if not holds_somewhere(g, psi):
             out = []
         elif j > g.n:
             out = [_RawPiece(None, None, ())]
         else:
-            cells = _cells(g, psi, xs[j - 1])
-            out = (rec_discrete if cells.discrete else rec_dense)(pin, cells)
-        memo[pin] = out
+            cells = cells_of(g, psi, xs[j - 1])
+            out = (rec_discrete if cells.discrete else rec_dense)(pins, cells)
+        memo[pins] = out
         return out
 
-    def over(pin, cells: _Cells, t) -> list:
+    def over(pins, cells: Cells, t) -> list:
         # the pieces over the pins and x.j = t
-        return rec(pin + (t,), cells.fibre(t))
+        return rec(pins + (t,), cells.fibre(t))
 
     def check_ray_lits(fps, m: int) -> None:
         for fp in fps:
@@ -618,16 +550,15 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
                 raise AssertionError(
                     "fibre moduli must divide the class modulus")
 
-    def rec_discrete(pin, cells: _Cells) -> list:
-        j = len(pin) + 1
-        psi, x = cells.psi, cells.x
-        m_star = eventual_period(g, psi, x)
+    def rec_discrete(pins, cells: Cells) -> list:
+        j = len(pins) + 1
+        m_star = cells.period()
         moduli = m_star
         for r in range(m_star):
-            changes = fibre_changes(g, psi, x, m_star, r)
+            changes = cells.changes(m_star, r)
             reps = (changes[-1] + m_star, changes[0]) if changes else (r,)
             for t in reps:
-                for fp in over(pin, cells, t):
+                for fp in over(pins, cells, t):
                     for lit in fp.lits:
                         moduli = lcm(moduli, lit.modulus)
         m_d = moduli
@@ -635,10 +566,10 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         for r in range(m_d):
             cls_lit: tuple = ()
             if m_d > 1:
-                cls_lit = (CongrLiteral(1, 1, j, m_d, pad(g, pin + (r,)), 0),)
-            changes = fibre_changes(g, psi, x, m_d, r)
+                cls_lit = (CongrLiteral(1, 1, j, m_d, pad(g, pins + (r,)), 0),)
+            changes = cells.changes(m_d, r)
             if not changes:
-                fps = over(pin, cells, r)
+                fps = over(pins, cells, r)
                 check_ray_lits(fps, m_d)
                 for fp in fps:
                     out.append(_RawPiece(None, None, cls_lit + fp.lits))
@@ -646,29 +577,29 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
             # the class's fibres are constant from a_hat up and from
             # b_hat down
             a_hat, b_hat = changes[-1] + m_d, changes[0]
-            fps = over(pin, cells, a_hat)
+            fps = over(pins, cells, a_hat)
             check_ray_lits(fps, m_d)
             for fp in fps:
-                out.append(_RawPiece((j, pad(g, pin + (a_hat,)), GE),
+                out.append(_RawPiece((j, pad(g, pins + (a_hat,)), GE),
                                      None, cls_lit + fp.lits))
-            fps = over(pin, cells, b_hat)
+            fps = over(pins, cells, b_hat)
             check_ray_lits(fps, m_d)
             for fp in fps:
-                out.append(_RawPiece(None, (j, pad(g, pin + (b_hat,)), GE),
+                out.append(_RawPiece(None, (j, pad(g, pins + (b_hat,)), GE),
                                      cls_lit + fp.lits))
             a = b_hat + m_d
             while a < a_hat:
-                for fp in over(pin, cells, a):
-                    up = fp.upper or (j, pad(g, pin + (a,)), GE)
-                    low = fp.lower or (j, pad(g, pin + (a,)), GE)
+                for fp in over(pins, cells, a):
+                    up = fp.upper or (j, pad(g, pins + (a,)), GE)
+                    low = fp.lower or (j, pad(g, pins + (a,)), GE)
                     out.append(_RawPiece(up, low, fp.lits))
                 a += m_d
         return out
 
-    def rec_dense(pin, cells: _Cells) -> list:
+    def rec_dense(pins, cells: Cells) -> list:
         # the roots where the fibre changes cut the line: a root survives
         # unless its fibre equals those of the gaps on both sides
-        j = len(pin) + 1
+        j = len(pins) + 1
         fibre = cells.fibre
         ps = list(cells.pieces())
         survivors = []
@@ -677,19 +608,19 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
                                 and same_points(g, fibre(c), fibre(b))):
                 survivors.append(c)
         out: list = []
-        for w, lo, hi in _pieces(False, survivors, 1):
+        for w, lo, hi in line_cells(False, survivors, 1):
             if w == lo:
                 continue
-            for fp in over(pin, cells, w):
+            for fp in over(pins, cells, w):
                 if fp.upper is not None or fp.lower is not None:
                     raise AssertionError("interval fibres carry no bounds")
-                up = None if lo is None else (j, pad(g, pin + (lo,)), GT)
-                low = None if hi is None else (j, pad(g, pin + (hi,)), GT)
+                up = None if lo is None else (j, pad(g, pins + (lo,)), GT)
+                low = None if hi is None else (j, pad(g, pins + (hi,)), GT)
                 out.append(_RawPiece(up, low, fp.lits))
         for c in survivors:
-            for fp in over(pin, cells, c):
-                up = fp.upper or (j, pad(g, pin + (c,)), GE)
-                low = fp.lower or (j, pad(g, pin + (c,)), GE)
+            for fp in over(pins, cells, c):
+                up = fp.upper or (j, pad(g, pins + (c,)), GE)
+                low = fp.lower or (j, pad(g, pins + (c,)), GE)
                 out.append(_RawPiece(up, low, fp.lits))
         return out
 
@@ -731,7 +662,7 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
             break
 
     for p in pieces:
-        if not _holds_somewhere(g, low(p)):
+        if not holds_somewhere(g, low(p)):
             raise AssertionError("nice pieces must be nonempty")
     if not same_points(g, mk_or([low(p) for p in pieces]), qf):
         raise AssertionError("decomposition must cover the set")

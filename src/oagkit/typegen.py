@@ -25,12 +25,13 @@ the cells of the fragment's and the set's quantifier-free forms.  Only
 from typing import Optional
 
 from . import formulas as fm
+from .cells import holds_somewhere
 from .codes import (CUT_AT_SEGMENT, CUT_MINUS_INF, CUT_REALIZED,
                     DEFAULT_RESIDUE_BOUND, TypeDescriptor, beta_of_residues,
                     code_div_form, descriptor_fragment, descriptor_issue)
 from .errors import Record, SegmentError, TypeGenError
 from .groups import FiniteQuotientElement, GroupSpec, project
-from .qe import _holds_somewhere, _qf
+from .qe import qf_form
 from .scalars import mk_and, operation
 from .segments import (CongrLiteral, co_initial_classes, hull_segment,
                        least_prefix_qf, pad, the_var)
@@ -89,7 +90,7 @@ def _decide(g: GroupSpec, phi: fm.Formula, bound: int,
     if bound < 2:
         raise TypeGenError(f"residue bound {bound} must be at least 2")
     v = _var(g, phi, var)
-    qf = _qf(g, phi)
+    qf = qf_form(g, phi)
     walk = least_prefix_qf(g, qf, v, g.n)
     if walk is None:
         raise TypeGenError("cannot build a type on an unsatisfiable formula")
@@ -174,7 +175,7 @@ def check_descriptor(g: GroupSpec, p: TypeDescriptor, phi: fm.Formula,
     arithmetic) and the fragment (cut atom, stored residues and cosets)
     meets the set.  The fragment's scalar form is quantifier-free, so
     only phi's is eliminated; in their conjunction every atom mentions
-    one coordinate, and the cell walk (`qe._holds_somewhere`) answers
+    one coordinate, and the cell walk (`cells.holds_somewhere`) answers
     exactly: no sentence is decided.  Structurally malformed descriptors
     raise; semantic violations return False.
     """
@@ -188,4 +189,4 @@ def check_descriptor(g: GroupSpec, p: TypeDescriptor, phi: fm.Formula,
         fq for fq in p.residues if fq.level > c and not any(
             fq != r and fq.level <= r.level and r.modulus % fq.modulus == 0
             for r in p.residues))), v)
-    return _holds_somewhere(g, mk_and([fm.lower(g, frag), _qf(g, phi)]))
+    return holds_somewhere(g, mk_and([fm.lower(g, frag), qf_form(g, phi)]))

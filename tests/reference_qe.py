@@ -1,11 +1,11 @@
 """Reference witness extraction and one-variable questions: the nested
 eliminations and candidate windows that `oagkit.qe.witness` replaced,
 the closed sentences that `satisfiable`, `equivalent` and `entails`
-decided before they walked the cells of one free variable, the one-form
-cell walk and exclusive or that `qe._walk` replaced, and the projection
-of every block by Cooper's method and the dense projection that
-`qe.decide` ran before it walked a closed block over one group
-variable.
+decided before they walked the cells of one free variable, the
+one-form cell walk and exclusive or that `cells._walk` replaced, and
+the projection of every block by Cooper's method and the dense
+projection that `qe.decide` ran before it walked a closed block over
+one group variable.
 
 `witness` fixes the coordinates most significant first.  For each one it
 eliminates the deeper coordinates of the formula with the earlier ones
@@ -24,12 +24,12 @@ the walking layers (`segments`, `codes`, `typegen`) use them as their
 independent oracle.  `holds_somewhere` walks the cells of one form,
 substituting each representative (`s_subst_all`) and evaluating a form
 in one variable pointwise, and `same_points` asks it whether the
-exclusive or of two forms holds somewhere; tests compare `qe._pin`,
-`_holds_somewhere` and `same_points` against them; the substitution
-is `reference_scalars.s_subst`, which folds no atom by arithmetic, so
-`_pin`'s fold is checked against the atom constructors.  Nothing here is
-fast; it is the old code kept as a specification.  `count_decides`
-counts the sentences the library decides.
+exclusive or of two forms holds somewhere; tests compare `cells.pin`,
+`cells.holds_somewhere` and `cells.same_points` against them; the
+substitution is `reference_scalars.s_subst`, which folds no atom by
+arithmetic, so `pin`'s fold is checked against the atom constructors.
+Nothing here is fast; it is the old code kept as a specification.
+`count_decides` counts the sentences the library decides.
 """
 
 import math
@@ -40,9 +40,9 @@ from oagkit import qe
 from oagkit import segments as sg
 from oagkit import typegen as tg
 from oagkit.errors import FormulaError
+from oagkit.cells import line_cells
 from oagkit.groups import element
-from oagkit.qe import (_constant_window, _miniscope, _pieces,
-                       eliminate_scalar, nnf)
+from oagkit.qe import _constant_window, _miniscope, eliminate_scalar, nnf
 from oagkit.scalars import (SAnd, SBool, SExists, SForall, SNot, SOr, SVar,
                             budget_scope, kind_of, lin_const, mk_and,
                             mk_exists, mk_not, mk_or, roots_and_modulus,
@@ -69,7 +69,7 @@ def holds_somewhere(g, f) -> bool:
     x = min(f.fv, key=lambda w: (w.base, w.coord))
     discrete = g.kinds[x.coord - 1] == "Z"
     roots, modulus = roots_and_modulus(f, x, discrete)
-    for t, _, _ in _pieces(discrete, roots, modulus):
+    for t, _, _ in line_cells(discrete, roots, modulus):
         if len(f.fv) == 1:
             if s_eval(g, f, {x: t}):
                 return True

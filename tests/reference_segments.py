@@ -4,10 +4,11 @@ and the decide-based pruning, merging and closing checks that
 
 `holds_somewhere` closes a quantifier-free form existentially and
 eliminates it, so `same_points`, `fibre_changes` and `eventual_period`
-here compare fibres by elimination; `nice_decompose` scans with them,
-then prunes and merges its pieces with `equivalent` and checks them with
-`satisfiable` and `equivalent`.  Tests compare the library against all
-of it.  Nothing here is fast; it is the old code kept as a
+here (the references for `cells.same_points`, `Cells.changes` and
+`Cells.period`) compare fibres by elimination; `nice_decompose` scans
+with them, then prunes and merges its pieces with `equivalent` and
+checks them with `satisfiable` and `equivalent`.  Tests compare the
+library against all of it.  Nothing here is fast; it is the old code kept as a
 specification.
 """
 

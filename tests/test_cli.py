@@ -466,6 +466,26 @@ def test_chi_on_a_large_prime_is_fast():
             - before.ru_utime - before.ru_stime) < 1.0
 
 
+@pytest.mark.parametrize("modulus", [10 ** 16 + 61, 2 * (10 ** 14 + 31)])
+def test_period_search_on_a_huge_modulus_is_bounded(modulus):
+    """A cold `nice` on one class modulo a huge M, under a small budget:
+    the period search takes M's divisors from its prime factors, not by
+    trial division up to the square root of M, so the budget ends it in
+    well under a second of the child's CPU time."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "oagkit", "nice", "--group", "Z",
+         f"(congr {modulus} x (c 3))", "--budget", "1000",
+         "--format", "json"],
+        capture_output=True, text=True, env=_module_env(),
+        preexec_fn=_limit_child, timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "BudgetExceeded"
+    assert (after.ru_utime + after.ru_stime
+            - before.ru_utime - before.ru_stime) < 1.0
+
+
 def test_reader_closing_early_gets_no_traceback():
     """`oagkit reps … | head -c 150`: the 436187-byte answer overflows
     the pipe, so the reader's close breaks the write; exit 1, no
@@ -542,7 +562,7 @@ def test_no_dataclasses_import_in_the_package():
 
 _CLI = {"oagkit", "oagkit.cli", "oagkit.errors", "oagkit.groups"}
 _FORMULAS = _CLI | {"oagkit.scalars", "oagkit.formulas"}
-_QE = _FORMULAS | {"oagkit.qe"}
+_QE = _FORMULAS | {"oagkit.qe", "oagkit.cells"}
 _SEGMENTS = _QE | {"oagkit.segments"}
 _CODES = _SEGMENTS | {"oagkit.codes"}
 _Z_CODE = ('{"version": "code-v1", "header": ["set", [[["ge"], ["full"], '

@@ -374,6 +374,32 @@ def test_is_prime_on_pseudoprimes_and_large_primes():
         groups.is_prime(groups._PRIME_LIMIT)
 
 
+def _divisors_by_trial_division(n):
+    return sorted({e for d in range(1, math.isqrt(n) + 1) if n % d == 0
+                   for e in (d, n // d)})
+
+
+def test_divisors_agree_with_trial_division():
+    """`divisors` factors n and stops at a prime cofactor: the same list,
+    in the same order, as trial division up to the square root."""
+    rng = random.Random(7)
+    cases = list(range(1, 5000)) + [rng.randrange(1, 10 ** 10)
+                                     for _ in range(100)]
+    # prime powers, squares of primes, and products of two primes
+    cases += [2 ** 33, 3 ** 20 * 7, 99991 ** 2, 99991 * 99989, 2 * 99991]
+    for n in cases:
+        assert groups.divisors(n) == _divisors_by_trial_division(n), n
+
+
+def test_divisors_of_huge_moduli():
+    # a prime cofactor ends the search at once, and past the primality
+    # bound a power of two still factors by division
+    for p in (10 ** 12 + 39, 10 ** 14 + 31, 10 ** 16 + 61):
+        assert groups.divisors(p) == [1, p]
+        assert groups.divisors(2 * p) == [1, 2, p, 2 * p]
+    assert groups.divisors(2 ** 90) == [2 ** i for i in range(91)]
+
+
 def test_chi_by_coset_enumeration():
     # independent count of G/pG classes among box elements
     for g in (Z, ZZ, QZ, ZQ):

@@ -71,7 +71,7 @@ RECURSIVE = {
     # substitution, until the benchmark stops probing its recursion
     "scalars.s_subst",
     # the cell walk: one level per coordinate, at most the group's rank
-    "qe._walk",
+    "cells._walk",
     # the independent evaluators that elimination is checked against
     "oracle.s_grid_eval", "oracle._ev", "oracle.grid_eval",
     # the parser: one level per parenthesis, at most formulas.MAX_DEPTH
@@ -126,3 +126,41 @@ def test_the_scan_sees_a_method_calling_itself():
     found: set = set()
     _self_naming(code, "", "m", found)
     assert found == {"m.A.f", "m.A.g"}
+
+
+def _relative_imports(stem: str):
+    """The parsed module oagkit/<stem>.py, and (module, name) for each
+    name it imports from a sibling module; (module, None) for a sibling
+    imported whole."""
+    tree = ast.parse((Path(oagkit.__file__).resolve().parent
+                      / f"{stem}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update((node.module, a.name) if node.module else (a.name, None)
+                       for a in node.names)
+    return tree, out
+
+
+def test_the_cell_model_stays_behind_its_module():
+    """Only `cells` builds or reads the cell model: `segments`, `typegen`
+    and `codes` use no private name of `qe` or `cells`, and the first two
+    read no model's roots or fibres; `cells` imports neither `qe` nor
+    `segments`, so nothing imports it in a cycle."""
+    for stem in ("segments", "typegen", "codes"):
+        tree, imports = _relative_imports(stem)
+        private = {(mod, name) for mod, name in imports
+                   if mod in ("qe", "cells") and name
+                   and name.startswith("_")}
+        private |= {(node.value.id, node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("qe", "cells")
+                    and node.attr.startswith("_")}
+        assert private == set(), stem
+        if stem != "codes":
+            read = {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)}
+            assert read & {"roots", "fibres"} == set(), stem
+    _, imports = _relative_imports("cells")
+    assert {mod for mod, _ in imports} & {"qe", "segments"} == set()

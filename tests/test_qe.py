@@ -19,6 +19,7 @@ import oagkit
 import reference_qe
 import reference_scalars
 from reference_qe import count_decides
+from oagkit import cells as cm
 from oagkit import formulas as fm
 from oagkit import oracle as orc
 from oagkit import qe
@@ -239,7 +240,7 @@ KINDS = ["Z", "Q", "Z*Z", "Z*Q", "Q*Z", "Z*Q*Z"]
 
 
 class TestPin:
-    """`qe._pin` builds the node substitution builds, for the same
+    """`cells.pin` builds the node substitution builds, for the same
     charge: `reference_qe.s_subst_all` substitutes the value."""
 
     @pytest.mark.parametrize("spec", KINDS)
@@ -252,16 +253,16 @@ class TestPin:
                 if len(free) != 1:
                     continue
                 v, = free
-                psi = qe._qf(g, f)
+                psi = qe.qf_form(g, f)
                 for j in range(1, g.n + 1):
                     x = sc.SVar(v, j)
                     discrete = g.kinds[j - 1] == "Z"
                     roots, modulus = sc.roots_and_modulus(psi, x, discrete)
-                    for t, _, _ in qe._pieces(discrete, roots, modulus):
+                    for t, _, _ in cm.line_cells(discrete, roots, modulus):
                         with sc.budget_scope(None) as want:
                             ref = reference_qe.s_subst_all(g, psi, {x: t})
                         with sc.budget_scope(None) as got:
-                            out = qe._pin(psi, x, t)
+                            out = cm.pin(psi, x, t)
                         assert out is ref, (fm.print_formula(f), x, t)
                         assert got.used == want.used, (fm.print_formula(f),
                                                        x, t)
@@ -274,13 +275,13 @@ class TestPin:
         f = sc.mk_or([sc.mk_lt(Z2, sc.lin({x2: 1}, 0)),
                       sc.mk_lt(Z2, sc.lin({x1: 1, y1: -1}, 0))])
         with pytest.raises(AssertionError, match="more than one"):
-            qe._pin(f, x1, 0)
+            cm.pin(f, x1, 0)
 
 
 def test_cell_roots_are_ints_on_z_and_fractions_on_q():
     for g, kind in ((Z1, int), (Q1, Fraction)):
-        psi = qe._qf(g, fm.parse(g, "(or (< x (c 3)) (= (* 2 x) (c -4)))"))
-        cells = qe._Cells(g, psi, sc.SVar("x", 1))
+        psi = qe.qf_form(g, fm.parse(g, "(or (< x (c 3)) (= (* 2 x) (c -4)))"))
+        cells = cm.Cells(g, psi, sc.SVar("x", 1))
         assert cells.roots == [-2, 3]
         assert {type(r) for r in cells.roots} == {kind}
 
@@ -400,7 +401,7 @@ class TestPairWalk:
     def sides(g, f, other):
         # both forms, a fibre of each without the first coordinate, and
         # the truth values
-        a, b = qe._qf(g, f), qe._qf(g, other)
+        a, b = qe.qf_form(g, f), qe.qf_form(g, other)
         out = [a, b, sc.TRUE, sc.FALSE]
         for psi in (a, b):
             if psi.fv:
@@ -417,15 +418,15 @@ class TestPairWalk:
                 for f, other in _one_variable_pairs(g, 7, 4):
                     sides = self.sides(g, f, other)
                     for a in sides:
-                        got = qe._holds_somewhere(g, a)
+                        got = cm.holds_somewhere(g, a)
                         assert got == reference_qe.holds_somewhere(g, a), a
                         verdicts["holds", got] = True
                     for a in sides:
                         for b in sides[:2]:
-                            got = qe.same_points(g, a, b)
+                            got = cm.same_points(g, a, b)
                             assert got == reference_qe.same_points(g, a, b), \
                                 (a, b)
-                            assert got == qe.same_points(g, b, a)
+                            assert got == cm.same_points(g, b, a)
                             verdicts["same", got] = True
         assert len(verdicts) == 4
 
@@ -597,7 +598,7 @@ class TestNnf:
             for a in box_elements(Z2, 2)[::3]:
                 for b in box_elements(Z2, 2)[::5]:
                     env = fm.scalarize(Z2, {"x": a, "y": b})
-                    names = {v.base for v in sc.s_free_vars(low)}
+                    names = {v.base for v in low.fv}
                     env = {k: val for k, val in env.items()
                            if k.base in names}
                     assert sc.s_eval(Z2, neg, env) == \

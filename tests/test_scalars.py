@@ -205,7 +205,7 @@ class TestTraversal:
     def test_free_vars(self):
         f = sc.SExists(X1, sc.SAnd((sc.SLt(le({X1: 1, Y1: -1})),
                                     sc.SEq(le({X2: 1})))))
-        assert sc.s_free_vars(f) == {Y1, X2}
+        assert f.fv == {Y1, X2}
 
     def test_subst_renormalizes(self):
         f = sc.SLt(le({X1: 1, Y1: -1}))

@@ -16,6 +16,7 @@ import reference_qe
 import reference_segments as ref
 from reference_qe import entails, equivalent, project_decide, satisfiable
 from test_typegen import CRIT07, crit07_corpus
+from oagkit import cells as cm
 from oagkit import qe
 from oagkit import segments as sg
 from oagkit import typegen as tg
@@ -614,7 +615,10 @@ class TestNiceDecompose:
             compared.append(args)
             return real(*args)
 
-        monkeypatch.setattr(sg, "same_points", counting)
+        # segments compares through its binding, and the cell model's
+        # changes and period through the cells module's
+        for mod in (sg, cm):
+            monkeypatch.setattr(mod, "same_points", counting)
         counts = []
         for radius in (100, 10**6):
             compared.clear()
@@ -640,7 +644,7 @@ class TestNiceDecompose:
 
 
 class TestFibreScan:
-    """`eventual_period` and `fibre_changes` at the top coordinate against
+    """`Cells.period` and `Cells.changes` at the top coordinate against
     group sentences that decide the same questions (an eventual period, a
     constant class, the two ray thresholds) through quantifiers over the
     whole group."""
@@ -722,11 +726,12 @@ class TestFibreScan:
                     cap = lcm(cap, atom.modulus)
             want = next(m for m in range(1, cap + 1)
                         if cap % m == 0 and self.period_holds(g, phi, m))
-            period = sg.eventual_period(g, psi, x)
+            cells = cm.Cells(g, psi, x)
+            period = cells.period()
             assert period == want, (g, phi)
             for m in (period, 2 * period):
                 for r in range(m):
-                    changes = sg.fibre_changes(g, psi, x, m, r)
+                    changes = cells.changes(m, r)
                     assert (not changes) == self.class_constant(
                         g, phi, m, r), (g, phi, m, r)
                     if changes:
@@ -741,7 +746,9 @@ class TestClassArithmetic:
     classes with, against enumeration."""
 
     def test_meets_agrees_with_enumeration(self):
+        # a model whose modulus is w: the class of t is modulo w
         rng = random.Random(3)
+        x = SVar("x", 1)
         for _ in range(400):
             w, n = rng.randint(1, 12), rng.randint(1, 12)
             t, s = rng.randint(-20, 20), rng.randint(-20, 20)
@@ -749,8 +756,15 @@ class TestClassArithmetic:
             hi = rng.choice((None, rng.randint(-10, 30)))
             span = range(-200 if lo is None else lo,
                          (200 if hi is None else hi) + 1)
+            cells = cm.Cells(Z, mk_congr(Z, w, lin({x: 1}, 0)), x)
+            assert cells.modulus == w
             want = any((u - t) % w == 0 and (u - s) % n == 0 for u in span)
-            assert sg._meets(t, w, lo, hi, s, n) == want, (t, w, lo, hi, s, n)
+            assert cells.meets(t, 1, lo, hi, s, n) == want, \
+                (t, w, lo, hi, s, n)
+            members = [u for u in span if (u - t) % w == 0]
+            if members:
+                assert cells.least_point(t, lo, hi) == min(
+                    members, key=lambda u: (abs(u), u < 0)), (t, w, lo, hi)
             hit = crt(t, w, s, n)
             if hit is not None:
                 c, period = hit
@@ -770,7 +784,7 @@ class TestClassArithmetic:
         x = SVar("x", 1)
         for g, f in forms:
             psi = qe.eliminate(g, f).body
-            cells = sg._cells(g, psi, x)
+            cells = cm.cells_of(g, psi, x)
             for m in (1, 2, 3, 4):
                 pieces = list(cells.pieces(m))
                 w = lcm(cells.modulus, m)
@@ -1021,7 +1035,7 @@ def one_coordinate_form(g, rng, moduli, depth):
 
 
 class TestFibreWalk:
-    """`_holds_somewhere` and `same_points` walk fibres instead of
+    """`holds_somewhere` and `same_points` walk fibres instead of
     eliminating; `reference_segments` keeps the elimination."""
 
     def test_walk_agrees_with_elimination(self):
@@ -1035,11 +1049,11 @@ class TestFibreWalk:
                 f = one_coordinate_form(g, rng, moduli, 3)
                 h = one_coordinate_form(g, rng, moduli, 3)
                 for a in (f, mk_and([f, h])):
-                    got = sg._holds_somewhere(g, a)
+                    got = cm.holds_somewhere(g, a)
                     assert got == ref.holds_somewhere(g, a), (gname, a)
                     verdicts.add(("holds", got))
                 for a, b in ((f, h), (f, mk_or([f, mk_and([f, h])]))):
-                    got = sg.same_points(g, a, b)
+                    got = cm.same_points(g, a, b)
                     assert got == ref.same_points(g, a, b), (gname, a, b)
                     verdicts.add(("same", got))
         assert len(verdicts) == 4
@@ -1051,25 +1065,25 @@ class TestFibreWalk:
                     mk_congr(Z, 12, lin({x: 1}, -5)),
                     mk_congr(Z, 4, lin({y: 1}, -1)),
                     mk_lt(Z, lin({y: 1}, 10**6))])
-        assert sg._holds_somewhere(Z, f)
-        assert not sg._holds_somewhere(
+        assert cm.holds_somewhere(Z, f)
+        assert not cm.holds_somewhere(
             Z, mk_and([f, mk_congr(Z, 8, lin({y: 1}, 0))]))
 
     def test_two_variable_atom_raises(self):
         two = mk_lt(ZZ, lin({SVar("x", 1): 1, SVar("y", 1): -1}, 0))
         for f in (two, mk_and([mk_lt(ZZ, lin({SVar("x", 2): 1}, 0)), two])):
             with pytest.raises(AssertionError, match="more than one"):
-                sg._holds_somewhere(ZZ, f)
+                cm.holds_somewhere(ZZ, f)
             with pytest.raises(AssertionError, match="more than one"):
-                sg.same_points(ZZ, f, mk_not(f))
+                cm.same_points(ZZ, f, mk_not(f))
 
     def test_memo_is_the_operation_memo(self):
         f = mk_or([mk_lt(ZZ, lin({SVar("x", 1): 1}, 3)),
                    mk_congr(ZZ, 3, lin({SVar("x", 2): 1}, 1))])
         assert operation_memo() is None
-        assert sg._holds_somewhere(ZZ, f)
+        assert cm.holds_somewhere(ZZ, f)
         with operation_scope():
-            assert sg._holds_somewhere(ZZ, f)
+            assert cm.holds_somewhere(ZZ, f)
             memo = operation_memo()
             assert memo[("walk", ZZ, f, FALSE)] is True
             assert all(k[0] in ("walk", "cells") for k in memo)
@@ -1231,7 +1245,7 @@ def test_generic_type_builds_no_fragment(monkeypatch):
     # same probes see
     seen = _CountingFormulas()
     denoted, formed = [], []
-    real, real_qf = sg.CongrLiteral.denote, tg._qf
+    real, real_qf = sg.CongrLiteral.denote, tg.qf_form
 
     def counting(lit, *args):
         denoted.append(lit)
@@ -1242,7 +1256,7 @@ def test_generic_type_builds_no_fragment(monkeypatch):
         return real_qf(g, phi)
 
     monkeypatch.setattr(tg, "fm", seen)
-    monkeypatch.setattr(tg, "_qf", counting_qf)
+    monkeypatch.setattr(tg, "qf_form", counting_qf)
     monkeypatch.setattr(sg.CongrLiteral, "denote", counting)
     for spec, seed in CRIT07:
         g, corpus = crit07_corpus(spec, seed, 10)
@@ -1340,14 +1354,14 @@ class TestOneElimination:
              ("Z*Q", "(lt@ 2 (c 1 1/2) x)"))
 
     def test_eliminations_per_operation(self, monkeypatch):
-        real = sg._qf
+        real = sg.qf_form
         calls = []
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(sg, "_qf", counting)
+        monkeypatch.setattr(sg, "qf_form", counting)
         for spec, text in self.CASES:
             g = parse_group(spec)
             phi = fm.parse(g, text)

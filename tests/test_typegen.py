@@ -8,6 +8,7 @@ import pytest
 
 import reference_typegen as ref
 from reference_qe import count_decides, entails, satisfiable
+from oagkit import cells as cm
 from oagkit import formulas as fm
 from oagkit import qe
 from oagkit import segments as sg
@@ -203,17 +204,17 @@ class TestLeastValueWalk:
             return (f"(or (and (< x (c -{radius})) (congr 2 x (c 0))) "
                     f"(and (<= (c {radius}) x) (congr 3 x (c 0))))")
 
-        real = qe._pin
+        real = cm.pin
         evaluated = []
 
         def counting(*args):
             evaluated.append(args)
             return real(*args)
 
-        # fibres pin through qe's binding, co_initial_classes' pin
-        # through segments'
-        for mod in (qe, sg):
-            monkeypatch.setattr(mod, "_pin", counting)
+        # fibres pin through the cells module's binding,
+        # co_initial_classes' pin through segments'
+        for mod in (cm, sg):
+            monkeypatch.setattr(mod, "pin", counting)
         types, counts = [], []
         for radius in (100, 10**6):
             evaluated.clear()
