@@ -137,7 +137,7 @@ class Cells:
         roots, n, fibre, g = self.roots, self.modulus, self.fibre, self.g
         top = roots[-1] + 1 if roots else 0
         bot = roots[0] - 1 if roots else 0
-        return next(m for m in divisors(n) if m == n or all(
+        return next(m for m in divisors(n, sc._charge) if m == n or all(
             same_points(g, fibre(top + i), fibre(top + i + m))
             and same_points(g, fibre(bot - i - m), fibre(bot - i))
             for i in range(n)))

@@ -371,19 +371,45 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def divisors(n: int) -> list:
+def divisors(n: int, charge=lambda steps: None) -> list:
     """The divisors of n >= 1, ascending, from its prime factors: trial
-    division stops once the cofactor is 1 or prime (`is_prime`)."""
+    division up to a prime cofactor (`is_prime`), and past 1024 a prime
+    factor of a composite cofactor below _PRIME_LIMIT by `_split`.  Each
+    step past 1024 is charged (`charge(steps)`) before it is taken."""
     out, d, fresh = [1], 2, True
     while n > 1:
         if d * d > n or fresh and n < _PRIME_LIMIT and is_prime(n):
-            d = n
-        fresh, size = n % d == 0, len(out)
-        while n % d == 0:  # the last size divisors, times d once more
-            n //= d
-            out += [e * d for e in out[-size:]]
-        d += 1
+            p = n
+        elif d < 1024 or n >= _PRIME_LIMIT:
+            if d >= 1024:
+                charge(1)
+            p, d = d, d + 1
+        else:
+            p = n
+            while not is_prime(p):
+                p = _split(p, charge)
+        fresh, size = n % p == 0, len(out)
+        while n % p == 0:  # the last size divisors, times p once more
+            n //= p
+            out += [e * p for e in out[-size:]]
     return sorted(out)
+
+
+def _split(n: int, charge) -> int:
+    """A proper factor of the composite n: Brent's cycle search (BIT 1980)
+    on y -> y * y + c from y = 2, for c = 1, 2, ... until one splits n."""
+    for c in itertools.count(1):
+        y, r, d = 2, 1, 1
+        while d == 1:
+            x = y
+            charge(r)
+            for _ in range(r):
+                y = (y * y + c) % n
+                if (d := math.gcd(y - x, n)) != 1:
+                    break
+            r *= 2
+        if d != n:
+            return d
 
 
 def compute_chi(g: GroupSpec, p: int) -> int:

@@ -13,15 +13,22 @@ Three jobs:
   the last and the last coordinate is discrete.
 * `fuzz_corpus` generates reproducible formula streams for the
   differential tests, and `grid_eval`/`s_grid_eval` evaluate formulas
-  over whole integer boxes as numpy arrays so the differential tests
-  can afford thousands of formulas.
+  over a whole integer box at once.  The `grid_axes` grid of sorted
+  names x_1 < ... over [-B, B] has one axis per (name, coordinate), in
+  that order; a truth table is a Python int with one bit per point,
+  row-major: the point whose axes hold v_0, ..., v_{D-1} is the bit
+  sum (v_k + B) * (2B + 1) ** (D - 1 - k), the last axis fastest.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
 from typing import Iterator, Mapping, Optional
 
 from . import formulas as fm
@@ -285,136 +292,158 @@ def _expand_quant(g: GroupSpec, f, env: dict) -> bool:
     return any(results) if isinstance(f, fm.Exists) else all(results)
 
 
-# --- numpy grid evaluation --------------------------------------------------
+# --- bit grids --------------------------------------------------------------
+
+
+# `grid_axes` refuses an axis of more than AXIS_CAP values (a box past
+# 2^25 - 1) or a grid of more than GRID_CAP points, the largest cap that
+# refuses rank 7 at the default box 8; a table of GRID_CAP points is 51 MB
+AXIS_CAP, GRID_CAP = 1 << 26, 17 ** 7 - 1
+
+
+# One grid axis: index i holds the value i - bound, index steps are
+# `stride` bits apart, and `full` is the grid's all-points table.
+_Axis = namedtuple("_Axis", "bound stride full")
+
+
+def _repeat(block: int, width: int, count: int) -> int:
+    """`count` copies of `block`, one every `width` bits, by doubling."""
+    out = 0
+    while True:
+        if count & 1:
+            out = out << width | block
+        count >>= 1
+        if not count:
+            return out
+        block, width = block | block << width, 2 * width
+
+
+def _axis_mask(a: _Axis, lo: int, hi: int, step: int = 1, r: int = 0) -> int:
+    """The points whose value v on axis `a` has lo <= v <= hi and
+    v = r modulo step: a run of stride blocks, repeated per period."""
+    b, st = a.bound, a.stride
+    lo = max(lo, -b)
+    lo += (r - lo) % step
+    count = max((min(hi, b) - lo) // step + 1, 0)
+    period = (2 * b + 1) * st
+    return _repeat(_repeat((1 << st) - 1, step * st, count) << (lo + b) * st,
+                   period, a.full.bit_length() // period)
+
+
+def _cut(rel, const: int, terms: list, full: int) -> int:
+    """The points where sum(c * axis) + const is < 0 (rel LT), = 0 (EQ)
+    or divisible by the int rel: on the last axis an interval or a
+    residue class, for each value of the other axes.  Int entries of
+    terms are bound values and join the constant."""
+    const += sum(c * x for x, c in terms if not isinstance(x, _Axis))
+    terms = [(x, c) for x, c in terms if isinstance(x, _Axis)]
+    if not terms:
+        return full if (const < 0 if rel == LT else const == 0 if rel == EQ
+                        else const % rel == 0) else 0
+    *rest, (a, c) = terms
+    out, b = 0, a.bound
+    for combo in itertools.product(*(
+            [(cx * v, _axis_mask(x, v, v))
+             for v in range(-x.bound, x.bound + 1)] for x, cx in rest)):
+        k = const + sum(s for s, _ in combo)
+        if rel == LT:  # c * v < -k
+            mask = (_axis_mask(a, -b, (-k - 1) // c) if c > 0
+                    else _axis_mask(a, k // -c + 1, b))
+        elif rel == EQ:
+            mask = 0 if k % c else _axis_mask(a, -k // c, -k // c)
+        else:
+            d = math.gcd(c, rel)
+            mask = 0 if k % d else _axis_mask(
+                a, -b, b, rel // d, -k // d * pow(c // d, -1, rel // d))
+        for _, point in combo:
+            mask &= point
+        out |= mask
+    return out
 
 
 def grid_axes(g: GroupSpec, names, bound: int) -> dict:
-    """One integer axis per (variable, coordinate), mutually
-    broadcastable: variable i's coordinate j varies along its own
-    dimension.  All-discrete groups only."""
-    import numpy as np
+    """The bit grid of `names` over [-bound, bound]: env[name] is the
+    tuple of its n axes.  All-discrete groups, within the caps above."""
     if "Q" in g.kinds:
         raise OracleError("integer grids need an all-discrete group")
     if bound < 0:
         raise OracleError(f"grid bound must be at least 0, got {bound}")
-    names = sorted(names)
-    total = len(names) * g.n
-    vals = np.arange(-bound, bound + 1, dtype=np.int64)
-    env = {}
-    for i, name in enumerate(names):
-        coords = []
-        for j in range(g.n):
-            shape = [1] * total
-            shape[i * g.n + j] = vals.size
-            coords.append(vals.reshape(shape))
-        env[name] = tuple(coords)
-    return env
+    size, dims = 2 * bound + 1, len(names) * g.n
+    if size ** dims > GRID_CAP or dims and size > AXIS_CAP:
+        raise OracleError(f"grid has {size}^{dims} points, over the cap of "
+                          f"{AXIS_CAP} values an axis or {GRID_CAP} points")
+    full, strides = (1 << size ** dims) - 1, iter(range(dims - 1, -1, -1))
+    return {name: tuple(_Axis(bound, size ** next(strides), full)
+                        for _ in range(g.n)) for name in sorted(names)}
 
 
-def _term_arrays(g: GroupSpec, t: fm.Term, env: Mapping[str, tuple]):
-    import numpy as np
-    out = []
-    for j in range(g.n):
-        acc = np.int64(int(t.const[j]))
-        for v, c in t.coeffs:
-            acc = acc + np.int64(c) * env[v][j]
-        out.append(acc)
-    return out
-
-
-def _lex_masks(d1, d2, k: int):
-    import numpy as np
-    lt = np.bool_(False)
-    eq = np.bool_(True)
-    for j in range(k):
-        d = d1[j] - d2[j]
-        lt = lt | (eq & (d < 0))
-        eq = eq & (d == 0)
-    return lt, eq
-
-
-def grid_eval(g: GroupSpec, f: fm.Formula, env: Mapping[str, tuple]):
-    """Vectorized truth table of a formula over integer grids.  The
-    environment maps each free variable to a tuple of n broadcastable
-    integer arrays; bounded quantifiers expand to candidate loops."""
-    import numpy as np
+def grid_eval(g: GroupSpec, f: fm.Formula, env: Mapping[str, tuple]) -> int:
+    """Truth table of a formula over a `grid_axes` grid: bit i of the int
+    is its truth at point i.  Bounded quantifiers expand to candidates."""
+    full = next((a.full for cs in env.values() for a in cs
+                 if isinstance(a, _Axis)), 1)
     if isinstance(f, fm.BoolConst):
-        return np.bool_(f.value)
+        return full if f.value else 0
     if isinstance(f, fm.ATOMS):
-        d1 = _term_arrays(g, f.left, env)
-        d2 = _term_arrays(g, f.right, env)
-        if isinstance(f, (fm.Cmp, fm.RelCmp, fm.RelEq)):
-            k = getattr(f, "level", g.n)
-            lt, eq = _lex_masks(d1, d2, k)
-            rel = EQ if isinstance(f, fm.RelEq) else f.rel
-            if rel == LT:
-                return lt
-            if rel == LE:
-                return lt | eq
-            return eq
-        k = f.level if isinstance(f, fm.RelCongr) else g.n
-        acc = np.bool_(True)
-        for j in range(k):
-            acc = acc & ((d1[j] - d2[j]) % f.modulus == 0)
-        return acc
+        return _atom_mask(g, f, env, full)
     if isinstance(f, fm.Not):
-        return ~grid_eval(g, f.body, env)
-    if isinstance(f, (fm.And, fm.Or)):
-        op = np.logical_and if isinstance(f, fm.And) else np.logical_or
-        acc = np.bool_(isinstance(f, fm.And))
-        for it in f.items:
-            acc = op(acc, grid_eval(g, it, env))
-        return acc
+        return grid_eval(g, f.body, env) ^ full
+    if isinstance(f, fm.And):
+        return reduce(and_, (grid_eval(g, it, env) for it in f.items), full)
+    if isinstance(f, fm.Or):
+        return reduce(or_, (grid_eval(g, it, env) for it in f.items), 0)
     if isinstance(f, fm.Implies):
-        return ~grid_eval(g, f.left, env) | grid_eval(g, f.right, env)
+        return grid_eval(g, f.left, env) ^ full | grid_eval(g, f.right, env)
     if isinstance(f, fm.Iff):
-        return grid_eval(g, f.left, env) == grid_eval(g, f.right, env)
+        return grid_eval(g, f.left, env) ^ grid_eval(g, f.right, env) ^ full
     if isinstance(f, (fm.Exists, fm.Forall)):
         # candidate bounds must be ground: grid variables never appear in
         # the recognized bound atoms
         cands, body = _quant_candidates(g, f, {})
-        is_ex = isinstance(f, fm.Exists)
-        acc = np.bool_(not is_ex)
-        for a in cands:
-            point = tuple(np.int64(int(q)) for q in a)
-            sub = grid_eval(g, body, {**env, f.var: point})
-            acc = (acc | sub) if is_ex else (acc & sub)
-        return acc
+        tables = (grid_eval(g, body, {**env, f.var: a}) for a in cands)
+        if isinstance(f, fm.Exists):
+            return reduce(or_, tables, 0)
+        return reduce(and_, tables, full)
     raise OracleError(f"unknown formula node {f!r}")
 
 
+def _atom_mask(g: GroupSpec, f, env: Mapping, full: int) -> int:
+    """An atom's table, coordinate by coordinate of left minus right."""
+    d = fm.t_add(g, f.left, fm.t_scale(g, -1, f.right))
+    diffs = [(int(d.const[j]), [(env[v][j], c) for v, c in d.coeffs])
+             for j in range(getattr(f, "level", g.n))]
+    if isinstance(f, (fm.Congr, fm.RelCongr)):
+        return reduce(and_, (_cut(f.modulus, *x, full) for x in diffs), full)
+    lt, eq = 0, full
+    for const, terms in diffs:
+        lt |= eq & _cut(LT, const, terms, full)
+        eq &= _cut(EQ, const, terms, full)
+    rel = EQ if isinstance(f, fm.RelEq) else f.rel
+    return lt if rel == LT else lt | eq if rel == LE else eq
+
+
 def s_grid_eval(g: GroupSpec, f: sc.SFormula, env: Mapping,
-                _memo: Optional[dict] = None):
-    """Vectorized truth table of a quantifier-free scalar formula; the
-    environment maps SVar to broadcastable integer arrays.  Shared
-    subformulas evaluate once."""
-    import numpy as np
+                _memo: Optional[dict] = None) -> int:
+    """Truth table of a quantifier-free scalar formula over a
+    `scalar_axes` grid, bit for bit as `grid_eval`'s.  Shared subformulas
+    evaluate once."""
     if _memo is None:
         _memo = {}
-    hit = _memo.get(f)
-    if hit is not None:
-        return hit
+    if f in _memo:
+        return _memo[f]
+    full = next((a.full for a in env.values()), 1)
     if isinstance(f, sc.SBool):
-        out = np.bool_(f.value)
+        out = full if f.value else 0
     elif isinstance(f, (sc.SLt, sc.SEq, sc.SCongr)):
-        e = f.expr
-        acc = np.int64(e.const)
-        for v, c in e.coeffs:
-            acc = acc + np.int64(c) * env[v]
-        if isinstance(f, sc.SLt):
-            out = acc < 0
-        elif isinstance(f, sc.SEq):
-            out = acc == 0
-        else:
-            out = acc % f.modulus == 0
+        rel = getattr(f, "modulus", LT if isinstance(f, sc.SLt) else EQ)
+        out = _cut(rel, f.expr.const, [(env[v], c) for v, c in f.expr.coeffs],
+                   full)
     elif isinstance(f, sc.SNot):
-        out = ~s_grid_eval(g, f.body, env, _memo)
+        out = s_grid_eval(g, f.body, env, _memo) ^ full
     elif isinstance(f, (sc.SAnd, sc.SOr)):
-        op = np.logical_and if isinstance(f, sc.SAnd) else np.logical_or
-        acc = np.bool_(isinstance(f, sc.SAnd))
-        for it in f.items:
-            acc = op(acc, s_grid_eval(g, it, env, _memo))
-        out = acc
+        op, unit = (and_, full) if isinstance(f, sc.SAnd) else (or_, 0)
+        out = reduce(op, (s_grid_eval(g, it, env, _memo) for it in f.items),
+                     unit)
     else:
         raise OracleError("scalar grid evaluation requires a quantifier-free "
                           f"formula, got {type(f).__name__}")
@@ -423,13 +452,10 @@ def s_grid_eval(g: GroupSpec, f: sc.SFormula, env: Mapping,
 
 
 def scalar_axes(g: GroupSpec, names, bound: int) -> dict:
-    """Flatten grid_axes output to SVar keys for s_grid_eval."""
-    env = grid_axes(g, names, bound)
-    out = {}
-    for name, coords in env.items():
-        for j, arr in enumerate(coords, start=1):
-            out[sc.SVar(name, j)] = arr
-    return out
+    """`grid_axes` keyed by SVar for s_grid_eval, in the same bit order."""
+    return {sc.SVar(name, j): a
+            for name, coords in grid_axes(g, names, bound).items()
+            for j, a in enumerate(coords, start=1)}
 
 
 # --- fuzz corpus ------------------------------------------------------------

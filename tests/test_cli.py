@@ -215,6 +215,18 @@ class TestErrors:
         assert obj["error"]["type"] == "OagError"
         assert "checked" not in obj
 
+    def test_fuzzcheck_out_of_memory_is_a_typed_error(self, monkeypatch):
+        """A grid under the oracle's caps can still outgrow the address
+        space (rank 6 at box 13 under 2 GB): the MemoryError of its tables
+        ends in an `OracleError` envelope."""
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr("oagkit.oracle.grid_eval", exhausted)
+        rc, obj = run_json(["fuzzcheck", "--count", "10"])
+        assert rc == 1
+        assert obj["error"]["type"] == "OracleError"
+        assert "out of memory" in obj["error"]["message"]
+
     def test_fuzzcheck_box_zero_is_one_point(self):
         rc, obj = run_json(["fuzzcheck", "--count", "10", "--box", "0"])
         assert rc == 0
@@ -466,12 +478,18 @@ def test_chi_on_a_large_prime_is_fast():
             - before.ru_utime - before.ru_stime) < 1.0
 
 
-@pytest.mark.parametrize("modulus", [10 ** 16 + 61, 2 * (10 ** 14 + 31)])
+@pytest.mark.parametrize("modulus", [
+    10 ** 16 + 61, 2 * (10 ** 14 + 31), 9999991 * 10000019,
+    1800000000047 * 1800000001087, 10 ** 25 + 13])
 def test_period_search_on_a_huge_modulus_is_bounded(modulus):
     """A cold `nice` on one class modulo a huge M, under a small budget:
     the period search takes M's divisors from its prime factors, not by
-    trial division up to the square root of M, so the budget ends it in
-    well under a second of the child's CPU time."""
+    trial division up to the square root of M (nor up to the smaller of
+    two large prime factors), and charges the budget for every step of
+    trial division past 1024 and of Pollard-Brent rho, so the budget ends
+    it in well under a second of the child's CPU time: rho on two primes
+    near 1.8 * 10^12 takes over a second unbounded, and an M past
+    `groups._PRIME_LIMIT` is trial-divided."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "-m", "oagkit", "nice", "--group", "Z",
@@ -482,6 +500,29 @@ def test_period_search_on_a_huge_modulus_is_bounded(modulus):
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "BudgetExceeded"
+    assert (after.ru_utime + after.ru_stime
+            - before.ru_utime - before.ru_stime) < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--group", "Z*Z*Z*Z*Z*Z*Z", "--count", "4", "--seed", "1"],
+    ["--group", "Z", "--box", "100000000", "--count", "3", "--seed", "1"],
+])
+def test_fuzzcheck_on_an_oversized_grid_is_a_typed_error(argv):
+    """A grid past the oracle's caps (17^7 points at rank 7, 2*10^8 + 1
+    values on an axis at box 10^8) ends in an `OracleError` envelope, not
+    an allocation failure, in well under a second of the child's CPU
+    time."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "oagkit", "fuzzcheck", *argv,
+         "--format", "json"],
+        capture_output=True, text=True, env=_module_env(),
+        preexec_fn=_limit_child, timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1, proc.stdout
+    assert json.loads(proc.stdout)["error"]["type"] == "OracleError"
     assert (after.ru_utime + after.ru_stime
             - before.ru_utime - before.ru_stime) < 1.0
 
@@ -596,8 +637,8 @@ _LOADS = [
 def test_command_loads_only_its_layers(argv, loads, first):
     """A cold command compiles and runs only the modules it uses: a plain
     import loads no submodule, `rank` no eliminator, `decide` no segment,
-    code or type layer, only `fuzzcheck` loads the oracle and numpy, and
-    none loads `dataclasses`."""
+    code or type layer, only `fuzzcheck` loads the oracle, and none loads
+    numpy or `dataclasses`."""
     cmd = argv if argv[0] == "-c" else ["-m", "oagkit", *argv]
     proc = subprocess.run([sys.executable, "-X", "importtime", *cmd],
                           capture_output=True, text=True, env=_module_env(),
@@ -608,7 +649,7 @@ def test_command_loads_only_its_layers(argv, loads, first):
     imported = {line.rsplit("|", 1)[-1].strip()
                 for line in proc.stderr.splitlines() if "|" in line}
     assert {m for m in imported if m.split(".")[0] == "oagkit"} == loads
-    assert ("numpy" in imported) == (argv[0] == "fuzzcheck")
+    assert not {m for m in imported if m.split(".")[0] == "numpy"}
     assert "dataclasses" not in imported
 
 

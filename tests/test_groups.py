@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -385,10 +386,45 @@ def test_divisors_agree_with_trial_division():
     rng = random.Random(7)
     cases = list(range(1, 5000)) + [rng.randrange(1, 10 ** 10)
                                      for _ in range(100)]
-    # prime powers, squares of primes, and products of two primes
-    cases += [2 ** 33, 3 ** 20 * 7, 99991 ** 2, 99991 * 99989, 2 * 99991]
+    # prime powers, squares of primes, and products of two primes, below
+    # and above the trial-division limit of 1024
+    cases += [2 ** 33, 3 ** 20 * 7, 99991 ** 2, 99991 * 99989, 2 * 99991,
+              1031 ** 2, 1021 * 1031, 1031 ** 3 * 1033 * 6, 1009 * 1013]
     for n in cases:
         assert groups.divisors(n) == _divisors_by_trial_division(n), n
+
+
+def test_divisors_of_semiprimes():
+    """A product of two large primes splits by Pollard-Brent rho, not by
+    trial division up to the smaller one."""
+    for p, q in ((9999991, 10000019), (10 ** 9 + 7, 10 ** 9 + 9),
+                 (999983, 1000003), (10 ** 9 + 7, 10 ** 9 + 7),
+                 (10 ** 12 + 39, 10 ** 9 + 7)):
+        want = sorted({1, p, q, p * q})
+        assert groups.divisors(p * q) == want
+        assert groups.divisors(6 * p * q) == sorted(
+            {a * b for a in (1, 2, 3, 6) for b in want})
+    t0 = time.process_time()
+    groups.divisors(9999991 * 10000019)
+    assert time.process_time() - t0 < 0.1
+
+
+def test_divisors_charge_every_step_past_1024():
+    """Steps of rho and of trial division past 1024 are charged before
+    they are taken, so a raising charge stops them; below 1024 nothing
+    is charged."""
+    steps = []
+    assert groups.divisors(1021 * 1019 * 2 ** 5, steps.append) == \
+        _divisors_by_trial_division(1021 * 1019 * 2 ** 5)
+    assert steps == []
+    groups.divisors(9999991 * 10000019, steps.append)
+    assert 0 < sum(steps) < 10 ** 4
+
+    def stop(k):
+        raise RuntimeError(k)
+    for n in (1800000000047 * 1800000001087, 10 ** 25 + 13):
+        with pytest.raises(RuntimeError):
+            groups.divisors(n, stop)
 
 
 def test_divisors_of_huge_moduli():

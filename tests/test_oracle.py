@@ -1,12 +1,13 @@
 """Oracle semantics: pointwise truth, bounded expansion, grids, fuzz."""
 
+import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from oagkit import formulas as fm
 from oagkit import oracle as orc
+from oagkit import scalars as sc
 from oagkit.errors import OracleError
 from oagkit.groups import parse_group
 
@@ -141,22 +142,87 @@ class TestBox:
         assert pts == [(v,) for v in range(-2, 3)]
 
 
+def _bit(env, bound):
+    """The documented bit of a grid point: axes in (sorted name,
+    coordinate) order, row-major, the last axis fastest."""
+    i = 0
+    for name in sorted(env):
+        for v in env[name]:
+            i = i * (2 * bound + 1) + v + bound
+    return i
+
+
+def _points(g, names, bound):
+    """Every assignment of the box [-bound, bound] to `names`."""
+    pts = list(itertools.product(range(-bound, bound + 1), repeat=g.n))
+    for combo in itertools.product(pts, repeat=len(names)):
+        yield dict(zip(names, combo))
+
+
+# every atom kind, negation, implication and equivalence, over one and two
+# free variables, with coefficients of both signs and cut ends at, inside
+# and beyond the box edge
+GRID_CASES = [
+    "(< (c 1 -1) (* 2 x))", "(<= (* -3 x) (c 2 5))", "(= (* 2 x) (c 2 -4))",
+    "(= x (c 9 0))", "(congr 3 (* 2 x) (c 1 1))", "(congr 4 (* -2 x) (c 0 2))",
+    "(lt@ 1 x (c 1 7))", "(le@ 1 (* -1 x) (c 0 0))", "(eq@ 1 (* 3 x) (c 3 9))",
+    "(congr@ 1 2 x (c 1 0))", "(insub 1 x)", "(insub 2 (+ x (c 0 1)))",
+    "(lt@ 0 x (c 1 0))", "(le@ 0 (c 1 0) x)", "(eq@ 0 x (c 5 5))",
+    "(congr@ 0 3 x (c 1 0))",
+    "(not (< x (c 0 2)))", "(implies (< x (c 0 0)) (congr 2 x (c 0 1)))",
+    "(iff (<= (c -1 0) x) (congr 3 x (c 1 1)))",
+    "(< x y)", "(<= (* 2 x) (+ y (c 0 1)))", "(= (* 2 x) (* -1 y))",
+    "(congr 3 (+ x (* 2 y)) (c 1 0))", "(lt@ 1 (* -2 x) y)",
+    "(le@ 1 x (+ y (c 1 0)))", "(eq@ 1 x y)", "(congr@ 1 4 x (* 3 y))",
+    "(insub 1 (+ x y))", "(= (+ x (* -1 x)) (c 0 0))",
+    "(and (< x y) (not (congr 2 y (c 0 0))))",
+    "(iff (= x y) (implies (<= y (c 0 0)) (lt@ 1 x (c 1 0))))",
+    "(or (< (c 1 1) x) (eq@ 1 y (c -1 0)))", "true", "(not false)",
+]
+
+
 class TestGrids:
+    @pytest.mark.parametrize("text", GRID_CASES)
+    def test_every_point_of_a_small_box(self, text):
+        """grid_eval against `evaluate`, and s_grid_eval of the lowering
+        against `s_eval`, at every point of the bound-2 box, by the
+        documented bit order."""
+        f = fm.parse(Z2, text)
+        names = sorted(fm.free_vars(f)) or ["x"]
+        table = orc.grid_eval(Z2, f, orc.grid_axes(Z2, names, 2))
+        low = fm.lower(Z2, f)
+        stable = orc.s_grid_eval(Z2, low, orc.scalar_axes(Z2, names, 2))
+        assert 0 <= table < 1 << 5 ** (2 * len(names))
+        for env in _points(Z2, names, 2):
+            want = orc.evaluate(Z2, f, env)
+            assert bool(table >> _bit(env, 2) & 1) == want, env
+            scalar = {k: v for k, v in fm.scalarize(Z2, env).items()
+                      if k in low.fv}
+            assert sc.s_eval(Z2, low, scalar) == want, env
+            assert bool(stable >> _bit(env, 2) & 1) == want, env
+
     def test_matches_pointwise(self):
-        bound = 3
-        env = orc.grid_axes(Z2, ["x", "y"], bound)
-        vals = list(range(-bound, bound + 1))
+        grid = orc.grid_axes(Z2, ["x", "y"], 2)
         for f in orc.fuzz_corpus(Z2, 51, 10, template="qf"):
-            names = sorted(fm.free_vars(f))
-            grid = np.broadcast_to(orc.grid_eval(Z2, f, env),
-                                   (len(vals),) * (2 * Z2.n))
-            rng = np.random.default_rng(7)
-            for _ in range(40):
-                idx = tuple(rng.integers(0, len(vals), size=2 * Z2.n))
-                point = {"x": (vals[idx[0]], vals[idx[1]]),
-                         "y": (vals[idx[2]], vals[idx[3]])}
-                want = orc.evaluate(Z2, f, {v: point[v] for v in names})
-                assert bool(grid[idx]) == want
+            table = orc.grid_eval(Z2, f, grid)
+            for env in _points(Z2, ["x", "y"], 2):
+                want = orc.evaluate(
+                    Z2, f, {v: env[v] for v in fm.free_vars(f)})
+                assert bool(table >> _bit(env, 2) & 1) == want
+
+    def test_wide_one_axis_box(self):
+        """Interval ends and residue classes over one axis of a wide box,
+        checked at every value."""
+        bound = 300
+        for text in ("(< (* 7 x) (c 100))", "(<= (* -5 x) (c 999))",
+                     "(= (* 3 x) (c -297))", "(congr 6 (* 4 x) (c 2))",
+                     "(congr 5 (* -3 x) (c 7))", "(< (c 400) x)",
+                     "(<= x (c -301))", "(congr 7 x (c 3))"):
+            f = fm.parse(Z1, text)
+            table = orc.grid_eval(Z1, f, orc.grid_axes(Z1, ["x"], bound))
+            for v in range(-bound, bound + 1):
+                assert bool(table >> (v + bound) & 1) == \
+                    orc.evaluate(Z1, f, {"x": (v,)}), (text, v)
 
     def test_bounded_quantifiers_on_grid(self):
         bound = 2
@@ -164,20 +230,35 @@ class TestGrids:
         for f in orc.fuzz_corpus(Z1, 52, 10, template="bounded"):
             if "z" not in fm.free_vars(f):
                 continue
-            grid = np.broadcast_to(orc.grid_eval(Z1, f, env),
-                                   (2 * bound + 1,))
+            grid = orc.grid_eval(Z1, f, env)
+            table = orc.expand_bounded(Z1, f, box=orc.Box(bound))
             for i, v in enumerate(range(-bound, bound + 1)):
                 want = orc.expand_bounded(
                     Z1, fm.substitute(Z1, f, "z", fm.t_const((v,))))
-                assert bool(grid[i]) == want
+                assert bool(grid >> i & 1) == want
+                assert table[(("z", (v,)),)] == want
+
+    def test_bit_order(self):
+        """One point, one bit: the documented index, the same in the
+        group grid and the scalar grid, whatever order names come in."""
+        genv = orc.grid_axes(Z2, ["y", "x"], 1)
+        senv = orc.scalar_axes(Z2, ["y", "x"], 1)
+        for x, y in (((-1, -1), (-1, -1)), ((1, 1), (1, 1)),
+                     ((0, 1), (-1, 0)), ((1, -1), (0, 1))):
+            f = fm.parse(Z2, f"(and (= x (c {x[0]} {x[1]})) "
+                             f"(= y (c {y[0]} {y[1]})))")
+            one = 1 << _bit({"x": x, "y": y}, 1)
+            assert one == 1 << (((x[0] + 1) * 3 + x[1] + 1) * 9
+                                + (y[0] + 1) * 3 + y[1] + 1)
+            assert orc.grid_eval(Z2, f, genv) == one
+            assert orc.s_grid_eval(Z2, fm.lower(Z2, f), senv) == one
 
     def test_scalar_axes_shapes(self):
         env = orc.scalar_axes(Z2, ["x"], 2)
-        assert len(env) == 2
-        total = 1
-        for arr in env.values():
-            total *= arr.size
-        assert total == 25
+        assert set(env) == {sc.SVar("x", 1), sc.SVar("x", 2)}
+        assert orc.s_grid_eval(Z2, sc.TRUE, env) == (1 << 25) - 1
+        assert orc.grid_eval(Z2, fm.parse(Z2, "true"),
+                             orc.grid_axes(Z2, ["x"], 2)) == (1 << 25) - 1
 
     def test_dense_group_refused(self):
         with pytest.raises(OracleError):
@@ -193,8 +274,32 @@ class TestGrids:
 
     def test_bound_zero_is_one_point(self):
         env = orc.grid_axes(Z2, ["x", "y"], 0)
-        assert [a.size for a in env["x"] + env["y"]] == [1, 1, 1, 1]
-        assert all(int(a.flat[0]) == 0 for a in env["x"] + env["y"])
+        for text, want in (("(= x y)", 1), ("(< x (c 0 0))", 0),
+                           ("(= x (c 0 0))", 1), ("(congr 2 y (c 1 0))", 0),
+                           ("(not (< y x))", 1), ("false", 0)):
+            assert orc.grid_eval(Z2, fm.parse(Z2, text), env) == want
+
+    def test_oversized_grid_refused(self):
+        """Past GRID_CAP points, or past AXIS_CAP values on an axis, the
+        grid is refused before anything is built.  Grids the numpy grid
+        answered under a 2 GB address space stay under both: rank 6 at
+        bound 8, Z*Z at 9500, Z*Z*Z at 371, Z^4 at 64, Z^5 at 25 and Z at
+        2^24."""
+        for bound, rank in ((8, 6), (9500, 2), (371, 3), (64, 4), (25, 5),
+                            (2 ** 24, 1)):
+            assert (2 * bound + 1) ** rank <= orc.GRID_CAP
+            assert 2 * bound + 1 <= orc.AXIS_CAP
+        assert 17 ** 7 > orc.GRID_CAP and 2 * 10 ** 8 + 1 > orc.AXIS_CAP
+        for g, bound in ((parse_group("*".join(["Z"] * 7)), 8),
+                         (Z1, 10 ** 8), (Z2, 10 ** 12)):
+            with pytest.raises(OracleError, match="cap"):
+                orc.grid_axes(g, ["x"], bound)
+            with pytest.raises(OracleError, match="cap"):
+                orc.scalar_axes(g, ["x"], bound)
+        z6 = parse_group("*".join(["Z"] * 6))
+        env = orc.grid_axes(z6, ["z"], 8)
+        f = fm.parse(z6, "(< z (c 0 0 0 0 0 0))")
+        assert bin(orc.grid_eval(z6, f, env)).count("1") == 17 ** 6 // 2
 
 
 class TestFuzzCorpus:
