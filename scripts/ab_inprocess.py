@@ -5,10 +5,11 @@ Loads the `src/oagkit` of two checkouts side by side, as the packages
 `perfbench/workloads.py` bound to it.  Nothing is written to either
 checkout: bytecode is not cached.  Both sides draw the same seed's
 queries (the script stops if their inputs differ), and one untimed pass
-checks that every query renders the same text and charges the same node
-budget on both.  Then each round replays every block of queries through
-each side's timed `Workload.run`, the two sides taking turns to go first,
-and times each side's block in CPU time.
+checks that every query renders the same text on both and lists the
+queries whose node budget charge fell or rose from A to B.  Then each
+round replays every block of queries through each side's timed
+`Workload.run`, the two sides taking turns to go first, and times each
+side's block in CPU time.
 
 Run from anywhere, with two checkouts (the parent first):
 
@@ -18,7 +19,8 @@ Run from anywhere, with two checkouts (the parent first):
 For each workload, one after another, it prints the CPU ratio B/A over
 all blocks (below 1 means B is faster), the median of the per-block
 ratios and how many blocks each side won; the exit status is 1 if any
-query rendered or charged differently.  A few heavy blocks can sway the
+query rendered differently or charged more on B (a charge may only
+fall: node budgets depend on it).  A few heavy blocks can sway the
 total, so the median and the wins say whether B is faster on most
 blocks.  Interleaving blocks in one process puts both sides under the
 same machine load, so it resolves differences of a few percent that the
@@ -78,7 +80,7 @@ def block_cpu(wl, queries):
 
 def compare(sides, name, args):
     """Check and time one workload on both sides; True if every query
-    rendered and charged the same on both."""
+    rendered the same on both and none charged B more node budget."""
     runs = []
     for workloads in sides:
         wl = workloads.WORKLOADS[name](args.seed)
@@ -89,16 +91,26 @@ def compare(sides, name, args):
         sys.exit(f"the two checkouts draw different {name} queries for "
                  f"seed {args.seed}")
 
-    differ = 0
+    rendered, fell, rose = [], [], []
     for i in range(args.queries):
         seen = []
         for workloads, wl, queries in runs:
             with workloads.sc.budget_scope(None) as budget:
                 result = wl.run(queries[i])
             seen.append((wl.render(queries[i], result), budget.used))
-        differ += seen[0] != seen[1]
+        (text_a, used_a), (text_b, used_b) = seen
+        if text_a != text_b:
+            rendered.append(i)
+        if used_a != used_b:
+            (fell if used_b < used_a else rose).append(
+                f"{i} ({used_a} -> {used_b})")
     print(f"{name} seed {args.seed}: {args.queries} queries, "
-          f"{differ} with a different render or budget charge")
+          f"{len(rendered)} rendered differently, budget charge fell on "
+          f"{len(fell)} and rose on {len(rose)}")
+    for what, queries in (("rendered differently", rendered),
+                          ("charge fell", fell), ("charge rose", rose)):
+        if queries:
+            print(f"  {what}: {', '.join(map(str, queries))}")
 
     blocks = [range(i, min(i + args.block, args.queries))
               for i in range(0, args.queries, args.block)]
@@ -120,7 +132,7 @@ def compare(sides, name, args):
           f"ratio B/A {totals[1] / totals[0]:.3f}, "
           f"median block ratio {statistics.median(ratios):.3f}; "
           f"blocks won: A {wins[0]}, B {wins[1]} of {sum(wins)}")
-    return differ == 0
+    return not rendered and not rose
 
 
 def main(argv=None):

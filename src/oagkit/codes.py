@@ -83,7 +83,8 @@ class Code(Record):
     """Header describing the coded object's shape, plus its values.
 
     Headers are nested tuples of strings and small integers only, so a
-    Code compares, hashes and serializes structurally.
+    Code serializes structurally; like every Record it is interned, so
+    equal codes are one object.
     """
 
     header: tuple
@@ -639,10 +640,7 @@ def enumerate_finite_quotient(g: GroupSpec, k: int, m: int) -> tuple:
 
 
 def _num_to_str(x) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(x))
 
 
 def _num_from_str(s):
@@ -651,7 +649,8 @@ def _num_from_str(s):
     try:
         if "/" in s:
             num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
+            q = Fraction(int(num), int(den))
+            return q.numerator if q.denominator == 1 else q
         return int(s)
     except (ValueError, ZeroDivisionError) as e:
         raise CodeError(f"bad number string '{s}'") from e

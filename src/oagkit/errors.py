@@ -1,15 +1,17 @@
-"""Exception types shared across the toolkit, the output size bound, and
-the Record base of the package's small immutable values.
+"""Exception types shared across the toolkit, the output size bound, the
+intern tables, and the Record base of the package's small immutable values.
 
 Every domain failure raises a subclass of OagError so callers (and the CLI)
 can distinguish bad input from genuine bugs.  Every layer imports this
 module, so Record gives them frozen value classes without the import and
-class-creation cost of `dataclasses`.
+class-creation cost of `dataclasses`, and its one interning helper,
+`_make`, serves both the Records and the scalar layer's nodes: each
+interned class keeps a process-global plain dict from key to a weak
+reference, `_Ref`, which drops its entry when its object dies.  There is
+no lock, so interning is single-threaded.
 """
 
-from operator import attrgetter
-
-_setattr = object.__setattr__
+import weakref
 
 
 class OagError(Exception):
@@ -65,15 +67,60 @@ class OracleError(OagError):
     """Oracle precondition failure (unbounded quantifier, missing assignment)."""
 
 
+class _Ref(weakref.ref):
+    """An intern table's entry: a weak reference to the object stored
+    under key in table.  Its callback, `_drop`, removes the entry when the
+    object dies, but only while the entry is still this reference, so a
+    newer object interned under the same key survives a late callback."""
+
+    __slots__ = ("key", "table")
+
+
+def _drop(ref):
+    if ref.table.get(ref.key) is ref:
+        del ref.table[ref.key]
+
+
+# Each interned class has a `_table` dict from key to `_Ref`, and names in
+# `_fields` the attributes `_make` fills.  A constructor looks its key up
+# as `cls._table.get(key, _GONE)()`: the live object, or None (`_GONE()` is
+# None, as a dead ref's call is).  Interned objects are always true (no
+# interned class defines `__bool__` or `__len__`), so `... or _make(...)`
+# builds only on a miss.
+_GONE = type(None)
+_new, _set = object.__new__, object.__setattr__
+
+
+def _immutable(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _make(cls, key, values):
+    """A new cls object with the tuple values for its `_fields`, stored
+    under key."""
+    obj = _new(cls)
+    for name, value in zip(cls._fields, values):
+        _set(obj, name, value)
+    table = cls._table
+    ref = table[key] = _Ref(obj, _drop)
+    ref.key = key
+    ref.table = table
+    return obj
+
+
 class Record:
     """Base of the small immutable values: group specs, quotient
     elements, code values, segments, formula nodes.
 
     A subclass's fields are its own annotations, in order, and its class
-    attributes are their defaults.  Instances behave as frozen
-    dataclasses: `==` holds between instances of one class with equal
-    field tuples, `hash` is the hash of the field tuple, `repr` is
-    `Name(field=value, ...)`, and no field can be assigned or deleted.
+    attributes are their defaults; calls bind arguments to them as a
+    frozen dataclass's would.  Instances are interned like the scalar
+    nodes: each class keeps a `_table` keyed on the field tuple, so
+    equal field tuples give the same object, and `==` and `hash` are
+    identity's, in C.  Field values must be hashable, and a coordinate
+    value is an int unless it is not integral (`groups.element`), so
+    equal values are one numeral.  `repr` is `Name(field=value, ...)`,
+    and no field can be assigned or deleted.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -86,33 +133,12 @@ class Record:
         while first and fields[first - 1] in own:
             first -= 1
         cls._tail = tuple(own[f] for f in fields[first:])
-        get = attrgetter(*fields)
-        if len(fields) == 1:  # a bare value, but the hash is of a 1-tuple
-            one = get
+        cls._table = {}
 
-            def get(obj):
-                return (one(obj),)
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return get(self) == get(other)
-            return NotImplemented
-
-        def __hash__(self):
-            return hash(get(self))
-
-        cls.__eq__, cls.__hash__ = __eq__, __hash__
-
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        # object.__setattr__ keeps the fields in the instance's inline
-        # values; reading self.__dict__ would turn them into a dict, which
-        # makes every later field read slower and the GC track one more
-        # object per instance
-        for f, v in zip(fields, args):
-            _setattr(self, f, v)
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._bind(args, kwargs)
+        return cls._table.get(args, _GONE)() or _make(cls, args, args)
 
     @classmethod
     def _bind(cls, args, kwargs):
@@ -130,14 +156,10 @@ class Record:
             raise TypeError(
                 f"{cls.__qualname__}() takes the fields ({', '.join(fields)});"
                 f" got {len(args)} positional and keywords {sorted(kwargs)}")
-        return [values[f] for f in fields]
+        return tuple(values[f] for f in fields)
 
     def __repr__(self):
         inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({inner})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __setattr__ = __delattr__ = _immutable

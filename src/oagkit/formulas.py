@@ -20,6 +20,8 @@ coordinate: each atom becomes integer constraints on the coordinates of
 its left - right, and bound variables are renamed only where one shadows
 another name.  Past the parser, every traversal is a loop over `_parts`,
 the one reader of a node's children, or a step on `scalars.walk`.
+Terms and nodes are interned `Record`s, so a walk keys on the node
+itself and steps equal subformulas once.
 """
 
 from __future__ import annotations
@@ -281,10 +283,13 @@ class _Parser:
         return name
 
     def number(self, i: int) -> int | Fraction:
-        """The numeral at token i: an int unless it has a denominator."""
+        """The numeral at token i: an int unless it is not integral."""
         num, _, den = self.toks[i].partition("/")
         try:
-            return Fraction(int(num), int(den)) if den else int(num)
+            if not den:
+                return int(num)
+            q = Fraction(int(num), int(den))
+            return q.numerator if q.denominator == 1 else q
         except ZeroDivisionError:
             raise self.err(f"zero denominator in '{self.toks[i]}'",
                            i) from None
@@ -332,12 +337,14 @@ class _Parser:
                                    v if type(v) is int else op)
                 coords.append(self.number(v))
             for j, q in enumerate(coords):
-                if self.g.kinds[j] == "Z" and type(q) is Fraction:
-                    if q.denominator != 1:
-                        raise self.err(
-                            f"non-integer value {q} in a Z coordinate", op)
-                    q = q.numerator
-                const[j] += k * q
+                if type(q) is not Fraction:
+                    const[j] += k * q
+                elif self.g.kinds[j] == "Z":
+                    raise self.err(
+                        f"non-integer value {q} in a Z coordinate", op)
+                else:  # a sum of fractions may be integral: keep it an int
+                    q = const[j] + k * q
+                    const[j] = q.numerator if q.denominator == 1 else q
         elif name == "+":
             if len(items) < 3:
                 raise self.err("'+' needs at least two arguments", op)
@@ -490,7 +497,7 @@ def _parts(f: Formula) -> tuple:
 
 
 class _Key:
-    """A walk key by identity: a formula Record hashes its whole subtree."""
+    """A `_rename` walk key: a node and the map carried down to it."""
 
     __slots__ = ("node", "m")
 
@@ -512,15 +519,14 @@ def _print_term(t: Term) -> str:
     return "(+ " + " ".join(parts) + ")"
 
 
-def _shape(key: _Key) -> tuple:
-    """The pieces a node prints as, in order: strings, and the keys of
-    the subformulas between them (a string is no formula node)."""
-    f = key.node
+def _shape(f: Formula) -> tuple:
+    """The pieces a node prints as, in order: strings, and the
+    subformulas between them."""
     cls = f.__class__
     kids = _parts(f)
     if kids:
         # the connectives and quantifiers print as their class names
-        spaced = [x for k in kids for x in (" ", _Key(k))]
+        spaced = [x for k in kids for x in (" ", k)]
         spaced[0] = f"({cls.__name__.lower()} "
         if cls is Exists or cls is Forall:
             spaced[0] += f"({f.var}) "
@@ -542,7 +548,10 @@ def _shape(key: _Key) -> tuple:
 
 
 def print_formula(f: Formula) -> str:
-    return sc.preorder_text(_Key(f), _shape)
+    # `_scan` refuses a value that is no formula node, which `_shape`
+    # would print as text if it were a string
+    _scan(f)
+    return sc.preorder_text(f, _shape)
 
 
 # --- structural utilities ---------------------------------------------------
@@ -551,7 +560,8 @@ def print_formula(f: Formula) -> str:
 def _scan(f: Formula) -> tuple:
     """The free names of f and its binders' names, as frozensets, and
     whether some binder reuses a free name of f or the name of an enclosing
-    binder.  Walked once per object and kept on it outside its fields."""
+    binder.  Walked once per interned formula, so once for all equal
+    ones, and kept on it outside its fields."""
     hit = getattr(f, "_scanned", None)
     if hit is None:
         hit = _scan_walk(f)
@@ -742,8 +752,7 @@ def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
     of scalar quantifiers."""
     memo = sc.operation_memo()
 
-    def step(key):
-        node = key.node
+    def step(node):
         cls = node.__class__
         if cls in ATOMS:
             # an atom lowers once per operation, under a key tagged "lower"
@@ -763,11 +772,11 @@ def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
                 if k.__class__ is cls:
                     todo += reversed(_parts(k))
                 else:
-                    kids.append(_Key(k))
+                    kids.append(k)
             if cls is And:
                 return Join(sc.mk_and, kids, sc.FALSE)
             return Join(sc.mk_or, kids, sc.TRUE)
-        kids = [_Key(k) for k in _parts(node)]
+        kids = _parts(node)
         if cls is Not:
             return Join(lambda rs: sc.mk_not(rs[0]), kids)
         if cls is Implies:
@@ -788,4 +797,4 @@ def lower(g: GroupSpec, f: Formula) -> sc.SFormula:
 
         return Join(block, kids)
 
-    return walk(_Key(_freshen(g, f)), step)
+    return walk(_freshen(g, f), step)

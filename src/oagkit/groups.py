@@ -3,8 +3,13 @@
 The groups handled by this package are finite lexicographic products
 K_1 (+) ... (+) K_n where each factor K_i is either the integers ("Z",
 discrete) or the rationals ("Q", dense and divisible), ordered with the
-most significant coordinate first.  Elements are plain tuples: ints in Z
-coordinates, Fractions in Q coordinates.
+most significant coordinate first.  Elements are plain tuples of one
+numeral per value: an int wherever the value is integral, and a Fraction
+only for a non-integral value in a Q coordinate (`element`).  So equal
+elements are equal tuples of the same types, which the interned Records
+that hold them (`errors.Record`) need, as `1 == Fraction(1)` but their
+reprs differ.  The group specs, convex subgroups and quotient elements
+are Records: equal values are one object.
 
 The definable convex subgroups of such a group form a finite chain.  We
 represent them by their *level*: level k names the subgroup of elements
@@ -34,13 +39,14 @@ class GroupSpec(Record):
 
     kinds: tuple[Kind, ...]
 
-    def __init__(self, kinds: tuple[Kind, ...]) -> None:
+    def __new__(cls, kinds: tuple[Kind, ...]) -> GroupSpec:
         for k in kinds:
             if k not in ("Z", "Q"):
                 raise GroupError(f"unknown coordinate kind {k!r}")
-        super().__init__(kinds)
+        g = super().__new__(cls, kinds)
         # the rank, kept outside the fields as formulas keep `_scanned`
-        object.__setattr__(self, "n", len(kinds))
+        object.__setattr__(g, "n", len(kinds))
+        return g
 
     def __str__(self) -> str:
         return "*".join(self.kinds) if self.kinds else "1"
@@ -119,7 +125,8 @@ def element(g: GroupSpec, values: Sequence) -> Element:
         else:
             if not isinstance(v, (int, Fraction)):
                 raise GroupError(f"bad Q coordinate {v!r}")
-            out.append(Fraction(v))
+            # one numeral per value: an int unless it is not integral
+            out.append(int(v) if v.denominator == 1 else Fraction(v))
     return tuple(out)
 
 

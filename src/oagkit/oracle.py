@@ -397,9 +397,11 @@ def grid_eval(g: GroupSpec, f: fm.Formula, env: Mapping[str, tuple]) -> int:
     if isinstance(f, fm.Iff):
         return grid_eval(g, f.left, env) ^ grid_eval(g, f.right, env) ^ full
     if isinstance(f, (fm.Exists, fm.Forall)):
-        # candidate bounds must be ground: grid variables never appear in
-        # the recognized bound atoms
-        cands, body = _quant_candidates(g, f, {})
+        # candidate bounds must be ground: they may name the values of
+        # enclosing bound variables, never a grid variable's axes
+        ground = {v: a for v, a in env.items()
+                  if not any(isinstance(x, _Axis) for x in a)}
+        cands, body = _quant_candidates(g, f, ground)
         tables = (grid_eval(g, body, {**env, f.var: a}) for a in cands)
         if isinstance(f, fm.Exists):
             return reduce(or_, tables, 0)

@@ -20,7 +20,9 @@ While a high-level operation runs (those four, `code_set`,
 `generic_type`, `generic_type_trace`, `check_descriptor`; see
 `scalars.operation_scope`), `_eliminate_block` remembers its answers in
 the operation's memo, keyed on the group, the variable block and the
-interned body node.  It is a pure function of that key, so the memo
+body node.  Group specs, formulas and scalar nodes are all interned
+(`errors.Record`, `scalars`), so every memo key hashes and compares by
+identity, in C.  The answer is a pure function of the key, so the memo
 changes no answer.  The memo is thread-local, has no option or size
 limit, and is dropped when the outermost operation returns or raises.
 Outside an operation nothing is memoized.  (`formulas.lower` keeps the

@@ -21,19 +21,17 @@ coordinates, roots and evaluation.  Every constructor charges an
 optional node budget so quantifier elimination can fail fast instead of
 blowing up.
 
-Variables, expressions and formula nodes are hash-consed: structurally
-equal terms are the same object, equality and hashing are identity, and
-each node caches its free-variable set.  Elimination output is
-therefore a DAG with heavy sharing.  Its traversals (here evaluation,
-atom collection, the atom map `map_atoms` and printing; in `qe` normal
-form, elimination and its helpers) run on one iterative walker, `walk`,
-with one memo per call keyed on the node, so they take DAG size, not
-tree size, at any depth; `s_subst` still recurses.  `formulas` lowers
-and renames its (not interned) group formulas on `walk` too, and
-prints them with `preorder_text`.  Each interned class keeps a
-process-global plain dict from key to a weak reference, `_Ref`, which
-drops its entry when its object dies; there is no lock, so interning is
-single-threaded.
+Variables, expressions and formula nodes are hash-consed on the intern
+tables of `errors` (`_make`), as the group layer's Records are:
+structurally equal terms are the same object, equality and hashing are
+identity, and each node caches its free-variable set.  Elimination
+output is therefore a DAG with heavy sharing.  Its traversals (here
+evaluation, atom collection, the atom map `map_atoms` and printing; in
+`qe` normal form, elimination and its helpers) run on one iterative
+walker, `walk`, with one memo per call keyed on the node, so they take
+DAG size, not tree size, at any depth; `s_subst` still recurses.
+`formulas` lowers, renames and prints its group formulas on `walk` and
+`preorder_text` too.
 """
 
 from __future__ import annotations
@@ -41,52 +39,13 @@ from __future__ import annotations
 import functools
 import math
 import threading
-import weakref
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import PRINT_LIMIT, BudgetExceeded, FormulaError, OutputTooLarge
+from .errors import (PRINT_LIMIT, BudgetExceeded, FormulaError, OutputTooLarge,
+                     _GONE, _immutable, _make)
 from .groups import GroupSpec
-
-
-class _Ref(weakref.ref):
-    """An intern table's entry: a weak reference to the object stored
-    under key in table.  Its callback, `_drop`, removes the entry when the
-    object dies, but only while the entry is still this reference, so a
-    newer object interned under the same key survives a late callback."""
-
-    __slots__ = ("key", "table")
-
-
-def _drop(ref):
-    if ref.table.get(ref.key) is ref:
-        del ref.table[ref.key]
-
-
-# Each interned class has a `_table` dict from key to `_Ref`, and names in
-# `_fields` the slots `_make` fills.  A constructor looks its key up as
-# `cls._table.get(key, _GONE)()`: the live object, or None (`_GONE()` is
-# None, as a dead ref's call is).  Interned objects are always true, so
-# `... or _make(...)` builds only on a miss.
-_GONE = type(None)
-_new, _set = object.__new__, object.__setattr__
-
-
-def _make(cls, key, *values):
-    """A new cls object with values for its `_fields`, stored under key."""
-    obj = _new(cls)
-    for name, value in zip(cls._fields, values):
-        _set(obj, name, value)
-    table = cls._table
-    ref = table[key] = _Ref(obj, _drop)
-    ref.key = key
-    ref.table = table
-    return obj
-
-
-def _immutable(self, name, value=None):
-    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class SVar:
@@ -100,7 +59,7 @@ class SVar:
 
     def __new__(cls, base: str, coord: int):
         key = (base, coord)
-        return cls._table.get(key, _GONE)() or _make(cls, key, base, coord)
+        return cls._table.get(key, _GONE)() or _make(cls, key, (base, coord))
 
     def __repr__(self) -> str:
         return f"SVar(base={self.base!r}, coord={self.coord!r})"
@@ -125,7 +84,7 @@ class LinExpr:
         coeffs = tuple(coeffs)
         key = (coeffs, const)
         return cls._table.get(key, _GONE)() or _make(
-            cls, key, coeffs, const, frozenset(v for v, _ in coeffs))
+            cls, key, (coeffs, const, frozenset(v for v, _ in coeffs)))
 
     __setattr__ = __delattr__ = _immutable
 
@@ -216,7 +175,7 @@ class SBool(_Node):
     def __new__(cls, value):
         value = bool(value)
         return cls._table.get(value, _GONE)() or _make(
-            cls, value, value, frozenset())
+            cls, value, (value, frozenset()))
 
     def __repr__(self):
         return "TRUE" if self.value else "FALSE"
@@ -227,7 +186,7 @@ class SLt(_Node):
 
     def __new__(cls, expr):
         return cls._table.get(expr, _GONE)() or _make(
-            cls, expr, expr, expr.vars_set)
+            cls, expr, (expr, expr.vars_set))
 
     def __repr__(self):
         return f"({self.expr!r} < 0)"
@@ -248,7 +207,7 @@ class SCongr(_Node):
         modulus = int(modulus)
         key = (modulus, expr)
         return cls._table.get(key, _GONE)() or _make(
-            cls, key, modulus, expr, expr.vars_set)
+            cls, key, (modulus, expr, expr.vars_set))
 
     def __repr__(self):
         return f"({self.expr!r} ~ 0 mod {self.modulus})"
@@ -259,7 +218,7 @@ class SNot(_Node):
 
     def __new__(cls, body):
         return cls._table.get(body, _GONE)() or _make(
-            cls, body, body, body.fv)
+            cls, body, (body, body.fv))
 
     def __repr__(self):
         return f"~{self.body!r}"
@@ -271,7 +230,7 @@ class SAnd(_Node):
     def __new__(cls, items):
         items = tuple(items)
         return cls._table.get(items, _GONE)() or _make(
-            cls, items, items, frozenset().union(*[it.fv for it in items]))
+            cls, items, (items, frozenset().union(*[it.fv for it in items])))
 
     def __repr__(self):
         return "(" + " & ".join(map(repr, self.items)) + ")"
@@ -291,7 +250,7 @@ class SExists(_Node):
     def __new__(cls, var, body):
         key = (var, body)
         return cls._table.get(key, _GONE)() or _make(
-            cls, key, var, body, body.fv - {var})
+            cls, key, (var, body, body.fv - {var}))
 
     def __repr__(self):
         return f"(E {self.var} . {self.body!r})"

@@ -713,6 +713,11 @@ class TestSerialization:
         assert _num_to_str(7) == "7"
         assert _num_from_str("-3/2") == Fraction(-3, 2)
         assert _num_from_str("12") == 12
+        # one numeral per value: an integral quotient reads as an int
+        assert type(_num_from_str("-3/2")) is Fraction
+        for text, want in (("12", 12), ("4/2", 2), ("-9/3", -3), ("0/5", 0)):
+            assert _num_from_str(text) == want
+            assert type(_num_from_str(text)) is int
         with pytest.raises(CodeError):
             _num_from_str("1/0")
         with pytest.raises(CodeError):

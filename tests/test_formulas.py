@@ -438,11 +438,21 @@ class TestNumerals:
         assert str(e.value) == \
             "non-integer value 1/2 in a Z coordinate (line 1, column 7)"
 
-    def test_dense_constants_stay_fractions(self):
+    def test_dense_constants_are_one_numeral_per_value(self):
+        """A dense constant is a Fraction only when it is not integral,
+        however it was written, so equal atoms are one object."""
         f = fm.parse(ZQ, "(< (+ x (* 2 y)) (+ (c 1 2) (c 0 1/2)))")
         assert f.right.const == (1, Fraction(5, 2))
-        assert type(f.left.const[1]) is Fraction
+        assert type(f.right.const[1]) is Fraction
+        assert type(f.left.const[1]) is int
         assert repr(f) == repr(ref.parse(ZQ, fm.print_formula(f)))
+        for text in ("(< x (+ (c 1/2) (c 1/2)))", "(< x (c 4/4))",
+                     "(< x (+ (c 3/2) (* -1 (c 1/2))))",
+                     "(< x (- (* 2 (c 1/2)) (c 0)))"):
+            g = fm.parse(Q1, text)
+            assert g.right.const == (1,) and type(g.right.const[0]) is int
+            assert g is fm.parse(Q1, "(< x (c 1))"), text
+        assert fm.t_var(Z1, "x") is fm.t_var(Q1, "x")
 
 
 def _mixed_atom_texts(g):
@@ -626,15 +636,27 @@ class TestScanOnce:
             *cancelled]
         assert fm.free_vars(fm.parse(Z1, cancelled[0])) == {"y"}
 
-    def test_the_kept_scan_changes_no_equality_hash_or_repr(self):
-        text = "(exists (y) (and (< x y) (forall (z) (< y z))))"
-        f, twin = fm.parse(Z2, text), fm.parse(Z2, text)
-        object.__delattr__(twin, "_scanned")
-        assert fm.free_vars(f) == {"x"}
-        assert fm.all_names(f) == {"x", "y", "z"}
-        assert not hasattr(twin, "_scanned") and hasattr(f, "_scanned")
-        assert f == twin and hash(f) == hash(twin) and repr(f) == repr(twin)
-        assert f._fields == ("var", "body")
+    def test_the_kept_scan_changes_no_equality_hash_or_repr(self,
+                                                           monkeypatch):
+        """Equal formulas are one object, so the scan kept on it is
+        walked once for all of them; it is no field, so equality and
+        hash stay identity's and repr does not show it, and it cannot be
+        assigned."""
+        text = "(exists (y) (and (< x y) (forall (zk) (< y zk))))"
+        f = fm.parse(Z2, text)
+        inner = f.body.items[1]
+        assert fm.all_names(inner) == {"y", "zk"}
+        walked = self.count_walks(monkeypatch)
+        rebuilt = fm.Exists("y", fm.And(tuple(
+            type(k)(*[getattr(k, n) for n in k._fields])
+            for k in f.body.items)))
+        assert rebuilt is f and fm.parse(Z2, text) is f
+        assert fm.free_vars(rebuilt) == {"x"}
+        assert fm.all_names(rebuilt) == {"x", "y", "zk"}
+        assert fm.free_vars(inner.body) == {"y", "zk"} and walked == [
+            inner.body]
+        assert hash(f) == object.__hash__(f)
+        assert f._fields == ("var", "body") and "_scanned" not in repr(f)
         with pytest.raises(AttributeError):
             f._scanned = None
 

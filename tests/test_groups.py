@@ -54,10 +54,21 @@ def test_group_rank_is_kept_outside_the_fields():
     assert quotient_spec(g, 0).n == 0 and parse_group("1").n == 0
     assert GroupSpec._fields == ("kinds",)
     assert repr(g) == "GroupSpec(kinds=('Z', 'Q', 'Z'))"
-    assert g == parse_group("Z*Q*Z") and hash(g) == hash((g.kinds,))
+    # interned: equal specs are one object, hashed by identity
+    assert g is parse_group("Z*Q*Z") is GroupSpec(("Z", "Q", "Z"))
+    assert quotient_spec(g, 2) is parse_group("Z*Q")
+    assert hash(g) == object.__hash__(g)
     with pytest.raises(AttributeError):
         g.n = 2
     assert g.n == 3
+
+
+def test_a_bad_kind_is_refused_before_interning():
+    size = len(GroupSpec._table)
+    for kinds in (("R",), ("Z", "z"), ("Q", 1)):
+        with pytest.raises(GroupError, match="unknown coordinate kind"):
+            GroupSpec(kinds)
+    assert len(GroupSpec._table) == size
 
 
 def test_element_validation():
@@ -83,12 +94,20 @@ def test_element_types_and_messages():
         pass
 
     out = element(QZ, [3, 4])
-    assert out == (3, 4) and type(out[0]) is Fraction and type(out[1]) is int
+    assert out == (3, 4) and type(out[0]) is int and type(out[1]) is int
     out = element(ZZ, [Small(2), Fraction(-6, 3)])
     assert out == (2, -2) and type(out[1]) is int
     assert type(out[0]) is Small
     out = element(QZ, [Ratio(1, 2), Ratio(6, 3)])
     assert out == (Fraction(1, 2), 2) and type(out[1]) is int
+    assert type(out[0]) is Fraction
+    # a dense value is one numeral: an int when integral, else a Fraction
+    for v, want, kind in ((Fraction(6, 2), 3, int), (Small(-4), -4, int),
+                          (Ratio(-8, 4), -2, int), (7, 7, int),
+                          (Fraction(1, 2), Fraction(1, 2), Fraction),
+                          (Ratio(-3, 6), Fraction(-1, 2), Fraction)):
+        out = element(Q, [v])[0]
+        assert out == want and type(out) is kind, v
     bad = [(Z, True, "bool is not a coordinate value"),
            (QZ, False, "bool is not a coordinate value"),
            (Z, Fraction(1, 2), "non-integer value 1/2 in a Z coordinate"),

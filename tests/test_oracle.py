@@ -238,6 +238,23 @@ class TestGrids:
                 assert bool(grid >> i & 1) == want
                 assert table[(("z", (v,)),)] == want
 
+    def test_a_bound_may_name_an_outer_bound_variable(self):
+        """w's bounds name y, which the outer quantifier binds to a
+        ground value: the grid table is the pointwise one, true only at
+        z = 2."""
+        bound = 2
+        f = fm.parse(Z1, "(exists (y) (and (< (c 0) y) (< y (c 3)) "
+                         "(exists (w) (and (< y w) (< w (c 5)) (= w z)))))")
+        grid = orc.grid_eval(Z1, f, orc.grid_axes(Z1, ["z"], bound))
+        table = orc.expand_bounded(Z1, f, box=orc.Box(bound))
+        for i, v in enumerate(range(-bound, bound + 1)):
+            assert bool(grid >> i & 1) == table[(("z", (v,)),)] == (v == 2)
+
+    def test_a_bound_naming_a_grid_variable_is_refused(self):
+        f = fm.parse(Z1, "(exists (w) (and (< z w) (< w (c 5)) (= w z)))")
+        with pytest.raises(OracleError, match="unbounded quantifier"):
+            orc.grid_eval(Z1, f, orc.grid_axes(Z1, ["z"], 2))
+
     def test_bit_order(self):
         """One point, one bit: the documented index, the same in the
         group grid and the scalar grid, whatever order names come in."""

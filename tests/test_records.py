@@ -1,10 +1,12 @@
 """The Record value classes against their frozen dataclass twins: the
-same `repr`, `==` and `hash` on values taken from the corpora, frozen
+same `repr` and `==` on values taken from the corpora, with `==` and
+`hash` by identity because equal values are one interned object, frozen
 fields, and a TypeError for every call a dataclass would refuse."""
 
 import dataclasses
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -85,34 +87,62 @@ def test_the_corpus_reaches_every_record_class(corpus):
     assert len(set(subclasses(Record))) == 32
 
 
-def test_repr_and_hash_are_the_dataclass_ones(corpus):
+def test_repr_is_the_dataclass_one_and_hash_is_identity(corpus):
     for r in corpus:
         t = twin(r)
         assert repr(r) == repr(t)
-        assert hash(r) == hash(t)
+        assert hash(r) == object.__hash__(r)
         if "__str__" not in vars(type(r)):
             assert str(r) == str(t)
 
 
 def test_equality_is_the_dataclass_one(corpus):
+    """Interned: two Records are equal exactly when their dataclass twins
+    are, and exactly when they are one object."""
+    by_value = {}
+    for r in corpus:
+        by_value.setdefault(twin(r), set()).add(id(r))
+    assert all(len(ids) == 1 for ids in by_value.values())
+    # every formula was parsed twice, so equal values were built apart
+    assert len({id(r) for r in corpus}) < len(corpus)
     sample = _samples(corpus)
     twins = [twin(r) for r in sample]
-    same = 0
     for (a, ta), (b, tb) in itertools.product(zip(sample, twins), repeat=2):
-        assert (a == b) == (ta == tb)
+        assert (a == b) == (ta == tb) == (a is b)
         assert (a != b) == (ta != tb)
-        same += a is not b and a == b
-    assert same > 0
     for r in sample:
         assert (r == twin(r)) is False
         assert r != (r,)
+
+
+def test_rebuilding_from_the_fields_gives_the_same_object(corpus):
+    for r in corpus:
+        values = [getattr(r, f) for f in r._fields]
+        assert type(r)(*values) is r
+        assert type(r)(**dict(zip(r._fields, values))) is r
+
+
+def test_no_record_holds_an_integral_fraction(corpus):
+    """One numeral per coordinate value: an integral value is an int."""
+    def numerals(value):
+        if isinstance(value, Record):
+            for f in value._fields:
+                yield from numerals(getattr(value, f))
+        elif isinstance(value, tuple):
+            for v in value:
+                yield from numerals(v)
+        else:
+            yield value
+
+    seen = [q for r in corpus for q in numerals(r) if type(q) is Fraction]
+    assert seen and all(q.denominator != 1 for q in seen)
 
 
 def test_keywords_and_defaults_are_the_dataclass_ones(corpus):
     for r in _samples(corpus, per_class=3):
         cls, t = type(r), twin_class(type(r))
         values = {f: getattr(r, f) for f in r._fields}
-        assert cls(**values) == r
+        assert cls(**values) is r
         required = [getattr(r, f.name) for f in dataclasses.fields(t)
                     if f.default is dataclasses.MISSING]
         assert repr(cls(*required)) == repr(t(*required))
@@ -144,11 +174,11 @@ def test_bad_arguments_are_type_errors(args, kwargs):
 
 
 def test_defaults_fill_only_the_trailing_fields():
-    assert orc.Box(3) == orc.Box(3, 2_000_000) == orc.Box(bound=3)
+    assert orc.Box(3) is orc.Box(3, 2_000_000) is orc.Box(bound=3)
     with pytest.raises(TypeError):
         orc.Box(cap=5)
-    assert orc.FuzzLimits(window=4) == orc.FuzzLimits(3, 8, 2, 4, 2)
-    assert orc.FuzzLimits(3, 5) == orc.FuzzLimits(3, 5, 2, 6, 2)
+    assert orc.FuzzLimits(window=4) is orc.FuzzLimits(3, 8, 2, 4, 2)
+    assert orc.FuzzLimits(3, 5) is orc.FuzzLimits(3, 5, 2, 6, 2)
     with pytest.raises(TypeError):
         orc.FuzzLimits(3, 8, 2, 4, 2, 1)
 
