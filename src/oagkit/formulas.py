@@ -732,12 +732,17 @@ def _lower_atom(g: GroupSpec, f: Formula) -> sc.SFormula:
     rel = EQ if isinstance(f, RelEq) else f.rel
     # (d_1, ..., d_k) <lex 0: some d_j < 0 and every earlier d_i = 0, so
     # the strict order needs no equation for d_k
-    eqs = [sc.eq_core(*d) for d in (diffs[:-1] if rel == LT else diffs)]
+    eqs = []
+    for d in diffs[:-1] if rel == LT else diffs:
+        eqs.append(sc.eq_core(*d))
+        if eqs[-1] is sc.FALSE:  # so is every later case
+            diffs = diffs[:len(eqs)]
+            break
     if rel == EQ:
         return sc.mk_and(eqs)
     cases = [sc.mk_and(eqs[:j] + [sc.lt_core(*d)])
              for j, d in enumerate(diffs)]
-    if rel == LE:
+    if rel == LE and sc.FALSE not in eqs:
         cases.append(sc.mk_and(eqs))
     return sc.mk_or(cases)
 

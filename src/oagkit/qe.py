@@ -33,17 +33,20 @@ A quantifier-free form is rewritten two ways: `scalars.map_atoms` maps
 each atom in one variable (Cooper's normalization and infinity rows,
 the dense minus-infinity and root-plus-epsilon rows, `cells.pin`), and
 `scalars.s_subst` substitutes a term for the variable (Cooper's shifted
-and bound rows, the window rows, the dense root rows).  Negation normal
-form, the atom map, miniscoping, the window ranges and elimination
-itself run on `scalars.walk`, with one memo per call keyed on the node
-(for `nnf`, on the node and its polarity), and stop at a first FALSE
-conjunct or TRUE disjunct.  Cooper's method and the dense projection
-yield their disjuncts lazily, so `mk_or` stops substituting at the
-first true one.  Cooper's method substitutes its infinity rows first,
-building each shift constant when its row needs it, and a true row
-answers the whole disjunction before any bound row is built; otherwise
-the disjuncts come in the interleaved order (each row, then its bound
-rows), so the answer is the same node either way.
+and bound rows, the window rows, the dense root rows); its atoms, and
+the root-plus-epsilon rows', are built once, by their cores from the
+parts `scalars.subst_parts` computes.  Negation normal form, the atom
+map, miniscoping, the window ranges and elimination itself run on
+`scalars.walk`, with one memo per call keyed on the node (for `nnf`, on
+the node and its polarity), and stop at a first FALSE conjunct or TRUE
+disjunct.  Cooper's method and the dense projection yield their
+disjuncts lazily, so `mk_or` stops substituting at the first true one.
+Cooper's method substitutes its infinity rows first, building each
+shift constant when its row needs it, and a true row answers the whole
+disjunction before any bound row is built; otherwise the disjuncts come
+in the interleaved order (each row, then its bound rows), so the answer
+is the same node either way, and a repeated bound row, a disjunct
+`mk_or` drops, is not substituted again.
 """
 
 from __future__ import annotations
@@ -60,9 +63,9 @@ from .errors import FormulaError, Record
 from .groups import Element, GroupSpec, element
 from .scalars import (
     FALSE, TRUE, Join, SAnd, SBool, SCongr, SEq, SExists, SForall, SFormula,
-    SLt, SNot, SOr, SVar, atoms, budget_scope, kind_of, lin_add, lin_const,
-    lin_neg, lin_var, map_atoms, mk_and, mk_congr, mk_eq, mk_le, mk_lt,
-    mk_not, mk_or, operation, operation_memo, s_is_qf, s_subst, walk,
+    SLt, SNot, SOr, SVar, atoms, budget_scope, kind_of, lin_const, lin_neg,
+    lin_var, map_atoms, mk_and, mk_congr, mk_le, mk_lt, mk_not, mk_or,
+    operation, operation_memo, s_is_qf, s_subst, walk,
 )
 
 
@@ -116,9 +119,11 @@ def nnf(g: GroupSpec, f: SFormula, positive: bool = True) -> SFormula:
     return walk((f, positive), step)
 
 
-def _without(e: sc.LinExpr, v: SVar) -> sc.LinExpr:
-    """e with its term in v dropped."""
-    return sc.LinExpr(tuple(p for p in e.coeffs if p[0] is not v), e.const)
+def _root(e: sc.LinExpr, v: SVar) -> tuple:
+    """(repl, den) with den > 0 and e = 0 at v = repl/den."""
+    a = e.coeff(v)
+    rest = sc.LinExpr(tuple(p for p in e.coeffs if p[0] is not v), e.const)
+    return (rest, -a) if a < 0 else (lin_neg(rest), a)
 
 
 def _window_rows(g: GroupSpec, f: SFormula, v: SVar, lo, hi) -> SFormula:
@@ -140,11 +145,7 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
 
     f = map_atoms(f, split_eq, v)
 
-    delta = 1
-    for lit in atoms(f):
-        a = lit.expr.coeff(v)
-        if a:
-            delta = math.lcm(delta, abs(a))
+    delta = math.lcm(*[abs(a) for lit in atoms(f) if (a := lit.expr.coeff(v))])
 
     # substitute y = delta * v: every coefficient of y becomes +-1
     def rescale(lit):
@@ -168,10 +169,8 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
             continue
         if isinstance(lit, SCongr):
             period = math.lcm(period, lit.modulus)
-        elif a == 1:  # y + r < 0  means  y < -r
-            uppers.append(lin_neg(_without(lit.expr, v)))
-        else:  # -y + r < 0  means  r < y
-            lowers.append(_without(lit.expr, v))
+        else:  # y + r < 0 means y < -r, -y + r < 0 means r < y: the root
+            (uppers if a == 1 else lowers).append(_root(lit.expr, v)[0])
 
     use_lowers = len(lowers) <= len(uppers)
 
@@ -189,27 +188,31 @@ def _cooper(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
     sign = 1 if use_lowers else -1
 
     # the infinity rows first: any true one decides the disjunction
-    # before a bound row is built.  Each shift is built once, when its
-    # row needs it, so the budget is charged from the first row on; a
-    # FALSE row adds no disjunct, and its shifts wait for the bound rows
-    shifts = (lin_const(sign * j) for j in range(1, period + 1))
+    # before a bound row is built; a FALSE row adds no disjunct
+    shifts = range(sign, sign * (period + 1), sign)
     if row is sc.FALSE:
         rows = ((row, shift) for shift in shifts) if bounds else ()
     else:
         rows = []
         for shift in shifts:
-            r = s_subst(g, row, v, shift)
+            r = s_subst(g, row, v, lin_const(shift))
             if r is sc.TRUE:
                 return r
             rows.append((r, shift))
 
     # the same disjuncts in the same order as an interleaved walk, the
-    # rows reused; yielded lazily: mk_or stops at the first true one
+    # rows reused; yielded lazily: mk_or stops at the first true one, and
+    # drops a bound row that repeats (bounds a shift apart), so it is not
+    # substituted again
     def pieces():
+        seen = set()
         for r, shift in rows:
             yield r
             for b in bounds:
-                yield s_subst(g, f, v, lin_add(b, shift))
+                repl = sc.LinExpr(b.coeffs, b.const + shift)
+                if repl not in seen:
+                    seen.add(repl)
+                    yield s_subst(g, f, v, repl)
 
     return mk_or(pieces())
 
@@ -227,8 +230,7 @@ def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
             continue
         if isinstance(lit, SCongr):
             raise AssertionError("dense coordinates carry no congruences")
-        rest = _without(lit.expr, v)
-        repl, den = (rest, -a) if a < 0 else (lin_neg(rest), a)
+        repl, den = _root(lit.expr, v)
         k = math.gcd(den, repl.const, *(c for _, c in repl.coeffs))
         key = (den // k, tuple((w, c // k) for w, c in repl.coeffs),
                repl.const // k)
@@ -244,10 +246,10 @@ def _dense(g: GroupSpec, v: SVar, f: SFormula) -> SFormula:
         # equation fails, and a decreasing atom is < or = at the root
         if isinstance(lit, SEq):
             return FALSE
-        numer = sc.lin_subst(lit.expr, v, repl, den)
+        parts = sc.subst_parts(g, lit.expr, v, repl, den)
         if lit.expr.coeff(v) < 0:
-            return mk_or([mk_lt(g, numer), mk_eq(g, numer)])
-        return mk_lt(g, numer)
+            return mk_or([sc.lt_core(*parts), sc.eq_core(*parts)])
+        return sc.lt_core(*parts)
 
     def pieces():
         yield map_atoms(f, at_minus_inf, v)

@@ -16,7 +16,8 @@ multiple.  That normalization lives in `lt_core`, `eq_core` and
 `congr_core`, which take an atom's parts (whether its variables are
 discrete, its coefficients in `lin`'s order, its constant and their
 content) and build only its normal form; `mk_lt`, `mk_eq` and `mk_congr`
-wrap them for an expression at hand.  `Fraction` is for values only:
+wrap them for an expression at hand, and `subst_parts` hands them the
+parts of a substituted atom.  `Fraction` is for values only:
 coordinates, roots and evaluation.  Every constructor charges an
 optional node budget so quantifier elimination can fail fast instead of
 blowing up.
@@ -103,17 +104,20 @@ class LinExpr:
         return " + ".join(parts)
 
 
-def lin(coeffs: Mapping[SVar, int] | Iterable, const=0) -> LinExpr:
-    if type(coeffs) is dict or isinstance(coeffs, Mapping):
-        items = coeffs.items()
-    else:
-        items = coeffs
+def _merge(items) -> tuple:
+    """The nonzero sums of the (variable, coefficient) pairs per variable,
+    in `lin`'s order: by base, then coordinate."""
     merged: dict[SVar, int] = {}
     for v, c in items:
         merged[v] = merged.get(v, 0) + c
-    cleaned = tuple(sorted(((v, c) for v, c in merged.items() if c != 0),
-                           key=lambda vc: (vc[0].base, vc[0].coord)))
-    return LinExpr(cleaned, const)
+    return tuple(sorted(((v, c) for v, c in merged.items() if c != 0),
+                        key=lambda vc: (vc[0].base, vc[0].coord)))
+
+
+def lin(coeffs: Mapping[SVar, int] | Iterable, const=0) -> LinExpr:
+    if type(coeffs) is dict or isinstance(coeffs, Mapping):
+        coeffs = coeffs.items()
+    return LinExpr(_merge(coeffs), const)
 
 
 def lin_var(v: SVar) -> LinExpr:
@@ -124,33 +128,8 @@ def lin_const(q) -> LinExpr:
     return LinExpr((), q)
 
 
-def lin_add(a: LinExpr, b: LinExpr) -> LinExpr:
-    m = dict(a.coeffs)
-    for v, c in b.coeffs:
-        m[v] = m.get(v, 0) + c
-    return lin(m, a.const + b.const)
-
-
 def lin_neg(a: LinExpr) -> LinExpr:
     return LinExpr(tuple((v, -c) for v, c in a.coeffs), -a.const)
-
-
-def lin_scale(k, a: LinExpr) -> LinExpr:
-    if k == 0:
-        return lin_const(0)
-    return LinExpr(tuple((v, k * c) for v, c in a.coeffs), k * a.const)
-
-
-def lin_subst(e: LinExpr, v: SVar, repl: LinExpr, den: int = 1) -> LinExpr:
-    """den * e with v replaced by repl/den (den > 0); e itself when v
-    does not occur."""
-    c = e.coeff(v)
-    if c == 0:
-        return e
-    merged = {w: den * k for w, k in e.coeffs if w is not v}
-    for w, k in repl.coeffs:
-        merged[w] = merged.get(w, 0) + c * k
-    return lin(merged, den * e.const + c * repl.const)
 
 
 # --- formula nodes ----------------------------------------------------------
@@ -446,6 +425,18 @@ def mk_congr(g: GroupSpec, m: int, e: LinExpr) -> SFormula:
     return congr_core(m, is_discrete(g, e), e.coeffs, e.const, _content(e))
 
 
+def subst_parts(g: GroupSpec, e: LinExpr, v: SVar, repl: LinExpr,
+                den: int = 1) -> tuple:
+    """The parts the cores take of den * e with v replaced by repl/den
+    (den > 0), e an atom's expression in v: whether v is discrete, the
+    coefficients in `lin`'s order, the constant and their content."""
+    c = e.coeff(v)
+    coeffs = _merge([(w, den * k) for w, k in e.coeffs if w is not v]
+                    + [(w, c * k) for w, k in repl.coeffs])
+    return (kind_of(g, v) == "Z", coeffs, den * e.const + c * repl.const,
+            math.gcd(*[k for _, k in coeffs]))
+
+
 def mk_not(f: SFormula) -> SFormula:
     _charge()
     if isinstance(f, SBool):
@@ -589,9 +580,9 @@ def map_atoms(f: SFormula, fn, v: SVar) -> SFormula:
 
 def fold_atom(num: int, den: int, atom) -> SBool:
     """The truth value of an atom whose one variable is num/den (den > 0)
-    by integer arithmetic on a*num + c*den: what its constructor gives,
-    and charges, on the ground expression `lin_subst` would build.  An
-    atom in two variables raises AssertionError."""
+    by integer arithmetic on a*num + c*den: what its core gives, and
+    charges, on the parts `subst_parts` would compute.  An atom in two
+    variables raises AssertionError."""
     _charge()
     coeffs = atom.expr.coeffs
     if len(coeffs) > 1:
@@ -623,9 +614,9 @@ def s_subst(g: GroupSpec, f: SFormula, v: SVar, repl: LinExpr,
         if not repl.coeffs and len(f.expr.coeffs) == 1:
             out = fold_atom(repl.const, den, f)
         else:
-            e = lin_subst(f.expr, v, repl, den)
-            out = (mk_lt(g, e) if cls is SLt else mk_eq(g, e) if cls is SEq
-                   else mk_congr(g, f.modulus, e))
+            p = subst_parts(g, f.expr, v, repl, den)
+            out = (lt_core(*p) if cls is SLt else eq_core(*p) if cls is SEq
+                   else congr_core(f.modulus, *p))
     elif cls is SNot:
         out = mk_not(s_subst(g, f.body, v, repl, den, _memo))
     elif cls is SAnd:

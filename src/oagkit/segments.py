@@ -426,10 +426,10 @@ def hull_form(g: GroupSpec, phi: fm.Formula, v: str) -> DivSegment:
 
 
 def _end_form(g: GroupSpec, phi: fm.Formula, v: str) -> Optional[DivSegment]:
-    """The divisibility form of phi's set if it is an end segment, else
-    None: a walk's hull is closed upward, an end segment is its own hull."""
+    """The divisibility form of phi's set if the set holds the hull of its
+    walk, an end segment that holds the set; else None."""
     hull = hull_form(g, phi, v)
-    sentence = fm.Forall(v, fm.Iff(phi, hull.denote(g, v)))
+    sentence = fm.Forall(v, fm.Implies(hull.denote(g, v), phi))
     return hull if hull.is_empty() or decide(g, sentence) else None
 
 

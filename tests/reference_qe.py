@@ -5,7 +5,8 @@ decided before they walked the cells of one free variable, the
 one-form cell walk and exclusive or that `cells._walk` replaced, and
 the projection of every block by Cooper's method and the dense
 projection that `qe.decide` ran before it walked a closed block over
-one group variable.
+one group variable, and `cooper`, Cooper's method as `qe._cooper` ran it
+before it substituted each distinct bound row once.
 
 `witness` fixes the coordinates most significant first.  For each one it
 eliminates the deeper coordinates of the formula with the earlier ones
@@ -28,8 +29,12 @@ exclusive or of two forms holds somewhere; tests compare `cells.pin`,
 `cells.holds_somewhere` and `cells.same_points` against them; the
 substitution is `reference_scalars.s_subst`, which folds no atom by
 arithmetic, so `pin`'s fold is checked against the atom constructors.
-Nothing here is fast; it is the old code kept as a specification.
-`count_decides` counts the sentences the library decides.
+`cooper` builds each bound row's term with `reference_scalars.lin_add`
+and substitutes every (bound, shift) pair, a repeated term too, through
+`reference_scalars.s_subst`; tests compare `qe._cooper`'s node and
+budget charge against it.  Nothing here is fast; it is the old code kept
+as a specification.  `count_decides` counts the sentences the library
+decides.
 """
 
 import math
@@ -43,11 +48,12 @@ from oagkit.errors import FormulaError
 from oagkit.cells import line_cells
 from oagkit.groups import element
 from oagkit.qe import _constant_window, _miniscope, eliminate_scalar, nnf
-from oagkit.scalars import (SAnd, SBool, SExists, SForall, SNot, SOr, SVar,
-                            budget_scope, kind_of, lin_const, mk_and,
-                            mk_exists, mk_not, mk_or, roots_and_modulus,
-                            s_eval)
-from reference_scalars import s_subst
+from oagkit.scalars import (TRUE, FALSE, LinExpr, SAnd, SBool, SCongr, SEq,
+                            SExists, SForall, SLt, SNot, SOr, SVar, atoms,
+                            budget_scope, kind_of, lin_const, lin_neg,
+                            lin_var, map_atoms, mk_and, mk_congr, mk_exists,
+                            mk_le, mk_not, mk_or, roots_and_modulus, s_eval)
+from reference_scalars import lin_add, s_subst
 
 
 def s_subst_all(g, f, env):
@@ -255,3 +261,79 @@ def count_decides(monkeypatch):
     for mod in (qe, sg, tg):
         monkeypatch.setattr(mod, "decide", counting, raising=False)
     return calls
+
+
+def cooper(g, v, f):
+    """Cooper's method on a discrete v of a formula in negation normal
+    form, as `qe._cooper` ran it: the infinity rows first, then each row
+    followed by its bound rows, every bound plus every shift substituted."""
+    def split_eq(lit):
+        if isinstance(lit, SEq):
+            return mk_and([mk_le(g, lit.expr), mk_le(g, lin_neg(lit.expr))])
+        return lit
+
+    f = map_atoms(f, split_eq, v)
+    delta = 1
+    for lit in atoms(f):
+        a = lit.expr.coeff(v)
+        if a:
+            delta = math.lcm(delta, abs(a))
+
+    def rescale(lit):
+        a = lit.expr.coeff(v)
+        lam = delta // abs(a)
+        coeffs = tuple((w, lam * c) if w != v else (w, 1 if a > 0 else -1)
+                       for w, c in lit.expr.coeffs)
+        expr = LinExpr(coeffs, lam * lit.expr.const)
+        if isinstance(lit, SLt):
+            return SLt(expr)
+        return mk_congr(g, lam * lit.modulus, expr)
+
+    f = map_atoms(f, rescale, v)
+    f = mk_and([f, mk_congr(g, delta, lin_var(v))])
+
+    def without_v(e):
+        return LinExpr(tuple(p for p in e.coeffs if p[0] is not v), e.const)
+
+    lowers, uppers = [], []
+    period = 1
+    for lit in atoms(f):
+        a = lit.expr.coeff(v)
+        if a == 0:
+            continue
+        if isinstance(lit, SCongr):
+            period = math.lcm(period, lit.modulus)
+        elif a == 1:
+            uppers.append(lin_neg(without_v(lit.expr)))
+        else:
+            lowers.append(without_v(lit.expr))
+    use_lowers = len(lowers) <= len(uppers)
+
+    def at_infinity(lit):
+        if isinstance(lit, SLt):
+            return SBool((lit.expr.coeff(v) == 1) == use_lowers)
+        return lit
+
+    row = map_atoms(f, at_infinity, v)
+    if row is TRUE:
+        return row
+    bounds = lowers if use_lowers else uppers
+    sign = 1 if use_lowers else -1
+    shifts = (lin_const(sign * j) for j in range(1, period + 1))
+    if row is FALSE:
+        rows = ((row, shift) for shift in shifts) if bounds else ()
+    else:
+        rows = []
+        for shift in shifts:
+            r = s_subst(g, row, v, shift)
+            if r is TRUE:
+                return r
+            rows.append((r, shift))
+
+    def pieces():
+        for r, shift in rows:
+            yield r
+            for b in bounds:
+                yield s_subst(g, f, v, lin_add(b, shift))
+
+    return mk_or(pieces())

@@ -1,17 +1,20 @@
 """Reference scalar constructors and substitution, as they were before
-atom normalization moved into the `scalars` cores and before `s_subst`
+atom normalization moved into the `scalars` cores, before `s_subst`
 folded an atom in the substituted variable alone, under a ground value,
-to its truth value by arithmetic (`scalars.fold_atom`).
+to its truth value by arithmetic (`scalars.fold_atom`), and before it
+handed the cores the parts of each substituted atom
+(`scalars.subst_parts`).
 
 The atom constructors here normalize an expression that is already
-built: `lin_subst` builds the rest of the atom and its scaled
-replacement apart and adds them, a negated literal is negated through
-`lin_neg` and `mk_le`, and every atom that `s_subst` touches goes
-through `lin_subst` and these constructors, which build the ground
-expression, charge the budget once and evaluate it.  Tests compare the
-library against them: the same interned node and the same budget
-charge.  Nothing here is fast; it is the old code kept as a
-specification.
+built: `lin_subst` builds the substituted expression with `lin`, a
+negated literal is negated through `lin_neg` and `mk_le`, and every atom
+that `s_subst` touches goes through `lin_subst` and these constructors,
+which build the ground expression, charge the budget once and evaluate
+it.  `lin_add` and `lin_scale` are the expression arithmetic the
+library no longer has; `reference_qe.cooper` adds its shifts with
+`lin_add`.  Tests compare the library against them: the same interned
+node and the same budget charge.  Nothing here is fast; it is the old
+code kept as a specification.
 """
 
 import math
@@ -19,8 +22,18 @@ import math
 from oagkit.errors import FormulaError
 from oagkit.scalars import (FALSE, TRUE, LinExpr, SAnd, SBool, SCongr, SEq,
                             SExists, SLt, SNot, SOr, _charge, atom_kind, lin,
-                            lin_add, lin_const, lin_neg, lin_scale, mk_and,
-                            mk_exists, mk_forall, mk_not, mk_or)
+                            lin_const, lin_neg, mk_and, mk_exists, mk_forall,
+                            mk_not, mk_or)
+
+
+def lin_add(a, b):
+    return lin(a.coeffs + b.coeffs, a.const + b.const)
+
+
+def lin_scale(k, a):
+    if k == 0:
+        return lin_const(0)
+    return LinExpr(tuple((v, k * c) for v, c in a.coeffs), k * a.const)
 
 
 def lin_subst(e, v, repl, den=1):
@@ -29,9 +42,9 @@ def lin_subst(e, v, repl, den=1):
     c = e.coeff(v)
     if c == 0:
         return e
-    rest = LinExpr(tuple((w, den * k) for w, k in e.coeffs if w != v),
-                   den * e.const)
-    return lin_add(rest, lin_scale(c, repl))
+    rest = [(w, den * k) for w, k in e.coeffs if w != v]
+    return lin(rest + [(w, c * k) for w, k in repl.coeffs],
+               den * e.const + c * repl.const)
 
 
 def _content(e):

@@ -10,7 +10,7 @@ from reference_qe import equivalent, satisfiable
 from oagkit import formulas as fm
 from oagkit.errors import CodeError
 from oagkit.groups import (FiniteQuotientElement, QuotientElement,
-                           parse_group, project_fin)
+                           element, parse_group, project_fin)
 from oagkit import qe
 from oagkit import segments as sg
 from oagkit.codes import (Code, FinQuotVal, MainVal, Marker, QuotVal,
@@ -145,9 +145,10 @@ class TestSegmentCodesWithoutDecide:
         rng = random.Random(5)
         for g in (Z, ZZ, QZ, ZQ, Q):
             for _ in range(24):
-                bound = tuple(Fraction(rng.randint(-6, 6),
-                                       1 if kind == "Z" else rng.randint(1, 2))
-                              for kind in g.kinds)
+                bound = element(g, [Fraction(rng.randint(-6, 6),
+                                             1 if kind == "Z"
+                                             else rng.randint(1, 2))
+                                    for kind in g.kinds])
                 seg = DivSegment(END, rng.randint(1, 3), rng.randint(0, g.n),
                                  bound, rng.choice((GE, GT)))
                 out += [(g, seg), (g, dual_div_segment(seg))]

@@ -516,26 +516,56 @@ class TestLowerAgainstReference:
 class TestLowerAtomCharges:
     """`_lower_atom` calls the `scalars` cores on each coordinate's parts;
     `ref.lower_atom_charged` builds each coordinate's difference and
-    normalizes it through the old constructors.  Each atom gives the
-    very same node for the same budget charge."""
+    normalizes it through the old constructors, and expands every case
+    of a comparison.  Each atom gives the very same node; the library
+    charges no more, and less only past a FALSE coordinate equation,
+    where it stops expanding."""
 
     def check(self, g, atoms):
-        count = 0
+        count = fell = 0
         for atom in atoms:
             with sc.budget_scope(None) as want:
                 expected = ref.lower_atom_charged(g, atom)
             with sc.budget_scope(None) as got:
                 out = fm._lower_atom(g, atom)
             assert out is expected, fm.print_formula(atom)
-            assert got.used == want.used, fm.print_formula(atom)
+            assert got.used <= want.used, fm.print_formula(atom)
+            if got.used < want.used:
+                assert self.has_false_equation(g, atom), \
+                    fm.print_formula(atom)
+                fell += 1
             count += 1
-        return count
+        return count, fell
+
+    @staticmethod
+    def has_false_equation(g, atom):
+        """Whether some coordinate equation of a comparison is FALSE."""
+        lowered = fm._lower_atom(g, fm.RelEq(getattr(atom, "level", g.n),
+                                             atom.left, atom.right))
+        return lowered is sc.FALSE
 
     @pytest.mark.parametrize("g", [Z1, Z2, Z3], ids=str)
     def test_crit01_atoms(self, g):
         atoms = [a for text in crit01_texts(g, 40)
                  for a in atoms_of(fm.parse(g, text))]
-        assert self.check(g, atoms) >= 100
+        count, fell = self.check(g, atoms)
+        assert count >= 100
+        assert fell > 0
+
+    @pytest.mark.parametrize("rel,full", [("<", 9), ("<=", 11)])
+    def test_a_false_coordinate_equation_ends_the_expansion(self, rel,
+                                                            full):
+        # 2 x.1 = 1 has no integer solution, so only the first case of
+        # 2x <lex (1, 0, 0) is built, and not <='s closing equation: 4
+        # charges, where expanding every case charges 9 and 11
+        atom = fm.parse(Z3, f"({rel} (* 2 x) (c 1 0 0))")
+        with sc.budget_scope(None) as got:
+            out = fm._lower_atom(Z3, atom)
+        with sc.budget_scope(None) as want:
+            expected = ref.lower_atom_charged(Z3, atom)
+        assert out is expected
+        assert sc.print_scalar(out) == "(< x.1 (c 1))"
+        assert (got.used, want.used) == (4, full)
 
     def test_a_strict_atom_on_three_coordinates_charges_nine(self):
         atom = fm.parse(Z3, "(< x (c 1 2 3))")
@@ -554,7 +584,7 @@ class TestLowerAtomCharges:
         atoms = [a for template in ("qf", "bounded")
                  for f in orc.fuzz_corpus(g, 41, 30, template=template)
                  for a in atoms_of(f)]
-        assert self.check(g, atoms) >= 100
+        assert self.check(g, atoms)[0] >= 100
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_library_congruence_modulus_below_one(self, m):

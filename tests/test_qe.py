@@ -392,6 +392,71 @@ class TestGroundFold:
                     is ref
 
 
+class TestCooperAgainstReference:
+    """`qe._cooper` builds each substituted atom with its core and
+    substitutes each distinct bound row once; `reference_qe.cooper` adds
+    every shift with `lin_add` and substitutes every (bound, shift) pair
+    through the old constructors.  On every Cooper call: the very same
+    node, for no more budget charge."""
+
+    LIMITS = TestGroundFold.LIMITS
+    # the Z*Z*Z open projections past 200,000 charges (one past 1.5 million)
+    SLOW = (28, 30, 34)
+
+    def run_against_reference(self, monkeypatch, run):
+        """run() with every `qe._cooper` call checked; how many calls,
+        and on how many the charge fell."""
+        library = qe._cooper
+        seen = {"calls": 0, "fell": 0}
+
+        def checked(g, v, f):
+            with sc.budget_scope(10 ** 12) as want:
+                ref = reference_qe.cooper(g, v, f)
+            with sc.budget_scope(10 ** 12) as got:
+                out = library(g, v, f)
+            assert out is ref, (sc.print_scalar(f), v)
+            assert got.used <= want.used, (sc.print_scalar(f), v)
+            seen["calls"] += 1
+            seen["fell"] += got.used < want.used
+            return out
+
+        monkeypatch.setattr(qe, "_cooper", checked)
+        run()
+        return seen
+
+    @pytest.mark.parametrize("spec,seed,count", [
+        ("Z", 101, 400), ("Z*Z", 102, 350), ("Z*Z*Z", 103, 300)])
+    def test_crit01_corpora(self, monkeypatch, spec, seed, count):
+        # criterion 01's corpora, each formula's existential closure
+        # projected block by block (`qe.eliminate` walks or windows them
+        # all, with no Cooper call)
+        g = parse_group(spec)
+        corpus = orc.fuzz_corpus(g, seed, count, limits=self.LIMITS,
+                                 template="bounded")
+        seen = self.run_against_reference(
+            monkeypatch,
+            lambda: [reference_qe.satisfiable(g, f) for f in corpus])
+        assert seen["calls"] >= 50
+
+    @pytest.mark.parametrize("spec", ["Z", "Z*Z", "Z*Z*Z"])
+    def test_open_projections(self, monkeypatch, spec):
+        # ∃x φ with y free; on Z*Z*Z (`scripts/open_projections.py`) all
+        # but the slow three
+        g = parse_group(spec)
+        corpus = [f for f in orc.fuzz_corpus(g, 3, 80, limits=self.LIMITS,
+                                             template="qf")
+                  if fm.free_vars(f) == {"x", "y"}]
+        if spec == "Z*Z*Z":
+            assert len(corpus) == 36
+            corpus = [f for i, f in enumerate(corpus) if i not in self.SLOW]
+        seen = self.run_against_reference(
+            monkeypatch,
+            lambda: [qe.eliminate(g, fm.Exists("x", f)) for f in corpus])
+        assert seen["calls"] >= 10
+        if spec == "Z*Z*Z":  # two bounds a shift apart repeat a bound row
+            assert seen["fell"] > 0
+
+
 class TestPairWalk:
     """`same_points` and `_holds_somewhere` walk two forms' fibres
     together; `reference_qe` walks their exclusive or, substituting."""
@@ -861,6 +926,32 @@ def test_cooper_tries_infinity_rows_first(monkeypatch):
     assert len(calls) > 0
     assert body_calls == []
     assert orc.evaluate(Z1, f.body, {"x": (-5,)})
+
+
+def test_a_repeated_bound_row_is_substituted_once(monkeypatch):
+    """Lower bounds y and y + 1 with period 3 give the bound rows y + 1,
+    y + 2, y + 2, y + 3, y + 3 and y + 4; the repeats are disjuncts
+    `mk_or` drops, so each distinct row is substituted once."""
+    f = fm.parse(Z1, "(exists (x) (and (< y x) (< (+ y (c 1)) x) "
+                     "(< x (+ y (c 10))) (< x (+ y (c 20))) "
+                     "(congr 3 x (c 0))))")
+    body, x = _open_body(Z1, f), sc.SVar("x", 1)
+    rows = []
+    subst = qe.s_subst
+
+    def counted(g, f, v, repl, den=1):
+        if repl.coeffs:
+            rows.append(repl)
+        return subst(g, f, v, repl, den)
+
+    monkeypatch.setattr(qe, "s_subst", counted)
+    with sc.budget_scope(None) as got:
+        out = qe._cooper(Z1, x, body)
+    with sc.budget_scope(None) as want:
+        assert reference_qe.cooper(Z1, x, body) is out
+    y = sc.SVar("y", 1)
+    assert rows == [sc.lin({y: 1}, k) for k in (1, 2, 3, 4)]
+    assert got.used < want.used
 
 
 def test_two_variable_closed_block_is_projected(monkeypatch):

@@ -34,16 +34,23 @@ class TestLinExpr:
         assert e.const == 5
 
     def test_arithmetic(self):
+        # the library negates; the references keep addition and scaling
         a = le({X1: 2}, 1)
         b = le({X1: -2, Y1: 1}, 2)
-        s = sc.lin_add(a, b)
-        assert s == le({Y1: 1}, 3)
-        assert sc.lin_scale(3, a) == le({X1: 6}, 3)
+        assert sc.lin_neg(b) == le({X1: 2, Y1: -1}, -2)
+        assert ref.lin_add(a, b) == le({Y1: 1}, 3)
+        assert ref.lin_scale(3, a) == le({X1: 6}, 3)
 
     def test_subst(self):
+        # 2x + y + 1 at x = y - 1 is 3y - 1: discrete, content 3
         e = le({X1: 2, Y1: 1}, 1)
-        r = sc.lin_subst(e, X1, le({Y1: 1}, -1))
-        assert r == le({Y1: 3}, -1)
+        repl = le({Y1: 1}, -1)
+        assert sc.subst_parts(ZZ, e, X1, repl) == (True, ((Y1, 3),), -1, 3)
+        assert ref.lin_subst(e, X1, repl) == le({Y1: 3}, -1)
+        # den * e at x = repl/den, on a dense coordinate
+        e = le({X2: 2, sc.SVar("y", 2): 4}, 1)
+        assert sc.subst_parts(ZQ, e, X2, sc.lin_const(3), 2) == \
+            (False, ((sc.SVar("y", 2), 8),), 8, 8)
 
 
 class TestAtomConstructors:
@@ -97,7 +104,7 @@ class TestAtomConstructors:
 
 class TestCoresAgainstReference:
     """The constructors as wrappers over the cores, `qe.nnf`'s negation
-    of a literal and `lin_subst` against the old code in
+    of a literal and the cores on `subst_parts` against the old code in
     `reference_scalars`, which normalizes a built expression: the very
     same node for the same budget charge."""
 
@@ -165,15 +172,30 @@ class TestCoresAgainstReference:
                 (sc.SEq, True, sc.SOr), (sc.SEq, False, sc.SOr),
                 (sc.SLt, True, sc.SBool)} <= shapes
 
-    def test_lin_subst(self):
+    def test_subst_parts(self):
+        # the parts of den * e at v = repl/den are those of the expression
+        # `lin_subst` builds, and each core builds its atom from them
         rng = random.Random(3)
         exprs = list(self.exprs(4, (1, 2)))
+        on = {j: [r for r in exprs if all(w.coord == j for w in r.vars_set)]
+              for j in (1, 2)}
+        count = 0
         for e in exprs:
-            for v in (X1, Y1, X2):
-                repl = rng.choice(exprs)
+            g = self.group(e)
+            for v in e.vars_set:
+                repl = rng.choice(on[v.coord])
                 den = rng.choice((1, 1, 2, 3))
-                self.same(lambda: sc.lin_subst(e, v, repl, den),
-                          lambda: ref.lin_subst(e, v, repl, den))
+                r = ref.lin_subst(e, v, repl, den)
+                parts = sc.subst_parts(g, e, v, repl, den)
+                assert parts == (v.coord == 1, r.coeffs, r.const,
+                                 sc._content(r))
+                self.same(lambda: sc.lt_core(*parts), lambda: ref.mk_lt(g, r))
+                self.same(lambda: sc.eq_core(*parts), lambda: ref.mk_eq(g, r))
+                for m in (2, 6):
+                    self.same(lambda: sc.congr_core(m, *parts),
+                              lambda: ref.mk_congr(g, m, r))
+                count += bool(r.coeffs) and repl.coeffs != ()
+        assert count >= 100
 
 
 class TestConnectives:
@@ -393,7 +415,7 @@ class TestIntern:
         assert x is X1
         assert sc.LinExpr([(x, 2), (y, -1)], 3) is e
         assert sc.lin({y: -1, x: 2}, 3) is e
-        assert sc.lin_add(le({X1: 2}, 1), le({Y1: -1}, 2)) is e
+        assert sc.lin([(Y1, -1), (X1, 1), (X1, 1)], 3) is e
         assert sc.lin_neg(sc.lin_neg(e)) is e
         assert e.vars_set == {X1, Y1}
         lt, eq = sc.SLt(e), sc.SEq(e)

@@ -431,13 +431,13 @@ class TestToDivSegment:
         return seen
 
     def test_two_sentences_only(self, monkeypatch):
-        # one sentence: the set equals the hull its walk gives; an empty
-        # set has no walk and needs none
+        # one sentence: the set holds the hull its walk gives, which holds
+        # the set; an empty set has no walk and needs none
         seen = self.record_decides(monkeypatch)
         phi = fm.parse(ZZ, "(<= (c 1 1) (* 2 x))")
         seg = sg.to_div_segment(ZZ, phi)
         assert seg == sg.DivSegment(sg.END, 1, 1, (1, 0), sg.GE)
-        assert seen == [fm.Forall("x", fm.Iff(phi, seg.denote(ZZ, "x")))]
+        assert seen == [fm.Forall("x", fm.Implies(seg.denote(ZZ, "x"), phi))]
         seen.clear()
         assert sg.to_div_segment(ZZ, fm.parse(ZZ, "(< x x)")) == \
             sg.empty_end_segment()
