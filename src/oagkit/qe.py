@@ -29,24 +29,25 @@ Outside an operation nothing is memoized.  (`formulas.lower` keeps the
 scalar form of each atom in the same memo, under a key tagged "lower",
 and `cells` its cell models and walks.)
 
-A quantifier-free form is rewritten two ways: `scalars.map_atoms` maps
-each atom in one variable (Cooper's normalization and infinity rows,
-the dense minus-infinity and root-plus-epsilon rows, `cells.pin`), and
-`scalars.s_subst` substitutes a term for the variable (Cooper's shifted
-and bound rows, the window rows, the dense root rows); its atoms, and
-the root-plus-epsilon rows', are built once, by their cores from the
-parts `scalars.subst_parts` computes.  Negation normal form, the atom
-map, miniscoping, the window ranges and elimination itself run on
-`scalars.walk`, with one memo per call keyed on the node (for `nnf`, on
-the node and its polarity), and stop at a first FALSE conjunct or TRUE
-disjunct.  Cooper's method and the dense projection yield their
-disjuncts lazily, so `mk_or` stops substituting at the first true one.
-Cooper's method substitutes its infinity rows first, building each
-shift constant when its row needs it, and a true row answers the whole
-disjunction before any bound row is built; otherwise the disjuncts come
-in the interleaved order (each row, then its bound rows), so the answer
-is the same node either way, and a repeated bound row, a disjunct
-`mk_or` drops, is not substituted again.
+A quantifier-free form is rewritten by one atom map, `scalars.map_atoms`,
+which maps each atom in one variable: Cooper's normalization and
+infinity rows, the dense minus-infinity and root-plus-epsilon rows,
+`cells.pin`, and `scalars.s_subst`, which substitutes a term for the
+variable (Cooper's shifted and bound rows, the window rows, the dense
+root rows); each atom it substitutes, and each root-plus-epsilon row,
+is built once, by its core from the parts `scalars.subst_parts`
+computes.  Negation normal form, the atom map, miniscoping, the window
+ranges and elimination itself run on `scalars.walk`, with one memo per
+call keyed on the node (for `nnf`, on the node and its polarity), and
+stop at a first FALSE conjunct or TRUE disjunct.  Cooper's method and
+the dense projection yield their disjuncts lazily, so `mk_or` stops
+substituting at the first true one.  Cooper's method substitutes its
+infinity rows first, building each shift constant when its row needs
+it, and a true row answers the whole disjunction before any bound row
+is built; otherwise the disjuncts come in the interleaved order (each
+row, then its bound rows), so the answer is the same node either way,
+and a repeated bound row, a disjunct `mk_or` drops, is not substituted
+again.
 """
 
 from __future__ import annotations
@@ -448,8 +449,10 @@ def _close(f: fm.Formula, ctor) -> fm.Formula:
 
 
 def qf_form(g: GroupSpec, f: fm.Formula) -> SFormula:
-    """f lowered, with every quantifier eliminated."""
-    return eliminate_scalar(g, fm.lower(g, f))
+    """f lowered, with every quantifier eliminated; a quantifier-free f
+    is only lowered."""
+    low = fm.lower(g, f)
+    return low if fm.is_quantifier_free(f) else eliminate_scalar(g, low)
 
 
 @operation

@@ -30,7 +30,8 @@ output is therefore a DAG with heavy sharing.  Its traversals (here
 evaluation, atom collection, the atom map `map_atoms` and printing; in
 `qe` normal form, elimination and its helpers) run on one iterative
 walker, `walk`, with one memo per call keyed on the node, so they take
-DAG size, not tree size, at any depth; `s_subst` still recurses.
+DAG size, not tree size, at any depth.  Substitution, `s_subst`, is one
+atom map whose map substitutes into a single atom.
 `formulas` lowers, renames and prints its group formulas on `walk` and
 `preorder_text` too.
 """
@@ -594,40 +595,29 @@ def fold_atom(num: int, den: int, atom) -> SBool:
 
 
 def s_subst(g: GroupSpec, f: SFormula, v: SVar, repl: LinExpr,
-            den: int = 1, _memo: Optional[dict] = None) -> SFormula:
+            den: int = 1) -> SFormula:
     """Substitute repl/den (den > 0) for a variable in a quantifier-free
-    formula, renormalizing atoms; an atom in the variable is multiplied
+    formula, renormalizing atoms: one atom map (`map_atoms`) whose map
+    is this function on the atom.  An atom in the variable is multiplied
     by den first, which keeps its truth value because den > 1 only
     replaces a dense variable (the dense projection's root rows), and
     dense atoms carry no congruences; under a ground repl, an atom in the
-    variable alone is folded (`fold_atom`).  Subtrees not mentioning the
-    variable are shared, not copied."""
+    variable alone is folded (`fold_atom`), and any other is built once,
+    by its core, from the parts `subst_parts` computes.  Subtrees not
+    mentioning the variable are shared, not copied."""
     if v not in f.fv:
         return f
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(f)
-    if hit is not None:
-        return hit
     cls = f.__class__
     if cls is SLt or cls is SEq or cls is SCongr:
         if not repl.coeffs and len(f.expr.coeffs) == 1:
-            out = fold_atom(repl.const, den, f)
-        else:
-            p = subst_parts(g, f.expr, v, repl, den)
-            out = (lt_core(*p) if cls is SLt else eq_core(*p) if cls is SEq
-                   else congr_core(f.modulus, *p))
-    elif cls is SNot:
-        out = mk_not(s_subst(g, f.body, v, repl, den, _memo))
-    elif cls is SAnd:
-        out = mk_and(s_subst(g, it, v, repl, den, _memo) for it in f.items)
-    elif cls is SOr:
-        out = mk_or(s_subst(g, it, v, repl, den, _memo) for it in f.items)
-    else:
-        raise FormulaError("substitution expects a quantifier-free formula, "
-                           f"got {cls.__name__}")
-    _memo[f] = out
-    return out
+            return fold_atom(repl.const, den, f)
+        p = subst_parts(g, f.expr, v, repl, den)
+        return (lt_core(*p) if cls is SLt else eq_core(*p) if cls is SEq
+                else congr_core(f.modulus, *p))
+    if cls is SAnd or cls is SOr or cls is SNot:
+        return map_atoms(f, lambda atom: s_subst(g, atom, v, repl, den), v)
+    raise FormulaError("substitution expects a quantifier-free formula, "
+                       f"got {cls.__name__}")
 
 
 def atoms(f: SFormula) -> list:

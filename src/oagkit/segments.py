@@ -19,8 +19,7 @@ from math import lcm
 from typing import Optional, Union
 
 from . import formulas as fm
-from .cells import (Cells, cells_of, holds_somewhere, line_cells, pin,
-                    same_points)
+from .cells import Cells, cells_of, holds_somewhere, line_cells, same_points
 from .errors import Record, SegmentError
 from .groups import (
     ConvexSubgroup,
@@ -392,7 +391,7 @@ def co_initial_classes(g: GroupSpec, qf, v: str, walk: tuple, k: int,
         return hit
 
     for x, t in zip(xs, pinned):
-        qf = pin(qf, x, t)
+        qf = cells_of(g, qf, x).fibre(t)
     cells = cells_of(g, qf, xs[q - 1])
     if attained:
         pieces = (p for p in cells.pieces(m) if p[1] is None)

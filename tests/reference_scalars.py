@@ -3,7 +3,10 @@ atom normalization moved into the `scalars` cores, before `s_subst`
 folded an atom in the substituted variable alone, under a ground value,
 to its truth value by arithmetic (`scalars.fold_atom`), and before it
 handed the cores the parts of each substituted atom
-(`scalars.subst_parts`).
+(`scalars.subst_parts`), and before it became one atom map
+(`scalars.map_atoms`).  Its `s_subst` still recurses over the
+connectives with a memo of its own, so it takes forms only as deep as
+Python's recursion limit allows.
 
 The atom constructors here normalize an expression that is already
 built: `lin_subst` builds the substituted expression with `lin`, a

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import oagkit
-from oagkit import cli
+from oagkit import cli, errors
 from oagkit.formulas import MAX_DEPTH
 
 
@@ -428,10 +428,11 @@ def test_module_entry_point_types_input_errors(tmp_path):
 _HUGE = "(congr 1000000007 x (c 3))"
 
 
-def _limit_child():
-    # 2 GB of address space and 5 s of CPU time, then the child is killed
+def _limit_child(cpu=5):
+    # 2 GB of address space and cpu seconds of CPU time, then the child
+    # is killed
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-    resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
+    resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu))
 
 
 @pytest.mark.parametrize("command, text, want", [
@@ -460,6 +461,31 @@ def test_huge_modulus_is_bounded_by_the_budget(command, text, want):
     else:
         assert proc.returncode == 0, proc.stdout
         assert {k: obj[k] for k in want} == want
+
+
+def test_typegen_with_a_large_residue_bound_ends():
+    """`typegen` on Z with residues up to 40: the checked fragment keeps
+    the classes of moduli 21..40, whose lcm the cell walk enumerates in
+    every gap, and today the budget ends it.  Either an answer or a typed
+    error passes, within 10 s of the child's CPU time; a child killed at
+    that limit has a negative return code."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "oagkit", "typegen", "--group", "Z",
+         "--modbound", "40", "--budget", "100000", "(< x (c 3))",
+         "--format", "json"],
+        capture_output=True, text=True, env=_module_env(),
+        preexec_fn=lambda: _limit_child(10), timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 1), proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["version"] == "oag-v1"
+    if proc.returncode == 1:
+        kind = getattr(errors, obj["error"]["type"], None)
+        assert isinstance(kind, type) and issubclass(kind, errors.OagError)
+    assert (after.ru_utime + after.ru_stime
+            - before.ru_utime - before.ru_stime) < 10.0
 
 
 def test_chi_on_a_large_prime_is_fast():

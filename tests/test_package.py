@@ -68,7 +68,8 @@ def test_unknown_name_is_an_attribute_error():
 # are not listed; a new recursive traversal fails here, and each later
 # port shortens the list.
 RECURSIVE = {
-    # substitution, until the benchmark stops probing its recursion
+    # substitution: its atom map calls it on each atom, one level deep,
+    # which the benchmark's self-test probe counts
     "scalars.s_subst",
     # the cell walk: one level per coordinate, at most the group's rank
     "cells._walk",

@@ -376,6 +376,20 @@ class TestDeepChains:
         with pytest.raises(OutputTooLarge):
             sc.print_scalar(f)
 
+    def test_substitution_into_a_deep_chain(self):
+        # 3,000 alternating levels, each an atom x + y < i over a leaf
+        # x + y = 0: x := 5 gives the same chain over y alone
+        y = sc.SVar("y", 1)
+        f = sc.mk_eq(self.Z, le({self.X: 1, y: 1}))
+        want = sc.mk_eq(self.Z, le({y: 1}, 5))
+        for i in range(3000):
+            mk = sc.mk_and if i % 2 else sc.mk_or
+            f = mk([sc.mk_lt(self.Z, le({self.X: 1, y: 1}, -i)), f])
+            want = mk([sc.mk_lt(self.Z, le({y: 1}, 5 - i)), want])
+        out = sc.s_subst(self.Z, f, self.X, sc.lin_const(5))
+        assert out is want
+        assert out.fv == {y}
+
     def test_quantifier_beside_the_chain(self, chain):
         f, _, _ = chain
         deep = f

@@ -211,10 +211,9 @@ class TestLeastValueWalk:
             evaluated.append(args)
             return real(*args)
 
-        # fibres pin through the cells module's binding,
-        # co_initial_classes' pin through segments'
-        for mod in (cm, sg):
-            monkeypatch.setattr(mod, "pin", counting)
+        # every fibre, co_initial_classes' prefix included, is pinned
+        # through the cells module's binding
+        monkeypatch.setattr(cm, "pin", counting)
         types, counts = [], []
         for radius in (100, 10**6):
             evaluated.clear()
