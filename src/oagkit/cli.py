@@ -265,11 +265,13 @@ def _cmd_fuzzcheck(g, cfg, args):
     for f in corpus:
         free = sorted(free_vars(f))
         if not free:
-            ok = decide(g, f, cfg.budget) == orc.expand_bounded(g, f)
+            with _budget(cfg):
+                ok = decide(g, f) == orc.expand_bounded(g, f)
         else:
             genv = orc.grid_axes(g, free, cfg.box)
-            senv = orc.scalar_axes(g, free, cfg.box)
-            body = eliminate(g, f, cfg.budget).body
+            senv = orc.scalar_axes(g, free, cfg.box, genv)
+            with _budget(cfg):
+                body = eliminate(g, f).body
             try:
                 ok = (orc.s_grid_eval(g, body, senv)
                       == orc.grid_eval(g, f, genv))
@@ -363,8 +365,8 @@ _HANDLERS = {
 
 
 def _budget(cfg: Config):
-    """The node budget every command runs under: none without a limit,
-    so a cold command that builds no scalar node loads no scalar layer."""
+    """Each command's and `fuzzcheck` formula's node budget: none without
+    a limit, so a cold command that builds no node loads no scalar layer."""
     if cfg.budget is None:
         return contextlib.nullcontext()
     from .scalars import budget_scope

@@ -349,7 +349,6 @@ def _set_pieces_from_code(g: GroupSpec, c: Code) -> tuple:
     return tuple(pieces)
 
 
-@operation
 def reconstruct(g: GroupSpec, c: Code, var: str = "x") -> fm.Formula:
     """Rebuild a unary formula from a segment or set code.
 

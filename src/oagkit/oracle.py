@@ -453,10 +453,12 @@ def s_grid_eval(g: GroupSpec, f: sc.SFormula, env: Mapping,
     return out
 
 
-def scalar_axes(g: GroupSpec, names, bound: int) -> dict:
-    """`grid_axes` keyed by SVar for s_grid_eval, in the same bit order."""
+def scalar_axes(g: GroupSpec, names, bound: int,
+                grid: Optional[dict] = None) -> dict:
+    """`grid_axes(g, names, bound)` keyed by SVar for s_grid_eval, in the
+    same bit order: given as `grid`, its own axes, and no second table."""
     return {sc.SVar(name, j): a
-            for name, coords in grid_axes(g, names, bound).items()
+            for name, coords in (grid or grid_axes(g, names, bound)).items()
             for j, a in enumerate(coords, start=1)}
 
 

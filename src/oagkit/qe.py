@@ -16,8 +16,8 @@ entails (which close any other formula into a sentence and decide it)
 and witness ask that form's cell model (`cells`).
 
 While a high-level operation runs (those four, `code_set`,
-`reconstruct`, `nice_decompose`, `end_hull`, `to_div_segment`,
-`generic_type`, `generic_type_trace`, `check_descriptor`; see
+`nice_decompose`, `end_hull`, `to_div_segment`, `generic_type`,
+`generic_type_trace`, `check_descriptor`; see
 `scalars.operation_scope`), `_eliminate_block` remembers its answers in
 the operation's memo, keyed on the group, the variable block and the
 body node.  Group specs, formulas and scalar nodes are all interned
@@ -64,9 +64,9 @@ from .errors import FormulaError, Record
 from .groups import Element, GroupSpec, element
 from .scalars import (
     FALSE, TRUE, Join, SAnd, SBool, SCongr, SEq, SExists, SForall, SFormula,
-    SLt, SNot, SOr, SVar, atoms, budget_scope, kind_of, lin_const, lin_neg,
-    lin_var, map_atoms, mk_and, mk_congr, mk_le, mk_lt, mk_not, mk_or,
-    operation, operation_memo, s_is_qf, s_subst, walk,
+    SLt, SNot, SOr, SVar, atoms, kind_of, lin_const, lin_neg, lin_var,
+    map_atoms, mk_and, mk_congr, mk_le, mk_lt, mk_not, mk_or, operation,
+    operation_memo, s_is_qf, s_subst, walk,
 )
 
 
@@ -419,24 +419,28 @@ def eliminate_scalar(g: GroupSpec, f: SFormula) -> SFormula:
     return walk(f, step)
 
 
-def eliminate(g: GroupSpec, f: fm.Formula,
-              budget: Optional[int] = None) -> QfFormula:
+def qf_form(g: GroupSpec, f: fm.Formula) -> SFormula:
+    """f lowered, with every quantifier eliminated; a quantifier-free f
+    is only lowered."""
+    low = fm.lower(g, f)
+    return low if fm.is_quantifier_free(f) else eliminate_scalar(g, low)
+
+
+def eliminate(g: GroupSpec, f: fm.Formula) -> QfFormula:
     """Lower a group formula and eliminate all its quantifiers."""
-    free = tuple(sorted(fm.free_vars(f)))
-    with budget_scope(budget):
-        body = eliminate_scalar(g, fm.lower(g, f))
+    body = qf_form(g, f)
     if not s_is_qf(body):
         raise AssertionError("elimination left a quantifier")
-    return QfFormula(g, free, body)
+    return QfFormula(g, tuple(sorted(fm.free_vars(f))), body)
 
 
-def decide(g: GroupSpec, f: fm.Formula, budget: Optional[int] = None) -> bool:
+def decide(g: GroupSpec, f: fm.Formula) -> bool:
     """Truth value of a sentence."""
     free = fm.free_vars(f)
     if free:
         raise FormulaError(
             f"decide needs a sentence; free variables: {sorted(free)}")
-    out = eliminate(g, f, budget).body
+    out = eliminate(g, f).body
     if not isinstance(out, SBool):
         raise AssertionError("closed elimination must ground out")
     return out.value
@@ -448,53 +452,39 @@ def _close(f: fm.Formula, ctor) -> fm.Formula:
     return f
 
 
-def qf_form(g: GroupSpec, f: fm.Formula) -> SFormula:
-    """f lowered, with every quantifier eliminated; a quantifier-free f
-    is only lowered."""
-    low = fm.lower(g, f)
-    return low if fm.is_quantifier_free(f) else eliminate_scalar(g, low)
-
-
 @operation
-def satisfiable(g: GroupSpec, f: fm.Formula,
-                budget: Optional[int] = None) -> bool:
+def satisfiable(g: GroupSpec, f: fm.Formula) -> bool:
     """Whether f holds somewhere: by the walk when f has one free
     variable, else by deciding its existential closure."""
     if len(fm.free_vars(f)) != 1:
-        return decide(g, _close(f, fm.Exists), budget)
-    with budget_scope(budget):
-        return holds_somewhere(g, qf_form(g, f))
+        return decide(g, _close(f, fm.Exists))
+    return holds_somewhere(g, qf_form(g, f))
 
 
 @operation
-def equivalent(g: GroupSpec, a: fm.Formula, b: fm.Formula,
-               budget: Optional[int] = None) -> bool:
+def equivalent(g: GroupSpec, a: fm.Formula, b: fm.Formula) -> bool:
     """Whether a and b hold at the same points: by the walk when they
     have one free variable, else by deciding the closed biconditional."""
     if len(fm.free_vars(a) | fm.free_vars(b)) != 1:
-        return decide(g, _close(fm.Iff(a, b), fm.Forall), budget)
-    with budget_scope(budget):
-        return same_points(g, qf_form(g, a), qf_form(g, b))
+        return decide(g, _close(fm.Iff(a, b), fm.Forall))
+    return same_points(g, qf_form(g, a), qf_form(g, b))
 
 
 @operation
-def entails(g: GroupSpec, a: fm.Formula, b: fm.Formula,
-            budget: Optional[int] = None) -> bool:
+def entails(g: GroupSpec, a: fm.Formula, b: fm.Formula) -> bool:
     """Whether b holds wherever a does: by the walk when they have one
     free variable, else by deciding the closed implication."""
     if len(fm.free_vars(a) | fm.free_vars(b)) != 1:
-        return decide(g, _close(fm.Implies(a, b), fm.Forall), budget)
-    with budget_scope(budget):
-        return not holds_somewhere(
-            g, mk_and([qf_form(g, a), mk_not(qf_form(g, b))]))
+        return decide(g, _close(fm.Implies(a, b), fm.Forall))
+    return not holds_somewhere(
+        g, mk_and([qf_form(g, a), mk_not(qf_form(g, b))]))
 
 
 # --- witness extraction -----------------------------------------------------
 
 
 @operation
-def witness(g: GroupSpec, f: fm.Formula,
-            budget: Optional[int] = None) -> Optional[Element]:
+def witness(g: GroupSpec, f: fm.Formula) -> Optional[Element]:
     """A satisfying element of an existential with one named variable:
     input Exists(x, phi) where phi has no free variable but x.
 
@@ -509,17 +499,16 @@ def witness(g: GroupSpec, f: fm.Formula,
     if fm.free_vars(phi) - {var}:
         raise FormulaError(
             f"witness body must have exactly the free variable '{var}'")
-    with budget_scope(budget):
-        psi = qf_form(g, phi)
-        picked = []
-        for j in range(1, g.n + 1):
-            cells = cells_of(g, psi, SVar(var, j))
-            points = [cells.least_point(t, lo, hi)
-                      for t, lo, hi in cells.pieces()
-                      if holds_somewhere(g, cells.fibre(t))]
-            if not points:
-                return None
-            picked.append(min(points, key=near_zero))
-            psi = cells.fibre(picked[-1])
+    psi = qf_form(g, phi)
+    picked = []
+    for j in range(1, g.n + 1):
+        cells = cells_of(g, psi, SVar(var, j))
+        points = [cells.least_point(t, lo, hi)
+                  for t, lo, hi in cells.pieces()
+                  if holds_somewhere(g, cells.fibre(t))]
+        if not points:
+            return None
+        picked.append(min(points, key=near_zero))
+        psi = cells.fibre(picked[-1])
     return element(g, picked) if psi is sc.TRUE else None
 

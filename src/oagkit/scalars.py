@@ -256,9 +256,9 @@ _local = threading.local()
 
 
 class budget_scope:
-    """Context manager charging scalar-node construction against a limit.
-    A scope without a limit opened inside another scope joins it, as a
-    nested `operation_scope` does, so an inner call passing no budget
+    """Context manager charging scalar-node construction against a limit,
+    the one way to bound a query.  A scope without a limit opened inside
+    another scope joins it, as a nested `operation_scope` does, so it
     keeps the caller's limit; entering it yields the open scope."""
 
     def __init__(self, limit: Optional[int]) -> None:

@@ -50,9 +50,9 @@ from oagkit.groups import element
 from oagkit.qe import _constant_window, _miniscope, eliminate_scalar, nnf
 from oagkit.scalars import (TRUE, FALSE, LinExpr, SAnd, SBool, SCongr, SEq,
                             SExists, SForall, SLt, SNot, SOr, SVar, atoms,
-                            budget_scope, kind_of, lin_const, lin_neg,
-                            lin_var, map_atoms, mk_and, mk_congr, mk_exists,
-                            mk_le, mk_not, mk_or, roots_and_modulus, s_eval)
+                            kind_of, lin_const, lin_neg, lin_var, map_atoms,
+                            mk_and, mk_congr, mk_exists, mk_le, mk_not,
+                            mk_or, roots_and_modulus, s_eval)
 from reference_scalars import lin_add, s_subst
 
 
@@ -119,7 +119,7 @@ def _candidates_q(f, v) -> list:
     return sorted(cands, key=lambda q: (abs(q), q < 0))
 
 
-def witness(g, f, budget=None):
+def witness(g, f):
     """A satisfying element of Exists(x, phi), phi with the free
     variable x alone, or None: each coordinate is the first candidate of
     its window at which the eliminated tail holds."""
@@ -129,45 +129,44 @@ def witness(g, f, budget=None):
     if fm.free_vars(phi) - {var}:
         raise FormulaError(
             f"witness body must have exactly the free variable '{var}'")
-    with budget_scope(budget):
-        low = fm.lower(g, phi)
-        svars = [SVar(var, j) for j in range(1, g.n + 1)]
-        picked: dict = {}
-        current = low
-        for j, v in enumerate(svars):
-            tail = current
-            for w in reversed(svars[j + 1:]):
-                tail = mk_exists(w, tail)
-            psi = eliminate_scalar(g, tail)
-            if isinstance(psi, SBool):
-                if not psi.value:
-                    return None
-                cands = [0]
-            elif kind_of(g, v) == "Z":
-                cands = _candidates_z(psi, v)
-            else:
-                cands = _candidates_q(psi, v)
-            chosen = None
-            for cand in cands:
-                if s_eval(g, psi, {v: cand}):
-                    chosen = cand
-                    break
-            if chosen is None:
-                if j == 0:
-                    return None
-                raise AssertionError(
-                    "candidate window missed a witness coordinate")
-            picked[v] = chosen
-            current = s_subst_all(g, current, {v: chosen})
-        check = eliminate_scalar(g, current)
-        if not isinstance(check, SBool):
-            raise AssertionError("a pinned witness must ground out")
-        if g.n == 0:
-            return () if check.value else None
-        if not check.value:
-            raise AssertionError("the picked coordinates must satisfy the "
-                                 "formula")
-        return element(g, [picked[v] for v in svars])
+    low = fm.lower(g, phi)
+    svars = [SVar(var, j) for j in range(1, g.n + 1)]
+    picked: dict = {}
+    current = low
+    for j, v in enumerate(svars):
+        tail = current
+        for w in reversed(svars[j + 1:]):
+            tail = mk_exists(w, tail)
+        psi = eliminate_scalar(g, tail)
+        if isinstance(psi, SBool):
+            if not psi.value:
+                return None
+            cands = [0]
+        elif kind_of(g, v) == "Z":
+            cands = _candidates_z(psi, v)
+        else:
+            cands = _candidates_q(psi, v)
+        chosen = None
+        for cand in cands:
+            if s_eval(g, psi, {v: cand}):
+                chosen = cand
+                break
+        if chosen is None:
+            if j == 0:
+                return None
+            raise AssertionError(
+                "candidate window missed a witness coordinate")
+        picked[v] = chosen
+        current = s_subst_all(g, current, {v: chosen})
+    check = eliminate_scalar(g, current)
+    if not isinstance(check, SBool):
+        raise AssertionError("a pinned witness must ground out")
+    if g.n == 0:
+        return () if check.value else None
+    if not check.value:
+        raise AssertionError("the picked coordinates must satisfy the "
+                             "formula")
+    return element(g, [picked[v] for v in svars])
 
 
 def _close(f, ctor):
@@ -222,30 +221,29 @@ def _project(g, f):
     return f
 
 
-def project_decide(g, f, budget=None):
+def project_decide(g, f):
     """Truth value of a sentence, every block projected (`_project`)."""
     if fm.free_vars(f):
         raise FormulaError("project_decide needs a sentence")
-    with budget_scope(budget):
-        out = _project(g, fm.lower(g, f))
+    out = _project(g, fm.lower(g, f))
     if not isinstance(out, SBool):
         raise AssertionError("closed elimination must ground out")
     return out.value
 
 
-def satisfiable(g, f, budget=None):
+def satisfiable(g, f):
     """Whether the existential closure of f is true."""
-    return project_decide(g, _close(f, fm.Exists), budget)
+    return project_decide(g, _close(f, fm.Exists))
 
 
-def equivalent(g, a, b, budget=None):
+def equivalent(g, a, b):
     """Whether the universal closure of a <-> b is true."""
-    return project_decide(g, _close(fm.Iff(a, b), fm.Forall), budget)
+    return project_decide(g, _close(fm.Iff(a, b), fm.Forall))
 
 
-def entails(g, a, b, budget=None):
+def entails(g, a, b):
     """Whether the universal closure of a -> b is true."""
-    return project_decide(g, _close(fm.Implies(a, b), fm.Forall), budget)
+    return project_decide(g, _close(fm.Implies(a, b), fm.Forall))
 
 
 def count_decides(monkeypatch):

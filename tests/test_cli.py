@@ -232,6 +232,21 @@ class TestErrors:
         assert rc == 0
         assert (obj["checked"], obj["failures"]) == (10, 0)
 
+    def test_fuzzcheck_budget_bounds_each_formula(self):
+        """`--budget` limits each fuzzed formula on its own: these 20
+        charge at most 87 nodes each but 926 together, so 100 passes and
+        80 stops at the first formula over it."""
+        from oagkit.scalars import budget_scope
+        argv = ["fuzzcheck", "--group", "Z*Z", "--count", "20"]
+        with budget_scope(None) as whole:
+            rc, obj = run_json(argv)
+        assert (rc, obj["checked"], whole.used) == (0, 20, 926)
+        rc, obj = run_json(argv + ["--budget", "100"])
+        assert (rc, obj["checked"], obj["failures"]) == (0, 20, 0)
+        rc, obj = run_json(argv + ["--budget", "80"])
+        assert rc == 1
+        assert obj["error"]["type"] == "BudgetExceeded"
+
     SET = "(or (< x (c 0 0)) (congr 3 x (c 1 0)))"
 
     @pytest.mark.parametrize("command", ["nice", "code", "endseg", "typegen"])

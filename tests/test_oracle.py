@@ -189,9 +189,11 @@ class TestGrids:
         documented bit order."""
         f = fm.parse(Z2, text)
         names = sorted(fm.free_vars(f)) or ["x"]
-        table = orc.grid_eval(Z2, f, orc.grid_axes(Z2, names, 2))
+        grid = orc.grid_axes(Z2, names, 2)
+        table = orc.grid_eval(Z2, f, grid)
         low = fm.lower(Z2, f)
-        stable = orc.s_grid_eval(Z2, low, orc.scalar_axes(Z2, names, 2))
+        stable = orc.s_grid_eval(Z2, low,
+                                 orc.scalar_axes(Z2, names, 2, grid))
         assert 0 <= table < 1 << 5 ** (2 * len(names))
         for env in _points(Z2, names, 2):
             want = orc.evaluate(Z2, f, env)
@@ -259,7 +261,7 @@ class TestGrids:
         """One point, one bit: the documented index, the same in the
         group grid and the scalar grid, whatever order names come in."""
         genv = orc.grid_axes(Z2, ["y", "x"], 1)
-        senv = orc.scalar_axes(Z2, ["y", "x"], 1)
+        senv = orc.scalar_axes(Z2, ["y", "x"], 1, genv)
         for x, y in (((-1, -1), (-1, -1)), ((1, 1), (1, 1)),
                      ((0, 1), (-1, 0)), ((1, -1), (0, 1))):
             f = fm.parse(Z2, f"(and (= x (c {x[0]} {x[1]})) "
@@ -276,6 +278,16 @@ class TestGrids:
         assert orc.s_grid_eval(Z2, sc.TRUE, env) == (1 << 25) - 1
         assert orc.grid_eval(Z2, fm.parse(Z2, "true"),
                              orc.grid_axes(Z2, ["x"], 2)) == (1 << 25) - 1
+
+    def test_scalar_axes_reuse_the_grid(self):
+        """Given the grid, the scalar grid holds the grid's own axes, so
+        one all-points table serves both."""
+        grid = orc.grid_axes(Z2, ["y", "x"], 2)
+        env = orc.scalar_axes(Z2, ["y", "x"], 2, grid)
+        assert env == orc.scalar_axes(Z2, ["y", "x"], 2)
+        for name, axes in grid.items():
+            for j, axis in enumerate(axes, start=1):
+                assert env[sc.SVar(name, j)] is axis
 
     def test_dense_group_refused(self):
         with pytest.raises(OracleError):

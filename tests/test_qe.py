@@ -1,6 +1,7 @@
 """Elimination engine tests: spec examples, mixed-sort cases, a scaled
 differential against the oracle, and witness extraction."""
 
+import inspect
 import json
 import math
 import os
@@ -707,20 +708,55 @@ class TestDifferentialSample:
         self.run_group(Z3, 83, 15, 3)
 
 
+_SET = "(and (< (c 0 2) x) (congr 3 x (c 1 1)))"
+_WIDER = "(and (< (c 0 0) x) (congr 3 x (c 1 1)))"
+
+# each charges over 40 nodes on Z*Z; the two-variable `satisfiable`
+# decides its closure
+ONE_LIMIT = {
+    "eliminate": ("(exists (y) (and (< y x) (= x (* 2 y))))",),
+    "decide": ("(forall (x) (exists (y) (or (= x (* 2 y)) "
+               "(= x (+ (* 2 y) (c 0 1))))))",),
+    "satisfiable": (_SET,),
+    "satisfiable-closed": ("(and (< x y) (congr 2 (+ x y) (c 1 0)))",),
+    "equivalent": (_SET, _WIDER),
+    "entails": (_SET, _WIDER),
+    "witness": (f"(exists (x) {_SET})",),
+}
+
+
 class TestBudget:
+    @pytest.mark.parametrize("case", sorted(ONE_LIMIT))
+    def test_the_callers_scope_is_the_only_limit(self, case):
+        """No `qe` function takes a budget: each charges the scope its
+        caller opened, raises past a small limit, and answers under a
+        scope without one as it does with no scope."""
+        fn = getattr(qe, case.split("-")[0])
+        assert "budget" not in inspect.signature(fn).parameters
+        args = [fm.parse(Z2, text) for text in ONE_LIMIT[case]]
+        want = fn(Z2, *args)
+        with sc.budget_scope(None) as used:
+            assert fn(Z2, *args) == want
+        assert used.used > 40
+        with sc.budget_scope(20):
+            with pytest.raises(BudgetExceeded):
+                fn(Z2, *args)
+
     def test_budget_aborts(self):
         f = fm.parse(Z3, "(exists (x) (and (< (c 0 0 -6) (* 5 x)) "
                          "(< (* 5 x) (c 0 0 6)) (exists (y) (and "
                          "(< (c 0 0 -6) (* 7 y)) (< (* 7 y) (c 0 0 6)) "
                          "(congr 8 (+ x y) z)))))")
-        with pytest.raises(BudgetExceeded):
-            qe.eliminate(Z3, f, budget=60)
-        out = qe.eliminate(Z3, f, budget=None)
-        assert sc.s_is_qf(out.body)
-        # a call passing no budget inside a limited scope keeps its limit
         with sc.budget_scope(60):
             with pytest.raises(BudgetExceeded):
                 qe.eliminate(Z3, f)
+        out = qe.eliminate(Z3, f)
+        assert sc.s_is_qf(out.body)
+        # a scope without a limit inside a limited one keeps its limit
+        with sc.budget_scope(60):
+            with sc.budget_scope(None):
+                with pytest.raises(BudgetExceeded):
+                    qe.eliminate(Z3, f)
 
     @pytest.mark.parametrize("seed,count,index", [(12, 50, 43), (41, 10, 9)])
     def test_mixed_blow_ups_end_in_a_typed_error(self, seed, count, index):
@@ -728,8 +764,9 @@ class TestBudget:
         # bound (a Cooper step, then a dense step, on the outer block);
         # a node budget turns them into BudgetExceeded within seconds
         f = orc.fuzz_corpus(QZ, seed, count, template="bounded")[index]
-        with pytest.raises(BudgetExceeded):
-            qe.eliminate(QZ, f, budget=10**5)
+        with sc.budget_scope(10**5):
+            with pytest.raises(BudgetExceeded):
+                qe.eliminate(QZ, f)
 
     def test_huge_period_meets_the_budget(self):
         # Cooper's shifts 1..10^9+7 are built one row at a time, so the
@@ -737,8 +774,9 @@ class TestBudget:
         f = fm.parse(Z1, "(exists (x) (and (congr 1000000007 x (c 3)) "
                          "(< (c 0) x)))")
         start = time.process_time()
-        with pytest.raises(BudgetExceeded):
-            qe.decide(Z1, f, budget=10**4)
+        with sc.budget_scope(10**4):
+            with pytest.raises(BudgetExceeded):
+                qe.decide(Z1, f)
         assert time.process_time() - start < 5
 
     HUGE = ("(congr 1000000007 x (c 3))", "(congr 1000000007 x (c 4))",
@@ -752,7 +790,8 @@ class TestBudget:
         for other, want in ((b, False), (c, None)):
             start = time.process_time()
             try:
-                got = qe.equivalent(Z1, a, other, budget=10**4)
+                with sc.budget_scope(10**4):
+                    got = qe.equivalent(Z1, a, other)
             except BudgetExceeded:
                 got = None
             assert got == want
