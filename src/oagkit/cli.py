@@ -37,8 +37,7 @@ class Config(Record):
     seed: int = 0
 
     def to_obj(self) -> dict:
-        return {"group": self.group, "modbound": self.modbound,
-                "box": self.box, "budget": self.budget, "seed": self.seed}
+        return {f: getattr(self, f) for f in self._fields}
 
 
 # --- value rendering --------------------------------------------------------
@@ -106,9 +105,7 @@ def _emit(cfg: Config, command: str, fields: dict, fmt: str, out) -> None:
 def _fail(cfg: Config, command: str, err: OagError, fmt: str, out) -> None:
     info = {"type": type(err).__name__, "message": str(err)}
     if fmt == "json":
-        obj = {"version": FORMAT_VERSION, "command": command,
-               "config": cfg.to_obj(), "error": info}
-        print(json.dumps(obj), file=out)
+        _emit(cfg, command, {"error": info}, fmt, out)
     else:
         print(f"error ({info['type']}): {info['message']}", file=out)
 

@@ -28,7 +28,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from operator import and_, or_
+from operator import and_, or_, xor
 from typing import Iterator, Mapping, Optional
 
 from . import formulas as fm
@@ -424,33 +424,56 @@ def _atom_mask(g: GroupSpec, f, env: Mapping, full: int) -> int:
     return lt if rel == LT else lt | eq if rel == LE else eq
 
 
-def s_grid_eval(g: GroupSpec, f: sc.SFormula, env: Mapping,
-                _memo: Optional[dict] = None) -> int:
+def _operands(f) -> tuple:
+    return (f.body,) if isinstance(f, sc.SNot) else getattr(f, "items", ())
+
+
+def s_grid_eval(g: GroupSpec, f: sc.SFormula, env: Mapping) -> int:
     """Truth table of a quantifier-free scalar formula over a
     `scalar_axes` grid, bit for bit as `grid_eval`'s.  Shared subformulas
-    evaluate once."""
-    if _memo is None:
-        _memo = {}
-    if f in _memo:
-        return _memo[f]
+    evaluate once.  Depth first without recursion: a connective folds in
+    each child's table as the child is done, and a table is kept only
+    until its last reader has it, so a wide formula holds a few tables."""
     full = next((a.full for a in env.values()), 1)
-    if isinstance(f, sc.SBool):
-        out = full if f.value else 0
-    elif isinstance(f, (sc.SLt, sc.SEq, sc.SCongr)):
-        rel = getattr(f, "modulus", LT if isinstance(f, sc.SLt) else EQ)
-        out = _cut(rel, f.expr.const, [(env[v], c) for v, c in f.expr.coeffs],
-                   full)
-    elif isinstance(f, sc.SNot):
-        out = s_grid_eval(g, f.body, env, _memo) ^ full
-    elif isinstance(f, (sc.SAnd, sc.SOr)):
-        op, unit = (and_, full) if isinstance(f, sc.SAnd) else (or_, 0)
-        out = reduce(op, (s_grid_eval(g, it, env, _memo) for it in f.items),
-                     unit)
-    else:
-        raise OracleError("scalar grid evaluation requires a quantifier-free "
-                          f"formula, got {type(f).__name__}")
-    _memo[f] = out
-    return out
+    folds = {sc.SAnd: (and_, full), sc.SOr: (or_, 0), sc.SNot: (xor, full)}
+    readers, todo = {f: 1}, [f]
+    while todo:
+        for it in _operands(todo.pop()):
+            if it not in readers:
+                readers[it] = 0
+                todo.append(it)
+            readers[it] += 1
+    kept: dict = {}
+    stack = [[None, or_, 0, iter((f,))]]  # [node, fold, table, operands]
+    while True:
+        top = stack[-1]
+        node = next(top[3], None)
+        if node is None:
+            stack.pop()
+            if not stack:
+                return top[2]
+            node, out = top[0], top[2]
+        elif node in kept:
+            out = kept[node]
+        elif node.__class__ in folds:
+            stack.append([node, *folds[node.__class__], iter(_operands(node))])
+            continue
+        elif isinstance(node, sc.SBool):
+            out = full if node.value else 0
+        elif isinstance(node, (sc.SLt, sc.SEq, sc.SCongr)):
+            rel = getattr(node, "modulus",
+                          LT if isinstance(node, sc.SLt) else EQ)
+            out = _cut(rel, node.expr.const,
+                       [(env[v], c) for v, c in node.expr.coeffs], full)
+        else:
+            raise OracleError("scalar grid evaluation requires a quantifier-"
+                              f"free formula, got {type(node).__name__}")
+        readers[node] -= 1
+        if readers[node]:
+            kept[node] = out
+        else:
+            kept.pop(node, None)
+        stack[-1][2] = stack[-1][1](stack[-1][2], out)
 
 
 def scalar_axes(g: GroupSpec, names, bound: int,

@@ -477,18 +477,6 @@ def to_div_segment_initial(g: GroupSpec, phi: fm.Formula,
     return dual_div_segment(seg)
 
 
-class _RawPiece:
-    """Partial piece during decomposition: missing sides are inherited
-    from the enclosing pins when the recursion unwinds."""
-
-    __slots__ = ("upper", "lower", "lits")
-
-    def __init__(self, upper, lower, lits):
-        self.upper = upper
-        self.lower = lower
-        self.lits = lits
-
-
 @operation
 def nice_decompose(g: GroupSpec, phi: fm.Formula,
                    var: Optional[str] = None) -> tuple:
@@ -521,8 +509,9 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     memo: dict = {}
 
     def rec(pins, psi) -> list:
-        # the pieces of the set over the pins leading coordinates, psi
-        # the form with those pins
+        # the pieces over the pins leading coordinates, psi the form with
+        # those pins: (upper, lower, literals) triples whose sides are
+        # (level, bound, rel), or None where the enclosing pins supply one
         hit = memo.get(pins)
         if hit is not None:
             return hit
@@ -530,69 +519,63 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         if not holds_somewhere(g, psi):
             out = []
         elif j > g.n:
-            out = [_RawPiece(None, None, ())]
+            out = [(None, None, ())]
         else:
             cells = cells_of(g, psi, xs[j - 1])
             out = (rec_discrete if cells.discrete else rec_dense)(pins, cells)
         memo[pins] = out
         return out
 
-    def over(pins, cells: Cells, t) -> list:
-        # the pieces over the pins and x.j = t
-        return rec(pins + (t,), cells.fibre(t))
-
-    def check_ray_lits(fps, m: int) -> None:
-        for fp in fps:
-            if fp.upper is not None or fp.lower is not None:
-                raise AssertionError("limiting fibres carry no bounds")
-            if any(m % lit.modulus for lit in fp.lits):
+    def span(pins, cells: Cells, t, up, low, lits=(), m=None) -> list:
+        # the pieces over the pins and x.j = t, stretched between the
+        # sides up and low; with m, every literal's modulus divides m
+        out = []
+        for fup, flow, flits in rec(pins + (t,), cells.fibre(t)):
+            if fup is not None or flow is not None:
+                raise AssertionError("fibre pieces carry no bounds")
+            if m is not None and any(m % lit.modulus for lit in flits):
                 raise AssertionError(
                     "fibre moduli must divide the class modulus")
+            out.append((up, low, lits + flits))
+        return out
+
+    def point(pins, cells: Cells, t) -> list:
+        # the pieces over the pins and x.j = t alone: x.j = t closes each
+        # side the fibre leaves open
+        side = (len(pins) + 1, pad(g, pins + (t,)), GE)
+        out = []
+        for fup, flow, flits in rec(pins + (t,), cells.fibre(t)):
+            out.append((fup or side, flow or side, flits))
+        return out
 
     def rec_discrete(pins, cells: Cells) -> list:
         j = len(pins) + 1
-        m_star = cells.period()
-        moduli = m_star
+        m = m_star = cells.period()
         for r in range(m_star):
             changes = cells.changes(m_star, r)
             reps = (changes[-1] + m_star, changes[0]) if changes else (r,)
             for t in reps:
-                for fp in over(pins, cells, t):
-                    for lit in fp.lits:
-                        moduli = lcm(moduli, lit.modulus)
-        m_d = moduli
+                for _, _, lits in rec(pins + (t,), cells.fibre(t)):
+                    for lit in lits:
+                        m = lcm(m, lit.modulus)
         out: list = []
-        for r in range(m_d):
+        for r in range(m):
             cls_lit: tuple = ()
-            if m_d > 1:
-                cls_lit = (CongrLiteral(1, 1, j, m_d, pad(g, pins + (r,)), 0),)
-            changes = cells.changes(m_d, r)
+            if m > 1:
+                cls_lit = (CongrLiteral(1, 1, j, m, pad(g, pins + (r,)), 0),)
+            changes = cells.changes(m, r)
             if not changes:
-                fps = over(pins, cells, r)
-                check_ray_lits(fps, m_d)
-                for fp in fps:
-                    out.append(_RawPiece(None, None, cls_lit + fp.lits))
+                out += span(pins, cells, r, None, None, cls_lit, m)
                 continue
             # the class's fibres are constant from a_hat up and from
             # b_hat down
-            a_hat, b_hat = changes[-1] + m_d, changes[0]
-            fps = over(pins, cells, a_hat)
-            check_ray_lits(fps, m_d)
-            for fp in fps:
-                out.append(_RawPiece((j, pad(g, pins + (a_hat,)), GE),
-                                     None, cls_lit + fp.lits))
-            fps = over(pins, cells, b_hat)
-            check_ray_lits(fps, m_d)
-            for fp in fps:
-                out.append(_RawPiece(None, (j, pad(g, pins + (b_hat,)), GE),
-                                     cls_lit + fp.lits))
-            a = b_hat + m_d
-            while a < a_hat:
-                for fp in over(pins, cells, a):
-                    up = fp.upper or (j, pad(g, pins + (a,)), GE)
-                    low = fp.lower or (j, pad(g, pins + (a,)), GE)
-                    out.append(_RawPiece(up, low, fp.lits))
-                a += m_d
+            a_hat, b_hat = changes[-1] + m, changes[0]
+            out += span(pins, cells, a_hat, (j, pad(g, pins + (a_hat,)), GE),
+                        None, cls_lit, m)
+            out += span(pins, cells, b_hat, None,
+                        (j, pad(g, pins + (b_hat,)), GE), cls_lit, m)
+            for a in range(b_hat + m, a_hat, m):
+                out += point(pins, cells, a)
         return out
 
     def rec_dense(pins, cells: Cells) -> list:
@@ -608,32 +591,23 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
                 survivors.append(c)
         out: list = []
         for w, lo, hi in line_cells(False, survivors, 1):
-            if w == lo:
-                continue
-            for fp in over(pins, cells, w):
-                if fp.upper is not None or fp.lower is not None:
-                    raise AssertionError("interval fibres carry no bounds")
+            if w != lo:
                 up = None if lo is None else (j, pad(g, pins + (lo,)), GT)
                 low = None if hi is None else (j, pad(g, pins + (hi,)), GT)
-                out.append(_RawPiece(up, low, fp.lits))
+                out += span(pins, cells, w, up, low)
         for c in survivors:
-            for fp in over(pins, cells, c):
-                up = fp.upper or (j, pad(g, pins + (c,)), GE)
-                low = fp.lower or (j, pad(g, pins + (c,)), GE)
-                out.append(_RawPiece(up, low, fp.lits))
+            out += point(pins, cells, c)
         return out
 
     try:
         raw = rec((), qf)
     finally:  # as in co_initial_classes
-        del rec, over, rec_discrete, rec_dense, check_ray_lits
-    pieces = []
-    for rp in raw:
-        upper = DivSegment(END, 1, *rp.upper) if rp.upper \
-            else full_end_segment()
-        lower = DivSegment(INITIAL, 1, *rp.lower) if rp.lower \
-            else full_initial_segment()
-        pieces.append(NiceSet(upper, lower, canonical_restriction(g, rp.lits)))
+        del rec, span, point, rec_discrete, rec_dense
+    pieces = [NiceSet(DivSegment(END, 1, *up) if up else full_end_segment(),
+                      DivSegment(INITIAL, 1, *lo) if lo
+                      else full_initial_segment(),
+                      canonical_restriction(g, lits))
+              for up, lo, lits in raw]
 
     lowered: dict = {}
 

@@ -20,7 +20,7 @@ from oagkit.qe import eliminate_scalar
 from oagkit.scalars import (TRUE, SVar, mk_and, mk_exists, mk_not, mk_or,
                             operation, roots_and_modulus)
 from oagkit.segments import (END, GE, GT, INITIAL, CongrLiteral,
-                             DivSegment, NiceSet, _RawPiece, _piece_key,
+                             DivSegment, NiceSet, _piece_key,
                              canonical_restriction,
                              full_end_segment, full_initial_segment, pad,
                              the_var)
@@ -67,6 +67,18 @@ def eventual_period(g, psi, x) -> int:
                 for r in range(m) for s in fibre_changes(g, psi, x, m, r)):
             return m
     raise AssertionError("the lcm of the moduli must be an eventual period")
+
+
+class _RawPiece:
+    """Partial piece during decomposition: missing sides are inherited
+    from the enclosing pins when the recursion unwinds."""
+
+    __slots__ = ("upper", "lower", "lits")
+
+    def __init__(self, upper, lower, lits):
+        self.upper = upper
+        self.lower = lower
+        self.lits = lits
 
 
 @operation

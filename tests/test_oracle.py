@@ -1,6 +1,7 @@
 """Oracle semantics: pointwise truth, bounded expansion, grids, fuzz."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -288,6 +289,40 @@ class TestGrids:
         for name, axes in grid.items():
             for j, axis in enumerate(axes, start=1):
                 assert env[sc.SVar(name, j)] is axis
+
+    def test_wide_disjunction_holds_a_few_tables(self):
+        """A table is dropped once read, and a disjunct is folded in as
+        it is done: 100 two-atom conjunctions over a 2^20-point axis
+        (128 KB a table) peak at a few tables, not one per node."""
+        env = orc.scalar_axes(Z1, ["x"], 1 << 19)
+        x = sc.SVar("x", 1)
+        windows = [(-500_000 + 10_000 * i, -495_000 + 10_000 * i)
+                   for i in range(100)]
+        f = sc.mk_or(sc.mk_and([sc.mk_lt(Z1, sc.lin({x: -1}, lo)),
+                                sc.mk_lt(Z1, sc.lin({x: 1}, -hi))])
+                     for lo, hi in windows)
+        assert len(f.items) == 100
+        tracemalloc.start()
+        try:
+            table = orc.s_grid_eval(Z1, f, env)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert bin(table).count("1") == sum(hi - lo - 1 for lo, hi in windows)
+
+    def test_shared_subformulas_are_read_by_each_parent(self):
+        """A node read by several parents keeps its table until the last
+        one: every point agrees with `s_eval`."""
+        x = sc.SVar("x", 1)
+        a = sc.mk_lt(Z1, sc.lin({x: 1}, -1))
+        b = sc.SCongr(3, sc.lin({x: 1}, 0))
+        na = sc.SNot(a)
+        f = sc.SOr((sc.SAnd((na, b)), sc.SAnd((a, sc.SNot(b))),
+                    sc.SAnd((na, sc.SOr((b, na))))))
+        table = orc.s_grid_eval(Z1, f, orc.scalar_axes(Z1, ["x"], 9))
+        for v in range(-9, 10):
+            assert bool(table >> (v + 9) & 1) == sc.s_eval(Z1, f, {x: v}), v
 
     def test_dense_group_refused(self):
         with pytest.raises(OracleError):

@@ -74,7 +74,7 @@ RECURSIVE = {
     # the cell walk: one level per coordinate, at most the group's rank
     "cells._walk",
     # the independent evaluators that elimination is checked against
-    "oracle.s_grid_eval", "oracle._ev", "oracle.grid_eval",
+    "oracle._ev", "oracle.grid_eval",
     # the parser: one level per parenthesis, at most formulas.MAX_DEPTH
     "formulas._Parser.formula", "formulas._Parser._sum",
     # bounded: the code header (by _HEADER_DEPTH), the fuzz generators
