@@ -3,8 +3,9 @@
 Each entry of the catalogue names a file of the repository, an exact
 snippet of it, its replacement, and the pytest node ids of the tests
 that must all fail once the snippet is replaced: the mutant those tests
-kill.  For each entry the script copies `src`, `tests` and
-`pyproject.toml` to a temporary directory, replaces the snippet there,
+kill.  For each entry the script copies `src`, `tests`, `scripts` (which
+`test_tour_output_is_unchanged` runs) and `pyproject.toml` to a
+temporary directory, replaces the snippet there,
 and runs the named tests on the copy, with the copy's `src` on
 PYTHONPATH and no bytecode or pytest cache written.  Nothing in the
 checkout changes.
@@ -43,7 +44,7 @@ def replay(entry: dict) -> str:
         return f"ERROR: the snippet occurs {found} times in {entry['file']}"
     with tempfile.TemporaryDirectory(prefix="oagkit-mutant-") as tmp:
         skip = shutil.ignore_patterns("__pycache__", ".pytest_cache")
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "scripts"):
             shutil.copytree(os.path.join(ROOT, name),
                             os.path.join(tmp, name), ignore=skip)
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)

@@ -378,45 +378,20 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def divisors(n: int, charge=lambda steps: None) -> list:
-    """The divisors of n >= 1, ascending, from its prime factors: trial
-    division up to a prime cofactor (`is_prime`), and past 1024 a prime
-    factor of a composite cofactor below _PRIME_LIMIT by `_split`.  Each
-    step past 1024 is charged (`charge(steps)`) before it is taken."""
-    out, d, fresh = [1], 2, True
-    while n > 1:
-        if d * d > n or fresh and n < _PRIME_LIMIT and is_prime(n):
-            p = n
-        elif d < 1024 or n >= _PRIME_LIMIT:
-            if d >= 1024:
-                charge(1)
-            p, d = d, d + 1
-        else:
-            p = n
-            while not is_prime(p):
-                p = _split(p, charge)
-        fresh, size = n % p == 0, len(out)
-        while n % p == 0:  # the last size divisors, times p once more
-            n //= p
-            out += [e * p for e in out[-size:]]
-    return sorted(out)
-
-
-def _split(n: int, charge) -> int:
-    """A proper factor of the composite n: Brent's cycle search (BIT 1980)
-    on y -> y * y + c from y = 2, for c = 1, 2, ... until one splits n."""
-    for c in itertools.count(1):
-        y, r, d = 2, 1, 1
-        while d == 1:
-            x = y
-            charge(r)
-            for _ in range(r):
-                y = (y * y + c) % n
-                if (d := math.gcd(y - x, n)) != 1:
-                    break
-            r *= 2
-        if d != n:
-            return d
+def divisors(n: int, charge=lambda steps: None):
+    """The divisors of n >= 1, ascending, as trial division finds them:
+    each d with d * d <= n, then their cofactors n // d.  Each step with
+    d >= 1024 is charged (`charge(1)`) before it is taken."""
+    big, d = [], 1
+    while d * d <= n:
+        if d >= 1024:
+            charge(1)
+        if n % d == 0:
+            yield d
+            if d * d < n:
+                big.append(n // d)
+        d += 1
+    yield from reversed(big)
 
 
 def compute_chi(g: GroupSpec, p: int) -> int:

@@ -524,13 +524,12 @@ def test_chi_on_a_large_prime_is_fast():
     1800000000047 * 1800000001087, 10 ** 25 + 13])
 def test_period_search_on_a_huge_modulus_is_bounded(modulus):
     """A cold `nice` on one class modulo a huge M, under a small budget:
-    the period search takes M's divisors from its prime factors, not by
-    trial division up to the square root of M (nor up to the smaller of
-    two large prime factors), and charges the budget for every step of
-    trial division past 1024 and of Pollard-Brent rho, so the budget ends
-    it in well under a second of the child's CPU time: rho on two primes
-    near 1.8 * 10^12 takes over a second unbounded, and an M past
-    `groups._PRIME_LIMIT` is trial-divided."""
+    the period search tries M's divisors as trial division finds them,
+    charging the budget for each fibre it pins and for every step of
+    trial division past 1024, so the budget ends it in well under a
+    second of the child's CPU time, whatever M's factors: unbounded,
+    the 3 * 10^12 steps of trial division up to the square root of
+    M = 10^25 + 13 would take days."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "-m", "oagkit", "nice", "--group", "Z",

@@ -737,6 +737,43 @@ class TestFibreScan:
                         assert changes[0] == self.threshold(
                             g, phi, m, r, False), (g, phi, m, r)
 
+    def test_period_is_the_least_passing_divisor(self):
+        # `Cells.period` against a plain scan over 1..L for the least
+        # divisor under which both unbounded gaps repeat: L a square whose
+        # root is the period, a period above the root of L, a power of
+        # two, and L = 1019 * 1021 just below 2^20
+        x = SVar("x", 1)
+
+        def mod(m, residues):
+            return mk_or([mk_congr(Z, m, lin({x: 1}, -r)) for r in residues])
+        cases = [
+            # x = 0 (mod 6) with moduli 4 and 9: L = 36, period 6
+            (mk_and([mod(4, (0, 2)), mod(9, (0, 3, 6))]), 36, 6),
+            # x = 0 (mod 12) with moduli 4 and 9, and a root: period 12
+            (mk_or([mk_lt(Z, lin({x: 1}, -5)),
+                    mk_and([mod(4, (0,)), mod(9, (0, 3, 6))])]), 36, 12),
+            (mod(2 ** 11, (0, 2 ** 10)), 2 ** 11, 2 ** 10),
+            (mod(2 ** 11, (3,)), 2 ** 11, 2 ** 11),
+            (mk_and([mod(1019, (0,)), mod(1021, (4,))]),
+             1019 * 1021, 1019 * 1021),
+        ]
+        for psi, size, want in cases:
+            cells = cm.Cells(Z, psi, x)
+            assert cells.modulus == size
+            fibre, roots = cells.fibre, cells.roots
+            top = roots[-1] + 1 if roots else 0
+            bot = roots[0] - 1 if roots else 0
+
+            def repeats(m):
+                return m == size or all(
+                    cm.same_points(Z, fibre(top + i), fibre(top + i + m))
+                    and cm.same_points(Z, fibre(bot - i - m), fibre(bot - i))
+                    for i in range(size))
+            scan = next(m for m in range(1, size + 1)
+                        if size % m == 0 and repeats(m))
+            assert scan == want
+            assert cells.period() == want, size
+
 
 class TestClassArithmetic:
     """The pieces and the class arithmetic `co_initial_classes` reads
