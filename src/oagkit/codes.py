@@ -381,7 +381,6 @@ CUT_REALIZED = "realized"
 CUT_AT_SEGMENT = "at-segment"
 CUT_MINUS_INF = "minus-inf"
 CUT_PLUS_INF = "plus-inf"
-GENERIC = "generic"
 
 DEFAULT_RESIDUE_BOUND = 12
 

@@ -10,12 +10,15 @@ whose shape depends only on the defined set, never on the formula.
 
 Every atom of that form mentions one coordinate, so each question about
 it is asked of the form's cell model (`cells`), one coordinate at a
-time.  Nothing else is eliminated.
+time.  Nothing else is eliminated.  Pieces are pruned and merged by
+arithmetic on their cuts and classes (`_meets`); only the closing checks
+compare lowered forms.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from itertools import product
+from math import gcd, lcm
 from typing import Optional, Union
 
 from . import formulas as fm
@@ -26,13 +29,14 @@ from .groups import (
     Element,
     GroupSpec,
     add,
+    crt,
     element,
     meet_classes,
     scale,
     unit,
 )
 from .qe import decide, qf_form
-from .scalars import FALSE, SVar, TRUE, mk_or, operation
+from .scalars import FALSE, SVar, TRUE, _charge, mk_or, operation
 
 END = "end"
 INITIAL = "initial"
@@ -500,8 +504,9 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
     coordinate is split at the roots where the fibre changes.  All of this
     depends only on the defined set, so equivalent inputs produce
     identical output.  The pieces are then pruned of redundant literals
-    and merged, and checked to be nonempty and to cover the set, all by
-    comparing their lowered forms with `same_points`.
+    (`_prune`) and merged (`_try_merge`), both decided on the pieces'
+    cuts and classes, with no form built.  Last, their lowered forms are
+    checked to be nonempty and to cover the set (`same_points`).
     """
     v = the_var(g, phi, var)
     qf = qf_form(g, phi)
@@ -609,22 +614,13 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
                       canonical_restriction(g, lits))
               for up, lo, lits in raw]
 
-    lowered: dict = {}
-
-    def low(ns: NiceSet):
-        # a piece's scalar form, lowered once per piece
-        hit = lowered.get(ns)
-        if hit is None:
-            hit = lowered[ns] = fm.lower(g, ns.denote(g, v))
-        return hit
-
     while True:
-        pieces = [_prune(g, p, low) for p in pieces]
+        pieces = [_prune(g, p) for p in pieces]
         pieces.sort(key=_piece_key)
         merged_any = False
         i = 0
         while i < len(pieces) - 1:
-            cand = _try_merge(g, pieces[i], pieces[i + 1], low)
+            cand = _try_merge(g, pieces[i], pieces[i + 1])
             if cand is not None:
                 pieces[i:i + 2] = [cand]
                 merged_any = True
@@ -634,26 +630,28 @@ def nice_decompose(g: GroupSpec, phi: fm.Formula,
         if not merged_any:
             break
 
-    for p in pieces:
-        if not holds_somewhere(g, low(p)):
-            raise AssertionError("nice pieces must be nonempty")
-    if not same_points(g, mk_or([low(p) for p in pieces]), qf):
+    forms = [fm.lower(g, p.denote(g, v)) for p in pieces]
+    if not all(holds_somewhere(g, f) for f in forms):
+        raise AssertionError("nice pieces must be nonempty")
+    if not same_points(g, mk_or(forms), qf):
         raise AssertionError("decomposition must cover the set")
     return tuple(pieces)
 
 
-def _prune(g: GroupSpec, ns: NiceSet, low) -> NiceSet:
-    """ns without each congruence literal whose removal keeps its points;
-    low gives a piece's scalar form."""
+def _prune(g: GroupSpec, ns: NiceSet) -> NiceSet:
+    """ns without each congruence literal whose removal keeps its points:
+    no point of its stretch meets the other literals and its negation."""
+    lo, hi = _cut(g, ns.upper), _cut(g, ns.lower)
     lits = list(ns.congr)
     i = 0
     while i < len(lits):
-        trimmed = NiceSet(ns.upper, ns.lower, tuple(lits[:i] + lits[i + 1:]))
-        if same_points(g, low(trimmed),
-                       low(NiceSet(ns.upper, ns.lower, tuple(lits)))):
-            del lits[i]
-        else:
+        lit = lits[i]
+        neg = CongrLiteral(-lit.sign, lit.z, lit.level, lit.modulus,
+                           lit.beta, lit.offset)
+        if _meets(g, lo, hi, lits[:i] + lits[i + 1:] + [neg]):
             i += 1
+        else:
+            del lits[i]
     return NiceSet(ns.upper, ns.lower, tuple(lits))
 
 
@@ -672,15 +670,142 @@ def _piece_key(ns: NiceSet):
             tuple(_lit_key(l) for l in ns.congr))
 
 
-def _try_merge(g: GroupSpec, a: NiceSet, b: NiceSet, low):
+def _try_merge(g: GroupSpec, a: NiceSet, b: NiceSet):
     """The one piece with a's literals whose points are those of a and b
-    together, taking one side from each, or None; low gives a piece's
-    scalar form."""
+    together, taking one side from each, or None.  Between consecutive
+    cuts of a and b, each of a, b and the candidate holds all points or
+    none; where the candidate differs from both, no point may meet the
+    literals."""
     if a.congr != b.congr:
         return None
-    union = mk_or([low(a), low(b)])
+    ab = ((_cut(g, a.upper), _cut(g, a.lower)),
+          (_cut(g, b.upper), _cut(g, b.lower)))
+    cuts = sorted(set(ab[0] + ab[1]))
     for up, down in ((a.upper, b.lower), (b.upper, a.lower)):
-        cand = NiceSet(up, down, a.congr)
-        if same_points(g, union, low(cand)):
-            return cand
+        cand = (_cut(g, up), _cut(g, down))
+        if not any((cand[0] <= lo and hi <= cand[1])
+                   != any(s[0] <= lo and hi <= s[1] for s in ab)
+                   and _meets(g, lo, hi, a.congr)
+                   for lo, hi in zip(cuts, cuts[1:])):
+            return NiceSet(up, down, a.congr)
     return None
+
+
+_BELOW, _ABOVE = float("-inf"), float("inf")
+
+
+def _cut(g: GroupSpec, seg: DivSegment) -> tuple:
+    """The cut a side of a piece makes in the order, as a key: its
+    bound's prefix at its level, then _BELOW or _ABOVE every point with
+    that prefix (the sentinels: every point).  On Z, above p is below
+    p + 1, so equal keys are equal cuts, a point lies strictly between
+    any two others, and keys compare as their cuts do."""
+    if seg.n != 1:
+        raise AssertionError("piece sides have multiplier 1")
+    if _is_inf(seg.bound):
+        return (_BELOW if seg.bound == MINUS_INF else _ABOVE,)
+    k = seg.level
+    prefix = seg.bound[:k]
+    if (seg.rel == GT) != (seg.direction == END):
+        return prefix + (_BELOW,)
+    if k and g.kinds[k - 1] == "Z":
+        return prefix[:-1] + (prefix[-1] + 1, _BELOW)
+    return prefix + (_ABOVE,)
+
+
+def _meets(g: GroupSpec, lo: tuple, hi: tuple, lits) -> bool:
+    """Whether some point strictly between the cuts lo and hi (`_cut`)
+    satisfies every congruence literal of lits.  A literal's congruence
+    puts each discrete coordinate i below its level in one class (c, n),
+    or in none; positive literals meet by `groups.crt`, and a negated
+    one fails on one of its coordinates, an alternative searched alone."""
+    if lo >= hi:
+        return False
+    fixed: dict = {}
+    alts = []
+    for lit in lits:
+        m, b = lit.modulus, lit.beta
+        if lit.offset:
+            b = add(g, b, scale(g, lit.offset, unit(g, lit.level)))
+        d = gcd(lit.z, m)
+        n = m // d
+        inv = pow(lit.z // d, -1, n)
+        classes = [(i, None if b[i] % d else (b[i] // d * inv % n, n))
+                   for i in range(lit.level) if g.kinds[i] == "Z"]
+        if lit.sign < 0:
+            if all(cls is not None for _, cls in classes):
+                alts.append(classes)  # else the negation always holds
+            continue
+        for i, cls in classes:
+            hit = None if cls is None else crt(*fixed.get(i, (0, 1)), *cls)
+            if hit is None:
+                return False
+            fixed[i] = hit
+    return any(_between(g, lo, hi, fixed, avoid) for avoid in product(*alts))
+
+
+def _between(g: GroupSpec, lo: tuple, hi: tuple, fixed: dict,
+             avoid: tuple) -> bool:
+    """Whether some point strictly between the cuts lo < hi has each
+    coordinate i in its class fixed[i], if any, and in no class (c, n) of
+    a pair (i, (c, n)) of avoid.  A loop over the coordinates keeps on a
+    stack whether the point still ties with lo's prefix and with hi's;
+    once neither does, every later coordinate is free."""
+    rules = {i: (fixed.get(i, (0, 1)), []) for i in fixed}
+    for i, cls in avoid:
+        rules.setdefault(i, ((0, 1), []))[1].append(cls)
+
+    def ok(i, a, b) -> bool:
+        # some value of coordinate i strictly between a and b (None:
+        # unbounded) meets its classes
+        if i not in rules:
+            return a is None or b is None or a < b
+        (c, n), others = rules[i]
+        return _residue_between(a, b, c, n, others)
+
+    if not all(ok(i, None, None) for i in rules):
+        return False
+    p, q = lo[:-1], hi[:-1]
+    stack = [(0, True, True)]
+    while stack:
+        i, tie_lo, tie_hi = stack.pop()
+        if tie_lo and i == len(p):
+            if lo[-1] == _ABOVE:
+                continue
+            tie_lo = False
+        if tie_hi and i == len(q):
+            if hi[-1] == _BELOW:
+                continue
+            tie_hi = False
+        if not (tie_lo or tie_hi):
+            return True
+        a = p[i] if tie_lo else None
+        b = q[i] if tie_hi else None
+        if a is not None and a == b:
+            if ok(i, a - 1, a + 1):
+                stack.append((i + 1, True, True))
+            continue
+        if ok(i, a, b):
+            return True
+        if tie_lo and ok(i, a - 1, a + 1):
+            stack.append((i + 1, True, False))
+        if tie_hi and ok(i, b - 1, b + 1):
+            stack.append((i + 1, False, True))
+    return False
+
+
+def _residue_between(lo, hi, c: int, n: int, others: list) -> bool:
+    """Whether some integer t with lo < t < hi (None: unbounded) has
+    t = c (mod n) and lies in no class (c', n') of others: one period of
+    candidates at most, each past the 1024th charged (`scalars._charge`)."""
+    period = lcm(n, *(k for _, k in others))
+    if lo is None or hi is None:
+        lo, hi = c - 1, c + period
+    first = lo + 1 + (c - lo - 1) % n
+    last = min(hi - 1, first + period - 1)
+    for count, t in enumerate(range(first, last + 1, n)):
+        if count >= 1024:
+            _charge()
+        if all((t - s) % k for s, k in others):
+            return True
+    return False

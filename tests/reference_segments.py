@@ -2,6 +2,10 @@
 and the decide-based pruning, merging and closing checks that
 `oagkit.segments.nice_decompose` replaced.
 
+`walk_prune` and `walk_try_merge` are the cell-walk pruning and merging
+that `oagkit.segments._prune` and `_try_merge` replaced: each lowers the
+pieces it compares and asks `cells.same_points` about them.
+
 `holds_somewhere` closes a quantifier-free form existentially and
 eliminates it, so `same_points`, `fibre_changes` and `eventual_period`
 here (the references for `cells.same_points`, `Cells.changes` and
@@ -15,6 +19,7 @@ specification.
 from fractions import Fraction
 from math import ceil, floor, lcm
 
+from oagkit import cells
 from oagkit import formulas as fm
 from oagkit.qe import eliminate_scalar
 from oagkit.scalars import (TRUE, SVar, mk_and, mk_exists, mk_not, mk_or,
@@ -261,3 +266,46 @@ def nice_decompose(g, phi, var=None) -> tuple:
         if not equivalent(g, union, phi):
             raise AssertionError("decomposition must cover the set")
     return tuple(pieces)
+
+
+def lowering(g, v="x"):
+    """A piece's scalar form, lowered once per piece, for `walk_prune`
+    and `walk_try_merge`."""
+    lowered: dict = {}
+
+    def low(ns: NiceSet):
+        hit = lowered.get(ns)
+        if hit is None:
+            hit = lowered[ns] = fm.lower(g, ns.denote(g, v))
+        return hit
+
+    return low
+
+
+def walk_prune(g, ns: NiceSet, low) -> NiceSet:
+    """ns without each congruence literal whose removal keeps its points;
+    low gives a piece's scalar form."""
+    lits = list(ns.congr)
+    i = 0
+    while i < len(lits):
+        trimmed = NiceSet(ns.upper, ns.lower, tuple(lits[:i] + lits[i + 1:]))
+        if cells.same_points(g, low(trimmed),
+                             low(NiceSet(ns.upper, ns.lower, tuple(lits)))):
+            del lits[i]
+        else:
+            i += 1
+    return NiceSet(ns.upper, ns.lower, tuple(lits))
+
+
+def walk_try_merge(g, a: NiceSet, b: NiceSet, low):
+    """The one piece with a's literals whose points are those of a and b
+    together, taking one side from each, or None; low gives a piece's
+    scalar form."""
+    if a.congr != b.congr:
+        return None
+    union = mk_or([low(a), low(b)])
+    for up, down in ((a.upper, b.lower), (b.upper, a.lower)):
+        cand = NiceSet(up, down, a.congr)
+        if cells.same_points(g, union, low(cand)):
+            return cand
+    return None

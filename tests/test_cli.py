@@ -163,6 +163,23 @@ class TestCommands:
         assert obj["failures"] == 0
         assert obj["first_counterexample"] is None
 
+    def test_fuzzcheck_reports_a_disagreement(self, monkeypatch):
+        # a decide that gets every sentence wrong: each closed formula of
+        # the corpus is a failure, and the first one is the counterexample
+        from oagkit import formulas, qe
+        real, wrong = qe.decide, []
+
+        def flipped(g, f):
+            wrong.append(formulas.print_formula(f))
+            return not real(g, f)
+
+        monkeypatch.setattr(qe, "decide", flipped)
+        rc, obj = run_json(["fuzzcheck", "--group", "Z", "--count", "20",
+                            "--box", "4", "--seed", "7"])
+        assert rc == 0 and obj["checked"] == 20
+        assert 0 < obj["failures"] == len(wrong) < 20
+        assert obj["first_counterexample"] == wrong[0]
+
 
 class TestErrors:
     def test_domain_error_is_machine_readable(self):

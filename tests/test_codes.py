@@ -615,6 +615,14 @@ def test_malformed_objects_rejected(g, obj, message):
         reconstruct(g, code_from_obj(obj))
 
 
+def test_level_zero_class_is_the_zero_element():
+    # the quotient by the whole group has one class, with no residues
+    for g in (Z, ZQ):
+        for m in (1, 2, 5):
+            assert beta_of_residues(g, FiniteQuotientElement(0, m, ())) == \
+                (0,) * g.n
+
+
 BAD_RESIDUES = [
     # (class on Z*Q, message, whether a descriptor's own level and
     # modulus checks come first)

@@ -200,6 +200,17 @@ def test_projection_homomorphism(g):
                         (x + y) % m for x, y in zip(fa.residues, fb.residues))
 
 
+def test_projection_modulo_one_is_the_trivial_class():
+    # m*G with m = 1 is the whole group: every residue is 0, and m = 0
+    # is refused
+    for g in SMALL_GROUPS:
+        for a in _sample_elements(g, 5, seed=19):
+            fq = project_fin(g, g.n, 1, a)
+            assert fq.residues == (0,) * len(g.z_positions())
+    with pytest.raises(GroupError, match="modulus 0"):
+        project_fin(Z, 1, 0, (3,))
+
+
 def test_projection_composite_coherence():
     # projecting to level k' and then to level k agrees with projecting to k
     for g in SMALL_GROUPS:

@@ -14,6 +14,7 @@ import oagkit.formulas as fm
 import reference_qe
 import reference_segments as ref
 from reference_qe import entails, equivalent, project_decide, satisfiable
+from test_acceptance import GROUPS, UNARY_LIMITS, _unary_corpus
 from test_typegen import CRIT07, crit07_corpus
 from oagkit import cells as cm
 from oagkit import qe
@@ -1181,7 +1182,7 @@ class TestNiceDecomposeReference:
 
     def test_cover_check_fires(self, monkeypatch):
         # a merge that widens its pieces to the whole group
-        def widen(g, a, b, low):
+        def widen(g, a, b):
             return sg.NiceSet(sg.full_end_segment(),
                               sg.full_initial_segment(), a.congr)
 
@@ -1193,7 +1194,7 @@ class TestNiceDecomposeReference:
 
     def test_nonempty_check_fires(self, monkeypatch):
         # a pruning that empties every piece
-        def empty(g, ns, low):
+        def empty(g, ns):
             return sg.NiceSet(sg.empty_end_segment(), ns.lower, ns.congr)
 
         monkeypatch.setattr(sg, "_prune", empty)
@@ -1203,9 +1204,229 @@ class TestNiceDecomposeReference:
             sg.nice_decompose(Z, phi)
 
 
+
+def _side(direction, level, bound, rel):
+    return sg.DivSegment(direction, 1, level, bound, rel)
+
+
+def _stretch(g, upper, lower):
+    return sg._cut(g, upper), sg._cut(g, lower)
+
+
+class TestCutDecisions:
+    """`_prune` and `_try_merge` decide on the pieces' cuts (`_cut`) with
+    one query (`_meets`), and agree with the cell-walk code they replaced
+    (`reference_segments.walk_prune` and `walk_try_merge`)."""
+
+    def test_same_decisions_as_the_walk(self, monkeypatch):
+        prune, merge = sg._prune, sg._try_merge
+        seen = Counter()
+        low = [None]
+
+        def checked_prune(g, ns):
+            got = prune(g, ns)
+            assert got == ref.walk_prune(g, ns, low[0]), (g, ns)
+            seen["prune", got != ns] += 1
+            return got
+
+        def checked_merge(g, a, b):
+            got = merge(g, a, b)
+            assert got == ref.walk_try_merge(g, a, b, low[0]), (g, a, b)
+            seen["merge", got is not None] += 1
+            return got
+
+        monkeypatch.setattr(sg, "_prune", checked_prune)
+        monkeypatch.setattr(sg, "_try_merge", checked_merge)
+        for i, g in enumerate(GROUPS.values()):
+            for f in _unary_corpus(g, 90 + i, 200, UNARY_LIMITS):
+                low[0] = ref.lowering(g)
+                sg.nice_decompose(g, f, "x")
+        # both answers of both decisions are exercised
+        assert min(seen.values()) >= 150 and len(seen) == 4, seen
+
+    def test_decisions_build_and_walk_nothing(self, monkeypatch):
+        calls = []
+        prune, merge = sg._prune, sg._try_merge
+
+        def recording_prune(g, ns):
+            calls.append((prune, g, ns))
+            return prune(g, ns)
+
+        def recording_merge(g, a, b):
+            calls.append((merge, g, a, b))
+            return merge(g, a, b)
+
+        monkeypatch.setattr(sg, "_prune", recording_prune)
+        monkeypatch.setattr(sg, "_try_merge", recording_merge)
+        for spec, seed, count in CRIT06:
+            g, corpus = crit06_corpus(spec, seed, count)
+            for f in corpus:
+                sg.nice_decompose(g, f, "x")
+        monkeypatch.undo()
+
+        def refuse(*args):
+            raise AssertionError("a decision on cuts must not walk or lower")
+
+        for mod, name in ((fm, "lower"), (cm, "same_points"),
+                          (cm, "holds_somewhere"), (cm, "_walk"),
+                          (sg, "same_points"), (sg, "holds_somewhere")):
+            monkeypatch.setattr(mod, name, refuse)
+        with budget_scope(None) as budget:
+            for fn, *args in calls:
+                fn(*args)
+        assert len(calls) > 400 and budget.used == 0
+
+    def test_discrete_cuts_a_unit_apart_are_one_cut(self):
+        above3 = sg._cut(Z, _side(sg.END, 1, (3,), sg.GT))
+        assert above3 == sg._cut(Z, _side(sg.END, 1, (4,), sg.GE))
+        assert above3 == sg._cut(Z, _side(sg.INITIAL, 1, (3,), sg.GE))
+        assert above3 == sg._cut(Z, _side(sg.INITIAL, 1, (4,), sg.GT))
+        # x.2 > 3 at level 2 of Z*Z, but not x.1 > 3 at level 1
+        assert sg._cut(ZZ, _side(sg.END, 2, (1, 3), sg.GT)) == \
+            sg._cut(ZZ, _side(sg.END, 2, (1, 4), sg.GE))
+        assert sg._cut(ZZ, _side(sg.END, 1, (3, 0), sg.GT)) == \
+            sg._cut(ZZ, _side(sg.END, 1, (4, 0), sg.GE))
+        assert sg._cut(ZZ, _side(sg.END, 2, (3, 0), sg.GT)) != \
+            sg._cut(ZZ, _side(sg.END, 1, (4, 0), sg.GE))
+        three = _stretch(Z, _side(sg.END, 1, (3,), sg.GE),
+                         _side(sg.INITIAL, 1, (3,), sg.GE))
+        assert sg._meets(Z, *three, ())
+        assert not sg._meets(Z, above3, above3, ())
+        # 3 < x < 4 has no integer
+        assert not sg._meets(Z, *_stretch(Z, _side(sg.END, 1, (3,), sg.GT),
+                                          _side(sg.INITIAL, 1, (4,), sg.GT)),
+                             ())
+
+    def test_dense_cuts_keep_their_strictness(self):
+        ge3, gt3 = (_side(sg.END, 1, (3,), d) for d in (sg.GE, sg.GT))
+        le3, lt3 = (_side(sg.INITIAL, 1, (3,), d) for d in (sg.GE, sg.GT))
+        lt4 = _side(sg.INITIAL, 1, (4,), sg.GT)
+        assert sg._cut(Q, gt3) != sg._cut(Q, _side(sg.END, 1, (4,), sg.GE))
+        assert sg._cut(Q, gt3) == sg._cut(Q, le3)
+        assert sg._cut(Q, ge3) == sg._cut(Q, lt3)
+        assert sg._meets(Q, *_stretch(Q, ge3, le3), ())
+        assert not sg._meets(Q, *_stretch(Q, gt3, le3), ())
+        assert not sg._meets(Q, *_stretch(Q, ge3, lt3), ())
+        assert sg._meets(Q, *_stretch(Q, gt3, lt4), ())
+        assert not sg._meets(Z, *_stretch(Z, gt3, lt4), ())
+
+    def test_mixed_levels(self):
+        # x.1 >= 1 and x < (1, 5): the points (1, t), t < 5
+        lo = sg._cut(ZZ, _side(sg.END, 1, (1, 0), sg.GE))
+        hi = sg._cut(ZZ, _side(sg.INITIAL, 2, (1, 5), sg.GT))
+        assert lo < hi and sg._meets(ZZ, lo, hi, ())
+        assert sg._meets(ZZ, lo, hi, (sg.CongrLiteral(1, 1, 2, 7, (1, 4)),))
+        # x.2 = 5 (mod 7) needs t = -2 below 5, and x.1 = 0 (mod 7) fails
+        assert sg._meets(ZZ, lo, hi, (sg.CongrLiteral(1, 1, 2, 7, (1, 5)),))
+        assert not sg._meets(ZZ, lo, hi,
+                             (sg.CongrLiteral(1, 1, 2, 7, (0, 4)),))
+        # Q*Z: x.1 > 1/2 against x < (1/2, 0): nothing between
+        half = Fraction(1, 2)
+        lo = sg._cut(QZ, _side(sg.END, 1, (half, 0), sg.GT))
+        hi = sg._cut(QZ, _side(sg.INITIAL, 2, (half, 0), sg.GT))
+        assert hi < lo and not sg._meets(QZ, lo, hi, ())
+        # x.1 >= 1/2 and x < (1/2, 0): the points (1/2, t), t < 0
+        lo = sg._cut(QZ, _side(sg.END, 1, (half, 0), sg.GE))
+        assert sg._meets(QZ, lo, hi, (sg.CongrLiteral(1, 1, 2, 3, (0, 2)),))
+        # x.1 > (1/2) and x.1 < 1 at level 1: every x.2 free
+        hi = sg._cut(QZ, _side(sg.INITIAL, 1, (1, 0), sg.GT))
+        lo = sg._cut(QZ, _side(sg.END, 1, (half, 0), sg.GT))
+        assert sg._meets(QZ, lo, hi, (sg.CongrLiteral(-1, 1, 2, 3, (0, 2)),))
+
+    def test_level_zero_sentinels(self):
+        full = _stretch(ZZ, sg.full_end_segment(), sg.full_initial_segment())
+        assert full == ((sg._BELOW,), (sg._ABOVE,))
+        assert sg._meets(ZZ, *full, (sg.CongrLiteral(1, 1, 2, 3, (1, 2)),))
+        for upper, lower in ((sg.empty_end_segment(),
+                              sg.full_initial_segment()),
+                             (sg.full_end_segment(),
+                              sg.empty_initial_segment())):
+            assert not sg._meets(ZZ, *_stretch(ZZ, upper, lower), ())
+        # a finite bound at level 0: x >= b always holds, x > b never
+        assert sg._cut(Z, _side(sg.END, 0, (5,), sg.GE)) == (sg._BELOW,)
+        assert sg._cut(Z, _side(sg.END, 0, (5,), sg.GT)) == (sg._ABOVE,)
+        assert sg._cut(Z, _side(sg.INITIAL, 0, (5,), sg.GE)) == (sg._ABOVE,)
+        # the trivial group has one point
+        one = parse_group("1")
+        assert sg._meets(one, (sg._BELOW,), (sg._ABOVE,), ())
+
+    def test_negated_literals(self):
+        two_three = _stretch(Z, _side(sg.END, 1, (2,), sg.GE),
+                             _side(sg.INITIAL, 1, (3,), sg.GE))
+        two = _stretch(Z, _side(sg.END, 1, (2,), sg.GE),
+                       _side(sg.INITIAL, 1, (2,), sg.GE))
+        odd = sg.CongrLiteral(-1, 1, 1, 2, (0,))
+        assert sg._meets(Z, *two_three, (odd,))
+        assert not sg._meets(Z, *two, (odd,))
+        # 2x = 1 (mod 4) has no solution, so its negation always holds
+        never = sg.CongrLiteral(1, 2, 1, 4, (1,))
+        assert not sg._meets(Z, *two_three, (never,))
+        assert sg._meets(Z, *two, (sg.CongrLiteral(-1, 2, 1, 4, (1,)),))
+        # on Z*Z a negation fails on one coordinate: (1, 0) is in the
+        # class (1, 0) mod 2 and not in (0, 0) mod 2
+        pt = _stretch(ZZ, _side(sg.END, 2, (1, 0), sg.GE),
+                      _side(sg.INITIAL, 2, (1, 0), sg.GE))
+        assert not sg._meets(ZZ, *pt, (sg.CongrLiteral(-1, 1, 2, 2, (1, 0)),))
+        assert sg._meets(ZZ, *pt, (sg.CongrLiteral(-1, 1, 2, 2, (0, 0)),))
+        assert sg._meets(ZZ, *pt, (sg.CongrLiteral(-1, 1, 2, 2, (1, 1)),))
+        # with no discrete coordinate below its level, a literal always
+        # holds and its negation never
+        every = sg.CongrLiteral(-1, 1, 1, 2, (0, 0))
+        assert not sg._meets(QZ, (sg._BELOW,), (sg._ABOVE,), (every,))
+
+    def test_offset_and_multiplier(self):
+        # x = 0 + 1 (mod 3), and 2x = 2 (mod 4), x odd
+        one_mod_3 = sg.CongrLiteral(1, 1, 1, 3, (0,), offset=1)
+        odd = sg.CongrLiteral(1, 2, 1, 4, (2,))
+        for t in range(-4, 5):
+            pt = _stretch(Z, _side(sg.END, 1, (t,), sg.GE),
+                          _side(sg.INITIAL, 1, (t,), sg.GE))
+            assert sg._meets(Z, *pt, (one_mod_3,)) == (t % 3 == 1), t
+            assert sg._meets(Z, *pt, (odd,)) == (t % 2 == 1), t
+            assert sg._meets(Z, *pt, (one_mod_3, odd)) == (t % 6 == 1), t
+
+    def test_queries_agree_with_points_on_z(self):
+        # random stretches and literals, against evaluating the piece's
+        # formula at every integer of a box wide enough for the period
+        rng = random.Random(41)
+        box = range(-80, 81)
+        for _ in range(150):
+            sides = []
+            for direction in (sg.END, sg.INITIAL):
+                if rng.random() < 0.2:
+                    sides.append(sg.full_end_segment() if direction == sg.END
+                                 else sg.full_initial_segment())
+                else:
+                    sides.append(_side(direction, 1, (rng.randint(-6, 6),),
+                                       rng.choice((sg.GE, sg.GT))))
+            lits = []
+            for _ in range(rng.randint(0, 3)):
+                m = rng.randint(2, 6)
+                z = rng.choice([k for k in range(-7, 8) if k % m])
+                lits.append(sg.CongrLiteral(rng.choice((1, -1)), z, 1, m,
+                                            (rng.randint(-9, 9),),
+                                            rng.randint(-2, 2)))
+            f = sg.NiceSet(*sides, tuple(lits)).denote(Z)
+            want = any(evaluate(Z, f, {"x": (t,)}) for t in box)
+            assert sg._meets(Z, *_stretch(Z, *sides), lits) == want, \
+                (sides, lits)
+
+    def test_residue_search_charges_past_1024_candidates(self):
+        # no integer is both odd and even: every candidate of one period,
+        # lcm(2, 2000), fails, and each past the 1024th is charged
+        lits = [sg.CongrLiteral(-1, 1, 1, m, (r,))
+                for m, r in ((2, 0), (2, 1), (2000, 0))]
+        full = (sg._BELOW,), (sg._ABOVE,)
+        with budget_scope(None) as budget:
+            assert not sg._meets(Z, *full, lits)
+        assert budget.used == 2000 - 1024
+        with budget_scope(None) as budget:
+            assert sg._meets(Z, *full, lits[1:])
+        assert budget.used == 0
+
 # scalars.nodes_built of coding acceptance criterion 06's corpus, per
 # group; node budgets depend on the count, so it may only fall
-CODE_SET_NODES_BUILT = {"Z": 3373, "Z*Z": 8736, "Z*Q": 5303}
+CODE_SET_NODES_BUILT = {"Z": 3154, "Z*Z": 6776, "Z*Q": 3835}
 
 
 @pytest.mark.parametrize("spec, seed, count", CRIT06,
